@@ -95,21 +95,11 @@ def _bench_requests(args) -> list[PlanRequest]:
     return default_requests(weather=args.weather, seed=args.seed, **overrides)
 
 
-def _cmd_bench_fwd(args) -> int:
-    rows = bench_fwd(_bench_requests(args), args.fwd_list,
-                     repetitions=args.repetitions)
+def _cmd_bench(args) -> int:
+    rows = args.sweep(_bench_requests(args), args.values,
+                      repetitions=args.repetitions)
     os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, "bench_fwd.csv")
-    write_bench_csv(rows, out_path)
-    print(f"wrote {out_path} ({len(rows)} rows)")
-    return 0
-
-
-def _cmd_bench_width(args) -> int:
-    rows = bench_width(_bench_requests(args), args.w_list,
-                       repetitions=args.repetitions)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, "bench_width.csv")
+    out_path = os.path.join(args.out_dir, f"{args.sweep.__name__}.csv")
     write_bench_csv(rows, out_path)
     print(f"wrote {out_path} ({len(rows)} rows)")
     return 0
@@ -141,10 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_plan)
 
-    for name, func, extra in (
-            ("bench-fwd", _cmd_bench_fwd, "fwd_list"),
-            ("bench-width", _cmd_bench_width, "w_list")):
-        p = sub.add_parser(name, help=f"sensitivity sweep ({extra})")
+    for name, sweep, flag in (("bench-fwd", bench_fwd, "--fwd-list"),
+                              ("bench-width", bench_width, "--w-list")):
+        p = sub.add_parser(name, help=f"sensitivity sweep ({flag})")
         p.add_argument("--routes", nargs="*", default=None,
                        help="route pairs like FRA:CDG (default: shipped set)")
         p.add_argument("--fwd", type=int, default=DEFAULT_DIMS[0])
@@ -157,14 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weather", default="jet")
         p.add_argument("--substeps", type=int, default=4)
         p.add_argument("--repetitions", type=int, default=1)
-        if extra == "fwd_list":
-            p.add_argument("--fwd-list", dest="fwd_list", type=int, nargs="*",
-                           default=None)
-        else:
-            p.add_argument("--w-list", dest="w_list", type=int, nargs="*",
-                           default=None)
+        p.add_argument(flag, dest="values", type=int, nargs="*", default=None)
         _add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_bench, sweep=sweep)
 
     p = sub.add_parser("train", help="train the guide policy")
     p.add_argument("--config", required=True, help="TrainConfig JSON path")

@@ -1,9 +1,18 @@
 """Planning front-end and the two sensitivity benchmarks.
 
 `plan` wires guide -> corridor -> A* for one request and returns a
-JSON-ready summary. `bench_fwd` sweeps the number of forward rows,
-`bench_width` sweeps the corridor width; both emit schema-stable CSV
-rows with timings, fuel, and node-expansion counts.
+JSON-ready summary. The two sweeps share one driver and emit
+schema-stable CSV rows with timings, fuel, and node-expansion counts of a
+hybrid run next to its baseline:
+
+- `bench_fwd` sweeps the number of forward rows; the baseline is the
+  unconstrained solver on the same lattice.
+- `bench_width` sweeps the corridor width; the baseline is the full-width
+  (w = J) hybrid run, so the w = J row compares that run with itself and
+  has pct_diff exactly 0.
+
+Only `SkyrouteError` counts as a sweep failure; any other exception
+propagates.
 """
 
 from __future__ import annotations
@@ -12,9 +21,9 @@ import csv
 import json
 import statistics
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, SkyrouteError
 from .geo import GeoPoint, great_circle_distance
 from .guide import GuideConfig, PolicyParams, load_checkpoint, roll_out
 from .lattice import build_corridor, build_lattice
@@ -196,75 +205,67 @@ def route_json_without_timings(doc: dict) -> str:
     return json.dumps(trimmed, sort_keys=True)
 
 
-def _run_pair(req: PlanRequest, field: WeatherField) -> tuple[dict, dict]:
-    """(solver, hybrid) plan results on the same lattice configuration."""
-    solver_req = PlanRequest(**{**req.__dict__, "unconstrained": True})
-    solver = plan(solver_req, field)
-    hybrid = plan(req, field)
-    return solver, hybrid
+def _sweep(requests: list[PlanRequest], values: list[int], apply, baseline,
+           repetitions: int) -> list[dict]:
+    """One row per value: hybrid `apply(req, value)` against its baseline.
 
+    `baseline` maps the hybrid request to the solver request it is compared
+    with. Plans are memoized per (route, repetition, request), so a
+    baseline shared across values is planned once per repetition, and a
+    hybrid request equal to its baseline is the baseline run itself. Only
+    `SkyrouteError` counts as a failure of a (route, repetition) pair.
+    """
+    fields = [make_weather(r.weather, r.origin, r.destination, r.seed)
+              for r in requests]
+    memo: dict[tuple, dict] = {}
 
-def _mean(xs):
-    return sum(xs) / len(xs)
+    def run(i: int, rep: int, req: PlanRequest) -> dict:
+        key = (i, rep, astuple(req))
+        if key not in memo:
+            memo[key] = plan(req, fields[i])
+        return memo[key]
 
-
-def _std(xs):
-    return statistics.pstdev(xs) if len(xs) > 1 else 0.0
-
-
-def _bench_rows(requests: list[PlanRequest], param_values: list[int],
-                apply_param, repetitions: int = 1,
-                extra_fuel_columns: bool = False) -> list[dict]:
     rows = []
-    for value in param_values:
-        solver_times, hybrid_times, guide_times = [], [], []
-        fuel_solver, fuel_hybrid = [], []
-        exp_solver, exp_hybrid = [], []
-        per_route_fuel = []
-        failures = 0
-        for req in requests:
-            req_v = apply_param(req, value)
-            field = make_weather(req_v.weather, req_v.origin,
-                                 req_v.destination, req_v.seed)
-            route_fuels = []
-            for _ in range(repetitions):
+    for value in values:
+        pairs, route_fuels, failures = [], [], 0
+        for i, req in enumerate(requests):
+            hybrid_req = apply(req, value)
+            fuels = []
+            for rep in range(repetitions):
                 try:
-                    solver, hybrid = _run_pair(req_v, field)
-                except Exception:
+                    solver = run(i, rep, baseline(hybrid_req))
+                    hybrid = run(i, rep, hybrid_req)
+                except SkyrouteError:
                     failures += 1
                     continue
-                solver_times.append(solver["timings"]["search_s"])
-                hybrid_times.append(hybrid["timings"]["total_s"])
-                guide_times.append(hybrid["timings"]["guide_s"])
-                fuel_solver.append(solver["totals"]["fuel_kg"])
-                fuel_hybrid.append(hybrid["totals"]["fuel_kg"])
-                exp_solver.append(solver["search"]["expanded_nodes"])
-                exp_hybrid.append(hybrid["search"]["expanded_nodes"])
-                route_fuels.append(hybrid["totals"]["fuel_kg"])
-            if route_fuels:
-                per_route_fuel.append(_mean(route_fuels))
-        if not solver_times:
+                pairs.append((solver, hybrid))
+                fuels.append(hybrid["totals"]["fuel_kg"])
+            if fuels:
+                route_fuels.append(sum(fuels) / len(fuels))
+        if not pairs:
             rows.append({"param_value": value, "failures": failures})
             continue
-        st, ht = _mean(solver_times), _mean(hybrid_times)
-        row = {
-            "param_value": value,
-            "solver_time_s": st,
-            "solver_time_std": _std(solver_times),
-            "hybrid_time_s": ht,
-            "hybrid_time_std": _std(hybrid_times),
-            "guide_time_s": _mean(guide_times),
-            "fuel_solver_kg": _mean(fuel_solver),
-            "fuel_hybrid_kg": _mean(fuel_hybrid),
-            "expanded_solver": _mean(exp_solver),
-            "expanded_hybrid": _mean(exp_hybrid),
-            "pct_diff": (ht - st) / st * 100.0,
+        solver_times = [s["timings"]["total_s"] for s, _ in pairs]
+        hybrid_times = [h["timings"]["total_s"] for _, h in pairs]
+        series = {
+            "solver_time_s": solver_times,
+            "hybrid_time_s": hybrid_times,
+            "guide_time_s": [h["timings"]["guide_s"] for _, h in pairs],
+            "fuel_solver_kg": [s["totals"]["fuel_kg"] for s, _ in pairs],
+            "fuel_hybrid_kg": [h["totals"]["fuel_kg"] for _, h in pairs],
+            "expanded_solver": [s["search"]["expanded_nodes"] for s, _ in pairs],
+            "expanded_hybrid": [h["search"]["expanded_nodes"] for _, h in pairs],
         }
+        row = {"param_value": value,
+               **{k: sum(xs) / len(xs) for k, xs in series.items()},
+               "solver_time_std": statistics.pstdev(solver_times),
+               "hybrid_time_std": statistics.pstdev(hybrid_times)}
+        st, ht = row["solver_time_s"], row["hybrid_time_s"]
+        row["pct_diff"] = (ht - st) / st * 100.0
         if failures:
             row["failures"] = failures
-        if extra_fuel_columns and len(requests) == 2 and len(per_route_fuel) == 2:
-            row["fuel_route1_kg"] = per_route_fuel[0]
-            row["fuel_route2_kg"] = per_route_fuel[1]
+        if len(requests) == 2 and len(route_fuels) == 2:
+            row["fuel_route1_kg"], row["fuel_route2_kg"] = route_fuels
         rows.append(row)
     return rows
 
@@ -272,91 +273,31 @@ def _bench_rows(requests: list[PlanRequest], param_values: list[int],
 def bench_fwd(requests: list[PlanRequest],
               fwd_list: list[int] | None = None,
               repetitions: int = 1) -> list[dict]:
-    """Sweep the number of forward rows at fixed J, H, and width."""
-    fwd_list = fwd_list or list(range(11, 52, 5))
+    """Sweep the number of forward rows I at fixed J, H and width.
 
-    def apply(req: PlanRequest, fwd: int) -> PlanRequest:
-        return PlanRequest(**{**req.__dict__,
-                              "dims": (fwd, req.dims[1], req.dims[2])})
-
-    return _bench_rows(requests, fwd_list, apply, repetitions)
+    The baseline of each row is the unconstrained solver on the same
+    I x J x H lattice.
+    """
+    return _sweep(requests, fwd_list or list(range(11, 52, 5)),
+                  lambda req, fwd: replace(req, dims=(fwd, *req.dims[1:])),
+                  lambda req: replace(req, unconstrained=True), repetitions)
 
 
 def bench_width(requests: list[PlanRequest],
                 w_list: list[int] | None = None,
                 repetitions: int = 1) -> list[dict]:
-    """Sweep the corridor width at fixed lattice dims.
+    """Sweep the corridor width w at fixed lattice dims.
 
-    The solver baseline is the full-width (w = J) hybrid run, whose graph
-    coincides with the unconstrained one, so the w = J row has pct_diff 0
-    by construction. With exactly two requests, per-route fuel columns
-    are added so short/long-trip plateaus can be compared side by side.
+    The baseline of every row is the full-width (w = J) hybrid run, whose
+    graph coincides with the unconstrained one. At w = J the hybrid request
+    is the baseline request, so that row is the baseline run compared with
+    itself: pct_diff is exactly 0 and the fuels are equal, for any number
+    of repetitions.
     """
     J = requests[0].dims[1] if requests else DEFAULT_DIMS[1]
-    w_list = w_list or list(range(1, J + 1))
-
-    baselines = []
-    fields = []
-    for req in requests:
-        field = make_weather(req.weather, req.origin, req.destination, req.seed)
-        fields.append(field)
-        base_req = PlanRequest(**{**req.__dict__, "width": req.dims[1]})
-        baselines.append(plan(base_req, field))
-
-    rows = []
-    for w in w_list:
-        hybrid_times, guide_times = [], []
-        solver_times, fuel_solver, fuel_hybrid = [], [], []
-        exp_solver, exp_hybrid = [], []
-        per_route_fuel = []
-        failures = 0
-        for req, field, base in zip(requests, fields, baselines):
-            req_w = PlanRequest(**{**req.__dict__, "width": w})
-            route_fuels = []
-            for rep in range(repetitions):
-                try:
-                    if w == req.dims[1] and rep == 0:
-                        hybrid = base
-                    else:
-                        hybrid = plan(req_w, field)
-                except Exception:
-                    failures += 1
-                    continue
-                solver_times.append(base["timings"]["total_s"])
-                hybrid_times.append(hybrid["timings"]["total_s"])
-                guide_times.append(hybrid["timings"]["guide_s"])
-                fuel_solver.append(base["totals"]["fuel_kg"])
-                fuel_hybrid.append(hybrid["totals"]["fuel_kg"])
-                exp_solver.append(base["search"]["expanded_nodes"])
-                exp_hybrid.append(hybrid["search"]["expanded_nodes"])
-                route_fuels.append(hybrid["totals"]["fuel_kg"])
-            if route_fuels:
-                per_route_fuel.append(_mean(route_fuels))
-        if not hybrid_times:
-            rows.append({"param_value": w, "failures": failures})
-            continue
-        st, ht = _mean(solver_times), _mean(hybrid_times)
-        row = {
-            "param_value": w,
-            "solver_time_s": st,
-            "solver_time_std": _std(solver_times),
-            "hybrid_time_s": ht,
-            "hybrid_time_std": _std(hybrid_times),
-            "guide_time_s": _mean(guide_times),
-            "fuel_solver_kg": _mean(fuel_solver),
-            "fuel_hybrid_kg": _mean(fuel_hybrid),
-            "expanded_solver": _mean(exp_solver),
-            "expanded_hybrid": _mean(exp_hybrid),
-            "pct_diff": 0.0 if w == J and repetitions == 1
-                        else (ht - st) / st * 100.0,
-        }
-        if failures:
-            row["failures"] = failures
-        if len(requests) == 2 and len(per_route_fuel) == 2:
-            row["fuel_route1_kg"] = per_route_fuel[0]
-            row["fuel_route2_kg"] = per_route_fuel[1]
-        rows.append(row)
-    return rows
+    return _sweep(requests, w_list or list(range(1, J + 1)),
+                  lambda req, w: replace(req, width=w),
+                  lambda req: replace(req, width=req.dims[1]), repetitions)
 
 
 def write_bench_csv(rows: list[dict], path: str) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateTrip, NoSuccessors, WidthOutOfRange
 from .geo import (GeoPoint, great_circle_distance, initial_bearing,
-                  intermediate_point, local_displacement, displace, PlaneVector)
+                  intermediate_point, displace, PlaneVector)
 
 NodeIndex = tuple[int, int, int]
 

@@ -154,12 +154,15 @@ def end_reward(final_dist_normalized: float, threshold: float,
 
 
 def _log_prob_of(params: PolicyParams, mean: np.ndarray,
-                 z: np.ndarray) -> float:
-    """Log density of a tanh-squashed Gaussian action, given the pre-squash z."""
+                 z: np.ndarray) -> np.ndarray:
+    """Log density of tanh-squashed Gaussian actions, given the pre-squash z.
+
+    Sums over the last (action) axis: a (2,) z gives a scalar, (B, 2) a (B,).
+    """
     std = np.exp(params.log_std)
     gauss = -0.5 * (((z - mean) / std) ** 2) - params.log_std - 0.5 * _LOG2PI
     squash = np.log(1.0 - np.tanh(z) ** 2 + _TANH_EPS)
-    return float(np.sum(gauss) - np.sum(squash))
+    return np.sum(gauss, axis=-1) - np.sum(squash, axis=-1)
 
 
 def _safe_step(x, origin, destination, action, phi, n):
@@ -268,20 +271,10 @@ def policy_value_losses(params: PolicyParams, features: np.ndarray,
                         advantages: np.ndarray, returns: np.ndarray,
                         clip_range: float):
     """Clipped surrogate + value losses and diagnostics (no gradients)."""
-    mean, value = forward(params, features)
-    std = np.exp(params.log_std)
-    gauss = (-0.5 * (((pre_squash - mean) / std) ** 2)
-             - params.log_std - 0.5 * _LOG2PI)
-    squash = np.log(1.0 - np.tanh(pre_squash) ** 2 + _TANH_EPS)
-    new_logp = np.sum(gauss, axis=1) - np.sum(squash, axis=1)
-    ratio = np.exp(new_logp - old_log_probs)
-    surr1 = ratio * advantages
-    surr2 = np.clip(ratio, 1.0 - clip_range, 1.0 + clip_range) * advantages
-    policy_loss = -float(np.mean(np.minimum(surr1, surr2)))
-    value_loss = float(np.mean((value - returns) ** 2))
-    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > clip_range))
-    approx_kl = float(np.mean(old_log_probs - new_logp))
-    return policy_loss, value_loss, clip_fraction, approx_kl
+    pl, vl, _grads, cf, kl = _loss_grads(params, features, pre_squash,
+                                         old_log_probs, advantages, returns,
+                                         clip_range, vf_coef=0.0)
+    return pl, vl, cf, kl
 
 
 def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
@@ -296,10 +289,7 @@ def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
     mean = h2 @ params.w_mean.T + params.b_mean
     value = (h2 @ params.w_val.T + params.b_val)[:, 0]
     std = np.exp(params.log_std)
-
-    gauss = -0.5 * (((z - mean) / std) ** 2) - params.log_std - 0.5 * _LOG2PI
-    squash = np.log(1.0 - np.tanh(z) ** 2 + _TANH_EPS)
-    new_logp = np.sum(gauss, axis=1) - np.sum(squash, axis=1)
+    new_logp = _log_prob_of(params, mean, z)
     ratio = np.exp(new_logp - old_logp)
     surr1 = ratio * adv
     surr2 = np.clip(ratio, 1.0 - clip_range, 1.0 + clip_range) * adv

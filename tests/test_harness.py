@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from skyroute import harness
 from skyroute.cli import main
-from skyroute.errors import ConfigError
+from skyroute.errors import ConfigError, NoPath, WidthOutOfRange
 from skyroute.geo import GeoPoint
 from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
                               bench_width, default_requests, load_airports,
@@ -139,13 +140,61 @@ class TestBenchWidth:
         for a, b in zip(fuels, fuels[1:]):
             assert b <= a * (1 + 1e-6)
 
-    def test_two_routes_get_per_route_columns(self):
+    def test_full_width_row_is_exact_zero_with_repetitions(self):
+        reqs = [small_request(weather="jet")]
+        rows = bench_width(reqs, w_list=[3, 5], repetitions=2)
+        by_w = {r["param_value"]: r for r in rows}
+        assert by_w[5]["pct_diff"] == 0.0
+        assert by_w[5]["solver_time_std"] == by_w[5]["hybrid_time_std"]
+
+    def test_width_beyond_columns_is_a_failure(self):
+        req = small_request(weather="jet", width=6)
+        with pytest.raises(WidthOutOfRange):
+            plan(req)
+        rows = bench_width([small_request(weather="jet")], w_list=[5, 6])
+        assert "failures" not in rows[0]
+        assert rows[1] == {"param_value": 6, "failures": 1}
+
+    def test_failed_baseline_is_a_failure(self, monkeypatch):
+        real_plan = harness.plan
+
+        def plan_without_full_width(req, field=None):
+            if req.width == req.dims[1]:
+                raise NoPath("baseline fails")
+            return real_plan(req, field)
+
+        monkeypatch.setattr(harness, "plan", plan_without_full_width)
+        rows = bench_width([small_request(weather="jet")], w_list=[3, 5],
+                           repetitions=2)
+        assert rows == [{"param_value": 3, "failures": 2},
+                        {"param_value": 5, "failures": 2}]
+
+
+class TestSweeps:
+    SWEEPS = [(bench_fwd, [9]), (bench_width, [3])]
+
+    @pytest.mark.parametrize("sweep, values", SWEEPS,
+                             ids=["bench_fwd", "bench_width"])
+    def test_two_routes_get_per_route_columns(self, sweep, values):
         reqs = [small_request(weather="jet"),
                 small_request(origin=resolve_point("FRA"),
                               destination=resolve_point("CDG"), weather="jet")]
-        rows = bench_width(reqs, w_list=[3])
+        rows = sweep(reqs, values)
         assert "fuel_route1_kg" in rows[0]
         assert "fuel_route2_kg" in rows[0]
+        assert rows[0]["fuel_hybrid_kg"] == pytest.approx(
+            (rows[0]["fuel_route1_kg"] + rows[0]["fuel_route2_kg"]) / 2,
+            rel=1e-12)
+
+    @pytest.mark.parametrize("sweep, values", SWEEPS,
+                             ids=["bench_fwd", "bench_width"])
+    def test_programming_errors_propagate(self, sweep, values, monkeypatch):
+        def broken_plan(req, field=None):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(harness, "plan", broken_plan)
+        with pytest.raises(RuntimeError, match="bug"):
+            sweep([small_request(weather="jet")], values)
 
 
 class TestBenchCsv:
