@@ -4,12 +4,20 @@ Spherical earth (R = 6,371,000 m). Local planar work uses an
 equirectangular projection scaled by the cosine of the mid-latitude,
 valid for displacements up to 6,000 km. Rotation angles are radians,
 counter-clockwise positive.
+
+`great_circle_distances`, `initial_bearings` and `intermediate_points`
+are the array forms of the scalar functions: they take lat/lon arrays in
+degrees, broadcast them, and repeat the scalar arithmetic operation for
+operation, so they differ from it only where numpy's sin/cos/asin/atan2
+round differently from the C library's (a few ulp).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateTrip, DistanceOutOfRange
 
@@ -27,6 +35,13 @@ def _normalize_lon(lon_deg: float) -> float:
     elif lon > 180.0:
         lon -= 360.0
     return lon
+
+
+def _normalize_lons(lon_deg: np.ndarray) -> np.ndarray:
+    """Array form of _normalize_lon."""
+    lon = np.fmod(lon_deg, 360.0)
+    return np.where(lon <= -180.0, lon + 360.0,
+                    np.where(lon > 180.0, lon - 360.0, lon))
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,17 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
 
 
+def great_circle_distances(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Array form of great_circle_distance: haversine meters, element-wise."""
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(np.subtract(lat2, lat1))
+    dlam = np.radians(_normalize_lons(np.subtract(lon2, lon1)))
+    s = (np.sin(dphi / 2.0) ** 2
+         + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2)
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
 def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
     """Forward azimuth from a to b, radians clockwise from north."""
     phi1 = math.radians(a.lat_deg)
@@ -116,6 +142,48 @@ def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
     lat = math.degrees(math.atan2(z, math.hypot(x, y)))
     lon = math.degrees(math.atan2(y, x))
     return GeoPoint(lat, lon, a.alt_m + fraction * (b.alt_m - a.alt_m))
+
+
+def initial_bearings(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Array form of initial_bearing: radians clockwise from north."""
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dlam = np.radians(_normalize_lons(np.subtract(lon2, lon1)))
+    y = np.sin(dlam) * np.cos(phi2)
+    x = (np.cos(phi1) * np.sin(phi2)
+         - np.sin(phi1) * np.cos(phi2) * np.cos(dlam))
+    return np.arctan2(y, x)
+
+
+def intermediate_points(lat1, lon1, lat2, lon2,
+                        fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of intermediate_point for one shared fraction.
+
+    Returns (lat, lon) arrays in degrees; fraction 0 returns the start
+    points and 1 the end points, and a zero-length pair its start point.
+    """
+    if fraction <= 0.0:
+        return np.asarray(lat1, dtype=float), np.asarray(lon1, dtype=float)
+    if fraction >= 1.0:
+        return np.asarray(lat2, dtype=float), np.asarray(lon2, dtype=float)
+    phi1 = np.radians(lat1)
+    lam1 = np.radians(lon1)
+    phi2 = np.radians(lat2)
+    lam2 = np.radians(lon2)
+    delta = great_circle_distances(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sd = np.sin(delta)
+        fa = np.sin((1.0 - fraction) * delta) / sd
+        fb = np.sin(fraction * delta) / sd
+    cos_phi1 = np.cos(phi1)
+    cos_phi2 = np.cos(phi2)
+    x = fa * cos_phi1 * np.cos(lam1) + fb * cos_phi2 * np.cos(lam2)
+    y = fa * cos_phi1 * np.sin(lam1) + fb * cos_phi2 * np.sin(lam2)
+    z = fa * np.sin(phi1) + fb * np.sin(phi2)
+    lat = np.degrees(np.arctan2(z, np.hypot(x, y)))
+    lon = _normalize_lons(np.degrees(np.arctan2(y, x)))
+    same = delta == 0.0
+    return np.where(same, lat1, lat), np.where(same, lon1, lon)
 
 
 def local_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:

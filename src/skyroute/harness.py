@@ -141,9 +141,15 @@ def _guide_route(req: PlanRequest, field: WeatherField):
 
 
 def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
-    """Run the full pipeline for one request and return the route summary."""
+    """Run the full pipeline for one request and return the route summary.
+
+    `timings` holds the wall time of each stage; `total_s` is their sum.
+    """
+    t0 = time.perf_counter()
     field = field or make_weather(req.weather, req.origin, req.destination,
                                   req.seed)
+    weather_time = time.perf_counter() - t0
+    t0 = time.perf_counter()
     I, J, H = req.dims
     halfwidth = req.lateral_halfwidth_m
     if halfwidth is None:
@@ -151,6 +157,7 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
             req.origin, req.destination)
     lattice = build_lattice(req.origin, req.destination, I, J, H, halfwidth,
                             req.alt_band)
+    lattice_time = time.perf_counter() - t0
     initial = AircraftState(req.origin, req.aircraft.ref_mass_kg)
 
     guide_time = 0.0
@@ -174,6 +181,9 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
         segments.append({"fuel_kg": seg.fuel_kg, "time_s": seg.time_s})
         state = seg.end_state
 
+    stages = {"weather_s": weather_time, "lattice_s": lattice_time,
+              "guide_s": guide_time, "corridor_s": corridor_time,
+              "search_s": result.wall_time_s}
     return {
         "request": {
             "origin": [req.origin.lat_deg, req.origin.lon_deg, req.origin.alt_m],
@@ -193,9 +203,7 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
                    "search_cost_kg": result.search_cost_kg},
         "search": {"expanded_nodes": result.expanded_nodes,
                    "generated_nodes": result.generated_nodes},
-        "timings": {"guide_s": guide_time, "corridor_s": corridor_time,
-                    "search_s": result.wall_time_s,
-                    "total_s": guide_time + corridor_time + result.wall_time_s},
+        "timings": {**stages, "total_s": sum(stages.values())},
     }
 
 

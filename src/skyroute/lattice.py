@@ -3,14 +3,17 @@
 The lattice is an (I, J, H) node matrix between origin and destination.
 Row 0 and row I-1 hold identical nodes (the endpoints); interior rows
 spread J columns laterally around the great-circle track and H altitude
-levels across the configured band. A corridor restricts each row to a
-window of w consecutive columns around a coarse guide route.
+levels across the configured band. All H levels of a column share one
+lat/lon, so positions are stored once per column. A corridor restricts
+each row to a window of w consecutive columns around a coarse guide route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateTrip, NoSuccessors, WidthOutOfRange
 from .geo import (GeoPoint, great_circle_distance, initial_bearing,
@@ -39,17 +42,29 @@ class CoarseRoute:
 
 @dataclass
 class Lattice:
-    """The (I, J, H) node matrix plus its build parameters."""
+    """The (I, J, H) node matrix plus its build parameters.
+
+    `lat_deg` and `lon_deg` are (I, J) arrays of column positions (rows 0
+    and I-1 repeat the origin and the destination); `alts_m` holds the H
+    level altitudes.
+    """
 
     dims: tuple[int, int, int]
-    nodes: tuple  # nested (I, J, H) tuple of GeoPoint
+    lat_deg: np.ndarray
+    lon_deg: np.ndarray
+    alts_m: tuple[float, ...]
     origin: GeoPoint
     destination: GeoPoint
     lateral_halfwidth_m: float
 
     def node(self, idx: NodeIndex) -> GeoPoint:
         i, j, h = idx
-        return self.nodes[i][j][h]
+        if i == 0:
+            return self.origin
+        if i == self.dims[0] - 1:
+            return self.destination
+        return GeoPoint(float(self.lat_deg[i, j]), float(self.lon_deg[i, j]),
+                        self.alts_m[h])
 
     @property
     def center_column(self) -> int:
@@ -90,38 +105,34 @@ def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: in
     alt_lo, alt_hi = alt_band
     if alt_hi < alt_lo:
         raise ValueError("alt_band must be (low, high)")
-
-    def level_alt(h: int) -> float:
-        if H == 1:
-            return 0.5 * (alt_lo + alt_hi)
-        return alt_lo + h * (alt_hi - alt_lo) / (H - 1)
+    if not (math.isfinite(alt_hi) and alt_lo >= 0.0):
+        raise ValueError(f"alt_band must be finite and >= 0: {alt_band}")
+    if H == 1:
+        alts = (0.5 * (alt_lo + alt_hi),)
+    else:
+        alts = tuple(alt_lo + h * (alt_hi - alt_lo) / (H - 1) for h in range(H))
 
     center = (J - 1) // 2
     half = max(center, 1)
-    rows = []
-    for i in range(I):
-        if i == 0:
-            rows.append(tuple(tuple(origin for _ in range(H)) for _ in range(J)))
-            continue
-        if i == I - 1:
-            rows.append(tuple(tuple(destination for _ in range(H)) for _ in range(J)))
-            continue
+    lat = np.empty((I, J))
+    lon = np.empty((I, J))
+    lat[0], lon[0] = origin.lat_deg, origin.lon_deg
+    lat[I - 1], lon[I - 1] = destination.lat_deg, destination.lon_deg
+    for i in range(1, I - 1):
         track_pt = intermediate_point(origin, destination, i / (I - 1))
         bearing = initial_bearing(track_pt, destination)
         # Lateral unit vector: 90 degrees right of the local track bearing.
         perp_e = math.cos(bearing)
         perp_n = -math.sin(bearing)
-        cols = []
         for j in range(J):
             offset = (j - center) / half * lateral_halfwidth_m
             if offset == 0.0:
                 base = track_pt
             else:
                 base = displace(track_pt, PlaneVector(perp_e * offset, perp_n * offset))
-            cols.append(tuple(
-                GeoPoint(base.lat_deg, base.lon_deg, level_alt(h)) for h in range(H)))
-        rows.append(tuple(cols))
-    return Lattice((I, J, H), tuple(rows), origin, destination, lateral_halfwidth_m)
+            lat[i, j], lon[i, j] = base.lat_deg, base.lon_deg
+    return Lattice((I, J, H), lat, lon, alts, origin, destination,
+                   lateral_halfwidth_m)
 
 
 def successors(lattice: Lattice, idx: NodeIndex) -> list[NodeIndex]:
@@ -179,7 +190,7 @@ def build_corridor(lattice: Lattice, coarse: CoarseRoute, w: int) -> Corridor:
         best_j = center
         best_d = math.inf
         for j in range(J):
-            d = great_circle_distance(lattice.nodes[i][j][0], target)
+            d = great_circle_distance(lattice.node((i, j, 0)), target)
             # Ties broken toward the lattice centerline.
             if d < best_d - 1e-9 or (abs(d - best_d) <= 1e-9
                                      and abs(j - center) < abs(best_j - center)):

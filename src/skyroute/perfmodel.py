@@ -4,6 +4,10 @@ Segment fuel burn uses a mass-power-law fuel flow with a linear
 temperature term and additive along-track wind. Deterministic and
 monotone by construction, with closed forms that unit tests can pin
 exactly.
+
+`fly_segment` flies one segment with threaded mass and is the reference;
+`fly_segments` repeats its arithmetic over arrays of segments for the
+search's edge-cost tables.
 """
 
 from __future__ import annotations
@@ -12,9 +16,14 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import Infeasible
-from .geo import GeoPoint, great_circle_distance, initial_bearing, intermediate_point
-from .weather import ISA_TEMPERATURE_K, WeatherField, sample
+import numpy as np
+
+from .errors import Infeasible, SkyrouteError
+from .geo import (GeoPoint, great_circle_distance, great_circle_distances,
+                  initial_bearing, initial_bearings, intermediate_point,
+                  intermediate_points)
+from .weather import (ISA_TEMPERATURE_K, WeatherField, outside_grid, sample,
+                      sample_many)
 
 #: Ground-speed floor (m/s) preventing division blow-up under absurd headwind.
 GROUND_SPEED_FLOOR_MS = 20.0
@@ -142,13 +151,66 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
         df = fuel_flow_kgps(spec, mass, wx.temperature) * dt
         mass -= df
         if mass < spec.empty_mass_kg:
-            raise Infeasible(
-                f"mass would drop below empty mass ({mass:.1f} < {spec.empty_mass_kg})")
+            raise _below_empty(spec, mass)
         fuel += df
         time += dt
 
     end = AircraftState(GeoPoint(to.lat_deg, to.lon_deg, to.alt_m), mass)
     return SegmentResult(fuel, time, end, floor_hit)
+
+
+def _below_empty(spec: AircraftSpec, mass_kg: float) -> Infeasible:
+    return Infeasible(
+        f"mass would drop below empty mass ({mass_kg:.1f} < {spec.empty_mass_kg})")
+
+
+def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
+                 field: WeatherField, substeps: int = DEFAULT_SUBSTEPS
+                 ) -> tuple[np.ndarray, dict[int, SkyrouteError]]:
+    """Fuel of many segments at once, each flown as `fly_segment` flies it.
+
+    Segment n runs from (lat0[n], lon0[n]) at mass mass0[n] to (lat1[n],
+    lon1[n]); the arguments broadcast to one 1-D shape. The substep loop
+    runs once over all segments. Returns the fuel per segment and, by
+    segment index, the error `fly_segment` would raise for it: the first
+    substep whose midpoint lies off the grid (OutOfDomain) or whose mass
+    falls below the empty mass (Infeasible). Those segments hold NaN fuel.
+    """
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    lat0, lon0, mass, lat1, lon1 = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (lat0, lon0, mass0, lat1, lon1)))
+    total = great_circle_distances(lat0, lon0, lat1, lon1)
+    piece_len = total / substeps
+    fuel = np.zeros_like(total)
+    # A zero-length segment costs nothing and samples nowhere.
+    flying = total > 0.0
+    failed = np.zeros(total.shape, dtype=bool)
+    errors: dict[int, SkyrouteError] = {}
+    p0 = (lat0, lon0)
+    for k in range(substeps):
+        f0 = k / substeps
+        f1 = (k + 1) / substeps
+        p1 = intermediate_points(lat0, lon0, lat1, lon1, f1)
+        mid = intermediate_points(lat0, lon0, lat1, lon1, (f0 + f1) / 2.0)
+        wx = sample_many(field, *mid)
+        bearing = initial_bearings(*p0, *p1)
+        along = wx.wind_east * np.sin(bearing) + wx.wind_north * np.cos(bearing)
+        gs = np.maximum(spec.tas_ms + along, GROUND_SPEED_FLOOR_MS)
+        dt = piece_len / gs
+        df = fuel_flow_kgps(spec, mass, wx.temperature) * dt
+        mass = mass - df
+        active = flying & ~failed
+        off_grid = active & np.isnan(wx.temperature)
+        for n in np.flatnonzero(off_grid):
+            errors[int(n)] = outside_grid(field, mid[0][n], mid[1][n])
+        too_light = active & ~off_grid & (mass < spec.empty_mass_kg)
+        for n in np.flatnonzero(too_light):
+            errors[int(n)] = _below_empty(spec, mass[n])
+        failed = failed | off_grid | too_light
+        fuel = fuel + df
+        p0 = p1
+    return np.where(failed, np.nan, np.where(flying, fuel, 0.0)), errors
 
 
 def route_cost(spec: AircraftSpec, initial_state: AircraftState,

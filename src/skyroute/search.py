@@ -5,6 +5,12 @@ per-row nominal mass (A* needs state-independent edge costs); the
 winning path is then re-flown with threaded mass for the reported fuel.
 The heuristic is a provable lower bound on remaining fuel per meter,
 so the search is optimal within the graph it is given.
+
+An edge (i, j, h) -> (i+1, j', h') costs the same for every h and h':
+the row's nominal mass is fixed, the weather is 2-D, distance ignores
+altitude, and all levels of a column share one lat/lon. So each search
+costs every edge it may relax in one `fly_segments` call, as an
+(I-1, J, 3) table indexed by row, column and j' - j + 1.
 """
 
 from __future__ import annotations
@@ -13,11 +19,13 @@ import heapq
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NoPath
 from .geo import GeoPoint, great_circle_distance
 from .lattice import Corridor, Lattice, NodeIndex, is_reachable, successors
-from .perfmodel import (AircraftSpec, AircraftState, fly_segment, route_cost,
-                        DEFAULT_SUBSTEPS)
+from .perfmodel import (AircraftSpec, AircraftState, fly_segment, fly_segments,
+                        route_cost, DEFAULT_SUBSTEPS)
 from .weather import WeatherField
 
 
@@ -60,30 +68,6 @@ def min_specific_burn(spec: AircraftSpec, field: WeatherField) -> float:
     return flow_min / (spec.tas_ms + w_max)
 
 
-class _EdgeCoster:
-    """Caches nominal-mass edge costs keyed by (from, to) node indices."""
-
-    def __init__(self, lattice: Lattice, spec: AircraftSpec, masses: list[float],
-                 field: WeatherField, substeps: int):
-        self.lattice = lattice
-        self.spec = spec
-        self.masses = masses
-        self.field = field
-        self.substeps = substeps
-        self.cache: dict[tuple[NodeIndex, NodeIndex], float] = {}
-
-    def cost(self, u: NodeIndex, v: NodeIndex) -> float:
-        key = (u, v)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        state = AircraftState(self.lattice.node(u), self.masses[u[0]])
-        fuel = fly_segment(self.spec, state, self.lattice.node(v),
-                           self.field, self.substeps).fuel_kg
-        self.cache[key] = fuel
-        return fuel
-
-
 def _start_and_goal(lattice: Lattice, corridor: Corridor | None):
     if corridor is not None:
         start = corridor.start_node
@@ -91,6 +75,73 @@ def _start_and_goal(lattice: Lattice, corridor: Corridor | None):
         start = (0, lattice.center_column, lattice.center_level)
     goal = (lattice.dims[0] - 1, lattice.center_column, lattice.center_level)
     return start, goal
+
+
+def _column_windows(lattice: Lattice, corridor: Corridor | None,
+                    start: NodeIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the first and last column the search can reach."""
+    I, J, _H = lattice.dims
+    lo = np.zeros(I, dtype=int)
+    hi = np.full(I, J - 1)
+    if corridor is not None:
+        lo[:] = corridor.j_min
+        hi[:] = lo + corridor.width - 1
+    lo[0] = hi[0] = start[1]
+    lo[I - 1] = hi[I - 1] = lattice.center_column
+    return lo, hi
+
+
+def _edge_costs(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
+                spec: AircraftSpec, masses: list[float], field: WeatherField,
+                substeps: int):
+    """Nominal-mass cost of every edge between reachable columns.
+
+    All edges are flown in one `fly_segments` call. Returns `cost(u, v)`,
+    which raises an edge's OutOfDomain or Infeasible only when that edge
+    is relaxed, as flying it one by one would.
+    """
+    I, J, _H = lattice.dims
+    col = np.arange(J)[:, None]
+    target = np.broadcast_to(col + np.arange(-1, 2), (I - 1, J, 3)).copy()
+    target[I - 2] = lattice.center_column      # every column enters the goal
+    mask = ((lo[:-1, None, None] <= col) & (col <= hi[:-1, None, None])
+            & (lo[1:, None, None] <= target) & (target <= hi[1:, None, None]))
+    mask[I - 2, :, 0::2] = False
+    rows, cols, slots = np.nonzero(mask)
+    to_cols = target[rows, cols, slots]
+    fuel, errors = fly_segments(
+        spec, lattice.lat_deg[rows, cols], lattice.lon_deg[rows, cols],
+        np.asarray(masses)[rows], lattice.lat_deg[rows + 1, to_cols],
+        lattice.lon_deg[rows + 1, to_cols], field, substeps)
+    table = np.full(mask.shape, np.nan)
+    table[mask] = fuel
+    costs = table.tolist()
+    failures = {(int(rows[n]), int(cols[n]), int(slots[n])): exc
+                for n, exc in errors.items()}
+    last = I - 1
+
+    def cost(u: NodeIndex, v: NodeIndex) -> float:
+        i, j, _h = u
+        slot = 1 if v[0] == last else v[1] - j + 1
+        c = costs[i][j][slot]
+        if c != c:
+            raise failures[(i, j, slot)]
+        return c
+
+    return cost
+
+
+def _heuristics(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
+                spec: AircraftSpec, field: WeatherField) -> list[list[float]]:
+    """Admissible cost-to-go per reachable (row, column); 0 at the goal."""
+    I, J, _H = lattice.dims
+    msb = min_specific_burn(spec, field)
+    dest = lattice.destination
+    h = [[0.0] * J for _ in range(I)]
+    for i in range(I - 1):
+        for j in range(lo[i], hi[i] + 1):
+            h[i][j] = great_circle_distance(lattice.node((i, j, 0)), dest) * msb
+    return h
 
 
 def _finish(lattice: Lattice, spec: AircraftSpec, initial_state: AircraftState,
@@ -115,14 +166,13 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     t0 = time.perf_counter()
     I = lattice.dims[0]
     masses = nominal_mass_profile(lattice, spec, initial_state, field, substeps)
-    coster = _EdgeCoster(lattice, spec, masses, field, substeps)
-    msb = min_specific_burn(spec, field)
     start, goal = _start_and_goal(lattice, corridor)
+    lo, hi = _column_windows(lattice, corridor, start)
+    cost = _edge_costs(lattice, lo, hi, spec, masses, field, substeps)
+    h_table = _heuristics(lattice, lo, hi, spec, field)
 
     def heuristic(idx: NodeIndex) -> float:
-        if idx == goal:
-            return 0.0
-        return great_circle_distance(lattice.node(idx), lattice.destination) * msb
+        return h_table[idx[0]][idx[1]]
 
     g_score: dict[NodeIndex, float] = {start: 0.0}
     parent: dict[NodeIndex, NodeIndex] = {}
@@ -152,7 +202,7 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
                 continue
             if v in closed:
                 continue
-            g_new = g_score[u] + coster.cost(u, v)
+            g_new = g_score[u] + cost(u, v)
             if g_new < g_score.get(v, float("inf")):
                 g_score[v] = g_new
                 parent[v] = u
@@ -171,8 +221,9 @@ def dp_oracle(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
         raise ValueError("dp_oracle limited to I*J*H <= 50,000")
     t0 = time.perf_counter()
     masses = nominal_mass_profile(lattice, spec, initial_state, field, substeps)
-    coster = _EdgeCoster(lattice, spec, masses, field, substeps)
     start, goal = _start_and_goal(lattice, corridor)
+    lo, hi = _column_windows(lattice, corridor, start)
+    cost = _edge_costs(lattice, lo, hi, spec, masses, field, substeps)
 
     best: dict[NodeIndex, float] = {start: 0.0}
     parent: dict[NodeIndex, NodeIndex] = {}
@@ -185,7 +236,7 @@ def dp_oracle(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
             for v in successors(lattice, u):
                 if corridor is not None and not is_reachable(corridor, v, I):
                     continue
-                g_new = best[u] + coster.cost(u, v)
+                g_new = best[u] + cost(u, v)
                 generated += 1
                 if g_new < best.get(v, float("inf")):
                     best[v] = g_new

@@ -59,6 +59,10 @@ class WeatherField:
         for name in ("wind_east", "wind_north", "temperature"):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} grid must have shape {shape}")
+            # The range checks below pass NaN, and sample_many marks
+            # off-grid positions with it.
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} grid must be finite")
         if np.any(self.temperature < 180.0) or np.any(self.temperature > 330.0):
             raise ValueError("temperature outside [180, 330] K")
         if np.any(np.hypot(self.wind_east, self.wind_north) > 150.0):
@@ -78,15 +82,21 @@ class WeatherField:
                 float(self.lon_axis[0]), float(self.lon_axis[-1]))
 
 
+def outside_grid(fld: WeatherField, lat: float, lon: float) -> OutOfDomain:
+    """The error for sampling `fld` at a position off its grid."""
+    return OutOfDomain(
+        f"({lat:.4f}, {lon:.4f}) outside weather grid "
+        f"[{fld.lat_axis[0]}, {fld.lat_axis[-1]}] x "
+        f"[{fld.lon_axis[0]}, {fld.lon_axis[-1]}]")
+
+
 def sample(fld: WeatherField, p: GeoPoint) -> WeatherSample:
     """Bilinear interpolation at p; exact at grid nodes."""
     lat, lon = p.lat_deg, p.lon_deg
     lat_lo, lat_hi = fld.lat_axis[0], fld.lat_axis[-1]
     lon_lo, lon_hi = fld.lon_axis[0], fld.lon_axis[-1]
     if not (lat_lo <= lat <= lat_hi and lon_lo <= lon <= lon_hi):
-        raise OutOfDomain(
-            f"({lat:.4f}, {lon:.4f}) outside weather grid "
-            f"[{lat_lo}, {lat_hi}] x [{lon_lo}, {lon_hi}]")
+        raise outside_grid(fld, lat, lon)
 
     i = int(np.searchsorted(fld.lat_axis, lat, side="right")) - 1
     j = int(np.searchsorted(fld.lon_axis, lon, side="right")) - 1
@@ -95,15 +105,39 @@ def sample(fld: WeatherField, p: GeoPoint) -> WeatherSample:
 
     t = (lat - fld.lat_axis[i]) / (fld.lat_axis[i + 1] - fld.lat_axis[i])
     u = (lon - fld.lon_axis[j]) / (fld.lon_axis[j + 1] - fld.lon_axis[j])
+    return WeatherSample(float(_bilinear(fld.wind_east, i, j, t, u)),
+                         float(_bilinear(fld.wind_north, i, j, t, u)),
+                         float(_bilinear(fld.temperature, i, j, t, u)))
 
-    def interp(grid: np.ndarray) -> float:
-        return float((1 - t) * (1 - u) * grid[i, j]
-                     + (1 - t) * u * grid[i, j + 1]
-                     + t * (1 - u) * grid[i + 1, j]
-                     + t * u * grid[i + 1, j + 1])
 
-    return WeatherSample(interp(fld.wind_east), interp(fld.wind_north),
-                         interp(fld.temperature))
+def sample_many(fld: WeatherField, lat: np.ndarray,
+                lon: np.ndarray) -> WeatherSample:
+    """Array form of sample: a WeatherSample of arrays shaped like `lat`.
+
+    Same arithmetic as `sample`, so the values are bit-identical to it.
+    Instead of raising, positions off the grid get NaN in all three fields.
+    """
+    lat_axis, lon_axis = fld.lat_axis, fld.lon_axis
+    inside = ((lat_axis[0] <= lat) & (lat <= lat_axis[-1])
+              & (lon_axis[0] <= lon) & (lon <= lon_axis[-1]))
+    i = np.clip(np.searchsorted(lat_axis, lat, side="right") - 1,
+                0, lat_axis.size - 2)
+    j = np.clip(np.searchsorted(lon_axis, lon, side="right") - 1,
+                0, lon_axis.size - 2)
+
+    t = (lat - lat_axis[i]) / (lat_axis[i + 1] - lat_axis[i])
+    u = (lon - lon_axis[j]) / (lon_axis[j + 1] - lon_axis[j])
+    return WeatherSample(*(np.where(inside, _bilinear(grid, i, j, t, u), np.nan)
+                           for grid in (fld.wind_east, fld.wind_north,
+                                        fld.temperature)))
+
+
+def _bilinear(grid: np.ndarray, i, j, t, u):
+    """Value of `grid` at fractions (t, u) of cell (i, j); scalars or arrays."""
+    return ((1 - t) * (1 - u) * grid[i, j]
+            + (1 - t) * u * grid[i, j + 1]
+            + t * (1 - u) * grid[i + 1, j]
+            + t * u * grid[i + 1, j + 1])
 
 
 def make_uniform(wind_east: float, wind_north: float, temperature: float,

@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skyroute.errors import DegenerateTrip, DistanceOutOfRange
 from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, PlaneVector, displace,
-                          great_circle_distance, intermediate_point,
+                          great_circle_distance, great_circle_distances,
+                          initial_bearing, initial_bearings,
+                          intermediate_point, intermediate_points,
                           local_displacement, rotate, rotate_inverse,
                           trip_rotation)
 
@@ -119,12 +122,17 @@ class TestTripRotation:
             trip_rotation(p, GeoPoint(10, 10, 5_000))
 
     @given(geo_points(st.floats(-60, 60)), geo_points(st.floats(-60, 60)))
+    @example(GeoPoint(0.0, 0.0), GeoPoint(0.0, 5e-324))  # displacement underflows
     @settings(max_examples=100)
     def test_straightens_any_trip(self, a, b):
-        if a.same_position(b) or great_circle_distance(a, b) > 5_500_000:
+        if great_circle_distance(a, b) > 5_500_000:
+            return
+        d = local_displacement(a, b)
+        if d.norm() == 0.0:
+            with pytest.raises(DegenerateTrip):
+                trip_rotation(a, b)
             return
         phi = trip_rotation(a, b)
-        d = local_displacement(a, b)
         r = rotate(d, phi)
         assert abs(r.east_m) <= 1e-9 * max(d.norm(), 1.0)
         assert r.north_m == pytest.approx(d.norm(), rel=1e-9)
@@ -175,3 +183,42 @@ def test_intermediate_point_midpoint_on_track():
     assert great_circle_distance(a, mid) + great_circle_distance(mid, b) == \
         pytest.approx(great_circle_distance(a, b), rel=1e-9)
     assert mid.alt_m == pytest.approx(10_000)
+
+
+class TestArrayForms:
+    """The array functions repeat the scalar ones element by element."""
+
+    @given(st.lists(st.tuples(geo_points(), geo_points(), st.booleans()),
+                    min_size=1, max_size=6),
+           st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)))
+    @settings(max_examples=100)
+    def test_match_scalar(self, pairs, fraction):
+        pairs = [(a, a if same else b) for a, b, same in pairs]
+        cols = [np.array([p.lat_deg for p, _ in pairs]),
+                np.array([p.lon_deg for p, _ in pairs]),
+                np.array([q.lat_deg for _, q in pairs]),
+                np.array([q.lon_deg for _, q in pairs])]
+        dist = great_circle_distances(*cols)
+        bearing = initial_bearings(*cols)
+        lat, lon = intermediate_points(*cols, fraction)
+        for n, (a, b) in enumerate(pairs):
+            assert dist[n] == pytest.approx(great_circle_distance(a, b),
+                                            rel=1e-12, abs=1e-6)
+            if dist[n] > 1.0:
+                assert bearing[n] == pytest.approx(initial_bearing(a, b),
+                                                   abs=1e-9)
+            p = intermediate_point(a, b, fraction)
+            assert lat[n] == pytest.approx(p.lat_deg, abs=1e-9)
+            assert abs((lon[n] - p.lon_deg + 180.0) % 360.0 - 180.0) <= 1e-9
+
+    def test_endpoints_and_zero_length_exact(self):
+        lat0, lon0 = np.array([48.0, 10.0]), np.array([11.0, 179.5])
+        lat1, lon1 = np.array([48.0, 10.0]), np.array([11.0, -179.5])
+        assert great_circle_distances(lat0, lon0, lat1, lon1)[0] == 0.0
+        for f, want in ((0.0, (lat0, lon0)), (1.0, (lat1, lon1))):
+            got = intermediate_points(lat0, lon0, lat1, lon1, f)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        lat, lon = intermediate_points(lat0, lon0, lat1, lon1, 0.5)
+        assert (lat[0], lon[0]) == (48.0, 11.0)
+        # Across the antimeridian the midpoint sits on it, not at lon 0.
+        assert abs(lon[1]) == pytest.approx(180.0, abs=1e-9)

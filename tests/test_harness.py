@@ -89,6 +89,14 @@ class TestPlan:
         total = sum(s["fuel_kg"] for s in doc["segments"])
         assert total == pytest.approx(doc["totals"]["fuel_kg"], rel=1e-12)
 
+    @pytest.mark.parametrize("unconstrained", [False, True])
+    def test_stage_timings_add_up(self, unconstrained):
+        timings = plan(small_request(unconstrained=unconstrained))["timings"]
+        stages = ("weather_s", "lattice_s", "guide_s", "corridor_s", "search_s")
+        assert set(timings) == {*stages, "total_s"}
+        assert timings["total_s"] == sum(timings[k] for k in stages)
+        assert timings["weather_s"] > 0.0 and timings["lattice_s"] > 0.0
+
     def test_unconstrained_skips_guide(self):
         doc = plan(small_request(unconstrained=True))
         assert doc["request"]["width"] is None

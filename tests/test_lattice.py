@@ -73,6 +73,19 @@ class TestBuildLattice:
             build_lattice(ORIGIN, DEST, 9, 4, 3, 50_000)   # even J
         with pytest.raises(DegenerateTrip):
             build_lattice(ORIGIN, ORIGIN, 9, 5, 3, 50_000)
+        with pytest.raises(ValueError):
+            build_lattice(ORIGIN, DEST, 9, 5, 3, 50_000, alt_band=(-100.0, 500.0))
+        with pytest.raises(ValueError):
+            build_lattice(ORIGIN, DEST, 9, 5, 3, 50_000,
+                          alt_band=(9_000.0, math.inf))
+
+    def test_levels_share_column_positions(self):
+        lat = small_lattice(H=3)
+        assert lat.lat_deg.shape == lat.lon_deg.shape == (9, 5)
+        for h in range(3):
+            p = lat.node((4, 1, h))
+            assert (p.lat_deg, p.lon_deg) == (lat.lat_deg[4, 1], lat.lon_deg[4, 1])
+        assert lat.node((0, 3, 2)) is ORIGIN and lat.node((8, 0, 0)) is DEST
 
 
 class TestSuccessors:

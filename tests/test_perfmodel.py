@@ -3,12 +3,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skyroute.errors import Infeasible
+from skyroute.errors import Infeasible, OutOfDomain, SkyrouteError
 from skyroute.geo import GeoPoint, great_circle_distance
 from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftSpec,
                                 AircraftState, default_spec, fly_segment,
-                                fuel_flow_kgps, route_cost)
-from skyroute.weather import ISA_TEMPERATURE_K, make_uniform
+                                fly_segments, fuel_flow_kgps, route_cost)
+from skyroute.weather import ISA_TEMPERATURE_K, make_jet_stream, make_uniform
 
 
 BBOX = (30.0, 70.0, -20.0, 40.0)
@@ -131,6 +131,84 @@ class TestFlySegment:
         with pytest.raises(Infeasible):
             fly_segment(spec, AircraftState(a, spec.empty_mass_kg + 5.0), b,
                         still_air())
+
+
+#: TAS 150 m/s: a 130 m/s headwind puts ground speed at the floor, 140 below it.
+SLOW_SPEC = AircraftSpec(60_000, 40_000, 77_000, 150.0, 0.65, 1.0, 0.002)
+
+FIELDS = [
+    still_air(),
+    make_jet_stream(BBOX, 50.0, 60.0, 4.0, seed=3),
+    make_uniform(-(SLOW_SPEC.tas_ms - GROUND_SPEED_FLOOR_MS), 0.0, 300.0, BBOX),
+    make_uniform(-140.0, 0.0, 280.0, BBOX),
+]
+
+segments = st.lists(
+    st.tuples(st.floats(25, 75), st.floats(-25, 45),        # start, partly off grid
+              st.floats(-3, 3), st.floats(-3, 3),           # end offset
+              st.booleans(),                                # zero length
+              st.floats(40_000, 77_000)),                   # start mass
+    min_size=1, max_size=8)
+
+
+def assert_matches_scalar(spec, segs, field, substeps):
+    """fly_segments agrees with fly_segment on every segment, errors included."""
+    starts = [GeoPoint(lat, lon) for lat, lon, *_ in segs]
+    ends = [a if zero else GeoPoint(max(-90.0, min(90.0, a.lat_deg + dlat)),
+                                    a.lon_deg + dlon)
+            for a, (_lat, _lon, dlat, dlon, zero, _m) in zip(starts, segs)]
+    masses = [m for *_, m in segs]
+    fuel, errors = fly_segments(
+        spec, [a.lat_deg for a in starts], [a.lon_deg for a in starts], masses,
+        [b.lat_deg for b in ends], [b.lon_deg for b in ends], field, substeps)
+    for n, (a, b, m) in enumerate(zip(starts, ends, masses)):
+        try:
+            want = fly_segment(spec, AircraftState(a, m), b, field, substeps).fuel_kg
+        except SkyrouteError as exc:
+            assert type(errors[n]) is type(exc) and str(errors[n]) == str(exc)
+            assert math.isnan(fuel[n])
+            continue
+        assert n not in errors
+        assert abs(fuel[n] - want) <= 1e-12 * want
+
+
+class TestFlySegments:
+    @given(st.sampled_from([default_spec(), SLOW_SPEC]), segments,
+           st.sampled_from(FIELDS), st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar(self, spec, segs, field, substeps):
+        assert_matches_scalar(spec, segs, field, substeps)
+
+    def test_edge_cases_match_scalar(self):
+        segs = [(48.0, 11.0, 0.5, 1.0, False, 60_000.0),   # ordinary
+                (48.0, 11.0, 0.0, 0.0, True, 60_000.0),    # zero length
+                (75.0, 11.0, 0.0, 0.0, True, 60_000.0),    # zero length off grid
+                (69.5, 11.0, 2.0, 0.0, False, 60_000.0),   # leaves the grid
+                (48.0, 11.0, 2.0, 2.0, False, 40_100.0),   # falls below empty
+                (48.0, 11.0, 0.0, 1.0, False, 60_000.0)]   # due east
+        for field in FIELDS:
+            for substeps in (1, 4):
+                assert_matches_scalar(SLOW_SPEC, segs, field, substeps)
+        _fuel, errors = fly_segments(
+            default_spec(), [69.5, 48.0], [11.0, 11.0], [60_000.0, 40_100.0],
+            [71.5, 50.0], [11.0, 13.0], still_air(), 4)
+        assert isinstance(errors[0], OutOfDomain)
+        assert isinstance(errors[1], Infeasible)
+
+    def test_floor_is_hit(self):
+        # Due west at TAS 150 m/s into a 140 m/s wind: ground speed floored.
+        a, b = GeoPoint(48.0, 11.0), GeoPoint(48.0, 10.0)
+        fld = make_uniform(140.0, 0.0, ISA_TEMPERATURE_K, BBOX)
+        res = fly_segment(SLOW_SPEC, AircraftState(a, 60_000), b, fld, 1)
+        assert res.gs_floor_hit
+        fuel, _ = fly_segments(SLOW_SPEC, [a.lat_deg], [a.lon_deg], [60_000],
+                               [b.lat_deg], [b.lon_deg], fld, 1)
+        assert fuel[0] == pytest.approx(res.fuel_kg, rel=1e-12)
+
+    def test_rejects_zero_substeps(self):
+        with pytest.raises(ValueError):
+            fly_segments(default_spec(), [48.0], [11.0], [60_000], [49.0],
+                         [11.0], still_air(), 0)
 
 
 class TestRouteCost:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from skyroute.errors import NoPath
+from skyroute.errors import NoPath, OutOfDomain
 from skyroute.geo import GeoPoint, great_circle_distance, intermediate_point
-from skyroute.lattice import CoarseRoute, build_corridor, build_lattice
-from skyroute.perfmodel import AircraftState, default_spec
-from skyroute.search import astar, dp_oracle, min_specific_burn, nominal_mass_profile
+from skyroute.lattice import (CoarseRoute, build_corridor, build_lattice,
+                              is_reachable, successors)
+from skyroute.perfmodel import AircraftState, default_spec, fly_segment
+from skyroute.search import (_column_windows, _edge_costs, _start_and_goal,
+                             astar, dp_oracle, min_specific_burn,
+                             nominal_mass_profile)
 from skyroute.weather import make_jet_stream, make_uniform
 
 SPEC = default_spec()
@@ -58,6 +61,86 @@ class TestMinSpecificBurn:
         flow_min = SPEC.base_fuel_flow_kgps * (SPEC.empty_mass_kg / SPEC.ref_mass_kg) \
             * (1 - 0.002 * 10.0)
         assert msb == pytest.approx(flow_min / (SPEC.tas_ms + 20.0), rel=1e-12)
+
+
+def reachable_edges(lat, cor):
+    """Every edge the search may relax: from reachable nodes to reachable ones."""
+    I, J, H = lat.dims
+    start, _goal = _start_and_goal(lat, cor)
+    frontier = [start]
+    for i in range(I - 1):
+        nxt = set()
+        for u in frontier:
+            for v in successors(lat, u):
+                if cor is None or is_reachable(cor, v, I):
+                    yield u, v
+                    nxt.add(v)
+        frontier = sorted(nxt)
+
+
+class TestEdgeCostTable:
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_every_entry_is_the_scalar_cost(self, width, substeps):
+        lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
+        cor = None if width is None else build_corridor(
+            lat, gc_route(ORIGIN, DEST), width)
+        fld = jet()
+        masses = nominal_mass_profile(lat, SPEC, start_state(), fld, substeps)
+        start, _goal = _start_and_goal(lat, cor)
+        lo, hi = _column_windows(lat, cor, start)
+        cost = _edge_costs(lat, lo, hi, SPEC, masses, fld, substeps)
+        edges = list(reachable_edges(lat, cor))
+        assert edges
+        for u, v in edges:
+            want = fly_segment(SPEC, AircraftState(lat.node(u), masses[u[0]]),
+                               lat.node(v), fld, substeps).fuel_kg
+            assert cost(u, v) == pytest.approx(want, rel=1e-12)
+
+    def test_cost_ignores_altitude(self):
+        # The invariance behind one table entry per column pair: the
+        # scalar cost of (i, j, h) -> (i+1, j', h') is the same for all h, h'.
+        lat = build_lattice(ORIGIN, DEST, 7, 3, 5, 60_000)
+        fld = jet()
+        I, J, H = lat.dims
+        for i in range(I - 1):
+            for j in range(J):
+                for jj in range(J) if i + 1 < I - 1 else [lat.center_column]:
+                    fuels = {fly_segment(SPEC, AircraftState(lat.node((i, j, h)),
+                                                             62_000.0),
+                                         lat.node((i + 1, jj, hh)), fld, 2).fuel_kg
+                             for h in range(H) for hh in range(H)}
+                    assert len(fuels) == 1
+
+
+class TestLazyEdgeFailures:
+    """An edge whose midpoint leaves the weather grid fails only when relaxed.
+
+    Munich -> Berlin on a 41x11x3 lattice whose outer columns cross the
+    grid's east edge (lon 14.2) or, on the narrower grid, both edges.
+    """
+
+    def setup_method(self):
+        self.lat = build_lattice(ORIGIN, DEST, 41, 11, 3,
+                                 0.15 * great_circle_distance(ORIGIN, DEST))
+        self.state = AircraftState(ORIGIN, SPEC.ref_mass_kg)
+
+    def run(self, search, bbox, width):
+        fld = make_uniform(5.0, 0.0, 288.15, bbox)
+        cor = None if width is None else build_corridor(
+            self.lat, gc_route(ORIGIN, DEST), width)
+        return search(self.lat, cor, SPEC, self.state, fld, 4)
+
+    def test_astar_plans_past_off_grid_edges(self):
+        res = self.run(astar, (47, 54, 11.0, 14.2), None)
+        assert res.expanded_nodes == 1037
+        with pytest.raises(OutOfDomain):
+            self.run(dp_oracle, (47, 54, 11.0, 14.2), None)
+
+    def test_corridor_keeps_search_on_grid(self):
+        assert self.run(astar, (47, 54, 11.5, 13.8), 5).expanded_nodes == 545
+        with pytest.raises(OutOfDomain):
+            self.run(astar, (47, 54, 11.5, 13.8), 11)
 
 
 class TestAstarAgainstOracle:

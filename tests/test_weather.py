@@ -6,7 +6,7 @@ from skyroute.errors import OutOfDomain, ParseError, SchemaError
 from skyroute.geo import GeoPoint
 from skyroute.weather import (CSV_COLUMNS, ISA_TEMPERATURE_K, WeatherField,
                               load_csv, make_jet_stream, make_uniform,
-                              sample, save_csv)
+                              sample, sample_many, save_csv)
 
 
 def affine_field():
@@ -51,6 +51,24 @@ class TestSample:
         sample(fld, GeoPoint(40.0, 0.0))
         sample(fld, GeoPoint(55.0, 10.0))
 
+    @given(st.lists(st.tuples(st.floats(38, 57), st.floats(-2, 12)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=100)
+    def test_many_is_bit_identical_and_nan_off_grid(self, points):
+        fld = make_jet_stream((40.0, 55.0, 0.0, 10.0), 48.0, 60.0, 3.0, seed=1,
+                              resolution=7)
+        many = sample_many(fld, np.array([p[0] for p in points]),
+                           np.array([p[1] for p in points]))
+        for n, (lat, lon) in enumerate(points):
+            try:
+                one = sample(fld, GeoPoint(lat, lon))
+            except OutOfDomain:
+                assert np.isnan(many.wind_east[n]) and np.isnan(
+                    many.wind_north[n]) and np.isnan(many.temperature[n])
+                continue
+            assert (many.wind_east[n], many.wind_north[n], many.temperature[n]) \
+                == (one.wind_east, one.wind_north, one.temperature)
+
     @given(st.floats(40, 55), st.floats(0, 10))
     @settings(max_examples=50)
     def test_values_within_grid_extremes(self, lat, lon):
@@ -76,6 +94,13 @@ class TestValidation:
     def test_wind_magnitude_bound(self):
         with pytest.raises(ValueError):
             make_uniform(120.0, 120.0, 288.15, (40, 50, 0, 10))
+
+    @pytest.mark.parametrize("grid", [0, 1, 2])
+    def test_non_finite_values_rejected(self, grid):
+        grids = [np.zeros((2, 2)), np.zeros((2, 2)), np.full((2, 2), 288.15)]
+        grids[grid][1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            WeatherField(np.array([40.0, 50.0]), np.array([0.0, 5.0]), *grids)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
