@@ -120,6 +120,8 @@ def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
     """Point at the given fraction along the great circle a->b.
 
     Altitude is interpolated linearly. fraction 0 returns a, 1 returns b.
+    When a and b share a longitude the track is a meridian arc, and the
+    point keeps that longitude exactly (wrapped into (-180, 180]).
     """
     if fraction <= 0.0:
         return a
@@ -140,7 +142,10 @@ def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
     y = fa * math.cos(phi1) * math.sin(lam1) + fb * math.cos(phi2) * math.sin(lam2)
     z = fa * math.sin(phi1) + fb * math.sin(phi2)
     lat = math.degrees(math.atan2(z, math.hypot(x, y)))
-    lon = math.degrees(math.atan2(y, x))
+    if a.lon_deg == b.lon_deg:
+        lon = _normalize_lon(a.lon_deg)
+    else:
+        lon = math.degrees(math.atan2(y, x))
     return GeoPoint(lat, lon, a.alt_m + fraction * (b.alt_m - a.alt_m))
 
 
@@ -161,6 +166,7 @@ def intermediate_points(lat1, lon1, lat2, lon2,
 
     Returns (lat, lon) arrays in degrees; fraction 0 returns the start
     points and 1 the end points, and a zero-length pair its start point.
+    Pairs on one meridian keep its longitude, as in the scalar form.
     """
     if fraction <= 0.0:
         return np.asarray(lat1, dtype=float), np.asarray(lon1, dtype=float)
@@ -182,6 +188,7 @@ def intermediate_points(lat1, lon1, lat2, lon2,
     z = fa * np.sin(phi1) + fb * np.sin(phi2)
     lat = np.degrees(np.arctan2(z, np.hypot(x, y)))
     lon = _normalize_lons(np.degrees(np.arctan2(y, x)))
+    lon = np.where(np.equal(lon1, lon2), _normalize_lons(lon1), lon)
     same = delta == 0.0
     return np.where(same, lat1, lat), np.where(same, lon1, lon)
 

@@ -27,6 +27,8 @@ from .errors import ConfigError, SkyrouteError
 from .geo import GeoPoint, great_circle_distance
 from .guide import GuideConfig, PolicyParams, load_checkpoint, roll_out
 from .lattice import build_corridor, build_lattice
+# fly_segment is unused here; it stays because perfbench/tracing.py wraps
+# it by name.
 from .perfmodel import (AircraftSpec, AircraftState, default_spec, fly_segment,
                         DEFAULT_SUBSTEPS)
 from .search import astar
@@ -174,13 +176,6 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
     result = astar(lattice, corridor, req.aircraft, initial, field,
                    req.substeps)
 
-    segments = []
-    state = AircraftState(result.geo_path[0], initial.mass_kg)
-    for wp in result.geo_path[1:]:
-        seg = fly_segment(req.aircraft, state, wp, field, req.substeps)
-        segments.append({"fuel_kg": seg.fuel_kg, "time_s": seg.time_s})
-        state = seg.end_state
-
     stages = {"weather_s": weather_time, "lattice_s": lattice_time,
               "guide_s": guide_time, "corridor_s": corridor_time,
               "search_s": result.wall_time_s}
@@ -198,7 +193,9 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
         },
         "waypoints": [{"lat_deg": p.lat_deg, "lon_deg": p.lon_deg,
                        "alt_m": p.alt_m} for p in result.geo_path],
-        "segments": segments,
+        "segments": [{"fuel_kg": leg.fuel_kg, "time_s": leg.time_s,
+                      "gs_floor_hit": leg.gs_floor_hit}
+                     for leg in result.segments],
         "totals": {"fuel_kg": result.total_fuel_kg,
                    "search_cost_kg": result.search_cost_kg},
         "search": {"expanded_nodes": result.expanded_nodes,

@@ -5,16 +5,16 @@ temperature term and additive along-track wind. Deterministic and
 monotone by construction, with closed forms that unit tests can pin
 exactly.
 
-`fly_segment` flies one segment with threaded mass and is the reference;
-`fly_segments` repeats its arithmetic over arrays of segments for the
-search's edge-cost tables.
+`fly_segment` flies one segment and is the reference; `fly_route` is the
+one loop that threads mass along waypoints; `fly_segments` repeats
+`fly_segment`'s arithmetic over arrays, for the edge-cost tables.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -53,12 +53,11 @@ class AircraftSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AircraftSpec":
-        fields = ("ref_mass_kg", "empty_mass_kg", "max_mass_kg", "tas_ms",
-                  "base_fuel_flow_kgps", "mass_exponent", "temp_sensitivity")
-        missing = [k for k in fields if k not in raw]
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in raw]
         if missing:
             raise ValueError(f"aircraft spec missing fields: {missing}")
-        return cls(**{k: float(raw[k]) for k in fields})
+        return cls(**{k: float(raw[k]) for k in names})
 
     @classmethod
     def from_json(cls, path: str) -> "AircraftSpec":
@@ -67,15 +66,7 @@ class AircraftSpec:
 
     def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            json.dump({
-                "ref_mass_kg": self.ref_mass_kg,
-                "empty_mass_kg": self.empty_mass_kg,
-                "max_mass_kg": self.max_mass_kg,
-                "tas_ms": self.tas_ms,
-                "base_fuel_flow_kgps": self.base_fuel_flow_kgps,
-                "mass_exponent": self.mass_exponent,
-                "temp_sensitivity": self.temp_sensitivity,
-            }, f, indent=2, sort_keys=True)
+            json.dump(asdict(self), f, indent=2, sort_keys=True)
             f.write("\n")
 
 
@@ -213,16 +204,23 @@ def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
     return np.where(failed, np.nan, np.where(flying, fuel, 0.0)), errors
 
 
-def route_cost(spec: AircraftSpec, initial_state: AircraftState,
-               route: list[GeoPoint], field: WeatherField,
-               substeps: int = DEFAULT_SUBSTEPS) -> tuple[float, AircraftState]:
-    """Total fuel over a waypoint sequence, state threaded through."""
+def fly_route(spec: AircraftSpec, initial_state: AircraftState,
+              route: list[GeoPoint], field: WeatherField,
+              substeps: int = DEFAULT_SUBSTEPS) -> list[SegmentResult]:
+    """Fly route[0] -> route[1] -> ... leg by leg from initial_state's mass."""
     if len(route) < 2:
         raise ValueError("route must contain at least 2 waypoints")
     state = AircraftState(route[0], initial_state.mass_kg)
-    total = 0.0
+    legs = []
     for wp in route[1:]:
-        result = fly_segment(spec, state, wp, field, substeps)
-        total += result.fuel_kg
-        state = result.end_state
-    return total, state
+        legs.append(fly_segment(spec, state, wp, field, substeps))
+        state = legs[-1].end_state
+    return legs
+
+
+def route_cost(spec: AircraftSpec, initial_state: AircraftState,
+               route: list[GeoPoint], field: WeatherField,
+               substeps: int = DEFAULT_SUBSTEPS) -> tuple[float, AircraftState]:
+    """Total fuel over a waypoint sequence and the state at its end."""
+    legs = fly_route(spec, initial_state, route, field, substeps)
+    return sum(leg.fuel_kg for leg in legs), legs[-1].end_state

@@ -2,7 +2,7 @@
 
 Edge costs come from the performance model evaluated at a precomputed
 per-row nominal mass (A* needs state-independent edge costs); the
-winning path is then re-flown with threaded mass for the reported fuel.
+winning path is then flown once with threaded mass for the reported fuel.
 The heuristic is a provable lower bound on remaining fuel per meter,
 so the search is optimal within the graph it is given.
 
@@ -10,7 +10,8 @@ An edge (i, j, h) -> (i+1, j', h') costs the same for every h and h':
 the row's nominal mass is fixed, the weather is 2-D, distance ignores
 altitude, and all levels of a column share one lat/lon. So each search
 costs every edge it may relax in one `fly_segments` call, as an
-(I-1, J, 3) table indexed by row, column and j' - j + 1.
+(I-1, J, 3) table indexed by row, column and j' - j + 1. The column
+windows that mask the table are the searches' only reachability rule.
 """
 
 from __future__ import annotations
@@ -23,19 +24,23 @@ import numpy as np
 
 from .errors import NoPath
 from .geo import GeoPoint, great_circle_distance
+# is_reachable, fly_segment and route_cost are unused here; they stay
+# because perfbench/tracing.py wraps them by name.
 from .lattice import Corridor, Lattice, NodeIndex, is_reachable, successors
-from .perfmodel import (AircraftSpec, AircraftState, fly_segment, fly_segments,
-                        route_cost, DEFAULT_SUBSTEPS)
+from .perfmodel import (AircraftSpec, AircraftState, SegmentResult, fly_route,
+                        fly_segment, fly_segments, route_cost,
+                        DEFAULT_SUBSTEPS)
 from .weather import WeatherField
 
 
 @dataclass
 class SearchResult:
-    """Optimal path plus search-effort statistics."""
+    """Optimal path, its flown legs, and search-effort statistics."""
 
     node_path: list[NodeIndex]
     geo_path: list[GeoPoint]
-    total_fuel_kg: float       # winning path re-flown with threaded mass
+    segments: list[SegmentResult]   # winning path flown with threaded mass
+    total_fuel_kg: float       # sum of the legs, as route_cost sums them
     search_cost_kg: float      # objective value under nominal-mass edge costs
     expanded_nodes: int
     generated_nodes: int
@@ -47,15 +52,10 @@ def nominal_mass_profile(lattice: Lattice, spec: AircraftSpec,
                          initial_state: AircraftState, field: WeatherField,
                          substeps: int) -> list[float]:
     """Mass at the start of each row, estimated by flying the centerline."""
-    I, _J, _H = lattice.dims
     cj, ch = lattice.center_column, lattice.center_level
-    masses = [initial_state.mass_kg]
-    state = AircraftState(lattice.node((0, cj, ch)), initial_state.mass_kg)
-    for i in range(1, I):
-        result = fly_segment(spec, state, lattice.node((i, cj, ch)), field, substeps)
-        state = result.end_state
-        masses.append(state.mass_kg)
-    return masses
+    centerline = [lattice.node((i, cj, ch)) for i in range(lattice.dims[0])]
+    legs = fly_route(spec, initial_state, centerline, field, substeps)
+    return [initial_state.mass_kg] + [leg.end_state.mass_kg for leg in legs]
 
 
 def min_specific_burn(spec: AircraftSpec, field: WeatherField) -> float:
@@ -149,10 +149,10 @@ def _finish(lattice: Lattice, spec: AircraftSpec, initial_state: AircraftState,
             search_cost: float, expanded: int, generated: int,
             t0: float) -> SearchResult:
     geo_path = [lattice.node(idx) for idx in node_path]
-    fuel, final_state = route_cost(spec, AircraftState(geo_path[0], initial_state.mass_kg),
-                                   geo_path, field, substeps)
-    return SearchResult(node_path, geo_path, fuel, search_cost, expanded,
-                        generated, time.perf_counter() - t0, final_state)
+    legs = fly_route(spec, initial_state, geo_path, field, substeps)
+    return SearchResult(node_path, geo_path, legs,
+                        sum(leg.fuel_kg for leg in legs), search_cost, expanded,
+                        generated, time.perf_counter() - t0, legs[-1].end_state)
 
 
 def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
@@ -164,12 +164,12 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     then smaller h, for run-to-run determinism.
     """
     t0 = time.perf_counter()
-    I = lattice.dims[0]
     masses = nominal_mass_profile(lattice, spec, initial_state, field, substeps)
     start, goal = _start_and_goal(lattice, corridor)
     lo, hi = _column_windows(lattice, corridor, start)
     cost = _edge_costs(lattice, lo, hi, spec, masses, field, substeps)
     h_table = _heuristics(lattice, lo, hi, spec, field)
+    row_lo, row_hi = lo.tolist(), hi.tolist()
 
     def heuristic(idx: NodeIndex) -> float:
         return h_table[idx[0]][idx[1]]
@@ -198,9 +198,7 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
             return _finish(lattice, spec, initial_state, field, substeps,
                            path, g_score[goal], expanded, generated, t0)
         for v in successors(lattice, u):
-            if corridor is not None and not is_reachable(corridor, v, I):
-                continue
-            if v in closed:
+            if not row_lo[v[0]] <= v[1] <= row_hi[v[0]] or v in closed:
                 continue
             g_new = g_score[u] + cost(u, v)
             if g_new < g_score.get(v, float("inf")):
@@ -224,6 +222,7 @@ def dp_oracle(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     start, goal = _start_and_goal(lattice, corridor)
     lo, hi = _column_windows(lattice, corridor, start)
     cost = _edge_costs(lattice, lo, hi, spec, masses, field, substeps)
+    row_lo, row_hi = lo.tolist(), hi.tolist()
 
     best: dict[NodeIndex, float] = {start: 0.0}
     parent: dict[NodeIndex, NodeIndex] = {}
@@ -234,7 +233,7 @@ def dp_oracle(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
         for u in layer:
             expanded += 1
             for v in successors(lattice, u):
-                if corridor is not None and not is_reachable(corridor, v, I):
+                if not row_lo[v[0]] <= v[1] <= row_hi[v[0]]:
                     continue
                 g_new = best[u] + cost(u, v)
                 generated += 1

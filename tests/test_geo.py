@@ -222,3 +222,14 @@ class TestArrayForms:
         assert (lat[0], lon[0]) == (48.0, 11.0)
         # Across the antimeridian the midpoint sits on it, not at lon 0.
         assert abs(lon[1]) == pytest.approx(180.0, abs=1e-9)
+
+    @given(st.floats(-80, 80), st.floats(-80, 80), longitudes,
+           st.floats(0, 1))
+    @settings(max_examples=100)
+    def test_meridian_keeps_its_longitude(self, lat0, lat1, lon, fraction):
+        # atan2 would land a few ulp off the meridian, and numpy's differs
+        # from math's: at a grid's edge meridian that decides OutOfDomain.
+        a, b = GeoPoint(lat0, lon), GeoPoint(lat1, lon)
+        assert intermediate_point(a, b, fraction).lon_deg == lon
+        _lat, got = intermediate_points(lat0, lon, lat1, lon, fraction)
+        assert got == lon

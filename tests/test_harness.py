@@ -1,16 +1,21 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
 from skyroute import harness
 from skyroute.cli import main
 from skyroute.errors import ConfigError, NoPath, WidthOutOfRange
-from skyroute.geo import GeoPoint
+from skyroute.geo import GeoPoint, great_circle_distance, initial_bearing
 from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
                               bench_width, default_requests, load_airports,
                               make_weather, plan, read_bench_csv,
                               resolve_point, route_json_without_timings,
                               write_bench_csv)
+from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftState,
+                                default_spec, route_cost)
+from skyroute.weather import ISA_TEMPERATURE_K, make_uniform
 
 MUC = GeoPoint(48.35, 11.79, 10_000)
 BER = GeoPoint(52.37, 13.52, 10_000)
@@ -85,9 +90,36 @@ class TestPlan:
         assert doc["search"]["expanded_nodes"] > 0
 
     def test_segment_fuel_sums_to_total(self):
-        doc = plan(small_request())
+        req = small_request(weather="jet", seed=2)
+        doc = plan(req)
         total = sum(s["fuel_kg"] for s in doc["segments"])
-        assert total == pytest.approx(doc["totals"]["fuel_kg"], rel=1e-12)
+        assert total == doc["totals"]["fuel_kg"]
+        # The reported legs are the flight route_cost makes of the waypoints.
+        wps = [GeoPoint(w["lat_deg"], w["lon_deg"], w["alt_m"])
+               for w in doc["waypoints"]]
+        fuel, _end = route_cost(req.aircraft,
+                                AircraftState(wps[0], req.aircraft.ref_mass_kg),
+                                wps, make_weather("jet", MUC, BER, seed=2),
+                                req.substeps)
+        assert fuel == doc["totals"]["fuel_kg"]
+
+    def test_reports_ground_speed_floor_hits(self):
+        # A 140 m/s headwind against TAS 150 m/s floors the ground speed on
+        # every leg of a lattice only 1 km wide.
+        slow = replace(default_spec(), tas_ms=150.0)
+        bearing = initial_bearing(MUC, BER)
+        headwind = make_uniform(-140.0 * math.sin(bearing),
+                                -140.0 * math.cos(bearing), ISA_TEMPERATURE_K,
+                                make_weather("uniform", MUC, BER).bbox())
+        req = small_request(aircraft=slow, lateral_halfwidth_m=1_000.0)
+        doc = plan(req, headwind)
+        wps = [GeoPoint(w["lat_deg"], w["lon_deg"]) for w in doc["waypoints"]]
+        for seg, a, b in zip(doc["segments"], wps, wps[1:]):
+            assert seg["gs_floor_hit"] is True
+            assert seg["time_s"] == pytest.approx(
+                great_circle_distance(a, b) / GROUND_SPEED_FLOOR_MS, rel=1e-12)
+        calm = plan(req)
+        assert not any(s["gs_floor_hit"] for s in calm["segments"])
 
     @pytest.mark.parametrize("unconstrained", [False, True])
     def test_stage_timings_add_up(self, unconstrained):

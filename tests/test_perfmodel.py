@@ -1,13 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skyroute.errors import Infeasible, OutOfDomain, SkyrouteError
 from skyroute.geo import GeoPoint, great_circle_distance
 from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftSpec,
-                                AircraftState, default_spec, fly_segment,
-                                fly_segments, fuel_flow_kgps, route_cost)
+                                AircraftState, default_spec, fly_route,
+                                fly_segment, fly_segments, fuel_flow_kgps,
+                                route_cost)
 from skyroute.weather import ISA_TEMPERATURE_K, make_jet_stream, make_uniform
 
 
@@ -176,6 +177,9 @@ class TestFlySegments:
     @given(st.sampled_from([default_spec(), SLOW_SPEC]), segments,
            st.sampled_from(FIELDS), st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
+    # North along the grid's east edge (lon 40): the midpoints must stay on it.
+    @example(default_spec(), [(30.5625, 40.0, 0.75, 0.0, False, 40158.0)],
+             FIELDS[0], 4)
     def test_matches_scalar(self, spec, segs, field, substeps):
         assert_matches_scalar(spec, segs, field, substeps)
 
@@ -209,6 +213,37 @@ class TestFlySegments:
         with pytest.raises(ValueError):
             fly_segments(default_spec(), [48.0], [11.0], [60_000], [49.0],
                          [11.0], still_air(), 0)
+
+
+class TestFlyRoute:
+    PTS = [GeoPoint(46.0, 5.0, 10_000), GeoPoint(48.0, 8.0, 10_000),
+           GeoPoint(48.0, 8.0, 10_000), GeoPoint(50.0, 11.0, 10_000)]
+
+    def test_threads_mass_leg_by_leg(self):
+        spec = default_spec()
+        fld = make_uniform(10.0, 5.0, 290.0, BBOX)
+        # The start position comes from the route, the mass from the state.
+        legs = fly_route(spec, AircraftState(GeoPoint(0.0, 0.0), 62_000),
+                         self.PTS, fld)
+        state = AircraftState(self.PTS[0], 62_000)
+        for leg, wp in zip(legs, self.PTS[1:]):
+            assert leg == fly_segment(spec, state, wp, fld)
+            state = leg.end_state
+        assert len(legs) == 3 and legs[1].fuel_kg == 0.0
+
+    def test_route_cost_sums_the_legs(self):
+        spec = default_spec()
+        fld = make_jet_stream(BBOX, 50.0, 60.0, 4.0, seed=3)
+        state = AircraftState(self.PTS[0], 62_000)
+        legs = fly_route(spec, state, self.PTS, fld, 3)
+        total, end = route_cost(spec, state, self.PTS, fld, 3)
+        assert total == sum(leg.fuel_kg for leg in legs)
+        assert end == legs[-1].end_state
+
+    def test_requires_two_waypoints(self):
+        p = GeoPoint(46.0, 5.0, 10_000)
+        with pytest.raises(ValueError):
+            fly_route(default_spec(), AircraftState(p, 60_000), [p], still_air())
 
 
 class TestRouteCost:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skyroute.errors import NoPath, OutOfDomain
 from skyroute.geo import GeoPoint, great_circle_distance, intermediate_point
-from skyroute.lattice import (CoarseRoute, build_corridor, build_lattice,
-                              is_reachable, successors)
-from skyroute.perfmodel import AircraftState, default_spec, fly_segment
+from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
+                              build_lattice, is_reachable, successors)
+from skyroute.perfmodel import (AircraftState, default_spec, fly_route,
+                                fly_segment, route_cost)
 from skyroute.search import (_column_windows, _edge_costs, _start_and_goal,
                              astar, dp_oracle, min_specific_burn,
                              nominal_mass_profile)
@@ -76,6 +78,25 @@ def reachable_edges(lat, cor):
                     yield u, v
                     nxt.add(v)
         frontier = sorted(nxt)
+
+
+class TestColumnWindows:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_window_rule_is_is_reachable(self, data):
+        # Any corridor, not only the connected ones build_corridor makes.
+        I = data.draw(st.integers(3, 10))
+        J = data.draw(st.sampled_from([1, 3, 5, 7]))
+        w = data.draw(st.integers(1, J))
+        j_min = data.draw(st.lists(st.integers(0, J - w), min_size=I,
+                                   max_size=I))
+        start = (0, data.draw(st.integers(0, J - 1)), 0)
+        cor = Corridor(tuple(j_min), w, start)
+        lo, hi = _column_windows(build_lattice(ORIGIN, DEST, I, J, 1, 60_000),
+                                 cor, start)
+        for i in range(1, I - 1):
+            for j in range(J):
+                assert (lo[i] <= j <= hi[i]) == is_reachable(cor, (i, j, 0), I)
 
 
 class TestEdgeCostTable:
@@ -236,8 +257,20 @@ class TestPathStructure:
         pinned = astar(lat, cor1, SPEC, s, fld, substeps=1)
         assert free.total_fuel_kg <= pinned.total_fuel_kg + 1e-9
 
+    def test_segments_are_the_flown_path(self):
+        lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
+        cor = build_corridor(lat, gc_route(ORIGIN, DEST), 3)
+        fld = jet()
+        for search in (astar, dp_oracle):
+            res = search(lat, cor, SPEC, start_state(), fld, substeps=2)
+            assert res.segments == fly_route(SPEC, start_state(), res.geo_path,
+                                             fld, 2)
+            fuel, end = route_cost(SPEC, start_state(), res.geo_path, fld, 2)
+            assert res.total_fuel_kg == fuel
+            assert res.final_state == end
+
     def test_refly_consistency(self):
-        # total_fuel_kg is the re-flown path; search_cost_kg the nominal
+        # total_fuel_kg is the flown path; search_cost_kg the nominal
         # objective. They agree closely but need not match exactly.
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         res = astar(lat, None, SPEC, start_state(), jet(), substeps=2)

@@ -188,6 +188,42 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError):
             load_csv(str(path))
 
+    def test_duplicate_node_reports_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n"
+                        "40,0,1,1,288.15\n"
+                        "40,5,1,1,288.15\n"
+                        "45,0,1,1,288.15\n"
+                        "\n"
+                        "40,5,2,2,288.15\n"
+                        "45,5,1,1,288.15\n")
+        with pytest.raises(ParseError, match=r"line 6: duplicate grid node \(40.0, 5.0\)"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_coordinate_reports_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n"
+                        "40,0,1,1,288.15\n"
+                        "40,5,1,1,288.15\n"
+                        f"{bad},0,1,1,288.15\n"
+                        f"{bad},5,1,1,288.15\n")
+        with pytest.raises(ParseError, match="line 4: non-finite"):
+            load_csv(str(path))
+
+    def test_row_order_does_not_matter(self, tmp_path):
+        fld = make_jet_stream((40, 55, 0, 15), 48.0, 35.0, 4.0, seed=9,
+                              resolution=7)
+        path = tmp_path / "field.csv"
+        save_csv(fld, str(path))
+        header, *rows = path.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([header, *reversed(rows)]) + "\n")
+        a, b = load_csv(str(path)), load_csv(str(shuffled))
+        for name in ("lat_axis", "lon_axis", "wind_east", "wind_north",
+                     "temperature"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
