@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTrip, NoSuccessors, WidthOutOfRange
-from .geo import (GeoPoint, great_circle_distance, initial_bearing,
-                  intermediate_point, displace, PlaneVector)
+# great_circle_distance is unused here; it stays because
+# perfbench/tracing.py wraps it by name.
+from .geo import (GeoPoint, great_circle_distance, great_circle_distances,
+                  initial_bearing, intermediate_point, displace, PlaneVector)
 
 NodeIndex = tuple[int, int, int]
 
@@ -183,14 +185,17 @@ def build_corridor(lattice: Lattice, coarse: CoarseRoute, w: int) -> Corridor:
         raise WidthOutOfRange(f"width {w} outside [1, {J}]")
     center = lattice.center_column
 
+    targets = [_coarse_row_point(coarse, i, I) for i in range(I)]
+    dist = great_circle_distances(
+        lattice.lat_deg, lattice.lon_deg,
+        np.array([[t.lat_deg] for t in targets]),
+        np.array([[t.lon_deg] for t in targets])).tolist()
     j_min: list[int] = []
     prev_min: int | None = None
     for i in range(I):
-        target = _coarse_row_point(coarse, i, I)
         best_j = center
         best_d = math.inf
-        for j in range(J):
-            d = great_circle_distance(lattice.node((i, j, 0)), target)
+        for j, d in enumerate(dist[i]):
             # Ties broken toward the lattice centerline.
             if d < best_d - 1e-9 or (abs(d - best_d) <= 1e-9
                                      and abs(j - center) < abs(best_j - center)):

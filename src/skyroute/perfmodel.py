@@ -5,9 +5,11 @@ temperature term and additive along-track wind. Deterministic and
 monotone by construction, with closed forms that unit tests can pin
 exactly.
 
-`fly_segment` flies one segment and is the reference; `fly_route` is the
-one loop that threads mass along waypoints; `fly_segments` repeats
-`fly_segment`'s arithmetic over arrays, for the edge-cost tables.
+`fly_segment` flies one segment, is the reference, and is the only
+source of flight errors (OutOfDomain, Infeasible); `fly_route` is the one
+loop that threads mass along waypoints; `fly_segments` repeats
+`fly_segment`'s arithmetic over arrays, for the edge-cost tables, and
+marks with NaN each segment `fly_segment` would refuse.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import Infeasible, SkyrouteError
+from .errors import Infeasible
 from .geo import (GeoPoint, great_circle_distance, great_circle_distances,
                   initial_bearing, initial_bearings, intermediate_point,
                   intermediate_points)
-from .weather import (ISA_TEMPERATURE_K, WeatherField, outside_grid, sample,
-                      sample_many)
+from .weather import ISA_TEMPERATURE_K, WeatherField, sample, sample_many
 
 #: Ground-speed floor (m/s) preventing division blow-up under absurd headwind.
 GROUND_SPEED_FLOOR_MS = 20.0
@@ -125,10 +126,10 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
     fuel = 0.0
     time = 0.0
     floor_hit = False
+    p0 = start
     for k in range(substeps):
         f0 = k / substeps
         f1 = (k + 1) / substeps
-        p0 = intermediate_point(start, to, f0)
         p1 = intermediate_point(start, to, f1)
         mid = intermediate_point(start, to, (f0 + f1) / 2.0)
         wx = sample(field, mid)
@@ -142,30 +143,26 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
         df = fuel_flow_kgps(spec, mass, wx.temperature) * dt
         mass -= df
         if mass < spec.empty_mass_kg:
-            raise _below_empty(spec, mass)
+            raise Infeasible(
+                f"mass would drop below empty mass ({mass:.1f} < {spec.empty_mass_kg})")
         fuel += df
         time += dt
+        p0 = p1
 
     end = AircraftState(GeoPoint(to.lat_deg, to.lon_deg, to.alt_m), mass)
     return SegmentResult(fuel, time, end, floor_hit)
 
 
-def _below_empty(spec: AircraftSpec, mass_kg: float) -> Infeasible:
-    return Infeasible(
-        f"mass would drop below empty mass ({mass_kg:.1f} < {spec.empty_mass_kg})")
-
-
 def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
-                 field: WeatherField, substeps: int = DEFAULT_SUBSTEPS
-                 ) -> tuple[np.ndarray, dict[int, SkyrouteError]]:
+                 field: WeatherField, substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
     """Fuel of many segments at once, each flown as `fly_segment` flies it.
 
     Segment n runs from (lat0[n], lon0[n]) at mass mass0[n] to (lat1[n],
     lon1[n]); the arguments broadcast to one 1-D shape. The substep loop
-    runs once over all segments. Returns the fuel per segment and, by
-    segment index, the error `fly_segment` would raise for it: the first
-    substep whose midpoint lies off the grid (OutOfDomain) or whose mass
-    falls below the empty mass (Infeasible). Those segments hold NaN fuel.
+    runs once over all segments. NaN marks a segment `fly_segment` would
+    refuse: a substep midpoint lies off the grid (the NaN of `sample_many`
+    reaches the fuel) or the mass falls below the empty mass. Only
+    `fly_segment` says which error that is.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -174,10 +171,7 @@ def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
     total = great_circle_distances(lat0, lon0, lat1, lon1)
     piece_len = total / substeps
     fuel = np.zeros_like(total)
-    # A zero-length segment costs nothing and samples nowhere.
-    flying = total > 0.0
-    failed = np.zeros(total.shape, dtype=bool)
-    errors: dict[int, SkyrouteError] = {}
+    too_light = np.zeros(total.shape, dtype=bool)
     p0 = (lat0, lon0)
     for k in range(substeps):
         f0 = k / substeps
@@ -191,17 +185,11 @@ def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
         dt = piece_len / gs
         df = fuel_flow_kgps(spec, mass, wx.temperature) * dt
         mass = mass - df
-        active = flying & ~failed
-        off_grid = active & np.isnan(wx.temperature)
-        for n in np.flatnonzero(off_grid):
-            errors[int(n)] = outside_grid(field, mid[0][n], mid[1][n])
-        too_light = active & ~off_grid & (mass < spec.empty_mass_kg)
-        for n in np.flatnonzero(too_light):
-            errors[int(n)] = _below_empty(spec, mass[n])
-        failed = failed | off_grid | too_light
+        too_light |= mass < spec.empty_mass_kg
         fuel = fuel + df
         p0 = p1
-    return np.where(failed, np.nan, np.where(flying, fuel, 0.0)), errors
+    # A zero-length segment costs nothing and samples nowhere.
+    return np.where(total > 0.0, np.where(too_light, np.nan, fuel), 0.0)
 
 
 def fly_route(spec: AircraftSpec, initial_state: AircraftState,

@@ -12,6 +12,8 @@ altitude, and all levels of a column share one lat/lon. So each search
 costs every edge it may relax in one `fly_segments` call, as an
 (I-1, J, 3) table indexed by row, column and j' - j + 1. The column
 windows that mask the table are the searches' only reachability rule.
+An edge the batch refuses holds NaN; relaxing it flies it with
+`fly_segment`, the only source of flight errors, which raises its error.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPath
-from .geo import GeoPoint, great_circle_distance
-# is_reachable, fly_segment and route_cost are unused here; they stay
-# because perfbench/tracing.py wraps them by name.
+# great_circle_distance, is_reachable and route_cost are unused here; they
+# stay because perfbench/tracing.py wraps them by name.
+from .geo import GeoPoint, great_circle_distance, great_circle_distances
 from .lattice import Corridor, Lattice, NodeIndex, is_reachable, successors
 from .perfmodel import (AircraftSpec, AircraftState, SegmentResult, fly_route,
                         fly_segment, fly_segments, route_cost,
@@ -96,9 +98,10 @@ def _edge_costs(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
                 substeps: int):
     """Nominal-mass cost of every edge between reachable columns.
 
-    All edges are flown in one `fly_segments` call. Returns `cost(u, v)`,
-    which raises an edge's OutOfDomain or Infeasible only when that edge
-    is relaxed, as flying it one by one would.
+    All edges are flown in one `fly_segments` call. Returns `cost(u, v)`.
+    An edge the batch marked NaN is flown again with `fly_segment` when
+    it is relaxed, which raises its OutOfDomain or Infeasible, as flying
+    the edges one by one would.
     """
     I, J, _H = lattice.dims
     col = np.arange(J)[:, None]
@@ -109,15 +112,13 @@ def _edge_costs(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
     mask[I - 2, :, 0::2] = False
     rows, cols, slots = np.nonzero(mask)
     to_cols = target[rows, cols, slots]
-    fuel, errors = fly_segments(
+    fuel = fly_segments(
         spec, lattice.lat_deg[rows, cols], lattice.lon_deg[rows, cols],
         np.asarray(masses)[rows], lattice.lat_deg[rows + 1, to_cols],
         lattice.lon_deg[rows + 1, to_cols], field, substeps)
     table = np.full(mask.shape, np.nan)
     table[mask] = fuel
     costs = table.tolist()
-    failures = {(int(rows[n]), int(cols[n]), int(slots[n])): exc
-                for n, exc in errors.items()}
     last = I - 1
 
     def cost(u: NodeIndex, v: NodeIndex) -> float:
@@ -125,23 +126,21 @@ def _edge_costs(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
         slot = 1 if v[0] == last else v[1] - j + 1
         c = costs[i][j][slot]
         if c != c:
-            raise failures[(i, j, slot)]
+            c = fly_segment(spec, AircraftState(lattice.node(u), masses[i]),
+                            lattice.node(v), field, substeps).fuel_kg
         return c
 
     return cost
 
 
-def _heuristics(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
-                spec: AircraftSpec, field: WeatherField) -> list[list[float]]:
-    """Admissible cost-to-go per reachable (row, column); 0 at the goal."""
-    I, J, _H = lattice.dims
-    msb = min_specific_burn(spec, field)
+def _heuristics(lattice: Lattice, spec: AircraftSpec,
+                field: WeatherField) -> list[list[float]]:
+    """Admissible cost-to-go per (row, column); 0 at the goal."""
     dest = lattice.destination
-    h = [[0.0] * J for _ in range(I)]
-    for i in range(I - 1):
-        for j in range(lo[i], hi[i] + 1):
-            h[i][j] = great_circle_distance(lattice.node((i, j, 0)), dest) * msb
-    return h
+    h = great_circle_distances(lattice.lat_deg, lattice.lon_deg, dest.lat_deg,
+                               dest.lon_deg) * min_specific_burn(spec, field)
+    h[-1] = 0.0
+    return h.tolist()
 
 
 def _finish(lattice: Lattice, spec: AircraftSpec, initial_state: AircraftState,
@@ -168,7 +167,7 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     start, goal = _start_and_goal(lattice, corridor)
     lo, hi = _column_windows(lattice, corridor, start)
     cost = _edge_costs(lattice, lo, hi, spec, masses, field, substeps)
-    h_table = _heuristics(lattice, lo, hi, spec, field)
+    h_table = _heuristics(lattice, spec, field)
     row_lo, row_hi = lo.tolist(), hi.tolist()
 
     def heuristic(idx: NodeIndex) -> float:

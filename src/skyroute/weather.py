@@ -83,21 +83,14 @@ class WeatherField:
                 float(self.lon_axis[0]), float(self.lon_axis[-1]))
 
 
-def outside_grid(fld: WeatherField, lat: float, lon: float) -> OutOfDomain:
-    """The error for sampling `fld` at a position off its grid."""
-    return OutOfDomain(
-        f"({lat:.4f}, {lon:.4f}) outside weather grid "
-        f"[{fld.lat_axis[0]}, {fld.lat_axis[-1]}] x "
-        f"[{fld.lon_axis[0]}, {fld.lon_axis[-1]}]")
-
-
 def sample(fld: WeatherField, p: GeoPoint) -> WeatherSample:
     """Bilinear interpolation at p; exact at grid nodes."""
     lat, lon = p.lat_deg, p.lon_deg
     lat_lo, lat_hi = fld.lat_axis[0], fld.lat_axis[-1]
     lon_lo, lon_hi = fld.lon_axis[0], fld.lon_axis[-1]
     if not (lat_lo <= lat <= lat_hi and lon_lo <= lon <= lon_hi):
-        raise outside_grid(fld, lat, lon)
+        raise OutOfDomain(f"({lat:.4f}, {lon:.4f}) outside weather grid "
+                          f"[{lat_lo}, {lat_hi}] x [{lon_lo}, {lon_hi}]")
 
     i = int(np.searchsorted(fld.lat_axis, lat, side="right")) - 1
     j = int(np.searchsorted(fld.lon_axis, lon, side="right")) - 1

@@ -164,6 +164,23 @@ class TestLazyEdgeFailures:
             self.run(astar, (47, 54, 11.5, 13.8), 11)
 
 
+@pytest.mark.parametrize("search", [astar, dp_oracle])
+@pytest.mark.parametrize("width", [None, 3])
+def test_nan_entries_fly_through_the_reference(monkeypatch, search, width):
+    # A table of NaN makes every relaxed edge fly with fly_segment.
+    lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
+    cor = None if width is None else build_corridor(
+        lat, gc_route(ORIGIN, DEST), width)
+    want = search(lat, cor, SPEC, start_state(), jet(), substeps=2)
+    monkeypatch.setattr("skyroute.search.fly_segments",
+                        lambda spec, lat0, *args: np.full(np.shape(lat0), np.nan))
+    got = search(lat, cor, SPEC, start_state(), jet(), substeps=2)
+    assert got.node_path == want.node_path
+    assert got.total_fuel_kg == want.total_fuel_kg
+    assert got.expanded_nodes == want.expanded_nodes
+    assert got.search_cost_kg == pytest.approx(want.search_cost_kg, rel=1e-12)
+
+
 class TestAstarAgainstOracle:
     def test_exact_match_still_air(self):
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
