@@ -1,9 +1,12 @@
 """Planning front-end and the two sensitivity benchmarks.
 
-`plan` wires guide -> corridor -> A* for one request and returns a
-JSON-ready summary. The two sweeps share one driver and emit
-schema-stable CSV rows with timings, fuel, and node-expansion counts of a
-hybrid run next to its baseline:
+`plan` wires guide -> corridor -> row DP for one request and returns a
+JSON-ready summary. The row DP (`search.row_dp`) gives A*'s path, cost
+and effort counts; a NaN edge cost makes it run the reference A*.
+
+The two sweeps share one driver and emit schema-stable CSV rows with
+timings, fuel, and node-expansion counts of a hybrid run next to its
+baseline:
 
 - `bench_fwd` sweeps the number of forward rows; the baseline is the
   unconstrained solver on the same lattice.
@@ -27,11 +30,11 @@ from .errors import ConfigError, SkyrouteError
 from .geo import GeoPoint, great_circle_distance
 from .guide import GuideConfig, PolicyParams, load_checkpoint, roll_out
 from .lattice import build_corridor, build_lattice
-# fly_segment is unused here; it stays because perfbench/tracing.py wraps
-# it by name.
+# astar and fly_segment are unused here; they stay because
+# perfbench/tracing.py wraps them by name.
 from .perfmodel import (AircraftSpec, AircraftState, default_spec, fly_segment,
                         DEFAULT_SUBSTEPS)
-from .search import astar
+from .search import astar, row_dp
 from .weather import (ISA_TEMPERATURE_K, WeatherField, load_csv, make_jet_stream,
                       make_uniform)
 
@@ -173,8 +176,8 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
         corridor = build_corridor(lattice, coarse, req.width)
         corridor_time = time.perf_counter() - t0
 
-    result = astar(lattice, corridor, req.aircraft, initial, field,
-                   req.substeps)
+    result = row_dp(lattice, corridor, req.aircraft, initial, field,
+                    req.substeps)
 
     stages = {"weather_s": weather_time, "lattice_s": lattice_time,
               "guide_s": guide_time, "corridor_s": corridor_time,

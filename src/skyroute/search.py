@@ -1,10 +1,13 @@
-"""A* over the (optionally corridor-masked) lattice, plus a DP oracle.
+"""Minimum-fuel search over the (optionally corridor-masked) lattice.
+
+`row_dp` is the solver `plan` runs. The heap-based `astar` and the
+Python-loop `dp_oracle` are the references it is tested against.
 
 Edge costs come from the performance model evaluated at a precomputed
-per-row nominal mass (A* needs state-independent edge costs); the
-winning path is then flown once with threaded mass for the reported fuel.
-The heuristic is a provable lower bound on remaining fuel per meter,
-so the search is optimal within the graph it is given.
+per-row nominal mass (the searches need state-independent edge costs);
+the winning path is then flown once with threaded mass for the reported
+fuel. The heuristic is a provable lower bound on remaining fuel per
+meter, so the search is optimal within the graph it is given.
 
 An edge (i, j, h) -> (i+1, j', h') costs the same for every h and h':
 the row's nominal mass is fixed, the weather is 2-D, distance ignores
@@ -14,13 +17,23 @@ costs every edge it may relax in one `fly_segments` call, as an
 windows that mask the table are the searches' only reachability rule.
 An edge the batch refuses holds NaN; relaxing it flies it with
 `fly_segment`, the only source of flight errors, which raises its error.
+
+`row_dp` takes one numpy min-plus step per row over that table and reads
+A*'s result from the g-table. The heuristic is consistent, so A* expands
+exactly the nodes with g + h < C*; `expanded_nodes` counts them, plus the
+goal. `generated_nodes` counts A*'s pushes: per node, the strict falls of
+its best g over its expanded predecessors in A*'s pop order (f, -g, j, h).
+Ties go as in A*: a node's parent is the first predecessor in pop order
+that attains its g, and the smaller level wins, so interior row i lies at
+level max(0, H // 2 - i). A table with a NaN inside the windows is solved
+by `astar` instead, so flight errors stay lazy.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,15 +106,15 @@ def _column_windows(lattice: Lattice, corridor: Corridor | None,
     return lo, hi
 
 
-def _edge_costs(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
+def _edge_table(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
                 spec: AircraftSpec, masses: list[float], field: WeatherField,
-                substeps: int):
+                substeps: int) -> np.ndarray:
     """Nominal-mass cost of every edge between reachable columns.
 
-    All edges are flown in one `fly_segments` call. Returns `cost(u, v)`.
-    An edge the batch marked NaN is flown again with `fly_segment` when
-    it is relaxed, which raises its OutOfDomain or Infeasible, as flying
-    the edges one by one would.
+    All edges are flown in one `fly_segments` call. The (I-1, J, 3) table
+    is indexed by row, column and j' - j + 1; edges into the goal use slot
+    1. Edges outside the column windows hold +inf, and edges the batch
+    refuses hold NaN.
     """
     I, J, _H = lattice.dims
     col = np.arange(J)[:, None]
@@ -116,10 +129,23 @@ def _edge_costs(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
         spec, lattice.lat_deg[rows, cols], lattice.lon_deg[rows, cols],
         np.asarray(masses)[rows], lattice.lat_deg[rows + 1, to_cols],
         lattice.lon_deg[rows + 1, to_cols], field, substeps)
-    table = np.full(mask.shape, np.nan)
+    table = np.full(mask.shape, np.inf)
     table[mask] = fuel
-    costs = table.tolist()
-    last = I - 1
+    return table
+
+
+def _edge_costs(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
+                spec: AircraftSpec, masses: list[float], field: WeatherField,
+                substeps: int):
+    """`cost(u, v)` of an edge between reachable columns, from `_edge_table`.
+
+    An edge the batch marked NaN is flown again with `fly_segment` when
+    it is relaxed, which raises its OutOfDomain or Infeasible, as flying
+    the edges one by one would.
+    """
+    costs = _edge_table(lattice, lo, hi, spec, masses, field,
+                        substeps).tolist()
+    last = lattice.dims[0] - 1
 
     def cost(u: NodeIndex, v: NodeIndex) -> float:
         i, j, _h = u
@@ -134,13 +160,13 @@ def _edge_costs(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
 
 
 def _heuristics(lattice: Lattice, spec: AircraftSpec,
-                field: WeatherField) -> list[list[float]]:
+                field: WeatherField) -> np.ndarray:
     """Admissible cost-to-go per (row, column); 0 at the goal."""
     dest = lattice.destination
     h = great_circle_distances(lattice.lat_deg, lattice.lon_deg, dest.lat_deg,
                                dest.lon_deg) * min_specific_burn(spec, field)
     h[-1] = 0.0
-    return h.tolist()
+    return h
 
 
 def _finish(lattice: Lattice, spec: AircraftSpec, initial_state: AircraftState,
@@ -167,7 +193,7 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     start, goal = _start_and_goal(lattice, corridor)
     lo, hi = _column_windows(lattice, corridor, start)
     cost = _edge_costs(lattice, lo, hi, spec, masses, field, substeps)
-    h_table = _heuristics(lattice, spec, field)
+    h_table = _heuristics(lattice, spec, field).tolist()
     row_lo, row_hi = lo.tolist(), hi.tolist()
 
     def heuristic(idx: NodeIndex) -> float:
@@ -207,6 +233,113 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
                                (g_new + heuristic(v), -g_new, v[1], v[2], v))
                 generated += 1
     raise NoPath("corridor disconnects origin from destination")
+
+
+def _falls(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How A* would relax a node from candidates taken in last-axis order.
+
+    Returns, per sequence, how often the running minimum (from +inf)
+    strictly falls, which is one push each, and the position of the last
+    fall, which is the parent A* keeps.
+    """
+    best = np.minimum.accumulate(vals, axis=-1)
+    before = np.concatenate([np.full(vals.shape[:-1] + (1,), np.inf),
+                             best[..., :-1]], axis=-1)
+    falls = vals < before
+    last = falls.shape[-1] - 1 - np.argmax(falls[..., ::-1], axis=-1)
+    return falls.sum(axis=-1), last
+
+
+def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
+           initial_state: AircraftState, field: WeatherField,
+           substeps: int = DEFAULT_SUBSTEPS) -> SearchResult:
+    """`astar`'s result, effort counts included, from a row-by-row DP.
+
+    g[i+1][j'] = min over s of g[i][j] + table[i][j][s] takes one numpy
+    step per row and adds in A*'s order, so the cost is bit-identical to
+    A*'s. All levels of a column share g and h, and the heuristic is
+    consistent, so A* pops, in (f, -g, j, h) order, exactly the nodes with
+    g + h < C* before the goal. The rest follows from that order:
+
+    - expanded: those nodes, nlev(i) levels per column of row i, plus the
+      goal; nlev(i) counts the levels within i steps of H // 2.
+    - generated: 1, plus per node the strict falls of the running minimum
+      of g(u) + cost(u, v) over its expanded predecessor columns in pop
+      order (only those popped before it, if it is expanded itself),
+      weighted like the expansions; the goal counts once.
+    - path: a node's parent column is the first predecessor in pop order
+      that attains its g. A* pops the levels of a column smallest first,
+      so interior row i is reported at level max(0, H // 2 - i).
+
+    If the batch refused an edge inside the windows (a NaN entry), the
+    reference `astar` runs instead: it flies such an edge only when it
+    relaxes it, and `fly_segment` raises the edge's error.
+    """
+    t0 = time.perf_counter()
+    masses = nominal_mass_profile(lattice, spec, initial_state, field, substeps)
+    start, goal = _start_and_goal(lattice, corridor)
+    lo, hi = _column_windows(lattice, corridor, start)
+    table = _edge_table(lattice, lo, hi, spec, masses, field, substeps)
+    if np.isnan(table).any():
+        result = astar(lattice, corridor, spec, initial_state, field, substeps)
+        return replace(result, wall_time_s=time.perf_counter() - t0)
+    I, J, H = lattice.dims
+    ch = lattice.center_level
+
+    # Rows 0..I-2 get one +inf column on each side. The edge into (i+1, j')
+    # through slot s leaves padded column src[j', s] = j' - s + 2.
+    slots = np.arange(3)
+    src = np.arange(J)[:, None] - slots + 2
+    padded = np.full((I - 1, J + 2, 3), np.inf)
+    padded[:, 1:-1] = table
+    incoming = padded[:, src, slots]
+    g = np.full((I - 1, J + 2), np.inf)
+    g[0, start[1] + 1] = 0.0
+    cand = np.empty((I - 2, J, 3))      # g(u) + cost(u, v), v in rows 1..I-2
+    for i in range(I - 2):
+        np.add(g[i, src], incoming[i], out=cand[i])
+        cand[i].min(axis=1, out=g[i + 1, 1:-1])
+    into_goal = g[I - 2, 1:-1] + table[I - 2, :, 1]
+    c_star = float(into_goal.min())
+    if c_star == np.inf:
+        raise NoPath("corridor disconnects origin from destination")
+
+    h = np.zeros((I - 1, J + 2))
+    h[:, 1:-1] = _heuristics(lattice, spec, field)[:-1]
+    f = g + h
+    expanded = f < c_star
+    rows = np.arange(I - 1)
+    nlev = np.minimum(H - 1, ch + rows) - np.maximum(0, ch - rows) + 1
+
+    # Predecessors of the interior nodes, in A*'s pop order per node.
+    pf, pg = f[:-1, src], g[:-1, src]
+    pj = np.broadcast_to(src, pf.shape)
+    vf, vg = f[1:, 1:-1, None], g[1:, 1:-1, None]
+    popped_before = (pf < vf) | ((pf == vf) & (
+        (pg > vg) | ((pg == vg) & (pj < np.arange(1, J + 1)[:, None]))))
+    live = expanded[:-1, src] & (~expanded[1:, 1:-1, None] | popped_before)
+    order = np.lexsort((pj, -pg, pf))
+    falls, last = _falls(np.take_along_axis(np.where(live, cand, np.inf),
+                                            order, axis=-1))
+    parent = np.arange(J) + 1 - np.take_along_axis(
+        order, last[..., None], axis=-1)[..., 0]
+    # Into the goal, from every column of row I-2.
+    gl, fl = g[I - 2, 1:-1], f[I - 2, 1:-1]
+    goal_order = np.lexsort((np.arange(J), -gl, fl))
+    goal_falls, goal_last = _falls(np.where(expanded[I - 2, 1:-1], into_goal,
+                                            np.inf)[goal_order])
+
+    n_expanded = int(nlev @ expanded.sum(axis=1)) + 1
+    n_generated = 1 + int(nlev[1:] @ falls.sum(axis=1)) + int(goal_falls)
+    j = int(goal_order[goal_last])
+    path = [goal, (I - 2, j, max(0, ch - I + 2))]
+    parent_rows = parent.tolist()
+    for i in range(I - 3, -1, -1):
+        j = parent_rows[i][j]
+        path.append((i, j, max(0, ch - i)))
+    path.reverse()
+    return _finish(lattice, spec, initial_state, field, substeps, path,
+                   c_star, n_expanded, n_generated, t0)
 
 
 def dp_oracle(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,14 @@ class WeatherField:
             raise ValueError("temperature outside [180, 330] K")
         if np.any(np.hypot(self.wind_east, self.wind_north) > 150.0):
             raise ValueError("wind magnitude exceeds 150 m/s")
+        # Plain copies for the scalar `sample`, which would spend most of
+        # its time on numpy scalars otherwise: axes as lists, grids as flat
+        # row-major double arrays (8 bytes a value, a third of a list's).
+        self._lat = self.lat_axis.tolist()
+        self._lon = self.lon_axis.tolist()
+        self._grids = tuple(array("d", getattr(self, name).tobytes())
+                            for name in ("wind_east", "wind_north",
+                                         "temperature"))
 
     def max_wind_speed(self) -> float:
         """Largest wind magnitude anywhere on the grid."""
@@ -86,22 +95,21 @@ class WeatherField:
 def sample(fld: WeatherField, p: GeoPoint) -> WeatherSample:
     """Bilinear interpolation at p; exact at grid nodes."""
     lat, lon = p.lat_deg, p.lon_deg
-    lat_lo, lat_hi = fld.lat_axis[0], fld.lat_axis[-1]
-    lon_lo, lon_hi = fld.lon_axis[0], fld.lon_axis[-1]
-    if not (lat_lo <= lat <= lat_hi and lon_lo <= lon <= lon_hi):
+    lats, lons = fld._lat, fld._lon
+    if not (lats[0] <= lat <= lats[-1] and lons[0] <= lon <= lons[-1]):
         raise OutOfDomain(f"({lat:.4f}, {lon:.4f}) outside weather grid "
-                          f"[{lat_lo}, {lat_hi}] x [{lon_lo}, {lon_hi}]")
+                          f"[{lats[0]}, {lats[-1]}] x [{lons[0]}, {lons[-1]}]")
 
-    i = int(np.searchsorted(fld.lat_axis, lat, side="right")) - 1
-    j = int(np.searchsorted(fld.lon_axis, lon, side="right")) - 1
-    i = min(max(i, 0), fld.lat_axis.size - 2)
-    j = min(max(j, 0), fld.lon_axis.size - 2)
-
-    t = (lat - fld.lat_axis[i]) / (fld.lat_axis[i + 1] - fld.lat_axis[i])
-    u = (lon - fld.lon_axis[j]) / (fld.lon_axis[j + 1] - fld.lon_axis[j])
-    return WeatherSample(float(_bilinear(fld.wind_east, i, j, t, u)),
-                         float(_bilinear(fld.wind_north, i, j, t, u)),
-                         float(_bilinear(fld.temperature, i, j, t, u)))
+    i = min(max(bisect_right(lats, lat) - 1, 0), len(lats) - 2)
+    j = min(max(bisect_right(lons, lon) - 1, 0), len(lons) - 2)
+    t = (lat - lats[i]) / (lats[i + 1] - lats[i])
+    u = (lon - lons[j]) / (lons[j + 1] - lons[j])
+    k = i * len(lons) + j           # flat index of corner (i, j)
+    m = k + len(lons)               # and of (i + 1, j)
+    we, wn, tk = fld._grids
+    return WeatherSample(_bilinear(we[k], we[k + 1], we[m], we[m + 1], t, u),
+                         _bilinear(wn[k], wn[k + 1], wn[m], wn[m + 1], t, u),
+                         _bilinear(tk[k], tk[k + 1], tk[m], tk[m + 1], t, u))
 
 
 def sample_many(fld: WeatherField, lat: np.ndarray,
@@ -121,17 +129,19 @@ def sample_many(fld: WeatherField, lat: np.ndarray,
 
     t = (lat - lat_axis[i]) / (lat_axis[i + 1] - lat_axis[i])
     u = (lon - lon_axis[j]) / (lon_axis[j + 1] - lon_axis[j])
-    return WeatherSample(*(np.where(inside, _bilinear(grid, i, j, t, u), np.nan)
-                           for grid in (fld.wind_east, fld.wind_north,
-                                        fld.temperature)))
+    return WeatherSample(*(
+        np.where(inside, _bilinear(grid[i, j], grid[i, j + 1], grid[i + 1, j],
+                                   grid[i + 1, j + 1], t, u), np.nan)
+        for grid in (fld.wind_east, fld.wind_north, fld.temperature)))
 
 
-def _bilinear(grid: np.ndarray, i, j, t, u):
-    """Value of `grid` at fractions (t, u) of cell (i, j); scalars or arrays."""
-    return ((1 - t) * (1 - u) * grid[i, j]
-            + (1 - t) * u * grid[i, j + 1]
-            + t * (1 - u) * grid[i + 1, j]
-            + t * u * grid[i + 1, j + 1])
+def _bilinear(c00, c01, c10, c11, t, u):
+    """Value at fractions (t, u) of a cell with corners c00 at (i, j), c01 at
+    (i, j + 1), c10 at (i + 1, j) and c11; scalars or arrays."""
+    return ((1 - t) * (1 - u) * c00
+            + (1 - t) * u * c01
+            + t * (1 - u) * c10
+            + t * u * c11)
 
 
 def make_uniform(wind_east: float, wind_north: float, temperature: float,
@@ -181,8 +191,9 @@ def make_jet_stream(bbox: tuple[float, float, float, float],
             perturb_e += a * np.sin(k_lat * lat_g + ph1) * np.cos(k_lon * lon_g + ph2)
             perturb_n += 0.5 * a * np.cos(k_lat * lat_g + ph2) * np.sin(k_lon * lon_g + ph1)
 
-    # Mild meridional temperature gradient around ISA, bounded well inside [180, 330].
-    temp = ISA_TEMPERATURE_K - 0.5 * (lat_g - 45.0)
+    # Mild temperature gradient toward each pole around ISA, inside
+    # [180, 330] K at every latitude (about 266 to 311 K).
+    temp = ISA_TEMPERATURE_K - 0.5 * (np.abs(lat_g) - 45.0)
 
     return WeatherField(lat_axis, lon_axis, jet + perturb_e, perturb_n, temp)
 

@@ -18,7 +18,7 @@ from skyroute.guide import (GuideConfig, load_checkpoint, roll_out,
 from skyroute.harness import PlanRequest, plan, route_json_without_timings
 from skyroute.lattice import build_corridor, build_lattice
 from skyroute.perfmodel import AircraftState, default_spec
-from skyroute.search import astar, dp_oracle
+from skyroute.search import astar, dp_oracle, row_dp
 from skyroute.trainer import (TrainConfig, end_reward, progress_value,
                               step_reward, train, write_training_log)
 from skyroute.geo import PlaneVector
@@ -106,8 +106,12 @@ def test_criterion_1_full_width_equivalence():
         assert time.monotonic() - t0 < 120.0
 
 
-def test_criterion_2_oracle_optimality():
-    with report(2, "astar equals dp_oracle on 50 instances"):
+def test_criterion_2_oracle_optimality(monkeypatch):
+    with report(2, "astar equals dp_oracle and the row DP on 50 instances"):
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("row_dp fell back to the reference astar")
+
+        monkeypatch.setattr("skyroute.search.astar", no_fallback)
         t0 = time.monotonic()
         rng = np.random.default_rng(202)
         for k in range(50):
@@ -122,6 +126,12 @@ def test_criterion_2_oracle_optimality():
             dp = dp_oracle(lattice, None, SPEC, state, field, substeps=1)
             assert a.search_cost_kg == dp.search_cost_kg
             assert a.total_fuel_kg == dp.total_fuel_kg
+            rd = row_dp(lattice, None, SPEC, state, field, substeps=1)
+            assert rd.node_path == a.node_path
+            assert rd.search_cost_kg == a.search_cost_kg
+            assert rd.total_fuel_kg == a.total_fuel_kg
+            assert rd.expanded_nodes == a.expanded_nodes
+            assert rd.generated_nodes == a.generated_nodes
         assert time.monotonic() - t0 < 300.0
 
 

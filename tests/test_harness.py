@@ -146,6 +146,15 @@ class TestPlan:
         with pytest.raises(ConfigError):
             plan(small_request(guide_kind="policy"))
 
+    def test_southern_hemisphere_jet(self):
+        # Sydney -> Auckland: the jet field's bbox reaches about -49 deg.
+        syd, akl = resolve_point("-33.9,151.2"), resolve_point("-37.0,174.8")
+        field = make_weather("jet", syd, akl)
+        for unconstrained in (True, False):
+            doc = plan(PlanRequest(origin=syd, destination=akl, weather="jet",
+                                   unconstrained=unconstrained), field)
+            assert doc["totals"]["fuel_kg"] == pytest.approx(5202.37, abs=0.01)
+
     def test_deterministic_json(self):
         d1 = route_json_without_timings(plan(small_request(weather="jet")))
         d2 = route_json_without_timings(plan(small_request(weather="jet")))

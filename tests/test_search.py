@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from skyroute.errors import NoPath, OutOfDomain
+from skyroute.errors import NoPath, OutOfDomain, SkyrouteError
 from skyroute.geo import GeoPoint, great_circle_distance, intermediate_point
 from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
                               build_lattice, is_reachable, successors)
@@ -10,7 +10,7 @@ from skyroute.perfmodel import (AircraftState, default_spec, fly_route,
                                 fly_segment, route_cost)
 from skyroute.search import (_column_windows, _edge_costs, _start_and_goal,
                              astar, dp_oracle, min_specific_burn,
-                             nominal_mass_profile)
+                             nominal_mass_profile, row_dp)
 from skyroute.weather import make_jet_stream, make_uniform
 
 SPEC = default_spec()
@@ -153,18 +153,21 @@ class TestLazyEdgeFailures:
         return search(self.lat, cor, SPEC, self.state, fld, 4)
 
     def test_astar_plans_past_off_grid_edges(self):
-        res = self.run(astar, (47, 54, 11.0, 14.2), None)
-        assert res.expanded_nodes == 1037
+        # row_dp gets there through the reference astar.
+        for search in (astar, row_dp):
+            res = self.run(search, (47, 54, 11.0, 14.2), None)
+            assert res.expanded_nodes == 1037
         with pytest.raises(OutOfDomain):
             self.run(dp_oracle, (47, 54, 11.0, 14.2), None)
 
     def test_corridor_keeps_search_on_grid(self):
-        assert self.run(astar, (47, 54, 11.5, 13.8), 5).expanded_nodes == 545
-        with pytest.raises(OutOfDomain):
-            self.run(astar, (47, 54, 11.5, 13.8), 11)
+        for search in (astar, row_dp):
+            assert self.run(search, (47, 54, 11.5, 13.8), 5).expanded_nodes == 545
+            with pytest.raises(OutOfDomain):
+                self.run(search, (47, 54, 11.5, 13.8), 11)
 
 
-@pytest.mark.parametrize("search", [astar, dp_oracle])
+@pytest.mark.parametrize("search", [astar, dp_oracle, row_dp])
 @pytest.mark.parametrize("width", [None, 3])
 def test_nan_entries_fly_through_the_reference(monkeypatch, search, width):
     # A table of NaN makes every relaxed edge fly with fly_segment.
@@ -212,6 +215,81 @@ class TestAstarAgainstOracle:
         a = astar(lat, cor, SPEC, start_state(), fld, substeps=2)
         d = dp_oracle(lat, cor, SPEC, start_state(), fld, substeps=2)
         assert a.search_cost_kg == d.search_cost_kg
+
+
+def assert_same_result(got, want):
+    assert got.node_path == want.node_path
+    assert got.search_cost_kg == want.search_cost_kg
+    assert got.total_fuel_kg == want.total_fuel_kg
+    assert got.expanded_nodes == want.expanded_nodes
+    assert got.generated_nodes == want.generated_nodes
+
+
+def solve(search, *args):
+    """The search's result, or the class and message of its SkyrouteError."""
+    try:
+        return search(*args)
+    except SkyrouteError as exc:
+        return type(exc), str(exc)
+
+
+class TestRowDp:
+    """row_dp reproduces astar: path, cost, fuel and both effort counts."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_astar(self, data):
+        lat0 = st.floats(42.0, 56.0)
+        lon0 = st.floats(-5.0, 20.0)
+        o = GeoPoint(data.draw(lat0), data.draw(lon0), 10_000)
+        d = GeoPoint(data.draw(lat0), data.draw(lon0), 10_000)
+        trip = great_circle_distance(o, d)
+        assume(trip > 50_000)
+        I = data.draw(st.integers(2, 14))
+        J = data.draw(st.sampled_from([1, 3, 5, 11]))
+        H = data.draw(st.sampled_from([1, 2, 3, 5]))
+        lat = build_lattice(o, d, I, J, H, 0.15 * trip)
+        kind = data.draw(st.sampled_from(["still", "uniform", "jet"]))
+        if kind == "still":
+            fld = still_air()
+        elif kind == "uniform":
+            wind = st.floats(-40.0, 40.0)
+            fld = make_uniform(data.draw(wind), data.draw(wind), 288.15, BBOX)
+        else:
+            fld = jet(seed=data.draw(st.integers(0, 50)))
+        cor = None
+        if data.draw(st.booleans()):
+            # Any corridor, including ones that disconnect the lattice.
+            w = data.draw(st.integers(1, J))
+            j_min = data.draw(st.lists(st.integers(0, J - w), min_size=I,
+                                       max_size=I))
+            start = (0, data.draw(st.integers(0, J - 1)), lat.center_level)
+            cor = Corridor(tuple(j_min), w, start)
+        args = (lat, cor, SPEC, AircraftState(o, 62_000.0), fld,
+                data.draw(st.integers(1, 3)))
+        want = solve(astar, *args)
+        got = solve(row_dp, *args)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_result(got, want)
+
+    @pytest.mark.parametrize("H", [1, 2, 3, 5])
+    def test_levels_follow_the_smaller_h_tie_break(self, H):
+        lat = build_lattice(ORIGIN, DEST, 9, 5, H, 60_000)
+        res = row_dp(lat, None, SPEC, start_state(), jet(), substeps=2)
+        ch = lat.center_level
+        assert [h for _i, _j, h in res.node_path] == \
+            [ch] + [max(0, ch - i) for i in range(1, 8)] + [ch]
+        assert_same_result(res, astar(lat, None, SPEC, start_state(), jet(),
+                                      substeps=2))
+
+    def test_disconnected_corridor_raises_no_path(self):
+        lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
+        cor = Corridor((0, 0, 0, 4, 4, 4, 4, 4, 4), 1, (0, 0, 1))
+        for search in (astar, row_dp):
+            with pytest.raises(NoPath, match="corridor disconnects"):
+                search(lat, cor, SPEC, start_state(), jet(), substeps=1)
 
 
 class TestCorridorBehavior:
@@ -278,7 +356,7 @@ class TestPathStructure:
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         cor = build_corridor(lat, gc_route(ORIGIN, DEST), 3)
         fld = jet()
-        for search in (astar, dp_oracle):
+        for search in (astar, dp_oracle, row_dp):
             res = search(lat, cor, SPEC, start_state(), fld, substeps=2)
             assert res.segments == fly_route(SPEC, start_state(), res.geo_path,
                                              fld, 2)

@@ -151,6 +151,17 @@ class TestMakeJetStream:
         with pytest.raises(ValueError):
             make_jet_stream((34, 60, -10, 20), 48.0, 130.0, 4.0, seed=1)
 
+    def test_temperature_is_symmetric_about_the_equator(self):
+        # A gradient in signed latitude would exceed 330 K south of about
+        # -38.7 deg, and no southern jet field could be built.
+        fld = make_jet_stream((-60, 60, -10, 20), 0.0, 40.0, 4.0, seed=3)
+        assert np.array_equal(fld.lat_axis, -fld.lat_axis[::-1])
+        assert np.array_equal(fld.temperature, fld.temperature[::-1])
+        north = fld.lat_axis >= 0
+        lat_g = np.broadcast_to(fld.lat_axis[:, None], fld.temperature.shape)
+        assert np.array_equal(fld.temperature[north],
+                              (ISA_TEMPERATURE_K - 0.5 * (lat_g - 45.0))[north])
+
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
