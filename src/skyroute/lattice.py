@@ -76,13 +76,6 @@ class Lattice:
     def center_level(self) -> int:
         return self.dims[2] // 2
 
-    def all_indices(self):
-        I, J, H = self.dims
-        for i in range(I):
-            for j in range(J):
-                for h in range(H):
-                    yield (i, j, h)
-
 
 @dataclass
 class Corridor:

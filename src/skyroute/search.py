@@ -19,14 +19,17 @@ An edge the batch refuses holds NaN; relaxing it flies it with
 `fly_segment`, the only source of flight errors, which raises its error.
 
 `row_dp` takes one numpy min-plus step per row over that table and reads
-A*'s result from the g-table. The heuristic is consistent, so A* expands
-exactly the nodes with g + h < C*; `expanded_nodes` counts them, plus the
-goal. `generated_nodes` counts A*'s pushes: per node, the strict falls of
-its best g over its expanded predecessors in A*'s pop order (f, -g, j, h).
-Ties go as in A*: a node's parent is the first predecessor in pop order
-that attains its g, and the smaller level wins, so interior row i lies at
-level max(0, H // 2 - i). A table with a NaN inside the windows is solved
-by `astar` instead, so flight errors stay lazy.
+A*'s result from the g-table. Two rules make that result independent of
+the order A* pops nodes in:
+- `generated_nodes` counts distinct nodes: a node counts once, when an
+  expanded node first gives it a finite g.
+- On an equal g, a node keeps the predecessor with the smaller (j, h).
+The heuristic is strictly consistent (every edge costs more than
+`min_specific_burn` times its great-circle length), so every predecessor
+that attains a node's g has the smaller f and is expanded before it, and
+A* expands exactly the nodes with g + h < C*, plus the goal. A table with
+a NaN inside the windows is solved by `astar` instead, so flight errors
+stay lazy.
 """
 
 from __future__ import annotations
@@ -185,8 +188,10 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
           substeps: int = DEFAULT_SUBSTEPS) -> SearchResult:
     """Minimum-fuel path under nominal-mass edge costs.
 
-    Ties on f are broken toward larger g (deeper nodes), then smaller j,
-    then smaller h, for run-to-run determinism.
+    The heap pops ties on f toward larger g, so the goal comes before any
+    other node with f = C*. A node counts as generated once, when it first
+    gets a finite g, and on an equal g it keeps the predecessor with the
+    smaller (j, h); neither depends on the pop order.
     """
     t0 = time.perf_counter()
     masses = nominal_mass_profile(lattice, spec, initial_state, field, substeps)
@@ -226,28 +231,16 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
             if not row_lo[v[0]] <= v[1] <= row_hi[v[0]] or v in closed:
                 continue
             g_new = g_score[u] + cost(u, v)
-            if g_new < g_score.get(v, float("inf")):
+            g_old = g_score.get(v)
+            if g_old is None or g_new < g_old:
+                generated += g_old is None
                 g_score[v] = g_new
                 parent[v] = u
                 heapq.heappush(open_heap,
                                (g_new + heuristic(v), -g_new, v[1], v[2], v))
-                generated += 1
+            elif g_new == g_old and u[1:] < parent[v][1:]:
+                parent[v] = u
     raise NoPath("corridor disconnects origin from destination")
-
-
-def _falls(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """How A* would relax a node from candidates taken in last-axis order.
-
-    Returns, per sequence, how often the running minimum (from +inf)
-    strictly falls, which is one push each, and the position of the last
-    fall, which is the parent A* keeps.
-    """
-    best = np.minimum.accumulate(vals, axis=-1)
-    before = np.concatenate([np.full(vals.shape[:-1] + (1,), np.inf),
-                             best[..., :-1]], axis=-1)
-    falls = vals < before
-    last = falls.shape[-1] - 1 - np.argmax(falls[..., ::-1], axis=-1)
-    return falls.sum(axis=-1), last
 
 
 def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
@@ -257,19 +250,17 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
 
     g[i+1][j'] = min over s of g[i][j] + table[i][j][s] takes one numpy
     step per row and adds in A*'s order, so the cost is bit-identical to
-    A*'s. All levels of a column share g and h, and the heuristic is
-    consistent, so A* pops, in (f, -g, j, h) order, exactly the nodes with
-    g + h < C* before the goal. The rest follows from that order:
+    A*'s. All levels of a column share g and h, so A* expands a column
+    (nlev(i) levels of row i, those within i steps of H // 2) exactly when
+    g + h < C*. From that:
 
-    - expanded: those nodes, nlev(i) levels per column of row i, plus the
-      goal; nlev(i) counts the levels within i steps of H // 2.
-    - generated: 1, plus per node the strict falls of the running minimum
-      of g(u) + cost(u, v) over its expanded predecessor columns in pop
-      order (only those popped before it, if it is expanded itself),
-      weighted like the expansions; the goal counts once.
-    - path: a node's parent column is the first predecessor in pop order
-      that attains its g. A* pops the levels of a column smallest first,
-      so interior row i is reported at level max(0, H // 2 - i).
+    - expanded: those nodes, plus the goal.
+    - generated: the start, nlev(i) levels of every row-i column that an
+      expanded column reaches by an in-window edge, and the goal.
+    - path: a node's parent column is the first argmin of g(u) + cost(u, v)
+      over its predecessors in ascending column order; the goal's is the
+      first argmin into it. The smaller level wins too, so interior row i
+      is reported at level max(0, H // 2 - i).
 
     If the batch refused an edge inside the windows (a NaN entry), the
     reference `astar` runs instead: it flies such an edge only when it
@@ -306,34 +297,17 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
 
     h = np.zeros((I - 1, J + 2))
     h[:, 1:-1] = _heuristics(lattice, spec, field)[:-1]
-    f = g + h
-    expanded = f < c_star
+    expanded = g + h < c_star
+    reached = (expanded[:-1, src] & (incoming[:-1] < np.inf)).any(axis=2)
     rows = np.arange(I - 1)
     nlev = np.minimum(H - 1, ch + rows) - np.maximum(0, ch - rows) + 1
-
-    # Predecessors of the interior nodes, in A*'s pop order per node.
-    pf, pg = f[:-1, src], g[:-1, src]
-    pj = np.broadcast_to(src, pf.shape)
-    vf, vg = f[1:, 1:-1, None], g[1:, 1:-1, None]
-    popped_before = (pf < vf) | ((pf == vf) & (
-        (pg > vg) | ((pg == vg) & (pj < np.arange(1, J + 1)[:, None]))))
-    live = expanded[:-1, src] & (~expanded[1:, 1:-1, None] | popped_before)
-    order = np.lexsort((pj, -pg, pf))
-    falls, last = _falls(np.take_along_axis(np.where(live, cand, np.inf),
-                                            order, axis=-1))
-    parent = np.arange(J) + 1 - np.take_along_axis(
-        order, last[..., None], axis=-1)[..., 0]
-    # Into the goal, from every column of row I-2.
-    gl, fl = g[I - 2, 1:-1], f[I - 2, 1:-1]
-    goal_order = np.lexsort((np.arange(J), -gl, fl))
-    goal_falls, goal_last = _falls(np.where(expanded[I - 2, 1:-1], into_goal,
-                                            np.inf)[goal_order])
-
     n_expanded = int(nlev @ expanded.sum(axis=1)) + 1
-    n_generated = 1 + int(nlev[1:] @ falls.sum(axis=1)) + int(goal_falls)
-    j = int(goal_order[goal_last])
+    n_generated = int(nlev[1:] @ reached.sum(axis=1)) + 2  # start, goal
+
+    # Slots reversed put the sources in ascending column order.
+    parent_rows = (np.arange(J) - 1 + cand[..., ::-1].argmin(axis=2)).tolist()
+    j = int(into_goal.argmin())
     path = [goal, (I - 2, j, max(0, ch - I + 2))]
-    parent_rows = parent.tolist()
     for i in range(I - 3, -1, -1):
         j = parent_rows[i][j]
         path.append((i, j, max(0, ch - i)))
@@ -359,7 +333,6 @@ def dp_oracle(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     best: dict[NodeIndex, float] = {start: 0.0}
     parent: dict[NodeIndex, NodeIndex] = {}
     expanded = 0
-    generated = 0
     for i in range(I - 1):
         layer = sorted(idx for idx in best if idx[0] == i)
         for u in layer:
@@ -368,7 +341,6 @@ def dp_oracle(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
                 if not row_lo[v[0]] <= v[1] <= row_hi[v[0]]:
                     continue
                 g_new = best[u] + cost(u, v)
-                generated += 1
                 if g_new < best.get(v, float("inf")):
                     best[v] = g_new
                     parent[v] = u
@@ -379,4 +351,4 @@ def dp_oracle(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
         path.append(parent[path[-1]])
     path.reverse()
     return _finish(lattice, spec, initial_state, field, substeps,
-                   path, best[goal], expanded, generated, t0)
+                   path, best[goal], expanded, len(best), t0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -153,7 +154,7 @@ class TestBuildCorridor:
         lat = small_lattice(I=9, J=5, H=3)
         cor = build_corridor(lat, gc_route(), 5)
         assert all(lo == 0 for lo in cor.j_min)
-        for idx in lat.all_indices():
+        for idx in itertools.product(*map(range, lat.dims)):
             assert is_reachable(cor, idx, 9)
 
     def test_centerline_guide_centers_windows(self):

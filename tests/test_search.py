@@ -1,16 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from skyroute.errors import NoPath, OutOfDomain, SkyrouteError
-from skyroute.geo import GeoPoint, great_circle_distance, intermediate_point
+from skyroute.geo import (GeoPoint, great_circle_distance,
+                          great_circle_distances, initial_bearing,
+                          intermediate_point)
 from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
                               build_lattice, is_reachable, successors)
 from skyroute.perfmodel import (AircraftState, default_spec, fly_route,
-                                fly_segment, route_cost)
-from skyroute.search import (_column_windows, _edge_costs, _start_and_goal,
-                             astar, dp_oracle, min_specific_burn,
-                             nominal_mass_profile, row_dp)
+                                fly_segment, fly_segments, route_cost)
+from skyroute.search import (_column_windows, _edge_costs, _edge_table,
+                             _start_and_goal, astar, dp_oracle,
+                             min_specific_burn, nominal_mass_profile, row_dp)
 from skyroute.weather import make_jet_stream, make_uniform
 
 SPEC = default_spec()
@@ -47,15 +51,35 @@ class TestNominalMassProfile:
 
 class TestMinSpecificBurn:
     def test_lower_bounds_every_edge(self):
-        # Nominal edge fuel per meter must never drop below the bound.
+        # Every finite table entry costs strictly more than the bound times
+        # its edge's great-circle length. This strict consistency is what
+        # makes the searches' equal-g parent rule independent of pop order.
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
-        fld = jet()
-        msb = min_specific_burn(SPEC, fld)
-        res = astar(lat, None, SPEC, start_state(), fld, substeps=2)
-        for a, b in zip(res.geo_path, res.geo_path[1:]):
-            d = great_circle_distance(a, b)
-            if d > 0:
-                assert msb <= SPEC.base_fuel_flow_kgps / (SPEC.tas_ms - 150)
+        # 140 m/s against TAS 150 m/s: ground speed hits the floor.
+        slow = replace(SPEC, tas_ms=150.0)
+        bearing = initial_bearing(ORIGIN, DEST)
+        headwind = make_uniform(-140.0 * np.sin(bearing),
+                                -140.0 * np.cos(bearing), 288.15, BBOX)
+        assert fly_segment(slow, start_state(), lat.node((1, 2, 1)), headwind,
+                           2).gs_floor_hit
+        for spec, fld in ((SPEC, still_air()), (SPEC, jet()), (slow, headwind)):
+            for width in (None, 3):
+                cor = None if width is None else build_corridor(
+                    lat, gc_route(ORIGIN, DEST), width)
+                masses = nominal_mass_profile(lat, spec, start_state(), fld, 2)
+                start, _goal = _start_and_goal(lat, cor)
+                lo, hi = _column_windows(lat, cor, start)
+                table = _edge_table(lat, lo, hi, spec, masses, fld, 2)
+                rows, cols, slots = np.nonzero(np.isfinite(table))
+                to_cols = np.where(rows == lat.dims[0] - 2,
+                                   lat.center_column, cols + slots - 1)
+                length = great_circle_distances(
+                    lat.lat_deg[rows, cols], lat.lon_deg[rows, cols],
+                    lat.lat_deg[rows + 1, to_cols],
+                    lat.lon_deg[rows + 1, to_cols])
+                assert rows.size > 0
+                assert np.all(table[rows, cols, slots]
+                              > min_specific_burn(spec, fld) * length)
 
     def test_closed_form(self):
         fld = make_uniform(20.0, 0.0, 298.15, BBOX)
@@ -233,45 +257,69 @@ def solve(search, *args):
         return type(exc), str(exc)
 
 
+def draw_search_args(data, min_rows):
+    """A random trip, lattice, field and corridor, disconnected ones included."""
+    lat0 = st.floats(42.0, 56.0)
+    lon0 = st.floats(-5.0, 20.0)
+    o = GeoPoint(data.draw(lat0), data.draw(lon0), 10_000)
+    d = GeoPoint(data.draw(lat0), data.draw(lon0), 10_000)
+    trip = great_circle_distance(o, d)
+    assume(trip > 50_000)
+    I = data.draw(st.integers(min_rows, 14))
+    J = data.draw(st.sampled_from([1, 3, 5, 11]))
+    H = data.draw(st.sampled_from([1, 2, 3, 5]))
+    lat = build_lattice(o, d, I, J, H, 0.15 * trip)
+    kind = data.draw(st.sampled_from(["still", "uniform", "jet"]))
+    if kind == "still":
+        fld = still_air()
+    elif kind == "uniform":
+        wind = st.floats(-40.0, 40.0)
+        fld = make_uniform(data.draw(wind), data.draw(wind), 288.15, BBOX)
+    else:
+        fld = jet(seed=data.draw(st.integers(0, 50)))
+    cor = None
+    if data.draw(st.booleans()):
+        w = data.draw(st.integers(1, J))
+        j_min = data.draw(st.lists(st.integers(0, J - w), min_size=I,
+                                   max_size=I))
+        start = (0, data.draw(st.integers(0, J - 1)), lat.center_level)
+        cor = Corridor(tuple(j_min), w, start)
+    return (lat, cor, SPEC, AircraftState(o, 62_000.0), fld,
+            data.draw(st.integers(1, 3)))
+
+
 class TestRowDp:
     """row_dp reproduces astar: path, cost, fuel and both effort counts."""
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_equals_astar(self, data):
-        lat0 = st.floats(42.0, 56.0)
-        lon0 = st.floats(-5.0, 20.0)
-        o = GeoPoint(data.draw(lat0), data.draw(lon0), 10_000)
-        d = GeoPoint(data.draw(lat0), data.draw(lon0), 10_000)
-        trip = great_circle_distance(o, d)
-        assume(trip > 50_000)
-        I = data.draw(st.integers(2, 14))
-        J = data.draw(st.sampled_from([1, 3, 5, 11]))
-        H = data.draw(st.sampled_from([1, 2, 3, 5]))
-        lat = build_lattice(o, d, I, J, H, 0.15 * trip)
-        kind = data.draw(st.sampled_from(["still", "uniform", "jet"]))
-        if kind == "still":
-            fld = still_air()
-        elif kind == "uniform":
-            wind = st.floats(-40.0, 40.0)
-            fld = make_uniform(data.draw(wind), data.draw(wind), 288.15, BBOX)
-        else:
-            fld = jet(seed=data.draw(st.integers(0, 50)))
-        cor = None
-        if data.draw(st.booleans()):
-            # Any corridor, including ones that disconnect the lattice.
-            w = data.draw(st.integers(1, J))
-            j_min = data.draw(st.lists(st.integers(0, J - w), min_size=I,
-                                       max_size=I))
-            start = (0, data.draw(st.integers(0, J - 1)), lat.center_level)
-            cor = Corridor(tuple(j_min), w, start)
-        args = (lat, cor, SPEC, AircraftState(o, 62_000.0), fld,
-                data.draw(st.integers(1, 3)))
+        args = draw_search_args(data, min_rows=2)
         want = solve(astar, *args)
         got = solve(row_dp, *args)
         if isinstance(want, tuple):
             assert got == want
         else:
+            assert_same_result(got, want)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_astar_on_tied_costs(self, data):
+        # Costs rounded up to a whole kg keep the heuristic consistent and
+        # give many exact g ties between columns, where the (j, h) parent
+        # rule decides the path.
+        def whole_kg(*args):
+            return np.ceil(fly_segments(*args))
+
+        args = draw_search_args(data, min_rows=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("skyroute.search.fly_segments", whole_kg)
+            want = solve(astar, *args)
+            got = solve(row_dp, *args)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert want.search_cost_kg == int(want.search_cost_kg)
             assert_same_result(got, want)
 
     @pytest.mark.parametrize("H", [1, 2, 3, 5])
