@@ -5,11 +5,13 @@ equirectangular projection scaled by the cosine of the mid-latitude,
 valid for displacements up to 6,000 km. Rotation angles are radians,
 counter-clockwise positive.
 
-`great_circle_distances`, `initial_bearings` and `intermediate_points`
-are the array forms of the scalar functions: they take lat/lon arrays in
-degrees, broadcast them, and repeat the scalar arithmetic operation for
-operation, so they differ from it only where numpy's sin/cos/asin/atan2
-round differently from the C library's (a few ulp).
+`great_circle_distances`, `initial_bearings`, `intermediate_points` and
+`displace_many` are the array forms of the scalar functions: they take
+lat/lon arrays in degrees, broadcast them, and repeat the scalar
+arithmetic operation for operation, so they differ from it only where
+numpy's sin/cos/asin/atan2 round differently from the C library's (a few
+ulp). `intermediate_points` also takes an array of fractions, and
+`displace_many` refuses what `displace` refuses, with the same error.
 """
 
 from __future__ import annotations
@@ -161,17 +163,14 @@ def initial_bearings(lat1, lon1, lat2, lon2) -> np.ndarray:
 
 
 def intermediate_points(lat1, lon1, lat2, lon2,
-                        fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of intermediate_point for one shared fraction.
+                        fraction) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of intermediate_point.
 
+    `fraction` is a scalar or an array that broadcasts against the pairs.
     Returns (lat, lon) arrays in degrees; fraction 0 returns the start
     points and 1 the end points, and a zero-length pair its start point.
     Pairs on one meridian keep its longitude, as in the scalar form.
     """
-    if fraction <= 0.0:
-        return np.asarray(lat1, dtype=float), np.asarray(lon1, dtype=float)
-    if fraction >= 1.0:
-        return np.asarray(lat2, dtype=float), np.asarray(lon2, dtype=float)
     phi1 = np.radians(lat1)
     lam1 = np.radians(lon1)
     phi2 = np.radians(lat2)
@@ -190,7 +189,11 @@ def intermediate_points(lat1, lon1, lat2, lon2,
     lon = _normalize_lons(np.degrees(np.arctan2(y, x)))
     lon = np.where(np.equal(lon1, lon2), _normalize_lons(lon1), lon)
     same = delta == 0.0
-    return np.where(same, lat1, lat), np.where(same, lon1, lon)
+    lat, lon = np.where(same, lat1, lat), np.where(same, lon1, lon)
+    at_start = np.less_equal(fraction, 0.0)
+    at_end = np.greater_equal(fraction, 1.0)
+    return (np.where(at_start, lat1, np.where(at_end, lat2, lat)),
+            np.where(at_start, lon1, np.where(at_end, lon2, lon)))
 
 
 def local_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
@@ -226,6 +229,32 @@ def displace(origin: GeoPoint, v: PlaneVector, alt_delta_m: float = 0.0) -> GeoP
         raise DistanceOutOfRange("projection degenerate near the poles")
     lon = origin.lon_deg + math.degrees(v.east_m / (EARTH_RADIUS_M * cos_mid))
     return GeoPoint(lat, lon, max(0.0, origin.alt_m + alt_delta_m))
+
+
+def displace_many(lat_deg, lon_deg, east_m, north_m) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of displace for positions: (lat, lon) arrays in degrees.
+
+    Origins (lat_deg, lon_deg) and vectors (east_m, north_m) broadcast.
+    If `displace` would refuse any element, raises what it raises for the
+    first such element in row-major order.
+    """
+    dlat = np.degrees(np.divide(north_m, EARTH_RADIUS_M))
+    lat = np.add(lat_deg, dlat)
+    cos_mid = np.cos(np.radians(lat_deg + 0.5 * dlat))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lon = _normalize_lons(
+            lon_deg + np.degrees(east_m / (EARTH_RADIUS_M * cos_mid)))
+    # numpy's hypot and cos may round apart from math's, so the checks keep
+    # a margin and scalar `displace` decides each element near a bound.
+    near = ((np.hypot(east_m, north_m) > MAX_PLANAR_DISTANCE_M * (1 - 1e-9))
+            | ~(np.abs(cos_mid) >= 2e-9) | ~(np.abs(lat) <= 90.0)
+            | ~np.isfinite(lon))
+    if near.any():
+        args = np.broadcast_arrays(lat_deg, lon_deg, east_m, north_m)
+        for n in np.flatnonzero(near):
+            lat0, lon0, east, north = (float(a.flat[n]) for a in args)
+            displace(GeoPoint(lat0, lon0), PlaneVector(east, north))
+    return lat, lon
 
 
 def trip_rotation(origin: GeoPoint, destination: GeoPoint) -> float:

@@ -3,6 +3,8 @@
 `plan` wires guide -> corridor -> row DP for one request and returns a
 JSON-ready summary. The row DP (`search.row_dp`) gives A*'s path, cost
 and effort counts; a NaN edge cost makes it run the reference A*.
+`make_weather` parses a `csv:` file once per content: it reads the file
+on every call and reuses the last field parsed while the bytes match.
 
 The two sweeps share one driver and emit schema-stable CSV rows with
 timings, fuel, and node-expansion counts of a hybrid run next to its
@@ -21,6 +23,7 @@ propagates.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import statistics
 import time
@@ -35,8 +38,8 @@ from .lattice import build_corridor, build_lattice
 from .perfmodel import (AircraftSpec, AircraftState, default_spec, fly_segment,
                         DEFAULT_SUBSTEPS)
 from .search import astar, row_dp
-from .weather import (ISA_TEMPERATURE_K, WeatherField, load_csv, make_jet_stream,
-                      make_uniform)
+from .weather import (ISA_TEMPERATURE_K, WeatherField, make_jet_stream,
+                      make_uniform, parse_csv)
 
 DEFAULT_DIMS = (41, 11, 3)
 DEFAULT_WIDTH = 5
@@ -104,12 +107,18 @@ class PlanRequest:
     n_waypoints: int = 5
 
 
+#: The last `csv:` file content parsed and its field (fields are read-only).
+_last_csv: tuple[bytes, WeatherField] | None = None
+
+
 def make_weather(spec_text: str, origin: GeoPoint, destination: GeoPoint,
                  seed: int = 0) -> WeatherField:
     """Build the weather field for a request: uniform | jet | csv:<path>.
 
     Synthetic fields cover the route bounding box with generous padding
-    so guide rollouts cannot leave the domain.
+    so guide rollouts cannot leave the domain. A `csv:` file is read on
+    every call but parsed once per content: when its bytes equal those
+    of the last file parsed, the field parsed then is returned.
     """
     lat_min = min(origin.lat_deg, destination.lat_deg)
     lat_max = max(origin.lat_deg, destination.lat_deg)
@@ -126,9 +135,24 @@ def make_weather(spec_text: str, origin: GeoPoint, destination: GeoPoint,
         return make_jet_stream(bbox, core_lat=core_lat, core_speed=40.0,
                                half_width=4.0, seed=seed)
     if spec_text.startswith("csv:"):
-        return load_csv(spec_text[4:])
+        return _parse_csv_once(spec_text[4:])
     raise ConfigError(f"unknown weather source: {spec_text!r} "
                       "(expected uniform | jet | csv:<path>)")
+
+
+def _parse_csv_once(path: str) -> WeatherField:
+    """The field of the CSV file at `path`, parsed only if its content is new."""
+    global _last_csv
+    with open(path, "rb") as f:
+        raw = f.read()
+    # One read of the global: callers that race on a new file may each
+    # parse it, but each gets the field of the bytes it read.
+    last = _last_csv
+    if last is None or last[0] != raw:
+        # A file that fails to parse raises here and is never kept.
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+        last = _last_csv = (raw, parse_csv(text))
+    return last[1]
 
 
 def _guide_route(req: PlanRequest, field: WeatherField):

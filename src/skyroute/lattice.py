@@ -4,8 +4,10 @@ The lattice is an (I, J, H) node matrix between origin and destination.
 Row 0 and row I-1 hold identical nodes (the endpoints); interior rows
 spread J columns laterally around the great-circle track and H altitude
 levels across the configured band. All H levels of a column share one
-lat/lon, so positions are stored once per column. A corridor restricts
-each row to a window of w consecutive columns around a coarse guide route.
+lat/lon, so positions are stored once per column. Each row's track point
+and bearing are scalar; the columns of all rows come from one array pass,
+`displace_many`. A corridor restricts each row to a window of w
+consecutive columns around a coarse guide route.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from .errors import DegenerateTrip, NoSuccessors, WidthOutOfRange
 # great_circle_distance is unused here; it stays because
 # perfbench/tracing.py wraps it by name.
-from .geo import (GeoPoint, great_circle_distance, great_circle_distances,
-                  initial_bearing, intermediate_point, displace, PlaneVector)
+from .geo import (GeoPoint, displace_many, great_circle_distance,
+                  great_circle_distances, initial_bearing, intermediate_point)
 
 NodeIndex = tuple[int, int, int]
 
@@ -102,6 +104,9 @@ def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: in
         raise ValueError("alt_band must be (low, high)")
     if not (math.isfinite(alt_hi) and alt_lo >= 0.0):
         raise ValueError(f"alt_band must be finite and >= 0: {alt_band}")
+    if not (math.isfinite(lateral_halfwidth_m) and lateral_halfwidth_m >= 0.0):
+        raise ValueError("lateral_halfwidth_m must be finite and >= 0: "
+                         f"{lateral_halfwidth_m}")
     if H == 1:
         alts = (0.5 * (alt_lo + alt_hi),)
     else:
@@ -109,23 +114,26 @@ def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: in
 
     center = (J - 1) // 2
     half = max(center, 1)
+    offsets = (np.arange(J) - center) / half * lateral_halfwidth_m
+    # A column at offset 0 (the centre; every column at half-width 0) is
+    # the track point itself and never goes through displace.
+    moved = offsets != 0.0
+    track = [intermediate_point(origin, destination, i / (I - 1))
+             for i in range(1, I - 1)]
+    bearing = [initial_bearing(p, destination) for p in track]
+    # Lateral unit vector: 90 degrees right of the local track bearing.
+    perp_e = np.array([math.cos(b) for b in bearing])[:, None]
+    perp_n = np.array([-math.sin(b) for b in bearing])[:, None]
     lat = np.empty((I, J))
     lon = np.empty((I, J))
     lat[0], lon[0] = origin.lat_deg, origin.lon_deg
     lat[I - 1], lon[I - 1] = destination.lat_deg, destination.lon_deg
-    for i in range(1, I - 1):
-        track_pt = intermediate_point(origin, destination, i / (I - 1))
-        bearing = initial_bearing(track_pt, destination)
-        # Lateral unit vector: 90 degrees right of the local track bearing.
-        perp_e = math.cos(bearing)
-        perp_n = -math.sin(bearing)
-        for j in range(J):
-            offset = (j - center) / half * lateral_halfwidth_m
-            if offset == 0.0:
-                base = track_pt
-            else:
-                base = displace(track_pt, PlaneVector(perp_e * offset, perp_n * offset))
-            lat[i, j], lon[i, j] = base.lat_deg, base.lon_deg
+    track_lat = np.array([p.lat_deg for p in track])[:, None]
+    track_lon = np.array([p.lon_deg for p in track])[:, None]
+    lat[1:-1], lon[1:-1] = track_lat, track_lon
+    side = offsets[moved]
+    lat[1:-1, moved], lon[1:-1, moved] = displace_many(
+        track_lat, track_lon, perp_e * side, perp_n * side)
     return Lattice((I, J, H), lat, lon, alts, origin, destination,
                    lateral_halfwidth_m)
 

@@ -11,6 +11,7 @@ import csv
 import math
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,10 @@ class WeatherSample:
 class WeatherField:
     """Wind (m/s) and temperature (K) on a regular lat/lon grid.
 
-    Grids are shaped (len(lat_axis), len(lon_axis)). Treated as
-    immutable after construction; concurrent sampling is safe.
+    Grids are shaped (len(lat_axis), len(lon_axis)). Construction copies
+    the five arrays and makes the copies read-only, so a field can be
+    shared and sampled concurrently, and no write can make `sample` and
+    `sample_many` disagree.
     """
 
     lat_axis: np.ndarray
@@ -47,10 +50,11 @@ class WeatherField:
     temperature: np.ndarray
 
     def __post_init__(self):
-        self.lat_axis = np.asarray(self.lat_axis, dtype=float)
-        self.lon_axis = np.asarray(self.lon_axis, dtype=float)
-        for name in ("wind_east", "wind_north", "temperature"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("lat_axis", "lon_axis", "wind_east", "wind_north",
+                     "temperature"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            setattr(self, name, values)
         if self.lat_axis.ndim != 1 or self.lat_axis.size < 2:
             raise ValueError("lat_axis must be 1D with at least 2 points")
         if self.lon_axis.ndim != 1 or self.lon_axis.size < 2:
@@ -214,35 +218,41 @@ def save_csv(fld: WeatherField, path: str) -> None:
 
 
 def load_csv(path: str) -> WeatherField:
-    """Read the documented CSV grid format; see save_csv.
+    """Read the documented CSV grid format from a file; see parse_csv."""
+    with open(path, newline="", encoding="utf-8") as f:
+        return parse_csv(f)
 
+
+def parse_csv(source: Iterable[str]) -> WeatherField:
+    """Parse the documented CSV grid format; see save_csv.
+
+    `source` yields lines of text, as a file opened with newline="" does.
     Rows may come in any order, but every lat/lon node of the grid must
     appear exactly once.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty file: missing header") from None
+    header = [h.strip() for h in header]
+    if header != CSV_COLUMNS:
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        raise SchemaError(
+            f"bad header {header}; missing columns: {missing or 'none (wrong order)'}")
+    values = array("d")        # row-major, len(CSV_COLUMNS) per row
+    lines: list[int] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise ParseError(f"line {lineno}: expected {len(CSV_COLUMNS)} fields, "
+                             f"got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file: missing header") from None
-        header = [h.strip() for h in header]
-        if header != CSV_COLUMNS:
-            missing = [c for c in CSV_COLUMNS if c not in header]
-            raise SchemaError(
-                f"bad header {header}; missing columns: {missing or 'none (wrong order)'}")
-        values = array("d")        # row-major, len(CSV_COLUMNS) per row
-        lines: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise ParseError(f"line {lineno}: expected {len(CSV_COLUMNS)} fields, "
-                                 f"got {len(row)}")
-            try:
-                values.extend([float(x) for x in row])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            lines.append(lineno)
+            values.extend([float(x) for x in row])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        lines.append(lineno)
 
     if not lines:
         raise SchemaError("header-only file: no grid rows")

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from skyroute.errors import DegenerateTrip, DistanceOutOfRange
 from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, PlaneVector, displace,
-                          great_circle_distance, great_circle_distances,
+                          displace_many, great_circle_distance, great_circle_distances,
                           initial_bearing, initial_bearings,
                           intermediate_point, intermediate_points,
                           local_displacement, rotate, rotate_inverse,
@@ -222,6 +222,52 @@ class TestArrayForms:
         assert (lat[0], lon[0]) == (48.0, 11.0)
         # Across the antimeridian the midpoint sits on it, not at lon 0.
         assert abs(lon[1]) == pytest.approx(180.0, abs=1e-9)
+
+    @given(st.lists(st.tuples(geo_points(), geo_points(), st.booleans()),
+                    min_size=1, max_size=6),
+           st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(-0.5, 1.5)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=100)
+    def test_fraction_array_matches_per_fraction_calls(self, pairs, fractions):
+        pairs = [(a, a if same else b) for a, b, same in pairs]
+        cols = [np.array([p.lat_deg for p, _ in pairs]),
+                np.array([p.lon_deg for p, _ in pairs]),
+                np.array([q.lat_deg for _, q in pairs]),
+                np.array([q.lon_deg for _, q in pairs])]
+        lat, lon = intermediate_points(*cols, np.array(fractions)[:, None])
+        for k, fraction in enumerate(fractions):
+            want_lat, want_lon = intermediate_points(*cols, fraction)
+            assert lat[k].tobytes() == want_lat.tobytes()
+            assert lon[k].tobytes() == want_lon.tobytes()
+
+    @given(st.lists(st.tuples(geo_points(st.floats(-90, 90)),
+                              st.floats(-7e6, 7e6), st.floats(-7e6, 7e6)),
+                    min_size=1, max_size=8))
+    # The second element meets the pole halfway, the third leaves 6,000 km.
+    @example([(GeoPoint(10, 0), 1_000.0, 1_000.0),
+              (GeoPoint(89, 0), 0.0, EARTH_RADIUS_M * math.radians(2.0)),
+              (GeoPoint(0, 0), 7e6, 0.0)])
+    @settings(max_examples=100)
+    def test_displace_many_matches_displace(self, moves):
+        lat0, lon0, east, north = (np.array(c) for c in zip(
+            *((p.lat_deg, p.lon_deg, e, n) for p, e, n in moves)))
+        want = []
+        for p, e, n in moves:
+            try:
+                want.append(displace(p, PlaneVector(e, n)))
+            except (DistanceOutOfRange, ValueError) as exc:
+                # The first refused element decides the error.
+                with pytest.raises(type(exc)) as got:
+                    displace_many(lat0, lon0, east, north)
+                assert type(got.value) is type(exc)
+                assert str(got.value) == str(exc)
+                return
+        lat, lon = displace_many(lat0, lon0, east, north)
+        assert lat.tolist() == [q.lat_deg for q in want]
+        # Longitudes go through cos, which numpy may round an ulp apart
+        # from the C library (they agree on the machines seen so far).
+        np.testing.assert_array_max_ulp(lon, [q.lon_deg for q in want],
+                                        maxulp=2)
 
     @given(st.floats(-80, 80), st.floats(-80, 80), longitudes,
            st.floats(0, 1))

@@ -6,7 +6,8 @@ import pytest
 
 from skyroute import harness
 from skyroute.cli import main
-from skyroute.errors import ConfigError, NoPath, WidthOutOfRange
+from skyroute.errors import (ConfigError, NoPath, ParseError, SchemaError,
+                             WidthOutOfRange)
 from skyroute.geo import GeoPoint, great_circle_distance, initial_bearing
 from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
                               bench_width, default_requests, load_airports,
@@ -15,7 +16,8 @@ from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
                               write_bench_csv)
 from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftState,
                                 default_spec, route_cost)
-from skyroute.weather import ISA_TEMPERATURE_K, make_uniform
+from skyroute.weather import (CSV_COLUMNS, ISA_TEMPERATURE_K, load_csv,
+                              make_uniform, parse_csv, save_csv)
 
 MUC = GeoPoint(48.35, 11.79, 10_000)
 BER = GeoPoint(52.37, 13.52, 10_000)
@@ -66,7 +68,6 @@ class TestMakeWeather:
         assert a.max_wind_speed() == b.max_wind_speed()
 
     def test_csv_source(self, tmp_path):
-        from skyroute.weather import save_csv
         fld = make_weather("uniform", MUC, BER)
         path = tmp_path / "wx.csv"
         save_csv(fld, str(path))
@@ -76,6 +77,71 @@ class TestMakeWeather:
     def test_unknown_source(self):
         with pytest.raises(ConfigError):
             make_weather("storm", MUC, BER)
+
+
+class TestCsvWeatherCache:
+    """A `csv:` file is read on every call and parsed once per content."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Start from an empty cache and count the parses."""
+        monkeypatch.setattr(harness, "_last_csv", None)
+        calls = []
+
+        def counted(lines):
+            calls.append(lines)
+            return parse_csv(lines)
+        monkeypatch.setattr(harness, "parse_csv", counted)
+        return calls
+
+    def test_same_content_parses_once(self, tmp_path, parses):
+        path = tmp_path / "wx.csv"
+        save_csv(make_weather("jet", MUC, BER, seed=1), str(path))
+        first = make_weather(f"csv:{path}", MUC, BER)
+        # Another file with the same bytes is the same content.
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(path.read_bytes())
+        assert make_weather(f"csv:{path}", MUC, BER) is first
+        assert make_weather(f"csv:{copy}", BER, MUC, seed=3) is first
+        assert len(parses) == 1
+
+    def test_rewritten_file_gives_the_new_field(self, tmp_path, parses):
+        path = tmp_path / "wx.csv"
+        save_csv(make_uniform(1.0, 2.0, 250.0, (40, 55, 5, 20)), str(path))
+        old = make_weather(f"csv:{path}", MUC, BER)
+        size = path.stat().st_size
+        save_csv(make_uniform(3.0, 4.0, 260.0, (40, 55, 5, 20)), str(path))
+        assert path.stat().st_size == size
+        new = make_weather(f"csv:{path}", MUC, BER)
+        assert (old.wind_east[0, 0], new.wind_east[0, 0]) == (1.0, 3.0)
+        assert new.temperature[0, 0] == 260.0 and len(parses) == 2
+
+    def test_bad_file_raises_on_every_call(self, tmp_path, parses):
+        good = tmp_path / "good.csv"
+        save_csv(make_weather("uniform", MUC, BER), str(good))
+        field = make_weather(f"csv:{good}", MUC, BER)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(CSV_COLUMNS) + "\n40,0,oops,1,288.15\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        for _ in range(2):
+            with pytest.raises(ParseError, match="line 2"):
+                make_weather(f"csv:{bad}", MUC, BER)
+            with pytest.raises(SchemaError):
+                make_weather(f"csv:{empty}", MUC, BER)
+        assert len(parses) == 5
+        # A failed parse keeps nothing, so the last good field stays.
+        assert make_weather(f"csv:{good}", MUC, BER) is field
+        assert len(parses) == 5
+
+    def test_plan_on_csv_equals_plan_on_the_parsed_field(self, tmp_path):
+        path = tmp_path / "wx.csv"
+        save_csv(make_weather("jet", MUC, BER, seed=2), str(path))
+        req = small_request(weather=f"csv:{path}")
+        with_csv = plan(req)
+        given = plan(req, load_csv(str(path)))
+        assert route_json_without_timings(with_csv) \
+            == route_json_without_timings(given)
 
 
 class TestPlan:

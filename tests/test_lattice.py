@@ -2,10 +2,14 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
 
-from skyroute.errors import DegenerateTrip, NoSuccessors, WidthOutOfRange
-from skyroute.geo import GeoPoint, great_circle_distance, intermediate_point
+from skyroute.errors import (DegenerateTrip, DistanceOutOfRange, NoSuccessors,
+                             WidthOutOfRange)
+from skyroute.geo import (GeoPoint, PlaneVector, displace,
+                          great_circle_distance, initial_bearing,
+                          intermediate_point)
 from skyroute.lattice import (CoarseRoute, _coarse_row_point, build_corridor,
                               build_lattice, is_reachable, successors)
 
@@ -22,7 +26,66 @@ def gc_route(n=5):
     return CoarseRoute(tuple(pts))
 
 
+def scalar_columns(origin, destination, I, J, halfwidth):
+    """Reference: the (lat, lon) column arrays built node by node with
+    scalar `displace`, the centre column on the track itself."""
+    center = (J - 1) // 2
+    half = max(center, 1)
+    lat = np.empty((I, J))
+    lon = np.empty((I, J))
+    lat[0], lon[0] = origin.lat_deg, origin.lon_deg
+    lat[I - 1], lon[I - 1] = destination.lat_deg, destination.lon_deg
+    for i in range(1, I - 1):
+        track = intermediate_point(origin, destination, i / (I - 1))
+        bearing = initial_bearing(track, destination)
+        for j in range(J):
+            offset = (j - center) / half * halfwidth
+            p = track if offset == 0.0 else displace(track, PlaneVector(
+                math.cos(bearing) * offset, -math.sin(bearing) * offset))
+            lat[i, j], lon[i, j] = p.lat_deg, p.lon_deg
+    return lat, lon
+
+
+# Anywhere, and often close to a pole, where the projection degenerates.
+trip_latitudes = st.one_of(st.floats(-90, 90), st.floats(80, 90),
+                           st.floats(-90, -80))
+trip_points = st.builds(GeoPoint, trip_latitudes, st.floats(-180, 180),
+                        st.just(10_000.0))
+
+
 class TestBuildLattice:
+    @given(trip_points, trip_points, st.integers(2, 81),
+           st.integers(0, 10).map(lambda k: 2 * k + 1),
+           st.one_of(st.just(0.0), st.floats(1.0, 300_000),
+                     st.floats(300_000, 12_000_000)))
+    # Column 0 refused for: its midpoint latitude is the pole; its latitude
+    # passes the pole; its offset exceeds 6,000 km.
+    @example(GeoPoint(80, 0, 10_000), GeoPoint(80, 10, 10_000), 3, 3,
+             2_215_605.8)
+    @example(GeoPoint(80, 0, 10_000), GeoPoint(80, 10, 10_000), 3, 3,
+             3_000_000.0)
+    @example(ORIGIN, DEST, 81, 21, 6_000_001.0)
+    @settings(max_examples=150, deadline=None)
+    def test_columns_match_scalar_displace(self, origin, destination, I, J,
+                                           halfwidth):
+        assume(not origin.same_position(destination))
+        try:
+            want_lat, want_lon = scalar_columns(origin, destination, I, J,
+                                                halfwidth)
+        except (DistanceOutOfRange, ValueError) as exc:
+            # The first node in row-major order that displace refuses.
+            with pytest.raises(type(exc)) as got:
+                build_lattice(origin, destination, I, J, 1, halfwidth)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            return
+        lattice = build_lattice(origin, destination, I, J, 1, halfwidth)
+        assert np.array_equal(lattice.lat_deg, want_lat)
+        # Longitudes go through cos, which numpy may round an ulp apart
+        # from the C library (they agree on the machines seen so far).
+        np.testing.assert_array_max_ulp(lattice.lon_deg, want_lon, maxulp=2)
+
+
     def test_endpoint_rows_identical(self):
         lat = small_lattice()
         I, J, H = lat.dims
@@ -79,6 +142,14 @@ class TestBuildLattice:
         with pytest.raises(ValueError):
             build_lattice(ORIGIN, DEST, 9, 5, 3, 50_000,
                           alt_band=(9_000.0, math.inf))
+
+    @pytest.mark.parametrize("halfwidth", [math.nan, math.inf, -math.inf,
+                                           -50_000.0, -1e-300])
+    def test_rejects_bad_halfwidth(self, halfwidth):
+        # Non-finite would fail deep in displace; negative would silently
+        # mirror the columns.
+        with pytest.raises(ValueError, match="lateral_halfwidth_m"):
+            build_lattice(ORIGIN, DEST, 9, 5, 3, halfwidth)
 
     def test_levels_share_column_positions(self):
         lat = small_lattice(H=3)

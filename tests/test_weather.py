@@ -109,6 +109,24 @@ class TestValidation:
                          np.full((2, 2), 288.15))
 
 
+class TestImmutable:
+    def test_arrays_are_read_only_copies(self):
+        lat_axis = np.array([40.0, 45.0, 50.0])
+        lon_axis = np.array([0.0, 5.0])
+        grids = [np.zeros((3, 2)), np.ones((3, 2)), np.full((3, 2), 288.15)]
+        fld = WeatherField(lat_axis, lon_axis, *grids)
+        for name in ("lat_axis", "lon_axis", "wind_east", "wind_north",
+                     "temperature"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(fld, name)[0] = 1.0
+        # The caller's arrays stay writable, and writing them leaves the
+        # field as it was built.
+        lat_axis[0] = 41.0
+        grids[1][0, 0] = 7.0
+        assert fld.lat_axis[0] == 40.0 and fld.wind_north[0, 0] == 1.0
+        assert sample(fld, GeoPoint(40.0, 0.0)).wind_north == 1.0
+
+
 class TestMakeUniform:
     def test_constant_everywhere(self):
         fld = make_uniform(12.0, -3.0, 290.0, (40, 50, 0, 10))
