@@ -9,7 +9,7 @@ from .geo import GeoPoint, PlaneVector, great_circle_distance
 from .weather import WeatherField, WeatherSample, make_jet_stream, make_uniform, sample
 from .perfmodel import AircraftSpec, AircraftState, SegmentResult, fly_segment, route_cost
 from .lattice import CoarseRoute, Corridor, Lattice, build_corridor, build_lattice
-from .search import SearchResult, astar, dp_oracle
+from .search import SearchResult, astar, row_dp
 from .guide import GuideConfig, PolicyParams, roll_out
 from .trainer import TrainConfig, train, write_training_log
 from .harness import PlanRequest, bench_fwd, bench_width, make_weather, plan
@@ -19,7 +19,7 @@ __all__ = [
     "WeatherField", "WeatherSample", "make_jet_stream", "make_uniform", "sample",
     "AircraftSpec", "AircraftState", "SegmentResult", "fly_segment", "route_cost",
     "CoarseRoute", "Corridor", "Lattice", "build_corridor", "build_lattice",
-    "SearchResult", "astar", "dp_oracle",
+    "SearchResult", "astar", "row_dp",
     "GuideConfig", "PolicyParams", "roll_out",
     "TrainConfig", "train", "write_training_log",
     "PlanRequest", "bench_fwd", "bench_width", "make_weather", "plan",

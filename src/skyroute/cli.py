@@ -10,11 +10,11 @@ import json
 import os
 import sys
 
-from .errors import SkyrouteError
+from .errors import ConfigError, SkyrouteError
 from .harness import (DEFAULT_DIMS, DEFAULT_WIDTH, PlanRequest, bench_fwd,
                       bench_width, default_requests, plan, resolve_point,
                       write_bench_csv)
-from .perfmodel import AircraftSpec, default_spec
+from .perfmodel import DEFAULT_SUBSTEPS, AircraftSpec, default_spec
 from .trainer import TrainConfig, train, write_training_log
 
 
@@ -23,11 +23,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for all outputs")
 
 
-def _add_plan_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--origin", required=True,
-                   help="airport code or 'lat,lon[,alt]'")
-    p.add_argument("--destination", required=True,
-                   help="airport code or 'lat,lon[,alt]'")
+def _add_request_args(p: argparse.ArgumentParser, weather: str) -> None:
+    """The PlanRequest options that plan and the sweeps share."""
     p.add_argument("--fwd", type=int, default=DEFAULT_DIMS[0],
                    help="forward rows I")
     p.add_argument("--cols", type=int, default=DEFAULT_DIMS[1],
@@ -40,30 +37,24 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
                    default="great_circle")
     p.add_argument("--checkpoint", default=None,
                    help="policy checkpoint (required with --guide policy)")
-    p.add_argument("--weather", default="uniform",
+    p.add_argument("--weather", default=weather,
                    help="uniform | jet | csv:<path>")
-    p.add_argument("--aircraft", default=None, help="aircraft spec JSON path")
-    p.add_argument("--substeps", type=int, default=4)
-    p.add_argument("--unconstrained", action="store_true",
-                   help="skip guide/corridor; search the full lattice")
+    p.add_argument("--substeps", type=int, default=DEFAULT_SUBSTEPS)
+
+
+def _request_kwargs(args) -> dict:
+    return dict(dims=(args.fwd, args.cols, args.levels), width=args.width,
+                guide_kind=args.guide, checkpoint=args.checkpoint,
+                weather=args.weather, substeps=args.substeps, seed=args.seed)
 
 
 def _request_from_args(args) -> PlanRequest:
     aircraft = (AircraftSpec.from_json(args.aircraft) if args.aircraft
                 else default_spec())
-    return PlanRequest(
-        origin=resolve_point(args.origin),
-        destination=resolve_point(args.destination),
-        dims=(args.fwd, args.cols, args.levels),
-        width=args.width,
-        guide_kind=args.guide,
-        checkpoint=args.checkpoint,
-        weather=args.weather,
-        aircraft=aircraft,
-        substeps=args.substeps,
-        seed=args.seed,
-        unconstrained=args.unconstrained,
-    )
+    return PlanRequest(origin=resolve_point(args.origin),
+                       destination=resolve_point(args.destination),
+                       aircraft=aircraft, unconstrained=args.unconstrained,
+                       **_request_kwargs(args))
 
 
 def _cmd_plan(args) -> int:
@@ -80,19 +71,18 @@ def _cmd_plan(args) -> int:
 
 
 def _bench_requests(args) -> list[PlanRequest]:
-    overrides = dict(dims=(args.fwd, args.cols, args.levels),
-                     width=args.width, substeps=args.substeps,
-                     guide_kind=args.guide, checkpoint=args.checkpoint)
-    if args.routes:
-        reqs = []
-        for pair in args.routes:
-            a, b = pair.split(":")
-            reqs.append(PlanRequest(origin=resolve_point(a),
-                                    destination=resolve_point(b),
-                                    weather=args.weather, seed=args.seed,
-                                    **overrides))
-        return reqs
-    return default_requests(weather=args.weather, seed=args.seed, **overrides)
+    if not args.routes:
+        return default_requests(**_request_kwargs(args))
+    reqs = []
+    for pair in args.routes:
+        codes = pair.split(":")
+        if len(codes) != 2:
+            raise ConfigError(
+                f"--routes item {pair!r} is not ORIGIN:DESTINATION")
+        reqs.append(PlanRequest(origin=resolve_point(codes[0]),
+                                destination=resolve_point(codes[1]),
+                                **_request_kwargs(args)))
+    return reqs
 
 
 def _cmd_bench(args) -> int:
@@ -127,7 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="plan a single route")
-    _add_plan_args(p)
+    p.add_argument("--origin", required=True,
+                   help="airport code or 'lat,lon[,alt]'")
+    p.add_argument("--destination", required=True,
+                   help="airport code or 'lat,lon[,alt]'")
+    _add_request_args(p, weather="uniform")
+    p.add_argument("--aircraft", default=None, help="aircraft spec JSON path")
+    p.add_argument("--unconstrained", action="store_true",
+                   help="skip guide/corridor; search the full lattice")
     _add_common(p)
     p.set_defaults(func=_cmd_plan)
 
@@ -136,15 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"sensitivity sweep ({flag})")
         p.add_argument("--routes", nargs="*", default=None,
                        help="route pairs like FRA:CDG (default: shipped set)")
-        p.add_argument("--fwd", type=int, default=DEFAULT_DIMS[0])
-        p.add_argument("--cols", type=int, default=DEFAULT_DIMS[1])
-        p.add_argument("--levels", type=int, default=DEFAULT_DIMS[2])
-        p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
-        p.add_argument("--guide", choices=["great_circle", "policy"],
-                       default="great_circle")
-        p.add_argument("--checkpoint", default=None)
-        p.add_argument("--weather", default="jet")
-        p.add_argument("--substeps", type=int, default=4)
+        _add_request_args(p, weather="jet")
         p.add_argument("--repetitions", type=int, default=1)
         p.add_argument(flag, dest="values", type=int, nargs="*", default=None)
         _add_common(p)

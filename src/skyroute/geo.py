@@ -213,10 +213,10 @@ def local_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
     return PlaneVector(east, north)
 
 
-def displace(origin: GeoPoint, v: PlaneVector, alt_delta_m: float = 0.0) -> GeoPoint:
+def displace(origin: GeoPoint, v: PlaneVector) -> GeoPoint:
     """Move origin by a planar vector; inverse of local_displacement.
 
-    Altitude becomes origin.alt_m + alt_delta_m, clamped at 0.
+    The altitude stays origin.alt_m.
     """
     if v.norm() > MAX_PLANAR_DISTANCE_M:
         raise DistanceOutOfRange(
@@ -228,7 +228,7 @@ def displace(origin: GeoPoint, v: PlaneVector, alt_delta_m: float = 0.0) -> GeoP
     if abs(cos_mid) < 1e-9:
         raise DistanceOutOfRange("projection degenerate near the poles")
     lon = origin.lon_deg + math.degrees(v.east_m / (EARTH_RADIUS_M * cos_mid))
-    return GeoPoint(lat, lon, max(0.0, origin.alt_m + alt_delta_m))
+    return GeoPoint(lat, lon, origin.alt_m)
 
 
 def displace_many(lat_deg, lon_deg, east_m, north_m) -> tuple[np.ndarray, np.ndarray]:

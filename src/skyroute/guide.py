@@ -181,25 +181,21 @@ def extract_features(x: GeoPoint, x_n: GeoPoint, phi: float,
                      (wx.temperature - ISA_TEMPERATURE_K) / cfg.temp_scale_k])
 
 
-def policy_action(params: PolicyParams, features: np.ndarray,
-                  deterministic: bool = True,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Action in [-1, 1]^2: tanh(mean), or tanh of a Gaussian sample."""
+def policy_action(params: PolicyParams, features: np.ndarray) -> np.ndarray:
+    """Inference action in (-1, 1)^2: tanh of the policy mean.
+
+    The trainer samples its own exploratory actions around the mean.
+    """
     mean, _value = forward(params, features)
-    if deterministic:
-        return np.tanh(mean)
-    if rng is None:
-        raise ValueError("stochastic mode requires an rng")
-    z = mean + np.exp(params.log_std) * rng.standard_normal(ACTION_DIM)
-    return np.tanh(z)
+    return np.tanh(mean)
 
 
 def step(x_k: GeoPoint, x_1: GeoPoint, x_n: GeoPoint, action: np.ndarray,
-         phi: float, n: int, dh: float = 0.0) -> GeoPoint:
+         phi: float, n: int) -> GeoPoint:
     """Apply one movement: un-rotate the action, scale, cap, displace.
 
     The step scale is the trip length divided by n; movements longer than
-    one step scale are rescaled down to it.
+    one step scale are rescaled down to it. The altitude stays x_k's.
     """
     step_scale = great_circle_distance(x_1, x_n) / n
     mv = rotate_inverse(PlaneVector(float(action[0]) * step_scale,
@@ -207,42 +203,37 @@ def step(x_k: GeoPoint, x_1: GeoPoint, x_n: GeoPoint, action: np.ndarray,
     norm = mv.norm()
     if norm > step_scale:
         mv = mv.scaled(step_scale / norm)
-    return displace(x_k, mv, dh)
+    return displace(x_k, mv)
 
 
 def roll_out(cfg: GuideConfig, params: PolicyParams | None, origin: GeoPoint,
-             destination: GeoPoint, field: WeatherField,
-             altitude_profile: list[float] | None = None) -> CoarseRoute:
-    """Produce the n-waypoint coarse route (deterministic at inference).
+             destination: GeoPoint, field: WeatherField) -> CoarseRoute:
+    """Produce the n-waypoint coarse route; deterministic for both kinds.
 
-    The final waypoint is always forced to the destination. Consecutive
-    duplicate positions (e.g. a zero action) are collapsed so the result
-    is a valid CoarseRoute.
+    Every waypoint is at the origin's altitude, and the final one is always
+    forced to the destination. Consecutive duplicate positions (e.g. a zero
+    action) are collapsed so the result is a valid CoarseRoute.
     """
     n = cfg.n
-    alts = altitude_profile or [origin.alt_m] * n
-    if len(alts) != n:
-        raise ValueError("altitude_profile must have n entries")
-
+    alt = origin.alt_m
     if cfg.guide_kind == "great_circle":
         pts = []
         for k in range(n):
             p = intermediate_point(origin, destination, k / (n - 1))
-            pts.append(GeoPoint(p.lat_deg, p.lon_deg, alts[k]))
+            pts.append(GeoPoint(p.lat_deg, p.lon_deg, alt))
         return CoarseRoute(tuple(_dedupe(pts)))
 
     if params is None:
         raise ValueError("policy guide requires PolicyParams")
     phi = trip_rotation(origin, destination)
     trip_len = great_circle_distance(origin, destination)
-    x = GeoPoint(origin.lat_deg, origin.lon_deg, alts[0])
+    x = origin
     pts = [x]
-    for k in range(n - 2):
+    for _ in range(n - 2):
         feats = extract_features(x, destination, phi, field, trip_len, cfg)
-        action = policy_action(params, feats, deterministic=True)
-        x = step(x, origin, destination, action, phi, n, alts[k + 1] - x.alt_m)
+        x = step(x, origin, destination, policy_action(params, feats), phi, n)
         pts.append(x)
-    pts.append(GeoPoint(destination.lat_deg, destination.lon_deg, alts[-1]))
+    pts.append(GeoPoint(destination.lat_deg, destination.lon_deg, alt))
     return CoarseRoute(tuple(_dedupe(pts)))
 
 

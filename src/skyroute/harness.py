@@ -74,11 +74,11 @@ def resolve_point(text: str, alt_m: float = DEFAULT_CRUISE_ALT_M) -> GeoPoint:
         if len(parts) not in (2, 3):
             raise ConfigError(f"cannot parse coordinates: {text!r}")
         try:
-            lat, lon = float(parts[0]), float(parts[1])
-            alt = float(parts[2]) if len(parts) == 3 else alt_m
-        except ValueError:
-            raise ConfigError(f"cannot parse coordinates: {text!r}") from None
-        return GeoPoint(lat, lon, alt)
+            return GeoPoint(float(parts[0]), float(parts[1]),
+                            float(parts[2]) if len(parts) == 3 else alt_m)
+        except ValueError as exc:
+            raise ConfigError(
+                f"invalid coordinates {text!r}: {exc}") from None
     airports = load_airports()
     code = text.strip().upper()
     if code not in airports:
@@ -89,7 +89,11 @@ def resolve_point(text: str, alt_m: float = DEFAULT_CRUISE_ALT_M) -> GeoPoint:
 
 @dataclass
 class PlanRequest:
-    """Everything needed to plan one route."""
+    """Everything needed to plan one route.
+
+    Lattice dims or substeps that no plan could use raise ConfigError
+    naming the field.
+    """
 
     origin: GeoPoint
     destination: GeoPoint
@@ -103,8 +107,18 @@ class PlanRequest:
     seed: int = 0
     unconstrained: bool = False
     lateral_halfwidth_m: float | None = None
-    alt_band: tuple[float, float] = (9_000.0, 11_000.0)
-    n_waypoints: int = 5
+
+    def __post_init__(self):
+        I, J, H = self.dims
+        if I < 2:
+            raise ConfigError(f"dims: forward rows I must be >= 2, got {I}")
+        if J < 1 or J % 2 == 0:
+            raise ConfigError(f"dims: lateral columns J must be odd and "
+                              f">= 1, got {J}")
+        if H < 1:
+            raise ConfigError(f"dims: altitude levels H must be >= 1, got {H}")
+        if self.substeps < 1:
+            raise ConfigError(f"substeps must be >= 1, got {self.substeps}")
 
 
 #: The last `csv:` file content parsed and its field (fields are read-only).
@@ -156,7 +170,7 @@ def _parse_csv_once(path: str) -> WeatherField:
 
 
 def _guide_route(req: PlanRequest, field: WeatherField):
-    cfg = GuideConfig(n=req.n_waypoints, guide_kind=req.guide_kind)
+    cfg = GuideConfig(guide_kind=req.guide_kind)
     params: PolicyParams | None = None
     if req.guide_kind == "policy":
         if not req.checkpoint:
@@ -165,8 +179,7 @@ def _guide_route(req: PlanRequest, field: WeatherField):
         cfg = GuideConfig(n=ck_cfg.n, guide_kind="policy",
                           wind_scale_ms=ck_cfg.wind_scale_ms,
                           temp_scale_k=ck_cfg.temp_scale_k)
-    alts = [req.origin.alt_m] * cfg.n
-    return roll_out(cfg, params, req.origin, req.destination, field, alts)
+    return roll_out(cfg, params, req.origin, req.destination, field)
 
 
 def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
@@ -184,8 +197,7 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
     if halfwidth is None:
         halfwidth = DEFAULT_LATERAL_FRACTION * great_circle_distance(
             req.origin, req.destination)
-    lattice = build_lattice(req.origin, req.destination, I, J, H, halfwidth,
-                            req.alt_band)
+    lattice = build_lattice(req.origin, req.destination, I, J, H, halfwidth)
     lattice_time = time.perf_counter() - t0
     initial = AircraftState(req.origin, req.aircraft.ref_mass_kg)
 

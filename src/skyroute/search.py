@@ -1,7 +1,7 @@
 """Minimum-fuel search over the (optionally corridor-masked) lattice.
 
-`row_dp` is the solver `plan` runs. The heap-based `astar` and the
-Python-loop `dp_oracle` are the references it is tested against.
+`row_dp` is the solver `plan` runs; the heap-based `astar` is the
+reference it is tested against.
 
 Edge costs come from the performance model evaluated at a precomputed
 per-row nominal mass (the searches need state-independent edge costs);
@@ -314,41 +314,3 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     path.reverse()
     return _finish(lattice, spec, initial_state, field, substeps, path,
                    c_star, n_expanded, n_generated, t0)
-
-
-def dp_oracle(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
-              initial_state: AircraftState, field: WeatherField,
-              substeps: int = DEFAULT_SUBSTEPS) -> SearchResult:
-    """Exhaustive layer-by-layer dynamic program over the same edge costs."""
-    I, J, H = lattice.dims
-    if I * J * H > 50_000:
-        raise ValueError("dp_oracle limited to I*J*H <= 50,000")
-    t0 = time.perf_counter()
-    masses = nominal_mass_profile(lattice, spec, initial_state, field, substeps)
-    start, goal = _start_and_goal(lattice, corridor)
-    lo, hi = _column_windows(lattice, corridor, start)
-    cost = _edge_costs(lattice, lo, hi, spec, masses, field, substeps)
-    row_lo, row_hi = lo.tolist(), hi.tolist()
-
-    best: dict[NodeIndex, float] = {start: 0.0}
-    parent: dict[NodeIndex, NodeIndex] = {}
-    expanded = 0
-    for i in range(I - 1):
-        layer = sorted(idx for idx in best if idx[0] == i)
-        for u in layer:
-            expanded += 1
-            for v in successors(lattice, u):
-                if not row_lo[v[0]] <= v[1] <= row_hi[v[0]]:
-                    continue
-                g_new = best[u] + cost(u, v)
-                if g_new < best.get(v, float("inf")):
-                    best[v] = g_new
-                    parent[v] = u
-    if goal not in best:
-        raise NoPath("corridor disconnects origin from destination")
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return _finish(lattice, spec, initial_state, field, substeps,
-                   path, best[goal], expanded, len(best), t0)

@@ -386,23 +386,18 @@ class TrainingLog:
     episode_final_dist: list[float]
 
 
-def default_field_generator(cfg: TrainConfig,
-                            rng: np.random.Generator) -> WeatherField:
-    """Zero-wind ISA field covering the whole globe; rollouts of an
-    untrained policy can drift far outside the sample box."""
-    return make_uniform(0.0, 0.0, ISA_TEMPERATURE_K, (-90.0, 90.0, -180.0, 180.0))
-
-
-def train(cfg: TrainConfig, field_generator=None, progress_sink=None,
+def train(cfg: TrainConfig, progress_sink=None,
           checkpoint_path: str | None = None
           ) -> tuple[PolicyParams, TrainingLog]:
     """Sample -> rollout -> update until the instance budget is spent.
 
-    Deterministic per cfg.seed. field_generator(cfg, rng) is called once
-    per update (default: uniform zero-wind ISA). progress_sink receives
-    one formatted line per update.
+    Deterministic per cfg.seed. Every episode flies in one zero-wind ISA
+    field covering the whole globe, since rollouts of an untrained policy
+    can drift far outside the sample box. progress_sink receives one
+    formatted line per update.
     """
-    gen = field_generator or default_field_generator
+    field = make_uniform(0.0, 0.0, ISA_TEMPERATURE_K,
+                         (-90.0, 90.0, -180.0, 180.0))
     rng = np.random.default_rng(cfg.seed)
     params = init_params(rng, cfg.hidden, cfg.log_std_init)
     optimizer = AdamOptimizer(params, cfg.learning_rate)
@@ -412,7 +407,6 @@ def train(cfg: TrainConfig, field_generator=None, progress_sink=None,
     update_index = 0
     while episodes_done < cfg.instances:
         batch_n = min(cfg.rollout_episodes, cfg.instances - episodes_done)
-        field = gen(cfg, rng)
         batch = []
         for _ in range(batch_n):
             instance = sample_instance(cfg, rng)

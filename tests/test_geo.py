@@ -95,9 +95,9 @@ class TestDisplace:
         q = displace(p, PlaneVector(0, 0))
         assert q.same_position(p)
 
-    def test_altitude_clamped_at_zero(self):
-        q = displace(GeoPoint(45, 9, 100), PlaneVector(0, 0), alt_delta_m=-500)
-        assert q.alt_m == 0.0
+    def test_keeps_origin_altitude(self):
+        q = displace(GeoPoint(45, 9, 100), PlaneVector(30_000, -20_000))
+        assert q.alt_m == 100.0
 
     def test_out_of_range(self):
         with pytest.raises(DistanceOutOfRange):

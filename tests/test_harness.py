@@ -350,6 +350,26 @@ class TestCli:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["plan", "--origin", "95,10", "--destination", "BER"], "latitude"),
+        (["plan", "--origin", "48,11,-5", "--destination", "BER"], "altitude"),
+        (["plan", "--origin", "MUC", "--destination", "BER", "--fwd", "1"],
+         "forward rows I"),
+        (["plan", "--origin", "MUC", "--destination", "BER", "--cols", "4"],
+         "lateral columns J"),
+        (["plan", "--origin", "MUC", "--destination", "BER",
+          "--substeps", "0"], "substeps"),
+        (["bench-fwd", "--levels", "0"], "altitude levels H"),
+        (["bench-width", "--routes", "MUC-BER"], "--routes"),
+        (["bench-width", "--routes", "MUC:BER:FRA"], "--routes"),
+    ], ids=["lat", "alt", "fwd", "cols", "substeps", "levels", "route-dash",
+            "route-three-codes"])
+    def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert err.count("\n") == 1
+
     def test_bench_width_cli(self, tmp_path, capsys):
         rc = main(["bench-width", "--routes", "MUC:BER",
                    "--fwd", "9", "--cols", "5", "--levels", "1",

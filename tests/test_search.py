@@ -13,8 +13,8 @@ from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
 from skyroute.perfmodel import (AircraftState, default_spec, fly_route,
                                 fly_segment, fly_segments, route_cost)
 from skyroute.search import (_column_windows, _edge_costs, _edge_table,
-                             _start_and_goal, astar, dp_oracle,
-                             min_specific_burn, nominal_mass_profile, row_dp)
+                             _start_and_goal, astar, min_specific_burn,
+                             nominal_mass_profile, row_dp)
 from skyroute.weather import make_jet_stream, make_uniform
 
 SPEC = default_spec()
@@ -181,8 +181,6 @@ class TestLazyEdgeFailures:
         for search in (astar, row_dp):
             res = self.run(search, (47, 54, 11.0, 14.2), None)
             assert res.expanded_nodes == 1037
-        with pytest.raises(OutOfDomain):
-            self.run(dp_oracle, (47, 54, 11.0, 14.2), None)
 
     def test_corridor_keeps_search_on_grid(self):
         for search in (astar, row_dp):
@@ -191,7 +189,7 @@ class TestLazyEdgeFailures:
                 self.run(search, (47, 54, 11.5, 13.8), 11)
 
 
-@pytest.mark.parametrize("search", [astar, dp_oracle, row_dp])
+@pytest.mark.parametrize("search", [astar, row_dp])
 @pytest.mark.parametrize("width", [None, 3])
 def test_nan_entries_fly_through_the_reference(monkeypatch, search, width):
     # A table of NaN makes every relaxed edge fly with fly_segment.
@@ -209,12 +207,13 @@ def test_nan_entries_fly_through_the_reference(monkeypatch, search, width):
 
 
 class TestAstarAgainstOracle:
+    """A* equals the row DP, the dynamic program over the same graph."""
+
     def test_exact_match_still_air(self):
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         a = astar(lat, None, SPEC, start_state(), still_air(), substeps=2)
-        d = dp_oracle(lat, None, SPEC, start_state(), still_air(), substeps=2)
-        assert a.search_cost_kg == d.search_cost_kg
-        assert a.total_fuel_kg == d.total_fuel_kg
+        d = row_dp(lat, None, SPEC, start_state(), still_air(), substeps=2)
+        assert_same_result(d, a)
 
     def test_exact_match_jet_random_instances(self):
         rng = np.random.default_rng(11)
@@ -228,17 +227,16 @@ class TestAstarAgainstOracle:
             fld = jet(seed=trial)
             s = AircraftState(o, 62_000)
             a = astar(lat, None, SPEC, s, fld, substeps=1)
-            d = dp_oracle(lat, None, SPEC, s, fld, substeps=1)
-            assert a.search_cost_kg == d.search_cost_kg
-            assert a.node_path == d.node_path
+            d = row_dp(lat, None, SPEC, s, fld, substeps=1)
+            assert_same_result(d, a)
 
     def test_corridor_match(self):
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         cor = build_corridor(lat, gc_route(ORIGIN, DEST), 3)
         fld = jet()
         a = astar(lat, cor, SPEC, start_state(), fld, substeps=2)
-        d = dp_oracle(lat, cor, SPEC, start_state(), fld, substeps=2)
-        assert a.search_cost_kg == d.search_cost_kg
+        d = row_dp(lat, cor, SPEC, start_state(), fld, substeps=2)
+        assert_same_result(d, a)
 
 
 def assert_same_result(got, want):
@@ -404,7 +402,7 @@ class TestPathStructure:
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         cor = build_corridor(lat, gc_route(ORIGIN, DEST), 3)
         fld = jet()
-        for search in (astar, dp_oracle, row_dp):
+        for search in (astar, row_dp):
             res = search(lat, cor, SPEC, start_state(), fld, substeps=2)
             assert res.segments == fly_route(SPEC, start_state(), res.geo_path,
                                              fld, 2)
@@ -420,15 +418,6 @@ class TestPathStructure:
         assert res.total_fuel_kg == pytest.approx(res.search_cost_kg, rel=1e-3)
         assert res.final_state.mass_kg == pytest.approx(
             62_000 - res.total_fuel_kg, rel=1e-12)
-
-
-def test_dp_oracle_size_guard():
-    lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
-    big = build_lattice(ORIGIN, DEST, 2_000, 11, 3, 60_000)
-    with pytest.raises(ValueError):
-        dp_oracle(big, None, SPEC, start_state(), still_air())
-    # The small one works fine.
-    dp_oracle(lat, None, SPEC, start_state(), still_air(), substeps=1)
 
 
 def test_counters_positive_and_time_recorded():
