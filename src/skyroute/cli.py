@@ -49,8 +49,13 @@ def _request_kwargs(args) -> dict:
 
 
 def _request_from_args(args) -> PlanRequest:
-    aircraft = (AircraftSpec.from_json(args.aircraft) if args.aircraft
-                else default_spec())
+    if args.aircraft:
+        try:
+            aircraft = AircraftSpec.from_json(args.aircraft)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"--aircraft {args.aircraft}: {exc}") from exc
+    else:
+        aircraft = default_spec()
     return PlanRequest(origin=resolve_point(args.origin),
                        destination=resolve_point(args.destination),
                        aircraft=aircraft, unconstrained=args.unconstrained,

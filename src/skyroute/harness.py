@@ -175,7 +175,13 @@ def _guide_route(req: PlanRequest, field: WeatherField):
     if req.guide_kind == "policy":
         if not req.checkpoint:
             raise ConfigError("policy guide requires a checkpoint path")
-        params, ck_cfg = load_checkpoint(req.checkpoint)
+        try:
+            params, ck_cfg = load_checkpoint(req.checkpoint)
+        except KeyError as exc:
+            raise ConfigError(
+                f"checkpoint {req.checkpoint}: missing key {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint {req.checkpoint}: {exc}") from exc
         cfg = GuideConfig(n=ck_cfg.n, guide_kind="policy",
                           wind_scale_ms=ck_cfg.wind_scale_ms,
                           temp_scale_k=ck_cfg.temp_scale_k)

@@ -5,11 +5,14 @@ temperature term and additive along-track wind. Deterministic and
 monotone by construction, with closed forms that unit tests can pin
 exactly.
 
-`fly_segment` flies one segment, is the reference, and is the only
-source of flight errors (OutOfDomain, Infeasible); `fly_route` is the one
-loop that threads mass along waypoints; `fly_segments` repeats
-`fly_segment`'s arithmetic over arrays, for the edge-cost tables, and
-marks with NaN each segment `fly_segment` would refuse.
+`fly_segment` flies one segment and is the reference. It is the only
+source of flight errors (OutOfDomain, Infeasible), re-flies the legs
+`fly_route` refuses, and is the trainer's stepper. `fly_segments` repeats
+its arithmetic over arrays, for the edge-cost tables, and marks with NaN
+each segment `fly_segment` would refuse. `fly_route` is the one loop that
+threads mass along waypoints: it takes the geometry and weather of all
+legs from the same array code in one pass, then threads mass through them
+in one plain-float loop.
 """
 
 from __future__ import annotations
@@ -183,8 +186,30 @@ def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
 
 def _fly_block(spec: AircraftSpec, lat0, lon0, mass, lat1, lon1,
                field: WeatherField, substeps: int) -> np.ndarray:
-    """fly_segments on 1-D arrays: the geometry and weather of all substeps
-    at once, then the substep loop that threads mass."""
+    """fly_segments on 1-D arrays: `_substep_geometry`, then the substep
+    loop that threads mass through all segments at once."""
+    total, dt, temperature, _floor = _substep_geometry(
+        spec, lat0, lon0, lat1, lon1, field, substeps)
+    fuel = np.zeros_like(total)
+    too_light = np.zeros(total.shape, dtype=bool)
+    for k in range(substeps):
+        df = fuel_flow_kgps(spec, mass, temperature[k]) * dt[k]
+        mass = mass - df
+        too_light |= mass < spec.empty_mass_kg
+        fuel = fuel + df
+    # A zero-length segment costs nothing and samples nowhere.
+    return np.where(total > 0.0, np.where(too_light, np.nan, fuel), 0.0)
+
+
+def _substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
+                      field: WeatherField, substeps: int):
+    """The mass-free part of flying 1-D arrays of segments, at once.
+
+    Returns each segment's length and, as (substeps, segments) arrays,
+    each substep's duration, temperature and whether its ground speed was
+    floored, all as `fly_segment` computes them. Off the grid the duration
+    and temperature are NaN.
+    """
     total = great_circle_distances(lat0, lon0, lat1, lon1)
     piece_len = total / substeps
     # Piece ends, then piece midpoints, in one call, at fly_segment's
@@ -198,29 +223,59 @@ def _fly_block(spec: AircraftSpec, lat0, lon0, mass, lat1, lon1,
                                np.concatenate([lon0[None], lon[:substeps - 1]]),
                                lat[:substeps], lon[:substeps])
     along = wx.wind_east * np.sin(bearing) + wx.wind_north * np.cos(bearing)
-    dt = piece_len / np.maximum(spec.tas_ms + along, GROUND_SPEED_FLOOR_MS)
-    fuel = np.zeros_like(total)
-    too_light = np.zeros(total.shape, dtype=bool)
-    for k in range(substeps):
-        df = fuel_flow_kgps(spec, mass, wx.temperature[k]) * dt[k]
-        mass = mass - df
-        too_light |= mass < spec.empty_mass_kg
-        fuel = fuel + df
-    # A zero-length segment costs nothing and samples nowhere.
-    return np.where(total > 0.0, np.where(too_light, np.nan, fuel), 0.0)
+    gs = spec.tas_ms + along
+    dt = piece_len / np.maximum(gs, GROUND_SPEED_FLOOR_MS)
+    return total, dt, wx.temperature, gs < GROUND_SPEED_FLOOR_MS
 
 
 def fly_route(spec: AircraftSpec, initial_state: AircraftState,
               route: list[GeoPoint], field: WeatherField,
               substeps: int = DEFAULT_SUBSTEPS) -> list[SegmentResult]:
-    """Fly route[0] -> route[1] -> ... leg by leg from initial_state's mass."""
+    """Fly route[0] -> route[1] -> ... leg by leg from initial_state's mass.
+
+    Each leg is flown as `fly_segment` flies it from the previous leg's end
+    state. The geometry and weather of all legs come from
+    `_substep_geometry` (in blocks of at most BLOCK_POINTS substeps), and
+    one loop threads mass through them in `fly_segment`'s order of
+    operations. A leg that loop refuses (off the grid, or below the empty
+    mass) is flown again with `fly_segment`: that raises the leg's error
+    or, if it can fly the leg, gives the leg's result.
+    """
     if len(route) < 2:
         raise ValueError("route must contain at least 2 waypoints")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    lat = np.array([p.lat_deg for p in route])
+    lon = np.array([p.lon_deg for p in route])
+    ends = (lat[:-1], lon[:-1], lat[1:], lon[1:])
+    step = max(1, BLOCK_POINTS // substeps)
+    blocks = [_substep_geometry(spec, *(a[lo:lo + step] for a in ends), field,
+                                substeps)
+              for lo in range(0, len(route) - 1, step)]
+    total, dt, temperature, floor = (np.concatenate(parts, axis=-1)
+                                     for parts in zip(*blocks))
     state = AircraftState(route[0], initial_state.mass_kg)
     legs = []
-    for wp in route[1:]:
-        legs.append(fly_segment(spec, state, wp, field, substeps))
-        state = legs[-1].end_state
+    for wp, length, dts, temps, hit in zip(
+            route[1:], total.tolist(), dt.T.tolist(), temperature.T.tolist(),
+            floor.any(axis=0).tolist()):
+        if length == 0.0:           # costs nothing and samples nowhere
+            dts, hit = [], False
+        mass = state.mass_kg
+        fuel = time = 0.0
+        for step_dt, temp in zip(dts, temps):
+            df = fuel_flow_kgps(spec, mass, temp) * step_dt
+            mass -= df
+            if not mass >= spec.empty_mass_kg:     # below empty, or NaN
+                leg = fly_segment(spec, state, wp, field, substeps)
+                break
+            fuel += df
+            time += step_dt
+        else:
+            leg = SegmentResult(fuel, time, AircraftState(
+                GeoPoint(wp.lat_deg, wp.lon_deg, wp.alt_m), mass), hit)
+        legs.append(leg)
+        state = leg.end_state
     return legs
 
 

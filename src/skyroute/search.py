@@ -6,7 +6,9 @@ reference it is tested against.
 Edge costs come from the performance model evaluated at a precomputed
 per-row nominal mass (the searches need state-independent edge costs);
 the winning path is then flown once with threaded mass for the reported
-fuel. The heuristic is a provable lower bound on remaining fuel per
+fuel. Both the nominal masses (from the centerline) and that flight come
+from `fly_route`, which flies all legs' geometry in one array pass and
+threads mass in one loop. The heuristic is a provable lower bound on remaining fuel per
 meter, so the search is optimal within the graph it is given.
 
 An edge (i, j, h) -> (i+1, j', h') costs the same for every h and h':

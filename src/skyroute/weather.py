@@ -177,27 +177,31 @@ def make_jet_stream(bbox: tuple[float, float, float, float],
     lat_min, lat_max, lon_min, lon_max = bbox
     lat_axis = np.linspace(lat_min, lat_max, resolution)
     lon_axis = np.linspace(lon_min, lon_max, resolution)
-    lat_g, lon_g = np.meshgrid(lat_axis, lon_axis, indexing="ij")
+    # Every term depends on one axis, so it is computed on a latitude
+    # column or a longitude row and broadcast to the grid.
+    lat_c = lat_axis[:, None]
+    lon_r = lon_axis[None, :]
+    shape = (resolution, resolution)
 
-    jet = core_speed * np.exp(-(((lat_g - core_lat) / half_width) ** 2))
+    jet = core_speed * np.exp(-(((lat_c - core_lat) / half_width) ** 2))
 
     rng = np.random.default_rng(seed)
     n_modes = 5
     amp_budget = perturbation * core_speed
-    perturb_e = np.zeros_like(jet)
-    perturb_n = np.zeros_like(jet)
+    perturb_e = np.zeros(shape)
+    perturb_n = np.zeros(shape)
     if amp_budget > 0.0:
         amps = rng.dirichlet(np.ones(n_modes)) * amp_budget
         for a in amps:
             k_lat = rng.uniform(0.1, 0.8)
             k_lon = rng.uniform(0.1, 0.8)
             ph1, ph2 = rng.uniform(0, 2 * math.pi, size=2)
-            perturb_e += a * np.sin(k_lat * lat_g + ph1) * np.cos(k_lon * lon_g + ph2)
-            perturb_n += 0.5 * a * np.cos(k_lat * lat_g + ph2) * np.sin(k_lon * lon_g + ph1)
+            perturb_e += a * np.sin(k_lat * lat_c + ph1) * np.cos(k_lon * lon_r + ph2)
+            perturb_n += 0.5 * a * np.cos(k_lat * lat_c + ph2) * np.sin(k_lon * lon_r + ph1)
 
     # Mild temperature gradient toward each pole around ISA, inside
     # [180, 330] K at every latitude (about 266 to 311 K).
-    temp = ISA_TEMPERATURE_K - 0.5 * (np.abs(lat_g) - 45.0)
+    temp = np.broadcast_to(ISA_TEMPERATURE_K - 0.5 * (np.abs(lat_c) - 45.0), shape)
 
     return WeatherField(lat_axis, lon_axis, jet + perturb_e, perturb_n, temp)
 

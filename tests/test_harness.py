@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -362,9 +362,31 @@ class TestCli:
         (["bench-fwd", "--levels", "0"], "altitude levels H"),
         (["bench-width", "--routes", "MUC-BER"], "--routes"),
         (["bench-width", "--routes", "MUC:BER:FRA"], "--routes"),
+        (["plan", "--origin", "MUC", "--destination", "BER", "--guide",
+          "policy", "--checkpoint", "{tmp}/ck-schema.json"], "ck-schema.json"),
+        (["plan", "--origin", "MUC", "--destination", "BER", "--guide",
+          "policy", "--checkpoint", "{tmp}/ck-nokey.json"], "ck-nokey.json"),
+        (["plan", "--origin", "MUC", "--destination", "BER",
+          "--aircraft", "{tmp}/ac-missing.json"], "--aircraft"),
+        (["plan", "--origin", "MUC", "--destination", "BER",
+          "--aircraft", "{tmp}/ac-value.json"], "--aircraft"),
+        (["plan", "--origin", "MUC", "--destination", "BER",
+          "--aircraft", "{tmp}/ac-json.json"], "--aircraft"),
     ], ids=["lat", "alt", "fwd", "cols", "substeps", "levels", "route-dash",
-            "route-three-codes"])
+            "route-three-codes", "checkpoint-schema", "checkpoint-key",
+            "aircraft-missing", "aircraft-value", "aircraft-json"])
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
+        bad_files = {
+            "ck-schema.json": json.dumps({"schema_version": 99}),
+            "ck-nokey.json": json.dumps({"schema_version": 1}),
+            "ac-missing.json": json.dumps({"tas_ms": 1}),
+            "ac-value.json": json.dumps(
+                {**asdict(default_spec()), "tas_ms": 100.0}),
+            "ac-json.json": "{not json",
+        }
+        for name, text in bad_files.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err

@@ -219,6 +219,12 @@ class TestFlySegments:
                          [11.0], still_air(), 0)
 
 
+#: Random walks inside the jet field's grid: (dlat, dlon, repeat the
+#: waypoint, which makes a zero-length leg).
+walks = st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.booleans()),
+                 min_size=1, max_size=10)
+
+
 class TestFlyRoute:
     PTS = [GeoPoint(46.0, 5.0, 10_000), GeoPoint(48.0, 8.0, 10_000),
            GeoPoint(48.0, 8.0, 10_000), GeoPoint(50.0, 11.0, 10_000)]
@@ -234,6 +240,72 @@ class TestFlyRoute:
             assert leg == fly_segment(spec, state, wp, fld)
             state = leg.end_state
         assert len(legs) == 3 and legs[1].fuel_kg == 0.0
+
+    @given(st.sampled_from([default_spec(), SLOW_SPEC]), walks,
+           st.floats(55_000, 77_000), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_each_leg_matches_fly_segments(self, spec, walk, mass, substeps):
+        # Both specs have mass_exponent 1, where the power is exact; for
+        # other exponents numpy's power and Python's ** round apart.
+        route = [GeoPoint(50.0, 10.0, 10_000)]
+        for dlat, dlon, repeat in walk:
+            a = route[-1]
+            route.append(a if repeat else GeoPoint(
+                min(60.0, max(40.0, a.lat_deg + dlat)),
+                min(30.0, max(-10.0, a.lon_deg + dlon)), 10_000))
+        fld = FIELDS[1]
+        legs = fly_route(spec, AircraftState(route[0], mass), route, fld, substeps)
+        for a, b, leg in zip(route, route[1:], legs):
+            fuel = fly_segments(spec, a.lat_deg, a.lon_deg, mass, b.lat_deg,
+                                b.lon_deg, fld, substeps)
+            assert leg.fuel_kg == fuel
+            assert leg.end_state.position == b
+            mass = leg.end_state.mass_kg
+
+    @pytest.mark.parametrize("case", ["leaves-grid", "below-empty"])
+    def test_errors_match_chained_fly_segment(self, monkeypatch, case):
+        spec = default_spec()
+        fld = still_air()
+        route = [GeoPoint(lat, 10.0 + k, 10_000)
+                 for k, lat in enumerate((60.0, 64.0, 68.0, 72.0, 74.0))]
+        mass = 62_000.0
+        if case == "below-empty":
+            route = route[:3]
+            # Near empty, leg 0 burns about two thirds of this; leg 1 then
+            # runs out.
+            mass = spec.empty_mass_kg + fly_segment(
+                spec, AircraftState(route[0], 62_000.0), route[1], fld).fuel_kg
+        state = AircraftState(route[0], mass)
+        for k, wp in enumerate(route[1:]):
+            try:
+                state = fly_segment(spec, state, wp, fld).end_state
+            except SkyrouteError as exc:
+                want = exc
+                break
+        else:
+            pytest.fail("the chained loop flew every leg")
+        assert k == {"leaves-grid": 2, "below-empty": 1}[case]
+        calls = []
+
+        def counted(spec, state, to, *args):
+            calls.append((state.position, to))
+            return fly_segment(spec, state, to, *args)
+
+        monkeypatch.setattr("skyroute.perfmodel.fly_segment", counted)
+        with pytest.raises(type(want)) as raised:
+            fly_route(spec, AircraftState(route[0], mass), route, fld)
+        assert str(raised.value) == str(want)
+        # Only the refused leg is flown again, and it is leg k.
+        assert calls == [(route[k], route[k + 1])]
+
+    def test_blocks_change_no_leg(self, monkeypatch):
+        spec = default_spec()
+        route = [GeoPoint(46.0 + k % 3, 5.0 + k, 10_000) for k in range(7)]
+        state = AircraftState(route[0], 62_000)
+        whole = fly_route(spec, state, route, FIELDS[1], 3)
+        for points in (1, 3, 7):      # 1, 1 and 2 legs per block
+            monkeypatch.setattr("skyroute.perfmodel.BLOCK_POINTS", points)
+            assert fly_route(spec, state, route, FIELDS[1], 3) == whole
 
     def test_route_cost_sums_the_legs(self):
         spec = default_spec()

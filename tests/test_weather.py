@@ -180,6 +180,34 @@ class TestMakeJetStream:
         assert np.array_equal(fld.temperature[north],
                               (ISA_TEMPERATURE_K - 0.5 * (lat_g - 45.0))[north])
 
+    @given(st.floats(-80.0, 70.0), st.floats(2.0, 20.0), st.floats(-179.0, 150.0),
+           st.floats(2.0, 29.0), st.floats(0.0, 120.0), st.floats(0.5, 6.0),
+           st.floats(0.0, 0.1), st.integers(0, 2**32 - 1), st.integers(2, 61))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_meshgrid_reference(self, lat_min, lat_span, lon_min,
+                                        lon_span, core_speed, half_width,
+                                        perturbation, seed, resolution):
+        bbox = (lat_min, lat_min + lat_span, lon_min, lon_min + lon_span)
+        core_lat = lat_min + lat_span / 2.0
+        fld = make_jet_stream(bbox, core_lat, core_speed, half_width, seed,
+                              perturbation, resolution)
+        # The field evaluated on the full meshgrid, term by term.
+        lat_g, lon_g = np.meshgrid(fld.lat_axis, fld.lon_axis, indexing="ij")
+        jet = core_speed * np.exp(-(((lat_g - core_lat) / half_width) ** 2))
+        rng = np.random.default_rng(seed)
+        we, wn = np.zeros_like(jet), np.zeros_like(jet)
+        budget = perturbation * core_speed
+        if budget > 0.0:
+            for a in rng.dirichlet(np.ones(5)) * budget:
+                k_lat, k_lon = rng.uniform(0.1, 0.8), rng.uniform(0.1, 0.8)
+                ph1, ph2 = rng.uniform(0, 2 * np.pi, size=2)
+                we += a * np.sin(k_lat * lat_g + ph1) * np.cos(k_lon * lon_g + ph2)
+                wn += 0.5 * a * np.cos(k_lat * lat_g + ph2) * np.sin(k_lon * lon_g + ph1)
+        assert np.array_equal(fld.wind_east, jet + we)
+        assert np.array_equal(fld.wind_north, wn)
+        assert np.array_equal(fld.temperature,
+                              ISA_TEMPERATURE_K - 0.5 * (np.abs(lat_g) - 45.0))
+
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
