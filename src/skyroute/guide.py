@@ -9,11 +9,10 @@ straight trip upwards before the policy sees it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-
-import math
 
 from .geo import (GeoPoint, MAX_PLANAR_DISTANCE_M, PlaneVector,
                   great_circle_distance, initial_bearing, intermediate_point,
@@ -32,6 +31,14 @@ WIND_SCALE_MS = 50.0
 TEMP_SCALE_K = 30.0
 
 
+def param_shapes(hidden: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every weight array, in the order of the flat vector."""
+    return {"w1": (hidden, FEATURE_DIM), "b1": (hidden,),
+            "w2": (hidden, hidden), "b2": (hidden,),
+            "w_mean": (ACTION_DIM, hidden), "b_mean": (ACTION_DIM,),
+            "log_std": (ACTION_DIM,), "w_val": (1, hidden), "b_val": (1,)}
+
+
 @dataclass
 class PolicyParams:
     """Weights of the shared-trunk actor-critic network.
@@ -39,26 +46,56 @@ class PolicyParams:
     Trunk: input 5 -> hidden -> hidden, tanh activations. Heads: 2 action
     means (squashed to [-1, 1] by tanh at sampling time), 2 state-independent
     log-stds, and 1 value output.
+
+    Every weight lives in one float64 vector, `flat`, laid out in the order
+    of param_shapes(hidden). The arrays w1 ... b_val are reshaped views into
+    it, so an in-place update of `flat` updates all of them, and an
+    optimizer or a gradient works on one vector instead of nine arrays.
+    copy() copies that vector; the copy shares no memory with the original.
     """
 
     hidden: int
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w_mean: np.ndarray
-    b_mean: np.ndarray
-    log_std: np.ndarray
-    w_val: np.ndarray
-    b_val: np.ndarray
+    flat: np.ndarray
+    w1: np.ndarray = dc_field(init=False)
+    b1: np.ndarray = dc_field(init=False)
+    w2: np.ndarray = dc_field(init=False)
+    b2: np.ndarray = dc_field(init=False)
+    w_mean: np.ndarray = dc_field(init=False)
+    b_mean: np.ndarray = dc_field(init=False)
+    log_std: np.ndarray = dc_field(init=False)
+    w_val: np.ndarray = dc_field(init=False)
+    b_val: np.ndarray = dc_field(init=False)
+
+    def __post_init__(self):
+        shapes = param_shapes(self.hidden)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
+            raise ValueError(f"flat must be a float64 vector of {size} values "
+                             f"for hidden {self.hidden}")
+        offset = 0
+        for name, shape in shapes.items():
+            n = math.prod(shape)
+            setattr(self, name, self.flat[offset:offset + n].reshape(shape))
+            offset += n
+
+    @classmethod
+    def from_arrays(cls, hidden: int,
+                    arrays: dict[str, np.ndarray]) -> "PolicyParams":
+        """Pack one array per name of param_shapes(hidden) into a new vector."""
+        parts = []
+        for name, shape in param_shapes(hidden).items():
+            a = np.asarray(arrays[name], dtype=float)
+            if a.shape != shape:
+                raise ValueError(f"{name}: shape {list(a.shape)}, expected "
+                                 f"{list(shape)}")
+            parts.append(a.ravel())
+        return cls(hidden, np.concatenate(parts))
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
-                "w_mean": self.w_mean, "b_mean": self.b_mean,
-                "log_std": self.log_std, "w_val": self.w_val, "b_val": self.b_val}
+        return {name: getattr(self, name) for name in param_shapes(self.hidden)}
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.hidden, *(a.copy() for a in self.arrays().values()))
+        return PolicyParams(self.hidden, self.flat.copy())
 
 
 @dataclass
@@ -83,27 +120,32 @@ def init_params(rng: np.random.Generator, hidden: int = 64,
     def layer(n_in, n_out, scale):
         return rng.normal(0.0, scale / np.sqrt(n_in), size=(n_out, n_in))
 
-    return PolicyParams(
-        hidden=hidden,
-        w1=layer(FEATURE_DIM, hidden, 1.0),
-        b1=np.zeros(hidden),
-        w2=layer(hidden, hidden, 1.0),
-        b2=np.zeros(hidden),
-        w_mean=layer(hidden, ACTION_DIM, 0.01),
-        b_mean=np.zeros(ACTION_DIM),
-        log_std=np.full(ACTION_DIM, log_std_init),
-        w_val=layer(hidden, 1, 0.01),
-        b_val=np.zeros(1),
-    )
+    return PolicyParams.from_arrays(hidden, {
+        "w1": layer(FEATURE_DIM, hidden, 1.0),
+        "b1": np.zeros(hidden),
+        "w2": layer(hidden, hidden, 1.0),
+        "b2": np.zeros(hidden),
+        "w_mean": layer(hidden, ACTION_DIM, 0.01),
+        "b_mean": np.zeros(ACTION_DIM),
+        "log_std": np.full(ACTION_DIM, log_std_init),
+        "w_val": layer(hidden, 1, 0.01),
+        "b_val": np.zeros(1),
+    })
 
 
 def forward(params: PolicyParams, features: np.ndarray):
-    """Network forward pass: (mean, value). features may be (5,) or (B, 5)."""
-    f = np.atleast_2d(np.asarray(features, dtype=float))
+    """Network forward pass: (mean, value). features may be (5,) or (B, 5).
+
+    Each row goes through its own one-row matrix products (a (B, 1, 5)
+    stack), so a row's outputs are bit-identical whatever B is: a batch
+    gives what B single calls give. One (B, 5) product would round some
+    rows differently.
+    """
+    f = np.atleast_2d(np.asarray(features, dtype=float))[:, None, :]
     h1 = np.tanh(f @ params.w1.T + params.b1)
     h2 = np.tanh(h1 @ params.w2.T + params.b2)
-    mean = h2 @ params.w_mean.T + params.b_mean
-    value = (h2 @ params.w_val.T + params.b_val)[:, 0]
+    mean = (h2 @ params.w_mean.T + params.b_mean)[:, 0]
+    value = (h2 @ params.w_val.T + params.b_val)[:, 0, 0]
     if np.asarray(features).ndim == 1:
         return mean[0], float(value[0])
     return mean, value
@@ -133,20 +175,56 @@ def save_checkpoint(params: PolicyParams, cfg: GuideConfig, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[PolicyParams, GuideConfig]:
+    """Read a save_checkpoint file; ValueError names what is malformed."""
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if payload.get("schema_version") != CHECKPOINT_SCHEMA:
         raise ValueError(f"unsupported checkpoint schema: "
                          f"{payload.get('schema_version')}")
-    shapes = payload["shapes"]
-    weights = {k: np.array(v, dtype=float).reshape(shapes[k])
-               for k, v in payload["weights"].items()}
-    params = PolicyParams(hidden=payload["architecture"]["hidden"], **weights)
-    norm = payload["normalization"]
+    params = _checkpoint_params(payload)
+    norm = _json_object(payload, "normalization")
     cfg = GuideConfig(n=payload.get("n_waypoints", 5), guide_kind="policy",
                       wind_scale_ms=norm["wind_scale_ms"],
                       temp_scale_k=norm["temp_scale_k"])
     return params, cfg
+
+
+def _json_object(payload: dict, key: str) -> dict:
+    value = payload[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} is not a JSON object")
+    return value
+
+
+def _checkpoint_params(payload: dict) -> PolicyParams:
+    """The weights of a checkpoint, checked against its architecture before
+    they are packed: exactly the nine names, each with its shape, and every
+    value a finite number."""
+    hidden = _json_object(payload, "architecture")["hidden"]
+    if type(hidden) is not int or hidden < 1:
+        raise ValueError(f"architecture.hidden must be an integer >= 1, "
+                         f"got {hidden!r}")
+    expected = param_shapes(hidden)
+    weights = _json_object(payload, "weights")
+    shapes = _json_object(payload, "shapes")
+    if set(weights) != set(expected):
+        raise ValueError(f"weights must be exactly {sorted(expected)}, "
+                         f"got {sorted(weights)}")
+    parts = []
+    for name, shape in expected.items():
+        values = np.array(weights[name])
+        if shapes.get(name) != list(shape) or values.shape != (math.prod(shape),):
+            raise ValueError(f"weight {name}: expected shape {list(shape)} "
+                             f"for hidden {hidden}")
+        if values.dtype.kind not in "if":
+            raise ValueError(f"weight {name}: values must be numbers")
+        parts.append(values)
+    flat = np.concatenate(parts).astype(float, copy=False)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("weights must be finite")
+    return PolicyParams(hidden, flat)
 
 
 def displacement_to(x: GeoPoint, target: GeoPoint) -> PlaneVector:
@@ -168,17 +246,26 @@ def extract_features(x: GeoPoint, x_n: GeoPoint, phi: float,
     Displacement components are normalized by the total trip length, wind
     by wind_scale_ms, temperature by its ISA deviation over temp_scale_k.
     """
-    cfg = cfg or GuideConfig()
-    if x.same_position(x_n):
+    disp = None if x.same_position(x_n) else displacement_to(x, x_n)
+    return np.array(feature_row(x, disp, phi, field, trip_length_m,
+                                cfg or GuideConfig()))
+
+
+def feature_row(x: GeoPoint, disp: PlaneVector | None, phi: float,
+                field: WeatherField, trip_length_m: float,
+                cfg: GuideConfig) -> list[float]:
+    """The five values of extract_features, given disp = displacement_to(x,
+    x_n), or None at x_n itself; for a caller that needs disp as well."""
+    if disp is None:
         de, dn = 0.0, 0.0
     else:
-        d = rotate(displacement_to(x, x_n), phi)
+        d = rotate(disp, phi)
         de, dn = d.east_m / trip_length_m, d.north_m / trip_length_m
     wx = sample(field, x)
-    return np.array([de, dn,
-                     wx.wind_east / cfg.wind_scale_ms,
-                     wx.wind_north / cfg.wind_scale_ms,
-                     (wx.temperature - ISA_TEMPERATURE_K) / cfg.temp_scale_k])
+    return [de, dn,
+            wx.wind_east / cfg.wind_scale_ms,
+            wx.wind_north / cfg.wind_scale_ms,
+            (wx.temperature - ISA_TEMPERATURE_K) / cfg.temp_scale_k]
 
 
 def policy_action(params: PolicyParams, features: np.ndarray) -> np.ndarray:

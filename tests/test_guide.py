@@ -7,8 +7,8 @@ from skyroute.geo import (GeoPoint, great_circle_distance, intermediate_point,
                           trip_rotation)
 from skyroute.guide import (ACTION_DIM, FEATURE_DIM, GuideConfig, PolicyParams,
                             extract_features, forward, init_params,
-                            load_checkpoint, policy_action, roll_out,
-                            save_checkpoint, step)
+                            load_checkpoint, param_shapes, policy_action,
+                            roll_out, save_checkpoint, step)
 from skyroute.weather import make_uniform
 
 ORIGIN = GeoPoint(48.35, 11.79, 10_000)
@@ -21,11 +21,9 @@ def still_air():
 
 
 def zero_params(hidden=8):
-    shape = lambda *s: np.zeros(s)
-    return PolicyParams(hidden, shape(hidden, FEATURE_DIM), shape(hidden),
-                        shape(hidden, hidden), shape(hidden),
-                        shape(ACTION_DIM, hidden), shape(ACTION_DIM),
-                        np.full(ACTION_DIM, -0.7), shape(1, hidden), shape(1))
+    arrays = {k: np.zeros(s) for k, s in param_shapes(hidden).items()}
+    arrays["log_std"] = np.full(ACTION_DIM, -0.7)
+    return PolicyParams.from_arrays(hidden, arrays)
 
 
 class TestForward:
@@ -44,13 +42,40 @@ class TestForward:
         mean_b, value_b = forward(params, feats)
         for i in range(4):
             m, v = forward(params, feats[i])
-            assert np.allclose(m, mean_b[i])
-            assert v == pytest.approx(value_b[i])
+            assert np.array_equal(m, mean_b[i])
+            assert v == value_b[i]
 
     def test_zero_weights_give_zero_outputs(self):
         mean, value = forward(zero_params(), np.ones(FEATURE_DIM))
         assert np.all(mean == 0.0)
         assert value == 0.0
+
+
+class TestPolicyParams:
+    def test_arrays_are_views_of_flat(self):
+        params = init_params(np.random.default_rng(3), hidden=6)
+        shapes = param_shapes(6)
+        assert params.flat.shape == (sum(math.prod(s) for s in shapes.values()),)
+        for name, a in params.arrays().items():
+            assert a.shape == shapes[name]
+            assert np.shares_memory(a, params.flat), name
+        params.flat[:] = 1.5
+        assert all(np.all(a == 1.5) for a in params.arrays().values())
+
+    def test_copy_shares_no_memory(self):
+        params = init_params(np.random.default_rng(3), hidden=6)
+        dup = params.copy()
+        assert np.array_equal(dup.flat, params.flat)
+        for a in dup.arrays().values():
+            assert not np.shares_memory(a, params.flat)
+        dup.flat[:] = 0.0
+        assert not np.all(params.flat == 0.0)
+
+    def test_from_arrays_checks_shapes(self):
+        arrays = init_params(np.random.default_rng(3), hidden=6).arrays()
+        arrays["w2"] = np.zeros((6, 5))
+        with pytest.raises(ValueError, match="w2"):
+            PolicyParams.from_arrays(6, arrays)
 
 
 class TestExtractFeatures:

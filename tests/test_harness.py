@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from skyroute import harness
@@ -9,6 +10,7 @@ from skyroute.cli import main
 from skyroute.errors import (ConfigError, NoPath, ParseError, SchemaError,
                              WidthOutOfRange)
 from skyroute.geo import GeoPoint, great_circle_distance, initial_bearing
+from skyroute.guide import GuideConfig, init_params, save_checkpoint
 from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
                               bench_width, default_requests, load_airports,
                               make_weather, plan, read_bench_csv,
@@ -333,6 +335,24 @@ def test_default_requests():
     assert all(r.dims == (41, 11, 3) for r in reqs)
 
 
+def bad_checkpoints(tmp_path) -> dict[str, str]:
+    """File name -> text of a checkpoint with one malformed part."""
+    good = tmp_path / "ck-good.json"
+    save_checkpoint(init_params(np.random.default_rng(0), hidden=4),
+                    GuideConfig(guide_kind="policy"), str(good))
+    extra, missing, shape, text = (json.loads(good.read_text())
+                                   for _ in range(4))
+    extra["weights"]["w3"], extra["shapes"]["w3"] = [0.0], [1]
+    del missing["weights"]["b_val"], missing["shapes"]["b_val"]
+    shape["shapes"]["w1"] = [5, 4]
+    text["weights"]["b1"][0] = "x"
+    return {"ck-list.json": json.dumps([1, 2]),
+            "ck-extra.json": json.dumps(extra),
+            "ck-missing.json": json.dumps(missing),
+            "ck-shape.json": json.dumps(shape),
+            "ck-text.json": json.dumps(text)}
+
+
 class TestCli:
     def test_plan_writes_route_json(self, tmp_path, capsys):
         rc = main(["plan", "--origin", "MUC", "--destination", "BER",
@@ -366,6 +386,10 @@ class TestCli:
           "policy", "--checkpoint", "{tmp}/ck-schema.json"], "ck-schema.json"),
         (["plan", "--origin", "MUC", "--destination", "BER", "--guide",
           "policy", "--checkpoint", "{tmp}/ck-nokey.json"], "ck-nokey.json"),
+        *[(["plan", "--origin", "MUC", "--destination", "BER", "--guide",
+            "policy", "--checkpoint", f"{{tmp}}/{name}"], name)
+          for name in ("ck-list.json", "ck-extra.json", "ck-missing.json",
+                       "ck-shape.json", "ck-text.json")],
         (["plan", "--origin", "MUC", "--destination", "BER",
           "--aircraft", "{tmp}/ac-missing.json"], "--aircraft"),
         (["plan", "--origin", "MUC", "--destination", "BER",
@@ -374,7 +398,10 @@ class TestCli:
           "--aircraft", "{tmp}/ac-json.json"], "--aircraft"),
     ], ids=["lat", "alt", "fwd", "cols", "substeps", "levels", "route-dash",
             "route-three-codes", "checkpoint-schema", "checkpoint-key",
-            "aircraft-missing", "aircraft-value", "aircraft-json"])
+            "checkpoint-list", "checkpoint-extra-weight",
+            "checkpoint-missing-weight", "checkpoint-shape",
+            "checkpoint-text-value", "aircraft-missing", "aircraft-value",
+            "aircraft-json"])
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
         bad_files = {
             "ck-schema.json": json.dumps({"schema_version": 99}),
@@ -383,6 +410,7 @@ class TestCli:
             "ac-value.json": json.dumps(
                 {**asdict(default_spec()), "tas_ms": 100.0}),
             "ac-json.json": "{not json",
+            **bad_checkpoints(tmp_path),
         }
         for name, text in bad_files.items():
             (tmp_path / name).write_text(text)
@@ -391,6 +419,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("config, field", [
+        ({"seed": 0, "instances": 4, "rollout_episodes": 0},
+         "rollout_episodes"),
+        ({"seed": 0, "instances": 4, "minibatch_size": 0}, "minibatch_size"),
+        ({"seed": 0, "instances": 4, "substeps": 0}, "substeps"),
+        ({"seed": 0, "instances": 4, "hidden": 0}, "hidden"),
+        ({"seed": 0, "instances": 4, "epochs_per_update": 0},
+         "epochs_per_update"),
+        ([1], "JSON object"),
+    ], ids=["rollout-episodes", "minibatch", "substeps", "hidden", "epochs",
+            "list"])
+    def test_train_rejected_config_exit_code(self, tmp_path, capsys, config,
+                                             field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["train", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and field in err
 
     def test_bench_width_cli(self, tmp_path, capsys):
         rc = main(["bench-width", "--routes", "MUC:BER",

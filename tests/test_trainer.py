@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from skyroute import trainer
 from skyroute.errors import (ConfigError, DegenerateDistance,
                              NonFiniteGradient)
 from skyroute.geo import GeoPoint, PlaneVector, great_circle_distance
-from skyroute.guide import init_params
+from skyroute.guide import PolicyParams, init_params
 from skyroute.trainer import (LOG_COLUMNS, AdamOptimizer, TrainConfig,
                               compute_gae, end_reward, ppo_update,
                               policy_value_losses, progress_value, run_episode,
-                              sample_instance, step_reward, train,
-                              write_training_log)
+                              run_episodes, sample_instance, step_reward,
+                              train, write_training_log)
 from skyroute.weather import ISA_TEMPERATURE_K, make_uniform
 
 
@@ -56,6 +57,17 @@ class TestTrainConfig:
     def test_from_dict_unknown_field(self):
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_dict({"seed": 1, "instances": 10, "warp": 9})
+
+    @pytest.mark.parametrize("name", ["rollout_episodes", "minibatch_size",
+                                      "epochs_per_update", "hidden",
+                                      "substeps"])
+    def test_counts_below_one_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(seed=0, **{name: 0})
+
+    def test_from_dict_rejects_non_object(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            TrainConfig.from_dict([1])
 
     def test_from_dict_round_values(self):
         cfg = TrainConfig.from_dict({"seed": 3, "instances": 10,
@@ -144,6 +156,14 @@ class TestComputeGae:
         assert ret[0] == pytest.approx(1 + 0.5 + 0.25)
         assert ret[2] == pytest.approx(1.0)
 
+    def test_batch_rows_equal_single_episodes(self):
+        rng = np.random.default_rng(6)
+        r, v = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        adv, ret = compute_gae(r, v, 0.99, 0.95)
+        for b in range(5):
+            a1, r1 = compute_gae(r[b], v[b], 0.99, 0.95)
+            assert np.array_equal(adv[b], a1) and np.array_equal(ret[b], r1)
+
 
 class TestRunEpisode:
     def test_shapes_and_finiteness(self):
@@ -172,6 +192,30 @@ class TestRunEpisode:
             outs.append(run_episode(params, cfg, inst, field, rng))
         assert np.array_equal(outs[0].rewards, outs[1].rewards)
         assert outs[0].final_dist_m == outs[1].final_dist_m
+
+    def test_lockstep_matches_one_episode_rollouts(self):
+        # Episode b of a lockstep batch, given its noise, is the episode
+        # run_episode flies from a generator that draws that noise.
+        cfg = small_cfg()
+        field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
+        params = init_params(np.random.default_rng(4), cfg.hidden,
+                             cfg.log_std_init)
+        rng = np.random.default_rng(5)
+        instances = [sample_instance(cfg, rng) for _ in range(6)]
+        seeds = range(100, 106)
+        T = cfg.n_waypoints - 1
+        noise = np.stack([np.random.default_rng(s).standard_normal((T, 2))
+                          for s in seeds])
+        batch = run_episodes(params, cfg, instances, noise, field)
+        assert batch.rewards.shape == (6, T)
+        for b, (inst, seed) in enumerate(zip(instances, seeds)):
+            one = run_episode(params, cfg, inst, field,
+                              np.random.default_rng(seed))
+            for name in ("features", "pre_squash", "actions", "log_probs",
+                         "rewards", "value_estimates"):
+                assert np.array_equal(getattr(batch, name)[b],
+                                      getattr(one, name)), name
+            assert batch.final_dist_m[b] == one.final_dist_m
 
 
 class TestPpoUpdate:
@@ -273,14 +317,90 @@ class TestAdam:
         # Adam's bias correction makes the very first step approx lr * sign(g).
         params = init_params(np.random.default_rng(0), hidden=4)
         opt = AdamOptimizer(params, lr=0.1)
-        g = {k: np.ones_like(v) for k, v in params.arrays().items()}
+        g = np.ones_like(params.flat)
         before = {k: v.copy() for k, v in params.arrays().items()}
         opt.apply(params, g)
         for k, v in params.arrays().items():
             assert np.allclose(before[k] - v, 0.1, atol=1e-6)
 
+    def test_flat_step_equals_per_array_adam(self):
+        params = init_params(np.random.default_rng(0), hidden=4)
+        opt = AdamOptimizer(params, lr=0.01)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        ref = {k: v.copy() for k, v in params.arrays().items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+        rng = np.random.default_rng(1)
+        for t in range(1, 6):
+            grad = rng.normal(size=params.flat.shape)
+            opt.apply(params, grad)
+            g = PolicyParams(params.hidden, grad)
+            for k, gk in g.arrays().items():
+                m[k] = b1 * m[k] + (1 - b1) * gk
+                v2[k] = b2 * v2[k] + (1 - b2) * gk * gk
+                m_hat = m[k] / (1 - b1 ** t)
+                v_hat = v2[k] / (1 - b2 ** t)
+                ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for k, a in params.arrays().items():
+                assert np.array_equal(a, ref[k]), (t, k)
+
+
+class RecordingGenerator:
+    """Forwards to a Generator and records each call's name and size."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            self.calls.append((name, kwargs.get("size", args[-1] if args
+                                                else None)))
+            return method(*args, **kwargs)
+        return record
+
 
 class TestTrain:
+    def test_rng_draw_order(self, monkeypatch):
+        cfg = small_cfg(instances=5)   # updates of 2, 2 and 1 episodes
+        recorders = []
+
+        def default_rng(seed):
+            recorders.append(RecordingGenerator(seed))
+            return recorders[-1]
+
+        monkeypatch.setattr(trainer.np.random, "default_rng", default_rng)
+        _params, log = train(cfg)
+        monkeypatch.undo()
+        [rec] = recorders
+        # A rejected trip repeats its uniform draws; count the run once.
+        names = [name for i, (name, _size) in enumerate(rec.calls)
+                 if not (name == "uniform" and rec.calls[i - 1][0] == name)]
+        update = lambda eps: ["uniform", "standard_normal"] * eps + [
+            "permutation"] * cfg.epochs_per_update
+        assert names == ["normal"] * 4 + update(2) + update(2) + update(1)
+        T = cfg.n_waypoints - 1
+        assert {size for name, size in rec.calls
+                if name == "standard_normal"} == {(T, 2)}
+        # The same stream drives one-episode-at-a-time rollouts.
+        rng = np.random.default_rng(cfg.seed)
+        params = init_params(rng, cfg.hidden, cfg.log_std_init)
+        field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
+        first = [run_episode(params, cfg, sample_instance(cfg, rng), field, rng)
+                 for _ in range(2)]
+        assert [float(np.sum(e.rewards)) for e in first] == \
+            log.episode_rewards[:2]
+        assert [e.final_dist_m for e in first] == log.episode_final_dist[:2]
+
+    def test_throughput_kept_out_of_rows(self):
+        lines = []
+        _params, log = train(small_cfg(instances=4), progress_sink=lines.append)
+        assert log.rollout_s > 0.0 and log.update_s > 0.0
+        assert all(set(row) == set(LOG_COLUMNS) for row in log.rows)
+        assert all(line.endswith(" episodes/s") for line in lines)
+
     def test_runs_and_logs(self):
         cfg = small_cfg(instances=4)
         params, log = train(cfg)
