@@ -49,13 +49,8 @@ def _request_kwargs(args) -> dict:
 
 
 def _request_from_args(args) -> PlanRequest:
-    if args.aircraft:
-        try:
-            aircraft = AircraftSpec.from_json(args.aircraft)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"--aircraft {args.aircraft}: {exc}") from exc
-    else:
-        aircraft = default_spec()
+    aircraft = (AircraftSpec.from_json(args.aircraft) if args.aircraft
+                else default_spec())
     return PlanRequest(origin=resolve_point(args.origin),
                        destination=resolve_point(args.destination),
                        aircraft=aircraft, unconstrained=args.unconstrained,
@@ -102,9 +97,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_train(args) -> int:
     with open(args.config, encoding="utf-8") as f:
-        raw = json.load(f)
-    if args.seed is not None and "seed" not in raw:
-        raw["seed"] = args.seed
+        try:
+            raw = json.load(f)
+        except ValueError as exc:
+            raise ConfigError(f"--config {args.config}: {exc}") from exc
+    if args.seed is not None and isinstance(raw, dict):
+        raw.setdefault("seed", args.seed)
     cfg = TrainConfig.from_dict(raw)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt = os.path.join(args.out_dir, "policy.json")

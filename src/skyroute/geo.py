@@ -112,9 +112,11 @@ def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
     """Forward azimuth from a to b, radians clockwise from north."""
     phi1 = math.radians(a.lat_deg)
     phi2 = math.radians(b.lat_deg)
+    dphi = math.radians(b.lat_deg - a.lat_deg)
     dlam = math.radians(_normalize_lon(b.lon_deg - a.lon_deg))
     y = math.sin(dlam) * math.cos(phi2)
-    x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam)
+    # cos(phi1)sin(phi2) - sin(phi1)cos(phi2)cos(dlam), without cancellation
+    x = math.sin(dphi) + 2.0 * math.sin(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return math.atan2(y, x)
 
 
@@ -155,10 +157,11 @@ def initial_bearings(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Array form of initial_bearing: radians clockwise from north."""
     phi1 = np.radians(lat1)
     phi2 = np.radians(lat2)
+    dphi = np.radians(np.subtract(lat2, lat1))
     dlam = np.radians(_normalize_lons(np.subtract(lon2, lon1)))
     y = np.sin(dlam) * np.cos(phi2)
-    x = (np.cos(phi1) * np.sin(phi2)
-         - np.sin(phi1) * np.cos(phi2) * np.cos(dlam))
+    x = (np.sin(dphi)
+         + 2.0 * np.sin(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2)
     return np.arctan2(y, x)
 
 

@@ -277,14 +277,13 @@ def policy_action(params: PolicyParams, features: np.ndarray) -> np.ndarray:
     return np.tanh(mean)
 
 
-def step(x_k: GeoPoint, x_1: GeoPoint, x_n: GeoPoint, action: np.ndarray,
-         phi: float, n: int) -> GeoPoint:
+def step(x_k: GeoPoint, action: np.ndarray, phi: float,
+         step_scale: float) -> GeoPoint:
     """Apply one movement: un-rotate the action, scale, cap, displace.
 
-    The step scale is the trip length divided by n; movements longer than
-    one step scale are rescaled down to it. The altitude stays x_k's.
+    step_scale is the trip length divided by n; movements longer than one
+    step scale are rescaled down to it. The altitude stays x_k's.
     """
-    step_scale = great_circle_distance(x_1, x_n) / n
     mv = rotate_inverse(PlaneVector(float(action[0]) * step_scale,
                                     float(action[1]) * step_scale), phi)
     norm = mv.norm()
@@ -318,7 +317,7 @@ def roll_out(cfg: GuideConfig, params: PolicyParams | None, origin: GeoPoint,
     pts = [x]
     for _ in range(n - 2):
         feats = extract_features(x, destination, phi, field, trip_len, cfg)
-        x = step(x, origin, destination, policy_action(params, feats), phi, n)
+        x = step(x, policy_action(params, feats), phi, trip_len / n)
         pts.append(x)
     pts.append(GeoPoint(destination.lat_deg, destination.lon_deg, alt))
     return CoarseRoute(tuple(_dedupe(pts)))

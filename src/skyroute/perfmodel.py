@@ -1,9 +1,11 @@
 """Surrogate aircraft performance model.
 
-Segment fuel burn uses a mass-power-law fuel flow with a linear
-temperature term and additive along-track wind. Deterministic and
+Segment fuel burn uses a fuel flow proportional to mass with a linear
+temperature term, and additive along-track wind. Deterministic and
 monotone by construction, with closed forms that unit tests can pin
-exactly.
+exactly. A segment flies in `substeps` pieces, each its segment plus a
+fraction: the weather at the mid fraction, the wind along the track's
+direction at the start fraction, in closed form from the endpoints.
 
 `fly_segment` flies one segment and is the reference. It is the only
 source of flight errors (OutOfDomain, Infeasible), re-flies the legs
@@ -23,10 +25,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import Infeasible
-from .geo import (GeoPoint, great_circle_distance, great_circle_distances,
-                  initial_bearing, initial_bearings, intermediate_point,
-                  intermediate_points)
+from .errors import ConfigError, Infeasible
+from .geo import (EARTH_RADIUS_M, GeoPoint, great_circle_distance,
+                  great_circle_distances, initial_bearing, initial_bearings,
+                  intermediate_point, intermediate_points)
 from .weather import ISA_TEMPERATURE_K, WeatherField, sample, sample_many
 
 #: Ground-speed floor (m/s) preventing division blow-up under absurd headwind.
@@ -44,7 +46,6 @@ class AircraftSpec:
     max_mass_kg: float
     tas_ms: float
     base_fuel_flow_kgps: float
-    mass_exponent: float
     temp_sensitivity: float
 
     def __post_init__(self):
@@ -61,12 +62,19 @@ class AircraftSpec:
         missing = [k for k in names if k not in raw]
         if missing:
             raise ValueError(f"aircraft spec missing fields: {missing}")
+        unknown = [k for k in raw if k not in names]
+        if unknown:
+            raise ValueError(f"aircraft spec has unknown fields: {unknown}")
         return cls(**{k: float(raw[k]) for k in names})
 
     @classmethod
     def from_json(cls, path: str) -> "AircraftSpec":
+        """Read a spec file; one that is not a valid spec raises ConfigError."""
         with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            try:
+                return cls.from_dict(json.load(f))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"aircraft spec {path}: {exc}") from exc
 
     def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -103,7 +111,7 @@ def default_spec() -> AircraftSpec:
 def fuel_flow_kgps(spec: AircraftSpec, mass_kg: float, temperature_k: float) -> float:
     """Instantaneous fuel flow at the given mass and ambient temperature."""
     return (spec.base_fuel_flow_kgps
-            * (mass_kg / spec.ref_mass_kg) ** spec.mass_exponent
+            * (mass_kg / spec.ref_mass_kg)
             * (1.0 + spec.temp_sensitivity * (temperature_k - ISA_TEMPERATURE_K)))
 
 
@@ -111,10 +119,9 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
                 field: WeatherField, substeps: int = DEFAULT_SUBSTEPS) -> SegmentResult:
     """Fly the great-circle track from state.position to `to`.
 
-    The track is split into `substeps` equal pieces; wind and temperature
-    are sampled at each piece midpoint, ground speed is TAS plus the
-    along-track wind component (floored), and mass is updated after
-    every piece.
+    Piece k of `substeps` runs from fraction k/substeps of the track to
+    (k+1)/substeps. Ground speed is TAS plus the wind at its midpoint along
+    the track's direction at its start (floored); mass drops after each.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -124,25 +131,27 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
         end = AircraftState(GeoPoint(to.lat_deg, to.lon_deg, to.alt_m), state.mass_kg)
         return SegmentResult(0.0, 0.0, end)
 
-    piece_len = total / substeps
+    # The track's direction times cos(lat) at angle sigma along it is
+    # (east, north); east is constant on a great circle (Clairaut).
+    phi0 = math.radians(start.lat_deg)
+    bearing = initial_bearing(start, to)
+    east = math.sin(bearing) * math.cos(phi0)
+    north0 = math.cos(bearing) * math.cos(phi0)
     mass = state.mass_kg
     fuel = 0.0
     time = 0.0
     floor_hit = False
-    p0 = start
     for k in range(substeps):
-        f0 = k / substeps
-        f1 = (k + 1) / substeps
-        p1 = intermediate_point(start, to, f1)
-        mid = intermediate_point(start, to, (f0 + f1) / 2.0)
+        mid = intermediate_point(start, to, (k / substeps + (k + 1) / substeps) / 2.0)
         wx = sample(field, mid)
-        bearing = initial_bearing(p0, p1)
-        along = wx.wind_east * math.sin(bearing) + wx.wind_north * math.cos(bearing)
+        sigma = k / substeps * (total / EARTH_RADIUS_M)
+        north = math.cos(sigma) * north0 - math.sin(phi0) * math.sin(sigma)
+        along = (wx.wind_east * east + wx.wind_north * north) / math.hypot(east, north)
         gs = spec.tas_ms + along
         if gs < GROUND_SPEED_FLOOR_MS:
             gs = GROUND_SPEED_FLOOR_MS
             floor_hit = True
-        dt = piece_len / gs
+        dt = total / substeps / gs
         df = fuel_flow_kgps(spec, mass, wx.temperature) * dt
         mass -= df
         if mass < spec.empty_mass_kg:
@@ -150,16 +159,15 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
                 f"mass would drop below empty mass ({mass:.1f} < {spec.empty_mass_kg})")
         fuel += df
         time += dt
-        p0 = p1
 
     end = AircraftState(GeoPoint(to.lat_deg, to.lon_deg, to.alt_m), mass)
     return SegmentResult(fuel, time, end, floor_hit)
 
 
-#: Most substep points `fly_segments` works on at once: it takes longer
-#: batches in blocks of segments, so its few dozen temporary arrays stay
-#: small (all 4 substeps of a 41x11x3 lattice's 1,320 segments at once
-#: raised a plan's peak RSS by about 0.5 MB).
+#: Most pieces `_substep_geometry` works on at once: it cuts longer batches
+#: into blocks of segments, so its few dozen temporary arrays stay small
+#: (all 4 substeps of a 41x11x3 lattice's 1,320 segments at once raised a
+#: plan's peak RSS by about 0.5 MB).
 BLOCK_POINTS = 2048
 
 
@@ -173,21 +181,9 @@ def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
     off the grid (the NaN of `sample_many` reaches the fuel) or the mass
     falls below the empty mass. Only `fly_segment` says which error that is.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     args = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (lat0, lon0, mass0, lat1, lon1)))
-    flat = [a.ravel() for a in args]
-    step = max(1, BLOCK_POINTS // substeps)
-    fuel = [_fly_block(spec, *(a[lo:lo + step] for a in flat), field, substeps)
-            for lo in range(0, max(flat[0].size, 1), step)]
-    return np.concatenate(fuel).reshape(args[0].shape)
-
-
-def _fly_block(spec: AircraftSpec, lat0, lon0, mass, lat1, lon1,
-               field: WeatherField, substeps: int) -> np.ndarray:
-    """fly_segments on 1-D arrays: `_substep_geometry`, then the substep
-    loop that threads mass through all segments at once."""
+    lat0, lon0, mass, lat1, lon1 = (a.ravel() for a in args)
     total, dt, temperature, _floor = _substep_geometry(
         spec, lat0, lon0, lat1, lon1, field, substeps)
     fuel = np.zeros_like(total)
@@ -198,7 +194,8 @@ def _fly_block(spec: AircraftSpec, lat0, lon0, mass, lat1, lon1,
         too_light |= mass < spec.empty_mass_kg
         fuel = fuel + df
     # A zero-length segment costs nothing and samples nowhere.
-    return np.where(total > 0.0, np.where(too_light, np.nan, fuel), 0.0)
+    fuel = np.where(total > 0.0, np.where(too_light, np.nan, fuel), 0.0)
+    return fuel.reshape(args[0].shape)
 
 
 def _substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
@@ -207,25 +204,30 @@ def _substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
 
     Returns each segment's length and, as (substeps, segments) arrays,
     each substep's duration, temperature and whether its ground speed was
-    floored, all as `fly_segment` computes them. Off the grid the duration
-    and temperature are NaN.
+    floored, all as `fly_segment` computes them, block by block of at most
+    BLOCK_POINTS pieces. Off the grid the duration and temperature are NaN.
     """
-    total = great_circle_distances(lat0, lon0, lat1, lon1)
-    piece_len = total / substeps
-    # Piece ends, then piece midpoints, in one call, at fly_segment's
-    # fractions: rows k and substeps + k belong to substep k.
-    fractions = np.array(
-        [[(k + 1) / substeps] for k in range(substeps)]
-        + [[(k / substeps + (k + 1) / substeps) / 2.0] for k in range(substeps)])
-    lat, lon = intermediate_points(lat0, lon0, lat1, lon1, fractions)
-    wx = sample_many(field, lat[substeps:], lon[substeps:])
-    bearing = initial_bearings(np.concatenate([lat0[None], lat[:substeps - 1]]),
-                               np.concatenate([lon0[None], lon[:substeps - 1]]),
-                               lat[:substeps], lon[:substeps])
-    along = wx.wind_east * np.sin(bearing) + wx.wind_north * np.cos(bearing)
-    gs = spec.tas_ms + along
-    dt = piece_len / np.maximum(gs, GROUND_SPEED_FLOOR_MS)
-    return total, dt, wx.temperature, gs < GROUND_SPEED_FLOOR_MS
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    k = np.arange(substeps)[:, None]
+    start, mid = k / substeps, (k / substeps + (k + 1) / substeps) / 2.0
+    step = max(1, BLOCK_POINTS // substeps)
+    blocks = []
+    for lo in range(0, max(lat0.size, 1), step):
+        ends = [a[lo:lo + step] for a in (lat0, lon0, lat1, lon1)]
+        total = great_circle_distances(*ends)
+        wx = sample_many(field, *intermediate_points(*ends, mid))
+        phi0 = np.radians(ends[0])
+        bearing = initial_bearings(*ends)
+        east = np.sin(bearing) * np.cos(phi0)
+        north0 = np.cos(bearing) * np.cos(phi0)
+        sigma = start * (total / EARTH_RADIUS_M)
+        north = np.cos(sigma) * north0 - np.sin(phi0) * np.sin(sigma)
+        along = (wx.wind_east * east + wx.wind_north * north) / np.hypot(east, north)
+        gs = spec.tas_ms + along
+        dt = total / substeps / np.maximum(gs, GROUND_SPEED_FLOOR_MS)
+        blocks.append((total, dt, wx.temperature, gs < GROUND_SPEED_FLOOR_MS))
+    return [np.concatenate(parts, axis=-1) for parts in zip(*blocks)]
 
 
 def fly_route(spec: AircraftSpec, initial_state: AircraftState,
@@ -235,25 +237,17 @@ def fly_route(spec: AircraftSpec, initial_state: AircraftState,
 
     Each leg is flown as `fly_segment` flies it from the previous leg's end
     state. The geometry and weather of all legs come from
-    `_substep_geometry` (in blocks of at most BLOCK_POINTS substeps), and
-    one loop threads mass through them in `fly_segment`'s order of
-    operations. A leg that loop refuses (off the grid, or below the empty
-    mass) is flown again with `fly_segment`: that raises the leg's error
-    or, if it can fly the leg, gives the leg's result.
+    `_substep_geometry`, and one loop threads mass through them in
+    `fly_segment`'s order of operations. A leg that loop refuses (off the
+    grid, or below the empty mass) is flown again with `fly_segment`: that
+    raises the leg's error or, if it can fly the leg, gives its result.
     """
     if len(route) < 2:
         raise ValueError("route must contain at least 2 waypoints")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     lat = np.array([p.lat_deg for p in route])
     lon = np.array([p.lon_deg for p in route])
-    ends = (lat[:-1], lon[:-1], lat[1:], lon[1:])
-    step = max(1, BLOCK_POINTS // substeps)
-    blocks = [_substep_geometry(spec, *(a[lo:lo + step] for a in ends), field,
-                                substeps)
-              for lo in range(0, len(route) - 1, step)]
-    total, dt, temperature, floor = (np.concatenate(parts, axis=-1)
-                                     for parts in zip(*blocks))
+    total, dt, temperature, floor = _substep_geometry(
+        spec, lat[:-1], lon[:-1], lat[1:], lon[1:], field, substeps)
     state = AircraftState(route[0], initial_state.mass_kg)
     legs = []
     for wp, length, dts, temps, hit in zip(

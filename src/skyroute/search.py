@@ -83,7 +83,7 @@ def min_specific_burn(spec: AircraftSpec, field: WeatherField) -> float:
     w_max = field.max_wind_speed()
     dt_max = field.max_temp_deviation()
     flow_min = (spec.base_fuel_flow_kgps
-                * (spec.empty_mass_kg / spec.ref_mass_kg) ** spec.mass_exponent
+                * (spec.empty_mass_kg / spec.ref_mass_kg)
                 * max(0.0, 1.0 - abs(spec.temp_sensitivity) * dt_max))
     return flow_min / (spec.tas_ms + w_max)
 

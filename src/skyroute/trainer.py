@@ -34,7 +34,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -88,20 +88,27 @@ class TrainConfig:
     aircraft: AircraftSpec = dc_field(default_factory=default_spec)
 
     def __post_init__(self):
+        types = {"float": (int, float), "int": (int,), "bool": (bool,)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in types and type(value) not in types[f.type]:
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if not (0.05 <= self.clip_range <= 0.5):
             raise ConfigError("clip_range must lie in [0.05, 0.5]")
         for name in ("learning_rate", "min_trip_m", "rho1", "rho2"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        lat_min, lat_max, lon_min, lon_max = self.sample_bbox
-        if lat_min >= lat_max or lon_min >= lon_max:
+        bbox = self.sample_bbox
+        if not (type(bbox) is tuple and len(bbox) == 4
+                and all(type(v) in (int, float) for v in bbox)
+                and bbox[0] < bbox[1] and bbox[2] < bbox[3]):
             raise ConfigError("sample_bbox must be (lat_min, lat_max, lon_min, lon_max)")
         if self.n_waypoints < 2:
             raise ConfigError("n_waypoints must be >= 2")
         for name in ("rollout_episodes", "minibatch_size", "epochs_per_update",
                      "hidden", "substeps"):
             value = getattr(self, name)
-            if type(value) is not int or value < 1:
+            if value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, "
                                   f"got {value!r}")
 
@@ -112,15 +119,16 @@ class TrainConfig:
         for required in ("seed", "instances"):
             if required not in raw:
                 raise ConfigError(f"missing config field: {required}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = [k for k in raw if k not in known and k != "aircraft_path"]
+        # A JSON config names its aircraft by file, never inline.
+        known = set(cls.__dataclass_fields__) - {"aircraft"} | {"aircraft_path"}
+        unknown = [k for k in raw if k not in known]
         if unknown:
             raise ConfigError(f"unknown config fields: {unknown}")
         kwargs = dict(raw)
         path = kwargs.pop("aircraft_path", None)
         if path is not None:
             kwargs["aircraft"] = AircraftSpec.from_json(path)
-        if "sample_bbox" in kwargs:
+        if isinstance(kwargs.get("sample_bbox"), list):
             kwargs["sample_bbox"] = tuple(kwargs["sample_bbox"])
         return cls(**kwargs)
 
@@ -200,13 +208,13 @@ def _log_prob_of(params: PolicyParams, mean: np.ndarray,
     return np.sum(gauss, axis=-1) - np.sum(squash, axis=-1)
 
 
-def _safe_step(x, origin, destination, action, phi, n):
+def _safe_step(x, action, phi, step_scale):
     """Guide step with a retry that halves the action if the result would
     leave valid latitudes (possible for extreme northward rollouts)."""
     act = np.asarray(action, dtype=float)
     for _ in range(8):
         try:
-            return step(x, origin, destination, act, phi, n)
+            return step(x, act, phi, step_scale)
         except ValueError:
             act = act * 0.5
     return x
@@ -240,7 +248,6 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     n = cfg.n_waypoints
     B, T = noise.shape[0], n - 1
     gcfg = GuideConfig(n=n, guide_kind="policy")
-    origins = [o for o, _d in instances]
     dests = [d for _o, d in instances]
     phis = [trip_rotation(o, d) for o, d in instances]
     trip_lens = [great_circle_distance(o, d) for o, d in instances]
@@ -252,7 +259,7 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     rewards = np.empty((B, T))
     values = np.empty((B, T))
 
-    xs = list(origins)
+    xs = [o for o, _d in instances]
     masses = [cfg.aircraft.ref_mass_kg] * B
     std = np.exp(params.log_std)
     for k in range(T):
@@ -270,7 +277,7 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
         values[:, k] = value
         for b in range(B):
             x = xs[b]
-            nxt = _safe_step(x, origins[b], dests[b], action[b], phis[b], n)
+            nxt = _safe_step(x, action[b], phis[b], trip_lens[b] / n)
             v_k = progress_value(local_displacement(x, nxt), disps[b],
                                  cfg.lambda_v, cfg.signed_progress)
             seg = fly_segment(cfg.aircraft, AircraftState(x, masses[b]), nxt,

@@ -185,6 +185,22 @@ def test_intermediate_point_midpoint_on_track():
     assert mid.alt_m == pytest.approx(10_000)
 
 
+class TestInitialBearing:
+    @given(geo_points(), st.floats(-math.pi, math.pi), st.floats(-6, -3))
+    @settings(max_examples=200)
+    def test_short_tracks_match_local_displacement(self, a, theta, log_d):
+        # On tracks of 1 um to 1 mm the planar direction is the azimuth to
+        # within d / R; a formula that cancels loses it to rounding.
+        d = 10.0 ** log_d
+        b = displace(a, PlaneVector(d * math.sin(theta), d * math.cos(theta)))
+        v = local_displacement(a, b)
+        want = math.atan2(v.east_m, v.north_m)
+        got = [initial_bearing(a, b),
+               float(initial_bearings(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg))]
+        for bearing in got:
+            assert abs(math.remainder(bearing - want, 2 * math.pi)) <= 1e-9
+
+
 class TestArrayForms:
     """The array functions repeat the scalar ones element by element."""
 

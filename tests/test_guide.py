@@ -122,18 +122,16 @@ class TestPolicyAction:
 class TestStep:
     def test_step_scale_cap(self):
         phi = trip_rotation(ORIGIN, DEST)
-        n = 5
-        scale = great_circle_distance(ORIGIN, DEST) / n
+        scale = great_circle_distance(ORIGIN, DEST) / 5
         # Full diagonal action has norm sqrt(2) * scale; capped to scale.
-        moved = step(ORIGIN, ORIGIN, DEST, np.array([1.0, 1.0]), phi, n)
+        moved = step(ORIGIN, np.array([1.0, 1.0]), phi, scale)
         assert great_circle_distance(ORIGIN, moved) == pytest.approx(
             scale, rel=2e-3)
 
     def test_unit_up_action_moves_toward_destination(self):
         phi = trip_rotation(ORIGIN, DEST)
-        n = 5
-        scale = great_circle_distance(ORIGIN, DEST) / n
-        moved = step(ORIGIN, ORIGIN, DEST, np.array([0.0, 1.0]), phi, n)
+        scale = great_circle_distance(ORIGIN, DEST) / 5
+        moved = step(ORIGIN, np.array([0.0, 1.0]), phi, scale)
         assert great_circle_distance(ORIGIN, moved) == pytest.approx(
             scale, rel=2e-3)
         assert great_circle_distance(moved, DEST) < great_circle_distance(
@@ -141,7 +139,8 @@ class TestStep:
 
     def test_zero_action_stays(self):
         phi = trip_rotation(ORIGIN, DEST)
-        moved = step(ORIGIN, ORIGIN, DEST, np.array([0.0, 0.0]), phi, 5)
+        moved = step(ORIGIN, np.array([0.0, 0.0]), phi,
+                     great_circle_distance(ORIGIN, DEST) / 5)
         assert moved.same_position(ORIGIN)
 
 

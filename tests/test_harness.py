@@ -391,17 +391,19 @@ class TestCli:
           for name in ("ck-list.json", "ck-extra.json", "ck-missing.json",
                        "ck-shape.json", "ck-text.json")],
         (["plan", "--origin", "MUC", "--destination", "BER",
-          "--aircraft", "{tmp}/ac-missing.json"], "--aircraft"),
+          "--aircraft", "{tmp}/ac-missing.json"], "ac-missing.json"),
         (["plan", "--origin", "MUC", "--destination", "BER",
-          "--aircraft", "{tmp}/ac-value.json"], "--aircraft"),
+          "--aircraft", "{tmp}/ac-value.json"], "ac-value.json"),
         (["plan", "--origin", "MUC", "--destination", "BER",
-          "--aircraft", "{tmp}/ac-json.json"], "--aircraft"),
+          "--aircraft", "{tmp}/ac-json.json"], "ac-json.json"),
+        (["plan", "--origin", "MUC", "--destination", "BER",
+          "--aircraft", "{tmp}/ac-unknown.json"], "mass_exponent"),
     ], ids=["lat", "alt", "fwd", "cols", "substeps", "levels", "route-dash",
             "route-three-codes", "checkpoint-schema", "checkpoint-key",
             "checkpoint-list", "checkpoint-extra-weight",
             "checkpoint-missing-weight", "checkpoint-shape",
             "checkpoint-text-value", "aircraft-missing", "aircraft-value",
-            "aircraft-json"])
+            "aircraft-json", "aircraft-unknown"])
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
         bad_files = {
             "ck-schema.json": json.dumps({"schema_version": 99}),
@@ -410,6 +412,8 @@ class TestCli:
             "ac-value.json": json.dumps(
                 {**asdict(default_spec()), "tas_ms": 100.0}),
             "ac-json.json": "{not json",
+            "ac-unknown.json": json.dumps(
+                {**asdict(default_spec()), "mass_exponent": 1.0}),
             **bad_checkpoints(tmp_path),
         }
         for name, text in bad_files.items():
@@ -429,12 +433,17 @@ class TestCli:
         ({"seed": 0, "instances": 4, "epochs_per_update": 0},
          "epochs_per_update"),
         ([1], "JSON object"),
+        ("{not json", "--config"),
+        ({"seed": 0, "instances": 4, "sample_bbox": [1, 2]}, "sample_bbox"),
+        ({"seed": 0, "instances": 4, "learning_rate": "x"}, "learning_rate"),
+        ({"seed": 0, "instances": 4, "aircraft": {"tas_ms": 230}}, "aircraft"),
     ], ids=["rollout-episodes", "minibatch", "substeps", "hidden", "epochs",
-            "list"])
+            "list", "not-json", "bbox-length", "text-value", "inline-aircraft"])
     def test_train_rejected_config_exit_code(self, tmp_path, capsys, config,
                                              field):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(config if isinstance(config, str)
+                            else json.dumps(config))
         rc = main(["train", "--config", str(cfg_path),
                    "--out-dir", str(tmp_path)])
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +27,7 @@ class TestFuelFlow:
             pytest.approx(spec.base_fuel_flow_kgps, rel=1e-15)
 
     def test_closed_form(self):
-        spec = AircraftSpec(60_000, 40_000, 77_000, 230.0, 0.65, 1.0, 0.002)
+        spec = AircraftSpec(60_000, 40_000, 77_000, 230.0, 0.65, 0.002)
         flow = fuel_flow_kgps(spec, 66_000, 298.15)
         assert flow == pytest.approx(0.65 * (66_000 / 60_000) * (1 + 0.002 * 10),
                                      rel=1e-15)
@@ -59,10 +60,9 @@ class TestFlySegment:
         assert res.time_s == pytest.approx(d / spec.tas_ms, rel=1e-12)
 
     def test_product_form_mass_threading(self):
-        # mass_exponent = 1 makes each piece multiply mass by (1 - c), so
-        # total fuel has the closed form m0 * (1 - (1 - c)^substeps).
+        # Fuel flow proportional to mass makes each piece multiply mass by
+        # (1 - c), so total fuel has the closed form m0 * (1 - (1 - c)^substeps).
         spec = default_spec()
-        assert spec.mass_exponent == 1.0
         a = GeoPoint(48.0, 11.0, 10_000)
         b = GeoPoint(52.0, 11.0, 10_000)
         d = great_circle_distance(a, b)
@@ -75,8 +75,8 @@ class TestFlySegment:
             assert res.fuel_kg == pytest.approx(expected, rel=1e-12)
 
     def test_head_tail_wind_ratio(self):
-        # Time ratio between headwind and tailwind legs is (tas+w)/(tas-w);
-        # with mass_exponent handled by short legs the fuel ratio is close.
+        # Time ratio between headwind and tailwind legs is (tas+w)/(tas-w),
+        # and the headwind leg burns more.
         spec = default_spec()
         # Equator leg: the great-circle track is exactly due east there.
         a = GeoPoint(0.0, 10.0, 10_000)
@@ -107,7 +107,7 @@ class TestFlySegment:
         assert cross.time_s == pytest.approx(calm.time_s, rel=1e-9)
 
     def test_ground_speed_floor(self):
-        spec = AircraftSpec(60_000, 40_000, 77_000, 150.0, 0.65, 1.0, 0.002)
+        spec = AircraftSpec(60_000, 40_000, 77_000, 150.0, 0.65, 0.002)
         a = GeoPoint(48.0, 10.0, 10_000)
         b = GeoPoint(48.0, 11.0, 10_000)
         res = fly_segment(spec, AircraftState(a, 60_000), b,
@@ -135,7 +135,7 @@ class TestFlySegment:
 
 
 #: TAS 150 m/s: a 130 m/s headwind puts ground speed at the floor, 140 below it.
-SLOW_SPEC = AircraftSpec(60_000, 40_000, 77_000, 150.0, 0.65, 1.0, 0.002)
+SLOW_SPEC = AircraftSpec(60_000, 40_000, 77_000, 150.0, 0.65, 0.002)
 
 FIELDS = [
     still_air(),
@@ -178,6 +178,11 @@ class TestFlySegments:
     # North along the grid's east edge (lon 40): the midpoints must stay on it.
     @example(default_spec(), [(30.5625, 40.0, 0.75, 0.0, False, 40158.0)],
              FIELDS[0], 4)
+    # Tracks far shorter than the rounding of their own coordinates.
+    @example(SLOW_SPEC, [(48.58782853301575, 0.0, 0.0, -1.778547935572993e-118,
+                          False, 60_000.0)], FIELDS[2], 6)
+    @example(SLOW_SPEC, [(35.5, 0.0, 0.0, 1.4e-45, False, 60_000.0)],
+             FIELDS[3], 2)
     def test_matches_scalar(self, spec, segs, field, substeps):
         assert_matches_scalar(spec, segs, field, substeps)
 
@@ -245,8 +250,6 @@ class TestFlyRoute:
            st.floats(55_000, 77_000), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_each_leg_matches_fly_segments(self, spec, walk, mass, substeps):
-        # Both specs have mass_exponent 1, where the power is exact; for
-        # other exponents numpy's power and Python's ** round apart.
         route = [GeoPoint(50.0, 10.0, 10_000)]
         for dlat, dlon, repeat in walk:
             a = route[-1]
@@ -355,11 +358,11 @@ class TestRouteCost:
 class TestAircraftSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            AircraftSpec(60_000, 65_000, 77_000, 230.0, 0.65, 1.0, 0.002)
+            AircraftSpec(60_000, 65_000, 77_000, 230.0, 0.65, 0.002)
         with pytest.raises(ValueError):
-            AircraftSpec(60_000, 40_000, 77_000, 120.0, 0.65, 1.0, 0.002)
+            AircraftSpec(60_000, 40_000, 77_000, 120.0, 0.65, 0.002)
         with pytest.raises(ValueError):
-            AircraftSpec(60_000, 40_000, 77_000, 230.0, -0.1, 1.0, 0.002)
+            AircraftSpec(60_000, 40_000, 77_000, 230.0, -0.1, 0.002)
 
     def test_json_round_trip(self, tmp_path):
         spec = default_spec()
@@ -370,3 +373,8 @@ class TestAircraftSpec:
     def test_from_dict_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
             AircraftSpec.from_dict({"ref_mass_kg": 60_000})
+
+    def test_from_dict_unknown_field(self):
+        raw = {**asdict(default_spec()), "mass_exponent": 1.0}
+        with pytest.raises(ValueError, match="unknown fields: .'mass_exponent'"):
+            AircraftSpec.from_dict(raw)

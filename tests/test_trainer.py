@@ -65,6 +65,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=name):
             TrainConfig(seed=0, **{name: 0})
 
+    def test_from_dict_bad_aircraft_file(self, tmp_path):
+        path = tmp_path / "ac.json"
+        path.write_text('{"tas_ms": 230.0}')
+        with pytest.raises(ConfigError, match="ac.json"):
+            TrainConfig.from_dict({"seed": 1, "instances": 10,
+                                   "aircraft_path": str(path)})
+
     def test_from_dict_rejects_non_object(self):
         with pytest.raises(ConfigError, match="JSON object"):
             TrainConfig.from_dict([1])
