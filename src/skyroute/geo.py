@@ -5,12 +5,14 @@ equirectangular projection scaled by the cosine of the mid-latitude,
 valid for displacements up to 6,000 km. Rotation angles are radians,
 counter-clockwise positive.
 
-`great_circle_distances`, `initial_bearings`, `intermediate_points` and
-`displace_many` are the array forms of the scalar functions: they take
-lat/lon arrays in degrees, broadcast them, and repeat the scalar
-arithmetic operation for operation, so they differ from it only where
-numpy's sin/cos/asin/atan2 round differently from the C library's (a few
-ulp). `intermediate_points` also takes an array of fractions, and
+`great_circle_distances`, `initial_bearings`, `intermediate_points`,
+`displace_many` and `along_tracks` are the array forms of the scalar
+functions: they take lat/lon arrays in degrees and broadcast them. The two
+forms share one body per formula (`_formulas`, built over `math` and over
+numpy), so they differ only where numpy's sin/cos/asin/atan2 round
+differently from the C library's (a few ulp), and in their guards: the
+scalar forms return early or raise where the array forms mask.
+`intermediate_points` also takes an array of fractions, and
 `displace_many` refuses what `displace` refuses, with the same error.
 """
 
@@ -86,38 +88,86 @@ class PlaneVector:
         return PlaneVector(self.east_m * factor, self.north_m * factor)
 
 
+def _formulas(m, asin, atan2, minimum, normalize_lon):
+    """The formulas that have a scalar and an array form, each written once,
+    over `math` for floats or numpy for arrays (numpy before 2.0 has no
+    asin or atan2). The library functions are closure variables, so a
+    scalar call costs what a body written against `math` costs."""
+    radians, degrees, sin, cos, sqrt, hypot = (
+        m.radians, m.degrees, m.sin, m.cos, m.sqrt, m.hypot)
+
+    def distance(lat1, lon1, lat2, lon2):
+        """Haversine distance in meters."""
+        phi1 = radians(lat1)
+        phi2 = radians(lat2)
+        dphi = radians(lat2 - lat1)
+        dlam = radians(normalize_lon(lon2 - lon1))
+        s = sin(dphi / 2.0) ** 2 + cos(phi1) * cos(phi2) * sin(dlam / 2.0) ** 2
+        return 2.0 * EARTH_RADIUS_M * asin(minimum(1.0, sqrt(s)))
+
+    def azimuth(lat1, lon1, lat2, lon2):
+        """Forward azimuth, radians clockwise from north."""
+        phi1 = radians(lat1)
+        phi2 = radians(lat2)
+        dphi = radians(lat2 - lat1)
+        dlam = radians(normalize_lon(lon2 - lon1))
+        y = sin(dlam) * cos(phi2)
+        # cos(phi1)sin(phi2) - sin(phi1)cos(phi2)cos(dlam), without cancellation
+        x = sin(dphi) + 2.0 * sin(phi1) * cos(phi2) * sin(dlam / 2.0) ** 2
+        return atan2(y, x)
+
+    def slerp(lat1, lon1, lat2, lon2, delta, fraction):
+        """(lat, lon) at `fraction` along the great circle of `delta` radians
+        from point 1 to point 2; undefined where delta is 0."""
+        phi1 = radians(lat1)
+        lam1 = radians(lon1)
+        phi2 = radians(lat2)
+        lam2 = radians(lon2)
+        sd = sin(delta)
+        fa = sin((1.0 - fraction) * delta) / sd
+        fb = sin(fraction * delta) / sd
+        cos_phi1 = cos(phi1)
+        cos_phi2 = cos(phi2)
+        x = fa * cos_phi1 * cos(lam1) + fb * cos_phi2 * cos(lam2)
+        y = fa * cos_phi1 * sin(lam1) + fb * cos_phi2 * sin(lam2)
+        z = fa * sin(phi1) + fb * sin(phi2)
+        return degrees(atan2(z, hypot(x, y))), degrees(atan2(y, x))
+
+    def lat_step(lat_deg, north_m):
+        """Latitude north_m meters north of lat_deg, and the cosine of the
+        mid-latitude, which scales an east step."""
+        dlat = degrees(north_m / EARTH_RADIUS_M)
+        return lat_deg + dlat, cos(radians(lat_deg + 0.5 * dlat))
+
+    def along_track(lat_deg, bearing, sigma, wind_east, wind_north):
+        """Wind component along the great circle that leaves latitude
+        lat_deg on azimuth `bearing`, at angle sigma (radians) along it."""
+        phi0 = radians(lat_deg)
+        # The track's direction times cos(lat) at sigma is (east, north);
+        # east is constant on a great circle (Clairaut).
+        east = sin(bearing) * cos(phi0)
+        north0 = cos(bearing) * cos(phi0)
+        north = cos(sigma) * north0 - sin(phi0) * sin(sigma)
+        return (wind_east * east + wind_north * north) / hypot(east, north)
+
+    return distance, azimuth, slerp, lat_step, along_track
+
+
+_distance, _azimuth, _slerp, _lat_step, along_track = _formulas(
+    math, math.asin, math.atan2, min, _normalize_lon)
+(great_circle_distances, initial_bearings, _slerps, _lat_steps,
+ along_tracks) = _formulas(np, np.arcsin, np.arctan2, np.minimum,
+                           _normalize_lons)
+
+
 def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Haversine distance in meters; altitude ignored."""
-    phi1 = math.radians(a.lat_deg)
-    phi2 = math.radians(b.lat_deg)
-    dphi = math.radians(b.lat_deg - a.lat_deg)
-    dlam = math.radians(_normalize_lon(b.lon_deg - a.lon_deg))
-    s = (math.sin(dphi / 2.0) ** 2
-         + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2)
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
-
-
-def great_circle_distances(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Array form of great_circle_distance: haversine meters, element-wise."""
-    phi1 = np.radians(lat1)
-    phi2 = np.radians(lat2)
-    dphi = np.radians(np.subtract(lat2, lat1))
-    dlam = np.radians(_normalize_lons(np.subtract(lon2, lon1)))
-    s = (np.sin(dphi / 2.0) ** 2
-         + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2)
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+    return _distance(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
 
 
 def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
     """Forward azimuth from a to b, radians clockwise from north."""
-    phi1 = math.radians(a.lat_deg)
-    phi2 = math.radians(b.lat_deg)
-    dphi = math.radians(b.lat_deg - a.lat_deg)
-    dlam = math.radians(_normalize_lon(b.lon_deg - a.lon_deg))
-    y = math.sin(dlam) * math.cos(phi2)
-    # cos(phi1)sin(phi2) - sin(phi1)cos(phi2)cos(dlam), without cancellation
-    x = math.sin(dphi) + 2.0 * math.sin(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return math.atan2(y, x)
+    return _azimuth(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
 
 
 def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
@@ -131,38 +181,15 @@ def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
         return a
     if fraction >= 1.0:
         return b
-    phi1 = math.radians(a.lat_deg)
-    lam1 = math.radians(a.lon_deg)
-    phi2 = math.radians(b.lat_deg)
-    lam2 = math.radians(b.lon_deg)
+    alt = a.alt_m + fraction * (b.alt_m - a.alt_m)
     delta = great_circle_distance(a, b) / EARTH_RADIUS_M
     if delta == 0.0:
-        return GeoPoint(a.lat_deg, a.lon_deg,
-                        a.alt_m + fraction * (b.alt_m - a.alt_m))
-    sd = math.sin(delta)
-    fa = math.sin((1.0 - fraction) * delta) / sd
-    fb = math.sin(fraction * delta) / sd
-    x = fa * math.cos(phi1) * math.cos(lam1) + fb * math.cos(phi2) * math.cos(lam2)
-    y = fa * math.cos(phi1) * math.sin(lam1) + fb * math.cos(phi2) * math.sin(lam2)
-    z = fa * math.sin(phi1) + fb * math.sin(phi2)
-    lat = math.degrees(math.atan2(z, math.hypot(x, y)))
+        return GeoPoint(a.lat_deg, a.lon_deg, alt)
+    lat, lon = _slerp(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg, delta,
+                      fraction)
     if a.lon_deg == b.lon_deg:
         lon = _normalize_lon(a.lon_deg)
-    else:
-        lon = math.degrees(math.atan2(y, x))
-    return GeoPoint(lat, lon, a.alt_m + fraction * (b.alt_m - a.alt_m))
-
-
-def initial_bearings(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Array form of initial_bearing: radians clockwise from north."""
-    phi1 = np.radians(lat1)
-    phi2 = np.radians(lat2)
-    dphi = np.radians(np.subtract(lat2, lat1))
-    dlam = np.radians(_normalize_lons(np.subtract(lon2, lon1)))
-    y = np.sin(dlam) * np.cos(phi2)
-    x = (np.sin(dphi)
-         + 2.0 * np.sin(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2)
-    return np.arctan2(y, x)
+    return GeoPoint(lat, lon, alt)
 
 
 def intermediate_points(lat1, lon1, lat2, lon2,
@@ -174,23 +201,11 @@ def intermediate_points(lat1, lon1, lat2, lon2,
     points and 1 the end points, and a zero-length pair its start point.
     Pairs on one meridian keep its longitude, as in the scalar form.
     """
-    phi1 = np.radians(lat1)
-    lam1 = np.radians(lon1)
-    phi2 = np.radians(lat2)
-    lam2 = np.radians(lon2)
     delta = great_circle_distances(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
     with np.errstate(divide="ignore", invalid="ignore"):
-        sd = np.sin(delta)
-        fa = np.sin((1.0 - fraction) * delta) / sd
-        fb = np.sin(fraction * delta) / sd
-    cos_phi1 = np.cos(phi1)
-    cos_phi2 = np.cos(phi2)
-    x = fa * cos_phi1 * np.cos(lam1) + fb * cos_phi2 * np.cos(lam2)
-    y = fa * cos_phi1 * np.sin(lam1) + fb * cos_phi2 * np.sin(lam2)
-    z = fa * np.sin(phi1) + fb * np.sin(phi2)
-    lat = np.degrees(np.arctan2(z, np.hypot(x, y)))
-    lon = _normalize_lons(np.degrees(np.arctan2(y, x)))
-    lon = np.where(np.equal(lon1, lon2), _normalize_lons(lon1), lon)
+        lat, lon = _slerps(lat1, lon1, lat2, lon2, delta, fraction)
+    lon = np.where(np.equal(lon1, lon2), _normalize_lons(lon1),
+                   _normalize_lons(lon))
     same = delta == 0.0
     lat, lon = np.where(same, lat1, lat), np.where(same, lon1, lon)
     at_start = np.less_equal(fraction, 0.0)
@@ -208,6 +223,12 @@ def local_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
     if great_circle_distance(origin, target) > MAX_PLANAR_DISTANCE_M:
         raise DistanceOutOfRange(
             "displacement exceeds 6,000 km projection validity bound")
+    return planar_displacement(origin, target)
+
+
+def planar_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
+    """local_displacement without its bound check, for a caller that has
+    already found the distance within MAX_PLANAR_DISTANCE_M."""
     dlat = target.lat_deg - origin.lat_deg
     dlon = _normalize_lon(target.lon_deg - origin.lon_deg)
     mid_lat = math.radians(origin.lat_deg + 0.5 * dlat)
@@ -224,10 +245,7 @@ def displace(origin: GeoPoint, v: PlaneVector) -> GeoPoint:
     if v.norm() > MAX_PLANAR_DISTANCE_M:
         raise DistanceOutOfRange(
             "displacement exceeds 6,000 km projection validity bound")
-    dlat = math.degrees(v.north_m / EARTH_RADIUS_M)
-    lat = origin.lat_deg + dlat
-    mid_lat = math.radians(origin.lat_deg + 0.5 * dlat)
-    cos_mid = math.cos(mid_lat)
+    lat, cos_mid = _lat_step(origin.lat_deg, v.north_m)
     if abs(cos_mid) < 1e-9:
         raise DistanceOutOfRange("projection degenerate near the poles")
     lon = origin.lon_deg + math.degrees(v.east_m / (EARTH_RADIUS_M * cos_mid))
@@ -241,9 +259,7 @@ def displace_many(lat_deg, lon_deg, east_m, north_m) -> tuple[np.ndarray, np.nda
     If `displace` would refuse any element, raises what it raises for the
     first such element in row-major order.
     """
-    dlat = np.degrees(np.divide(north_m, EARTH_RADIUS_M))
-    lat = np.add(lat_deg, dlat)
-    cos_mid = np.cos(np.radians(lat_deg + 0.5 * dlat))
+    lat, cos_mid = _lat_steps(lat_deg, north_m)
     with np.errstate(divide="ignore", invalid="ignore"):
         lon = _normalize_lons(
             lon_deg + np.degrees(east_m / (EARTH_RADIUS_M * cos_mid)))

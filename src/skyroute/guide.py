@@ -16,7 +16,7 @@ import numpy as np
 
 from .geo import (GeoPoint, MAX_PLANAR_DISTANCE_M, PlaneVector,
                   great_circle_distance, initial_bearing, intermediate_point,
-                  local_displacement, displace, rotate, rotate_inverse,
+                  planar_displacement, displace, rotate, rotate_inverse,
                   trip_rotation)
 from .lattice import CoarseRoute
 from .weather import ISA_TEMPERATURE_K, WeatherField, sample
@@ -184,11 +184,17 @@ def load_checkpoint(path: str) -> tuple[PolicyParams, GuideConfig]:
         raise ValueError(f"unsupported checkpoint schema: "
                          f"{payload.get('schema_version')}")
     params = _checkpoint_params(payload)
+    n = payload.get("n_waypoints", 5)
+    if type(n) is not int or n < 2:
+        raise ValueError(f"n_waypoints must be an integer >= 2, got {n!r}")
     norm = _json_object(payload, "normalization")
-    cfg = GuideConfig(n=payload.get("n_waypoints", 5), guide_kind="policy",
-                      wind_scale_ms=norm["wind_scale_ms"],
-                      temp_scale_k=norm["temp_scale_k"])
-    return params, cfg
+    for key in ("wind_scale_ms", "temp_scale_k"):
+        if type(norm[key]) not in (int, float) or not 0.0 < norm[key] < math.inf:
+            raise ValueError(f"normalization.{key} must be a finite number "
+                             f"> 0, got {norm[key]!r}")
+    return params, GuideConfig(n=n, guide_kind="policy",
+                               wind_scale_ms=norm["wind_scale_ms"],
+                               temp_scale_k=norm["temp_scale_k"])
 
 
 def _json_object(payload: dict, key: str) -> dict:
@@ -233,7 +239,7 @@ def displacement_to(x: GeoPoint, target: GeoPoint) -> PlaneVector:
     far from the destination during training)."""
     d = great_circle_distance(x, target)
     if d <= MAX_PLANAR_DISTANCE_M:
-        return local_displacement(x, target)
+        return planar_displacement(x, target)
     theta = initial_bearing(x, target)
     return PlaneVector(d * math.sin(theta), d * math.cos(theta))
 

@@ -3,7 +3,7 @@
 The lattice is an (I, J, H) node matrix between origin and destination.
 Row 0 and row I-1 hold identical nodes (the endpoints); interior rows
 spread J columns laterally around the great-circle track and H altitude
-levels across the configured band. All H levels of a column share one
+levels across ALT_BAND_M. All H levels of a column share one
 lat/lon, so positions are stored once per column. Each row's track point
 and bearing are scalar; the columns of all rows come from one array pass,
 `displace_many`. A corridor restricts each row to a window of w
@@ -24,6 +24,9 @@ from .geo import (GeoPoint, displace_many, great_circle_distance,
                   great_circle_distances, initial_bearing, intermediate_point)
 
 NodeIndex = tuple[int, int, int]
+
+#: Lowest and highest of the H altitude levels (meters).
+ALT_BAND_M = (9_000.0, 11_000.0)
 
 
 @dataclass(frozen=True)
@@ -92,18 +95,13 @@ class Corridor:
 
 
 def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: int,
-                  lateral_halfwidth_m: float,
-                  alt_band: tuple[float, float] = (9_000.0, 11_000.0)) -> Lattice:
+                  lateral_halfwidth_m: float) -> Lattice:
     """Construct the lattice; see module docstring for the layout."""
     if origin.same_position(destination):
         raise DegenerateTrip("origin and destination coincide")
     if I < 2 or J < 1 or J % 2 == 0 or H < 1:
         raise ValueError("require I >= 2, odd J >= 1, H >= 1")
-    alt_lo, alt_hi = alt_band
-    if alt_hi < alt_lo:
-        raise ValueError("alt_band must be (low, high)")
-    if not (math.isfinite(alt_hi) and alt_lo >= 0.0):
-        raise ValueError(f"alt_band must be finite and >= 0: {alt_band}")
+    alt_lo, alt_hi = ALT_BAND_M
     if not (math.isfinite(lateral_halfwidth_m) and lateral_halfwidth_m >= 0.0):
         raise ValueError("lateral_halfwidth_m must be finite and >= 0: "
                          f"{lateral_halfwidth_m}")

@@ -5,13 +5,16 @@ temperature term, and additive along-track wind. Deterministic and
 monotone by construction, with closed forms that unit tests can pin
 exactly. A segment flies in `substeps` pieces, each its segment plus a
 fraction: the weather at the mid fraction, the wind along the track's
-direction at the start fraction, in closed form from the endpoints.
+direction at the start fraction, in closed form from the endpoints
+(`geo.along_track`).
 
 `fly_segment` flies one segment and is the reference. It is the only
 source of flight errors (OutOfDomain, Infeasible), re-flies the legs
 `fly_route` refuses, and is the trainer's stepper. `fly_segments` repeats
-its arithmetic over arrays, for the edge-cost tables, and marks with NaN
-each segment `fly_segment` would refuse. `fly_route` is the one loop that
+its arithmetic over arrays, for the edge-cost tables, through the array
+forms of the same `geo` formulas, so the two differ only where numpy rounds
+sin/cos/asin/atan2 differently from the C library. It marks with NaN each
+segment `fly_segment` would refuse. `fly_route` is the one loop that
 threads mass along waypoints: it takes the geometry and weather of all
 legs from the same array code in one pass, then threads mass through them
 in one plain-float loop.
@@ -20,15 +23,15 @@ in one plain-float loop.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, Infeasible
-from .geo import (EARTH_RADIUS_M, GeoPoint, great_circle_distance,
-                  great_circle_distances, initial_bearing, initial_bearings,
-                  intermediate_point, intermediate_points)
+from .geo import (EARTH_RADIUS_M, GeoPoint, along_track, along_tracks,
+                  great_circle_distance, great_circle_distances,
+                  initial_bearing, initial_bearings, intermediate_point,
+                  intermediate_points)
 from .weather import ISA_TEMPERATURE_K, WeatherField, sample, sample_many
 
 #: Ground-speed floor (m/s) preventing division blow-up under absurd headwind.
@@ -131,12 +134,7 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
         end = AircraftState(GeoPoint(to.lat_deg, to.lon_deg, to.alt_m), state.mass_kg)
         return SegmentResult(0.0, 0.0, end)
 
-    # The track's direction times cos(lat) at angle sigma along it is
-    # (east, north); east is constant on a great circle (Clairaut).
-    phi0 = math.radians(start.lat_deg)
     bearing = initial_bearing(start, to)
-    east = math.sin(bearing) * math.cos(phi0)
-    north0 = math.cos(bearing) * math.cos(phi0)
     mass = state.mass_kg
     fuel = 0.0
     time = 0.0
@@ -145,9 +143,8 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
         mid = intermediate_point(start, to, (k / substeps + (k + 1) / substeps) / 2.0)
         wx = sample(field, mid)
         sigma = k / substeps * (total / EARTH_RADIUS_M)
-        north = math.cos(sigma) * north0 - math.sin(phi0) * math.sin(sigma)
-        along = (wx.wind_east * east + wx.wind_north * north) / math.hypot(east, north)
-        gs = spec.tas_ms + along
+        gs = spec.tas_ms + along_track(start.lat_deg, bearing, sigma,
+                                       wx.wind_east, wx.wind_north)
         if gs < GROUND_SPEED_FLOOR_MS:
             gs = GROUND_SPEED_FLOOR_MS
             floor_hit = True
@@ -217,14 +214,9 @@ def _substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
         ends = [a[lo:lo + step] for a in (lat0, lon0, lat1, lon1)]
         total = great_circle_distances(*ends)
         wx = sample_many(field, *intermediate_points(*ends, mid))
-        phi0 = np.radians(ends[0])
-        bearing = initial_bearings(*ends)
-        east = np.sin(bearing) * np.cos(phi0)
-        north0 = np.cos(bearing) * np.cos(phi0)
         sigma = start * (total / EARTH_RADIUS_M)
-        north = np.cos(sigma) * north0 - np.sin(phi0) * np.sin(sigma)
-        along = (wx.wind_east * east + wx.wind_north * north) / np.hypot(east, north)
-        gs = spec.tas_ms + along
+        gs = spec.tas_ms + along_tracks(ends[0], initial_bearings(*ends), sigma,
+                                        wx.wind_east, wx.wind_north)
         dt = total / substeps / np.maximum(gs, GROUND_SPEED_FLOOR_MS)
         blocks.append((total, dt, wx.temperature, gs < GROUND_SPEED_FLOOR_MS))
     return [np.concatenate(parts, axis=-1) for parts in zip(*blocks)]

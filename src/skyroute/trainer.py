@@ -125,8 +125,12 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {unknown}")
         kwargs = dict(raw)
-        path = kwargs.pop("aircraft_path", None)
-        if path is not None:
+        if "aircraft_path" in kwargs:
+            path = kwargs.pop("aircraft_path")
+            # open() would take an integer as a file descriptor.
+            if not isinstance(path, str):
+                raise ConfigError(f"aircraft_path must be a file path, "
+                                  f"got {path!r}")
             kwargs["aircraft"] = AircraftSpec.from_json(path)
         if isinstance(kwargs.get("sample_bbox"), list):
             kwargs["sample_bbox"] = tuple(kwargs["sample_bbox"])

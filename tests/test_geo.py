@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skyroute.errors import DegenerateTrip, DistanceOutOfRange
-from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, PlaneVector, displace,
-                          displace_many, great_circle_distance, great_circle_distances,
+from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, PlaneVector, along_track,
+                          along_tracks, displace, displace_many,
+                          great_circle_distance, great_circle_distances,
                           initial_bearing, initial_bearings,
                           intermediate_point, intermediate_points,
                           local_displacement, rotate, rotate_inverse,
@@ -201,6 +202,21 @@ class TestInitialBearing:
             assert abs(math.remainder(bearing - want, 2 * math.pi)) <= 1e-9
 
 
+class TestAlongTrack:
+    def test_equator_eastbound_is_east_wind(self):
+        for sigma in (0.0, 0.3, 2.0):
+            assert along_track(0.0, math.pi / 2, sigma, 12.0, -7.0) == \
+                pytest.approx(12.0, abs=1e-12)
+
+    def test_meridian_turns_south_past_the_pole(self):
+        # Northbound from 60N: north wind is a tailwind until the pole at
+        # 30 degrees along, a headwind after it.
+        assert along_track(60.0, 0.0, math.radians(20), 3.0, 9.0) == \
+            pytest.approx(9.0)
+        assert along_track(60.0, 0.0, math.radians(40), 3.0, 9.0) == \
+            pytest.approx(-9.0)
+
+
 class TestArrayForms:
     """The array functions repeat the scalar ones element by element."""
 
@@ -255,6 +271,18 @@ class TestArrayForms:
             want_lat, want_lon = intermediate_points(*cols, fraction)
             assert lat[k].tobytes() == want_lat.tobytes()
             assert lon[k].tobytes() == want_lon.tobytes()
+
+    # sigma up to 0.15 rad keeps the track 1.4 degrees off the poles, where
+    # its direction (the denominator) would vanish.
+    @given(st.lists(st.tuples(latitudes, st.floats(-math.pi, math.pi),
+                              st.floats(0, 0.15), st.floats(-150, 150),
+                              st.floats(-150, 150)), min_size=1, max_size=6))
+    @settings(max_examples=100)
+    def test_along_tracks_match_along_track(self, pieces):
+        got = along_tracks(*(np.array(c) for c in zip(*pieces)))
+        for n, piece in enumerate(pieces):
+            assert got[n] == pytest.approx(along_track(*piece), rel=1e-12,
+                                           abs=1e-12)
 
     @given(st.lists(st.tuples(geo_points(st.floats(-90, 90)),
                               st.floats(-7e6, 7e6), st.floats(-7e6, 7e6)),

@@ -340,17 +340,24 @@ def bad_checkpoints(tmp_path) -> dict[str, str]:
     good = tmp_path / "ck-good.json"
     save_checkpoint(init_params(np.random.default_rng(0), hidden=4),
                     GuideConfig(guide_kind="policy"), str(good))
-    extra, missing, shape, text = (json.loads(good.read_text())
-                                   for _ in range(4))
+    extra, missing, shape, text, n_text, n_frac, wind_zero, wind_text = (
+        json.loads(good.read_text()) for _ in range(8))
     extra["weights"]["w3"], extra["shapes"]["w3"] = [0.0], [1]
     del missing["weights"]["b_val"], missing["shapes"]["b_val"]
     shape["shapes"]["w1"] = [5, 4]
     text["weights"]["b1"][0] = "x"
+    n_text["n_waypoints"], n_frac["n_waypoints"] = "x", 2.5
+    wind_zero["normalization"]["wind_scale_ms"] = 0
+    wind_text["normalization"]["wind_scale_ms"] = "a"
     return {"ck-list.json": json.dumps([1, 2]),
             "ck-extra.json": json.dumps(extra),
             "ck-missing.json": json.dumps(missing),
             "ck-shape.json": json.dumps(shape),
-            "ck-text.json": json.dumps(text)}
+            "ck-text.json": json.dumps(text),
+            "ck-n-text.json": json.dumps(n_text),
+            "ck-n-frac.json": json.dumps(n_frac),
+            "ck-wind-zero.json": json.dumps(wind_zero),
+            "ck-wind-text.json": json.dumps(wind_text)}
 
 
 class TestCli:
@@ -390,6 +397,11 @@ class TestCli:
             "policy", "--checkpoint", f"{{tmp}}/{name}"], name)
           for name in ("ck-list.json", "ck-extra.json", "ck-missing.json",
                        "ck-shape.json", "ck-text.json")],
+        *[(["plan", "--origin", "MUC", "--destination", "BER", "--guide",
+            "policy", "--checkpoint", f"{{tmp}}/ck-{name}.json"], field)
+          for name, field in (("n-text", "n_waypoints"), ("n-frac", "n_waypoints"),
+                              ("wind-zero", "wind_scale_ms"),
+                              ("wind-text", "wind_scale_ms"))],
         (["plan", "--origin", "MUC", "--destination", "BER",
           "--aircraft", "{tmp}/ac-missing.json"], "ac-missing.json"),
         (["plan", "--origin", "MUC", "--destination", "BER",
@@ -402,7 +414,9 @@ class TestCli:
             "route-three-codes", "checkpoint-schema", "checkpoint-key",
             "checkpoint-list", "checkpoint-extra-weight",
             "checkpoint-missing-weight", "checkpoint-shape",
-            "checkpoint-text-value", "aircraft-missing", "aircraft-value",
+            "checkpoint-text-value", "checkpoint-n-text", "checkpoint-n-frac",
+            "checkpoint-wind-zero", "checkpoint-wind-text",
+            "aircraft-missing", "aircraft-value",
             "aircraft-json", "aircraft-unknown"])
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
         bad_files = {
@@ -437,8 +451,12 @@ class TestCli:
         ({"seed": 0, "instances": 4, "sample_bbox": [1, 2]}, "sample_bbox"),
         ({"seed": 0, "instances": 4, "learning_rate": "x"}, "learning_rate"),
         ({"seed": 0, "instances": 4, "aircraft": {"tas_ms": 230}}, "aircraft"),
+        # An integer would open that file descriptor.
+        ({"seed": 0, "instances": 4, "aircraft_path": 7}, "aircraft_path"),
+        ({"seed": 0, "instances": 4, "aircraft_path": ["x"]}, "aircraft_path"),
     ], ids=["rollout-episodes", "minibatch", "substeps", "hidden", "epochs",
-            "list", "not-json", "bbox-length", "text-value", "inline-aircraft"])
+            "list", "not-json", "bbox-length", "text-value", "inline-aircraft",
+            "aircraft-path-int", "aircraft-path-list"])
     def test_train_rejected_config_exit_code(self, tmp_path, capsys, config,
                                              field):
         cfg_path = tmp_path / "cfg.json"

@@ -137,11 +137,6 @@ class TestBuildLattice:
             build_lattice(ORIGIN, DEST, 9, 4, 3, 50_000)   # even J
         with pytest.raises(DegenerateTrip):
             build_lattice(ORIGIN, ORIGIN, 9, 5, 3, 50_000)
-        with pytest.raises(ValueError):
-            build_lattice(ORIGIN, DEST, 9, 5, 3, 50_000, alt_band=(-100.0, 500.0))
-        with pytest.raises(ValueError):
-            build_lattice(ORIGIN, DEST, 9, 5, 3, 50_000,
-                          alt_band=(9_000.0, math.inf))
 
     @pytest.mark.parametrize("halfwidth", [math.nan, math.inf, -math.inf,
                                            -50_000.0, -1e-300])
