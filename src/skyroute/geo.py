@@ -240,7 +240,8 @@ def planar_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
 def displace(origin: GeoPoint, v: PlaneVector) -> GeoPoint:
     """Move origin by a planar vector; inverse of local_displacement.
 
-    The altitude stays origin.alt_m.
+    The altitude stays origin.alt_m. A step that passes a pole raises
+    DistanceOutOfRange, as one beyond the projection's bound does.
     """
     if v.norm() > MAX_PLANAR_DISTANCE_M:
         raise DistanceOutOfRange(
@@ -248,6 +249,8 @@ def displace(origin: GeoPoint, v: PlaneVector) -> GeoPoint:
     lat, cos_mid = _lat_step(origin.lat_deg, v.north_m)
     if abs(cos_mid) < 1e-9:
         raise DistanceOutOfRange("projection degenerate near the poles")
+    if not -90.0 <= lat <= 90.0:
+        raise DistanceOutOfRange(f"step passes a pole: latitude {lat}")
     lon = origin.lon_deg + math.degrees(v.east_m / (EARTH_RADIUS_M * cos_mid))
     return GeoPoint(lat, lon, origin.alt_m)
 

@@ -288,7 +288,8 @@ def step(x_k: GeoPoint, action: np.ndarray, phi: float,
     """Apply one movement: un-rotate the action, scale, cap, displace.
 
     step_scale is the trip length divided by n; movements longer than one
-    step scale are rescaled down to it. The altitude stays x_k's.
+    step scale are rescaled down to it. The altitude stays x_k's. A step
+    that would pass a pole raises DistanceOutOfRange.
     """
     mv = rotate_inverse(PlaneVector(float(action[0]) * step_scale,
                                     float(action[1]) * step_scale), phi)

@@ -2,7 +2,7 @@
 
 `plan` wires guide -> corridor -> row DP for one request and returns a
 JSON-ready summary. The row DP (`search.row_dp`) gives A*'s path, cost
-and effort counts; a NaN edge cost makes it run the reference A*.
+and effort counts over the edges the aircraft can fly.
 `make_weather` parses a `csv:` file once per content: it reads the file
 on every call and reuses the last field parsed while the bytes match.
 

@@ -14,7 +14,8 @@ source of flight errors (OutOfDomain, Infeasible), re-flies the legs
 its arithmetic over arrays, for the edge-cost tables, through the array
 forms of the same `geo` formulas, so the two differ only where numpy rounds
 sin/cos/asin/atan2 differently from the C library. It marks with NaN each
-segment `fly_segment` would refuse. `fly_route` is the one loop that
+segment `fly_segment` would refuse, which the search takes as an absent
+edge. `fly_route` is the one loop that
 threads mass along waypoints: it takes the geometry and weather of all
 legs from the same array code in one pass, then threads mass through them
 in one plain-float loop.

@@ -13,12 +13,13 @@ meter, so the search is optimal within the graph it is given.
 
 An edge (i, j, h) -> (i+1, j', h') costs the same for every h and h':
 the row's nominal mass is fixed, the weather is 2-D, distance ignores
-altitude, and all levels of a column share one lat/lon. So each search
-costs every edge it may relax in one `fly_segments` call, as an
-(I-1, J, 3) table indexed by row, column and j' - j + 1. The column
-windows that mask the table are the searches' only reachability rule.
-An edge the batch refuses holds NaN; relaxing it flies it with
-`fly_segment`, the only source of flight errors, which raises its error.
+altitude, and all levels of a column share one lat/lon. So both searches
+read one table, `_edge_table`, indexed by row, column and j' - j + 1,
+that costs every edge in one `fly_segments` call. Its +inf entries are
+the absent edges, and the searches' only reachability rule: edges outside
+the column windows, and edges the aircraft cannot fly (the batch refuses
+them: they leave the weather grid, or fall below the empty mass at the
+row's nominal mass). The plan is the optimum over the edges it can fly.
 
 `row_dp` takes one numpy min-plus step per row over that table and reads
 A*'s result from the g-table. Two rules make that result independent of
@@ -29,22 +30,21 @@ the order A* pops nodes in:
 The heuristic is strictly consistent (every edge costs more than
 `min_specific_burn` times its great-circle length), so every predecessor
 that attains a node's g has the smaller f and is expanded before it, and
-A* expands exactly the nodes with g + h < C*, plus the goal. A table with
-a NaN inside the windows is solved by `astar` instead, so flight errors
-stay lazy.
+A* expands exactly the nodes with g + h < C*, plus the goal.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
 from .errors import NoPath
-# great_circle_distance, is_reachable and route_cost are unused here; they
-# stay because perfbench/tracing.py wraps them by name.
+# great_circle_distance, is_reachable, fly_segment and route_cost are unused
+# here; they stay because perfbench/tracing.py wraps them by name.
 from .geo import GeoPoint, great_circle_distance, great_circle_distances
 from .lattice import Corridor, Lattice, NodeIndex, is_reachable, successors
 from .perfmodel import (AircraftSpec, AircraftState, SegmentResult, fly_route,
@@ -118,8 +118,8 @@ def _edge_table(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
 
     All edges are flown in one `fly_segments` call. The (I-1, J, 3) table
     is indexed by row, column and j' - j + 1; edges into the goal use slot
-    1. Edges outside the column windows hold +inf, and edges the batch
-    refuses hold NaN.
+    1. Absent edges hold +inf: those outside the column windows, and those
+    the batch refuses (NaN), which `fly_segment` would raise on.
     """
     I, J, _H = lattice.dims
     col = np.arange(J)[:, None]
@@ -135,33 +135,24 @@ def _edge_table(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
         np.asarray(masses)[rows], lattice.lat_deg[rows + 1, to_cols],
         lattice.lon_deg[rows + 1, to_cols], field, substeps)
     table = np.full(mask.shape, np.inf)
-    table[mask] = fuel
+    table[mask] = np.where(np.isnan(fuel), np.inf, fuel)
     return table
 
 
-def _edge_costs(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
-                spec: AircraftSpec, masses: list[float], field: WeatherField,
-                substeps: int):
-    """`cost(u, v)` of an edge between reachable columns, from `_edge_table`.
+def _no_path(lo: np.ndarray, hi: np.ndarray) -> NoPath:
+    """The error when no finite path reaches the goal, naming its cause.
 
-    An edge the batch marked NaN is flown again with `fly_segment` when
-    it is relaxed, which raises its OutOfDomain or Infeasible, as flying
-    the edges one by one would.
+    Moves change the column by at most 1, so the columns the windows
+    alone let a path reach form one interval per row; the corridor is to
+    blame when some row's interval is empty, and refused edges otherwise.
     """
-    costs = _edge_table(lattice, lo, hi, spec, masses, field,
-                        substeps).tolist()
-    last = lattice.dims[0] - 1
-
-    def cost(u: NodeIndex, v: NodeIndex) -> float:
-        i, j, _h = u
-        slot = 1 if v[0] == last else v[1] - j + 1
-        c = costs[i][j][slot]
-        if c != c:
-            c = fly_segment(spec, AircraftState(lattice.node(u), masses[i]),
-                            lattice.node(v), field, substeps).fuel_kg
-        return c
-
-    return cost
+    a = b = int(lo[0])
+    for row_lo, row_hi in zip(lo[1:-1].tolist(), hi[1:-1].tolist()):
+        a, b = max(a - 1, row_lo), min(b + 1, row_hi)
+        if a > b:
+            return NoPath("corridor disconnects origin from destination")
+    return NoPath("refused edges (off the weather grid, or below the empty "
+                  "mass) disconnect origin from destination")
 
 
 def _heuristics(lattice: Lattice, spec: AircraftSpec,
@@ -193,15 +184,17 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     The heap pops ties on f toward larger g, so the goal comes before any
     other node with f = C*. A node counts as generated once, when it first
     gets a finite g, and on an equal g it keeps the predecessor with the
-    smaller (j, h); neither depends on the pop order.
+    smaller (j, h); neither depends on the pop order. A successor is
+    reachable when its `_edge_table` entry is finite.
     """
     t0 = time.perf_counter()
     masses = nominal_mass_profile(lattice, spec, initial_state, field, substeps)
     start, goal = _start_and_goal(lattice, corridor)
     lo, hi = _column_windows(lattice, corridor, start)
-    cost = _edge_costs(lattice, lo, hi, spec, masses, field, substeps)
+    costs = _edge_table(lattice, lo, hi, spec, masses, field,
+                        substeps).tolist()
     h_table = _heuristics(lattice, spec, field).tolist()
-    row_lo, row_hi = lo.tolist(), hi.tolist()
+    last = lattice.dims[0] - 1
 
     def heuristic(idx: NodeIndex) -> float:
         return h_table[idx[0]][idx[1]]
@@ -218,7 +211,7 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
         f, neg_g, _j, _h, u = heapq.heappop(open_heap)
         if u in closed:
             continue
-        if -neg_g > g_score.get(u, float("inf")):
+        if -neg_g > g_score.get(u, inf):
             continue
         closed.add(u)
         expanded += 1
@@ -229,10 +222,12 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
             path.reverse()
             return _finish(lattice, spec, initial_state, field, substeps,
                            path, g_score[goal], expanded, generated, t0)
+        i, j, _h = u
         for v in successors(lattice, u):
-            if not row_lo[v[0]] <= v[1] <= row_hi[v[0]] or v in closed:
+            c = costs[i][j][1 if v[0] == last else v[1] - j + 1]
+            if c == inf or v in closed:
                 continue
-            g_new = g_score[u] + cost(u, v)
+            g_new = g_score[u] + c
             g_old = g_score.get(v)
             if g_old is None or g_new < g_old:
                 generated += g_old is None
@@ -242,7 +237,7 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
                                (g_new + heuristic(v), -g_new, v[1], v[2], v))
             elif g_new == g_old and u[1:] < parent[v][1:]:
                 parent[v] = u
-    raise NoPath("corridor disconnects origin from destination")
+    raise _no_path(lo, hi)
 
 
 def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
@@ -263,19 +258,12 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
       over its predecessors in ascending column order; the goal's is the
       first argmin into it. The smaller level wins too, so interior row i
       is reported at level max(0, H // 2 - i).
-
-    If the batch refused an edge inside the windows (a NaN entry), the
-    reference `astar` runs instead: it flies such an edge only when it
-    relaxes it, and `fly_segment` raises the edge's error.
     """
     t0 = time.perf_counter()
     masses = nominal_mass_profile(lattice, spec, initial_state, field, substeps)
     start, goal = _start_and_goal(lattice, corridor)
     lo, hi = _column_windows(lattice, corridor, start)
     table = _edge_table(lattice, lo, hi, spec, masses, field, substeps)
-    if np.isnan(table).any():
-        result = astar(lattice, corridor, spec, initial_state, field, substeps)
-        return replace(result, wall_time_s=time.perf_counter() - t0)
     I, J, H = lattice.dims
     ch = lattice.center_level
 
@@ -295,7 +283,7 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     into_goal = g[I - 2, 1:-1] + table[I - 2, :, 1]
     c_star = float(into_goal.min())
     if c_star == np.inf:
-        raise NoPath("corridor disconnects origin from destination")
+        raise _no_path(lo, hi)
 
     h = np.zeros((I - 1, J + 2))
     h[:, 1:-1] = _heuristics(lattice, spec, field)[:-1]

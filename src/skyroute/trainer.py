@@ -38,8 +38,8 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateDistance, NonFiniteGradient,
-                     SamplingExhausted)
+from .errors import (ConfigError, DegenerateDistance, DistanceOutOfRange,
+                     NonFiniteGradient, SamplingExhausted)
 from .geo import (GeoPoint, PlaneVector, great_circle_distance,
                   local_displacement, trip_rotation)
 # extract_features is not called here: perfbench's tracer wraps the name.
@@ -213,13 +213,13 @@ def _log_prob_of(params: PolicyParams, mean: np.ndarray,
 
 
 def _safe_step(x, action, phi, step_scale):
-    """Guide step with a retry that halves the action if the result would
-    leave valid latitudes (possible for extreme northward rollouts)."""
+    """Guide step with a retry that halves the action if the step would
+    pass a pole (possible for extreme northward rollouts)."""
     act = np.asarray(action, dtype=float)
     for _ in range(8):
         try:
             return step(x, act, phi, step_scale)
-        except ValueError:
+        except DistanceOutOfRange:
             act = act * 0.5
     return x
 

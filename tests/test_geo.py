@@ -104,6 +104,13 @@ class TestDisplace:
         with pytest.raises(DistanceOutOfRange):
             displace(GeoPoint(0, 0), PlaneVector(7e6, 0))
 
+    @pytest.mark.parametrize("lat", [88.0, -88.0])
+    def test_passing_a_pole_is_out_of_range(self, lat):
+        # 5 degrees poleward: the mid-latitude, 90.5, is no degenerate case.
+        north = math.copysign(EARTH_RADIUS_M * math.radians(5.0), lat)
+        with pytest.raises(DistanceOutOfRange, match="passes a pole"):
+            displace(GeoPoint(lat, 0), PlaneVector(0, north))
+
 
 class TestTripRotation:
     def test_due_north_is_zero(self):
@@ -299,7 +306,7 @@ class TestArrayForms:
         for p, e, n in moves:
             try:
                 want.append(displace(p, PlaneVector(e, n)))
-            except (DistanceOutOfRange, ValueError) as exc:
+            except DistanceOutOfRange as exc:
                 # The first refused element decides the error.
                 with pytest.raises(type(exc)) as got:
                     displace_many(lat0, lon0, east, north)

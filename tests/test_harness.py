@@ -4,11 +4,12 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skyroute import harness
 from skyroute.cli import main
 from skyroute.errors import (ConfigError, NoPath, ParseError, SchemaError,
-                             WidthOutOfRange)
+                             SkyrouteError, WidthOutOfRange)
 from skyroute.geo import GeoPoint, great_circle_distance, initial_bearing
 from skyroute.guide import GuideConfig, init_params, save_checkpoint
 from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
@@ -223,6 +224,24 @@ class TestPlan:
                                    unconstrained=unconstrained), field)
             assert doc["totals"]["fuel_kg"] == pytest.approx(5202.37, abs=0.01)
 
+    @given(st.floats(-90, 90), st.floats(-180, 180), st.floats(-90, 90),
+           st.floats(-180, 180), st.sampled_from(["uniform", "jet"]),
+           st.booleans())
+    # Lattice columns that would pass the pole.
+    @example(88.0, 0.0, 88.0, 170.0, "uniform", False)
+    @settings(max_examples=80, deadline=None)
+    def test_any_pair_plans_or_raises_a_skyroute_error(
+            self, lat0, lon0, lat1, lon1, weather, unconstrained):
+        req = small_request(origin=GeoPoint(lat0, lon0, 10_000),
+                            destination=GeoPoint(lat1, lon1, 10_000),
+                            dims=(7, 5, 1), weather=weather,
+                            unconstrained=unconstrained)
+        try:
+            doc = plan(req)
+        except SkyrouteError:
+            return
+        assert len(doc["waypoints"]) == 7
+
     def test_deterministic_json(self):
         d1 = route_json_without_timings(plan(small_request(weather="jet")))
         d2 = route_json_without_timings(plan(small_request(weather="jet")))
@@ -410,6 +429,9 @@ class TestCli:
           "--aircraft", "{tmp}/ac-json.json"], "ac-json.json"),
         (["plan", "--origin", "MUC", "--destination", "BER",
           "--aircraft", "{tmp}/ac-unknown.json"], "mass_exponent"),
+        # Valid points whose lattice columns would pass the pole.
+        (["plan", "--origin", "88,0", "--destination", "88,170"],
+         "passes a pole"),
     ], ids=["lat", "alt", "fwd", "cols", "substeps", "levels", "route-dash",
             "route-three-codes", "checkpoint-schema", "checkpoint-key",
             "checkpoint-list", "checkpoint-extra-weight",
@@ -417,7 +439,7 @@ class TestCli:
             "checkpoint-text-value", "checkpoint-n-text", "checkpoint-n-frac",
             "checkpoint-wind-zero", "checkpoint-wind-text",
             "aircraft-missing", "aircraft-value",
-            "aircraft-json", "aircraft-unknown"])
+            "aircraft-json", "aircraft-unknown", "pole"])
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
         bad_files = {
             "ck-schema.json": json.dumps({"schema_version": 99}),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skyroute.errors import NoPath, OutOfDomain, SkyrouteError
+from skyroute.errors import Infeasible, NoPath, OutOfDomain, SkyrouteError
 from skyroute.geo import (GeoPoint, great_circle_distance,
                           great_circle_distances, initial_bearing,
                           intermediate_point)
@@ -12,15 +12,17 @@ from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
                               build_lattice, is_reachable, successors)
 from skyroute.perfmodel import (AircraftState, default_spec, fly_route,
                                 fly_segment, fly_segments, route_cost)
-from skyroute.search import (_column_windows, _edge_costs, _edge_table,
-                             _start_and_goal, astar, min_specific_burn,
-                             nominal_mass_profile, row_dp)
+from skyroute.search import (_column_windows, _edge_table, _start_and_goal,
+                             astar, min_specific_burn, nominal_mass_profile,
+                             row_dp)
 from skyroute.weather import make_jet_stream, make_uniform
 
 SPEC = default_spec()
 ORIGIN = GeoPoint(48.35, 11.79, 10_000)
 DEST = GeoPoint(52.37, 13.52, 10_000)
 BBOX = (30.0, 70.0, -20.0, 40.0)
+#: A grid that Munich -> Berlin lattices cross on both sides.
+NARROW_BBOX = (47, 54, 11.5, 13.8)
 
 
 def still_air():
@@ -127,20 +129,38 @@ class TestEdgeCostTable:
     @pytest.mark.parametrize("width", [None, 1, 3])
     @pytest.mark.parametrize("substeps", [1, 3])
     def test_every_entry_is_the_scalar_cost(self, width, substeps):
+        # On every edge the search may relax, +inf exactly where fly_segment
+        # raises: in the jet, on a grid the outer columns leave, and with
+        # row 4's nominal mass 1 kg above empty.
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         cor = None if width is None else build_corridor(
             lat, gc_route(ORIGIN, DEST), width)
-        fld = jet()
-        masses = nominal_mass_profile(lat, SPEC, start_state(), fld, substeps)
         start, _goal = _start_and_goal(lat, cor)
         lo, hi = _column_windows(lat, cor, start)
-        cost = _edge_costs(lat, lo, hi, SPEC, masses, fld, substeps)
         edges = list(reachable_edges(lat, cor))
         assert edges
-        for u, v in edges:
-            want = fly_segment(SPEC, AircraftState(lat.node(u), masses[u[0]]),
-                               lat.node(v), fld, substeps).fuel_kg
-            assert cost(u, v) == pytest.approx(want, rel=1e-12)
+        last = lat.dims[0] - 1
+        narrow = make_uniform(5.0, 0.0, 288.15, NARROW_BBOX)
+        for fld, light_row in ((jet(), None), (narrow, None), (jet(), 4)):
+            masses = nominal_mass_profile(lat, SPEC, start_state(), fld,
+                                          substeps)
+            if light_row is not None:
+                masses[light_row] = SPEC.empty_mass_kg + 1.0
+            table = _edge_table(lat, lo, hi, SPEC, masses, fld, substeps)
+            refused = 0
+            for u, v in edges:
+                got = table[u[0], u[1], 1 if v[0] == last else v[1] - u[1] + 1]
+                try:
+                    want = fly_segment(SPEC, AircraftState(lat.node(u),
+                                                           masses[u[0]]),
+                                       lat.node(v), fld, substeps).fuel_kg
+                except (OutOfDomain, Infeasible):
+                    refused += 1
+                    assert got == np.inf
+                else:
+                    assert got == pytest.approx(want, rel=1e-12)
+            if light_row is not None or (fld is narrow and width is None):
+                assert refused > 0
 
     def test_cost_ignores_altitude(self):
         # The invariance behind one table entry per column pair: the
@@ -159,7 +179,7 @@ class TestEdgeCostTable:
 
 
 class TestLazyEdgeFailures:
-    """An edge whose midpoint leaves the weather grid fails only when relaxed.
+    """An edge whose midpoint leaves the weather grid is absent, not fatal.
 
     Munich -> Berlin on a 41x11x3 lattice whose outer columns cross the
     grid's east edge (lon 14.2) or, on the narrower grid, both edges.
@@ -177,33 +197,32 @@ class TestLazyEdgeFailures:
         return search(self.lat, cor, SPEC, self.state, fld, 4)
 
     def test_astar_plans_past_off_grid_edges(self):
-        # row_dp gets there through the reference astar.
         for search in (astar, row_dp):
             res = self.run(search, (47, 54, 11.0, 14.2), None)
             assert res.expanded_nodes == 1037
 
     def test_corridor_keeps_search_on_grid(self):
         for search in (astar, row_dp):
-            assert self.run(search, (47, 54, 11.5, 13.8), 5).expanded_nodes == 545
-            with pytest.raises(OutOfDomain):
-                self.run(search, (47, 54, 11.5, 13.8), 11)
+            assert self.run(search, NARROW_BBOX, 5).expanded_nodes == 545
+        # At full width the outer columns leave the grid on both sides; the
+        # plan is the optimum over the edges left.
+        want = self.run(astar, NARROW_BBOX, 11)
+        assert_same_result(self.run(row_dp, NARROW_BBOX, 11), want)
+        assert want.expanded_nodes > 545
 
 
 @pytest.mark.parametrize("search", [astar, row_dp])
 @pytest.mark.parametrize("width", [None, 3])
 def test_nan_entries_fly_through_the_reference(monkeypatch, search, width):
-    # A table of NaN makes every relaxed edge fly with fly_segment.
+    # The batch refuses every edge, so no edge is left, and the error names
+    # the refused edges, not the corridor (which is connected).
     lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
     cor = None if width is None else build_corridor(
         lat, gc_route(ORIGIN, DEST), width)
-    want = search(lat, cor, SPEC, start_state(), jet(), substeps=2)
     monkeypatch.setattr("skyroute.search.fly_segments",
                         lambda spec, lat0, *args: np.full(np.shape(lat0), np.nan))
-    got = search(lat, cor, SPEC, start_state(), jet(), substeps=2)
-    assert got.node_path == want.node_path
-    assert got.total_fuel_kg == want.total_fuel_kg
-    assert got.expanded_nodes == want.expanded_nodes
-    assert got.search_cost_kg == pytest.approx(want.search_cost_kg, rel=1e-12)
+    with pytest.raises(NoPath, match="^refused edges "):
+        search(lat, cor, SPEC, start_state(), jet(), substeps=2)
 
 
 class TestAstarAgainstOracle:
@@ -256,7 +275,13 @@ def solve(search, *args):
 
 
 def draw_search_args(data, min_rows):
-    """A random trip, lattice, field and corridor, disconnected ones included."""
+    """A random trip, lattice, field and corridor, disconnected ones included,
+    and a seeded random share of refused edges.
+
+    Returns the search arguments and `refusing(fly)`: `fly`, a stand-in for
+    `fly_segments`, with that share of its segments refused (NaN). Both
+    searches call it once, on the same segments, so they see one mask.
+    """
     lat0 = st.floats(42.0, 56.0)
     lon0 = st.floats(-5.0, 20.0)
     o = GeoPoint(data.draw(lat0), data.draw(lon0), 10_000)
@@ -282,8 +307,18 @@ def draw_search_args(data, min_rows):
                                    max_size=I))
         start = (0, data.draw(st.integers(0, J - 1)), lat.center_level)
         cor = Corridor(tuple(j_min), w, start)
+    share = data.draw(st.sampled_from([0.0, 0.05, 0.15, 1.0]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    def refusing(fly):
+        def fly_refused(*args):
+            fuel = fly(*args)
+            refused = np.random.default_rng(seed).random(fuel.shape) < share
+            return np.where(refused, np.nan, fuel)
+        return fly_refused
+
     return (lat, cor, SPEC, AircraftState(o, 62_000.0), fld,
-            data.draw(st.integers(1, 3)))
+            data.draw(st.integers(1, 3))), refusing
 
 
 class TestRowDp:
@@ -292,9 +327,11 @@ class TestRowDp:
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_equals_astar(self, data):
-        args = draw_search_args(data, min_rows=2)
-        want = solve(astar, *args)
-        got = solve(row_dp, *args)
+        args, refusing = draw_search_args(data, min_rows=2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("skyroute.search.fly_segments", refusing(fly_segments))
+            want = solve(astar, *args)
+            got = solve(row_dp, *args)
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -309,9 +346,9 @@ class TestRowDp:
         def whole_kg(*args):
             return np.ceil(fly_segments(*args))
 
-        args = draw_search_args(data, min_rows=3)
+        args, refusing = draw_search_args(data, min_rows=3)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("skyroute.search.fly_segments", whole_kg)
+            mp.setattr("skyroute.search.fly_segments", refusing(whole_kg))
             want = solve(astar, *args)
             got = solve(row_dp, *args)
         if isinstance(want, tuple):

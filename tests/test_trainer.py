@@ -5,9 +5,9 @@ import pytest
 
 from skyroute import trainer
 from skyroute.errors import (ConfigError, DegenerateDistance,
-                             NonFiniteGradient)
+                             DistanceOutOfRange, NonFiniteGradient)
 from skyroute.geo import GeoPoint, PlaneVector, great_circle_distance
-from skyroute.guide import PolicyParams, init_params
+from skyroute.guide import PolicyParams, init_params, step
 from skyroute.trainer import (LOG_COLUMNS, AdamOptimizer, TrainConfig,
                               compute_gae, end_reward, ppo_update,
                               policy_value_losses, progress_value, run_episode,
@@ -199,6 +199,17 @@ class TestRunEpisode:
             outs.append(run_episode(params, cfg, inst, field, rng))
         assert np.array_equal(outs[0].rewards, outs[1].rewards)
         assert outs[0].final_dist_m == outs[1].final_dist_m
+
+    def test_safe_step_halves_a_step_past_a_pole(self):
+        # 500 km north of 88 N reaches 92.5, and 250 km 90.25: both pass the
+        # pole, so the retry halves twice and flies a quarter of the action.
+        x = GeoPoint(88.0, 0.0, 10_000)
+        action = np.array([0.0, 1.0])
+        for a in (action, action / 2):
+            with pytest.raises(DistanceOutOfRange, match="passes a pole"):
+                step(x, a, 0.0, 500_000.0)
+        assert trainer._safe_step(x, action, 0.0, 500_000.0) == \
+            step(x, action / 4, 0.0, 500_000.0)
 
     def test_lockstep_matches_one_episode_rollouts(self):
         # Episode b of a lockstep batch, given its noise, is the episode
