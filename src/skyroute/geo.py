@@ -12,8 +12,9 @@ forms share one body per formula (`_formulas`, built over `math` and over
 numpy), so they differ only where numpy's sin/cos/asin/atan2 round
 differently from the C library's (a few ulp), and in their guards: the
 scalar forms return early or raise where the array forms mask.
-`intermediate_points` also takes an array of fractions, and
-`displace_many` refuses what `displace` refuses, with the same error.
+`intermediate_points` also takes an array of fractions and, from a caller
+that has them, the pairs' angular distances; `displace_many` refuses what
+`displace` refuses, with the same error.
 """
 
 from __future__ import annotations
@@ -192,16 +193,19 @@ def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
     return GeoPoint(lat, lon, alt)
 
 
-def intermediate_points(lat1, lon1, lat2, lon2,
-                        fraction) -> tuple[np.ndarray, np.ndarray]:
+def intermediate_points(lat1, lon1, lat2, lon2, fraction,
+                        delta=None) -> tuple[np.ndarray, np.ndarray]:
     """Array form of intermediate_point.
 
     `fraction` is a scalar or an array that broadcasts against the pairs.
     Returns (lat, lon) arrays in degrees; fraction 0 returns the start
     points and 1 the end points, and a zero-length pair its start point.
     Pairs on one meridian keep its longitude, as in the scalar form.
+    `delta`, the pairs' great-circle distances over EARTH_RADIUS_M, is
+    computed here unless the caller already has it.
     """
-    delta = great_circle_distances(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
+    if delta is None:
+        delta = great_circle_distances(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
     with np.errstate(divide="ignore", invalid="ignore"):
         lat, lon = _slerps(lat1, lon1, lat2, lon2, delta, fraction)
     lon = np.where(np.equal(lon1, lon2), _normalize_lons(lon1),

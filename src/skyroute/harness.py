@@ -192,6 +192,8 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
     """Run the full pipeline for one request and return the route summary.
 
     `timings` holds the wall time of each stage; `total_s` is their sum.
+    `timings["search"]` splits `search_s` into the search's own stages,
+    which sum to it.
     """
     t0 = time.perf_counter()
     field = field or make_weather(req.weather, req.origin, req.destination,
@@ -245,7 +247,8 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
                    "search_cost_kg": result.search_cost_kg},
         "search": {"expanded_nodes": result.expanded_nodes,
                    "generated_nodes": result.generated_nodes},
-        "timings": {**stages, "total_s": sum(stages.values())},
+        "timings": {**stages, "total_s": sum(stages.values()),
+                    "search": result.stages},
     }
 
 

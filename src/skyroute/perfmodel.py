@@ -10,21 +10,26 @@ direction at the start fraction, in closed form from the endpoints
 
 `fly_segment` flies one segment and is the reference. It is the only
 source of flight errors (OutOfDomain, Infeasible), re-flies the legs
-`fly_route` refuses, and is the trainer's stepper. `fly_segments` repeats
-its arithmetic over arrays, for the edge-cost tables, through the array
-forms of the same `geo` formulas, so the two differ only where numpy rounds
-sin/cos/asin/atan2 differently from the C library. It marks with NaN each
-segment `fly_segment` would refuse, which the search takes as an absent
-edge. `fly_route` is the one loop that
-threads mass along waypoints: it takes the geometry and weather of all
-legs from the same array code in one pass, then threads mass through them
-in one plain-float loop.
+`thread_legs` refuses, and is the trainer's stepper. The array forms split
+a flight into its mass-free part and a mass loop, so that one geometry
+pass can serve several mass loops (the search flies its lattice once):
+- `substep_geometry` repeats `fly_segment`'s geometry and weather lookups
+  over arrays of segments, through the array forms of the same `geo`
+  formulas, so the two differ only where numpy rounds sin/cos/asin/atan2
+  differently from the C library. It returns a `Geometry`.
+- `segments_fuel` threads each segment's own start mass through its
+  substeps at once, and marks with NaN each segment `fly_segment` would
+  refuse, which the search takes as an absent edge. `fly_segments` is
+  the two in one call.
+- `thread_legs` threads mass along consecutive legs in one plain-float
+  loop; `fly_route` is `substep_geometry` and `thread_legs` in one call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,11 +167,28 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
     return SegmentResult(fuel, time, end, floor_hit)
 
 
-#: Most pieces `_substep_geometry` works on at once: it cuts longer batches
-#: into blocks of segments, so its few dozen temporary arrays stay small
-#: (all 4 substeps of a 41x11x3 lattice's 1,320 segments at once raised a
-#: plan's peak RSS by about 0.5 MB).
-BLOCK_POINTS = 2048
+#: Most pieces `substep_geometry` works on at once: it cuts longer batches
+#: into blocks of segments, so its few dozen temporary arrays stay small.
+#: A block costs about 0.1 ms of fixed numpy calls. Against 2048, 8192 made
+#: MUC-BER plans 5-21% faster (41x11x3 fits one block, 161x41x1 takes 9)
+#: and raised their peak RSS by 0.1-0.8 MB.
+BLOCK_POINTS = 8192
+
+
+class Geometry(NamedTuple):
+    """The mass-free part of flying n segments, as `fly_segment` computes it.
+
+    Off the grid the duration and temperature are NaN.
+    """
+
+    length: np.ndarray          # (n,) meters
+    dt: np.ndarray              # (substeps, n) seconds per substep
+    temperature: np.ndarray     # (substeps, n) K at each substep's midpoint
+    floor: np.ndarray           # (substeps, n) ground speed floored
+
+    def take(self, index) -> "Geometry":
+        """The geometry of segments `index`, in that order."""
+        return Geometry(*(a[..., index] for a in self))
 
 
 def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
@@ -182,28 +204,30 @@ def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
     args = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (lat0, lon0, mass0, lat1, lon1)))
     lat0, lon0, mass, lat1, lon1 = (a.ravel() for a in args)
-    total, dt, temperature, _floor = _substep_geometry(
-        spec, lat0, lon0, lat1, lon1, field, substeps)
-    fuel = np.zeros_like(total)
-    too_light = np.zeros(total.shape, dtype=bool)
-    for k in range(substeps):
-        df = fuel_flow_kgps(spec, mass, temperature[k]) * dt[k]
+    geometry = substep_geometry(spec, lat0, lon0, lat1, lon1, field, substeps)
+    return segments_fuel(spec, mass, geometry).reshape(args[0].shape)
+
+
+def segments_fuel(spec: AircraftSpec, mass, geometry: Geometry) -> np.ndarray:
+    """Fuel of each segment of `geometry` flown from mass[n]; NaN where
+    `fly_segment` would refuse it (see `fly_segments`)."""
+    fuel = np.zeros_like(geometry.length)
+    too_light = np.zeros(fuel.shape, dtype=bool)
+    for dt, temperature in zip(geometry.dt, geometry.temperature):
+        df = fuel_flow_kgps(spec, mass, temperature) * dt
         mass = mass - df
         too_light |= mass < spec.empty_mass_kg
         fuel = fuel + df
     # A zero-length segment costs nothing and samples nowhere.
-    fuel = np.where(total > 0.0, np.where(too_light, np.nan, fuel), 0.0)
-    return fuel.reshape(args[0].shape)
+    return np.where(geometry.length > 0.0,
+                    np.where(too_light, np.nan, fuel), 0.0)
 
 
-def _substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
-                      field: WeatherField, substeps: int):
-    """The mass-free part of flying 1-D arrays of segments, at once.
-
-    Returns each segment's length and, as (substeps, segments) arrays,
-    each substep's duration, temperature and whether its ground speed was
-    floored, all as `fly_segment` computes them, block by block of at most
-    BLOCK_POINTS pieces. Off the grid the duration and temperature are NaN.
+def substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
+                     field: WeatherField, substeps: int) -> Geometry:
+    """The `Geometry` of the 1-D arrays of segments (lat0, lon0) -> (lat1,
+    lon1), block by block of at most BLOCK_POINTS pieces. A segment's
+    geometry does not depend on the other segments of its batch.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -214,13 +238,14 @@ def _substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
     for lo in range(0, max(lat0.size, 1), step):
         ends = [a[lo:lo + step] for a in (lat0, lon0, lat1, lon1)]
         total = great_circle_distances(*ends)
-        wx = sample_many(field, *intermediate_points(*ends, mid))
-        sigma = start * (total / EARTH_RADIUS_M)
-        gs = spec.tas_ms + along_tracks(ends[0], initial_bearings(*ends), sigma,
-                                        wx.wind_east, wx.wind_north)
+        delta = total / EARTH_RADIUS_M
+        wx = sample_many(field, *intermediate_points(*ends, mid, delta))
+        gs = spec.tas_ms + along_tracks(ends[0], initial_bearings(*ends),
+                                        start * delta, wx.wind_east,
+                                        wx.wind_north)
         dt = total / substeps / np.maximum(gs, GROUND_SPEED_FLOOR_MS)
         blocks.append((total, dt, wx.temperature, gs < GROUND_SPEED_FLOOR_MS))
-    return [np.concatenate(parts, axis=-1) for parts in zip(*blocks)]
+    return Geometry(*(np.concatenate(parts, axis=-1) for parts in zip(*blocks)))
 
 
 def fly_route(spec: AircraftSpec, initial_state: AircraftState,
@@ -229,23 +254,35 @@ def fly_route(spec: AircraftSpec, initial_state: AircraftState,
     """Fly route[0] -> route[1] -> ... leg by leg from initial_state's mass.
 
     Each leg is flown as `fly_segment` flies it from the previous leg's end
-    state. The geometry and weather of all legs come from
-    `_substep_geometry`, and one loop threads mass through them in
-    `fly_segment`'s order of operations. A leg that loop refuses (off the
-    grid, or below the empty mass) is flown again with `fly_segment`: that
-    raises the leg's error or, if it can fly the leg, gives its result.
+    state: `substep_geometry` gives all legs' geometry in one pass, and
+    `thread_legs` threads mass through it.
     """
     if len(route) < 2:
         raise ValueError("route must contain at least 2 waypoints")
     lat = np.array([p.lat_deg for p in route])
     lon = np.array([p.lon_deg for p in route])
-    total, dt, temperature, floor = _substep_geometry(
-        spec, lat[:-1], lon[:-1], lat[1:], lon[1:], field, substeps)
+    geometry = substep_geometry(spec, lat[:-1], lon[:-1], lat[1:], lon[1:],
+                                field, substeps)
+    return thread_legs(spec, initial_state, route, geometry, field, substeps)
+
+
+def thread_legs(spec: AircraftSpec, initial_state: AircraftState,
+                route: list[GeoPoint], geometry: Geometry,
+                field: WeatherField, substeps: int) -> list[SegmentResult]:
+    """`fly_route` over precomputed geometry: leg n of `geometry` is route[n]
+    -> route[n + 1], at `substeps` substeps.
+
+    One plain-float loop threads mass in `fly_segment`'s order of
+    operations. A leg that loop refuses (off the grid, or below the empty
+    mass) is flown again with `fly_segment`: that raises the leg's error
+    or, if it can fly the leg, gives its result.
+    """
     state = AircraftState(route[0], initial_state.mass_kg)
     legs = []
     for wp, length, dts, temps, hit in zip(
-            route[1:], total.tolist(), dt.T.tolist(), temperature.T.tolist(),
-            floor.any(axis=0).tolist()):
+            route[1:], geometry.length.tolist(), geometry.dt.T.tolist(),
+            geometry.temperature.T.tolist(),
+            geometry.floor.any(axis=0).tolist()):
         if length == 0.0:           # costs nothing and samples nowhere
             dts, hit = [], False
         mass = state.mass_kg

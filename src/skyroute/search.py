@@ -6,20 +6,28 @@ reference it is tested against.
 Edge costs come from the performance model evaluated at a precomputed
 per-row nominal mass (the searches need state-independent edge costs);
 the winning path is then flown once with threaded mass for the reported
-fuel. Both the nominal masses (from the centerline) and that flight come
-from `fly_route`, which flies all legs' geometry in one array pass and
-threads mass in one loop. The heuristic is a provable lower bound on remaining fuel per
+fuel. The heuristic is a provable lower bound on remaining fuel per
 meter, so the search is optimal within the graph it is given.
+
+Each search flies its lattice's mass-free geometry once (`_fly_lattice`):
+one `substep_geometry` pass over the window edges and the centerline
+legs. Three stages read it. The nominal masses thread mass along the
+centerline legs, as `nominal_mass_profile` does; the edge table costs
+the window edges at their rows' masses; and the winning path is flown by
+threading mass along its legs, as `fly_route` flies it. A leg's geometry
+does not depend on its batch, so all three equal what their own flights
+would give. `SearchResult.stages` times each stage.
 
 An edge (i, j, h) -> (i+1, j', h') costs the same for every h and h':
 the row's nominal mass is fixed, the weather is 2-D, distance ignores
 altitude, and all levels of a column share one lat/lon. So both searches
-read one table, `_edge_table`, indexed by row, column and j' - j + 1,
-that costs every edge in one `fly_segments` call. Its +inf entries are
-the absent edges, and the searches' only reachability rule: edges outside
-the column windows, and edges the aircraft cannot fly (the batch refuses
-them: they leave the weather grid, or fall below the empty mass at the
-row's nominal mass). The plan is the optimum over the edges it can fly.
+read one table, `_edge_table`, indexed by row, column and j' - j + 1.
+Its +inf entries are the absent edges, and the searches' only
+reachability rule: edges outside the column windows (a row's corridor
+window within the start's cone, start ± i columns in row i), and edges
+the aircraft cannot fly (the batch refuses them: they leave the weather
+grid, or fall below the empty mass at the row's nominal mass). The plan
+is the optimum over the edges it can fly.
 
 `row_dp` takes one numpy min-plus step per row over that table and reads
 A*'s result from the g-table. Two rules make that result independent of
@@ -39,6 +47,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from math import inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +56,9 @@ from .errors import NoPath
 # here; they stay because perfbench/tracing.py wraps them by name.
 from .geo import GeoPoint, great_circle_distance, great_circle_distances
 from .lattice import Corridor, Lattice, NodeIndex, is_reachable, successors
-from .perfmodel import (AircraftSpec, AircraftState, SegmentResult, fly_route,
-                        fly_segment, fly_segments, route_cost,
-                        DEFAULT_SUBSTEPS)
+from .perfmodel import (AircraftSpec, AircraftState, Geometry, SegmentResult,
+                        fly_route, fly_segment, route_cost, segments_fuel,
+                        substep_geometry, thread_legs, DEFAULT_SUBSTEPS)
 from .weather import WeatherField
 
 
@@ -64,18 +73,42 @@ class SearchResult:
     search_cost_kg: float      # objective value under nominal-mass edge costs
     expanded_nodes: int
     generated_nodes: int
-    wall_time_s: float
     final_state: AircraftState
+    stages: dict[str, float]   # wall seconds of each stage, in order
+
+    @property
+    def wall_time_s(self) -> float:
+        return sum(self.stages.values())
+
+
+class _Stages:
+    """Wall time of consecutive stages; `lap(name)` ends the stage `name`."""
+
+    def __init__(self):
+        self.times: dict[str, float] = {}
+        self._t = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.times[name] = now - self._t
+        self._t = now
 
 
 def nominal_mass_profile(lattice: Lattice, spec: AircraftSpec,
                          initial_state: AircraftState, field: WeatherField,
                          substeps: int) -> list[float]:
-    """Mass at the start of each row, estimated by flying the centerline."""
-    cj, ch = lattice.center_column, lattice.center_level
-    centerline = [lattice.node((i, cj, ch)) for i in range(lattice.dims[0])]
-    legs = fly_route(spec, initial_state, centerline, field, substeps)
+    """Mass at the start of each row, estimated by flying the centerline.
+
+    The searches read the same masses off their `_LatticeFlight`.
+    """
+    route = [lattice.node(idx) for idx in _centerline(lattice)]
+    legs = fly_route(spec, initial_state, route, field, substeps)
     return [initial_state.mass_kg] + [leg.end_state.mass_kg for leg in legs]
+
+
+def _centerline(lattice: Lattice) -> list[NodeIndex]:
+    cj, ch = lattice.center_column, lattice.center_level
+    return [(i, cj, ch) for i in range(lattice.dims[0])]
 
 
 def min_specific_burn(spec: AircraftSpec, field: WeatherField) -> float:
@@ -99,43 +132,103 @@ def _start_and_goal(lattice: Lattice, corridor: Corridor | None):
 
 def _column_windows(lattice: Lattice, corridor: Corridor | None,
                     start: NodeIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the first and last column the search can reach."""
+    """Per row, the first and last column the search can reach: the
+    corridor's window, within the start's cone of start ± i in row i."""
     I, J, _H = lattice.dims
     lo = np.zeros(I, dtype=int)
     hi = np.full(I, J - 1)
     if corridor is not None:
         lo[:] = corridor.j_min
         hi[:] = lo + corridor.width - 1
-    lo[0] = hi[0] = start[1]
+    rows = np.arange(I)
+    lo = np.maximum(lo, start[1] - rows)
+    hi = np.minimum(hi, start[1] + rows)
     lo[I - 1] = hi[I - 1] = lattice.center_column
     return lo, hi
 
 
-def _edge_table(lattice: Lattice, lo: np.ndarray, hi: np.ndarray,
-                spec: AircraftSpec, masses: list[float], field: WeatherField,
-                substeps: int) -> np.ndarray:
-    """Nominal-mass cost of every edge between reachable columns.
+class _LatticeFlight(NamedTuple):
+    """The mass-free flight of a plan's lattice, computed once per plan.
 
-    All edges are flown in one `fly_segments` call. The (I-1, J, 3) table
-    is indexed by row, column and j' - j + 1; edges into the goal use slot
-    1. Absent edges hold +inf: those outside the column windows, and those
-    the batch refuses (NaN), which `fly_segment` would raise on.
+    `geometry` holds every window edge and every centerline leg, flown in
+    one `substep_geometry` pass. `index` gives each such edge's position in
+    it by row, column and slot j' - j + 1 (edges into the goal use slot 1),
+    and -1 elsewhere; `window` marks the window edges.
     """
+
+    lattice: Lattice
+    spec: AircraftSpec
+    field: WeatherField
+    substeps: int
+    start: NodeIndex
+    goal: NodeIndex
+    lo: np.ndarray
+    hi: np.ndarray
+    window: np.ndarray
+    index: np.ndarray
+    geometry: Geometry
+
+    def fly(self, initial_state: AircraftState, node_path: list[NodeIndex]
+            ) -> tuple[list[GeoPoint], list[SegmentResult]]:
+        """A path through every row, flown from initial_state's mass as
+        `fly_route` flies it, and its waypoints."""
+        route = [self.lattice.node(idx) for idx in node_path]
+        rows = np.arange(len(node_path) - 1)
+        cols = np.array([j for _i, j, _h in node_path])
+        slots = np.where(rows == rows[-1], 1, np.diff(cols) + 1)
+        geometry = self.geometry.take(self.index[rows, cols[:-1], slots])
+        return route, thread_legs(self.spec, initial_state, route, geometry,
+                                  self.field, self.substeps)
+
+
+def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
+                 spec: AircraftSpec, field: WeatherField,
+                 substeps: int) -> _LatticeFlight:
+    """Fly the geometry of the window edges and the centerline legs."""
+    start, goal = _start_and_goal(lattice, corridor)
+    lo, hi = _column_windows(lattice, corridor, start)
     I, J, _H = lattice.dims
     col = np.arange(J)[:, None]
     target = np.broadcast_to(col + np.arange(-1, 2), (I - 1, J, 3)).copy()
     target[I - 2] = lattice.center_column      # every column enters the goal
-    mask = ((lo[:-1, None, None] <= col) & (col <= hi[:-1, None, None])
-            & (lo[1:, None, None] <= target) & (target <= hi[1:, None, None]))
-    mask[I - 2, :, 0::2] = False
-    rows, cols, slots = np.nonzero(mask)
+    window = ((lo[:-1, None, None] <= col) & (col <= hi[:-1, None, None])
+              & (lo[1:, None, None] <= target)
+              & (target <= hi[1:, None, None]))
+    window[I - 2, :, 0::2] = False
+    flown = window.copy()
+    flown[:, lattice.center_column, 1] = True  # a corridor may leave these out
+    rows, cols, slots = np.nonzero(flown)
     to_cols = target[rows, cols, slots]
-    fuel = fly_segments(
+    index = np.full(flown.shape, -1)
+    index[flown] = np.arange(rows.size)
+    geometry = substep_geometry(
         spec, lattice.lat_deg[rows, cols], lattice.lon_deg[rows, cols],
-        np.asarray(masses)[rows], lattice.lat_deg[rows + 1, to_cols],
-        lattice.lon_deg[rows + 1, to_cols], field, substeps)
-    table = np.full(mask.shape, np.inf)
-    table[mask] = np.where(np.isnan(fuel), np.inf, fuel)
+        lattice.lat_deg[rows + 1, to_cols], lattice.lon_deg[rows + 1, to_cols],
+        field, substeps)
+    return _LatticeFlight(lattice, spec, field, substeps, start, goal, lo, hi,
+                          window, index, geometry)
+
+
+def _nominal_masses(flight: _LatticeFlight,
+                    initial_state: AircraftState) -> list[float]:
+    """`nominal_mass_profile`, threaded along the flown centerline legs."""
+    _route, legs = flight.fly(initial_state, _centerline(flight.lattice))
+    return [initial_state.mass_kg] + [leg.end_state.mass_kg for leg in legs]
+
+
+def _edge_table(flight: _LatticeFlight, masses: list[float]) -> np.ndarray:
+    """Nominal-mass cost of every window edge.
+
+    The (I-1, J, 3) table is indexed as `flight.index`. All window edges
+    are costed in one `segments_fuel` call, at their row's mass. Absent
+    edges hold +inf: those outside the column windows, and those the
+    batch refuses (NaN), which `fly_segment` would raise on.
+    """
+    rows = np.nonzero(flight.window)[0]
+    fuel = segments_fuel(flight.spec, np.asarray(masses)[rows],
+                         flight.geometry.take(flight.index[flight.window]))
+    table = np.full(flight.window.shape, np.inf)
+    table[flight.window] = np.where(np.isnan(fuel), np.inf, fuel)
     return table
 
 
@@ -165,15 +258,31 @@ def _heuristics(lattice: Lattice, spec: AircraftSpec,
     return h
 
 
-def _finish(lattice: Lattice, spec: AircraftSpec, initial_state: AircraftState,
-            field: WeatherField, substeps: int, node_path: list[NodeIndex],
-            search_cost: float, expanded: int, generated: int,
-            t0: float) -> SearchResult:
-    geo_path = [lattice.node(idx) for idx in node_path]
-    legs = fly_route(spec, initial_state, geo_path, field, substeps)
+def _finish(flight: _LatticeFlight, initial_state: AircraftState,
+            node_path: list[NodeIndex], search_cost: float, expanded: int,
+            generated: int, stages: _Stages) -> SearchResult:
+    """Fly the winning path along its legs' flown geometry."""
+    stages.lap("solve_s")
+    geo_path, legs = flight.fly(initial_state, node_path)
+    stages.lap("path_s")
     return SearchResult(node_path, geo_path, legs,
                         sum(leg.fuel_kg for leg in legs), search_cost, expanded,
-                        generated, time.perf_counter() - t0, legs[-1].end_state)
+                        generated, legs[-1].end_state, stages.times)
+
+
+def _prepare(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
+             initial_state: AircraftState, field: WeatherField,
+             substeps: int) -> tuple[_Stages, _LatticeFlight, np.ndarray]:
+    """The stages both searches share: the lattice's flight, the nominal
+    masses and the edge table."""
+    stages = _Stages()
+    flight = _fly_lattice(lattice, corridor, spec, field, substeps)
+    stages.lap("geometry_s")
+    masses = _nominal_masses(flight, initial_state)
+    stages.lap("masses_s")
+    table = _edge_table(flight, masses)
+    stages.lap("table_s")
+    return stages, flight, table
 
 
 def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
@@ -187,12 +296,10 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     smaller (j, h); neither depends on the pop order. A successor is
     reachable when its `_edge_table` entry is finite.
     """
-    t0 = time.perf_counter()
-    masses = nominal_mass_profile(lattice, spec, initial_state, field, substeps)
-    start, goal = _start_and_goal(lattice, corridor)
-    lo, hi = _column_windows(lattice, corridor, start)
-    costs = _edge_table(lattice, lo, hi, spec, masses, field,
-                        substeps).tolist()
+    stages, flight, table = _prepare(lattice, corridor, spec, initial_state,
+                                     field, substeps)
+    start, goal = flight.start, flight.goal
+    costs = table.tolist()
     h_table = _heuristics(lattice, spec, field).tolist()
     last = lattice.dims[0] - 1
 
@@ -220,8 +327,8 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
             while path[-1] != start:
                 path.append(parent[path[-1]])
             path.reverse()
-            return _finish(lattice, spec, initial_state, field, substeps,
-                           path, g_score[goal], expanded, generated, t0)
+            return _finish(flight, initial_state, path, g_score[goal],
+                           expanded, generated, stages)
         i, j, _h = u
         for v in successors(lattice, u):
             c = costs[i][j][1 if v[0] == last else v[1] - j + 1]
@@ -237,7 +344,7 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
                                (g_new + heuristic(v), -g_new, v[1], v[2], v))
             elif g_new == g_old and u[1:] < parent[v][1:]:
                 parent[v] = u
-    raise _no_path(lo, hi)
+    raise _no_path(flight.lo, flight.hi)
 
 
 def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
@@ -259,11 +366,9 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
       first argmin into it. The smaller level wins too, so interior row i
       is reported at level max(0, H // 2 - i).
     """
-    t0 = time.perf_counter()
-    masses = nominal_mass_profile(lattice, spec, initial_state, field, substeps)
-    start, goal = _start_and_goal(lattice, corridor)
-    lo, hi = _column_windows(lattice, corridor, start)
-    table = _edge_table(lattice, lo, hi, spec, masses, field, substeps)
+    stages, flight, table = _prepare(lattice, corridor, spec, initial_state,
+                                     field, substeps)
+    start, goal = flight.start, flight.goal
     I, J, H = lattice.dims
     ch = lattice.center_level
 
@@ -283,7 +388,7 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     into_goal = g[I - 2, 1:-1] + table[I - 2, :, 1]
     c_star = float(into_goal.min())
     if c_star == np.inf:
-        raise _no_path(lo, hi)
+        raise _no_path(flight.lo, flight.hi)
 
     h = np.zeros((I - 1, J + 2))
     h[:, 1:-1] = _heuristics(lattice, spec, field)[:-1]
@@ -302,5 +407,5 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
         j = parent_rows[i][j]
         path.append((i, j, max(0, ch - i)))
     path.reverse()
-    return _finish(lattice, spec, initial_state, field, substeps, path,
-                   c_star, n_expanded, n_generated, t0)
+    return _finish(flight, initial_state, path, c_star, n_expanded,
+                   n_generated, stages)

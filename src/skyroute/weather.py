@@ -3,6 +3,10 @@
 Fields are 2D (lat/lon); the guide's features drop altitude and the
 fuel model consumes only wind and temperature at the flown position.
 No extrapolation: sampling outside the grid raises OutOfDomain.
+`sample_many`, the array form, finds each position's cell and its four
+bilinear weights once, then reads each grid with flat-index gathers.
+Fields are read-only, so their extremes (the search heuristic's bounds)
+are computed once, at construction.
 """
 
 from __future__ import annotations
@@ -71,8 +75,13 @@ class WeatherField:
                 raise ValueError(f"{name} grid must be finite")
         if np.any(self.temperature < 180.0) or np.any(self.temperature > 330.0):
             raise ValueError("temperature outside [180, 330] K")
-        if np.any(np.hypot(self.wind_east, self.wind_north) > 150.0):
+        speed = np.hypot(self.wind_east, self.wind_north)
+        if np.any(speed > 150.0):
             raise ValueError("wind magnitude exceeds 150 m/s")
+        # Fields are read-only, so their extremes are computed once.
+        self._max_wind_speed = float(np.max(speed))
+        self._max_temp_deviation = float(
+            np.max(np.abs(self.temperature - ISA_TEMPERATURE_K)))
         # Plain copies for the scalar `sample`, which would spend most of
         # its time on numpy scalars otherwise: axes as lists, grids as flat
         # row-major double arrays (8 bytes a value, a third of a list's).
@@ -84,11 +93,11 @@ class WeatherField:
 
     def max_wind_speed(self) -> float:
         """Largest wind magnitude anywhere on the grid."""
-        return float(np.max(np.hypot(self.wind_east, self.wind_north)))
+        return self._max_wind_speed
 
     def max_temp_deviation(self) -> float:
         """Largest |T - ISA| anywhere on the grid."""
-        return float(np.max(np.abs(self.temperature - ISA_TEMPERATURE_K)))
+        return self._max_temp_deviation
 
     def bbox(self) -> tuple[float, float, float, float]:
         """(lat_min, lat_max, lon_min, lon_max)."""
@@ -133,10 +142,17 @@ def sample_many(fld: WeatherField, lat: np.ndarray,
 
     t = (lat - lat_axis[i]) / (lat_axis[i + 1] - lat_axis[i])
     u = (lon - lon_axis[j]) / (lon_axis[j + 1] - lon_axis[j])
-    return WeatherSample(*(
-        np.where(inside, _bilinear(grid[i, j], grid[i, j + 1], grid[i + 1, j],
-                                   grid[i + 1, j + 1], t, u), np.nan)
-        for grid in (fld.wind_east, fld.wind_north, fld.temperature)))
+    # `_bilinear`'s products, with NaN in the first weight off the grid.
+    w00 = np.where(inside, (1 - t) * (1 - u), np.nan)
+    w01, w10, w11 = (1 - t) * u, t * (1 - u), t * u
+    k = i * lon_axis.size + j       # flat index of corner (i, j)
+    m = k + lon_axis.size           # and of (i + 1, j)
+    values = []
+    for grid in (fld.wind_east, fld.wind_north, fld.temperature):
+        flat = grid.ravel()
+        values.append(w00 * flat.take(k) + w01 * flat.take(k + 1)
+                      + w10 * flat.take(m) + w11 * flat.take(m + 1))
+    return WeatherSample(*values)
 
 
 def _bilinear(c00, c01, c10, c11, t, u):

@@ -194,9 +194,13 @@ class TestPlan:
     def test_stage_timings_add_up(self, unconstrained):
         timings = plan(small_request(unconstrained=unconstrained))["timings"]
         stages = ("weather_s", "lattice_s", "guide_s", "corridor_s", "search_s")
-        assert set(timings) == {*stages, "total_s"}
+        assert set(timings) == {*stages, "total_s", "search"}
         assert timings["total_s"] == sum(timings[k] for k in stages)
         assert timings["weather_s"] > 0.0 and timings["lattice_s"] > 0.0
+        search = timings["search"]
+        assert list(search) == ["geometry_s", "masses_s", "table_s",
+                                "solve_s", "path_s"]
+        assert timings["search_s"] == sum(search.values())
 
     def test_unconstrained_skips_guide(self):
         doc = plan(small_request(unconstrained=True))

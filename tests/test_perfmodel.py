@@ -6,10 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from skyroute.errors import Infeasible, OutOfDomain, SkyrouteError
 from skyroute.geo import GeoPoint, great_circle_distance
+from skyroute.harness import (PlanRequest, make_weather, plan,
+                              route_json_without_timings)
+from skyroute.lattice import build_lattice
 from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftSpec,
                                 AircraftState, default_spec, fly_route,
                                 fly_segment, fly_segments, fuel_flow_kgps,
                                 route_cost)
+from skyroute.search import _edge_table, _fly_lattice, nominal_mass_profile
 from skyroute.weather import ISA_TEMPERATURE_K, make_jet_stream, make_uniform
 
 
@@ -302,13 +306,31 @@ class TestFlyRoute:
         assert calls == [(route[k], route[k + 1])]
 
     def test_blocks_change_no_leg(self, monkeypatch):
+        # A leg's geometry does not depend on its batch, which a plan
+        # relies on: its nominal masses, edge table and path all read one
+        # geometry pass over the lattice.
         spec = default_spec()
         route = [GeoPoint(46.0 + k % 3, 5.0 + k, 10_000) for k in range(7)]
         state = AircraftState(route[0], 62_000)
-        whole = fly_route(spec, state, route, FIELDS[1], 3)
+        requests = [PlanRequest(GeoPoint(48.35, 11.79, 10_000),
+                                GeoPoint(52.37, 13.52, 10_000), (9, 5, 3),
+                                weather="jet", unconstrained=unconstrained)
+                    for unconstrained in (False, True)]
+        lattice = build_lattice(requests[0].origin, requests[0].destination,
+                                9, 5, 3, 60_000)
+        fld = make_weather("jet", requests[0].origin, requests[0].destination)
+
+        def outputs():
+            masses = nominal_mass_profile(lattice, spec, state, fld, 3)
+            return (fly_route(spec, state, route, FIELDS[1], 3),
+                    [route_json_without_timings(plan(req)) for req in requests],
+                    _edge_table(_fly_lattice(lattice, None, spec, fld, 3),
+                                masses).tolist())
+
+        whole = outputs()
         for points in (1, 3, 7):      # 1, 1 and 2 legs per block
             monkeypatch.setattr("skyroute.perfmodel.BLOCK_POINTS", points)
-            assert fly_route(spec, state, route, FIELDS[1], 3) == whole
+            assert outputs() == whole
 
     def test_route_cost_sums_the_legs(self):
         spec = default_spec()

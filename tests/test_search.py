@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,10 @@ from skyroute.geo import (GeoPoint, great_circle_distance,
 from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
                               build_lattice, is_reachable, successors)
 from skyroute.perfmodel import (AircraftState, default_spec, fly_route,
-                                fly_segment, fly_segments, route_cost)
-from skyroute.search import (_column_windows, _edge_table, _start_and_goal,
-                             astar, min_specific_burn, nominal_mass_profile,
-                             row_dp)
+                                fly_segment, route_cost, segments_fuel)
+from skyroute.search import (_column_windows, _edge_table, _fly_lattice,
+                             _nominal_masses, _start_and_goal, astar,
+                             min_specific_burn, nominal_mass_profile, row_dp)
 from skyroute.weather import make_jet_stream, make_uniform
 
 SPEC = default_spec()
@@ -50,6 +51,18 @@ class TestNominalMassProfile:
         assert all(a > b for a, b in zip(masses, masses[1:]))
         assert masses[-1] > SPEC.empty_mass_kg
 
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_read_off_the_lattice_flight(self, width):
+        # The searches thread mass along the centerline legs of their one
+        # geometry pass, which a corridor may leave out of its windows.
+        lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
+        cor = None if width is None else build_corridor(
+            lat, gc_route(ORIGIN, DEST), width)
+        for fld in (still_air(), jet()):
+            flight = _fly_lattice(lat, cor, SPEC, fld, 3)
+            assert _nominal_masses(flight, start_state()) \
+                == nominal_mass_profile(lat, SPEC, start_state(), fld, 3)
+
 
 class TestMinSpecificBurn:
     def test_lower_bounds_every_edge(self):
@@ -69,9 +82,7 @@ class TestMinSpecificBurn:
                 cor = None if width is None else build_corridor(
                     lat, gc_route(ORIGIN, DEST), width)
                 masses = nominal_mass_profile(lat, spec, start_state(), fld, 2)
-                start, _goal = _start_and_goal(lat, cor)
-                lo, hi = _column_windows(lat, cor, start)
-                table = _edge_table(lat, lo, hi, spec, masses, fld, 2)
+                table = _edge_table(_fly_lattice(lat, cor, spec, fld, 2), masses)
                 rows, cols, slots = np.nonzero(np.isfinite(table))
                 to_cols = np.where(rows == lat.dims[0] - 2,
                                    lat.center_column, cols + slots - 1)
@@ -110,6 +121,7 @@ class TestColumnWindows:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_window_rule_is_is_reachable(self, data):
+        # is_reachable within the start's cone: start ± i columns in row i.
         # Any corridor, not only the connected ones build_corridor makes.
         I = data.draw(st.integers(3, 10))
         J = data.draw(st.sampled_from([1, 3, 5, 7]))
@@ -122,7 +134,8 @@ class TestColumnWindows:
                                  cor, start)
         for i in range(1, I - 1):
             for j in range(J):
-                assert (lo[i] <= j <= hi[i]) == is_reachable(cor, (i, j, 0), I)
+                assert (lo[i] <= j <= hi[i]) == (is_reachable(cor, (i, j, 0), I)
+                                                 and abs(j - start[1]) <= i)
 
 
 class TestEdgeCostTable:
@@ -135,8 +148,6 @@ class TestEdgeCostTable:
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         cor = None if width is None else build_corridor(
             lat, gc_route(ORIGIN, DEST), width)
-        start, _goal = _start_and_goal(lat, cor)
-        lo, hi = _column_windows(lat, cor, start)
         edges = list(reachable_edges(lat, cor))
         assert edges
         last = lat.dims[0] - 1
@@ -146,7 +157,8 @@ class TestEdgeCostTable:
                                           substeps)
             if light_row is not None:
                 masses[light_row] = SPEC.empty_mass_kg + 1.0
-            table = _edge_table(lat, lo, hi, SPEC, masses, fld, substeps)
+            table = _edge_table(_fly_lattice(lat, cor, SPEC, fld, substeps),
+                                masses)
             refused = 0
             for u, v in edges:
                 got = table[u[0], u[1], 1 if v[0] == last else v[1] - u[1] + 1]
@@ -161,6 +173,24 @@ class TestEdgeCostTable:
                     assert got == pytest.approx(want, rel=1e-12)
             if light_row is not None or (fld is narrow and width is None):
                 assert refused > 0
+
+    @pytest.mark.parametrize("width", [None, 1, 3, 5])
+    def test_finite_entries_leave_columns_the_start_reaches(self, width):
+        # The windows lie inside the start's cone, so the table flies no
+        # edge that no path can use. Includes a corridor start off the
+        # centre column (the great-circle guide of a jet-bent trip).
+        lat = build_lattice(ORIGIN, DEST, 9, 7, 1, 60_000)
+        cors = [None] if width is None else [
+            build_corridor(lat, gc_route(ORIGIN, DEST), width),
+            Corridor((0,) * 9, width, (0, 0, 0))]
+        for cor in cors:
+            reachable = {u[:2] for u, _v in reachable_edges(lat, cor)}
+            table = _edge_table(_fly_lattice(lat, cor, SPEC, jet(), 2),
+                                nominal_mass_profile(lat, SPEC, start_state(),
+                                                     jet(), 2))
+            rows, cols, _slots = np.nonzero(np.isfinite(table))
+            assert rows.size > 0
+            assert set(zip(rows.tolist(), cols.tolist())) <= reachable
 
     def test_cost_ignores_altitude(self):
         # The invariance behind one table entry per column pair: the
@@ -219,10 +249,16 @@ def test_nan_entries_fly_through_the_reference(monkeypatch, search, width):
     lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
     cor = None if width is None else build_corridor(
         lat, gc_route(ORIGIN, DEST), width)
-    monkeypatch.setattr("skyroute.search.fly_segments",
-                        lambda spec, lat0, *args: np.full(np.shape(lat0), np.nan))
+    calls = []
+
+    def refuse_all(spec, mass, geometry):
+        calls.append(mass.size)
+        return np.full(mass.shape, np.nan)
+
+    monkeypatch.setattr("skyroute.search.segments_fuel", refuse_all)
     with pytest.raises(NoPath, match="^refused edges "):
         search(lat, cor, SPEC, start_state(), jet(), substeps=2)
+    assert len(calls) == 1 and calls[0] > 0
 
 
 class TestAstarAgainstOracle:
@@ -279,8 +315,9 @@ def draw_search_args(data, min_rows):
     and a seeded random share of refused edges.
 
     Returns the search arguments and `refusing(fly)`: `fly`, a stand-in for
-    `fly_segments`, with that share of its segments refused (NaN). Both
-    searches call it once, on the same segments, so they see one mask.
+    `segments_fuel`, with that share of its segments refused (NaN), which
+    counts its calls in `fly_refused.calls`. Both searches call it once, on
+    the same segments, so they see one mask.
     """
     lat0 = st.floats(42.0, 56.0)
     lon0 = st.floats(-5.0, 20.0)
@@ -312,9 +349,11 @@ def draw_search_args(data, min_rows):
 
     def refusing(fly):
         def fly_refused(*args):
+            fly_refused.calls += 1
             fuel = fly(*args)
             refused = np.random.default_rng(seed).random(fuel.shape) < share
             return np.where(refused, np.nan, fuel)
+        fly_refused.calls = 0
         return fly_refused
 
     return (lat, cor, SPEC, AircraftState(o, 62_000.0), fld,
@@ -328,10 +367,12 @@ class TestRowDp:
     @settings(max_examples=120, deadline=None)
     def test_equals_astar(self, data):
         args, refusing = draw_search_args(data, min_rows=2)
+        fly = refusing(segments_fuel)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("skyroute.search.fly_segments", refusing(fly_segments))
+            mp.setattr("skyroute.search.segments_fuel", fly)
             want = solve(astar, *args)
             got = solve(row_dp, *args)
+        assert fly.calls == 2
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -344,13 +385,15 @@ class TestRowDp:
         # give many exact g ties between columns, where the (j, h) parent
         # rule decides the path.
         def whole_kg(*args):
-            return np.ceil(fly_segments(*args))
+            return np.ceil(segments_fuel(*args))
 
         args, refusing = draw_search_args(data, min_rows=3)
+        fly = refusing(whole_kg)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("skyroute.search.fly_segments", refusing(whole_kg))
+            mp.setattr("skyroute.search.segments_fuel", fly)
             want = solve(astar, *args)
             got = solve(row_dp, *args)
+        assert fly.calls == 2
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -436,14 +479,19 @@ class TestPathStructure:
         assert free.total_fuel_kg <= pinned.total_fuel_kg + 1e-9
 
     def test_segments_are_the_flown_path(self):
+        # The path is flown from the search's one geometry pass: its legs
+        # equal fly_route's, in the jet, on a grid the outer columns leave,
+        # and from a start mass light enough that the nominal masses differ
+        # most from the flown ones.
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
-        cor = build_corridor(lat, gc_route(ORIGIN, DEST), 3)
-        fld = jet()
-        for search in (astar, row_dp):
-            res = search(lat, cor, SPEC, start_state(), fld, substeps=2)
-            assert res.segments == fly_route(SPEC, start_state(), res.geo_path,
-                                             fld, 2)
-            fuel, end = route_cost(SPEC, start_state(), res.geo_path, fld, 2)
+        narrow = make_uniform(5.0, 0.0, 288.15, NARROW_BBOX)
+        light = start_state(SPEC.empty_mass_kg + 1_500.0)
+        for cor, fld, state, search in itertools.product(
+                (None, build_corridor(lat, gc_route(ORIGIN, DEST), 3)),
+                (jet(), narrow), (start_state(), light), (astar, row_dp)):
+            res = search(lat, cor, SPEC, state, fld, substeps=2)
+            assert res.segments == fly_route(SPEC, state, res.geo_path, fld, 2)
+            fuel, end = route_cost(SPEC, state, res.geo_path, fld, 2)
             assert res.total_fuel_kg == fuel
             assert res.final_state == end
 
@@ -459,7 +507,11 @@ class TestPathStructure:
 
 def test_counters_positive_and_time_recorded():
     lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
-    res = astar(lat, None, SPEC, start_state(), still_air(), substeps=1)
-    assert res.expanded_nodes > 0
-    assert res.generated_nodes >= res.expanded_nodes
-    assert res.wall_time_s > 0.0
+    for search in (astar, row_dp):
+        res = search(lat, None, SPEC, start_state(), still_air(), substeps=1)
+        assert res.expanded_nodes > 0
+        assert res.generated_nodes >= res.expanded_nodes
+        assert list(res.stages) == ["geometry_s", "masses_s", "table_s",
+                                    "solve_s", "path_s"]
+        assert all(t > 0.0 for t in res.stages.values())
+        assert res.wall_time_s == sum(res.stages.values())

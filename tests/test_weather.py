@@ -126,6 +126,15 @@ class TestImmutable:
         assert fld.lat_axis[0] == 40.0 and fld.wind_north[0, 0] == 1.0
         assert sample(fld, GeoPoint(40.0, 0.0)).wind_north == 1.0
 
+    def test_extremes_are_the_grids(self):
+        # Computed once at construction, which only read-only grids allow.
+        fld = make_jet_stream((30.0, 70.0, -20.0, 40.0), 50.0, 60.0, 4.0,
+                              seed=3)
+        assert fld.max_wind_speed() == float(
+            np.max(np.hypot(fld.wind_east, fld.wind_north)))
+        assert fld.max_temp_deviation() == float(
+            np.max(np.abs(fld.temperature - ISA_TEMPERATURE_K)))
+
 
 class TestMakeUniform:
     def test_constant_everywhere(self):
