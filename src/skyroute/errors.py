@@ -42,7 +42,8 @@ class NoSuccessors(SkyrouteError):
 
 
 class NoPath(SkyrouteError):
-    """Search graph disconnects origin from destination."""
+    """Refused edges (off the weather grid, or below the empty mass)
+    disconnect origin from destination; corridor windows never do."""
 
 
 class SamplingExhausted(SkyrouteError):

@@ -7,7 +7,8 @@ levels across ALT_BAND_M. All H levels of a column share one
 lat/lon, so positions are stored once per column. Each row's track point
 and bearing are scalar; the columns of all rows come from one array pass,
 `displace_many`. A corridor restricts each row to a window of w
-consecutive columns around a coarse guide route.
+consecutive columns around a coarse guide route, built in one array
+pass; consecutive windows, like path nodes, are one column apart at most.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .errors import DegenerateTrip, NoSuccessors, WidthOutOfRange
 # great_circle_distance is unused here; it stays because
 # perfbench/tracing.py wraps it by name.
 from .geo import (GeoPoint, displace_many, great_circle_distance,
-                  great_circle_distances, initial_bearing, intermediate_point)
+                  great_circle_distances, initial_bearing, intermediate_point,
+                  intermediate_points)
 
 NodeIndex = tuple[int, int, int]
 
@@ -84,11 +86,18 @@ class Lattice:
 
 @dataclass
 class Corridor:
-    """Per-row reachable column windows of fixed width w."""
+    """Per-row column windows of fixed width w, at most one column apart
+    from row to row; the start node lies in row 0's window."""
 
     j_min: tuple[int, ...]   # per row, inclusive
     width: int
     start_node: NodeIndex
+
+    def __post_init__(self):
+        if any(abs(b - a) > 1 for a, b in zip(self.j_min, self.j_min[1:])):
+            raise ValueError("consecutive windows more than one column apart")
+        if not self.j_min[0] <= self.start_node[1] <= self.j_max(0):
+            raise ValueError("start node outside row 0's window")
 
     def j_max(self, i: int) -> int:
         return self.j_min[i] + self.width - 1
@@ -160,55 +169,40 @@ def successors(lattice: Lattice, idx: NodeIndex) -> list[NodeIndex]:
     return out
 
 
-def _coarse_row_point(coarse: CoarseRoute, i: int, I: int) -> GeoPoint:
-    """Guide point for row i: piecewise interpolation along the coarse route.
-
-    With m = n-1 segments and s = I/m kept rational, the segment index is
-    p = floor(i*m/I) (clamped) and the in-segment fraction (i*m mod I)/I.
-    """
+def _guide_points(coarse: CoarseRoute, rows: np.ndarray,
+                  I: int) -> tuple[np.ndarray, np.ndarray]:
+    """Guide points (lat, lon) of the given rows of an I-row lattice: row i
+    lies on coarse segment floor(i*m/I) (m = n-1 segments, clamped to m-1)
+    at the in-segment fraction (i*m mod I)/I."""
     m = coarse.n - 1
-    p = min((i * m) // I, m - 1)
-    frac = (i * m - p * I) / I
-    return intermediate_point(coarse.waypoints[p], coarse.waypoints[p + 1], frac)
+    seg = np.minimum(rows * m // I, m - 1)
+    lat, lon = np.array([(p.lat_deg, p.lon_deg) for p in coarse.waypoints]).T
+    return intermediate_points(lat[seg], lon[seg], lat[seg + 1], lon[seg + 1],
+                               (rows * m - seg * I) / I)
 
 
 def build_corridor(lattice: Lattice, coarse: CoarseRoute, w: int) -> Corridor:
-    """Per-row windows of w columns centered on the guide's nearest column.
+    """Per-row windows of w columns around the guide's nearest column.
 
-    Windows are shifted inward to fit [0, J-1]; a forward pass limits the
-    center shift between consecutive rows so at least one adjacency
-    transition always exists between windows (connectivity).
+    Among columns within 1e-9 m of a row's nearest, the one nearest the
+    centre wins, lower j first. Windows are shifted inward to fit [0, J-1],
+    and each moves at most one column from the previous row's, as a path
+    does: where the guide turns faster, the corridor lags behind it.
     """
     I, J, H = lattice.dims
     if not (1 <= w <= J):
         raise WidthOutOfRange(f"width {w} outside [1, {J}]")
-    center = lattice.center_column
-
-    targets = [_coarse_row_point(coarse, i, I) for i in range(I)]
-    dist = great_circle_distances(
-        lattice.lat_deg, lattice.lon_deg,
-        np.array([[t.lat_deg] for t in targets]),
-        np.array([[t.lon_deg] for t in targets])).tolist()
-    j_min: list[int] = []
-    prev_min: int | None = None
-    for i in range(I):
-        best_j = center
-        best_d = math.inf
-        for j, d in enumerate(dist[i]):
-            # Ties broken toward the lattice centerline.
-            if d < best_d - 1e-9 or (abs(d - best_d) <= 1e-9
-                                     and abs(j - center) < abs(best_j - center)):
-                best_d = d
-                best_j = j
-        lo = best_j - (w - 1) // 2
-        lo = min(max(lo, 0), J - w)
-        if prev_min is not None:
-            # Keep |window shift| <= w so consecutive windows stay connectable.
-            lo = min(max(lo, prev_min - w), prev_min + w)
-            lo = min(max(lo, 0), J - w)
-        j_min.append(lo)
-        prev_min = lo
-
+    guide_lat, guide_lon = _guide_points(coarse, np.arange(I), I)
+    dist = great_circle_distances(lattice.lat_deg, lattice.lon_deg,
+                                  guide_lat[:, None], guide_lon[:, None])
+    near = dist <= dist.min(axis=1, keepdims=True) + 1e-9
+    off_center = np.where(near, np.abs(np.arange(J) - lattice.center_column),
+                          J)
+    wanted = np.clip(off_center.argmin(axis=1) - (w - 1) // 2, 0,
+                     J - w).tolist()
+    j_min = wanted[:1]
+    for lo in wanted[1:]:
+        j_min.append(min(max(lo, j_min[-1] - 1), j_min[-1] + 1))
     start = (0, j_min[0] + (w - 1) // 2, lattice.center_level)
     return Corridor(tuple(j_min), w, start)
 

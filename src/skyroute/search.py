@@ -27,7 +27,8 @@ reachability rule: edges outside the column windows (a row's corridor
 window within the start's cone, start ± i columns in row i), and edges
 the aircraft cannot fly (the batch refuses them: they leave the weather
 grid, or fall below the empty mass at the row's nominal mass). The plan
-is the optimum over the edges it can fly.
+is the optimum over the edges it can fly. Every column of the windows
+is on a path from the start, so only refused edges can leave no path.
 
 `row_dp` takes one numpy min-plus step per row over that table and reads
 A*'s result from the g-table. Two rules make that result independent of
@@ -60,6 +61,10 @@ from .perfmodel import (AircraftSpec, AircraftState, Geometry, SegmentResult,
                         fly_route, fly_segment, route_cost, segments_fuel,
                         substep_geometry, thread_legs, DEFAULT_SUBSTEPS)
 from .weather import WeatherField
+
+#: The `NoPath` message: the windows always leave a path.
+_REFUSED = ("refused edges (off the weather grid, or below the empty mass) "
+            "disconnect origin from destination")
 
 
 @dataclass
@@ -162,8 +167,6 @@ class _LatticeFlight(NamedTuple):
     substeps: int
     start: NodeIndex
     goal: NodeIndex
-    lo: np.ndarray
-    hi: np.ndarray
     window: np.ndarray
     index: np.ndarray
     geometry: Geometry
@@ -205,8 +208,8 @@ def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
         spec, lattice.lat_deg[rows, cols], lattice.lon_deg[rows, cols],
         lattice.lat_deg[rows + 1, to_cols], lattice.lon_deg[rows + 1, to_cols],
         field, substeps)
-    return _LatticeFlight(lattice, spec, field, substeps, start, goal, lo, hi,
-                          window, index, geometry)
+    return _LatticeFlight(lattice, spec, field, substeps, start, goal, window,
+                          index, geometry)
 
 
 def _nominal_masses(flight: _LatticeFlight,
@@ -230,22 +233,6 @@ def _edge_table(flight: _LatticeFlight, masses: list[float]) -> np.ndarray:
     table = np.full(flight.window.shape, np.inf)
     table[flight.window] = np.where(np.isnan(fuel), np.inf, fuel)
     return table
-
-
-def _no_path(lo: np.ndarray, hi: np.ndarray) -> NoPath:
-    """The error when no finite path reaches the goal, naming its cause.
-
-    Moves change the column by at most 1, so the columns the windows
-    alone let a path reach form one interval per row; the corridor is to
-    blame when some row's interval is empty, and refused edges otherwise.
-    """
-    a = b = int(lo[0])
-    for row_lo, row_hi in zip(lo[1:-1].tolist(), hi[1:-1].tolist()):
-        a, b = max(a - 1, row_lo), min(b + 1, row_hi)
-        if a > b:
-            return NoPath("corridor disconnects origin from destination")
-    return NoPath("refused edges (off the weather grid, or below the empty "
-                  "mass) disconnect origin from destination")
 
 
 def _heuristics(lattice: Lattice, spec: AircraftSpec,
@@ -344,7 +331,7 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
                                (g_new + heuristic(v), -g_new, v[1], v[2], v))
             elif g_new == g_old and u[1:] < parent[v][1:]:
                 parent[v] = u
-    raise _no_path(flight.lo, flight.hi)
+    raise NoPath(_REFUSED)
 
 
 def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
@@ -388,7 +375,7 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     into_goal = g[I - 2, 1:-1] + table[I - 2, :, 1]
     c_star = float(into_goal.min())
     if c_star == np.inf:
-        raise _no_path(flight.lo, flight.hi)
+        raise NoPath(_REFUSED)
 
     h = np.zeros((I - 1, J + 2))
     h[:, 1:-1] = _heuristics(lattice, spec, field)[:-1]

@@ -10,8 +10,9 @@ from skyroute.errors import (DegenerateTrip, DistanceOutOfRange, NoSuccessors,
 from skyroute.geo import (GeoPoint, PlaneVector, displace,
                           great_circle_distance, initial_bearing,
                           intermediate_point)
-from skyroute.lattice import (CoarseRoute, _coarse_row_point, build_corridor,
-                              build_lattice, is_reachable, successors)
+from skyroute.lattice import (CoarseRoute, Corridor, _guide_points,
+                              build_corridor, build_lattice, is_reachable,
+                              successors)
 
 ORIGIN = GeoPoint(48.35, 11.79, 10_000)
 DEST = GeoPoint(52.37, 13.52, 10_000)
@@ -190,21 +191,33 @@ class TestCoarseRoute:
             CoarseRoute((ORIGIN, GeoPoint(ORIGIN.lat_deg, ORIGIN.lon_deg, 9_000),
                          DEST))
 
-    def test_coarse_row_point_endpoints(self):
+    def test_guide_point_endpoints(self):
         route = gc_route(5)
         I = 8
-        assert _coarse_row_point(route, 0, I).same_position(route.waypoints[0])
-        assert _coarse_row_point(route, I, I).same_position(route.waypoints[-1])
+        lat, lon = _guide_points(route, np.array([0, I]), I)
+        for k, want in ((0, route.waypoints[0]), (1, route.waypoints[-1])):
+            assert GeoPoint(lat[k], lon[k]).same_position(want)
 
-    def test_coarse_row_point_oracle(self):
+    def test_guide_point_oracle(self):
         # Brute-force oracle: row i at arc fraction i/I along the full
         # route corresponds to segment floor(i*m/I) at in-segment
         # fraction (i*m mod I)/I. Check i=3, I=8, m=4 by hand:
         # 3*4/8 = 1.5 so segment 1, fraction 0.5.
         route = gc_route(5)
-        got = _coarse_row_point(route, 3, 8)
+        lat, lon = _guide_points(route, np.array([3]), 8)
         expected = intermediate_point(route.waypoints[1], route.waypoints[2], 0.5)
-        assert great_circle_distance(got, expected) < 1e-6
+        assert great_circle_distance(GeoPoint(lat[0], lon[0]), expected) < 1e-6
+
+
+class TestCorridor:
+    def test_refuses_windows_no_path_can_follow(self):
+        Corridor((0, 0, 1, 2, 1), 2, (0, 1, 0))
+        # Rows 2 and 3 are two columns apart; a path moves at most one.
+        with pytest.raises(ValueError, match="more than one column apart"):
+            Corridor((0, 0, 1, 3, 2), 2, (0, 1, 0))
+        # Column 2 is outside row 0's window [0, 1].
+        with pytest.raises(ValueError, match="outside row 0's window"):
+            Corridor((0, 0, 1, 2, 1), 2, (0, 2, 0))
 
 
 class TestBuildCorridor:
@@ -259,15 +272,15 @@ class TestBuildCorridor:
         assert any(cor.j_min[i] == 2 for i in range(3, 6))
 
     def test_connectivity_invariant(self):
-        # Every row window must be reachable from the previous row's window
-        # under |dj| <= 1 somewhere, i.e. window gaps never exceed w.
+        # A window moves at most one column from the previous row's, as a
+        # path does, even where the guide zigzags across the lattice.
         lat = small_lattice(I=21, J=7, H=1, halfwidth=80_000.0)
         zig = [lat.node((0, 3, 0)), lat.node((5, 0, 0)), lat.node((10, 6, 0)),
                lat.node((15, 0, 0)), lat.node((20, 3, 0))]
         for w in (1, 2, 3):
             cor = build_corridor(lat, CoarseRoute(tuple(zig)), w)
             for i in range(1, 21):
-                assert abs(cor.j_min[i] - cor.j_min[i - 1]) <= w
+                assert abs(cor.j_min[i] - cor.j_min[i - 1]) <= 1
 
     def test_start_node_in_window(self):
         lat = small_lattice(I=9, J=5, H=3)

@@ -117,19 +117,28 @@ def reachable_edges(lat, cor):
         frontier = sorted(nxt)
 
 
+def draw_corridor(data, I, J, level):
+    """A random corridor: windows of a random width whose first columns
+    walk by -1, 0 or +1 per row, and a start inside row 0's window."""
+    w = data.draw(st.integers(1, J))
+    j_min = [data.draw(st.integers(0, J - w))]
+    for step in data.draw(st.lists(st.sampled_from([-1, 0, 1]),
+                                   min_size=I - 1, max_size=I - 1)):
+        j_min.append(min(max(j_min[-1] + step, 0), J - w))
+    start = (0, data.draw(st.integers(j_min[0], j_min[0] + w - 1)), level)
+    return Corridor(tuple(j_min), w, start)
+
+
 class TestColumnWindows:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_window_rule_is_is_reachable(self, data):
         # is_reachable within the start's cone: start ± i columns in row i.
-        # Any corridor, not only the connected ones build_corridor makes.
+        # Any corridor, not only the ones build_corridor makes.
         I = data.draw(st.integers(3, 10))
         J = data.draw(st.sampled_from([1, 3, 5, 7]))
-        w = data.draw(st.integers(1, J))
-        j_min = data.draw(st.lists(st.integers(0, J - w), min_size=I,
-                                   max_size=I))
-        start = (0, data.draw(st.integers(0, J - 1)), 0)
-        cor = Corridor(tuple(j_min), w, start)
+        cor = draw_corridor(data, I, J, 0)
+        start = cor.start_node
         lo, hi = _column_windows(build_lattice(ORIGIN, DEST, I, J, 1, 60_000),
                                  cor, start)
         for i in range(1, I - 1):
@@ -245,7 +254,7 @@ class TestLazyEdgeFailures:
 @pytest.mark.parametrize("width", [None, 3])
 def test_nan_entries_fly_through_the_reference(monkeypatch, search, width):
     # The batch refuses every edge, so no edge is left, and the error names
-    # the refused edges, not the corridor (which is connected).
+    # the refused edges.
     lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
     cor = None if width is None else build_corridor(
         lat, gc_route(ORIGIN, DEST), width)
@@ -310,21 +319,28 @@ def solve(search, *args):
         return type(exc), str(exc)
 
 
-def draw_search_args(data, min_rows):
-    """A random trip, lattice, field and corridor, disconnected ones included,
-    and a seeded random share of refused edges.
-
-    Returns the search arguments and `refusing(fly)`: `fly`, a stand-in for
-    `segments_fuel`, with that share of its segments refused (NaN), which
-    counts its calls in `fly_refused.calls`. Both searches call it once, on
-    the same segments, so they see one mask.
-    """
+def draw_trip(data):
+    """A random origin and destination more than 50 km apart, whose
+    lattices stay inside BBOX, and their distance."""
     lat0 = st.floats(42.0, 56.0)
     lon0 = st.floats(-5.0, 20.0)
     o = GeoPoint(data.draw(lat0), data.draw(lon0), 10_000)
     d = GeoPoint(data.draw(lat0), data.draw(lon0), 10_000)
     trip = great_circle_distance(o, d)
     assume(trip > 50_000)
+    return o, d, trip
+
+
+def draw_search_args(data, min_rows):
+    """A random trip, lattice, field and corridor, and a seeded random share
+    of refused edges.
+
+    Returns the search arguments and `refusing(fly)`: `fly`, a stand-in for
+    `segments_fuel`, with that share of its segments refused (NaN), which
+    counts its calls in `fly_refused.calls`. Both searches call it once, on
+    the same segments, so they see one mask.
+    """
+    o, d, trip = draw_trip(data)
     I = data.draw(st.integers(min_rows, 14))
     J = data.draw(st.sampled_from([1, 3, 5, 11]))
     H = data.draw(st.sampled_from([1, 2, 3, 5]))
@@ -339,11 +355,7 @@ def draw_search_args(data, min_rows):
         fld = jet(seed=data.draw(st.integers(0, 50)))
     cor = None
     if data.draw(st.booleans()):
-        w = data.draw(st.integers(1, J))
-        j_min = data.draw(st.lists(st.integers(0, J - w), min_size=I,
-                                   max_size=I))
-        start = (0, data.draw(st.integers(0, J - 1)), lat.center_level)
-        cor = Corridor(tuple(j_min), w, start)
+        cor = draw_corridor(data, I, J, lat.center_level)
     share = data.draw(st.sampled_from([0.0, 0.05, 0.15, 1.0]))
     seed = data.draw(st.integers(0, 2**32 - 1))
 
@@ -410,12 +422,42 @@ class TestRowDp:
         assert_same_result(res, astar(lat, None, SPEC, start_state(), jet(),
                                       substeps=2))
 
-    def test_disconnected_corridor_raises_no_path(self):
-        lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
-        cor = Corridor((0, 0, 0, 4, 4, 4, 4, 4, 4), 1, (0, 0, 1))
-        for search in (astar, row_dp):
-            with pytest.raises(NoPath, match="corridor disconnects"):
-                search(lat, cor, SPEC, start_state(), jet(), substeps=1)
+
+class TestWildGuides:
+    """Corridors of guides that weave across the lattice, outer columns
+    included, as a guide bent by weather may."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_window_column_is_on_a_path(self, data):
+        o, d, trip = draw_trip(data)
+        I = data.draw(st.integers(3, 24))
+        J = data.draw(st.sampled_from([3, 5, 7, 11]))
+        H = data.draw(st.sampled_from([1, 3]))
+        lat = build_lattice(o, d, I, J, H, 0.15 * trip)
+        rows = sorted(data.draw(st.sets(st.integers(1, I - 2), min_size=1)))
+        column = st.sampled_from([0, J - 1]) | st.integers(0, J - 1)
+        cols = data.draw(st.lists(column, min_size=len(rows),
+                                  max_size=len(rows)))
+        guide = CoarseRoute((o, *(lat.node((i, j, 0))
+                                  for i, j in zip(rows, cols)), d))
+        cors = [build_corridor(lat, guide, w) for w in range(1, J + 1)]
+        for narrow, wide in zip(cors, cors[1:]):
+            for i in range(I):
+                assert wide.j_min[i] <= narrow.j_min[i]
+                assert wide.j_max(i) >= narrow.j_max(i)
+        for cor in cors:
+            start = cor.start_node[1]
+            reached = {v[:2] for _u, v in reachable_edges(lat, cor)}
+            for i in range(1, I - 1):
+                for j in range(cor.j_min[i], cor.j_max(i) + 1):
+                    if abs(j - start) <= i:
+                        assert (i, j) in reached
+        # The jet's grid covers the lattice, so no edge is refused.
+        fld = jet(seed=data.draw(st.integers(0, 50)))
+        args = (lat, data.draw(st.sampled_from(cors)), SPEC,
+                AircraftState(o, 62_000.0), fld, 1)
+        assert_same_result(row_dp(*args), astar(*args))
 
 
 class TestCorridorBehavior:
