@@ -1,8 +1,10 @@
 """Geodesic and planar-rotation primitives.
 
 Spherical earth (R = 6,371,000 m). Local planar work uses an
-equirectangular projection scaled by the cosine of the mid-latitude,
-valid for displacements up to 6,000 km. Rotation angles are radians,
+equirectangular projection scaled by the cosine of the mid-latitude, for
+displacements up to 6,000 km. Beyond that distance `local_displacement`
+gives the great-circle distance along the initial bearing instead, and
+`displace` refuses the step. Rotation angles are radians,
 counter-clockwise positive.
 
 `great_circle_distances`, `initial_bearings`, `intermediate_points`,
@@ -221,18 +223,14 @@ def intermediate_points(lat1, lon1, lat2, lon2, fraction,
 def local_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
     """East/north meters of target relative to origin.
 
-    Equirectangular projection scaled by cos of the mid-latitude;
-    exact inverse of displace. Raises DistanceOutOfRange beyond 6,000 km.
+    Within MAX_PLANAR_DISTANCE_M: the equirectangular projection scaled by
+    cos of the mid-latitude, the exact inverse of displace. Beyond it: the
+    great-circle distance along the initial bearing.
     """
-    if great_circle_distance(origin, target) > MAX_PLANAR_DISTANCE_M:
-        raise DistanceOutOfRange(
-            "displacement exceeds 6,000 km projection validity bound")
-    return planar_displacement(origin, target)
-
-
-def planar_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
-    """local_displacement without its bound check, for a caller that has
-    already found the distance within MAX_PLANAR_DISTANCE_M."""
+    d = great_circle_distance(origin, target)
+    if d > MAX_PLANAR_DISTANCE_M:
+        theta = initial_bearing(origin, target)
+        return PlaneVector(d * math.sin(theta), d * math.cos(theta))
     dlat = target.lat_deg - origin.lat_deg
     dlon = _normalize_lon(target.lon_deg - origin.lon_deg)
     mid_lat = math.radians(origin.lat_deg + 0.5 * dlat)
@@ -242,7 +240,8 @@ def planar_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
 
 
 def displace(origin: GeoPoint, v: PlaneVector) -> GeoPoint:
-    """Move origin by a planar vector; inverse of local_displacement.
+    """Move origin by a planar vector; inverse of local_displacement
+    within MAX_PLANAR_DISTANCE_M.
 
     The altitude stays origin.alt_m. A step that passes a pole raises
     DistanceOutOfRange, as one beyond the projection's bound does.

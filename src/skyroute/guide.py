@@ -14,10 +14,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .geo import (GeoPoint, MAX_PLANAR_DISTANCE_M, PlaneVector,
-                  great_circle_distance, initial_bearing, intermediate_point,
-                  planar_displacement, displace, rotate, rotate_inverse,
-                  trip_rotation)
+from .geo import (GeoPoint, PlaneVector, great_circle_distance,
+                  intermediate_point, local_displacement, displace, rotate,
+                  rotate_inverse, trip_rotation)
 from .lattice import CoarseRoute
 from .weather import ISA_TEMPERATURE_K, WeatherField, sample
 
@@ -233,17 +232,6 @@ def _checkpoint_params(payload: dict) -> PolicyParams:
     return PolicyParams(hidden, flat)
 
 
-def displacement_to(x: GeoPoint, target: GeoPoint) -> PlaneVector:
-    """Planar displacement toward target; falls back to a bearing-based
-    vector beyond the equirectangular validity bound (rollouts can drift
-    far from the destination during training)."""
-    d = great_circle_distance(x, target)
-    if d <= MAX_PLANAR_DISTANCE_M:
-        return planar_displacement(x, target)
-    theta = initial_bearing(x, target)
-    return PlaneVector(d * math.sin(theta), d * math.cos(theta))
-
-
 def extract_features(x: GeoPoint, x_n: GeoPoint, phi: float,
                      field: WeatherField, trip_length_m: float,
                      cfg: GuideConfig | None = None) -> np.ndarray:
@@ -252,7 +240,7 @@ def extract_features(x: GeoPoint, x_n: GeoPoint, phi: float,
     Displacement components are normalized by the total trip length, wind
     by wind_scale_ms, temperature by its ISA deviation over temp_scale_k.
     """
-    disp = None if x.same_position(x_n) else displacement_to(x, x_n)
+    disp = None if x.same_position(x_n) else local_displacement(x, x_n)
     return np.array(feature_row(x, disp, phi, field, trip_length_m,
                                 cfg or GuideConfig()))
 
@@ -260,8 +248,9 @@ def extract_features(x: GeoPoint, x_n: GeoPoint, phi: float,
 def feature_row(x: GeoPoint, disp: PlaneVector | None, phi: float,
                 field: WeatherField, trip_length_m: float,
                 cfg: GuideConfig) -> list[float]:
-    """The five values of extract_features, given disp = displacement_to(x,
-    x_n), or None at x_n itself; for a caller that needs disp as well."""
+    """The five values of extract_features, given disp =
+    local_displacement(x, x_n), or None at x_n itself; for a caller that
+    needs disp as well."""
     if disp is None:
         de, dn = 0.0, 0.0
     else:

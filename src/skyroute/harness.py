@@ -45,7 +45,7 @@ DEFAULT_DIMS = (41, 11, 3)
 DEFAULT_WIDTH = 5
 DEFAULT_CRUISE_ALT_M = 10_000.0
 
-#: Fraction of trip length used as default lateral half-width.
+#: Fraction of trip length used as the lattice's lateral half-width.
 DEFAULT_LATERAL_FRACTION = 0.15
 
 BENCH_COLUMNS = ["param_value", "solver_time_s", "solver_time_std",
@@ -106,7 +106,6 @@ class PlanRequest:
     substeps: int = DEFAULT_SUBSTEPS
     seed: int = 0
     unconstrained: bool = False
-    lateral_halfwidth_m: float | None = None
 
     def __post_init__(self):
         I, J, H = self.dims
@@ -176,15 +175,12 @@ def _guide_route(req: PlanRequest, field: WeatherField):
         if not req.checkpoint:
             raise ConfigError("policy guide requires a checkpoint path")
         try:
-            params, ck_cfg = load_checkpoint(req.checkpoint)
+            params, cfg = load_checkpoint(req.checkpoint)
         except KeyError as exc:
             raise ConfigError(
                 f"checkpoint {req.checkpoint}: missing key {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"checkpoint {req.checkpoint}: {exc}") from exc
-        cfg = GuideConfig(n=ck_cfg.n, guide_kind="policy",
-                          wind_scale_ms=ck_cfg.wind_scale_ms,
-                          temp_scale_k=ck_cfg.temp_scale_k)
     return roll_out(cfg, params, req.origin, req.destination, field)
 
 
@@ -201,10 +197,8 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
     weather_time = time.perf_counter() - t0
     t0 = time.perf_counter()
     I, J, H = req.dims
-    halfwidth = req.lateral_halfwidth_m
-    if halfwidth is None:
-        halfwidth = DEFAULT_LATERAL_FRACTION * great_circle_distance(
-            req.origin, req.destination)
+    halfwidth = DEFAULT_LATERAL_FRACTION * great_circle_distance(
+        req.origin, req.destination)
     lattice = build_lattice(req.origin, req.destination, I, J, H, halfwidth)
     lattice_time = time.perf_counter() - t0
     initial = AircraftState(req.origin, req.aircraft.ref_mass_kg)

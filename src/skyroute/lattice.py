@@ -64,7 +64,6 @@ class Lattice:
     alts_m: tuple[float, ...]
     origin: GeoPoint
     destination: GeoPoint
-    lateral_halfwidth_m: float
 
     def node(self, idx: NodeIndex) -> GeoPoint:
         i, j, h = idx
@@ -141,8 +140,7 @@ def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: in
     side = offsets[moved]
     lat[1:-1, moved], lon[1:-1, moved] = displace_many(
         track_lat, track_lon, perp_e * side, perp_n * side)
-    return Lattice((I, J, H), lat, lon, alts, origin, destination,
-                   lateral_halfwidth_m)
+    return Lattice((I, J, H), lat, lon, alts, origin, destination)
 
 
 def successors(lattice: Lattice, idx: NodeIndex) -> list[NodeIndex]:
@@ -171,14 +169,16 @@ def successors(lattice: Lattice, idx: NodeIndex) -> list[NodeIndex]:
 
 def _guide_points(coarse: CoarseRoute, rows: np.ndarray,
                   I: int) -> tuple[np.ndarray, np.ndarray]:
-    """Guide points (lat, lon) of the given rows of an I-row lattice: row i
-    lies on coarse segment floor(i*m/I) (m = n-1 segments, clamped to m-1)
-    at the in-segment fraction (i*m mod I)/I."""
+    """Guide points (lat, lon) of the given rows of an I-row lattice. Row i
+    lies i/(I-1) of the way along the coarse route's m = n-1 segments, as
+    lattice row i lies along the trip: on segment floor(i*m/(I-1)), clamped
+    to m-1, at in-segment fraction (i*m - seg*(I-1))/(I-1). Row I-1 is the
+    destination."""
     m = coarse.n - 1
-    seg = np.minimum(rows * m // I, m - 1)
+    seg = np.minimum(rows * m // (I - 1), m - 1)
     lat, lon = np.array([(p.lat_deg, p.lon_deg) for p in coarse.waypoints]).T
     return intermediate_points(lat[seg], lon[seg], lat[seg + 1], lon[seg + 1],
-                               (rows * m - seg * I) / I)
+                               (rows * m - seg * (I - 1)) / (I - 1))
 
 
 def build_corridor(lattice: Lattice, coarse: CoarseRoute, w: int) -> Corridor:

@@ -137,8 +137,7 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
     start = state.position
     total = great_circle_distance(start, to)
     if total == 0.0:
-        end = AircraftState(GeoPoint(to.lat_deg, to.lon_deg, to.alt_m), state.mass_kg)
-        return SegmentResult(0.0, 0.0, end)
+        return SegmentResult(0.0, 0.0, AircraftState(to, state.mass_kg))
 
     bearing = initial_bearing(start, to)
     mass = state.mass_kg
@@ -163,8 +162,7 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
         fuel += df
         time += dt
 
-    end = AircraftState(GeoPoint(to.lat_deg, to.lon_deg, to.alt_m), mass)
-    return SegmentResult(fuel, time, end, floor_hit)
+    return SegmentResult(fuel, time, AircraftState(to, mass), floor_hit)
 
 
 #: Most pieces `substep_geometry` works on at once: it cuts longer batches
@@ -296,8 +294,7 @@ def thread_legs(spec: AircraftSpec, initial_state: AircraftState,
             fuel += df
             time += step_dt
         else:
-            leg = SegmentResult(fuel, time, AircraftState(
-                GeoPoint(wp.lat_deg, wp.lon_deg, wp.alt_m), mass), hit)
+            leg = SegmentResult(fuel, time, AircraftState(wp, mass), hit)
         legs.append(leg)
         state = leg.end_state
     return legs

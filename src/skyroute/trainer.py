@@ -44,8 +44,8 @@ from .geo import (GeoPoint, PlaneVector, great_circle_distance,
                   local_displacement, trip_rotation)
 # extract_features is not called here: perfbench's tracer wraps the name.
 from .guide import (ACTION_DIM, FEATURE_DIM, GuideConfig, PolicyParams,
-                    displacement_to, extract_features, feature_row, forward,
-                    init_params, save_checkpoint, step)
+                    extract_features, feature_row, forward, init_params,
+                    save_checkpoint, step)
 from .perfmodel import AircraftSpec, AircraftState, default_spec, fly_segment
 from .weather import WeatherField, make_uniform, ISA_TEMPERATURE_K
 
@@ -268,7 +268,7 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     std = np.exp(params.log_std)
     for k in range(T):
         # One displacement per episode serves the features and the reward.
-        disps = [displacement_to(x, d) for x, d in zip(xs, dests)]
+        disps = [local_displacement(x, d) for x, d in zip(xs, dests)]
         features[:, k] = [feature_row(x, disp, phi, field, trip_len, gcfg)
                           for x, disp, phi, trip_len
                           in zip(xs, disps, phis, trip_lens)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from skyroute import geo
 from skyroute.errors import DegenerateTrip, DistanceOutOfRange
 from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, PlaneVector, along_track,
                           along_tracks, displace, displace_many,
@@ -12,6 +13,10 @@ from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, PlaneVector, along_track,
                           intermediate_point, intermediate_points,
                           local_displacement, rotate, rotate_inverse,
                           trip_rotation)
+
+
+MUC = GeoPoint(48.35, 11.79)
+BER = GeoPoint(52.37, 13.52)
 
 
 def independent_haversine(lat1, lon1, lat2, lon2):
@@ -71,9 +76,42 @@ class TestLocalDisplacement:
         assert d.east_m == 0.0
         assert d.north_m == pytest.approx(math.pi * EARTH_RADIUS_M / 180, rel=1e-12)
 
-    def test_out_of_range(self):
-        with pytest.raises(DistanceOutOfRange):
-            local_displacement(GeoPoint(0, 0), GeoPoint(0, 90))
+    @staticmethod
+    def equirectangular(x, target):
+        dlat = target.lat_deg - x.lat_deg
+        mid = math.radians(x.lat_deg + 0.5 * dlat)
+        return PlaneVector(
+            math.radians(target.lon_deg - x.lon_deg) * math.cos(mid)
+            * EARTH_RADIUS_M, math.radians(dlat) * EARTH_RADIUS_M)
+
+    @staticmethod
+    def bearing_vector(x, target):
+        d = great_circle_distance(x, target)
+        theta = initial_bearing(x, target)
+        return PlaneVector(d * math.sin(theta), d * math.cos(theta))
+
+    def test_planar_within_bound(self):
+        assert local_displacement(MUC, BER) == self.equirectangular(MUC, BER)
+        assert local_displacement(MUC, BER) != self.bearing_vector(MUC, BER)
+
+    def test_bearing_vector_beyond_bound(self):
+        # A quarter of the equator points due east.
+        d = local_displacement(GeoPoint(0, 0), GeoPoint(0, 90))
+        assert d.east_m == pytest.approx(0.5 * math.pi * EARTH_RADIUS_M,
+                                         rel=1e-12)
+        assert d.north_m == pytest.approx(0.0, abs=1e-6)
+        far = GeoPoint(-33.9, 151.2)
+        assert great_circle_distance(MUC, far) > geo.MAX_PLANAR_DISTANCE_M
+        assert local_displacement(MUC, far) == self.bearing_vector(MUC, far)
+
+    def test_bound_itself_is_planar(self, monkeypatch):
+        # Move the bound onto this pair's distance, then one ulp below it.
+        d = great_circle_distance(MUC, BER)
+        monkeypatch.setattr(geo, "MAX_PLANAR_DISTANCE_M", d)
+        assert local_displacement(MUC, BER) == self.equirectangular(MUC, BER)
+        monkeypatch.setattr(geo, "MAX_PLANAR_DISTANCE_M",
+                            math.nextafter(d, 0.0))
+        assert local_displacement(MUC, BER) == self.bearing_vector(MUC, BER)
 
     @given(geo_points(st.floats(-60, 60)),
            st.floats(-800_000, 800_000), st.floats(-600_000, 600_000))
@@ -131,10 +169,9 @@ class TestTripRotation:
 
     @given(geo_points(st.floats(-60, 60)), geo_points(st.floats(-60, 60)))
     @example(GeoPoint(0.0, 0.0), GeoPoint(0.0, 5e-324))  # displacement underflows
+    @example(GeoPoint(40.0, -3.0), GeoPoint(45.0, 80.0))  # beyond 6,000 km
     @settings(max_examples=100)
     def test_straightens_any_trip(self, a, b):
-        if great_circle_distance(a, b) > 5_500_000:
-            return
         d = local_displacement(a, b)
         if d.norm() == 0.0:
             with pytest.raises(DegenerateTrip):

@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from skyroute import guide
-from skyroute.geo import (GeoPoint, PlaneVector, great_circle_distance,
-                          initial_bearing, intermediate_point,
-                          local_displacement, trip_rotation)
+from skyroute.geo import (GeoPoint, great_circle_distance, intermediate_point,
+                          trip_rotation)
 from skyroute.guide import (ACTION_DIM, FEATURE_DIM, GuideConfig, PolicyParams,
-                            displacement_to, extract_features, forward,
-                            init_params,
+                            extract_features, forward, init_params,
                             load_checkpoint, param_shapes, policy_action,
                             roll_out, save_checkpoint, step)
 from skyroute.weather import make_uniform
@@ -107,30 +104,6 @@ class TestExtractFeatures:
         assert f[2] == pytest.approx(25.0 / 50.0)
         assert f[3] == pytest.approx(-10.0 / 50.0)
         assert f[4] == pytest.approx(15.0 / 30.0)
-
-
-class TestDisplacementTo:
-    def bearing_vector(self, x, target):
-        d = great_circle_distance(x, target)
-        theta = initial_bearing(x, target)
-        return PlaneVector(d * math.sin(theta), d * math.cos(theta))
-
-    def test_planar_within_bound(self):
-        assert displacement_to(ORIGIN, DEST) == local_displacement(ORIGIN, DEST)
-        assert displacement_to(ORIGIN, DEST) != self.bearing_vector(ORIGIN, DEST)
-
-    def test_bearing_vector_beyond_bound(self):
-        far = GeoPoint(-33.9, 151.2)
-        assert great_circle_distance(ORIGIN, far) > guide.MAX_PLANAR_DISTANCE_M
-        assert displacement_to(ORIGIN, far) == self.bearing_vector(ORIGIN, far)
-
-    def test_bound_itself_is_planar(self, monkeypatch):
-        # Move the bound onto this pair's distance, then one ulp below it.
-        d = great_circle_distance(ORIGIN, DEST)
-        monkeypatch.setattr(guide, "MAX_PLANAR_DISTANCE_M", d)
-        assert displacement_to(ORIGIN, DEST) == local_displacement(ORIGIN, DEST)
-        monkeypatch.setattr(guide, "MAX_PLANAR_DISTANCE_M", math.nextafter(d, 0.0))
-        assert displacement_to(ORIGIN, DEST) == self.bearing_vector(ORIGIN, DEST)
 
 
 class TestPolicyAction:

@@ -174,13 +174,13 @@ class TestPlan:
 
     def test_reports_ground_speed_floor_hits(self):
         # A 140 m/s headwind against TAS 150 m/s floors the ground speed on
-        # every leg of a lattice only 1 km wide.
+        # every leg of a one-column lattice, whose legs lie on the track.
         slow = replace(default_spec(), tas_ms=150.0)
         bearing = initial_bearing(MUC, BER)
         headwind = make_uniform(-140.0 * math.sin(bearing),
                                 -140.0 * math.cos(bearing), ISA_TEMPERATURE_K,
                                 make_weather("uniform", MUC, BER).bbox())
-        req = small_request(aircraft=slow, lateral_halfwidth_m=1_000.0)
+        req = small_request(aircraft=slow, dims=(9, 1, 3), width=1)
         doc = plan(req, headwind)
         wps = [GeoPoint(w["lat_deg"], w["lon_deg"]) for w in doc["waypoints"]]
         for seg, a, b in zip(doc["segments"], wps, wps[1:]):
@@ -218,6 +218,20 @@ class TestPlan:
     def test_policy_guide_requires_checkpoint(self):
         with pytest.raises(ConfigError):
             plan(small_request(guide_kind="policy"))
+
+    def test_policy_guide_plans_long_haul(self, tmp_path):
+        # Madrid -> Kazakhstan is beyond the 6,000 km planar bound.
+        ck = tmp_path / "policy.json"
+        save_checkpoint(init_params(np.random.default_rng(0), hidden=4),
+                        GuideConfig(guide_kind="policy"), str(ck))
+        origin, dest = GeoPoint(40, -3, 10_000), GeoPoint(45, 80, 10_000)
+        assert great_circle_distance(origin, dest) > 6_000_000
+        doc = plan(small_request(origin=origin, destination=dest,
+                                 dims=(9, 5, 1), guide_kind="policy",
+                                 checkpoint=str(ck), weather="jet"))
+        assert doc["request"]["guide_kind"] == "policy"
+        assert len(doc["waypoints"]) == 9
+        assert doc["totals"]["fuel_kg"] > 0.0
 
     def test_southern_hemisphere_jet(self):
         # Sydney -> Auckland: the jet field's bbox reaches about -49 deg.

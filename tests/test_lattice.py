@@ -192,21 +192,34 @@ class TestCoarseRoute:
                          DEST))
 
     def test_guide_point_endpoints(self):
+        # Rows 0 and I-1 are the origin and the destination.
         route = gc_route(5)
-        I = 8
-        lat, lon = _guide_points(route, np.array([0, I]), I)
+        I = 9
+        lat, lon = _guide_points(route, np.array([0, I - 1]), I)
         for k, want in ((0, route.waypoints[0]), (1, route.waypoints[-1])):
             assert GeoPoint(lat[k], lon[k]).same_position(want)
 
     def test_guide_point_oracle(self):
-        # Brute-force oracle: row i at arc fraction i/I along the full
-        # route corresponds to segment floor(i*m/I) at in-segment
-        # fraction (i*m mod I)/I. Check i=3, I=8, m=4 by hand:
+        # Brute-force oracle: row i at fraction i/(I-1) of the m segments
+        # corresponds to segment floor(i*m/(I-1)) at in-segment fraction
+        # (i*m mod (I-1))/(I-1). Check i=3, I=9, m=4 by hand:
         # 3*4/8 = 1.5 so segment 1, fraction 0.5.
         route = gc_route(5)
-        lat, lon = _guide_points(route, np.array([3]), 8)
+        lat, lon = _guide_points(route, np.array([3]), 9)
         expected = intermediate_point(route.waypoints[1], route.waypoints[2], 0.5)
         assert great_circle_distance(GeoPoint(lat[0], lon[0]), expected) < 1e-6
+
+    @pytest.mark.parametrize("I,n", [(9, 5), (41, 5), (10, 4), (2, 3)])
+    def test_great_circle_guide_points_are_the_centre_column(self, I, n):
+        # A great-circle guide lies on the track, and so does each row's
+        # centre column: every row's guide point is that column.
+        lattice = build_lattice(ORIGIN, DEST, I, 5, 1, 50_000.0)
+        lat, lon = _guide_points(gc_route(n), np.arange(I), I)
+        c = lattice.center_column
+        for i in range(I):
+            assert great_circle_distance(
+                GeoPoint(lat[i], lon[i]),
+                GeoPoint(lattice.lat_deg[i, c], lattice.lon_deg[i, c])) < 1e-3
 
 
 class TestCorridor:
