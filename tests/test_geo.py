@@ -94,12 +94,17 @@ class TestLocalDisplacement:
         assert local_displacement(MUC, BER) == self.equirectangular(MUC, BER)
         assert local_displacement(MUC, BER) != self.bearing_vector(MUC, BER)
 
-    def test_bearing_vector_beyond_bound(self):
-        # A quarter of the equator points due east.
+    def test_out_of_range(self):
+        # A quarter of the equator is beyond the bound: it points due east,
+        # and displace refuses to map that vector back.
         d = local_displacement(GeoPoint(0, 0), GeoPoint(0, 90))
         assert d.east_m == pytest.approx(0.5 * math.pi * EARTH_RADIUS_M,
                                          rel=1e-12)
         assert d.north_m == pytest.approx(0.0, abs=1e-6)
+        with pytest.raises(DistanceOutOfRange):
+            displace(GeoPoint(0, 0), d)
+
+    def test_bearing_vector_beyond_bound(self):
         far = GeoPoint(-33.9, 151.2)
         assert great_circle_distance(MUC, far) > geo.MAX_PLANAR_DISTANCE_M
         assert local_displacement(MUC, far) == self.bearing_vector(MUC, far)
