@@ -1,28 +1,28 @@
 """Surrogate aircraft performance model.
 
-Segment fuel burn uses a fuel flow proportional to mass with a linear
-temperature term, and additive along-track wind. Deterministic and
-monotone by construction, with closed forms that unit tests can pin
-exactly. A segment flies in `substeps` pieces, each its segment plus a
-fraction: the weather at the mid fraction, the wind along the track's
-direction at the start fraction, in closed form from the endpoints
-(`geo.along_track`).
+Fuel flow is proportional to mass with a linear temperature term; wind is
+additive along track. Deterministic and monotone by construction, with
+closed forms that unit tests can pin exactly. A segment flies in
+`substeps` pieces, each its segment plus a fraction: the weather at the
+mid fraction, the wind along the track's direction at the start fraction,
+in closed form from the endpoints (`geo.along_track`). Each piece burns a
+fixed share of the mass it starts with (`_burn`), so a segment flown from
+mass m burns m times a share that its geometry fixes.
 
 `fly_segment` flies one segment and is the reference. It is the only
 source of flight errors (OutOfDomain, Infeasible), re-flies the legs
 `thread_legs` refuses, and is the trainer's stepper. The array forms split
-a flight into its mass-free part and a mass loop, so that one geometry
-pass can serve several mass loops (the search flies its lattice once):
-- `substep_geometry` repeats `fly_segment`'s geometry and weather lookups
-  over arrays of segments, through the array forms of the same `geo`
-  formulas, so the two differ only where numpy rounds sin/cos/asin/atan2
-  differently from the C library. It returns a `Geometry`.
-- `segments_fuel` threads each segment's own start mass through its
-  substeps at once, and marks with NaN each segment `fly_segment` would
-  refuse, which the search takes as an absent edge. `fly_segments` is
-  the two in one call.
-- `thread_legs` threads mass along consecutive legs in one plain-float
-  loop; `fly_route` is `substep_geometry` and `thread_legs` in one call.
+a flight into its mass-free part and one multiply per segment, so that one
+geometry pass serves several masses (the search flies its lattice once):
+- `substep_geometry` repeats `fly_segment`'s geometry, weather lookups and
+  burned shares over arrays of segments, as a `Geometry` of per-segment
+  arrays. It uses the array forms of the same `geo` formulas, so the two
+  differ only where numpy rounds sin/cos/asin/atan2 differently from libm.
+- `segments_fuel` is each segment's start mass times its share, NaN where
+  `fly_segment` would refuse the segment (the search's absent edges).
+  `fly_segments` is the two in one call.
+- `thread_legs` carries mass along consecutive legs, one multiply a leg;
+  `fly_route` is `substep_geometry` and `thread_legs` in one call.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .geo import (EARTH_RADIUS_M, GeoPoint, along_track, along_tracks,
                   great_circle_distance, great_circle_distances,
                   initial_bearing, initial_bearings, intermediate_point,
                   intermediate_points)
-from .weather import ISA_TEMPERATURE_K, WeatherField, sample, sample_many
+from .weather import (ISA_TEMPERATURE_K, MAX_TEMPERATURE_K, MIN_TEMPERATURE_K,
+                      WeatherField, sample, sample_many)
 
 #: Ground-speed floor (m/s) preventing division blow-up under absurd headwind.
 GROUND_SPEED_FLOOR_MS = 20.0
@@ -58,12 +59,16 @@ class AircraftSpec:
     temp_sensitivity: float
 
     def __post_init__(self):
-        if not (self.empty_mass_kg < self.ref_mass_kg <= self.max_mass_kg):
-            raise ValueError("require empty_mass < ref_mass <= max_mass")
+        if not (0.0 < self.empty_mass_kg < self.ref_mass_kg <= self.max_mass_kg):
+            raise ValueError("require 0 < empty_mass < ref_mass <= max_mass")
         if not (150.0 <= self.tas_ms <= 300.0):
             raise ValueError("tas_ms must lie in [150, 300]")
         if self.base_fuel_flow_kgps <= 0.0:
             raise ValueError("base_fuel_flow_kgps must be positive")
+        # Flow > 0 at every temperature a field accepts: burned shares grow.
+        if min(1.0 + self.temp_sensitivity * (t - ISA_TEMPERATURE_K)
+               for t in (MIN_TEMPERATURE_K, MAX_TEMPERATURE_K)) <= 0.0:
+            raise ValueError("temp_sensitivity: flow must stay positive in [180, 330] K")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AircraftSpec":
@@ -124,13 +129,19 @@ def fuel_flow_kgps(spec: AircraftSpec, mass_kg: float, temperature_k: float) -> 
             * (1.0 + spec.temp_sensitivity * (temperature_k - ISA_TEMPERATURE_K)))
 
 
+def _burn(spec: AircraftSpec, burned, temperature_k, dt):
+    """A segment's burned share of its start mass after one more piece."""
+    return burned + fuel_flow_kgps(spec, 1.0, temperature_k) * dt * (1.0 - burned)
+
+
 def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
                 field: WeatherField, substeps: int = DEFAULT_SUBSTEPS) -> SegmentResult:
     """Fly the great-circle track from state.position to `to`.
 
     Piece k of `substeps` runs from fraction k/substeps of the track to
     (k+1)/substeps. Ground speed is TAS plus the wind at its midpoint along
-    the track's direction at its start (floored); mass drops after each.
+    the track's direction at its start (floored); each piece burns its
+    share of the mass left (`_burn`).
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -140,10 +151,7 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
         return SegmentResult(0.0, 0.0, AircraftState(to, state.mass_kg))
 
     bearing = initial_bearing(start, to)
-    mass = state.mass_kg
-    fuel = 0.0
-    time = 0.0
-    floor_hit = False
+    mass, burned, time, floor_hit = state.mass_kg, 0.0, 0.0, False
     for k in range(substeps):
         mid = intermediate_point(start, to, (k / substeps + (k + 1) / substeps) / 2.0)
         wx = sample(field, mid)
@@ -154,15 +162,14 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
             gs = GROUND_SPEED_FLOOR_MS
             floor_hit = True
         dt = total / substeps / gs
-        df = fuel_flow_kgps(spec, mass, wx.temperature) * dt
-        mass -= df
-        if mass < spec.empty_mass_kg:
-            raise Infeasible(
-                f"mass would drop below empty mass ({mass:.1f} < {spec.empty_mass_kg})")
-        fuel += df
+        burned = _burn(spec, burned, wx.temperature, dt)
+        if mass - mass * burned < spec.empty_mass_kg:
+            raise Infeasible(f"mass would drop below empty mass "
+                             f"({mass - mass * burned:.1f} < {spec.empty_mass_kg})")
         time += dt
 
-    return SegmentResult(fuel, time, AircraftState(to, mass), floor_hit)
+    fuel = mass * burned
+    return SegmentResult(fuel, time, AircraftState(to, mass - fuel), floor_hit)
 
 
 #: Most pieces `substep_geometry` works on at once: it cuts longer batches
@@ -176,17 +183,17 @@ BLOCK_POINTS = 8192
 class Geometry(NamedTuple):
     """The mass-free part of flying n segments, as `fly_segment` computes it.
 
-    Off the grid the duration and temperature are NaN.
-    """
+    Off the grid the time and burned share are NaN, and so is the share of
+    a segment that burns all its mass. A zero-length segment burns nothing."""
 
     length: np.ndarray          # (n,) meters
-    dt: np.ndarray              # (substeps, n) seconds per substep
-    temperature: np.ndarray     # (substeps, n) K at each substep's midpoint
-    floor: np.ndarray           # (substeps, n) ground speed floored
+    time: np.ndarray            # (n,) seconds, the sum of the pieces'
+    burned: np.ndarray          # (n,) share of the start mass burned
+    floor: np.ndarray           # (n,) some piece's ground speed floored
 
     def take(self, index) -> "Geometry":
         """The geometry of segments `index`, in that order."""
-        return Geometry(*(a[..., index] for a in self))
+        return Geometry(*(a[index] for a in self))
 
 
 def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
@@ -195,9 +202,9 @@ def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
 
     Segment n runs from (lat0[n], lon0[n]) at mass mass0[n] to (lat1[n],
     lon1[n]); the arguments broadcast to one shape, which the result has.
-    NaN marks a segment `fly_segment` would refuse: a substep midpoint lies
-    off the grid (the NaN of `sample_many` reaches the fuel) or the mass
-    falls below the empty mass. Only `fly_segment` says which error that is.
+    NaN marks a segment `fly_segment` would refuse: a piece's midpoint lies
+    off the grid or the mass falls below the empty mass. Only `fly_segment`
+    says which error that is.
     """
     args = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (lat0, lon0, mass0, lat1, lon1)))
@@ -209,16 +216,9 @@ def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
 def segments_fuel(spec: AircraftSpec, mass, geometry: Geometry) -> np.ndarray:
     """Fuel of each segment of `geometry` flown from mass[n]; NaN where
     `fly_segment` would refuse it (see `fly_segments`)."""
-    fuel = np.zeros_like(geometry.length)
-    too_light = np.zeros(fuel.shape, dtype=bool)
-    for dt, temperature in zip(geometry.dt, geometry.temperature):
-        df = fuel_flow_kgps(spec, mass, temperature) * dt
-        mass = mass - df
-        too_light |= mass < spec.empty_mass_kg
-        fuel = fuel + df
-    # A zero-length segment costs nothing and samples nowhere.
-    return np.where(geometry.length > 0.0,
-                    np.where(too_light, np.nan, fuel), 0.0)
+    fuel = mass * geometry.burned
+    return np.where((mass - fuel >= spec.empty_mass_kg)
+                    | (geometry.length == 0.0), fuel, np.nan)   # 0 kg at any mass
 
 
 def substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
@@ -241,9 +241,16 @@ def substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
         gs = spec.tas_ms + along_tracks(ends[0], initial_bearings(*ends),
                                         start * delta, wx.wind_east,
                                         wx.wind_north)
-        dt = total / substeps / np.maximum(gs, GROUND_SPEED_FLOOR_MS)
-        blocks.append((total, dt, wx.temperature, gs < GROUND_SPEED_FLOOR_MS))
-    return Geometry(*(np.concatenate(parts, axis=-1) for parts in zip(*blocks)))
+        dts = total / substeps / np.maximum(gs, GROUND_SPEED_FLOOR_MS)
+        time = burned = 0.0
+        for dt, temperature in zip(dts, wx.temperature):
+            burned = _burn(spec, burned, temperature, dt)
+            burned = np.where(burned < 1.0, burned, np.nan)   # emptied
+            time = time + dt
+        moving = total > 0.0        # a zero-length segment samples nowhere
+        blocks.append((total, np.where(moving, time, 0.0), np.where(moving, burned, 0.0),
+                       moving & (gs < GROUND_SPEED_FLOOR_MS).any(axis=0)))
+    return Geometry(*(np.concatenate(parts) for parts in zip(*blocks)))
 
 
 def fly_route(spec: AircraftSpec, initial_state: AircraftState,
@@ -270,31 +277,22 @@ def thread_legs(spec: AircraftSpec, initial_state: AircraftState,
     """`fly_route` over precomputed geometry: leg n of `geometry` is route[n]
     -> route[n + 1], at `substeps` substeps.
 
-    One plain-float loop threads mass in `fly_segment`'s order of
-    operations. A leg that loop refuses (off the grid, or below the empty
-    mass) is flown again with `fly_segment`: that raises the leg's error
-    or, if it can fly the leg, gives its result.
+    Each leg burns its share of the mass the previous leg left. A leg that
+    would end below the empty mass (or is off the grid) is flown again
+    with `fly_segment`: that raises the leg's error or, if it can fly the
+    leg, gives its result.
     """
     state = AircraftState(route[0], initial_state.mass_kg)
     legs = []
-    for wp, length, dts, temps, hit in zip(
-            route[1:], geometry.length.tolist(), geometry.dt.T.tolist(),
-            geometry.temperature.T.tolist(),
-            geometry.floor.any(axis=0).tolist()):
-        if length == 0.0:           # costs nothing and samples nowhere
-            dts, hit = [], False
+    for wp, time, burned, hit in zip(
+            route[1:], geometry.time.tolist(), geometry.burned.tolist(),
+            geometry.floor.tolist()):
         mass = state.mass_kg
-        fuel = time = 0.0
-        for step_dt, temp in zip(dts, temps):
-            df = fuel_flow_kgps(spec, mass, temp) * step_dt
-            mass -= df
-            if not mass >= spec.empty_mass_kg:     # below empty, or NaN
-                leg = fly_segment(spec, state, wp, field, substeps)
-                break
-            fuel += df
-            time += step_dt
-        else:
-            leg = SegmentResult(fuel, time, AircraftState(wp, mass), hit)
+        fuel = mass * burned
+        if mass - fuel >= spec.empty_mass_kg:
+            leg = SegmentResult(fuel, time, AircraftState(wp, mass - fuel), hit)
+        else:                                   # below empty, or NaN
+            leg = fly_segment(spec, state, wp, field, substeps)
         legs.append(leg)
         state = leg.end_state
     return legs

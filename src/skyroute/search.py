@@ -3,20 +3,19 @@
 `row_dp` is the solver `plan` runs; the heap-based `astar` is the
 reference it is tested against.
 
-Edge costs come from the performance model evaluated at a precomputed
-per-row nominal mass (the searches need state-independent edge costs);
-the winning path is then flown once with threaded mass for the reported
-fuel. The heuristic is a provable lower bound on remaining fuel per
-meter, so the search is optimal within the graph it is given.
+Edge costs are the fuel at a per-row nominal mass (the searches need
+state-independent edge costs). The heuristic is a provable lower bound on
+remaining fuel per meter, so the search is optimal within the graph it
+is given.
 
 Each search flies its lattice's mass-free geometry once (`_fly_lattice`):
-one `substep_geometry` pass over the window edges and the centerline
-legs. Three stages read it. The nominal masses thread mass along the
-centerline legs, as `nominal_mass_profile` does; the edge table costs
-the window edges at their rows' masses; and the winning path is flown by
-threading mass along its legs, as `fly_route` flies it. A leg's geometry
-does not depend on its batch, so all three equal what their own flights
-would give. `SearchResult.stages` times each stage.
+one `substep_geometry` pass gives every window edge and centerline leg
+its time and the share of its start mass it burns. Three stages multiply
+those shares by masses: the nominal masses along the centerline legs, as
+`nominal_mass_profile` finds them; the edge table at each row's mass;
+and the winning path along its legs, as `fly_route` flies it. A leg's
+geometry does not depend on its batch, so all three equal what their own
+flights would give. `SearchResult.stages` times each stage.
 
 An edge (i, j, h) -> (i+1, j', h') costs the same for every h and h':
 the row's nominal mass is fixed, the weather is 2-D, distance ignores

@@ -106,7 +106,7 @@ class TrainConfig:
         if self.n_waypoints < 2:
             raise ConfigError("n_waypoints must be >= 2")
         for name in ("rollout_episodes", "minibatch_size", "epochs_per_update",
-                     "hidden", "substeps"):
+                     "hidden", "substeps", "instances", "checkpoint_every"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, "

@@ -24,6 +24,7 @@ from .errors import OutOfDomain, ParseError, SchemaError
 from .geo import GeoPoint
 
 ISA_TEMPERATURE_K = 288.15
+MIN_TEMPERATURE_K, MAX_TEMPERATURE_K = 180.0, 330.0   # a field's range
 
 CSV_COLUMNS = ["lat_deg", "lon_deg", "wind_east_ms", "wind_north_ms", "temperature_k"]
 
@@ -73,7 +74,8 @@ class WeatherField:
             # off-grid positions with it.
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} grid must be finite")
-        if np.any(self.temperature < 180.0) or np.any(self.temperature > 330.0):
+        if not (MIN_TEMPERATURE_K <= self.temperature.min()
+                and self.temperature.max() <= MAX_TEMPERATURE_K):
             raise ValueError("temperature outside [180, 330] K")
         speed = np.hypot(self.wind_east, self.wind_north)
         if np.any(speed > 150.0):

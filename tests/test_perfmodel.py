@@ -1,6 +1,7 @@
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,7 +13,7 @@ from skyroute.lattice import build_lattice
 from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftSpec,
                                 AircraftState, default_spec, fly_route,
                                 fly_segment, fly_segments, fuel_flow_kgps,
-                                route_cost)
+                                route_cost, segments_fuel, substep_geometry)
 from skyroute.search import _edge_table, _fly_lattice, nominal_mass_profile
 from skyroute.weather import ISA_TEMPERATURE_K, make_jet_stream, make_uniform
 
@@ -194,6 +195,7 @@ class TestFlySegments:
         segs = [(48.0, 11.0, 0.5, 1.0, False, 60_000.0),   # ordinary
                 (48.0, 11.0, 0.0, 0.0, True, 60_000.0),    # zero length
                 (75.0, 11.0, 0.0, 0.0, True, 60_000.0),    # zero length off grid
+                (48.0, 11.0, 0.0, 0.0, True, 30_000.0),    # zero length, below empty
                 (69.5, 11.0, 2.0, 0.0, False, 60_000.0),   # leaves the grid
                 (48.0, 11.0, 2.0, 2.0, False, 40_100.0),   # falls below empty
                 (48.0, 11.0, 0.0, 1.0, False, 60_000.0)]   # due east
@@ -211,6 +213,31 @@ class TestFlySegments:
         with pytest.raises(Infeasible):
             fly_segment(default_spec(), AircraftState(GeoPoint(48.0, 11.0), 40_100.0),
                         GeoPoint(50.0, 13.0), still_air(), 4)
+        # 7,383 km due west at the ground-speed floor: each of two pieces
+        # has c = flow(1 kg) dt of about 2, so the share is about 2 after the
+        # first; unmarked, the second would take it back to about 0.0007.
+        floor_field = make_uniform(150.0, 0.0, ISA_TEMPERATURE_K,
+                                   (-10.0, 10.0, -40.0, 40.0))
+        floor_leg = [(0.0, 33.2, 0.0, -66.4, False, 60_000.0)]
+        assert_matches_scalar(SLOW_SPEC, floor_leg, floor_field, 2)
+        fuel = fly_segments(SLOW_SPEC, 0.0, 33.2, 60_000.0, 0.0, -33.2,
+                            floor_field, 2)
+        assert math.isnan(fuel)
+        with pytest.raises(Infeasible):
+            fly_segment(SLOW_SPEC, AircraftState(GeoPoint(0.0, 33.2), 60_000.0),
+                        GeoPoint(0.0, -33.2), floor_field, 2)
+
+    def test_fuel_is_mass_times_burned_share(self):
+        # Flow proportional to mass: a segment burns a share of its start
+        # mass that its geometry fixes, at every mass.
+        lat0, lon0 = np.array([46.0, 48.0, 50.0]), np.array([5.0, 11.0, 20.0])
+        geometry = substep_geometry(default_spec(), lat0, lon0, lat0 + 1.5,
+                                    lon0 - 2.0, FIELDS[1], 4)
+        assert np.all((geometry.burned > 0.0) & (geometry.burned < 1.0))
+        m = 41_000.0
+        for mass in (m, 2 * m):
+            assert np.array_equal(segments_fuel(default_spec(), mass, geometry),
+                                  mass * geometry.burned)
 
     def test_floor_is_hit(self):
         # Due west at TAS 150 m/s into a 140 m/s wind: ground speed floored.
@@ -382,9 +409,18 @@ class TestAircraftSpec:
         with pytest.raises(ValueError):
             AircraftSpec(60_000, 65_000, 77_000, 230.0, 0.65, 0.002)
         with pytest.raises(ValueError):
+            AircraftSpec(60_000, 0.0, 77_000, 230.0, 0.65, 0.002)
+        with pytest.raises(ValueError):
             AircraftSpec(60_000, 40_000, 77_000, 120.0, 0.65, 0.002)
         with pytest.raises(ValueError):
             AircraftSpec(60_000, 40_000, 77_000, 230.0, -0.1, 0.002)
+        # Fuel flow must stay positive from 180 K (the largest positive
+        # temp_sensitivity, 1/108.15) to 330 K (the most negative, -1/41.85).
+        for inside in (0.999 / 108.15, -0.999 / 41.85):
+            AircraftSpec(60_000, 40_000, 77_000, 230.0, 0.65, inside)
+        for outside in (1.001 / 108.15, -1.001 / 41.85, 0.02):
+            with pytest.raises(ValueError, match="temp_sensitivity"):
+                AircraftSpec(60_000, 40_000, 77_000, 230.0, 0.65, outside)
 
     def test_json_round_trip(self, tmp_path):
         spec = default_spec()

@@ -412,6 +412,17 @@ class TestRowDp:
             assert want.search_cost_kg == int(want.search_cost_kg)
             assert_same_result(got, want)
 
+    def test_equals_astar_near_the_flow_bound(self):
+        # Just inside the largest temp_sensitivity AircraftSpec accepts, a
+        # 180 K field leaves 0.1% of the reference fuel flow: costs stay
+        # positive, so the heuristic stays a lower bound.
+        spec = replace(SPEC, temp_sensitivity=0.999 / 108.15)
+        fld = make_uniform(20.0, -10.0, 180.0, BBOX)
+        lat = build_lattice(ORIGIN, DEST, 9, 5, 1, 60_000)
+        want = astar(lat, None, spec, start_state(), fld)
+        assert want.total_fuel_kg > 0.0
+        assert_same_result(row_dp(lat, None, spec, start_state(), fld), want)
+
     @pytest.mark.parametrize("H", [1, 2, 3, 5])
     def test_levels_follow_the_smaller_h_tie_break(self, H):
         lat = build_lattice(ORIGIN, DEST, 9, 5, H, 60_000)

@@ -60,7 +60,8 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("name", ["rollout_episodes", "minibatch_size",
                                       "epochs_per_update", "hidden",
-                                      "substeps"])
+                                      "substeps", "instances",
+                                      "checkpoint_every"])
     def test_counts_below_one_rejected(self, name):
         with pytest.raises(ConfigError, match=name):
             TrainConfig(seed=0, **{name: 0})
