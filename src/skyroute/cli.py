@@ -11,6 +11,7 @@ import os
 import sys
 
 from .errors import ConfigError, SkyrouteError
+from .guide import GUIDE_KINDS
 from .harness import (DEFAULT_DIMS, DEFAULT_WIDTH, PlanRequest, bench_fwd,
                       bench_width, default_requests, plan, resolve_point,
                       write_bench_csv)
@@ -33,7 +34,7 @@ def _add_request_args(p: argparse.ArgumentParser, weather: str) -> None:
                    help="altitude levels H")
     p.add_argument("--width", type=int, default=DEFAULT_WIDTH,
                    help="corridor width w in columns")
-    p.add_argument("--guide", choices=["great_circle", "policy"],
+    p.add_argument("--guide", choices=GUIDE_KINDS,
                    default="great_circle")
     p.add_argument("--checkpoint", default=None,
                    help="policy checkpoint (required with --guide policy)")

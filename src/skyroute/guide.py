@@ -3,7 +3,8 @@
 A guide turns (origin, destination, weather) into an n-waypoint coarse
 route. Two kinds exist: a learned actor-critic policy and a no-learning
 great-circle baseline. Instances are rotated so every trip appears as a
-straight trip upwards before the policy sees it.
+straight trip upwards before the policy sees it. The policy's weather
+features are scaled by fixed constants that every checkpoint records.
 """
 
 from __future__ import annotations
@@ -25,9 +26,16 @@ ACTION_DIM = 2
 
 CHECKPOINT_SCHEMA = 1
 
-#: Feature normalization constants (documented so checkpoints are portable).
+#: Feature normalization constants. Every checkpoint records them, and
+#: load_checkpoint refuses one that records others.
 WIND_SCALE_MS = 50.0
 TEMP_SCALE_K = 30.0
+_NORMALIZATION = {"wind_scale_ms": WIND_SCALE_MS, "temp_scale_k": TEMP_SCALE_K}
+
+#: Initial log-std of both action dimensions.
+LOG_STD_INIT = -0.7
+
+GUIDE_KINDS = ("great_circle", "policy")
 
 
 def param_shapes(hidden: int) -> dict[str, tuple[int, ...]]:
@@ -99,22 +107,19 @@ class PolicyParams:
 
 @dataclass
 class GuideConfig:
-    """Which guide to use and how it normalizes features."""
+    """Which guide to use and how many waypoints it proposes."""
 
     n: int = 5
-    guide_kind: str = "great_circle"   # "policy" | "great_circle"
-    wind_scale_ms: float = WIND_SCALE_MS
-    temp_scale_k: float = TEMP_SCALE_K
+    guide_kind: str = "great_circle"   # one of GUIDE_KINDS
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.guide_kind not in ("policy", "great_circle"):
+        if self.guide_kind not in GUIDE_KINDS:
             raise ValueError(f"unknown guide_kind: {self.guide_kind}")
 
 
-def init_params(rng: np.random.Generator, hidden: int = 64,
-                log_std_init: float = -0.7) -> PolicyParams:
+def init_params(rng: np.random.Generator, hidden: int = 64) -> PolicyParams:
     """Scaled-normal init; head weights small so initial actions sit near 0."""
     def layer(n_in, n_out, scale):
         return rng.normal(0.0, scale / np.sqrt(n_in), size=(n_out, n_in))
@@ -126,7 +131,7 @@ def init_params(rng: np.random.Generator, hidden: int = 64,
         "b2": np.zeros(hidden),
         "w_mean": layer(hidden, ACTION_DIM, 0.01),
         "b_mean": np.zeros(ACTION_DIM),
-        "log_std": np.full(ACTION_DIM, log_std_init),
+        "log_std": np.full(ACTION_DIM, LOG_STD_INIT),
         "w_val": layer(hidden, 1, 0.01),
         "b_val": np.zeros(1),
     })
@@ -160,10 +165,7 @@ def save_checkpoint(params: PolicyParams, cfg: GuideConfig, path: str) -> None:
             "action_dim": ACTION_DIM,
             "activation": "tanh",
         },
-        "normalization": {
-            "wind_scale_ms": cfg.wind_scale_ms,
-            "temp_scale_k": cfg.temp_scale_k,
-        },
+        "normalization": _NORMALIZATION,
         "n_waypoints": cfg.n,
         "weights": {k: v.ravel().tolist() for k, v in params.arrays().items()},
         "shapes": {k: list(v.shape) for k, v in params.arrays().items()},
@@ -187,13 +189,11 @@ def load_checkpoint(path: str) -> tuple[PolicyParams, GuideConfig]:
     if type(n) is not int or n < 2:
         raise ValueError(f"n_waypoints must be an integer >= 2, got {n!r}")
     norm = _json_object(payload, "normalization")
-    for key in ("wind_scale_ms", "temp_scale_k"):
-        if type(norm[key]) not in (int, float) or not 0.0 < norm[key] < math.inf:
-            raise ValueError(f"normalization.{key} must be a finite number "
-                             f"> 0, got {norm[key]!r}")
-    return params, GuideConfig(n=n, guide_kind="policy",
-                               wind_scale_ms=norm["wind_scale_ms"],
-                               temp_scale_k=norm["temp_scale_k"])
+    for key, value in _NORMALIZATION.items():
+        if norm[key] != value:
+            raise ValueError(f"normalization.{key} must be {value}, "
+                             f"got {norm[key]!r}")
+    return params, GuideConfig(n=n, guide_kind="policy")
 
 
 def _json_object(payload: dict, key: str) -> dict:
@@ -233,21 +233,18 @@ def _checkpoint_params(payload: dict) -> PolicyParams:
 
 
 def extract_features(x: GeoPoint, x_n: GeoPoint, phi: float,
-                     field: WeatherField, trip_length_m: float,
-                     cfg: GuideConfig | None = None) -> np.ndarray:
+                     field: WeatherField, trip_length_m: float) -> np.ndarray:
     """Feature vector: rotated displacement to destination plus weather.
 
     Displacement components are normalized by the total trip length, wind
-    by wind_scale_ms, temperature by its ISA deviation over temp_scale_k.
+    by WIND_SCALE_MS, temperature by its ISA deviation over TEMP_SCALE_K.
     """
     disp = None if x.same_position(x_n) else local_displacement(x, x_n)
-    return np.array(feature_row(x, disp, phi, field, trip_length_m,
-                                cfg or GuideConfig()))
+    return np.array(feature_row(x, disp, phi, field, trip_length_m))
 
 
 def feature_row(x: GeoPoint, disp: PlaneVector | None, phi: float,
-                field: WeatherField, trip_length_m: float,
-                cfg: GuideConfig) -> list[float]:
+                field: WeatherField, trip_length_m: float) -> list[float]:
     """The five values of extract_features, given disp =
     local_displacement(x, x_n), or None at x_n itself; for a caller that
     needs disp as well."""
@@ -258,9 +255,9 @@ def feature_row(x: GeoPoint, disp: PlaneVector | None, phi: float,
         de, dn = d.east_m / trip_length_m, d.north_m / trip_length_m
     wx = sample(field, x)
     return [de, dn,
-            wx.wind_east / cfg.wind_scale_ms,
-            wx.wind_north / cfg.wind_scale_ms,
-            (wx.temperature - ISA_TEMPERATURE_K) / cfg.temp_scale_k]
+            wx.wind_east / WIND_SCALE_MS,
+            wx.wind_north / WIND_SCALE_MS,
+            (wx.temperature - ISA_TEMPERATURE_K) / TEMP_SCALE_K]
 
 
 def policy_action(params: PolicyParams, features: np.ndarray) -> np.ndarray:
@@ -312,7 +309,7 @@ def roll_out(cfg: GuideConfig, params: PolicyParams | None, origin: GeoPoint,
     x = origin
     pts = [x]
     for _ in range(n - 2):
-        feats = extract_features(x, destination, phi, field, trip_len, cfg)
+        feats = extract_features(x, destination, phi, field, trip_len)
         x = step(x, policy_action(params, feats), phi, trip_len / n)
         pts.append(x)
     pts.append(GeoPoint(destination.lat_deg, destination.lon_deg, alt))

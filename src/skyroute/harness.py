@@ -31,7 +31,8 @@ from dataclasses import astuple, dataclass, field as dc_field, replace
 
 from .errors import ConfigError, SkyrouteError
 from .geo import GeoPoint, great_circle_distance
-from .guide import GuideConfig, PolicyParams, load_checkpoint, roll_out
+from .guide import (GUIDE_KINDS, GuideConfig, PolicyParams, load_checkpoint,
+                    roll_out)
 from .lattice import build_corridor, build_lattice
 # astar and fly_segment are unused here; they stay because
 # perfbench/tracing.py wraps them by name.
@@ -67,15 +68,17 @@ def load_airports() -> dict[str, tuple[float, float]]:
     return {k: tuple(v) for k, v in raw.items()}
 
 
-def resolve_point(text: str, alt_m: float = DEFAULT_CRUISE_ALT_M) -> GeoPoint:
-    """Parse 'lat,lon[,alt]' or an airport code into a GeoPoint."""
+def resolve_point(text: str) -> GeoPoint:
+    """Parse 'lat,lon[,alt]' or an airport code into a GeoPoint, at
+    DEFAULT_CRUISE_ALT_M where no altitude is given."""
     if "," in text:
         parts = text.split(",")
         if len(parts) not in (2, 3):
             raise ConfigError(f"cannot parse coordinates: {text!r}")
         try:
             return GeoPoint(float(parts[0]), float(parts[1]),
-                            float(parts[2]) if len(parts) == 3 else alt_m)
+                            float(parts[2]) if len(parts) == 3
+                            else DEFAULT_CRUISE_ALT_M)
         except ValueError as exc:
             raise ConfigError(
                 f"invalid coordinates {text!r}: {exc}") from None
@@ -84,15 +87,15 @@ def resolve_point(text: str, alt_m: float = DEFAULT_CRUISE_ALT_M) -> GeoPoint:
     if code not in airports:
         raise ConfigError(f"unknown airport code: {code}")
     lat, lon = airports[code]
-    return GeoPoint(lat, lon, alt_m)
+    return GeoPoint(lat, lon, DEFAULT_CRUISE_ALT_M)
 
 
 @dataclass
 class PlanRequest:
     """Everything needed to plan one route.
 
-    Lattice dims or substeps that no plan could use raise ConfigError
-    naming the field.
+    Lattice dims, substeps, a guide kind or a seed that no plan could use
+    raise ConfigError naming the field.
     """
 
     origin: GeoPoint
@@ -118,6 +121,11 @@ class PlanRequest:
             raise ConfigError(f"dims: altitude levels H must be >= 1, got {H}")
         if self.substeps < 1:
             raise ConfigError(f"substeps must be >= 1, got {self.substeps}")
+        if self.guide_kind not in GUIDE_KINDS:
+            raise ConfigError(f"guide_kind must be one of {GUIDE_KINDS}, "
+                              f"got {self.guide_kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 #: The last `csv:` file content parsed and its field (fields are read-only).
@@ -261,7 +269,10 @@ def _sweep(requests: list[PlanRequest], values: list[int], apply, baseline,
     baseline shared across values is planned once per repetition, and a
     hybrid request equal to its baseline is the baseline run itself. Only
     `SkyrouteError` counts as a failure of a (route, repetition) pair.
+    Fewer than one repetition raises ConfigError.
     """
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     fields = [make_weather(r.weather, r.origin, r.destination, r.seed)
               for r in requests]
     memo: dict[tuple, dict] = {}

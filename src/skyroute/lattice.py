@@ -9,6 +9,8 @@ and bearing are scalar; the columns of all rows come from one array pass,
 `displace_many`. A corridor restricts each row to a window of w
 consecutive columns around a coarse guide route, built in one array
 pass; consecutive windows, like path nodes, are one column apart at most.
+Every search starts at row 0's centre column and middle level, and row
+0's window always holds that column.
 """
 
 from __future__ import annotations
@@ -86,17 +88,14 @@ class Lattice:
 @dataclass
 class Corridor:
     """Per-row column windows of fixed width w, at most one column apart
-    from row to row; the start node lies in row 0's window."""
+    from row to row."""
 
     j_min: tuple[int, ...]   # per row, inclusive
     width: int
-    start_node: NodeIndex
 
     def __post_init__(self):
         if any(abs(b - a) > 1 for a, b in zip(self.j_min, self.j_min[1:])):
             raise ValueError("consecutive windows more than one column apart")
-        if not self.j_min[0] <= self.start_node[1] <= self.j_max(0):
-            raise ValueError("start node outside row 0's window")
 
     def j_max(self, i: int) -> int:
         return self.j_min[i] + self.width - 1
@@ -187,7 +186,9 @@ def build_corridor(lattice: Lattice, coarse: CoarseRoute, w: int) -> Corridor:
     Among columns within 1e-9 m of a row's nearest, the one nearest the
     centre wins, lower j first. Windows are shifted inward to fit [0, J-1],
     and each moves at most one column from the previous row's, as a path
-    does: where the guide turns faster, the corridor lags behind it.
+    does: where the guide turns faster, the corridor lags behind it. Every
+    row-0 column is the origin, so the centre column wins there, and the
+    shift never moves it out of row 0's window (w <= J, J odd).
     """
     I, J, H = lattice.dims
     if not (1 <= w <= J):
@@ -203,8 +204,7 @@ def build_corridor(lattice: Lattice, coarse: CoarseRoute, w: int) -> Corridor:
     j_min = wanted[:1]
     for lo in wanted[1:]:
         j_min.append(min(max(lo, j_min[-1] - 1), j_min[-1] + 1))
-    start = (0, j_min[0] + (w - 1) // 2, lattice.center_level)
-    return Corridor(tuple(j_min), w, start)
+    return Corridor(tuple(j_min), w)
 
 
 def is_reachable(corridor: Corridor, idx: NodeIndex, I: int) -> bool:

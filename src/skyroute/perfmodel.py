@@ -20,7 +20,6 @@ geometry pass serves several masses (the search flies its lattice once):
   differ only where numpy rounds sin/cos/asin/atan2 differently from libm.
 - `segments_fuel` is each segment's start mass times its share, NaN where
   `fly_segment` would refuse the segment (the search's absent edges).
-  `fly_segments` is the two in one call.
 - `thread_legs` carries mass along consecutive legs, one multiply a leg;
   `fly_route` is `substep_geometry` and `thread_legs` in one call.
 """
@@ -196,26 +195,14 @@ class Geometry(NamedTuple):
         return Geometry(*(a[index] for a in self))
 
 
-def fly_segments(spec: AircraftSpec, lat0, lon0, mass0, lat1, lon1,
-                 field: WeatherField, substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
-    """Fuel of many segments at once, each flown as `fly_segment` flies it.
+def segments_fuel(spec: AircraftSpec, mass, geometry: Geometry) -> np.ndarray:
+    """Fuel of each segment of `geometry` flown from mass[n], each as
+    `fly_segment` flies it.
 
-    Segment n runs from (lat0[n], lon0[n]) at mass mass0[n] to (lat1[n],
-    lon1[n]); the arguments broadcast to one shape, which the result has.
     NaN marks a segment `fly_segment` would refuse: a piece's midpoint lies
     off the grid or the mass falls below the empty mass. Only `fly_segment`
     says which error that is.
     """
-    args = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (lat0, lon0, mass0, lat1, lon1)))
-    lat0, lon0, mass, lat1, lon1 = (a.ravel() for a in args)
-    geometry = substep_geometry(spec, lat0, lon0, lat1, lon1, field, substeps)
-    return segments_fuel(spec, mass, geometry).reshape(args[0].shape)
-
-
-def segments_fuel(spec: AircraftSpec, mass, geometry: Geometry) -> np.ndarray:
-    """Fuel of each segment of `geometry` flown from mass[n]; NaN where
-    `fly_segment` would refuse it (see `fly_segments`)."""
     fuel = mass * geometry.burned
     return np.where((mass - fuel >= spec.empty_mass_kg)
                     | (geometry.length == 0.0), fuel, np.nan)   # 0 kg at any mass

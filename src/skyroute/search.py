@@ -17,17 +17,21 @@ and the winning path along its legs, as `fly_route` flies it. A leg's
 geometry does not depend on its batch, so all three equal what their own
 flights would give. `SearchResult.stages` times each stage.
 
+Every search runs from (0, c, H // 2) to (I - 1, c, H // 2), c the centre
+column: every row-0 node is the origin and every row-(I-1) node the
+destination. Row i of the start's cone holds columns c ± i.
+
 An edge (i, j, h) -> (i+1, j', h') costs the same for every h and h':
 the row's nominal mass is fixed, the weather is 2-D, distance ignores
 altitude, and all levels of a column share one lat/lon. So both searches
 read one table, `_edge_table`, indexed by row, column and j' - j + 1.
 Its +inf entries are the absent edges, and the searches' only
 reachability rule: edges outside the column windows (a row's corridor
-window within the start's cone, start ± i columns in row i), and edges
-the aircraft cannot fly (the batch refuses them: they leave the weather
-grid, or fall below the empty mass at the row's nominal mass). The plan
-is the optimum over the edges it can fly. Every column of the windows
-is on a path from the start, so only refused edges can leave no path.
+window within the start's cone), and edges the aircraft cannot fly (the
+batch refuses them: they leave the weather grid, or fall below the empty
+mass at the row's nominal mass). The plan is the optimum over the edges
+it can fly. Every column of the windows is on a path from the start, so
+only refused edges can leave no path.
 
 `row_dp` takes one numpy min-plus step per row over that table and reads
 A*'s result from the g-table. Two rules make that result independent of
@@ -125,29 +129,24 @@ def min_specific_burn(spec: AircraftSpec, field: WeatherField) -> float:
     return flow_min / (spec.tas_ms + w_max)
 
 
-def _start_and_goal(lattice: Lattice, corridor: Corridor | None):
-    if corridor is not None:
-        start = corridor.start_node
-    else:
-        start = (0, lattice.center_column, lattice.center_level)
-    goal = (lattice.dims[0] - 1, lattice.center_column, lattice.center_level)
-    return start, goal
-
-
-def _column_windows(lattice: Lattice, corridor: Corridor | None,
-                    start: NodeIndex) -> tuple[np.ndarray, np.ndarray]:
+def _column_windows(lattice: Lattice, corridor: Corridor | None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the first and last column the search can reach: the
-    corridor's window, within the start's cone of start ± i in row i."""
+    corridor's window, within the start's cone of c ± i in row i.
+
+    A corridor whose row-0 window leaves out the start raises ValueError.
+    """
     I, J, _H = lattice.dims
-    lo = np.zeros(I, dtype=int)
-    hi = np.full(I, J - 1)
-    if corridor is not None:
-        lo[:] = corridor.j_min
-        hi[:] = lo + corridor.width - 1
+    c = lattice.center_column
     rows = np.arange(I)
-    lo = np.maximum(lo, start[1] - rows)
-    hi = np.minimum(hi, start[1] + rows)
-    lo[I - 1] = hi[I - 1] = lattice.center_column
+    lo, hi = np.maximum(c - rows, 0), np.minimum(c + rows, J - 1)
+    if corridor is not None:
+        if not corridor.j_min[0] <= c <= corridor.j_max(0):
+            raise ValueError(f"row 0's window leaves out the start column {c}")
+        j_min = np.asarray(corridor.j_min)
+        lo = np.maximum(lo, j_min)
+        hi = np.minimum(hi, j_min + corridor.width - 1)
+    lo[I - 1] = hi[I - 1] = c
     return lo, hi
 
 
@@ -164,8 +163,6 @@ class _LatticeFlight(NamedTuple):
     spec: AircraftSpec
     field: WeatherField
     substeps: int
-    start: NodeIndex
-    goal: NodeIndex
     window: np.ndarray
     index: np.ndarray
     geometry: Geometry
@@ -187,8 +184,7 @@ def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
                  spec: AircraftSpec, field: WeatherField,
                  substeps: int) -> _LatticeFlight:
     """Fly the geometry of the window edges and the centerline legs."""
-    start, goal = _start_and_goal(lattice, corridor)
-    lo, hi = _column_windows(lattice, corridor, start)
+    lo, hi = _column_windows(lattice, corridor)
     I, J, _H = lattice.dims
     col = np.arange(J)[:, None]
     target = np.broadcast_to(col + np.arange(-1, 2), (I - 1, J, 3)).copy()
@@ -207,8 +203,8 @@ def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
         spec, lattice.lat_deg[rows, cols], lattice.lon_deg[rows, cols],
         lattice.lat_deg[rows + 1, to_cols], lattice.lon_deg[rows + 1, to_cols],
         field, substeps)
-    return _LatticeFlight(lattice, spec, field, substeps, start, goal, window,
-                          index, geometry)
+    return _LatticeFlight(lattice, spec, field, substeps, window, index,
+                          geometry)
 
 
 def _nominal_masses(flight: _LatticeFlight,
@@ -284,10 +280,11 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     """
     stages, flight, table = _prepare(lattice, corridor, spec, initial_state,
                                      field, substeps)
-    start, goal = flight.start, flight.goal
+    last = lattice.dims[0] - 1
+    c, ch = lattice.center_column, lattice.center_level
+    start, goal = (0, c, ch), (last, c, ch)
     costs = table.tolist()
     h_table = _heuristics(lattice, spec, field).tolist()
-    last = lattice.dims[0] - 1
 
     def heuristic(idx: NodeIndex) -> float:
         return h_table[idx[0]][idx[1]]
@@ -354,9 +351,8 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     """
     stages, flight, table = _prepare(lattice, corridor, spec, initial_state,
                                      field, substeps)
-    start, goal = flight.start, flight.goal
     I, J, H = lattice.dims
-    ch = lattice.center_level
+    c, ch = lattice.center_column, lattice.center_level
 
     # Rows 0..I-2 get one +inf column on each side. The edge into (i+1, j')
     # through slot s leaves padded column src[j', s] = j' - s + 2.
@@ -366,7 +362,7 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     padded[:, 1:-1] = table
     incoming = padded[:, src, slots]
     g = np.full((I - 1, J + 2), np.inf)
-    g[0, start[1] + 1] = 0.0
+    g[0, c + 1] = 0.0
     cand = np.empty((I - 2, J, 3))      # g(u) + cost(u, v), v in rows 1..I-2
     for i in range(I - 2):
         np.add(g[i, src], incoming[i], out=cand[i])
@@ -388,7 +384,7 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     # Slots reversed put the sources in ascending column order.
     parent_rows = (np.arange(J) - 1 + cand[..., ::-1].argmin(axis=2)).tolist()
     j = int(into_goal.argmin())
-    path = [goal, (I - 2, j, max(0, ch - I + 2))]
+    path = [(I - 1, c, ch), (I - 2, j, max(0, ch - I + 2))]
     for i in range(I - 3, -1, -1):
         j = parent_rows[i][j]
         path.append((i, j, max(0, ch - i)))

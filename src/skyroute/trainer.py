@@ -15,9 +15,10 @@ dominates arrays this small:
   (B, 5) feature array, one forward pass, one tanh and one log-density
   call per step. run_episode is its one-episode case.
 - The guide step, displacements and flight of each episode stay scalar.
-  Measured at B = 16, one batched fly_segments call costs 116 us where
-  16 scalar fly_segment calls cost 85 us; sample_many is at parity with
-  16 scalar samples.
+  Measured at B = 16 on a 2-vCPU Xeon, one batched flight
+  (substep_geometry, then segments_fuel) costs 270-365 us where 16
+  scalar fly_segment calls cost 220-285 us; sample_many costs 58-105 us
+  where 16 scalar samples cost 80-143 us.
 - The weights are one flat vector (PolicyParams.flat), so the gradient
   is one vector, checked for finite values once per minibatch, and Adam
   is a few whole-vector operations.
@@ -55,6 +56,9 @@ LOG_COLUMNS = ["update_index", "mean_reward", "mean_final_dist",
 _LOG2PI = math.log(2.0 * math.pi)
 _TANH_EPS = 1e-6
 
+#: Weight of the value loss in the combined PPO loss.
+VF_COEF = 0.5
+
 
 @dataclass
 class TrainConfig:
@@ -81,8 +85,6 @@ class TrainConfig:
     hidden: int = 64
     rollout_episodes: int = 16
     substeps: int = 1
-    vf_coef: float = 0.5
-    log_std_init: float = -0.7
     checkpoint_every: int = 25
     signed_progress: bool = False
     aircraft: AircraftSpec = dc_field(default_factory=default_spec)
@@ -105,6 +107,8 @@ class TrainConfig:
             raise ConfigError("sample_bbox must be (lat_min, lat_max, lon_min, lon_max)")
         if self.n_waypoints < 2:
             raise ConfigError("n_waypoints must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("rollout_episodes", "minibatch_size", "epochs_per_update",
                      "hidden", "substeps", "instances", "checkpoint_every"):
             value = getattr(self, name)
@@ -251,7 +255,6 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     """
     n = cfg.n_waypoints
     B, T = noise.shape[0], n - 1
-    gcfg = GuideConfig(n=n, guide_kind="policy")
     dests = [d for _o, d in instances]
     phis = [trip_rotation(o, d) for o, d in instances]
     trip_lens = [great_circle_distance(o, d) for o, d in instances]
@@ -269,7 +272,7 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     for k in range(T):
         # One displacement per episode serves the features and the reward.
         disps = [local_displacement(x, d) for x, d in zip(xs, dests)]
-        features[:, k] = [feature_row(x, disp, phi, field, trip_len, gcfg)
+        features[:, k] = [feature_row(x, disp, phi, field, trip_len)
                           for x, disp, phi, trip_len
                           in zip(xs, disps, phis, trip_lens)]
         mean, value = forward(params, features[:, k])
@@ -326,12 +329,10 @@ class AdamOptimizer:
     updated exactly as a per-array Adam would update it.
     """
 
-    def __init__(self, params: PolicyParams, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: PolicyParams, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
@@ -346,20 +347,9 @@ class AdamOptimizer:
         params.flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def policy_value_losses(params: PolicyParams, features: np.ndarray,
-                        pre_squash: np.ndarray, old_log_probs: np.ndarray,
-                        advantages: np.ndarray, returns: np.ndarray,
-                        clip_range: float):
-    """Clipped surrogate + value losses and diagnostics (no gradients)."""
-    pl, vl, _grad, cf, kl = _loss_grads(params, features, pre_squash,
-                                         old_log_probs, advantages, returns,
-                                         clip_range, vf_coef=0.0)
-    return pl, vl, cf, kl
-
-
 def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
                 old_logp: np.ndarray, adv: np.ndarray, ret: np.ndarray,
-                clip_range: float, vf_coef: float):
+                clip_range: float):
     """Forward + manual backprop of the combined PPO loss on one minibatch."""
     M = f.shape[0]
     a1 = f @ params.w1.T + params.b1
@@ -381,7 +371,7 @@ def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
     g_logp = np.where(use_unclipped, -adv * ratio, 0.0) / M
     g_mean = g_logp[:, None] * (z - mean) / (std ** 2)
     g_log_std = np.sum(g_logp[:, None] * (((z - mean) / std) ** 2 - 1.0), axis=0)
-    g_value = vf_coef * 2.0 * (value - ret) / M
+    g_value = VF_COEF * 2.0 * (value - ret) / M
 
     # The gradient has the flat layout of the parameters; g's arrays are
     # views into it.
@@ -439,7 +429,7 @@ def ppo_update(params: PolicyParams, batch: list[EpisodeRecord],
             idx = order[lo:lo + cfg.minibatch_size]
             pl, vl, grad, cf, kl = _loss_grads(
                 new_params, feats[idx], zs[idx], old_logp[idx], adv[idx],
-                ret[idx], cfg.clip_range, cfg.vf_coef)
+                ret[idx], cfg.clip_range)
             if not np.all(np.isfinite(grad)):
                 raise NonFiniteGradient("non-finite gradient; update aborted")
             opt.apply(new_params, grad)
@@ -488,7 +478,7 @@ def train(cfg: TrainConfig, progress_sink=None,
     field = make_uniform(0.0, 0.0, ISA_TEMPERATURE_K,
                          (-90.0, 90.0, -180.0, 180.0))
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(rng, cfg.hidden, cfg.log_std_init)
+    params = init_params(rng, cfg.hidden)
     optimizer = AdamOptimizer(params, cfg.learning_rate)
     steps = cfg.n_waypoints - 1
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from skyroute.geo import (GeoPoint, great_circle_distance, intermediate_point,
                           trip_rotation)
-from skyroute.guide import (ACTION_DIM, FEATURE_DIM, GuideConfig, PolicyParams,
+from skyroute.guide import (ACTION_DIM, FEATURE_DIM, TEMP_SCALE_K,
+                            WIND_SCALE_MS, GuideConfig, PolicyParams,
                             extract_features, forward, init_params,
                             load_checkpoint, param_shapes, policy_action,
                             roll_out, save_checkpoint, step)
@@ -197,8 +199,9 @@ class TestCheckpoint:
         back, back_cfg = load_checkpoint(str(path))
         for k, v in params.arrays().items():
             assert np.array_equal(back.arrays()[k], v), k
-        assert back_cfg.n == 5
-        assert back_cfg.wind_scale_ms == cfg.wind_scale_ms
+        assert back_cfg == cfg
+        assert json.loads(path.read_text())["normalization"] == {
+            "wind_scale_ms": WIND_SCALE_MS, "temp_scale_k": TEMP_SCALE_K}
 
     def test_round_trip_preserves_inference(self, tmp_path):
         params = init_params(np.random.default_rng(7))

@@ -219,6 +219,12 @@ class TestPlan:
         with pytest.raises(ConfigError):
             plan(small_request(guide_kind="policy"))
 
+    @pytest.mark.parametrize("field, value", [("guide_kind", "magic"),
+                                              ("seed", -1)])
+    def test_request_refuses_unusable_values(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_request(**{field: value})
+
     def test_policy_guide_plans_long_haul(self, tmp_path):
         # Madrid -> Kazakhstan is beyond the 6,000 km planar bound.
         ck = tmp_path / "policy.json"
@@ -342,6 +348,13 @@ class TestSweeps:
 
     @pytest.mark.parametrize("sweep, values", SWEEPS,
                              ids=["bench_fwd", "bench_width"])
+    def test_no_repetitions_refused(self, sweep, values):
+        # Zero repetitions would plan nothing and still write a row.
+        with pytest.raises(ConfigError, match="repetitions"):
+            sweep([small_request(weather="jet")], values, repetitions=0)
+
+    @pytest.mark.parametrize("sweep, values", SWEEPS,
+                             ids=["bench_fwd", "bench_width"])
     def test_programming_errors_propagate(self, sweep, values, monkeypatch):
         def broken_plan(req, field=None):
             raise RuntimeError("bug")
@@ -377,8 +390,8 @@ def bad_checkpoints(tmp_path) -> dict[str, str]:
     good = tmp_path / "ck-good.json"
     save_checkpoint(init_params(np.random.default_rng(0), hidden=4),
                     GuideConfig(guide_kind="policy"), str(good))
-    extra, missing, shape, text, n_text, n_frac, wind_zero, wind_text = (
-        json.loads(good.read_text()) for _ in range(8))
+    (extra, missing, shape, text, n_text, n_frac, wind_zero, wind_text,
+     wind_40) = (json.loads(good.read_text()) for _ in range(9))
     extra["weights"]["w3"], extra["shapes"]["w3"] = [0.0], [1]
     del missing["weights"]["b_val"], missing["shapes"]["b_val"]
     shape["shapes"]["w1"] = [5, 4]
@@ -386,6 +399,8 @@ def bad_checkpoints(tmp_path) -> dict[str, str]:
     n_text["n_waypoints"], n_frac["n_waypoints"] = "x", 2.5
     wind_zero["normalization"]["wind_scale_ms"] = 0
     wind_text["normalization"]["wind_scale_ms"] = "a"
+    # Positive and finite, but not the scale the features use.
+    wind_40["normalization"]["wind_scale_ms"] = 40.0
     return {"ck-list.json": json.dumps([1, 2]),
             "ck-extra.json": json.dumps(extra),
             "ck-missing.json": json.dumps(missing),
@@ -394,7 +409,8 @@ def bad_checkpoints(tmp_path) -> dict[str, str]:
             "ck-n-text.json": json.dumps(n_text),
             "ck-n-frac.json": json.dumps(n_frac),
             "ck-wind-zero.json": json.dumps(wind_zero),
-            "ck-wind-text.json": json.dumps(wind_text)}
+            "ck-wind-text.json": json.dumps(wind_text),
+            "ck-wind-40.json": json.dumps(wind_40)}
 
 
 class TestCli:
@@ -438,7 +454,8 @@ class TestCli:
             "policy", "--checkpoint", f"{{tmp}}/ck-{name}.json"], field)
           for name, field in (("n-text", "n_waypoints"), ("n-frac", "n_waypoints"),
                               ("wind-zero", "wind_scale_ms"),
-                              ("wind-text", "wind_scale_ms"))],
+                              ("wind-text", "wind_scale_ms"),
+                              ("wind-40", "wind_scale_ms"))],
         (["plan", "--origin", "MUC", "--destination", "BER",
           "--aircraft", "{tmp}/ac-missing.json"], "ac-missing.json"),
         (["plan", "--origin", "MUC", "--destination", "BER",
@@ -450,14 +467,19 @@ class TestCli:
         # Valid points whose lattice columns would pass the pole.
         (["plan", "--origin", "88,0", "--destination", "88,170"],
          "passes a pole"),
+        (["plan", "--origin", "MUC", "--destination", "BER", "--weather",
+          "jet", "--seed", "-1"], "seed"),
+        (["bench-width", "--routes", "MUC:BER", "--repetitions", "0",
+          "--w-list", "3"], "repetitions"),
     ], ids=["lat", "alt", "fwd", "cols", "substeps", "levels", "route-dash",
             "route-three-codes", "checkpoint-schema", "checkpoint-key",
             "checkpoint-list", "checkpoint-extra-weight",
             "checkpoint-missing-weight", "checkpoint-shape",
             "checkpoint-text-value", "checkpoint-n-text", "checkpoint-n-frac",
             "checkpoint-wind-zero", "checkpoint-wind-text",
-            "aircraft-missing", "aircraft-value",
-            "aircraft-json", "aircraft-unknown", "pole"])
+            "checkpoint-wind-40", "aircraft-missing", "aircraft-value",
+            "aircraft-json", "aircraft-unknown", "pole", "negative-seed",
+            "no-repetitions"])
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
         bad_files = {
             "ck-schema.json": json.dumps({"schema_version": 99}),
@@ -494,9 +516,10 @@ class TestCli:
         # An integer would open that file descriptor.
         ({"seed": 0, "instances": 4, "aircraft_path": 7}, "aircraft_path"),
         ({"seed": 0, "instances": 4, "aircraft_path": ["x"]}, "aircraft_path"),
+        ({"seed": -1, "instances": 4}, "seed"),
     ], ids=["rollout-episodes", "minibatch", "substeps", "hidden", "epochs",
             "list", "not-json", "bbox-length", "text-value", "inline-aircraft",
-            "aircraft-path-int", "aircraft-path-list"])
+            "aircraft-path-int", "aircraft-path-list", "negative-seed"])
     def test_train_rejected_config_exit_code(self, tmp_path, capsys, config,
                                              field):
         cfg_path = tmp_path / "cfg.json"

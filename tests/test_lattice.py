@@ -13,6 +13,7 @@ from skyroute.geo import (GeoPoint, PlaneVector, displace,
 from skyroute.lattice import (CoarseRoute, Corridor, _guide_points,
                               build_corridor, build_lattice, is_reachable,
                               successors)
+from skyroute.search import _column_windows
 
 ORIGIN = GeoPoint(48.35, 11.79, 10_000)
 DEST = GeoPoint(52.37, 13.52, 10_000)
@@ -224,13 +225,16 @@ class TestCoarseRoute:
 
 class TestCorridor:
     def test_refuses_windows_no_path_can_follow(self):
-        Corridor((0, 0, 1, 2, 1), 2, (0, 1, 0))
+        Corridor((0, 0, 1, 2, 1), 2)
         # Rows 2 and 3 are two columns apart; a path moves at most one.
         with pytest.raises(ValueError, match="more than one column apart"):
-            Corridor((0, 0, 1, 3, 2), 2, (0, 1, 0))
-        # Column 2 is outside row 0's window [0, 1].
-        with pytest.raises(ValueError, match="outside row 0's window"):
-            Corridor((0, 0, 1, 2, 1), 2, (0, 2, 0))
+            Corridor((0, 0, 1, 3, 2), 2)
+        # Every search starts at the centre column 2 of a J = 5 lattice;
+        # row 0's window [0, 1] leaves it out.
+        lat = small_lattice(I=5, J=5, H=1)
+        _column_windows(lat, Corridor((1, 0, 1, 2, 1), 2))
+        with pytest.raises(ValueError, match="leaves out the start column 2"):
+            _column_windows(lat, Corridor((0, 0, 1, 2, 1), 2))
 
 
 class TestBuildCorridor:
@@ -296,13 +300,16 @@ class TestBuildCorridor:
                 assert abs(cor.j_min[i] - cor.j_min[i - 1]) <= 1
 
     def test_start_node_in_window(self):
-        lat = small_lattice(I=9, J=5, H=3)
-        for w in range(1, 6):
-            cor = build_corridor(lat, gc_route(), w)
-            i, j, h = cor.start_node
-            assert i == 0
-            assert cor.j_min[0] <= j <= cor.j_max(0)
-            assert h == lat.center_level
+        # Every search starts at row 0's centre column, whatever the guide:
+        # here the great-circle guide and one hugging column 0.
+        for J in (1, 3, 5, 9):
+            lat = small_lattice(I=9, J=J, H=3)
+            side = CoarseRoute((ORIGIN, *(lat.node((i, 0, 0))
+                                          for i in (2, 4, 6)), DEST))
+            for route in (gc_route(), side):
+                for w in range(1, J + 1):
+                    cor = build_corridor(lat, route, w)
+                    assert cor.j_min[0] <= lat.center_column <= cor.j_max(0)
 
     @given(st.integers(1, 7))
     @settings(max_examples=7, deadline=None)

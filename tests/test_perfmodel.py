@@ -12,8 +12,8 @@ from skyroute.harness import (PlanRequest, make_weather, plan,
 from skyroute.lattice import build_lattice
 from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftSpec,
                                 AircraftState, default_spec, fly_route,
-                                fly_segment, fly_segments, fuel_flow_kgps,
-                                route_cost, segments_fuel, substep_geometry)
+                                fly_segment, fuel_flow_kgps, route_cost,
+                                segments_fuel, substep_geometry)
 from skyroute.search import _edge_table, _fly_lattice, nominal_mass_profile
 from skyroute.weather import ISA_TEMPERATURE_K, make_jet_stream, make_uniform
 
@@ -157,16 +157,23 @@ segments = st.lists(
     min_size=1, max_size=8)
 
 
+def batch_fuel(spec, starts, ends, masses, field, substeps):
+    """Fuel of the segments starts[n] -> ends[n] from masses[n], in one
+    `substep_geometry` pass."""
+    lat0, lon0 = np.array([(p.lat_deg, p.lon_deg) for p in starts]).T
+    lat1, lon1 = np.array([(p.lat_deg, p.lon_deg) for p in ends]).T
+    return segments_fuel(spec, np.array(masses, dtype=float), substep_geometry(
+        spec, lat0, lon0, lat1, lon1, field, substeps))
+
+
 def assert_matches_scalar(spec, segs, field, substeps):
-    """fly_segments is NaN exactly where fly_segment raises, and agrees elsewhere."""
+    """The batch is NaN exactly where fly_segment raises, and agrees elsewhere."""
     starts = [GeoPoint(lat, lon) for lat, lon, *_ in segs]
     ends = [a if zero else GeoPoint(max(-90.0, min(90.0, a.lat_deg + dlat)),
                                     a.lon_deg + dlon)
             for a, (_lat, _lon, dlat, dlon, zero, _m) in zip(starts, segs)]
     masses = [m for *_, m in segs]
-    fuel = fly_segments(
-        spec, [a.lat_deg for a in starts], [a.lon_deg for a in starts], masses,
-        [b.lat_deg for b in ends], [b.lon_deg for b in ends], field, substeps)
+    fuel = batch_fuel(spec, starts, ends, masses, field, substeps)
     for n, (a, b, m) in enumerate(zip(starts, ends, masses)):
         try:
             want = fly_segment(spec, AircraftState(a, m), b, field, substeps).fuel_kg
@@ -203,9 +210,10 @@ class TestFlySegments:
             for substeps in (1, 4):
                 assert_matches_scalar(SLOW_SPEC, segs, field, substeps)
         # Off the grid, then below empty: NaN in the batch, raised by the reference.
-        fuel = fly_segments(
-            default_spec(), [69.5, 48.0], [11.0, 11.0], [60_000.0, 40_100.0],
-            [71.5, 50.0], [11.0, 13.0], still_air(), 4)
+        fuel = batch_fuel(
+            default_spec(), [GeoPoint(69.5, 11.0), GeoPoint(48.0, 11.0)],
+            [GeoPoint(71.5, 11.0), GeoPoint(50.0, 13.0)], [60_000.0, 40_100.0],
+            still_air(), 4)
         assert math.isnan(fuel[0]) and math.isnan(fuel[1])
         with pytest.raises(OutOfDomain):
             fly_segment(default_spec(), AircraftState(GeoPoint(69.5, 11.0), 60_000.0),
@@ -220,9 +228,9 @@ class TestFlySegments:
                                    (-10.0, 10.0, -40.0, 40.0))
         floor_leg = [(0.0, 33.2, 0.0, -66.4, False, 60_000.0)]
         assert_matches_scalar(SLOW_SPEC, floor_leg, floor_field, 2)
-        fuel = fly_segments(SLOW_SPEC, 0.0, 33.2, 60_000.0, 0.0, -33.2,
-                            floor_field, 2)
-        assert math.isnan(fuel)
+        fuel = batch_fuel(SLOW_SPEC, [GeoPoint(0.0, 33.2)],
+                          [GeoPoint(0.0, -33.2)], [60_000.0], floor_field, 2)
+        assert math.isnan(fuel[0])
         with pytest.raises(Infeasible):
             fly_segment(SLOW_SPEC, AircraftState(GeoPoint(0.0, 33.2), 60_000.0),
                         GeoPoint(0.0, -33.2), floor_field, 2)
@@ -245,14 +253,13 @@ class TestFlySegments:
         fld = make_uniform(140.0, 0.0, ISA_TEMPERATURE_K, BBOX)
         res = fly_segment(SLOW_SPEC, AircraftState(a, 60_000), b, fld, 1)
         assert res.gs_floor_hit
-        fuel = fly_segments(SLOW_SPEC, [a.lat_deg], [a.lon_deg], [60_000],
-                            [b.lat_deg], [b.lon_deg], fld, 1)
+        fuel = batch_fuel(SLOW_SPEC, [a], [b], [60_000], fld, 1)
         assert fuel[0] == pytest.approx(res.fuel_kg, rel=1e-12)
 
     def test_rejects_zero_substeps(self):
         with pytest.raises(ValueError):
-            fly_segments(default_spec(), [48.0], [11.0], [60_000], [49.0],
-                         [11.0], still_air(), 0)
+            substep_geometry(default_spec(), np.array([48.0]), np.array([11.0]),
+                             np.array([49.0]), np.array([11.0]), still_air(), 0)
 
 
 #: Random walks inside the jet field's grid: (dlat, dlon, repeat the
@@ -280,7 +287,7 @@ class TestFlyRoute:
     @given(st.sampled_from([default_spec(), SLOW_SPEC]), walks,
            st.floats(55_000, 77_000), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
-    def test_each_leg_matches_fly_segments(self, spec, walk, mass, substeps):
+    def test_each_leg_matches_segments_fuel(self, spec, walk, mass, substeps):
         route = [GeoPoint(50.0, 10.0, 10_000)]
         for dlat, dlon, repeat in walk:
             a = route[-1]
@@ -290,9 +297,8 @@ class TestFlyRoute:
         fld = FIELDS[1]
         legs = fly_route(spec, AircraftState(route[0], mass), route, fld, substeps)
         for a, b, leg in zip(route, route[1:], legs):
-            fuel = fly_segments(spec, a.lat_deg, a.lon_deg, mass, b.lat_deg,
-                                b.lon_deg, fld, substeps)
-            assert leg.fuel_kg == fuel
+            fuel = batch_fuel(spec, [a], [b], [mass], fld, substeps)
+            assert leg.fuel_kg == fuel[0]
             assert leg.end_state.position == b
             mass = leg.end_state.mass_kg
 

@@ -14,8 +14,8 @@ from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
 from skyroute.perfmodel import (AircraftState, default_spec, fly_route,
                                 fly_segment, route_cost, segments_fuel)
 from skyroute.search import (_column_windows, _edge_table, _fly_lattice,
-                             _nominal_masses, _start_and_goal, astar,
-                             min_specific_burn, nominal_mass_profile, row_dp)
+                             _nominal_masses, astar, min_specific_burn,
+                             nominal_mass_profile, row_dp)
 from skyroute.weather import make_jet_stream, make_uniform
 
 SPEC = default_spec()
@@ -105,8 +105,7 @@ class TestMinSpecificBurn:
 def reachable_edges(lat, cor):
     """Every edge the search may relax: from reachable nodes to reachable ones."""
     I, J, H = lat.dims
-    start, _goal = _start_and_goal(lat, cor)
-    frontier = [start]
+    frontier = [(0, lat.center_column, lat.center_level)]
     for i in range(I - 1):
         nxt = set()
         for u in frontier:
@@ -117,34 +116,35 @@ def reachable_edges(lat, cor):
         frontier = sorted(nxt)
 
 
-def draw_corridor(data, I, J, level):
+def draw_corridor(data, I, J):
     """A random corridor: windows of a random width whose first columns
-    walk by -1, 0 or +1 per row, and a start inside row 0's window."""
+    walk by -1, 0 or +1 per row, row 0's holding the centre column."""
     w = data.draw(st.integers(1, J))
-    j_min = [data.draw(st.integers(0, J - w))]
+    c = (J - 1) // 2
+    j_min = [data.draw(st.integers(max(0, c - w + 1), min(c, J - w)))]
     for step in data.draw(st.lists(st.sampled_from([-1, 0, 1]),
                                    min_size=I - 1, max_size=I - 1)):
         j_min.append(min(max(j_min[-1] + step, 0), J - w))
-    start = (0, data.draw(st.integers(j_min[0], j_min[0] + w - 1)), level)
-    return Corridor(tuple(j_min), w, start)
+    return Corridor(tuple(j_min), w)
 
 
 class TestColumnWindows:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_window_rule_is_is_reachable(self, data):
-        # is_reachable within the start's cone: start ± i columns in row i.
-        # Any corridor, not only the ones build_corridor makes.
+        # is_reachable within the start's cone: c ± i columns in row i, c
+        # the centre column. Any corridor, not only the ones build_corridor
+        # makes.
         I = data.draw(st.integers(3, 10))
         J = data.draw(st.sampled_from([1, 3, 5, 7]))
-        cor = draw_corridor(data, I, J, 0)
-        start = cor.start_node
+        cor = draw_corridor(data, I, J)
+        c = (J - 1) // 2
         lo, hi = _column_windows(build_lattice(ORIGIN, DEST, I, J, 1, 60_000),
-                                 cor, start)
+                                 cor)
         for i in range(1, I - 1):
             for j in range(J):
                 assert (lo[i] <= j <= hi[i]) == (is_reachable(cor, (i, j, 0), I)
-                                                 and abs(j - start[1]) <= i)
+                                                 and abs(j - c) <= i)
 
 
 class TestEdgeCostTable:
@@ -186,12 +186,13 @@ class TestEdgeCostTable:
     @pytest.mark.parametrize("width", [None, 1, 3, 5])
     def test_finite_entries_leave_columns_the_start_reaches(self, width):
         # The windows lie inside the start's cone, so the table flies no
-        # edge that no path can use. Includes a corridor start off the
-        # centre column (the great-circle guide of a jet-bent trip).
+        # edge that no path can use. Includes a corridor that runs from
+        # row 0's window, which holds the centre column 3, down to hug
+        # column 0; the cone cuts its wider windows short in rows 1 and 2.
         lat = build_lattice(ORIGIN, DEST, 9, 7, 1, 60_000)
         cors = [None] if width is None else [
             build_corridor(lat, gc_route(ORIGIN, DEST), width),
-            Corridor((0,) * 9, width, (0, 0, 0))]
+            Corridor(tuple(max(4 - width - i, 0) for i in range(9)), width)]
         for cor in cors:
             reachable = {u[:2] for u, _v in reachable_edges(lat, cor)}
             table = _edge_table(_fly_lattice(lat, cor, SPEC, jet(), 2),
@@ -355,7 +356,7 @@ def draw_search_args(data, min_rows):
         fld = jet(seed=data.draw(st.integers(0, 50)))
     cor = None
     if data.draw(st.booleans()):
-        cor = draw_corridor(data, I, J, lat.center_level)
+        cor = draw_corridor(data, I, J)
     share = data.draw(st.sampled_from([0.0, 0.05, 0.15, 1.0]))
     seed = data.draw(st.integers(0, 2**32 - 1))
 
@@ -458,7 +459,7 @@ class TestWildGuides:
                 assert wide.j_min[i] <= narrow.j_min[i]
                 assert wide.j_max(i) >= narrow.j_max(i)
         for cor in cors:
-            start = cor.start_node[1]
+            start = lat.center_column
             reached = {v[:2] for _u, v in reachable_edges(lat, cor)}
             for i in range(1, I - 1):
                 for j in range(cor.j_min[i], cor.j_max(i) + 1):

@@ -9,10 +9,10 @@ from skyroute.errors import (ConfigError, DegenerateDistance,
 from skyroute.geo import GeoPoint, PlaneVector, great_circle_distance
 from skyroute.guide import PolicyParams, init_params, step
 from skyroute.trainer import (LOG_COLUMNS, AdamOptimizer, TrainConfig,
-                              compute_gae, end_reward, ppo_update,
-                              policy_value_losses, progress_value, run_episode,
-                              run_episodes, sample_instance, step_reward,
-                              train, write_training_log)
+                              _loss_grads, compute_gae, end_reward, ppo_update,
+                              progress_value, run_episode, run_episodes,
+                              sample_instance, step_reward, train,
+                              write_training_log)
 from skyroute.weather import ISA_TEMPERATURE_K, make_uniform
 
 
@@ -45,6 +45,13 @@ class TestTrainConfig:
             TrainConfig(seed=0, clip_range=0.01)
         with pytest.raises(ConfigError):
             TrainConfig(seed=0, clip_range=0.6)
+
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed.
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig.from_dict({"seed": -1, "instances": 4})
 
     def test_from_dict_missing_seed(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -177,7 +184,7 @@ class TestRunEpisode:
     def test_shapes_and_finiteness(self):
         cfg = small_cfg()
         rng = np.random.default_rng(2)
-        params = init_params(rng, cfg.hidden, cfg.log_std_init)
+        params = init_params(rng, cfg.hidden)
         field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
         inst = sample_instance(cfg, rng)
         ep = run_episode(params, cfg, inst, field, rng)
@@ -195,7 +202,7 @@ class TestRunEpisode:
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(7)
-            params = init_params(rng, cfg.hidden, cfg.log_std_init)
+            params = init_params(rng, cfg.hidden)
             inst = sample_instance(cfg, rng)
             outs.append(run_episode(params, cfg, inst, field, rng))
         assert np.array_equal(outs[0].rewards, outs[1].rewards)
@@ -217,8 +224,7 @@ class TestRunEpisode:
         # run_episode flies from a generator that draws that noise.
         cfg = small_cfg()
         field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
-        params = init_params(np.random.default_rng(4), cfg.hidden,
-                             cfg.log_std_init)
+        params = init_params(np.random.default_rng(4), cfg.hidden)
         rng = np.random.default_rng(5)
         instances = [sample_instance(cfg, rng) for _ in range(6)]
         seeds = range(100, 106)
@@ -240,7 +246,7 @@ class TestRunEpisode:
 class TestPpoUpdate:
     def _batch(self, cfg, seed=3):
         rng = np.random.default_rng(seed)
-        params = init_params(rng, cfg.hidden, cfg.log_std_init)
+        params = init_params(rng, cfg.hidden)
         field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
         batch = [run_episode(params, cfg, sample_instance(cfg, rng), field, rng)
                  for _ in range(4)]
@@ -267,8 +273,8 @@ class TestPpoUpdate:
         logp = np.concatenate([e.log_probs for e in batch])
         adv = np.ones(feats.shape[0])
         ret = np.zeros(feats.shape[0])
-        pl, vl, cf, kl = policy_value_losses(params, feats, zs, logp, adv, ret,
-                                             cfg.clip_range)
+        pl, vl, _grad, cf, kl = _loss_grads(params, feats, zs, logp, adv, ret,
+                                            cfg.clip_range)
         assert cf == 0.0
         assert kl == pytest.approx(0.0, abs=1e-10)
         assert pl == pytest.approx(-1.0, abs=1e-10)   # -mean(ratio * adv)
@@ -282,15 +288,15 @@ class TestPpoUpdate:
         logp = np.concatenate([e.log_probs for e in batch]) - 2.0
         adv = np.ones(feats.shape[0])
         ret = np.zeros(feats.shape[0])
-        _pl, _vl, cf, _kl = policy_value_losses(params, feats, zs, logp, adv,
-                                                ret, cfg.clip_range)
+        _pl, _vl, _grad, cf, _kl = _loss_grads(params, feats, zs, logp, adv,
+                                               ret, cfg.clip_range)
         assert cf == 1.0
 
     def test_gradient_ascends_advantage_on_bandit(self):
         # One-feature bandit: positive-advantage actions become more likely.
         cfg = small_cfg(learning_rate=1e-2, epochs_per_update=20)
         rng = np.random.default_rng(11)
-        params = init_params(rng, cfg.hidden, cfg.log_std_init)
+        params = init_params(rng, cfg.hidden)
         field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
         batch = [run_episode(params, cfg, sample_instance(cfg, rng), field, rng)
                  for _ in range(8)]
@@ -305,10 +311,8 @@ class TestPpoUpdate:
             type(batch[0])(feats, zs, np.tanh(zs), logp,
                            adv.astype(float), np.zeros(len(adv)), 0.0)
         ], cfg, rng)
-        _, _, _, kl_after = policy_value_losses(new_params, feats, zs, logp,
-                                                adv, ret, cfg.clip_range)
-        before_lp = policy_value_losses(params, feats, zs, logp, adv, ret, 0.5)[0]
-        after_lp = policy_value_losses(new_params, feats, zs, logp, adv, ret, 0.5)[0]
+        before_lp = _loss_grads(params, feats, zs, logp, adv, ret, 0.5)[0]
+        after_lp = _loss_grads(new_params, feats, zs, logp, adv, ret, 0.5)[0]
         # The surrogate objective (negated loss) must improve.
         assert after_lp < before_lp
 
@@ -405,7 +409,7 @@ class TestTrain:
                 if name == "standard_normal"} == {(T, 2)}
         # The same stream drives one-episode-at-a-time rollouts.
         rng = np.random.default_rng(cfg.seed)
-        params = init_params(rng, cfg.hidden, cfg.log_std_init)
+        params = init_params(rng, cfg.hidden)
         field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
         first = [run_episode(params, cfg, sample_instance(cfg, rng), field, rng)
                  for _ in range(2)]
