@@ -27,7 +27,7 @@ ACTION_DIM = 2
 CHECKPOINT_SCHEMA = 1
 
 #: Feature normalization constants. Every checkpoint records them, and
-#: load_checkpoint refuses one that records others.
+#: parse_checkpoint refuses one that records others.
 WIND_SCALE_MS = 50.0
 TEMP_SCALE_K = 30.0
 _NORMALIZATION = {"wind_scale_ms": WIND_SCALE_MS, "temp_scale_k": TEMP_SCALE_K}
@@ -176,9 +176,15 @@ def save_checkpoint(params: PolicyParams, cfg: GuideConfig, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[PolicyParams, GuideConfig]:
-    """Read a save_checkpoint file; ValueError names what is malformed."""
+    """Read a save_checkpoint file; see parse_checkpoint."""
     with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
+        return parse_checkpoint(f.read())
+
+
+def parse_checkpoint(text: str) -> tuple[PolicyParams, GuideConfig]:
+    """The weights and guide config of a save_checkpoint file's text;
+    ValueError (or KeyError, for a missing key) names what is malformed."""
+    payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("checkpoint is not a JSON object")
     if payload.get("schema_version") != CHECKPOINT_SCHEMA:

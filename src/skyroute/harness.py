@@ -5,6 +5,7 @@ JSON-ready summary. The row DP (`search.row_dp`) gives A*'s path, cost
 and effort counts over the edges the aircraft can fly.
 `make_weather` parses a `csv:` file once per content: it reads the file
 on every call and reuses the last field parsed while the bytes match.
+A policy guide's checkpoint is read and parsed the same way.
 
 The two sweeps share one driver and emit schema-stable CSV rows with
 timings, fuel, and node-expansion counts of a hybrid run next to its
@@ -31,8 +32,10 @@ from dataclasses import astuple, dataclass, field as dc_field, replace
 
 from .errors import ConfigError, SkyrouteError
 from .geo import GeoPoint, great_circle_distance
+# load_checkpoint is unused here; it stays because perfbench/tracing.py
+# wraps it by name.
 from .guide import (GUIDE_KINDS, GuideConfig, PolicyParams, load_checkpoint,
-                    roll_out)
+                    parse_checkpoint, roll_out)
 from .lattice import build_corridor, build_lattice
 # astar and fly_segment are unused here; they stay because
 # perfbench/tracing.py wraps them by name.
@@ -176,6 +179,24 @@ def _parse_csv_once(path: str) -> WeatherField:
     return last[1]
 
 
+#: The last checkpoint content parsed, its weights and its guide config
+#: (`roll_out` changes neither).
+_last_checkpoint: tuple[bytes, PolicyParams, GuideConfig] | None = None
+
+
+def _parse_checkpoint_once(path: str) -> tuple[PolicyParams, GuideConfig]:
+    """The checkpoint at `path`, parsed only if its content is new."""
+    global _last_checkpoint
+    with open(path, "rb") as f:
+        raw = f.read()
+    # One read of the global, as in _parse_csv_once.
+    last = _last_checkpoint
+    if last is None or last[0] != raw:
+        # A file that fails to parse raises here and is never kept.
+        last = _last_checkpoint = (raw, *parse_checkpoint(raw.decode("utf-8")))
+    return last[1], last[2]
+
+
 def _guide_route(req: PlanRequest, field: WeatherField):
     cfg = GuideConfig(guide_kind=req.guide_kind)
     params: PolicyParams | None = None
@@ -183,7 +204,7 @@ def _guide_route(req: PlanRequest, field: WeatherField):
         if not req.checkpoint:
             raise ConfigError("policy guide requires a checkpoint path")
         try:
-            params, cfg = load_checkpoint(req.checkpoint)
+            params, cfg = _parse_checkpoint_once(req.checkpoint)
         except KeyError as exc:
             raise ConfigError(
                 f"checkpoint {req.checkpoint}: missing key {exc}") from exc

@@ -5,8 +5,10 @@ Row 0 and row I-1 hold identical nodes (the endpoints); interior rows
 spread J columns laterally around the great-circle track and H altitude
 levels across ALT_BAND_M. All H levels of a column share one
 lat/lon, so positions are stored once per column. Each row's track point
-and bearing are scalar; the columns of all rows come from one array pass,
-`displace_many`. A corridor restricts each row to a window of w
+and bearing come from the scalar `geo` formulas on plain floats, as
+`intermediate_point` and `initial_bearing` give them (numpy's trig can
+round apart from libm's); the columns of all rows come from one array
+pass, `displace_many`. A corridor restricts each row to a window of w
 consecutive columns around a coarse guide route, built in one array
 pass; consecutive windows, like path nodes, are one column apart at most.
 Every search starts at row 0's centre column and middle level, and row
@@ -21,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTrip, NoSuccessors, WidthOutOfRange
-# great_circle_distance is unused here; it stays because
-# perfbench/tracing.py wraps it by name.
-from .geo import (GeoPoint, displace_many, great_circle_distance,
-                  great_circle_distances, initial_bearing, intermediate_point,
+# great_circle_distance and intermediate_point are unused here; they stay
+# because perfbench/tracing.py wraps them by name.
+from .geo import (EARTH_RADIUS_M, GeoPoint, _azimuth, _distance,
+                  _normalize_lon, _slerp, displace_many, great_circle_distance,
+                  great_circle_distances, intermediate_point,
                   intermediate_points)
 
 NodeIndex = tuple[int, int, int]
@@ -101,6 +104,29 @@ class Corridor:
         return self.j_min[i] + self.width - 1
 
 
+def _track(origin: GeoPoint, destination: GeoPoint,
+           I: int) -> tuple[list[float], list[float], list[float]]:
+    """Latitudes, longitudes and bearings to the destination of the I-2
+    interior track points, row i at fraction i/(I-1) of the great circle:
+    what `intermediate_point` and `initial_bearing` give, with the same
+    guards, without building a GeoPoint per row."""
+    lat1, lon1 = origin.lat_deg, origin.lon_deg
+    lat2, lon2 = destination.lat_deg, destination.lon_deg
+    delta = _distance(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
+    lats, lons, bearings = [], [], []
+    for i in range(1, I - 1):
+        if delta == 0.0:        # distinct points the haversine cannot resolve
+            lat, lon = lat1, lon1
+        else:
+            lat, lon = _slerp(lat1, lon1, lat2, lon2, delta, i / (I - 1))
+            # A meridian track keeps its longitude exactly.
+            lon = _normalize_lon(lon1 if lon1 == lon2 else lon)
+        lats.append(lat)
+        lons.append(lon)
+        bearings.append(_azimuth(lat, lon, lat2, lon2))
+    return lats, lons, bearings
+
+
 def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: int,
                   lateral_halfwidth_m: float) -> Lattice:
     """Construct the lattice; see module docstring for the layout."""
@@ -123,9 +149,7 @@ def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: in
     # A column at offset 0 (the centre; every column at half-width 0) is
     # the track point itself and never goes through displace.
     moved = offsets != 0.0
-    track = [intermediate_point(origin, destination, i / (I - 1))
-             for i in range(1, I - 1)]
-    bearing = [initial_bearing(p, destination) for p in track]
+    track_lat, track_lon, bearing = _track(origin, destination, I)
     # Lateral unit vector: 90 degrees right of the local track bearing.
     perp_e = np.array([math.cos(b) for b in bearing])[:, None]
     perp_n = np.array([-math.sin(b) for b in bearing])[:, None]
@@ -133,8 +157,8 @@ def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: in
     lon = np.empty((I, J))
     lat[0], lon[0] = origin.lat_deg, origin.lon_deg
     lat[I - 1], lon[I - 1] = destination.lat_deg, destination.lon_deg
-    track_lat = np.array([p.lat_deg for p in track])[:, None]
-    track_lon = np.array([p.lon_deg for p in track])[:, None]
+    track_lat = np.array(track_lat)[:, None]
+    track_lon = np.array(track_lon)[:, None]
     lat[1:-1], lon[1:-1] = track_lat, track_lon
     side = offsets[moved]
     lat[1:-1, moved], lon[1:-1, moved] = displace_many(

@@ -11,11 +11,12 @@ is given.
 Each search flies its lattice's mass-free geometry once (`_fly_lattice`):
 one `substep_geometry` pass gives every window edge and centerline leg
 its time and the share of its start mass it burns. Three stages multiply
-those shares by masses: the nominal masses along the centerline legs, as
-`nominal_mass_profile` finds them; the edge table at each row's mass;
-and the winning path along its legs, as `fly_route` flies it. A leg's
-geometry does not depend on its batch, so all three equal what their own
-flights would give. `SearchResult.stages` times each stage.
+those shares by masses: the nominal masses, a float loop m <- m - m b
+along the centerline legs, as `nominal_mass_profile` finds them; the
+edge table at each row's mass; and the winning path along its legs, as
+`fly_route` flies it, its waypoints read off the lattice in one pass. A
+leg's geometry does not depend on its batch, so all three equal what
+their own flights would give. `SearchResult.stages` times each stage.
 
 Every search runs from (0, c, H // 2) to (I - 1, c, H // 2), c the centre
 column: every row-0 node is the origin and every row-(I-1) node the
@@ -33,8 +34,10 @@ mass at the row's nominal mass). The plan is the optimum over the edges
 it can fly. Every column of the windows is on a path from the start, so
 only refused edges can leave no path.
 
-`row_dp` takes one numpy min-plus step per row over that table and reads
-A*'s result from the g-table. Two rules make that result independent of
+`row_dp` takes one numpy min-plus step per row over that table, reading
+row i's g through a strided view rather than a copy, and reads A*'s
+result from the g-table, with the heuristic computed only where g is
+finite. Two rules make that result independent of
 the order A* pops nodes in:
 - `generated_nodes` counts distinct nodes: a node counts once, when an
   expanded node first gives it a finite g.
@@ -54,6 +57,7 @@ from math import inf
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NoPath
 # great_circle_distance, is_reachable, fly_segment and route_cost are unused
@@ -171,11 +175,19 @@ class _LatticeFlight(NamedTuple):
             ) -> tuple[list[GeoPoint], list[SegmentResult]]:
         """A path through every row, flown from initial_state's mass as
         `fly_route` flies it, and its waypoints."""
-        route = [self.lattice.node(idx) for idx in node_path]
-        rows = np.arange(len(node_path) - 1)
+        lattice = self.lattice
         cols = np.array([j for _i, j, _h in node_path])
-        slots = np.where(rows == rows[-1], 1, np.diff(cols) + 1)
-        geometry = self.geometry.take(self.index[rows, cols[:-1], slots])
+        rows = np.arange(cols.size)
+        inner = rows[1:-1], cols[1:-1]
+        alts = lattice.alts_m
+        route = [lattice.origin,
+                 *(GeoPoint(lat, lon, alts[h]) for lat, lon, (_i, _j, h) in zip(
+                     lattice.lat_deg[inner].tolist(),
+                     lattice.lon_deg[inner].tolist(), node_path[1:-1])),
+                 lattice.destination]
+        legs = rows[:-1]
+        slots = np.where(legs == legs[-1], 1, np.diff(cols) + 1)
+        geometry = self.geometry.take(self.index[legs, cols[:-1], slots])
         return route, thread_legs(self.spec, initial_state, route, geometry,
                                   self.field, self.substeps)
 
@@ -209,9 +221,27 @@ def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
 
 def _nominal_masses(flight: _LatticeFlight,
                     initial_state: AircraftState) -> list[float]:
-    """`nominal_mass_profile`, threaded along the flown centerline legs."""
-    _route, legs = flight.fly(initial_state, _centerline(flight.lattice))
-    return [initial_state.mass_kg] + [leg.end_state.mass_kg for leg in legs]
+    """`nominal_mass_profile`, threaded along the flown centerline legs.
+
+    Each leg takes its share of the mass left, as `thread_legs` does. A
+    leg that would end below the empty mass, or whose share is NaN, sends
+    the whole centerline through `fly`, which re-flies that leg with
+    `fly_segment`: that raises its error or gives its result.
+    """
+    I = flight.lattice.dims[0]
+    legs = flight.index[np.arange(I - 1), flight.lattice.center_column, 1]
+    mass = initial_state.mass_kg
+    masses = [mass]
+    for burned in flight.geometry.burned[legs].tolist():
+        fuel = mass * burned
+        if not mass - fuel >= flight.spec.empty_mass_kg:   # below empty, or NaN
+            _route, flown = flight.fly(initial_state,
+                                       _centerline(flight.lattice))
+            return [initial_state.mass_kg] + [leg.end_state.mass_kg
+                                              for leg in flown]
+        mass = mass - fuel
+        masses.append(mass)
+    return masses
 
 
 def _edge_table(flight: _LatticeFlight, masses: list[float]) -> np.ndarray:
@@ -230,14 +260,12 @@ def _edge_table(flight: _LatticeFlight, masses: list[float]) -> np.ndarray:
     return table
 
 
-def _heuristics(lattice: Lattice, spec: AircraftSpec,
-                field: WeatherField) -> np.ndarray:
-    """Admissible cost-to-go per (row, column); 0 at the goal."""
+def _heuristics(lattice: Lattice, spec: AircraftSpec, field: WeatherField,
+                lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Admissible cost-to-go of nodes at (lat, lon) other than the goal."""
     dest = lattice.destination
-    h = great_circle_distances(lattice.lat_deg, lattice.lon_deg, dest.lat_deg,
-                               dest.lon_deg) * min_specific_burn(spec, field)
-    h[-1] = 0.0
-    return h
+    return great_circle_distances(lat, lon, dest.lat_deg, dest.lon_deg) \
+        * min_specific_burn(spec, field)
 
 
 def _finish(flight: _LatticeFlight, initial_state: AircraftState,
@@ -284,7 +312,9 @@ def astar(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     c, ch = lattice.center_column, lattice.center_level
     start, goal = (0, c, ch), (last, c, ch)
     costs = table.tolist()
-    h_table = _heuristics(lattice, spec, field).tolist()
+    h = _heuristics(lattice, spec, field, lattice.lat_deg, lattice.lon_deg)
+    h[-1] = 0.0
+    h_table = h.tolist()
 
     def heuristic(idx: NodeIndex) -> float:
         return h_table[idx[0]][idx[1]]
@@ -363,18 +393,27 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     incoming = padded[:, src, slots]
     g = np.full((I - 1, J + 2), np.inf)
     g[0, c + 1] = 0.0
+    # g_src[i, j', s] = g[i, src[j', s]], a view: no copy per row.
+    step = g.strides[1]
+    g_src = as_strided(g[:, 2:], shape=(I - 1, J, 3),
+                       strides=(g.strides[0], step, -step), writeable=False)
     cand = np.empty((I - 2, J, 3))      # g(u) + cost(u, v), v in rows 1..I-2
     for i in range(I - 2):
-        np.add(g[i, src], incoming[i], out=cand[i])
+        np.add(g_src[i], incoming[i], out=cand[i])
         cand[i].min(axis=1, out=g[i + 1, 1:-1])
     into_goal = g[I - 2, 1:-1] + table[I - 2, :, 1]
     c_star = float(into_goal.min())
     if c_star == np.inf:
         raise NoPath(_REFUSED)
 
-    h = np.zeros((I - 1, J + 2))
-    h[:, 1:-1] = _heuristics(lattice, spec, field)[:-1]
-    expanded = g + h < c_star
+    # A node with an infinite g is never expanded, so h is computed only
+    # where g is finite.
+    g_in = g[:, 1:-1]
+    finite = g_in < np.inf
+    expanded = np.zeros(g.shape, dtype=bool)
+    expanded[:, 1:-1][finite] = g_in[finite] + _heuristics(
+        lattice, spec, field, lattice.lat_deg[:-1][finite],
+        lattice.lon_deg[:-1][finite]) < c_star
     reached = (expanded[:-1, src] & (incoming[:-1] < np.inf)).any(axis=2)
     rows = np.arange(I - 1)
     nlev = np.minimum(H - 1, ch + rows) - np.maximum(0, ch - rows) + 1

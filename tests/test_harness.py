@@ -11,7 +11,8 @@ from skyroute.cli import main
 from skyroute.errors import (ConfigError, NoPath, ParseError, SchemaError,
                              SkyrouteError, WidthOutOfRange)
 from skyroute.geo import GeoPoint, great_circle_distance, initial_bearing
-from skyroute.guide import GuideConfig, init_params, save_checkpoint
+from skyroute.guide import (GuideConfig, init_params, parse_checkpoint,
+                            save_checkpoint)
 from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
                               bench_width, default_requests, load_airports,
                               make_weather, plan, read_bench_csv,
@@ -145,6 +146,71 @@ class TestCsvWeatherCache:
         given = plan(req, load_csv(str(path)))
         assert route_json_without_timings(with_csv) \
             == route_json_without_timings(given)
+
+
+def policy_checkpoint(path, seed=0):
+    """Write a small policy checkpoint of seeded weights; return its weights."""
+    params = init_params(np.random.default_rng(seed), hidden=4)
+    save_checkpoint(params, GuideConfig(guide_kind="policy"), str(path))
+    return params
+
+
+class TestCheckpointCache:
+    """A policy checkpoint is read on every plan and parsed once per content."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Start from an empty cache and count the parses."""
+        monkeypatch.setattr(harness, "_last_checkpoint", None)
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse_checkpoint(text)
+        monkeypatch.setattr(harness, "parse_checkpoint", counted)
+        return calls
+
+    def test_same_content_parses_once(self, tmp_path, parses):
+        path = tmp_path / "policy.json"
+        policy_checkpoint(path)
+        # Another file with the same bytes is the same content.
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(path.read_bytes())
+        docs = [route_json_without_timings(plan(small_request(
+            guide_kind="policy", checkpoint=str(ck)))) for ck in (path, copy)]
+        assert docs[0] == docs[1] and len(parses) == 1
+
+    def test_rewritten_file_gives_the_new_weights(self, tmp_path, parses):
+        path = tmp_path / "policy.json"
+        old = policy_checkpoint(path, seed=0)
+        got_old, cfg = harness._parse_checkpoint_once(str(path))
+        new = policy_checkpoint(path, seed=1)
+        got_new, _cfg = harness._parse_checkpoint_once(str(path))
+        assert np.array_equal(got_old.flat, old.flat)
+        assert np.array_equal(got_new.flat, new.flat)
+        assert not np.array_equal(old.flat, new.flat)
+        assert cfg.guide_kind == "policy" and len(parses) == 2
+
+    def test_bad_file_raises_on_every_call(self, tmp_path, parses):
+        good = tmp_path / "good.json"
+        policy_checkpoint(good)
+        want = route_json_without_timings(plan(small_request(
+            guide_kind="policy", checkpoint=str(good))))
+        schema = tmp_path / "schema.json"
+        schema.write_text('{"schema_version": 99}')
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        for _ in range(2):
+            for path, match in ((schema, "unsupported checkpoint schema"),
+                                (broken, "broken.json")):
+                with pytest.raises(ConfigError, match=match):
+                    plan(small_request(guide_kind="policy",
+                                       checkpoint=str(path)))
+        assert len(parses) == 5
+        # A failed parse keeps nothing, so the last good checkpoint stays.
+        assert route_json_without_timings(plan(small_request(
+            guide_kind="policy", checkpoint=str(good)))) == want
+        assert len(parses) == 5
 
 
 class TestPlan:

@@ -10,7 +10,7 @@ from skyroute.errors import (DegenerateTrip, DistanceOutOfRange, NoSuccessors,
 from skyroute.geo import (GeoPoint, PlaneVector, displace,
                           great_circle_distance, initial_bearing,
                           intermediate_point)
-from skyroute.lattice import (CoarseRoute, Corridor, _guide_points,
+from skyroute.lattice import (CoarseRoute, Corridor, _guide_points, _track,
                               build_corridor, build_lattice, is_reachable,
                               successors)
 from skyroute.search import _column_windows
@@ -87,6 +87,34 @@ class TestBuildLattice:
         # from the C library (they agree on the machines seen so far).
         np.testing.assert_array_max_ulp(lattice.lon_deg, want_lon, maxulp=2)
 
+    @given(trip_points, trip_points, st.integers(2, 161))
+    @example(GeoPoint(40, 7.5, 10_000), GeoPoint(55, 7.5, 10_000), 41)
+    @example(GeoPoint(10, 180, 10_000), GeoPoint(20, -180, 10_000), 11)
+    @example(GeoPoint(10, 179.5, 10_000), GeoPoint(12, -179.5, 10_000), 11)
+    @example(ORIGIN, DEST, 2)
+    @example(ORIGIN, DEST, 3)
+    # Distinct points too close for the haversine: their distance is 0.
+    @example(GeoPoint(0, 0, 10_000), GeoPoint(0, 1e-200, 10_000), 5)
+    @settings(max_examples=200, deadline=None)
+    def test_track_is_the_scalar_track(self, origin, destination, I):
+        # The centre column and the bearings the columns are displaced
+        # across are, bit for bit, what intermediate_point and
+        # initial_bearing give row by row.
+        assume(not origin.same_position(destination))
+        track = [intermediate_point(origin, destination, i / (I - 1))
+                 for i in range(1, I - 1)]
+        lattice = build_lattice(origin, destination, I, 1, 1, 0.0)
+        _lats, _lons, bearings = _track(origin, destination, I)
+
+        def bits(values):
+            return np.asarray(values, dtype=float).reshape(-1).view(np.int64)
+
+        assert np.array_equal(bits(lattice.lat_deg[1:-1, 0]),
+                              bits([p.lat_deg for p in track]))
+        assert np.array_equal(bits(lattice.lon_deg[1:-1, 0]),
+                              bits([p.lon_deg for p in track]))
+        assert np.array_equal(bits(bearings), bits(
+            [initial_bearing(p, destination) for p in track]))
 
     def test_endpoint_rows_identical(self):
         lat = small_lattice()

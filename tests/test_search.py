@@ -58,10 +58,24 @@ class TestNominalMassProfile:
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         cor = None if width is None else build_corridor(
             lat, gc_route(ORIGIN, DEST), width)
-        for fld in (still_air(), jet()):
-            flight = _fly_lattice(lat, cor, SPEC, fld, 3)
+        for spec, fld in ((SPEC, still_air()), (SPEC, jet())):
+            flight = _fly_lattice(lat, cor, spec, fld, 3)
             assert _nominal_masses(flight, start_state()) \
-                == nominal_mass_profile(lat, SPEC, start_state(), fld, 3)
+                == nominal_mass_profile(lat, spec, start_state(), fld, 3)
+        # A centerline that leaves the grid, and one that falls below the
+        # empty mass halfway (about 1,800 kg burned from 62,000 kg): both
+        # raise the error `fly_segment` raises for the leg.
+        heavy = replace(SPEC, ref_mass_kg=62_000.0, empty_mass_kg=61_000.0)
+        for spec, fld, error in (
+                (SPEC, make_uniform(0.0, 0.0, 288.15, (40, 50, 0, 20)),
+                 OutOfDomain),
+                (heavy, still_air(), Infeasible)):
+            flight = _fly_lattice(lat, cor, spec, fld, 3)
+            with pytest.raises(error) as got:
+                _nominal_masses(flight, start_state())
+            with pytest.raises(error) as want:
+                nominal_mass_profile(lat, spec, start_state(), fld, 3)
+            assert str(got.value) == str(want.value)
 
 
 class TestMinSpecificBurn:
