@@ -12,7 +12,7 @@ import os
 import tempfile
 
 from skyroute import (GeoPoint, PlanRequest, TrainConfig, plan, train,
-                      write_training_log)
+                      trainer, write_training_log)
 from skyroute.guide import GuideConfig, save_checkpoint
 
 ORIGIN = GeoPoint(48.35, 11.79, 10_000)
@@ -22,8 +22,11 @@ DEST = GeoPoint(41.30, 2.08, 10_000)
 def main():
     cfg = TrainConfig(seed=7, instances=2_000, rollout_episodes=2,
                       signed_progress=True)
-    print(f"training: {cfg.instances} instances, lr {cfg.learning_rate}, "
-          f"clip {cfg.clip_range}, seed {cfg.seed}")
+    print(f"training: {cfg.instances} instances, seed {cfg.seed}; the "
+          f"paper's fixed table: lr {trainer.LEARNING_RATE}, "
+          f"clip {trainer.CLIP_RANGE}, {trainer.EPOCHS_PER_UPDATE} epochs of "
+          f"minibatch {trainer.MINIBATCH_SIZE}, discount {trainer.DISCOUNT}, "
+          f"GAE lambda {trainer.GAE_LAMBDA}")
     params, log = train(cfg, progress_sink=_every_100th())
 
     first = log.episode_final_dist[:200]

@@ -24,11 +24,12 @@ propagates.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import statistics
 import time
+from collections.abc import Callable
 from dataclasses import astuple, dataclass, field as dc_field, replace
+from typing import TypeVar
 
 from .errors import ConfigError, SkyrouteError
 from .geo import GeoPoint, great_circle_distance
@@ -131,10 +132,6 @@ class PlanRequest:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-#: The last `csv:` file content parsed and its field (fields are read-only).
-_last_csv: tuple[bytes, WeatherField] | None = None
-
-
 def make_weather(spec_text: str, origin: GeoPoint, destination: GeoPoint,
                  seed: int = 0) -> WeatherField:
     """Build the weather field for a request: uniform | jet | csv:<path>.
@@ -159,42 +156,35 @@ def make_weather(spec_text: str, origin: GeoPoint, destination: GeoPoint,
         return make_jet_stream(bbox, core_lat=core_lat, core_speed=40.0,
                                half_width=4.0, seed=seed)
     if spec_text.startswith("csv:"):
-        return _parse_csv_once(spec_text[4:])
+        return _parse_once(spec_text[4:], parse_csv)
     raise ConfigError(f"unknown weather source: {spec_text!r} "
                       "(expected uniform | jet | csv:<path>)")
 
 
-def _parse_csv_once(path: str) -> WeatherField:
-    """The field of the CSV file at `path`, parsed only if its content is new."""
-    global _last_csv
+T = TypeVar("T")
+
+#: Per parser, the last file content it parsed and what it returned. No
+#: caller changes a result: fields are read-only, and `roll_out` changes
+#: neither a checkpoint's weights nor its guide config.
+_parsed: dict[Callable[[bytes], object], tuple[bytes, object]] = {}
+
+
+def _parse_once(path: str, parse: Callable[[bytes], T]) -> T:
+    """parse(the bytes of the file at `path`), called only if they are new
+    to `parse`."""
     with open(path, "rb") as f:
         raw = f.read()
-    # One read of the global: callers that race on a new file may each
-    # parse it, but each gets the field of the bytes it read.
-    last = _last_csv
+    # One read of the slot: callers that race on a new file may each
+    # parse it, but each gets what the bytes it read parse to.
+    last = _parsed.get(parse)
     if last is None or last[0] != raw:
         # A file that fails to parse raises here and is never kept.
-        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-        last = _last_csv = (raw, parse_csv(text))
+        last = _parsed[parse] = (raw, parse(raw))
     return last[1]
 
 
-#: The last checkpoint content parsed, its weights and its guide config
-#: (`roll_out` changes neither).
-_last_checkpoint: tuple[bytes, PolicyParams, GuideConfig] | None = None
-
-
-def _parse_checkpoint_once(path: str) -> tuple[PolicyParams, GuideConfig]:
-    """The checkpoint at `path`, parsed only if its content is new."""
-    global _last_checkpoint
-    with open(path, "rb") as f:
-        raw = f.read()
-    # One read of the global, as in _parse_csv_once.
-    last = _last_checkpoint
-    if last is None or last[0] != raw:
-        # A file that fails to parse raises here and is never kept.
-        last = _last_checkpoint = (raw, *parse_checkpoint(raw.decode("utf-8")))
-    return last[1], last[2]
+def _checkpoint_of(raw: bytes) -> tuple[PolicyParams, GuideConfig]:
+    return parse_checkpoint(raw.decode("utf-8"))
 
 
 def _guide_route(req: PlanRequest, field: WeatherField):
@@ -204,7 +194,7 @@ def _guide_route(req: PlanRequest, field: WeatherField):
         if not req.checkpoint:
             raise ConfigError("policy guide requires a checkpoint path")
         try:
-            params, cfg = _parse_checkpoint_once(req.checkpoint)
+            params, cfg = _parse_once(req.checkpoint, _checkpoint_of)
         except KeyError as exc:
             raise ConfigError(
                 f"checkpoint {req.checkpoint}: missing key {exc}") from exc

@@ -1,11 +1,11 @@
 """PPO-clip training of the guide policy on randomly sampled trips.
 
 Episodes are fixed-length (n-1 stochastic steps), rewarded by a shaped
-combination of movement alignment and fuel burn, with an optional
-terminal bonus/penalty on the final distance to the destination.
-Updates use generalized advantage estimation and the clipped surrogate
-objective, optimized with Adam on a hand-rolled backprop of the
-shared-trunk network.
+combination of movement alignment and fuel burn, plus a terminal
+bonus/penalty on the final distance to the destination. Updates use
+generalized advantage estimation and the clipped surrogate objective,
+optimized with Adam on a hand-rolled backprop of the shared-trunk
+network, at the paper's fixed hyperparameters (the constants below).
 
 The numpy work runs once per step and once per minibatch, not once per
 episode and once per weight array, because numpy's fixed cost per call
@@ -56,61 +56,48 @@ LOG_COLUMNS = ["update_index", "mean_reward", "mean_final_dist",
 _LOG2PI = math.log(2.0 * math.pi)
 _TANH_EPS = 1e-6
 
-#: Weight of the value loss in the combined PPO loss.
-VF_COEF = 0.5
+# The paper's hyperparameter table. Every training run uses these values.
+CLIP_RANGE = 0.2            # epsilon of the clipped surrogate
+LEARNING_RATE = 5e-6        # Adam step size
+VF_COEF = 0.5               # weight of the value loss in the combined loss
+REWARD_EXPONENT = 2.0       # gamma of step_reward
+LAMBDA_V = 0.01             # regularizer of progress_value
+END_THRESHOLD = 0.5         # end_reward's success radius, in step-scale units
+RHO1, RHO2 = 5.0, 2.0       # end_reward's penalty and bonus weights
+DISCOUNT = 0.99
+GAE_LAMBDA = 0.95
+EPOCHS_PER_UPDATE = 10
+MINIBATCH_SIZE = 64
+# Where trips are sampled, and how each episode step is flown.
+SAMPLE_BBOX = (34.0, 71.0, -10.0, 35.0)   # lat_min, lat_max, lon_min, lon_max
+MIN_TRIP_M = 500_000.0      # shortest sampled trip
+SUBSTEPS = 1                # fly_segment substeps per episode step
+CHECKPOINT_EVERY = 25       # updates between checkpoint writes
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters and sampling setup for one training run."""
+    """What one training run may set; the hyperparameters are constants."""
 
-    clip_range: float = 0.2
-    learning_rate: float = 5e-6
-    reward_exponent: float = 2.0
-    extra_end_reward: bool = True
-    rho1: float = 5.0
-    rho2: float = 2.0
-    lambda_v: float = 0.01
-    end_threshold: float = 0.5          # in step-scale units
-    discount: float = 0.99
-    gae_lambda: float = 0.95
-    epochs_per_update: int = 10
-    minibatch_size: int = 64
-    instances: int = 16_000
-    sample_bbox: tuple[float, float, float, float] = (34.0, 71.0, -10.0, 35.0)
-    min_trip_m: float = 500_000.0
     seed: int = 0
-    # Artifact knobs not pinned by the hyperparameter table.
+    instances: int = 16_000
     n_waypoints: int = 5
     hidden: int = 64
     rollout_episodes: int = 16
-    substeps: int = 1
-    checkpoint_every: int = 25
     signed_progress: bool = False
     aircraft: AircraftSpec = dc_field(default_factory=default_spec)
 
     def __post_init__(self):
-        types = {"float": (int, float), "int": (int,), "bool": (bool,)}
+        types = {"int": (int,), "bool": (bool,)}
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in types and type(value) not in types[f.type]:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if not (0.05 <= self.clip_range <= 0.5):
-            raise ConfigError("clip_range must lie in [0.05, 0.5]")
-        for name in ("learning_rate", "min_trip_m", "rho1", "rho2"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        bbox = self.sample_bbox
-        if not (type(bbox) is tuple and len(bbox) == 4
-                and all(type(v) in (int, float) for v in bbox)
-                and bbox[0] < bbox[1] and bbox[2] < bbox[3]):
-            raise ConfigError("sample_bbox must be (lat_min, lat_max, lon_min, lon_max)")
         if self.n_waypoints < 2:
             raise ConfigError("n_waypoints must be >= 2")
         if self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        for name in ("rollout_episodes", "minibatch_size", "epochs_per_update",
-                     "hidden", "substeps", "instances", "checkpoint_every"):
+        for name in ("rollout_episodes", "hidden", "instances"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, "
@@ -136,8 +123,6 @@ class TrainConfig:
                 raise ConfigError(f"aircraft_path must be a file path, "
                                   f"got {path!r}")
             kwargs["aircraft"] = AircraftSpec.from_json(path)
-        if isinstance(kwargs.get("sample_bbox"), list):
-            kwargs["sample_bbox"] = tuple(kwargs["sample_bbox"])
         return cls(**kwargs)
 
 
@@ -158,16 +143,15 @@ class EpisodeRecord:
     final_dist_m: float | np.ndarray
 
 
-def sample_instance(cfg: TrainConfig,
-                    rng: np.random.Generator) -> tuple[GeoPoint, GeoPoint]:
-    """Uniform origin/destination pair at least min_trip_m apart."""
-    lat_min, lat_max, lon_min, lon_max = cfg.sample_bbox
+def sample_instance(rng: np.random.Generator) -> tuple[GeoPoint, GeoPoint]:
+    """Uniform origin/destination pair in SAMPLE_BBOX, MIN_TRIP_M apart."""
+    lat_min, lat_max, lon_min, lon_max = SAMPLE_BBOX
     for _ in range(1000):
         lats = rng.uniform(lat_min, lat_max, size=2)
         lons = rng.uniform(lon_min, lon_max, size=2)
         a = GeoPoint(float(lats[0]), float(lons[0]))
         b = GeoPoint(float(lats[1]), float(lons[1]))
-        if great_circle_distance(a, b) >= cfg.min_trip_m:
+        if great_circle_distance(a, b) >= MIN_TRIP_M:
             return a, b
     raise SamplingExhausted("1,000 rejections while sampling a trip")
 
@@ -196,7 +180,7 @@ def step_reward(v_k: float, fuel_kg: float, gamma_r: float) -> float:
 
 
 def end_reward(final_dist_normalized: float, threshold: float,
-               rho1: float = 5.0, rho2: float = 2.0) -> float:
+               rho1: float, rho2: float) -> float:
     """Terminal bonus (success branch includes the boundary) or penalty."""
     d = final_dist_normalized
     if d > threshold:
@@ -286,20 +270,19 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
             x = xs[b]
             nxt = _safe_step(x, action[b], phis[b], trip_lens[b] / n)
             v_k = progress_value(local_displacement(x, nxt), disps[b],
-                                 cfg.lambda_v, cfg.signed_progress)
+                                 LAMBDA_V, cfg.signed_progress)
             seg = fly_segment(cfg.aircraft, AircraftState(x, masses[b]), nxt,
-                              field, cfg.substeps)
+                              field, SUBSTEPS)
             masses[b] = seg.end_state.mass_kg
-            rewards[b, k] = step_reward(v_k, seg.fuel_kg, cfg.reward_exponent)
+            rewards[b, k] = step_reward(v_k, seg.fuel_kg, REWARD_EXPONENT)
             xs[b] = nxt
 
     final_dist = np.array([great_circle_distance(x, d)
                            for x, d in zip(xs, dests)])
-    if cfg.extra_end_reward:
-        for b in range(B):
-            step_scale = trip_lens[b] / n
-            rewards[b, -1] += end_reward(final_dist[b] / step_scale,
-                                         cfg.end_threshold, cfg.rho1, cfg.rho2)
+    for b in range(B):
+        step_scale = trip_lens[b] / n
+        rewards[b, -1] += end_reward(final_dist[b] / step_scale,
+                                     END_THRESHOLD, RHO1, RHO2)
     return EpisodeRecord(features, pre_squash, actions, log_probs, rewards,
                          values, final_dist)
 
@@ -396,12 +379,13 @@ def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
 
 
 def ppo_update(params: PolicyParams, batch: list[EpisodeRecord],
-               cfg: TrainConfig, rng: np.random.Generator,
+               rng: np.random.Generator,
                optimizer: AdamOptimizer | None = None
                ) -> tuple[PolicyParams, dict]:
     """One PPO update over a batch of episodes; returns new params + stats.
 
     Each record of batch holds one episode or a lockstep batch of them.
+    Without an optimizer, a fresh Adam at LEARNING_RATE takes the steps.
     Non-finite gradients abort the update and leave params unchanged.
     """
     if not batch:
@@ -409,27 +393,27 @@ def ppo_update(params: PolicyParams, batch: list[EpisodeRecord],
     feats = np.concatenate([e.features.reshape(-1, FEATURE_DIM) for e in batch])
     zs = np.concatenate([e.pre_squash.reshape(-1, ACTION_DIM) for e in batch])
     old_logp = np.concatenate([e.log_probs.ravel() for e in batch])
-    gae = [compute_gae(e.rewards, e.value_estimates, cfg.discount,
-                       cfg.gae_lambda) for e in batch]
+    gae = [compute_gae(e.rewards, e.value_estimates, DISCOUNT, GAE_LAMBDA)
+           for e in batch]
     adv = np.concatenate([a.ravel() for a, _r in gae])
     ret = np.concatenate([r.ravel() for _a, r in gae])
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     new_params = params.copy()
     opt = optimizer if optimizer is not None else AdamOptimizer(
-        new_params, cfg.learning_rate)
+        new_params, LEARNING_RATE)
 
     n_samples = feats.shape[0]
     stats = {"actor_loss": 0.0, "critic_loss": 0.0,
              "clip_fraction": 0.0, "approx_kl": 0.0}
     n_mb = 0
-    for _epoch in range(cfg.epochs_per_update):
+    for _epoch in range(EPOCHS_PER_UPDATE):
         order = rng.permutation(n_samples)
-        for lo in range(0, n_samples, cfg.minibatch_size):
-            idx = order[lo:lo + cfg.minibatch_size]
+        for lo in range(0, n_samples, MINIBATCH_SIZE):
+            idx = order[lo:lo + MINIBATCH_SIZE]
             pl, vl, grad, cf, kl = _loss_grads(
                 new_params, feats[idx], zs[idx], old_logp[idx], adv[idx],
-                ret[idx], cfg.clip_range)
+                ret[idx], CLIP_RANGE)
             if not np.all(np.isfinite(grad)):
                 raise NonFiniteGradient("non-finite gradient; update aborted")
             opt.apply(new_params, grad)
@@ -479,7 +463,7 @@ def train(cfg: TrainConfig, progress_sink=None,
                          (-90.0, 90.0, -180.0, 180.0))
     rng = np.random.default_rng(cfg.seed)
     params = init_params(rng, cfg.hidden)
-    optimizer = AdamOptimizer(params, cfg.learning_rate)
+    optimizer = AdamOptimizer(params, LEARNING_RATE)
     steps = cfg.n_waypoints - 1
 
     log = TrainingLog([], [], [])
@@ -491,14 +475,14 @@ def train(cfg: TrainConfig, progress_sink=None,
         instances = []
         noise = np.empty((batch_n, steps, ACTION_DIM))
         for b in range(batch_n):
-            instances.append(sample_instance(cfg, rng))
+            instances.append(sample_instance(rng))
             noise[b] = rng.standard_normal((steps, ACTION_DIM))
         batch = run_episodes(params, cfg, instances, noise, field)
         episode_rewards = [float(np.sum(r)) for r in batch.rewards]
         log.episode_rewards += episode_rewards
         log.episode_final_dist += batch.final_dist_m.tolist()
         t1 = time.perf_counter()
-        params, stats = ppo_update(params, [batch], cfg, rng, optimizer)
+        params, stats = ppo_update(params, [batch], rng, optimizer)
         t2 = time.perf_counter()
         log.rollout_s += t1 - t0
         log.update_s += t2 - t1
@@ -521,7 +505,7 @@ def train(cfg: TrainConfig, progress_sink=None,
                 f"final_dist {row['mean_final_dist'] / 1000.0:.1f} km "
                 f"kl {row['approx_kl']:.2e} "
                 f"{batch_n / (t2 - t0):.1f} episodes/s")
-        if checkpoint_path and update_index % cfg.checkpoint_every == 0:
+        if checkpoint_path and update_index % CHECKPOINT_EVERY == 0:
             _write_checkpoint(params, cfg, checkpoint_path)
 
     if checkpoint_path:

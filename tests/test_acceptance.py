@@ -73,9 +73,10 @@ def run_pair(origin, destination, field, dims, w, coarse=None, substeps=1):
 
 
 # Desk-scale training shared by criteria 7 and 8. Table-1 values are the
-# TrainConfig defaults (hidden 64, clip 0.2, lr 5e-6, exponent 2.0, end
-# reward on); signed progress and the 2-episode rollout are the artifact's
-# documented resolution of the shrink/retreat attractor.
+# trainer's constants (clip 0.2, lr 5e-6, exponent 2.0, end reward always
+# on) and the TrainConfig default hidden 64; signed progress and the
+# 2-episode rollout are the artifact's documented resolution of the
+# shrink/retreat attractor.
 TRAIN_CFG = dict(seed=7, instances=2_000, rollout_episodes=2,
                  signed_progress=True)
 
@@ -200,9 +201,9 @@ def test_criterion_6_reward_identities():
         assert abs(step_reward(0.0, 7.0, 2.0) + 7.0) <= 1e-9
         assert abs(step_reward(0.5, 8.0, 2.0) + 2.0) <= 1e-9
         # end_reward at D in {0, T, 1} with rho1 = 5, rho2 = 2, T = 0.5.
-        assert abs(end_reward(0.0, 0.5) - 2.0) <= 1e-9
-        assert abs(end_reward(0.5, 0.5) - 1.0) <= 1e-9
-        assert abs(end_reward(1.0, 0.5) + 5.0) <= 1e-9
+        assert abs(end_reward(0.0, 0.5, 5.0, 2.0) - 2.0) <= 1e-9
+        assert abs(end_reward(0.5, 0.5, 5.0, 2.0) - 1.0) <= 1e-9
+        assert abs(end_reward(1.0, 0.5, 5.0, 2.0) + 5.0) <= 1e-9
 
 
 def _decile_means(series):
@@ -269,8 +270,7 @@ def test_criterion_9_determinism(tmp_path):
         docs = [route_json_without_timings(plan(req)) for _ in range(2)]
         assert docs[0] == docs[1]
 
-        cfg = TrainConfig(seed=5, instances=8, rollout_episodes=2,
-                          epochs_per_update=2)
+        cfg = TrainConfig(seed=5, instances=8, rollout_episodes=2)
         paths = []
         for tag in ("a", "b"):
             ckpt = tmp_path / f"policy_{tag}.json"

@@ -89,12 +89,12 @@ class TestCsvWeatherCache:
     @pytest.fixture
     def parses(self, monkeypatch):
         """Start from an empty cache and count the parses."""
-        monkeypatch.setattr(harness, "_last_csv", None)
+        monkeypatch.setattr(harness, "_parsed", {})
         calls = []
 
-        def counted(lines):
-            calls.append(lines)
-            return parse_csv(lines)
+        def counted(raw):
+            calls.append(raw)
+            return parse_csv(raw)
         monkeypatch.setattr(harness, "parse_csv", counted)
         return calls
 
@@ -138,6 +138,20 @@ class TestCsvWeatherCache:
         assert make_weather(f"csv:{good}", MUC, BER) is field
         assert len(parses) == 5
 
+    def test_non_utf8_file_raises_and_is_not_kept(self, tmp_path, parses):
+        good = tmp_path / "good.csv"
+        save_csv(make_weather("uniform", MUC, BER), str(good))
+        field = make_weather(f"csv:{good}", MUC, BER)
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(good.read_bytes() + b"\xff\n")
+        lines = good.read_text().count("\n")
+        for _ in range(2):
+            with pytest.raises(ParseError,
+                               match=f"line {lines + 1}: not UTF-8 text"):
+                make_weather(f"csv:{latin1}", MUC, BER)
+        assert make_weather(f"csv:{good}", MUC, BER) is field
+        assert len(parses) == 3
+
     def test_plan_on_csv_equals_plan_on_the_parsed_field(self, tmp_path):
         path = tmp_path / "wx.csv"
         save_csv(make_weather("jet", MUC, BER, seed=2), str(path))
@@ -161,7 +175,7 @@ class TestCheckpointCache:
     @pytest.fixture
     def parses(self, monkeypatch):
         """Start from an empty cache and count the parses."""
-        monkeypatch.setattr(harness, "_last_checkpoint", None)
+        monkeypatch.setattr(harness, "_parsed", {})
         calls = []
 
         def counted(text):
@@ -183,9 +197,9 @@ class TestCheckpointCache:
     def test_rewritten_file_gives_the_new_weights(self, tmp_path, parses):
         path = tmp_path / "policy.json"
         old = policy_checkpoint(path, seed=0)
-        got_old, cfg = harness._parse_checkpoint_once(str(path))
+        got_old, cfg = harness._parse_once(str(path), harness._checkpoint_of)
         new = policy_checkpoint(path, seed=1)
-        got_new, _cfg = harness._parse_checkpoint_once(str(path))
+        got_new, _cfg = harness._parse_once(str(path), harness._checkpoint_of)
         assert np.array_equal(got_old.flat, old.flat)
         assert np.array_equal(got_new.flat, new.flat)
         assert not np.array_equal(old.flat, new.flat)
@@ -537,6 +551,8 @@ class TestCli:
           "jet", "--seed", "-1"], "seed"),
         (["bench-width", "--routes", "MUC:BER", "--repetitions", "0",
           "--w-list", "3"], "repetitions"),
+        (["plan", "--origin", "MUC", "--destination", "BER", "--weather",
+          "csv:{tmp}/wx-latin1.csv"], "not UTF-8"),
     ], ids=["lat", "alt", "fwd", "cols", "substeps", "levels", "route-dash",
             "route-three-codes", "checkpoint-schema", "checkpoint-key",
             "checkpoint-list", "checkpoint-extra-weight",
@@ -545,7 +561,7 @@ class TestCli:
             "checkpoint-wind-zero", "checkpoint-wind-text",
             "checkpoint-wind-40", "aircraft-missing", "aircraft-value",
             "aircraft-json", "aircraft-unknown", "pole", "negative-seed",
-            "no-repetitions"])
+            "no-repetitions", "csv-not-utf8"])
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
         bad_files = {
             "ck-schema.json": json.dumps({"schema_version": 99}),
@@ -560,6 +576,8 @@ class TestCli:
         }
         for name, text in bad_files.items():
             (tmp_path / name).write_text(text)
+        (tmp_path / "wx-latin1.csv").write_bytes(
+            ",".join(CSV_COLUMNS).encode() + b"\n48,11,1,1,288.15\xff\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -614,8 +632,7 @@ class TestCli:
         assert (tmp_path / "bench_fwd.csv").exists()
 
     def test_train_cli(self, tmp_path):
-        config = {"seed": 0, "instances": 4, "rollout_episodes": 2,
-                  "epochs_per_update": 2, "minibatch_size": 8}
+        config = {"seed": 0, "instances": 4, "rollout_episodes": 2}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         rc = main(["train", "--config", str(cfg_path),

@@ -296,6 +296,15 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError):
             load_csv(str(path))
 
+    def test_non_utf8_byte_reports_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((",".join(CSV_COLUMNS) + "\n"
+                          "40,0,1,1,288.15\n").encode()
+                         + b"40,5,1,1,288.15\xff\n")
+        with pytest.raises(ParseError, match="line 3: not UTF-8 text "
+                           r"\(byte 0xff\)"):
+            load_csv(str(path))
+
 
 def test_helpers():
     fld = make_uniform(30.0, -40.0, 298.15, (40, 50, 0, 10))
