@@ -10,11 +10,11 @@ import json
 import os
 import sys
 
-from .errors import ConfigError, SkyrouteError
+from .errors import ConfigError, SkyrouteError, parsing
 from .guide import GUIDE_KINDS
-from .harness import (DEFAULT_DIMS, DEFAULT_WIDTH, PlanRequest, bench_fwd,
-                      bench_width, default_requests, plan, resolve_point,
-                      write_bench_csv)
+from .harness import (DEFAULT_DIMS, DEFAULT_ROUTE_SET, DEFAULT_WIDTH,
+                      PlanRequest, bench_fwd, bench_width, default_requests,
+                      plan, resolve_point, write_bench_csv)
 from .perfmodel import DEFAULT_SUBSTEPS, AircraftSpec, default_spec
 from .trainer import TrainConfig, train, write_training_log
 
@@ -49,17 +49,13 @@ def _request_kwargs(args) -> dict:
                 weather=args.weather, substeps=args.substeps, seed=args.seed)
 
 
-def _request_from_args(args) -> PlanRequest:
+def _cmd_plan(args) -> int:
     aircraft = (AircraftSpec.from_json(args.aircraft) if args.aircraft
                 else default_spec())
-    return PlanRequest(origin=resolve_point(args.origin),
-                       destination=resolve_point(args.destination),
-                       aircraft=aircraft, unconstrained=args.unconstrained,
-                       **_request_kwargs(args))
-
-
-def _cmd_plan(args) -> int:
-    doc = plan(_request_from_args(args))
+    doc = plan(PlanRequest(origin=resolve_point(args.origin),
+                           destination=resolve_point(args.destination),
+                           aircraft=aircraft, unconstrained=args.unconstrained,
+                           **_request_kwargs(args)))
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "route.json")
     with open(out_path, "w", encoding="utf-8") as f:
@@ -72,18 +68,15 @@ def _cmd_plan(args) -> int:
 
 
 def _bench_requests(args) -> list[PlanRequest]:
-    if not args.routes:
-        return default_requests(**_request_kwargs(args))
-    reqs = []
-    for pair in args.routes:
+    routes = []
+    for pair in args.routes or ():
         codes = pair.split(":")
         if len(codes) != 2:
             raise ConfigError(
                 f"--routes item {pair!r} is not ORIGIN:DESTINATION")
-        reqs.append(PlanRequest(origin=resolve_point(codes[0]),
-                                destination=resolve_point(codes[1]),
-                                **_request_kwargs(args)))
-    return reqs
+        routes.append(codes)
+    return default_requests(routes=routes or DEFAULT_ROUTE_SET,
+                            **_request_kwargs(args))
 
 
 def _cmd_bench(args) -> int:
@@ -97,11 +90,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    with open(args.config, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except ValueError as exc:
-            raise ConfigError(f"--config {args.config}: {exc}") from exc
+    with open(args.config, encoding="utf-8") as f, parsing(args.config):
+        raw = json.load(f)
     if args.seed is not None and isinstance(raw, dict):
         raw.setdefault("seed", args.seed)
     cfg = TrainConfig.from_dict(raw)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class SkyrouteError(Exception):
     """Base class for all domain errors raised by skyroute."""
@@ -22,7 +24,8 @@ class OutOfDomain(SkyrouteError):
 
 
 class ParseError(SkyrouteError):
-    """Malformed row in a weather CSV; message names the line number."""
+    """Malformed weather CSV: a bad row, whose line the message names, or
+    a grid that is incomplete or not a valid field."""
 
 
 class SchemaError(SkyrouteError):
@@ -56,3 +59,18 @@ class NonFiniteGradient(SkyrouteError):
 
 class ConfigError(SkyrouteError):
     """Invalid or missing configuration field; message names the field."""
+
+
+@contextmanager
+def parsing(path: str):
+    """Re-raise what fails inside, while the file at `path` is parsed, as a
+    SkyrouteError whose message starts with the path: of the class raised
+    if that is one, else a ConfigError (a KeyError is a missing key)."""
+    try:
+        yield
+    except SkyrouteError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -173,6 +173,15 @@ def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
     return _azimuth(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
 
 
+def _track_point(lat1, lon1, lat2, lon2, delta, fraction):
+    """`intermediate_point`'s (lat, lon) at 0 < fraction < 1 on plain
+    floats, given delta = the pair's distance / EARTH_RADIUS_M."""
+    if delta == 0.0:        # distinct points the haversine cannot resolve
+        return lat1, lon1
+    lat, lon = _slerp(lat1, lon1, lat2, lon2, delta, fraction)
+    return lat, _normalize_lon(lon1 if lon1 == lon2 else lon)
+
+
 def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
     """Point at the given fraction along the great circle a->b.
 
@@ -184,15 +193,23 @@ def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
         return a
     if fraction >= 1.0:
         return b
-    alt = a.alt_m + fraction * (b.alt_m - a.alt_m)
-    delta = great_circle_distance(a, b) / EARTH_RADIUS_M
-    if delta == 0.0:
-        return GeoPoint(a.lat_deg, a.lon_deg, alt)
-    lat, lon = _slerp(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg, delta,
-                      fraction)
-    if a.lon_deg == b.lon_deg:
-        lon = _normalize_lon(a.lon_deg)
-    return GeoPoint(lat, lon, alt)
+    lat, lon = _track_point(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg,
+                            great_circle_distance(a, b) / EARTH_RADIUS_M,
+                            fraction)
+    return GeoPoint(lat, lon, a.alt_m + fraction * (b.alt_m - a.alt_m))
+
+
+def track_points(a: GeoPoint, b: GeoPoint,
+                 n: int) -> tuple[list[float], list[float], list[float]]:
+    """Latitudes, longitudes and bearings to b of the n-2 interior points
+    i/(n-1) of the way along a->b: what `intermediate_point` and
+    `initial_bearing` give, without building a GeoPoint per point."""
+    lat1, lon1, lat2, lon2 = a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg
+    delta = _distance(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
+    points = [_track_point(lat1, lon1, lat2, lon2, delta, i / (n - 1))
+              for i in range(1, n - 1)]
+    return ([lat for lat, _ in points], [lon for _, lon in points],
+            [_azimuth(lat, lon, lat2, lon2) for lat, lon in points])
 
 
 def intermediate_points(lat1, lon1, lat2, lon2, fraction,

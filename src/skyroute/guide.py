@@ -181,9 +181,10 @@ def load_checkpoint(path: str) -> tuple[PolicyParams, GuideConfig]:
         return parse_checkpoint(f.read())
 
 
-def parse_checkpoint(text: str) -> tuple[PolicyParams, GuideConfig]:
-    """The weights and guide config of a save_checkpoint file's text;
-    ValueError (or KeyError, for a missing key) names what is malformed."""
+def parse_checkpoint(text: str | bytes) -> tuple[PolicyParams, GuideConfig]:
+    """The weights and guide config of a save_checkpoint file's text or
+    bytes; ValueError (or KeyError, for a missing key) names what is
+    malformed."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("checkpoint is not a JSON object")

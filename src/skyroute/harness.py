@@ -26,23 +26,20 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-import time
 from collections.abc import Callable
 from dataclasses import astuple, dataclass, field as dc_field, replace
 from typing import TypeVar
 
-from .errors import ConfigError, SkyrouteError
+from .errors import ConfigError, SkyrouteError, parsing
 from .geo import GeoPoint, great_circle_distance
-# load_checkpoint is unused here; it stays because perfbench/tracing.py
-# wraps it by name.
+# load_checkpoint, astar and fly_segment are unused here; they stay because
+# perfbench/tracing.py wraps them by name.
 from .guide import (GUIDE_KINDS, GuideConfig, PolicyParams, load_checkpoint,
                     parse_checkpoint, roll_out)
 from .lattice import build_corridor, build_lattice
-# astar and fly_segment are unused here; they stay because
-# perfbench/tracing.py wraps them by name.
 from .perfmodel import (AircraftSpec, AircraftState, default_spec, fly_segment,
                         DEFAULT_SUBSTEPS)
-from .search import astar, row_dp
+from .search import Stages, astar, row_dp
 from .weather import (ISA_TEMPERATURE_K, WeatherField, make_jet_stream,
                       make_uniform, parse_csv)
 
@@ -171,7 +168,7 @@ _parsed: dict[Callable[[bytes], object], tuple[bytes, object]] = {}
 
 def _parse_once(path: str, parse: Callable[[bytes], T]) -> T:
     """parse(the bytes of the file at `path`), called only if they are new
-    to `parse`."""
+    to `parse`; a failure names the file (`errors.parsing`)."""
     with open(path, "rb") as f:
         raw = f.read()
     # One read of the slot: callers that race on a new file may each
@@ -179,12 +176,9 @@ def _parse_once(path: str, parse: Callable[[bytes], T]) -> T:
     last = _parsed.get(parse)
     if last is None or last[0] != raw:
         # A file that fails to parse raises here and is never kept.
-        last = _parsed[parse] = (raw, parse(raw))
+        with parsing(path):
+            last = _parsed[parse] = (raw, parse(raw))
     return last[1]
-
-
-def _checkpoint_of(raw: bytes) -> tuple[PolicyParams, GuideConfig]:
-    return parse_checkpoint(raw.decode("utf-8"))
 
 
 def _guide_route(req: PlanRequest, field: WeatherField):
@@ -193,13 +187,7 @@ def _guide_route(req: PlanRequest, field: WeatherField):
     if req.guide_kind == "policy":
         if not req.checkpoint:
             raise ConfigError("policy guide requires a checkpoint path")
-        try:
-            params, cfg = _parse_once(req.checkpoint, _checkpoint_of)
-        except KeyError as exc:
-            raise ConfigError(
-                f"checkpoint {req.checkpoint}: missing key {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"checkpoint {req.checkpoint}: {exc}") from exc
+        params, cfg = _parse_once(req.checkpoint, parse_checkpoint)
     return roll_out(cfg, params, req.origin, req.destination, field)
 
 
@@ -210,35 +198,29 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
     `timings["search"]` splits `search_s` into the search's own stages,
     which sum to it.
     """
-    t0 = time.perf_counter()
+    clock = Stages()
     field = field or make_weather(req.weather, req.origin, req.destination,
                                   req.seed)
-    weather_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
+    clock.lap("weather_s")
     I, J, H = req.dims
     halfwidth = DEFAULT_LATERAL_FRACTION * great_circle_distance(
         req.origin, req.destination)
     lattice = build_lattice(req.origin, req.destination, I, J, H, halfwidth)
-    lattice_time = time.perf_counter() - t0
-    initial = AircraftState(req.origin, req.aircraft.ref_mass_kg)
-
-    guide_time = 0.0
-    corridor_time = 0.0
+    clock.lap("lattice_s")
     corridor = None
-    if not req.unconstrained:
-        t0 = time.perf_counter()
+    if req.unconstrained:
+        clock.times.update(guide_s=0.0, corridor_s=0.0)
+    else:
         coarse = _guide_route(req, field)
-        guide_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        clock.lap("guide_s")
         corridor = build_corridor(lattice, coarse, req.width)
-        corridor_time = time.perf_counter() - t0
+        clock.lap("corridor_s")
 
-    result = row_dp(lattice, corridor, req.aircraft, initial, field,
+    result = row_dp(lattice, corridor, req.aircraft,
+                    AircraftState(req.origin, req.aircraft.ref_mass_kg), field,
                     req.substeps)
 
-    stages = {"weather_s": weather_time, "lattice_s": lattice_time,
-              "guide_s": guide_time, "corridor_s": corridor_time,
-              "search_s": result.wall_time_s}
+    stages = {**clock.times, "search_s": result.wall_time_s}
     return {
         "request": {
             "origin": [req.origin.lat_deg, req.origin.lon_deg, req.origin.alt_m],
@@ -397,11 +379,10 @@ def read_bench_csv(path: str) -> list[dict]:
 
 
 def default_requests(weather: str = "jet", seed: int = 0,
-                     **overrides) -> list[PlanRequest]:
-    """The shipped 5-route benchmark set (airport pairs, defaults per plan)."""
-    reqs = []
-    for a, b in DEFAULT_ROUTE_SET:
-        reqs.append(PlanRequest(origin=resolve_point(a),
-                                destination=resolve_point(b),
-                                weather=weather, seed=seed, **overrides))
-    return reqs
+                     routes=DEFAULT_ROUTE_SET, **overrides) -> list[PlanRequest]:
+    """One request per (origin, destination) pair of `routes`, each an
+    airport code or 'lat,lon[,alt]'; by default the shipped 5-route
+    benchmark set."""
+    return [PlanRequest(origin=resolve_point(a), destination=resolve_point(b),
+                        weather=weather, seed=seed, **overrides)
+            for a, b in routes]

@@ -5,10 +5,10 @@ Row 0 and row I-1 hold identical nodes (the endpoints); interior rows
 spread J columns laterally around the great-circle track and H altitude
 levels across ALT_BAND_M. All H levels of a column share one
 lat/lon, so positions are stored once per column. Each row's track point
-and bearing come from the scalar `geo` formulas on plain floats, as
-`intermediate_point` and `initial_bearing` give them (numpy's trig can
-round apart from libm's); the columns of all rows come from one array
-pass, `displace_many`. A corridor restricts each row to a window of w
+and bearing come from `geo.track_points`, the scalar formulas that
+`intermediate_point` and `initial_bearing` run (numpy's trig can round
+apart from libm's); the columns of all rows come from one array pass,
+`displace_many`. A corridor restricts each row to a window of w
 consecutive columns around a coarse guide route, built in one array
 pass; consecutive windows, like path nodes, are one column apart at most.
 Every search starts at row 0's centre column and middle level, and row
@@ -25,10 +25,9 @@ import numpy as np
 from .errors import DegenerateTrip, NoSuccessors, WidthOutOfRange
 # great_circle_distance and intermediate_point are unused here; they stay
 # because perfbench/tracing.py wraps them by name.
-from .geo import (EARTH_RADIUS_M, GeoPoint, _azimuth, _distance,
-                  _normalize_lon, _slerp, displace_many, great_circle_distance,
+from .geo import (GeoPoint, displace_many, great_circle_distance,
                   great_circle_distances, intermediate_point,
-                  intermediate_points)
+                  intermediate_points, track_points as _track)
 
 NodeIndex = tuple[int, int, int]
 
@@ -102,29 +101,6 @@ class Corridor:
 
     def j_max(self, i: int) -> int:
         return self.j_min[i] + self.width - 1
-
-
-def _track(origin: GeoPoint, destination: GeoPoint,
-           I: int) -> tuple[list[float], list[float], list[float]]:
-    """Latitudes, longitudes and bearings to the destination of the I-2
-    interior track points, row i at fraction i/(I-1) of the great circle:
-    what `intermediate_point` and `initial_bearing` give, with the same
-    guards, without building a GeoPoint per row."""
-    lat1, lon1 = origin.lat_deg, origin.lon_deg
-    lat2, lon2 = destination.lat_deg, destination.lon_deg
-    delta = _distance(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
-    lats, lons, bearings = [], [], []
-    for i in range(1, I - 1):
-        if delta == 0.0:        # distinct points the haversine cannot resolve
-            lat, lon = lat1, lon1
-        else:
-            lat, lon = _slerp(lat1, lon1, lat2, lon2, delta, i / (I - 1))
-            # A meridian track keeps its longitude exactly.
-            lon = _normalize_lon(lon1 if lon1 == lon2 else lon)
-        lats.append(lat)
-        lons.append(lon)
-        bearings.append(_azimuth(lat, lon, lat2, lon2))
-    return lats, lons, bearings
 
 
 def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: int,

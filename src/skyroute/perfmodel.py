@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, Infeasible
+from .errors import Infeasible, parsing
 from .geo import (EARTH_RADIUS_M, GeoPoint, along_track, along_tracks,
                   great_circle_distance, great_circle_distances,
                   initial_bearing, initial_bearings, intermediate_point,
@@ -83,11 +83,8 @@ class AircraftSpec:
     @classmethod
     def from_json(cls, path: str) -> "AircraftSpec":
         """Read a spec file; one that is not a valid spec raises ConfigError."""
-        with open(path, encoding="utf-8") as f:
-            try:
-                return cls.from_dict(json.load(f))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"aircraft spec {path}: {exc}") from exc
+        with open(path, encoding="utf-8") as f, parsing(path):
+            return cls.from_dict(json.load(f))
 
     def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:

@@ -93,7 +93,7 @@ class SearchResult:
         return sum(self.stages.values())
 
 
-class _Stages:
+class Stages:
     """Wall time of consecutive stages; `lap(name)` ends the stage `name`."""
 
     def __init__(self):
@@ -270,7 +270,7 @@ def _heuristics(lattice: Lattice, spec: AircraftSpec, field: WeatherField,
 
 def _finish(flight: _LatticeFlight, initial_state: AircraftState,
             node_path: list[NodeIndex], search_cost: float, expanded: int,
-            generated: int, stages: _Stages) -> SearchResult:
+            generated: int, stages: Stages) -> SearchResult:
     """Fly the winning path along its legs' flown geometry."""
     stages.lap("solve_s")
     geo_path, legs = flight.fly(initial_state, node_path)
@@ -282,10 +282,10 @@ def _finish(flight: _LatticeFlight, initial_state: AircraftState,
 
 def _prepare(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
              initial_state: AircraftState, field: WeatherField,
-             substeps: int) -> tuple[_Stages, _LatticeFlight, np.ndarray]:
+             substeps: int) -> tuple[Stages, _LatticeFlight, np.ndarray]:
     """The stages both searches share: the lattice's flight, the nominal
     masses and the edge table."""
-    stages = _Stages()
+    stages = Stages()
     flight = _fly_lattice(lattice, corridor, spec, field, substeps)
     stages.lap("geometry_s")
     masses = _nominal_masses(flight, initial_state)

@@ -14,8 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import stat
 from array import array
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,18 +228,30 @@ def make_jet_stream(bbox: tuple[float, float, float, float],
 
 
 def save_csv(fld: WeatherField, path: str) -> None:
-    """Write one row per grid node, lat-major, with the fixed header."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_COLUMNS)
-        for i, lat in enumerate(fld.lat_axis):
-            for j, lon in enumerate(fld.lon_axis):
-                writer.writerow([
-                    f"{lat:.9g}", f"{lon:.9g}",
-                    f"{fld.wind_east[i, j]:.9g}",
-                    f"{fld.wind_north[i, j]:.9g}",
-                    f"{fld.temperature[i, j]:.9g}",
-                ])
+    """Write one row per grid node, lat-major, with the fixed header, to a
+    new file that then replaces `path` (with the mode open() would give):
+    readers never see a part, and a failed write leaves `path` as it was."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="", encoding="utf-8") as f:
+            with suppress(FileNotFoundError):    # keep a replaced file's mode
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+            writer = csv.writer(f)
+            writer.writerow(CSV_COLUMNS)
+            for i, lat in enumerate(fld.lat_axis):
+                for j, lon in enumerate(fld.lon_axis):
+                    writer.writerow([
+                        f"{lat:.9g}", f"{lon:.9g}",
+                        f"{fld.wind_east[i, j]:.9g}",
+                        f"{fld.wind_north[i, j]:.9g}",
+                        f"{fld.temperature[i, j]:.9g}",
+                    ])
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_csv(path: str) -> WeatherField:
@@ -249,7 +264,8 @@ def parse_csv(raw: bytes) -> WeatherField:
     """Parse the documented CSV grid format from a file's bytes; see save_csv.
 
     The bytes must be UTF-8 text. Rows may come in any order, but every
-    lat/lon node of the grid must appear exactly once.
+    lat/lon node of the grid must appear exactly once, and the grid must
+    make a valid WeatherField; ParseError says what it does not.
     """
     # A whole-file decode finds a bad byte's line. The reader then decodes
     # again in chunks: reading an io.StringIO of the decoded text instead
@@ -307,4 +323,7 @@ def parse_csv(raw: bytes) -> WeatherField:
         raise ParseError("grid is incomplete: not every lat/lon combination present")
     grids = np.empty((3, lat_axis.size, lon_axis.size))
     grids[:, i, j] = data[:, 2:].T
-    return WeatherField(lat_axis, lon_axis, *grids)
+    try:
+        return WeatherField(lat_axis, lon_axis, *grids)
+    except ValueError as exc:
+        raise ParseError(f"invalid grid: {exc}") from None

@@ -197,9 +197,11 @@ class TestCheckpointCache:
     def test_rewritten_file_gives_the_new_weights(self, tmp_path, parses):
         path = tmp_path / "policy.json"
         old = policy_checkpoint(path, seed=0)
-        got_old, cfg = harness._parse_once(str(path), harness._checkpoint_of)
+        got_old, cfg = harness._parse_once(str(path),
+                                           harness.parse_checkpoint)
         new = policy_checkpoint(path, seed=1)
-        got_new, _cfg = harness._parse_once(str(path), harness._checkpoint_of)
+        got_new, _cfg = harness._parse_once(str(path),
+                                            harness.parse_checkpoint)
         assert np.array_equal(got_old.flat, old.flat)
         assert np.array_equal(got_new.flat, new.flat)
         assert not np.array_equal(old.flat, new.flat)
@@ -493,6 +495,18 @@ def bad_checkpoints(tmp_path) -> dict[str, str]:
             "ck-wind-40.json": json.dumps(wind_40)}
 
 
+def bad_weather_files() -> dict[str, str]:
+    """File name -> text of a weather CSV that no field can be made of."""
+    def grid(*rows):
+        return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
+    return {"wx-bad-line.csv": grid("48,11,x,1,288.15"),
+            "wx-one-node.csv": grid("48,11,1,1,288.15"),
+            "wx-400K.csv": grid("40,0,1,1,288.15", "40,20,1,1,400",
+                                "60,0,1,1,288.15", "60,20,1,1,288.15"),
+            "wx-nan-wind.csv": grid("40,0,1,1,288.15", "40,20,nan,1,288.15",
+                                    "60,0,1,1,288.15", "60,20,1,1,288.15")}
+
+
 class TestCli:
     def test_plan_writes_route_json(self, tmp_path, capsys):
         rc = main(["plan", "--origin", "MUC", "--destination", "BER",
@@ -553,6 +567,9 @@ class TestCli:
           "--w-list", "3"], "repetitions"),
         (["plan", "--origin", "MUC", "--destination", "BER", "--weather",
           "csv:{tmp}/wx-latin1.csv"], "not UTF-8"),
+        *[(["plan", "--origin", "MUC", "--destination", "BER", "--weather",
+            f"csv:{{tmp}}/wx-{name}.csv"], f"{{tmp}}/wx-{name}.csv")
+          for name in ("bad-line", "one-node", "400K", "nan-wind")],
     ], ids=["lat", "alt", "fwd", "cols", "substeps", "levels", "route-dash",
             "route-three-codes", "checkpoint-schema", "checkpoint-key",
             "checkpoint-list", "checkpoint-extra-weight",
@@ -561,7 +578,8 @@ class TestCli:
             "checkpoint-wind-zero", "checkpoint-wind-text",
             "checkpoint-wind-40", "aircraft-missing", "aircraft-value",
             "aircraft-json", "aircraft-unknown", "pole", "negative-seed",
-            "no-repetitions", "csv-not-utf8"])
+            "no-repetitions", "csv-not-utf8", "csv-bad-line", "csv-one-node",
+            "csv-400K", "csv-nan-wind"])
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
         bad_files = {
             "ck-schema.json": json.dumps({"schema_version": 99}),
@@ -573,6 +591,7 @@ class TestCli:
             "ac-unknown.json": json.dumps(
                 {**asdict(default_spec()), "mass_exponent": 1.0}),
             **bad_checkpoints(tmp_path),
+            **bad_weather_files(),
         }
         for name, text in bad_files.items():
             (tmp_path / name).write_text(text)
@@ -581,7 +600,7 @@ class TestCli:
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err
+        assert err.startswith("error:") and field.format(tmp=tmp_path) in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("config, field", [
@@ -593,7 +612,7 @@ class TestCli:
         ({"seed": 0, "instances": 4, "epochs_per_update": 0},
          "epochs_per_update"),
         ([1], "JSON object"),
-        ("{not json", "--config"),
+        ("{not json", "cfg.json"),
         ({"seed": 0, "instances": 4, "sample_bbox": [1, 2]}, "sample_bbox"),
         ({"seed": 0, "instances": 4, "learning_rate": "x"}, "learning_rate"),
         ({"seed": 0, "instances": 4, "aircraft": {"tas_ms": 230}}, "aircraft"),

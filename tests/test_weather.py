@@ -1,3 +1,6 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,7 @@ from skyroute.errors import OutOfDomain, ParseError, SchemaError
 from skyroute.geo import GeoPoint
 from skyroute.weather import (CSV_COLUMNS, ISA_TEMPERATURE_K, WeatherField,
                               load_csv, make_jet_stream, make_uniform,
-                              sample, sample_many, save_csv)
+                              parse_csv, sample, sample_many, save_csv)
 
 
 def affine_field():
@@ -304,6 +307,73 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="line 3: not UTF-8 text "
                            r"\(byte 0xff\)"):
             load_csv(str(path))
+
+    @pytest.mark.parametrize("rows, match", [
+        (["40,0,1,1,288.15"], "lat_axis must be 1D with at least 2 points"),
+        (["40,0,1,1,288.15", "40,5,1,1,400", "45,0,1,1,288.15",
+          "45,5,1,1,288.15"], r"temperature outside \[180, 330\] K"),
+        (["40,0,1,1,288.15", "40,5,nan,1,288.15", "45,0,1,1,288.15",
+          "45,5,1,1,288.15"], "wind_east grid must be finite"),
+    ], ids=["one-node", "400K", "nan-wind"])
+    def test_invalid_grid_is_a_parse_error(self, rows, match):
+        raw = "\n".join([",".join(CSV_COLUMNS), *rows]).encode()
+        with pytest.raises(ParseError, match="invalid grid: " + match):
+            parse_csv(raw)
+
+
+class TestSaveCsv:
+    class FailsAt:
+        """A grid whose node (i, j) cannot be read."""
+
+        def __init__(self, i, j):
+            self.node = (i, j)
+
+        def __getitem__(self, node):
+            if node == self.node:
+                raise OSError("no space left on device")
+            return ISA_TEMPERATURE_K
+
+    def test_failed_write_keeps_the_old_file_and_leaves_nothing(self,
+                                                                tmp_path):
+        path = tmp_path / "field.csv"
+        save_csv(make_uniform(1.0, 2.0, 250.0, (40, 55, 5, 20)), str(path))
+        old = path.read_bytes()
+        # Fails after about 200 kB of rows, well past a write buffer.
+        lat, lon = np.linspace(40, 55, 200), np.linspace(5, 20, 50)
+        broken = SimpleNamespace(lat_axis=lat, lon_axis=lon,
+                                 wind_east=np.zeros((200, 50)),
+                                 wind_north=np.zeros((200, 50)),
+                                 temperature=self.FailsAt(180, 0))
+        with pytest.raises(OSError, match="no space left"):
+            save_csv(broken, str(path))
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["field.csv"]
+
+    def test_success_leaves_only_the_target(self, tmp_path):
+        path = tmp_path / "field.csv"
+        for wind in (1.0, 3.0):
+            save_csv(make_uniform(wind, 2.0, 250.0, (40, 55, 5, 20)),
+                     str(path))
+            assert os.listdir(tmp_path) == ["field.csv"]
+        assert load_csv(str(path)).wind_east[0, 0] == 3.0
+
+    def test_mode_is_what_open_gives(self, tmp_path):
+        fld = make_uniform(1.0, 2.0, 250.0, (40, 55, 5, 20))
+        old_umask = os.umask(0o027)
+        try:
+            save_csv(fld, str(tmp_path / "new.csv"))
+            with open(tmp_path / "plain.csv", "w"):
+                pass
+        finally:
+            os.umask(old_umask)
+        assert (os.stat(tmp_path / "new.csv").st_mode
+                == os.stat(tmp_path / "plain.csv").st_mode)
+        # Rewriting a file keeps its mode, as open() does.
+        path = tmp_path / "private.csv"
+        save_csv(fld, str(path))
+        os.chmod(path, 0o600)
+        save_csv(fld, str(path))
+        assert os.stat(path).st_mode & 0o777 == 0o600
 
 
 def test_helpers():
