@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .errors import ConfigError, SkyrouteError, parsing
 from .guide import GUIDE_KINDS
@@ -97,7 +98,13 @@ def _cmd_train(args) -> int:
     cfg = TrainConfig.from_dict(raw)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt = os.path.join(args.out_dir, "policy.json")
+    t0 = time.perf_counter()
     _params, log = train(cfg, progress_sink=print, checkpoint_path=ckpt)
+    run_s = time.perf_counter() - t0
+    episodes = len(log.episode_rewards)
+    print(f"trained {episodes} episodes in {run_s:.2f} s, "
+          f"{episodes / run_s:.1f} episodes/s "
+          f"(rollout {log.rollout_s:.2f} s, update {log.update_s:.2f} s)")
     log_path = os.path.join(args.out_dir, "training_log.csv")
     write_training_log(log.rows, log_path)
     print(f"wrote {ckpt} and {log_path}")

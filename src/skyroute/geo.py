@@ -173,7 +173,7 @@ def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
     return _azimuth(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
 
 
-def _track_point(lat1, lon1, lat2, lon2, delta, fraction):
+def track_point(lat1, lon1, lat2, lon2, delta, fraction):
     """`intermediate_point`'s (lat, lon) at 0 < fraction < 1 on plain
     floats, given delta = the pair's distance / EARTH_RADIUS_M."""
     if delta == 0.0:        # distinct points the haversine cannot resolve
@@ -193,9 +193,9 @@ def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
         return a
     if fraction >= 1.0:
         return b
-    lat, lon = _track_point(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg,
-                            great_circle_distance(a, b) / EARTH_RADIUS_M,
-                            fraction)
+    lat, lon = track_point(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg,
+                           great_circle_distance(a, b) / EARTH_RADIUS_M,
+                           fraction)
     return GeoPoint(lat, lon, a.alt_m + fraction * (b.alt_m - a.alt_m))
 
 
@@ -206,7 +206,7 @@ def track_points(a: GeoPoint, b: GeoPoint,
     `initial_bearing` give, without building a GeoPoint per point."""
     lat1, lon1, lat2, lon2 = a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg
     delta = _distance(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
-    points = [_track_point(lat1, lon1, lat2, lon2, delta, i / (n - 1))
+    points = [track_point(lat1, lon1, lat2, lon2, delta, i / (n - 1))
               for i in range(1, n - 1)]
     return ([lat for lat, _ in points], [lon for _, lon in points],
             [_azimuth(lat, lon, lat2, lon2) for lat, lon in points])

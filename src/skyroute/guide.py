@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .files import replacing
 from .geo import (GeoPoint, PlaneVector, great_circle_distance,
                   intermediate_point, local_displacement, displace, rotate,
                   rotate_inverse, trip_rotation)
@@ -156,7 +157,10 @@ def forward(params: PolicyParams, features: np.ndarray):
 
 
 def save_checkpoint(params: PolicyParams, cfg: GuideConfig, path: str) -> None:
-    """JSON checkpoint: architecture, normalization constants, flat weights."""
+    """JSON checkpoint: architecture, normalization constants, flat weights.
+
+    `path` is replaced whole (files.replacing), so a reader never sees a
+    part of it."""
     payload = {
         "schema_version": CHECKPOINT_SCHEMA,
         "architecture": {
@@ -170,7 +174,7 @@ def save_checkpoint(params: PolicyParams, cfg: GuideConfig, path: str) -> None:
         "weights": {k: v.ravel().tolist() for k, v in params.arrays().items()},
         "shapes": {k: list(v.shape) for k, v in params.arrays().items()},
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         json.dump(payload, f, sort_keys=True)
         f.write("\n")
 

@@ -33,12 +33,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Infeasible, parsing
+# intermediate_point and sample are unused here; they stay because
+# perfbench/tracing.py wraps them by name.
 from .geo import (EARTH_RADIUS_M, GeoPoint, along_track, along_tracks,
                   great_circle_distance, great_circle_distances,
                   initial_bearing, initial_bearings, intermediate_point,
-                  intermediate_points)
+                  intermediate_points, track_point)
 from .weather import (ISA_TEMPERATURE_K, MAX_TEMPERATURE_K, MIN_TEMPERATURE_K,
-                      WeatherField, sample, sample_many)
+                      WeatherField, sample, sample_at, sample_many)
 
 #: Ground-speed floor (m/s) preventing division blow-up under absurd headwind.
 GROUND_SPEED_FLOOR_MS = 20.0
@@ -147,18 +149,21 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
         return SegmentResult(0.0, 0.0, AircraftState(to, state.mass_kg))
 
     bearing = initial_bearing(start, to)
+    ends = start.lat_deg, start.lon_deg, to.lat_deg, to.lon_deg
+    delta = total / EARTH_RADIUS_M
     mass, burned, time, floor_hit = state.mass_kg, 0.0, 0.0, False
     for k in range(substeps):
-        mid = intermediate_point(start, to, (k / substeps + (k + 1) / substeps) / 2.0)
-        wx = sample(field, mid)
-        sigma = k / substeps * (total / EARTH_RADIUS_M)
-        gs = spec.tas_ms + along_track(start.lat_deg, bearing, sigma,
-                                       wx.wind_east, wx.wind_north)
+        # The piece's midpoint, as intermediate_point(start, to, ...) gives it.
+        wind_east, wind_north, temperature = sample_at(field, *track_point(
+            *ends, delta, (k / substeps + (k + 1) / substeps) / 2.0))
+        gs = spec.tas_ms + along_track(start.lat_deg, bearing,
+                                       k / substeps * delta,
+                                       wind_east, wind_north)
         if gs < GROUND_SPEED_FLOOR_MS:
             gs = GROUND_SPEED_FLOOR_MS
             floor_hit = True
         dt = total / substeps / gs
-        burned = _burn(spec, burned, wx.temperature, dt)
+        burned = _burn(spec, burned, temperature, dt)
         if mass - mass * burned < spec.empty_mass_kg:
             raise Infeasible(f"mass would drop below empty mass "
                              f"({mass - mass * burned:.1f} < {spec.empty_mass_kg})")

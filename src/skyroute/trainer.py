@@ -15,13 +15,16 @@ dominates arrays this small:
   (B, 5) feature array, one forward pass, one tanh and one log-density
   call per step. run_episode is its one-episode case.
 - The guide step, displacements and flight of each episode stay scalar.
-  Measured at B = 16 on a 2-vCPU Xeon, one batched flight
-  (substep_geometry, then segments_fuel) costs 270-365 us where 16
-  scalar fly_segment calls cost 220-285 us; sample_many costs 58-105 us
-  where 16 scalar samples cost 80-143 us.
+  Measured at B = 16 on a 2-vCPU Xeon (medians of 30 rounds), one
+  batched flight (substep_geometry, then segments_fuel) costs 256 us
+  where 16 scalar fly_segment calls cost 158 us; sample_many costs
+  120 us where 16 scalar samples cost 93 us.
 - The weights are one flat vector (PolicyParams.flat), so the gradient
   is one vector, checked for finite values once per minibatch, and Adam
-  is a few whole-vector operations.
+  updates its moments and the weights in place.
+- A PPO update computes once what no weight changes: each sample's
+  squash term of the log density, and the gradient buffer that every
+  minibatch writes into.
 
 train() draws its RNG in the order documented there, which reproduces
 the stream of rolling out one episode at a time. Since forward gives each
@@ -41,6 +44,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateDistance, DistanceOutOfRange,
                      NonFiniteGradient, SamplingExhausted)
+from .files import replacing
 from .geo import (GeoPoint, PlaneVector, great_circle_distance,
                   local_displacement, trip_rotation)
 # extract_features is not called here: perfbench's tracer wraps the name.
@@ -196,19 +200,23 @@ def _log_prob_of(params: PolicyParams, mean: np.ndarray,
     """
     std = np.exp(params.log_std)
     gauss = -0.5 * (((z - mean) / std) ** 2) - params.log_std - 0.5 * _LOG2PI
-    squash = np.log(1.0 - np.tanh(z) ** 2 + _TANH_EPS)
-    return np.sum(gauss, axis=-1) - np.sum(squash, axis=-1)
+    return np.sum(gauss, axis=-1) - _squash(z)
+
+
+def _squash(z: np.ndarray) -> np.ndarray:
+    """The tanh term of _log_prob_of, which depends on z alone."""
+    return np.sum(np.log(1.0 - np.tanh(z) ** 2 + _TANH_EPS), axis=-1)
 
 
 def _safe_step(x, action, phi, step_scale):
-    """Guide step with a retry that halves the action if the step would
-    pass a pole (possible for extreme northward rollouts)."""
-    act = np.asarray(action, dtype=float)
+    """Guide step with a retry that halves the action (a pair of floats) if
+    the step would pass a pole (possible for extreme northward rollouts)."""
+    east, north = action
     for _ in range(8):
         try:
-            return step(x, act, phi, step_scale)
+            return step(x, (east, north), phi, step_scale)
         except DistanceOutOfRange:
-            act = act * 0.5
+            east, north = east * 0.5, north * 0.5
     return x
 
 
@@ -266,9 +274,9 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
         actions[:, k] = action
         log_probs[:, k] = _log_prob_of(params, mean, z)
         values[:, k] = value
-        for b in range(B):
+        for b, act in enumerate(action.tolist()):
             x = xs[b]
-            nxt = _safe_step(x, action[b], phis[b], trip_lens[b] / n)
+            nxt = _safe_step(x, act, phis[b], trip_lens[b] / n)
             v_k = progress_value(local_displacement(x, nxt), disps[b],
                                  LAMBDA_V, cfg.signed_progress)
             seg = fly_segment(cfg.aircraft, AircraftState(x, masses[b]), nxt,
@@ -323,17 +331,29 @@ class AdamOptimizer:
     def apply(self, params: PolicyParams, grad: np.ndarray) -> None:
         """Step params.flat in place along grad, a vector shaped like it."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        params.flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        v *= self.beta2
+        v += (1 - self.beta2) * grad * grad
+        # lr * m_hat / (sqrt(v_hat) + eps), each operation as written.
+        m_hat = m / (1 - self.beta1 ** self.t)
+        m_hat *= self.lr
+        v_hat = v / (1 - self.beta2 ** self.t)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat /= v_hat
+        params.flat -= m_hat
 
 
 def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
-                old_logp: np.ndarray, adv: np.ndarray, ret: np.ndarray,
-                clip_range: float):
-    """Forward + manual backprop of the combined PPO loss on one minibatch."""
+                squash: np.ndarray, old_logp: np.ndarray, adv: np.ndarray,
+                ret: np.ndarray, clip_range: float, g: PolicyParams):
+    """Forward + manual backprop of the combined PPO loss on one minibatch.
+
+    squash is _squash(z), which no weight changes. The gradient is written
+    into g, whose flat vector is returned.
+    """
     M = f.shape[0]
     a1 = f @ params.w1.T + params.b1
     h1 = np.tanh(a1)
@@ -342,23 +362,28 @@ def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
     mean = h2 @ params.w_mean.T + params.b_mean
     value = (h2 @ params.w_val.T + params.b_val)[:, 0]
     std = np.exp(params.log_std)
-    new_logp = _log_prob_of(params, mean, z)
+    # _log_prob_of's terms, keeping z - mean and its scaled square for the
+    # gradient.
+    dz = z - mean
+    dz2 = (dz / std) ** 2
+    new_logp = (np.sum(-0.5 * dz2 - params.log_std - 0.5 * _LOG2PI, axis=-1)
+                - squash)
     ratio = np.exp(new_logp - old_logp)
     surr1 = ratio * adv
-    surr2 = np.clip(ratio, 1.0 - clip_range, 1.0 + clip_range) * adv
+    surr2 = np.minimum(np.maximum(ratio, 1.0 - clip_range),
+                       1.0 + clip_range) * adv
     use_unclipped = surr1 <= surr2
-    policy_loss = -float(np.mean(np.minimum(surr1, surr2)))
-    value_loss = float(np.mean((value - ret) ** 2))
+    # x.sum() / M is the arithmetic of np.mean(x).
+    policy_loss = -float(np.minimum(surr1, surr2).sum() / M)
+    value_loss = float(((value - ret) ** 2).sum() / M)
 
     # d(policy loss)/d(new_logp): only where the unclipped branch is active.
     g_logp = np.where(use_unclipped, -adv * ratio, 0.0) / M
-    g_mean = g_logp[:, None] * (z - mean) / (std ** 2)
-    g_log_std = np.sum(g_logp[:, None] * (((z - mean) / std) ** 2 - 1.0), axis=0)
+    g_mean = g_logp[:, None] * dz / (std ** 2)
+    g_log_std = np.sum(g_logp[:, None] * (dz2 - 1.0), axis=0)
     g_value = VF_COEF * 2.0 * (value - ret) / M
 
-    # The gradient has the flat layout of the parameters; g's arrays are
-    # views into it.
-    g = PolicyParams(params.hidden, np.empty_like(params.flat))
+    # g's arrays are views into its flat vector.
     g_h2 = g_mean @ params.w_mean + g_value[:, None] * params.w_val
     g.w_mean[:] = g_mean.T @ h2
     g.b_mean[:] = g_mean.sum(axis=0)
@@ -373,8 +398,8 @@ def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
     g.w1[:] = g_a1.T @ f
     g.b1[:] = g_a1.sum(axis=0)
 
-    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > clip_range))
-    approx_kl = float(np.mean(old_logp - new_logp))
+    clip_fraction = float((np.abs(ratio - 1.0) > clip_range).sum() / M)
+    approx_kl = float((old_logp - new_logp).sum() / M)
     return policy_loss, value_loss, g.flat, clip_fraction, approx_kl
 
 
@@ -399,9 +424,12 @@ def ppo_update(params: PolicyParams, batch: list[EpisodeRecord],
     ret = np.concatenate([r.ravel() for _a, r in gae])
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
+    squash = _squash(zs)
+
     new_params = params.copy()
     opt = optimizer if optimizer is not None else AdamOptimizer(
         new_params, LEARNING_RATE)
+    grad = PolicyParams(params.hidden, np.empty_like(params.flat))
 
     n_samples = feats.shape[0]
     stats = {"actor_loss": 0.0, "critic_loss": 0.0,
@@ -411,12 +439,12 @@ def ppo_update(params: PolicyParams, batch: list[EpisodeRecord],
         order = rng.permutation(n_samples)
         for lo in range(0, n_samples, MINIBATCH_SIZE):
             idx = order[lo:lo + MINIBATCH_SIZE]
-            pl, vl, grad, cf, kl = _loss_grads(
-                new_params, feats[idx], zs[idx], old_logp[idx], adv[idx],
-                ret[idx], CLIP_RANGE)
-            if not np.all(np.isfinite(grad)):
+            pl, vl, g, cf, kl = _loss_grads(
+                new_params, feats[idx], zs[idx], squash[idx], old_logp[idx],
+                adv[idx], ret[idx], CLIP_RANGE, grad)
+            if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient("non-finite gradient; update aborted")
-            opt.apply(new_params, grad)
+            opt.apply(new_params, g)
             stats["actor_loss"] += pl
             stats["critic_loss"] += vl
             stats["clip_fraction"] += cf
@@ -522,8 +550,9 @@ def _write_checkpoint(params: PolicyParams, cfg: TrainConfig, path: str) -> None
 
 
 def write_training_log(rows: list[dict], path: str) -> None:
-    """CSV with the fixed schema in LOG_COLUMNS."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    """CSV with the fixed schema in LOG_COLUMNS; `path` is replaced whole
+    (files.replacing)."""
+    with replacing(path) as f:
         writer = csv.DictWriter(f, fieldnames=LOG_COLUMNS)
         writer.writeheader()
         for row in rows:

@@ -3,8 +3,9 @@
 Fields are 2D (lat/lon); the guide's features drop altitude and the
 fuel model consumes only wind and temperature at the flown position.
 No extrapolation: sampling outside the grid raises OutOfDomain.
-`sample_many`, the array form, finds each position's cell and its four
-bilinear weights once, then reads each grid with flat-index gathers.
+`sample` finds a position's cell and its four bilinear weights once for
+all three grids; `sample_at` is `sample` on plain floats. `sample_many`,
+the array form, does the same and reads each grid with flat-index gathers.
 Fields are read-only, so their extremes (the search heuristic's bounds)
 are computed once, at construction.
 """
@@ -14,16 +15,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-import stat
 from array import array
 from bisect import bisect_right
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomain, ParseError, SchemaError
+from .files import replacing
 from .geo import GeoPoint
 
 ISA_TEMPERATURE_K = 288.15
@@ -112,7 +111,13 @@ class WeatherField:
 
 def sample(fld: WeatherField, p: GeoPoint) -> WeatherSample:
     """Bilinear interpolation at p; exact at grid nodes."""
-    lat, lon = p.lat_deg, p.lon_deg
+    return WeatherSample(*sample_at(fld, p.lat_deg, p.lon_deg))
+
+
+def sample_at(fld: WeatherField, lat: float,
+              lon: float) -> tuple[float, float, float]:
+    """`sample` at (lat, lon) on plain floats: (wind_east, wind_north,
+    temperature)."""
     lats, lons = fld._lat, fld._lon
     if not (lats[0] <= lat <= lats[-1] and lons[0] <= lon <= lons[-1]):
         raise OutOfDomain(f"({lat:.4f}, {lon:.4f}) outside weather grid "
@@ -124,10 +129,12 @@ def sample(fld: WeatherField, p: GeoPoint) -> WeatherSample:
     u = (lon - lons[j]) / (lons[j + 1] - lons[j])
     k = i * len(lons) + j           # flat index of corner (i, j)
     m = k + len(lons)               # and of (i + 1, j)
+    # The weights of corners k, k + 1, m and m + 1, shared by the grids.
+    w00, w01, w10, w11 = (1 - t) * (1 - u), (1 - t) * u, t * (1 - u), t * u
     we, wn, tk = fld._grids
-    return WeatherSample(_bilinear(we[k], we[k + 1], we[m], we[m + 1], t, u),
-                         _bilinear(wn[k], wn[k + 1], wn[m], wn[m + 1], t, u),
-                         _bilinear(tk[k], tk[k + 1], tk[m], tk[m + 1], t, u))
+    return (w00 * we[k] + w01 * we[k + 1] + w10 * we[m] + w11 * we[m + 1],
+            w00 * wn[k] + w01 * wn[k + 1] + w10 * wn[m] + w11 * wn[m + 1],
+            w00 * tk[k] + w01 * tk[k + 1] + w10 * tk[m] + w11 * tk[m + 1])
 
 
 def sample_many(fld: WeatherField, lat: np.ndarray,
@@ -147,7 +154,7 @@ def sample_many(fld: WeatherField, lat: np.ndarray,
 
     t = (lat - lat_axis[i]) / (lat_axis[i + 1] - lat_axis[i])
     u = (lon - lon_axis[j]) / (lon_axis[j + 1] - lon_axis[j])
-    # `_bilinear`'s products, with NaN in the first weight off the grid.
+    # `sample_at`'s weights, with NaN in the first weight off the grid.
     w00 = np.where(inside, (1 - t) * (1 - u), np.nan)
     w01, w10, w11 = (1 - t) * u, t * (1 - u), t * u
     k = i * lon_axis.size + j       # flat index of corner (i, j)
@@ -158,15 +165,6 @@ def sample_many(fld: WeatherField, lat: np.ndarray,
         values.append(w00 * flat.take(k) + w01 * flat.take(k + 1)
                       + w10 * flat.take(m) + w11 * flat.take(m + 1))
     return WeatherSample(*values)
-
-
-def _bilinear(c00, c01, c10, c11, t, u):
-    """Value at fractions (t, u) of a cell with corners c00 at (i, j), c01 at
-    (i, j + 1), c10 at (i + 1, j) and c11; scalars or arrays."""
-    return ((1 - t) * (1 - u) * c00
-            + (1 - t) * u * c01
-            + t * (1 - u) * c10
-            + t * u * c11)
 
 
 def make_uniform(wind_east: float, wind_north: float, temperature: float,
@@ -228,30 +226,19 @@ def make_jet_stream(bbox: tuple[float, float, float, float],
 
 
 def save_csv(fld: WeatherField, path: str) -> None:
-    """Write one row per grid node, lat-major, with the fixed header, to a
-    new file that then replaces `path` (with the mode open() would give):
-    readers never see a part, and a failed write leaves `path` as it was."""
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", newline="", encoding="utf-8") as f:
-            with suppress(FileNotFoundError):    # keep a replaced file's mode
-                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
-            writer = csv.writer(f)
-            writer.writerow(CSV_COLUMNS)
-            for i, lat in enumerate(fld.lat_axis):
-                for j, lon in enumerate(fld.lon_axis):
-                    writer.writerow([
-                        f"{lat:.9g}", f"{lon:.9g}",
-                        f"{fld.wind_east[i, j]:.9g}",
-                        f"{fld.wind_north[i, j]:.9g}",
-                        f"{fld.temperature[i, j]:.9g}",
-                    ])
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Write one row per grid node, lat-major, with the fixed header;
+    `path` is replaced whole (files.replacing)."""
+    with replacing(path) as f:
+        writer = csv.writer(f)
+        writer.writerow(CSV_COLUMNS)
+        for i, lat in enumerate(fld.lat_axis):
+            for j, lon in enumerate(fld.lon_axis):
+                writer.writerow([
+                    f"{lat:.9g}", f"{lon:.9g}",
+                    f"{fld.wind_east[i, j]:.9g}",
+                    f"{fld.wind_north[i, j]:.9g}",
+                    f"{fld.temperature[i, j]:.9g}",
+                ])
 
 
 def load_csv(path: str) -> WeatherField:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -225,6 +226,25 @@ class TestCheckpoint:
         save_checkpoint(params, cfg, str(p1))
         save_checkpoint(params, cfg, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        cfg = GuideConfig(n=5, guide_kind="policy")
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_params(np.random.default_rng(1)), cfg, str(path))
+        old = path.read_bytes()
+
+        def dump_half(obj, f, **kwargs):
+            text = json.dumps(obj, **kwargs)
+            f.write(text[:len(text) // 2])     # about 50 kB: past a buffer
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_half)
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(init_params(np.random.default_rng(2)), cfg,
+                            str(path))
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["ckpt.json"]
 
 
 def test_guide_config_validation():

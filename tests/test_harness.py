@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -659,6 +660,20 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "policy.json").exists()
         assert (tmp_path / "training_log.csv").exists()
+
+    def test_train_cli_reports_throughput(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 0, "instances": 3,
+                                        "rollout_episodes": 2}))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == ["update 1",
+                                                             "update 2"]
+        assert re.fullmatch(r"trained 3 episodes in \d+\.\d\d s, "
+                            r"\d+\.\d episodes/s \(rollout \d+\.\d\d s, "
+                            r"update \d+\.\d\d s\)", lines[2])
+        assert lines[3].startswith("wrote ")
 
     def test_train_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,12 +1,14 @@
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from skyroute import perfmodel
 from skyroute.errors import Infeasible, OutOfDomain, SkyrouteError
-from skyroute.geo import GeoPoint, great_circle_distance
+from skyroute.geo import GeoPoint, great_circle_distance, intermediate_point
 from skyroute.harness import (PlanRequest, make_weather, plan,
                               route_json_without_timings)
 from skyroute.lattice import build_lattice
@@ -15,10 +17,14 @@ from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftSpec,
                                 fly_segment, fuel_flow_kgps, route_cost,
                                 segments_fuel, substep_geometry)
 from skyroute.search import _edge_table, _fly_lattice, nominal_mass_profile
-from skyroute.weather import ISA_TEMPERATURE_K, make_jet_stream, make_uniform
+from skyroute.weather import (ISA_TEMPERATURE_K, make_jet_stream,
+                              make_uniform, sample, sample_at)
 
 
 BBOX = (30.0, 70.0, -20.0, 40.0)
+
+#: A jet over the whole globe, so a segment may cross any meridian.
+GLOBE = make_jet_stream((-90.0, 90.0, -180.0, 180.0), 45.0, 80.0, 8.0, seed=3)
 
 
 def still_air(temp=ISA_TEMPERATURE_K):
@@ -137,6 +143,35 @@ class TestFlySegment:
         with pytest.raises(Infeasible):
             fly_segment(spec, AircraftState(a, spec.empty_mass_kg + 5.0), b,
                         still_air())
+
+    @given(st.floats(-80, 80), st.floats(-180, 180), st.floats(-15, 15),
+           st.floats(-15, 15), st.integers(1, 4))
+    @example(40.0, 10.0, 20.0, 0.0, 3)          # a meridian
+    @example(50.0, 179.5, 2.0, 1.0, 2)          # across the antimeridian
+    @example(48.0, 11.0, 0.0, 0.0, 4)           # zero length
+    @example(-60.0, -179.0, 10.0, -3.0, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_pieces_sample_the_intermediate_points(self, lat, lon, dlat,
+                                                   dlon, substeps):
+        # Piece k reads the weather that sample gives at the GeoPoint
+        # intermediate_point gives for its mid fraction, bit for bit.
+        a = GeoPoint(lat, lon, 10_000)
+        b = GeoPoint(min(max(lat + dlat, -90.0), 90.0), lon + dlon, 10_000)
+        seen = []
+
+        def recording(fld, lat, lon):
+            seen.append(sample_at(fld, lat, lon))
+            return seen[-1]
+
+        with mock.patch.object(perfmodel, "sample_at", recording):
+            fly_segment(default_spec(), AircraftState(a, 70_000), b, GLOBE,
+                        substeps)
+        pieces = substeps if great_circle_distance(a, b) > 0.0 else 0
+        want = [sample(GLOBE, intermediate_point(
+                    a, b, (k / substeps + (k + 1) / substeps) / 2.0))
+                for k in range(pieces)]
+        assert seen == [(w.wind_east, w.wind_north, w.temperature)
+                        for w in want]
 
 
 #: TAS 150 m/s: a 130 m/s headwind puts ground speed at the floor, 140 below it.

@@ -1,4 +1,6 @@
+import copy
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -10,11 +12,16 @@ from skyroute.errors import (ConfigError, DegenerateDistance,
 from skyroute.geo import GeoPoint, PlaneVector, great_circle_distance
 from skyroute.guide import PolicyParams, init_params, step
 from skyroute.trainer import (LOG_COLUMNS, AdamOptimizer, TrainConfig,
-                              _loss_grads, compute_gae, end_reward, ppo_update,
+                              _loss_grads, _squash, compute_gae, end_reward, ppo_update,
                               progress_value, run_episode, run_episodes,
                               sample_instance, step_reward, train,
                               write_training_log)
 from skyroute.weather import ISA_TEMPERATURE_K, make_uniform
+
+
+def grad_buffer(params):
+    """A gradient for _loss_grads to write into."""
+    return PolicyParams(params.hidden, np.empty_like(params.flat))
 
 
 def small_cfg(**overrides):
@@ -276,8 +283,9 @@ class TestPpoUpdate:
         logp = np.concatenate([e.log_probs for e in batch])
         adv = np.ones(feats.shape[0])
         ret = np.zeros(feats.shape[0])
-        pl, vl, _grad, cf, kl = _loss_grads(params, feats, zs, logp, adv, ret,
-                                            trainer.CLIP_RANGE)
+        pl, vl, _grad, cf, kl = _loss_grads(params, feats, zs, _squash(zs),
+                                            logp, adv, ret, trainer.CLIP_RANGE,
+                                            grad_buffer(params))
         assert cf == 0.0
         assert kl == pytest.approx(0.0, abs=1e-10)
         assert pl == pytest.approx(-1.0, abs=1e-10)   # -mean(ratio * adv)
@@ -291,8 +299,9 @@ class TestPpoUpdate:
         logp = np.concatenate([e.log_probs for e in batch]) - 2.0
         adv = np.ones(feats.shape[0])
         ret = np.zeros(feats.shape[0])
-        _pl, _vl, _grad, cf, _kl = _loss_grads(params, feats, zs, logp, adv,
-                                               ret, trainer.CLIP_RANGE)
+        _pl, _vl, _grad, cf, _kl = _loss_grads(
+            params, feats, zs, _squash(zs), logp, adv, ret, trainer.CLIP_RANGE,
+            grad_buffer(params))
         assert cf == 1.0
 
     def test_gradient_ascends_advantage_on_bandit(self):
@@ -317,8 +326,10 @@ class TestPpoUpdate:
         new_params = params
         for _ in range(2):
             new_params, _ = ppo_update(new_params, [record], rng, opt)
-        before_lp = _loss_grads(params, feats, zs, logp, adv, ret, 0.5)[0]
-        after_lp = _loss_grads(new_params, feats, zs, logp, adv, ret, 0.5)[0]
+        before_lp = _loss_grads(params, feats, zs, _squash(zs), logp, adv, ret,
+                                0.5, grad_buffer(params))[0]
+        after_lp = _loss_grads(new_params, feats, zs, _squash(zs), logp, adv,
+                               ret, 0.5, grad_buffer(params))[0]
         # The surrogate objective (negated loss) must improve.
         assert after_lp < before_lp
 
@@ -338,6 +349,101 @@ class TestPpoUpdate:
         with pytest.raises(ValueError):
             ppo_update(init_params(np.random.default_rng(0)), [],
                        np.random.default_rng(0))
+
+    def test_consecutive_updates_equal_fresh_ones(self):
+        # Each update of a sequence gives what a fresh call gives from a
+        # copy of its params, optimizer and generator: nothing an update
+        # allocates (the gradient buffer among them) carries into the next.
+        cfg = small_cfg()
+        field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
+        rng = np.random.default_rng(21)
+        params = init_params(rng, cfg.hidden)
+        # 100 and 52 samples: two minibatches of an epoch, then one.
+        batches = [run_episodes(params, cfg,
+                                [sample_instance(rng) for _ in range(b)],
+                                rng.standard_normal((b, 4, 2)), field)
+                   for b in (25, 13)]
+        opt = AdamOptimizer(params, 1e-3)
+        before, after = [], []
+        for batch in batches:
+            before.append((params.copy(), copy.deepcopy(opt),
+                           copy.deepcopy(rng)))
+            params, stats = ppo_update(params, [batch], rng, opt)
+            after.append((params.flat.tobytes(), stats))
+        for batch, (p0, opt0, rng0), want in zip(batches, before, after):
+            got, stats = ppo_update(p0, [batch], rng0, opt0)
+            assert (got.flat.tobytes(), stats) == want
+
+
+def _loss_grads_as_written(params, f, z, old_logp, adv, ret, clip_range):
+    """_loss_grads as the textbook expressions give it: log densities from
+    _log_prob_of, np.mean and np.clip, a new gradient array per call."""
+    M = f.shape[0]
+    h1 = np.tanh(f @ params.w1.T + params.b1)
+    h2 = np.tanh(h1 @ params.w2.T + params.b2)
+    mean = h2 @ params.w_mean.T + params.b_mean
+    value = (h2 @ params.w_val.T + params.b_val)[:, 0]
+    std = np.exp(params.log_std)
+    new_logp = trainer._log_prob_of(params, mean, z)
+    ratio = np.exp(new_logp - old_logp)
+    surr1 = ratio * adv
+    surr2 = np.clip(ratio, 1.0 - clip_range, 1.0 + clip_range) * adv
+    policy_loss = -float(np.mean(np.minimum(surr1, surr2)))
+    value_loss = float(np.mean((value - ret) ** 2))
+    g_logp = np.where(surr1 <= surr2, -adv * ratio, 0.0) / M
+    g_mean = g_logp[:, None] * (z - mean) / (std ** 2)
+    g_log_std = np.sum(g_logp[:, None] * (((z - mean) / std) ** 2 - 1.0),
+                       axis=0)
+    g_value = trainer.VF_COEF * 2.0 * (value - ret) / M
+    g = PolicyParams(params.hidden, np.zeros_like(params.flat))
+    g_h2 = g_mean @ params.w_mean + g_value[:, None] * params.w_val
+    g.w_mean[:] = g_mean.T @ h2
+    g.b_mean[:] = g_mean.sum(axis=0)
+    g.log_std[:] = g_log_std
+    g.w_val[:] = (g_value[:, None] * h2).sum(axis=0)[None, :]
+    g.b_val[:] = g_value.sum()
+    g_a2 = g_h2 * (1.0 - h2 ** 2)
+    g.w2[:] = g_a2.T @ h1
+    g.b2[:] = g_a2.sum(axis=0)
+    g_a1 = (g_a2 @ params.w2) * (1.0 - h1 ** 2)
+    g.w1[:] = g_a1.T @ f
+    g.b1[:] = g_a1.sum(axis=0)
+    return (policy_loss, value_loss, g.flat,
+            float(np.mean(np.abs(ratio - 1.0) > clip_range)),
+            float(np.mean(old_logp - new_logp)))
+
+
+class TestLossGrads:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_written_out_expressions(self, seed):
+        # Random minibatches of a rollout, with old log-probs moved so that
+        # some ratios are clipped, through one reused gradient buffer.
+        cfg = small_cfg()
+        field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
+        rng = np.random.default_rng(seed)
+        params = init_params(rng, cfg.hidden)
+        rec = run_episodes(params, cfg, [sample_instance(rng) for _ in range(30)],
+                           rng.standard_normal((30, 4, 2)), field)
+        feats = rec.features.reshape(-1, 5)
+        zs = rec.pre_squash.reshape(-1, 2)
+        logp = rec.log_probs.ravel() + rng.normal(0.0, 0.3, feats.shape[0])
+        adv = rng.normal(size=feats.shape[0])
+        ret = rng.normal(size=feats.shape[0])
+        squash = _squash(zs)
+        g = grad_buffer(params)
+        clipped = []
+        for _ in range(3):
+            idx = rng.permutation(feats.shape[0])[:64]
+            args = feats[idx], zs[idx], logp[idx], adv[idx], ret[idx]
+            pl, vl, grad, cf, kl = _loss_grads(
+                params, *args[:2], squash[idx], *args[2:], trainer.CLIP_RANGE,
+                g)
+            want = _loss_grads_as_written(params, *args, trainer.CLIP_RANGE)
+            assert (pl, vl, cf, kl) == (want[0], want[1], want[3], want[4])
+            assert grad.tobytes() == want[2].tobytes()
+            clipped.append(cf)
+            params.flat += 1e-3 * rng.normal(size=params.flat.size)
+        assert 0.0 < max(clipped) < 1.0
 
 
 class TestAdam:
@@ -468,3 +574,21 @@ def test_write_training_log(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == ",".join(LOG_COLUMNS)
     assert len(text) == 2
+
+
+def test_failed_training_log_write_keeps_the_old_file(tmp_path):
+    class Unreadable(dict):
+        def __getitem__(self, key):
+            raise OSError("no space left on device")
+
+    row = {"update_index": 1, "mean_reward": -3.5, "mean_final_dist": 9e5,
+           "actor_loss": 0.1, "critic_loss": 2.0, "clip_fraction": 0.0,
+           "approx_kl": 1e-4}
+    path = tmp_path / "log.csv"
+    write_training_log([row], str(path))
+    old = path.read_bytes()
+    # Fails after about 180 kB of rows, well past a write buffer.
+    with pytest.raises(OSError, match="no space left"):
+        write_training_log([row] * 5000 + [Unreadable()], str(path))
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["log.csv"]
