@@ -17,6 +17,14 @@ scalar forms return early or raise where the array forms mask.
 `intermediate_points` also takes an array of fractions and, from a caller
 that has them, the pairs' angular distances; `displace_many` refuses what
 `displace` refuses, with the same error.
+
+`haversine`, `azimuth`, `displacement`, `displace_at`, `rotate_by` and
+`track_point` are the plain-float forms of `great_circle_distance`,
+`initial_bearing`, `local_displacement`, `displace`, `rotate` and
+`intermediate_point`. Each object form unpacks its arguments into its
+float form and builds its GeoPoint or PlaneVector from the result, so a
+caller that holds positions as (lat, lon) floats gets the same bits
+without an object per call.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ EARTH_RADIUS_M = 6_371_000.0
 MAX_PLANAR_DISTANCE_M = 6_000_000.0
 
 
-def _normalize_lon(lon_deg: float) -> float:
+def normalize_lon(lon_deg: float) -> float:
     """Wrap a longitude into (-180, 180]."""
     lon = math.fmod(lon_deg, 360.0)
     if lon <= -180.0:
@@ -45,7 +53,7 @@ def _normalize_lon(lon_deg: float) -> float:
 
 
 def _normalize_lons(lon_deg: np.ndarray) -> np.ndarray:
-    """Array form of _normalize_lon."""
+    """Array form of normalize_lon."""
     lon = np.fmod(lon_deg, 360.0)
     return np.where(lon <= -180.0, lon + 360.0,
                     np.where(lon > 180.0, lon - 360.0, lon))
@@ -66,7 +74,7 @@ class GeoPoint:
             raise ValueError(f"longitude not finite: {self.lon_deg}")
         if not (math.isfinite(self.alt_m) and self.alt_m >= 0.0):
             raise ValueError(f"altitude must be finite and >= 0: {self.alt_m}")
-        object.__setattr__(self, "lon_deg", _normalize_lon(self.lon_deg))
+        object.__setattr__(self, "lon_deg", normalize_lon(self.lon_deg))
 
     def same_position(self, other: "GeoPoint") -> bool:
         """True if lat/lon coincide (altitude ignored)."""
@@ -86,9 +94,6 @@ class PlaneVector:
 
     def norm(self) -> float:
         return math.hypot(self.east_m, self.north_m)
-
-    def scaled(self, factor: float) -> "PlaneVector":
-        return PlaneVector(self.east_m * factor, self.north_m * factor)
 
 
 def _formulas(m, asin, atan2, minimum, normalize_lon):
@@ -156,8 +161,8 @@ def _formulas(m, asin, atan2, minimum, normalize_lon):
     return distance, azimuth, slerp, lat_step, along_track
 
 
-_distance, _azimuth, _slerp, _lat_step, along_track = _formulas(
-    math, math.asin, math.atan2, min, _normalize_lon)
+haversine, azimuth, _slerp, _lat_step, along_track = _formulas(
+    math, math.asin, math.atan2, min, normalize_lon)
 (great_circle_distances, initial_bearings, _slerps, _lat_steps,
  along_tracks) = _formulas(np, np.arcsin, np.arctan2, np.minimum,
                            _normalize_lons)
@@ -165,12 +170,12 @@ _distance, _azimuth, _slerp, _lat_step, along_track = _formulas(
 
 def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Haversine distance in meters; altitude ignored."""
-    return _distance(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
+    return haversine(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
 
 
 def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
     """Forward azimuth from a to b, radians clockwise from north."""
-    return _azimuth(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
+    return azimuth(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
 
 
 def track_point(lat1, lon1, lat2, lon2, delta, fraction):
@@ -179,7 +184,7 @@ def track_point(lat1, lon1, lat2, lon2, delta, fraction):
     if delta == 0.0:        # distinct points the haversine cannot resolve
         return lat1, lon1
     lat, lon = _slerp(lat1, lon1, lat2, lon2, delta, fraction)
-    return lat, _normalize_lon(lon1 if lon1 == lon2 else lon)
+    return lat, normalize_lon(lon1 if lon1 == lon2 else lon)
 
 
 def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
@@ -205,11 +210,11 @@ def track_points(a: GeoPoint, b: GeoPoint,
     i/(n-1) of the way along a->b: what `intermediate_point` and
     `initial_bearing` give, without building a GeoPoint per point."""
     lat1, lon1, lat2, lon2 = a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg
-    delta = _distance(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
+    delta = haversine(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
     points = [track_point(lat1, lon1, lat2, lon2, delta, i / (n - 1))
               for i in range(1, n - 1)]
     return ([lat for lat, _ in points], [lon for _, lon in points],
-            [_azimuth(lat, lon, lat2, lon2) for lat, lon in points])
+            [azimuth(lat, lon, lat2, lon2) for lat, lon in points])
 
 
 def intermediate_points(lat1, lon1, lat2, lon2, fraction,
@@ -237,6 +242,21 @@ def intermediate_points(lat1, lon1, lat2, lon2, fraction,
             np.where(at_start, lon1, np.where(at_end, lon2, lon)))
 
 
+def displacement(lat1: float, lon1: float, lat2: float, lon2: float,
+                 d: float) -> tuple[float, float]:
+    """`local_displacement` on plain floats: (east, north) meters of point 2
+    relative to point 1, given d = their haversine distance."""
+    if d > MAX_PLANAR_DISTANCE_M:
+        theta = azimuth(lat1, lon1, lat2, lon2)
+        return d * math.sin(theta), d * math.cos(theta)
+    dlat = lat2 - lat1
+    dlon = normalize_lon(lon2 - lon1)
+    mid_lat = math.radians(lat1 + 0.5 * dlat)
+    north = math.radians(dlat) * EARTH_RADIUS_M
+    east = math.radians(dlon) * math.cos(mid_lat) * EARTH_RADIUS_M
+    return east, north
+
+
 def local_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
     """East/north meters of target relative to origin.
 
@@ -244,16 +264,25 @@ def local_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
     cos of the mid-latitude, the exact inverse of displace. Beyond it: the
     great-circle distance along the initial bearing.
     """
-    d = great_circle_distance(origin, target)
-    if d > MAX_PLANAR_DISTANCE_M:
-        theta = initial_bearing(origin, target)
-        return PlaneVector(d * math.sin(theta), d * math.cos(theta))
-    dlat = target.lat_deg - origin.lat_deg
-    dlon = _normalize_lon(target.lon_deg - origin.lon_deg)
-    mid_lat = math.radians(origin.lat_deg + 0.5 * dlat)
-    north = math.radians(dlat) * EARTH_RADIUS_M
-    east = math.radians(dlon) * math.cos(mid_lat) * EARTH_RADIUS_M
-    return PlaneVector(east, north)
+    return PlaneVector(*displacement(
+        origin.lat_deg, origin.lon_deg, target.lat_deg, target.lon_deg,
+        great_circle_distance(origin, target)))
+
+
+def displace_at(lat: float, lon: float, east_m: float,
+                north_m: float) -> tuple[float, float]:
+    """`displace` on plain floats: (lat, lon), the longitude wrapped into
+    (-180, 180] as GeoPoint wraps it."""
+    if math.hypot(east_m, north_m) > MAX_PLANAR_DISTANCE_M:
+        raise DistanceOutOfRange(
+            "displacement exceeds 6,000 km projection validity bound")
+    lat2, cos_mid = _lat_step(lat, north_m)
+    if abs(cos_mid) < 1e-9:
+        raise DistanceOutOfRange("projection degenerate near the poles")
+    if not -90.0 <= lat2 <= 90.0:
+        raise DistanceOutOfRange(f"step passes a pole: latitude {lat2}")
+    return lat2, normalize_lon(
+        lon + math.degrees(east_m / (EARTH_RADIUS_M * cos_mid)))
 
 
 def displace(origin: GeoPoint, v: PlaneVector) -> GeoPoint:
@@ -263,16 +292,8 @@ def displace(origin: GeoPoint, v: PlaneVector) -> GeoPoint:
     The altitude stays origin.alt_m. A step that passes a pole raises
     DistanceOutOfRange, as one beyond the projection's bound does.
     """
-    if v.norm() > MAX_PLANAR_DISTANCE_M:
-        raise DistanceOutOfRange(
-            "displacement exceeds 6,000 km projection validity bound")
-    lat, cos_mid = _lat_step(origin.lat_deg, v.north_m)
-    if abs(cos_mid) < 1e-9:
-        raise DistanceOutOfRange("projection degenerate near the poles")
-    if not -90.0 <= lat <= 90.0:
-        raise DistanceOutOfRange(f"step passes a pole: latitude {lat}")
-    lon = origin.lon_deg + math.degrees(v.east_m / (EARTH_RADIUS_M * cos_mid))
-    return GeoPoint(lat, lon, origin.alt_m)
+    return GeoPoint(*displace_at(origin.lat_deg, origin.lon_deg, v.east_m,
+                                 v.north_m), origin.alt_m)
 
 
 def displace_many(lat_deg, lon_deg, east_m, north_m) -> tuple[np.ndarray, np.ndarray]:
@@ -310,12 +331,16 @@ def trip_rotation(origin: GeoPoint, destination: GeoPoint) -> float:
     return 0.5 * math.pi - math.atan2(d.north_m, d.east_m)
 
 
+def rotate_by(east: float, north: float, c: float,
+              s: float) -> tuple[float, float]:
+    """`rotate` on plain floats, given c, s = cos(phi), sin(phi)."""
+    return c * east - s * north, s * east + c * north
+
+
 def rotate(v: PlaneVector, phi: float) -> PlaneVector:
     """Counter-clockwise rotation by phi radians."""
-    c = math.cos(phi)
-    s = math.sin(phi)
-    return PlaneVector(c * v.east_m - s * v.north_m,
-                       s * v.east_m + c * v.north_m)
+    return PlaneVector(*rotate_by(v.east_m, v.north_m, math.cos(phi),
+                                  math.sin(phi)))
 
 
 def rotate_inverse(v: PlaneVector, phi: float) -> PlaneVector:

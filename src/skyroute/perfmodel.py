@@ -9,9 +9,10 @@ in closed form from the endpoints (`geo.along_track`). Each piece burns a
 fixed share of the mass it starts with (`_burn`), so a segment flown from
 mass m burns m times a share that its geometry fixes.
 
-`fly_segment` flies one segment and is the reference. It is the only
-source of flight errors (OutOfDomain, Infeasible), re-flies the legs
-`thread_legs` refuses, and is the trainer's stepper. The array forms split
+`fly_segment` flies one segment and is the reference, and `fly_leg` is
+its body on plain floats. That body is the only source of flight errors
+(OutOfDomain, Infeasible) and the trainer's stepper; `fly_segment`
+re-flies the legs `thread_legs` refuses. The array forms split
 a flight into its mass-free part and one multiply per segment, so that one
 geometry pass serves several masses (the search flies its lattice once):
 - `substep_geometry` repeats `fly_segment`'s geometry, weather lookups and
@@ -36,9 +37,9 @@ from .errors import Infeasible, parsing
 # intermediate_point and sample are unused here; they stay because
 # perfbench/tracing.py wraps them by name.
 from .geo import (EARTH_RADIUS_M, GeoPoint, along_track, along_tracks,
-                  great_circle_distance, great_circle_distances,
-                  initial_bearing, initial_bearings, intermediate_point,
-                  intermediate_points, track_point)
+                  azimuth, great_circle_distance, great_circle_distances,
+                  initial_bearings, intermediate_point, intermediate_points,
+                  track_point)
 from .weather import (ISA_TEMPERATURE_K, MAX_TEMPERATURE_K, MIN_TEMPERATURE_K,
                       WeatherField, sample, sample_at, sample_many)
 
@@ -141,23 +142,34 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
     the track's direction at its start (floored); each piece burns its
     share of the mass left (`_burn`).
     """
+    start = state.position
+    fuel, time, floor_hit = fly_leg(
+        spec, start.lat_deg, start.lon_deg, to.lat_deg, to.lon_deg,
+        great_circle_distance(start, to), state.mass_kg, field, substeps)
+    return SegmentResult(fuel, time, AircraftState(to, state.mass_kg - fuel),
+                         floor_hit)
+
+
+def fly_leg(spec: AircraftSpec, lat0: float, lon0: float, lat1: float,
+            lon1: float, total: float, mass: float, field: WeatherField,
+            substeps: int) -> tuple[float, float, bool]:
+    """`fly_segment` on plain floats: (fuel, time, ground-speed floor hit)
+    of the leg (lat0, lon0) -> (lat1, lon1) flown from `mass`, given total
+    = the leg's haversine distance."""
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    start = state.position
-    total = great_circle_distance(start, to)
     if total == 0.0:
-        return SegmentResult(0.0, 0.0, AircraftState(to, state.mass_kg))
+        return 0.0, 0.0, False
 
-    bearing = initial_bearing(start, to)
-    ends = start.lat_deg, start.lon_deg, to.lat_deg, to.lon_deg
+    bearing = azimuth(lat0, lon0, lat1, lon1)
     delta = total / EARTH_RADIUS_M
-    mass, burned, time, floor_hit = state.mass_kg, 0.0, 0.0, False
+    burned, time, floor_hit = 0.0, 0.0, False
     for k in range(substeps):
         # The piece's midpoint, as intermediate_point(start, to, ...) gives it.
         wind_east, wind_north, temperature = sample_at(field, *track_point(
-            *ends, delta, (k / substeps + (k + 1) / substeps) / 2.0))
-        gs = spec.tas_ms + along_track(start.lat_deg, bearing,
-                                       k / substeps * delta,
+            lat0, lon0, lat1, lon1, delta,
+            (k / substeps + (k + 1) / substeps) / 2.0))
+        gs = spec.tas_ms + along_track(lat0, bearing, k / substeps * delta,
                                        wind_east, wind_north)
         if gs < GROUND_SPEED_FLOOR_MS:
             gs = GROUND_SPEED_FLOOR_MS
@@ -168,9 +180,7 @@ def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
             raise Infeasible(f"mass would drop below empty mass "
                              f"({mass - mass * burned:.1f} < {spec.empty_mass_kg})")
         time += dt
-
-    fuel = mass * burned
-    return SegmentResult(fuel, time, AircraftState(to, mass - fuel), floor_hit)
+    return mass * burned, time, floor_hit
 
 
 #: Most pieces `substep_geometry` works on at once: it cuts longer batches

@@ -398,9 +398,14 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     g_src = as_strided(g[:, 2:], shape=(I - 1, J, 3),
                        strides=(g.strides[0], step, -step), writeable=False)
     cand = np.empty((I - 2, J, 3))      # g(u) + cost(u, v), v in rows 1..I-2
-    for i in range(I - 2):
-        np.add(g_src[i], incoming[i], out=cand[i])
-        cand[i].min(axis=1, out=g[i + 1, 1:-1])
+    # Row i writes row i + 1 of g, which g_src reads on the next pass. The
+    # ufuncs are called directly: ndarray.min goes through Python-level
+    # numpy code on every call.
+    add, row_min = np.add, np.minimum.reduce
+    for g_row, cost_row, cand_row, g_next in zip(g_src, incoming, cand,
+                                                 g[1:, 1:-1]):
+        add(g_row, cost_row, out=cand_row)
+        row_min(cand_row, axis=1, out=g_next)
     into_goal = g[I - 2, 1:-1] + table[I - 2, :, 1]
     c_star = float(into_goal.min())
     if c_star == np.inf:

@@ -14,11 +14,16 @@ dominates arrays this small:
 - All episodes of an update advance in lockstep (run_episodes): one
   (B, 5) feature array, one forward pass, one tanh and one log-density
   call per step. run_episode is its one-episode case.
-- The guide step, displacements and flight of each episode stay scalar.
-  Measured at B = 16 on a 2-vCPU Xeon (medians of 30 rounds), one
-  batched flight (substep_geometry, then segments_fuel) costs 256 us
-  where 16 scalar fly_segment calls cost 158 us; sample_many costs
-  120 us where 16 scalar samples cost 93 us.
+- Each episode's step runs on plain floats: its position is a (lat, lon)
+  pair, and the step calls the float bodies that the object API wraps
+  (geo.displacement, guide.features_at, guide.step_at,
+  progress_value_at, perfmodel.fly_leg), with cos and sin of the trip's
+  rotation taken once per episode and one haversine per step shared by
+  the movement's displacement and its flight. A GeoPoint is built only
+  for an accepted trip. On a 2-vCPU Xeon (best of 15 rounds of 50),
+  run_episodes at B = 16, n = 5 takes 1.4 ms where the same steps built
+  from GeoPoints and PlaneVectors took 2.0 ms; fly_leg costs 5.7 us where
+  fly_segment costs 8.5 us.
 - The weights are one flat vector (PolicyParams.flat), so the gradient
   is one vector, checked for finite values once per minibatch, and Adam
   updates its moments and the weights in place.
@@ -45,13 +50,14 @@ import numpy as np
 from .errors import (ConfigError, DegenerateDistance, DistanceOutOfRange,
                      NonFiniteGradient, SamplingExhausted)
 from .files import replacing
-from .geo import (GeoPoint, PlaneVector, great_circle_distance,
-                  local_displacement, trip_rotation)
-# extract_features is not called here: perfbench's tracer wraps the name.
+# extract_features, fly_segment and great_circle_distance are not called
+# here: perfbench's tracer wraps the names.
+from .geo import (GeoPoint, PlaneVector, displacement, great_circle_distance,
+                  haversine, normalize_lon, trip_rotation)
 from .guide import (ACTION_DIM, FEATURE_DIM, GuideConfig, PolicyParams,
-                    extract_features, feature_row, forward, init_params,
-                    save_checkpoint, step)
-from .perfmodel import AircraftSpec, AircraftState, default_spec, fly_segment
+                    extract_features, features_at, forward, init_params,
+                    save_checkpoint, step_at)
+from .perfmodel import AircraftSpec, default_spec, fly_leg, fly_segment
 from .weather import WeatherField, make_uniform, ISA_TEMPERATURE_K
 
 LOG_COLUMNS = ["update_index", "mean_reward", "mean_final_dist",
@@ -151,12 +157,12 @@ def sample_instance(rng: np.random.Generator) -> tuple[GeoPoint, GeoPoint]:
     """Uniform origin/destination pair in SAMPLE_BBOX, MIN_TRIP_M apart."""
     lat_min, lat_max, lon_min, lon_max = SAMPLE_BBOX
     for _ in range(1000):
-        lats = rng.uniform(lat_min, lat_max, size=2)
-        lons = rng.uniform(lon_min, lon_max, size=2)
-        a = GeoPoint(float(lats[0]), float(lons[0]))
-        b = GeoPoint(float(lats[1]), float(lons[1]))
-        if great_circle_distance(a, b) >= MIN_TRIP_M:
-            return a, b
+        lat_a, lat_b = rng.uniform(lat_min, lat_max, size=2).tolist()
+        lon_a, lon_b = rng.uniform(lon_min, lon_max, size=2).tolist()
+        # The longitudes a GeoPoint keeps; only the accepted trip builds any.
+        lon_a, lon_b = normalize_lon(lon_a), normalize_lon(lon_b)
+        if haversine(lat_a, lon_a, lat_b, lon_b) >= MIN_TRIP_M:
+            return GeoPoint(lat_a, lon_a), GeoPoint(lat_b, lon_b)
     raise SamplingExhausted("1,000 rejections while sampling a trip")
 
 
@@ -168,13 +174,22 @@ def progress_value(dx: PlaneVector, D: PlaneVector, lambda_v: float,
     regularizer; this is |cos theta| - lambda (or signed cos theta with
     signed=True). A zero movement returns -lambda by convention.
     """
-    d_norm = D.norm()
+    return progress_value_at(dx.east_m, dx.north_m, D.east_m, D.north_m,
+                             lambda_v, signed)
+
+
+def progress_value_at(dx_east: float, dx_north: float, d_east: float,
+                      d_north: float, lambda_v: float,
+                      signed: bool = False) -> float:
+    """`progress_value` on plain floats: movement (dx_east, dx_north),
+    distance vector (d_east, d_north)."""
+    d_norm = math.hypot(d_east, d_north)
     if d_norm == 0.0:
         raise DegenerateDistance("distance vector has zero norm")
-    dx_norm = dx.norm()
+    dx_norm = math.hypot(dx_east, dx_north)
     if dx_norm == 0.0:
         return -lambda_v
-    cos = (dx.east_m * D.east_m + dx.north_m * D.north_m) / (dx_norm * d_norm)
+    cos = (dx_east * d_east + dx_north * d_north) / (dx_norm * d_norm)
     return (cos if signed else abs(cos)) - lambda_v
 
 
@@ -208,16 +223,15 @@ def _squash(z: np.ndarray) -> np.ndarray:
     return np.sum(np.log(1.0 - np.tanh(z) ** 2 + _TANH_EPS), axis=-1)
 
 
-def _safe_step(x, action, phi, step_scale):
-    """Guide step with a retry that halves the action (a pair of floats) if
-    the step would pass a pole (possible for extreme northward rollouts)."""
-    east, north = action
+def _safe_step(lat, lon, act_east, act_north, c, s, step_scale):
+    """`guide.step_at` with a retry that halves the action if the step
+    would pass a pole (possible for extreme northward rollouts)."""
     for _ in range(8):
         try:
-            return step(x, (east, north), phi, step_scale)
+            return step_at(lat, lon, act_east, act_north, c, s, step_scale)
         except DistanceOutOfRange:
-            east, north = east * 0.5, north * 0.5
-    return x
+            act_east, act_north = act_east * 0.5, act_north * 0.5
+    return lat, lon
 
 
 def run_episode(params: PolicyParams, cfg: TrainConfig,
@@ -241,15 +255,23 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
 
     noise[b, k] is the standard-normal draw of episode b at step k, shape
     (B, n-1, 2). Each step makes one forward pass, one tanh and one
-    log-density call for the whole batch; the guide step, displacements
-    and flight stay per episode and scalar. Returns one record with a
-    leading episode axis.
+    log-density call for the whole batch. Each episode's step runs on
+    plain floats: its position is a (lat, lon) pair, and the float bodies
+    of extract_features, guide.step, local_displacement, progress_value
+    and fly_segment give what those give on objects. Returns one record
+    with a leading episode axis.
     """
     n = cfg.n_waypoints
     B, T = noise.shape[0], n - 1
-    dests = [d for _o, d in instances]
+    spec, signed = cfg.aircraft, cfg.signed_progress
+    xs = [(o.lat_deg, o.lon_deg) for o, _d in instances]
+    dests = [(d.lat_deg, d.lon_deg) for _o, d in instances]
     phis = [trip_rotation(o, d) for o, d in instances]
-    trip_lens = [great_circle_distance(o, d) for o, d in instances]
+    # cos and sin of phi rotate the features; those of -phi, the actions.
+    rot = [(math.cos(phi), math.sin(phi)) for phi in phis]
+    rot_inv = [(math.cos(-phi), math.sin(-phi)) for phi in phis]
+    trip_lens = [haversine(*x, *d) for x, d in zip(xs, dests)]
+    step_scales = [trip_len / n for trip_len in trip_lens]
 
     features = np.empty((B, T, FEATURE_DIM))
     pre_squash = np.empty((B, T, ACTION_DIM))
@@ -258,15 +280,15 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     rewards = np.empty((B, T))
     values = np.empty((B, T))
 
-    xs = [o for o, _d in instances]
-    masses = [cfg.aircraft.ref_mass_kg] * B
+    masses = [spec.ref_mass_kg] * B
     std = np.exp(params.log_std)
     for k in range(T):
         # One displacement per episode serves the features and the reward.
-        disps = [local_displacement(x, d) for x, d in zip(xs, dests)]
-        features[:, k] = [feature_row(x, disp, phi, field, trip_len)
-                          for x, disp, phi, trip_len
-                          in zip(xs, disps, phis, trip_lens)]
+        disps = [displacement(*x, *d, haversine(*x, *d))
+                 for x, d in zip(xs, dests)]
+        features[:, k] = [features_at(*x, *disp, *cs, field, trip_len)
+                          for x, disp, cs, trip_len
+                          in zip(xs, disps, rot, trip_lens)]
         mean, value = forward(params, features[:, k])
         z = mean + std * noise[:, k]
         action = np.tanh(z)
@@ -276,20 +298,20 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
         values[:, k] = value
         for b, act in enumerate(action.tolist()):
             x = xs[b]
-            nxt = _safe_step(x, act, phis[b], trip_lens[b] / n)
-            v_k = progress_value(local_displacement(x, nxt), disps[b],
-                                 LAMBDA_V, cfg.signed_progress)
-            seg = fly_segment(cfg.aircraft, AircraftState(x, masses[b]), nxt,
-                              field, SUBSTEPS)
-            masses[b] = seg.end_state.mass_kg
-            rewards[b, k] = step_reward(v_k, seg.fuel_kg, REWARD_EXPONENT)
+            nxt = _safe_step(*x, *act, *rot_inv[b], step_scales[b])
+            # One haversine serves the movement and its flight.
+            moved = haversine(*x, *nxt)
+            v_k = progress_value_at(*displacement(*x, *nxt, moved),
+                                    *disps[b], LAMBDA_V, signed)
+            fuel, _time, _floor = fly_leg(spec, *x, *nxt, moved, masses[b],
+                                          field, SUBSTEPS)
+            masses[b] -= fuel
+            rewards[b, k] = step_reward(v_k, fuel, REWARD_EXPONENT)
             xs[b] = nxt
 
-    final_dist = np.array([great_circle_distance(x, d)
-                           for x, d in zip(xs, dests)])
+    final_dist = np.array([haversine(*x, *d) for x, d in zip(xs, dests)])
     for b in range(B):
-        step_scale = trip_lens[b] / n
-        rewards[b, -1] += end_reward(final_dist[b] / step_scale,
+        rewards[b, -1] += end_reward(final_dist[b] / step_scales[b],
                                      END_THRESHOLD, RHO1, RHO2)
     return EpisodeRecord(features, pre_squash, actions, log_probs, rewards,
                          values, final_dist)

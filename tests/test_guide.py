@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from skyroute import guide
 from skyroute.geo import (GeoPoint, great_circle_distance, intermediate_point,
                           trip_rotation)
 from skyroute.guide import (ACTION_DIM, FEATURE_DIM, TEMP_SCALE_K,
@@ -140,6 +144,14 @@ class TestStep:
         assert great_circle_distance(moved, DEST) < great_circle_distance(
             ORIGIN, DEST)
 
+    @pytest.mark.parametrize("action", [[math.nan, 0.0], [0.0, math.inf],
+                                        [-math.inf, 1.0]])
+    def test_non_finite_action_refused(self, action):
+        phi = trip_rotation(ORIGIN, DEST)
+        with pytest.raises(ValueError, match="finite"):
+            step(ORIGIN, np.array(action), phi,
+                 great_circle_distance(ORIGIN, DEST) / 5)
+
     def test_zero_action_stays(self):
         phi = trip_rotation(ORIGIN, DEST)
         moved = step(ORIGIN, np.array([0.0, 0.0]), phi,
@@ -227,6 +239,19 @@ class TestCheckpoint:
         save_checkpoint(params, cfg, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_file_is_json_dump_of_its_payload(self, tmp_path):
+        # The bytes json.dump streams for the payload, newline included.
+        params = init_params(np.random.default_rng(10))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, GuideConfig(n=9, guide_kind="policy"),
+                        str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["weights"]["w1"] == params.w1.ravel().tolist()
+        dumped = io.StringIO()
+        json.dump(payload, dumped, sort_keys=True)
+        dumped.write("\n")
+        assert path.read_bytes() == dumped.getvalue().encode("utf-8")
+
     def test_failed_write_keeps_the_old_checkpoint(self, tmp_path,
                                                    monkeypatch):
         cfg = GuideConfig(n=5, guide_kind="policy")
@@ -234,12 +259,19 @@ class TestCheckpoint:
         save_checkpoint(init_params(np.random.default_rng(1)), cfg, str(path))
         old = path.read_bytes()
 
-        def dump_half(obj, f, **kwargs):
-            text = json.dumps(obj, **kwargs)
-            f.write(text[:len(text) // 2])     # about 50 kB: past a buffer
-            raise OSError("no space left on device")
+        real_replacing = guide.replacing
 
-        monkeypatch.setattr(json, "dump", dump_half)
+        @contextlib.contextmanager
+        def replacing_half(path):
+            # The file takes half of what is written, then the disk is full.
+            with real_replacing(path) as f:
+                def write_half(text):
+                    # About 50 kB: past a buffer.
+                    f.write(text[:len(text) // 2])
+                    raise OSError("no space left on device")
+                yield SimpleNamespace(write=write_half)
+
+        monkeypatch.setattr(guide, "replacing", replacing_half)
         with pytest.raises(OSError, match="no space left"):
             save_checkpoint(init_params(np.random.default_rng(2)), cfg,
                             str(path))

@@ -21,6 +21,7 @@ from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
                               write_bench_csv)
 from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftState,
                                 default_spec, route_cost)
+from skyroute.trainer import LOG_COLUMNS
 from skyroute.weather import (CSV_COLUMNS, ISA_TEMPERATURE_K, load_csv,
                               make_uniform, parse_csv, save_csv)
 
@@ -621,9 +622,12 @@ class TestCli:
         ({"seed": 0, "instances": 4, "aircraft_path": 7}, "aircraft_path"),
         ({"seed": 0, "instances": 4, "aircraft_path": ["x"]}, "aircraft_path"),
         ({"seed": -1, "instances": 4}, "seed"),
+        # A PPO hyperparameter is one of the trainer's constants.
+        ({"seed": 0, "instances": 4, "clip_range": 0.2}, "clip_range"),
     ], ids=["rollout-episodes", "minibatch", "substeps", "hidden", "epochs",
             "list", "not-json", "bbox-length", "text-value", "inline-aircraft",
-            "aircraft-path-int", "aircraft-path-list", "negative-seed"])
+            "aircraft-path-int", "aircraft-path-list", "negative-seed",
+            "clip-range"])
     def test_train_rejected_config_exit_code(self, tmp_path, capsys, config,
                                              field):
         cfg_path = tmp_path / "cfg.json"
@@ -660,6 +664,28 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "policy.json").exists()
         assert (tmp_path / "training_log.csv").exists()
+
+    def test_train_cli_log_header_is_log_columns(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 0, "instances": 4,
+                                        "rollout_episodes": 2}))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "training_log.csv", encoding="utf-8") as f:
+            assert f.readline().rstrip() == ",".join(LOG_COLUMNS)
+
+    def test_train_cli_twice_writes_equal_bytes(self, tmp_path):
+        # Nine waypoints and signed progress, off the default path.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "seed": 1, "instances": 8, "rollout_episodes": 2,
+            "n_waypoints": 9, "signed_progress": True}))
+        for run in ("a", "b"):
+            assert main(["train", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / run)]) == 0
+        for name in ("policy.json", "training_log.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
 
     def test_train_cli_reports_throughput(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,22 +1,28 @@
 import copy
 import math
 import os
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skyroute import trainer
 from skyroute.errors import (ConfigError, DegenerateDistance,
-                             DistanceOutOfRange, NonFiniteGradient)
-from skyroute.geo import GeoPoint, PlaneVector, great_circle_distance
-from skyroute.guide import PolicyParams, init_params, step
+                             DistanceOutOfRange, Infeasible,
+                             NonFiniteGradient, SkyrouteError)
+from skyroute.geo import (GeoPoint, PlaneVector, great_circle_distance,
+                          local_displacement, trip_rotation)
+from skyroute.guide import (PolicyParams, feature_row, forward, init_params,
+                            step)
+from skyroute.perfmodel import (AircraftSpec, AircraftState, default_spec,
+                                fly_segment)
 from skyroute.trainer import (LOG_COLUMNS, AdamOptimizer, TrainConfig,
                               _loss_grads, _squash, compute_gae, end_reward, ppo_update,
                               progress_value, run_episode, run_episodes,
                               sample_instance, step_reward, train,
                               write_training_log)
-from skyroute.weather import ISA_TEMPERATURE_K, make_uniform
+from skyroute.weather import ISA_TEMPERATURE_K, make_jet_stream, make_uniform
 
 
 def grad_buffer(params):
@@ -225,8 +231,11 @@ class TestRunEpisode:
         for a in (action, action / 2):
             with pytest.raises(DistanceOutOfRange, match="passes a pole"):
                 step(x, a, 0.0, 500_000.0)
-        assert trainer._safe_step(x, action, 0.0, 500_000.0) == \
-            step(x, action / 4, 0.0, 500_000.0)
+        quarter = step(x, action / 4, 0.0, 500_000.0)
+        assert trainer._safe_step(x.lat_deg, x.lon_deg, *action.tolist(),
+                                  math.cos(-0.0), math.sin(-0.0),
+                                  500_000.0) == \
+            (quarter.lat_deg, quarter.lon_deg)
 
     def test_lockstep_matches_one_episode_rollouts(self):
         # Episode b of a lockstep batch, given its noise, is the episode
@@ -250,6 +259,184 @@ class TestRunEpisode:
                 assert np.array_equal(getattr(batch, name)[b],
                                       getattr(one, name)), name
             assert batch.final_dist_m[b] == one.final_dist_m
+
+
+def reference_safe_step(x, action, phi, step_scale, halvings):
+    """The pole retry on GeoPoints: guide.step, the action halved on each
+    refusal. Appends the number of halvings to `halvings`."""
+    east, north = action
+    for k in range(8):
+        try:
+            nxt = step(x, (east, north), phi, step_scale)
+            halvings.append(k)
+            return nxt
+        except DistanceOutOfRange:
+            east, north = east * 0.5, north * 0.5
+    halvings.append(8)
+    return x
+
+
+def reference_episode(params, cfg, instance, noise, field, halvings):
+    """One episode stepped on objects: GeoPoint positions, the displacement,
+    features, step, progress and flight of the object API, one row per
+    forward pass. Returns the EpisodeRecord fields by name; an error gets
+    the index of the step that raised it as `step`."""
+    origin, dest = instance
+    n = cfg.n_waypoints
+    phi = trip_rotation(origin, dest)
+    trip_len = great_circle_distance(origin, dest)
+    std = np.exp(params.log_std)
+    x, mass = origin, cfg.aircraft.ref_mass_kg
+    rows = []
+    k = 0
+    try:
+        for k in range(n - 1):
+            disp = local_displacement(x, dest)
+            f = np.array([feature_row(x, disp, phi, field, trip_len)])
+            mean, value = forward(params, f)
+            z = mean + std * noise[k]
+            action = np.tanh(z)
+            nxt = reference_safe_step(x, action[0].tolist(), phi, trip_len / n,
+                                      halvings)
+            v_k = progress_value(local_displacement(x, nxt), disp,
+                                 trainer.LAMBDA_V, cfg.signed_progress)
+            seg = fly_segment(cfg.aircraft, AircraftState(x, mass), nxt, field,
+                              trainer.SUBSTEPS)
+            mass = seg.end_state.mass_kg
+            reward = step_reward(v_k, seg.fuel_kg, trainer.REWARD_EXPONENT)
+            rows.append((f[0], z[0], action[0],
+                         trainer._log_prob_of(params, mean, z)[0], reward,
+                         value[0]))
+            x = nxt
+    except SkyrouteError as exc:
+        exc.step = k        # the lockstep order of failures needs it
+        raise
+    final = great_circle_distance(x, dest)
+    names = ("features", "pre_squash", "actions", "log_probs", "rewards",
+             "value_estimates")
+    record = {name: np.array(col) for name, col in zip(names, zip(*rows))}
+    record["rewards"][-1] += end_reward(final / (trip_len / n),
+                                        trainer.END_THRESHOLD, trainer.RHO1,
+                                        trainer.RHO2)
+    record["final_dist_m"] = np.array(final)
+    return record
+
+
+def assert_matches_reference(params, cfg, instances, noise, field):
+    """run_episodes equals reference_episode bit for bit, on every field
+    of every episode, or raises what the episode that fails first in
+    lockstep order raises; returns the reference's halvings per step."""
+    halvings, refs, failures = [], [], []
+    for b, instance in enumerate(instances):
+        try:
+            refs.append(reference_episode(params, cfg, instance, noise[b],
+                                          field, halvings))
+        except SkyrouteError as exc:
+            failures.append((exc.step, b, exc))
+    if failures:
+        expected = min(failures, key=lambda f: f[:2])[2]
+        with pytest.raises(type(expected)) as got:
+            run_episodes(params, cfg, instances, noise, field)
+        assert str(got.value) == str(expected)
+        return halvings
+    batch = run_episodes(params, cfg, instances, noise, field)
+    for b, ref in enumerate(refs):
+        for name, expected in ref.items():
+            got = np.asarray(getattr(batch, name)[b])
+            assert got.tobytes() == expected.tobytes(), (b, name)
+    return halvings
+
+
+def trip_points(lat_lo, lat_hi, lon_lo=-180.0, lon_hi=180.0):
+    return st.builds(GeoPoint, st.floats(lat_lo, lat_hi),
+                     st.floats(lon_lo, lon_hi))
+
+
+def trips(origins, destinations):
+    return st.tuples(origins, destinations).filter(
+        lambda t: great_circle_distance(*t) > 1_000.0)
+
+
+GLOBE = (-90.0, 90.0, -180.0, 180.0)
+STILL_AIR = make_uniform(0.0, 0.0, ISA_TEMPERATURE_K, GLOBE)
+# A global jet, so the wind features read non-zero along any rollout.
+JET = make_jet_stream(GLOBE, core_lat=55.0, core_speed=90.0, half_width=10.0,
+                      seed=4)
+SAMPLED_TRIPS = trips(trip_points(*trainer.SAMPLE_BBOX),
+                      trip_points(*trainer.SAMPLE_BBOX))
+# Steps from near 85 N pass the pole for some actions, so the retry halves.
+POLAR_TRIPS = trips(trip_points(83.0, 89.9), trip_points(78.0, 89.9))
+# Beyond 6,000 km the displacement follows the initial bearing. Some of
+# these trips run out of fuel (Infeasible).
+LONG_TRIPS = st.builds(
+    lambda a, lat, dlon: (a, GeoPoint(lat, a.lon_deg + dlon)),
+    trip_points(-30.0, 30.0), st.floats(-30.0, 30.0),
+    st.floats(55.0, 75.0)).filter(
+        lambda t: great_circle_distance(*t) > 6_100_000.0)
+
+
+class TestReferenceRollout:
+    @given(st.lists(st.one_of(SAMPLED_TRIPS, POLAR_TRIPS, LONG_TRIPS),
+                    min_size=1, max_size=3),
+           st.sampled_from([2, 5, 9]), st.booleans(),
+           st.sampled_from([STILL_AIR, JET]), st.integers(0, 2**32 - 1),
+           st.sampled_from([1.0, 4.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_run_episodes_is_the_object_rollout(self, instances, n, signed,
+                                                field, seed, noise_scale):
+        cfg = TrainConfig(seed=0, instances=1, n_waypoints=n, hidden=8,
+                          signed_progress=signed)
+        rng = np.random.default_rng(seed)
+        params = init_params(rng, cfg.hidden)
+        noise = noise_scale * rng.standard_normal((len(instances), n - 1, 2))
+        assert_matches_reference(params, cfg, instances, noise, field)
+
+    @pytest.mark.parametrize("field", [STILL_AIR, JET], ids=["still", "jet"])
+    def test_run_episodes_is_the_object_rollout_past_a_pole(self, field):
+        # 500 km due south from 89.5 N at n = 2: a step of 250 km north
+        # reaches 91.75 N, so the retry halves it three times.
+        cfg = TrainConfig(seed=0, instances=1, n_waypoints=2, hidden=8)
+        params = init_params(np.random.default_rng(0), cfg.hidden)
+        trip = (GeoPoint(89.5, 0.0), GeoPoint(85.0, 0.0))
+        noise = np.array([[[0.0, -10.0]]])
+        assert assert_matches_reference(params, cfg, [trip], noise,
+                                        field) == [3]
+
+
+    def test_run_episodes_raises_what_the_object_rollout_raises(self):
+        # An aircraft with 100 kg of fuel flies the first trip (3.6 km) but
+        # not the first 380 km step of the second.
+        spec = AircraftSpec.from_dict({**asdict(default_spec()),
+                                       "empty_mass_kg": 59_900.0})
+        cfg = TrainConfig(seed=0, instances=1, hidden=8, aircraft=spec)
+        params = init_params(np.random.default_rng(0), cfg.hidden)
+        trips = [(GeoPoint(50.0, 0.0), GeoPoint(50.0, 0.05)),
+                 (GeoPoint(40.0, 0.0), GeoPoint(55.0, 20.0))]
+        noise = np.full((2, cfg.n_waypoints - 1, 2), 3.0)
+        with pytest.raises(Infeasible):
+            run_episodes(params, cfg, trips, noise, STILL_AIR)
+        assert_matches_reference(params, cfg, trips, noise, STILL_AIR)
+
+
+def reference_sample_instance(rng):
+    """sample_instance on GeoPoints: two points per attempt, kept once
+    they are MIN_TRIP_M apart."""
+    lat_min, lat_max, lon_min, lon_max = trainer.SAMPLE_BBOX
+    for _ in range(1000):
+        lats = rng.uniform(lat_min, lat_max, size=2)
+        lons = rng.uniform(lon_min, lon_max, size=2)
+        a = GeoPoint(float(lats[0]), float(lons[0]))
+        b = GeoPoint(float(lats[1]), float(lons[1]))
+        if great_circle_distance(a, b) >= trainer.MIN_TRIP_M:
+            return a, b
+    raise AssertionError("no trip")
+
+
+def test_sample_instance_is_the_object_sampler():
+    for seed in range(1000):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_instance(rng) == reference_sample_instance(ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestPpoUpdate:
