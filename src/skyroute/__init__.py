@@ -5,7 +5,7 @@ an A* lattice search to a narrow corridor, cutting search effort while
 keeping fuel cost near the unconstrained optimum.
 """
 
-from .geo import GeoPoint, PlaneVector, great_circle_distance
+from .geo import GeoPoint, great_circle_distance
 from .weather import WeatherField, WeatherSample, make_jet_stream, make_uniform, sample
 from .perfmodel import AircraftSpec, AircraftState, SegmentResult, fly_segment, route_cost
 from .lattice import CoarseRoute, Corridor, Lattice, build_corridor, build_lattice
@@ -15,7 +15,7 @@ from .trainer import TrainConfig, train, write_training_log
 from .harness import PlanRequest, bench_fwd, bench_width, make_weather, plan
 
 __all__ = [
-    "GeoPoint", "PlaneVector", "great_circle_distance",
+    "GeoPoint", "great_circle_distance",
     "WeatherField", "WeatherSample", "make_jet_stream", "make_uniform", "sample",
     "AircraftSpec", "AircraftState", "SegmentResult", "fly_segment", "route_cost",
     "CoarseRoute", "Corridor", "Lattice", "build_corridor", "build_lattice",

@@ -2,13 +2,21 @@
 
 Spherical earth (R = 6,371,000 m). Local planar work uses an
 equirectangular projection scaled by the cosine of the mid-latitude, for
-displacements up to 6,000 km. Beyond that distance `local_displacement`
-gives the great-circle distance along the initial bearing instead, and
-`displace` refuses the step. Rotation angles are radians,
+displacements up to 6,000 km. Beyond that distance `displacement` gives
+the great-circle distance along the initial bearing instead, and
+`displace_at` refuses the step. Rotation angles are radians,
 counter-clockwise positive.
 
+Each formula has one function on plain floats, positions as (lat, lon)
+degrees: `haversine`, `azimuth`, `displacement`, `displace_at`,
+`rotate_by`, `trip_rotation` and `track_point`. The guide's rollout, the
+trainer and the lattice's track call these. Two object forms stay on
+`GeoPoint`s, because `skyroute.__all__` and perfbench's tracer name them:
+`great_circle_distance` (the haversine) and `intermediate_point` (the
+track point, with altitude).
+
 `great_circle_distances`, `initial_bearings`, `intermediate_points`,
-`displace_many` and `along_tracks` are the array forms of the scalar
+`displace_many` and `along_tracks` are the array forms of the float
 functions: they take lat/lon arrays in degrees and broadcast them. The two
 forms share one body per formula (`_formulas`, built over `math` and over
 numpy), so they differ only where numpy's sin/cos/asin/atan2 round
@@ -16,15 +24,7 @@ differently from the C library's (a few ulp), and in their guards: the
 scalar forms return early or raise where the array forms mask.
 `intermediate_points` also takes an array of fractions and, from a caller
 that has them, the pairs' angular distances; `displace_many` refuses what
-`displace` refuses, with the same error.
-
-`haversine`, `azimuth`, `displacement`, `displace_at`, `rotate_by` and
-`track_point` are the plain-float forms of `great_circle_distance`,
-`initial_bearing`, `local_displacement`, `displace`, `rotate` and
-`intermediate_point`. Each object form unpacks its arguments into its
-float form and builds its GeoPoint or PlaneVector from the result, so a
-caller that holds positions as (lat, lon) floats gets the same bits
-without an object per call.
+`displace_at` refuses from a valid `GeoPoint`, with the same error.
 """
 
 from __future__ import annotations
@@ -79,21 +79,6 @@ class GeoPoint:
     def same_position(self, other: "GeoPoint") -> bool:
         """True if lat/lon coincide (altitude ignored)."""
         return self.lat_deg == other.lat_deg and self.lon_deg == other.lon_deg
-
-
-@dataclass(frozen=True)
-class PlaneVector:
-    """Displacement on the local tangent plane, meters east/north."""
-
-    east_m: float
-    north_m: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.east_m) and math.isfinite(self.north_m)):
-            raise ValueError("PlaneVector components must be finite")
-
-    def norm(self) -> float:
-        return math.hypot(self.east_m, self.north_m)
 
 
 def _formulas(m, asin, atan2, minimum, normalize_lon):
@@ -173,11 +158,6 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     return haversine(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
 
 
-def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
-    """Forward azimuth from a to b, radians clockwise from north."""
-    return azimuth(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
-
-
 def track_point(lat1, lon1, lat2, lon2, delta, fraction):
     """`intermediate_point`'s (lat, lon) at 0 < fraction < 1 on plain
     floats, given delta = the pair's distance / EARTH_RADIUS_M."""
@@ -208,7 +188,7 @@ def track_points(a: GeoPoint, b: GeoPoint,
                  n: int) -> tuple[list[float], list[float], list[float]]:
     """Latitudes, longitudes and bearings to b of the n-2 interior points
     i/(n-1) of the way along a->b: what `intermediate_point` and
-    `initial_bearing` give, without building a GeoPoint per point."""
+    `azimuth` give, without building a GeoPoint per point."""
     lat1, lon1, lat2, lon2 = a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg
     delta = haversine(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
     points = [track_point(lat1, lon1, lat2, lon2, delta, i / (n - 1))
@@ -244,8 +224,13 @@ def intermediate_points(lat1, lon1, lat2, lon2, fraction,
 
 def displacement(lat1: float, lon1: float, lat2: float, lon2: float,
                  d: float) -> tuple[float, float]:
-    """`local_displacement` on plain floats: (east, north) meters of point 2
-    relative to point 1, given d = their haversine distance."""
+    """(east, north) meters of point 2 relative to point 1, given d =
+    their haversine distance.
+
+    Within MAX_PLANAR_DISTANCE_M: the equirectangular projection scaled by
+    cos of the mid-latitude, the exact inverse of displace_at. Beyond it:
+    the great-circle distance along the initial bearing.
+    """
     if d > MAX_PLANAR_DISTANCE_M:
         theta = azimuth(lat1, lon1, lat2, lon2)
         return d * math.sin(theta), d * math.cos(theta)
@@ -257,22 +242,18 @@ def displacement(lat1: float, lon1: float, lat2: float, lon2: float,
     return east, north
 
 
-def local_displacement(origin: GeoPoint, target: GeoPoint) -> PlaneVector:
-    """East/north meters of target relative to origin.
-
-    Within MAX_PLANAR_DISTANCE_M: the equirectangular projection scaled by
-    cos of the mid-latitude, the exact inverse of displace. Beyond it: the
-    great-circle distance along the initial bearing.
-    """
-    return PlaneVector(*displacement(
-        origin.lat_deg, origin.lon_deg, target.lat_deg, target.lon_deg,
-        great_circle_distance(origin, target)))
-
-
 def displace_at(lat: float, lon: float, east_m: float,
                 north_m: float) -> tuple[float, float]:
-    """`displace` on plain floats: (lat, lon), the longitude wrapped into
-    (-180, 180] as GeoPoint wraps it."""
+    """Move (lat, lon) by a planar vector; inverse of displacement within
+    MAX_PLANAR_DISTANCE_M. Returns (lat, lon), the longitude wrapped into
+    (-180, 180] as GeoPoint wraps it.
+
+    A non-finite vector raises ValueError. A step beyond the projection's
+    bound, or one that passes a pole, raises DistanceOutOfRange.
+    """
+    if not (math.isfinite(east_m) and math.isfinite(north_m)):
+        # Worded as the vector type that displace once took refused it.
+        raise ValueError("PlaneVector components must be finite")
     if math.hypot(east_m, north_m) > MAX_PLANAR_DISTANCE_M:
         raise DistanceOutOfRange(
             "displacement exceeds 6,000 km projection validity bound")
@@ -285,30 +266,21 @@ def displace_at(lat: float, lon: float, east_m: float,
         lon + math.degrees(east_m / (EARTH_RADIUS_M * cos_mid)))
 
 
-def displace(origin: GeoPoint, v: PlaneVector) -> GeoPoint:
-    """Move origin by a planar vector; inverse of local_displacement
-    within MAX_PLANAR_DISTANCE_M.
-
-    The altitude stays origin.alt_m. A step that passes a pole raises
-    DistanceOutOfRange, as one beyond the projection's bound does.
-    """
-    return GeoPoint(*displace_at(origin.lat_deg, origin.lon_deg, v.east_m,
-                                 v.north_m), origin.alt_m)
-
-
 def displace_many(lat_deg, lon_deg, east_m, north_m) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of displace for positions: (lat, lon) arrays in degrees.
+    """Array form of displace_at: (lat, lon) arrays in degrees.
 
     Origins (lat_deg, lon_deg) and vectors (east_m, north_m) broadcast.
-    If `displace` would refuse any element, raises what it raises for the
-    first such element in row-major order.
+    If an element's origin is no valid GeoPoint, or `displace_at` would
+    refuse its step, raises what those raise for the first such element in
+    row-major order.
     """
-    lat, cos_mid = _lat_steps(lat_deg, north_m)
+    # A non-finite step's cos warns here; the checks below refuse it.
     with np.errstate(divide="ignore", invalid="ignore"):
+        lat, cos_mid = _lat_steps(lat_deg, north_m)
         lon = _normalize_lons(
             lon_deg + np.degrees(east_m / (EARTH_RADIUS_M * cos_mid)))
     # numpy's hypot and cos may round apart from math's, so the checks keep
-    # a margin and scalar `displace` decides each element near a bound.
+    # a margin and scalar `displace_at` decides each element near a bound.
     near = ((np.hypot(east_m, north_m) > MAX_PLANAR_DISTANCE_M * (1 - 1e-9))
             | ~(np.abs(cos_mid) >= 2e-9) | ~(np.abs(lat) <= 90.0)
             | ~np.isfinite(lon))
@@ -316,33 +288,24 @@ def displace_many(lat_deg, lon_deg, east_m, north_m) -> tuple[np.ndarray, np.nda
         args = np.broadcast_arrays(lat_deg, lon_deg, east_m, north_m)
         for n in np.flatnonzero(near):
             lat0, lon0, east, north = (float(a.flat[n]) for a in args)
-            displace(GeoPoint(lat0, lon0), PlaneVector(east, north))
+            GeoPoint(lat0, lon0)        # refuses an invalid origin
+            displace_at(lat0, lon0, east, north)
     return lat, lon
 
 
-def trip_rotation(origin: GeoPoint, destination: GeoPoint) -> float:
-    """Angle phi such that rotate(local_displacement(origin, destination), phi)
-    points due north (east component 0, north component > 0)."""
-    if origin.same_position(destination):
+def trip_rotation(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Angle phi such that rotating the displacement of point 2 from
+    point 1 by phi (`rotate_by` with cos(phi), sin(phi)) points due north:
+    east component 0, north component > 0."""
+    east, north = displacement(lat1, lon1, lat2, lon2,
+                               haversine(lat1, lon1, lat2, lon2))
+    if math.hypot(east, north) == 0.0:
         raise DegenerateTrip("origin and destination coincide")
-    d = local_displacement(origin, destination)
-    if d.norm() == 0.0:
-        raise DegenerateTrip("origin and destination coincide")
-    return 0.5 * math.pi - math.atan2(d.north_m, d.east_m)
+    return 0.5 * math.pi - math.atan2(north, east)
 
 
 def rotate_by(east: float, north: float, c: float,
               s: float) -> tuple[float, float]:
-    """`rotate` on plain floats, given c, s = cos(phi), sin(phi)."""
+    """Counter-clockwise rotation of (east, north) by phi, given c, s =
+    cos(phi), sin(phi)."""
     return c * east - s * north, s * east + c * north
-
-
-def rotate(v: PlaneVector, phi: float) -> PlaneVector:
-    """Counter-clockwise rotation by phi radians."""
-    return PlaneVector(*rotate_by(v.east_m, v.north_m, math.cos(phi),
-                                  math.sin(phi)))
-
-
-def rotate_inverse(v: PlaneVector, phi: float) -> PlaneVector:
-    """Inverse of rotate: rotation by -phi."""
-    return rotate(v, -phi)

@@ -5,6 +5,11 @@ route. Two kinds exist: a learned actor-critic policy and a no-learning
 great-circle baseline. Instances are rotated so every trip appears as a
 straight trip upwards before the policy sees it. The policy's weather
 features are scaled by fixed constants that every checkpoint records.
+
+The policy's rollout holds its position as (lat, lon) floats and steps it
+through `extract_features` and `step_at`, the same functions that the
+trainer's episodes call, so a plan rolls out the policy it was trained
+on through one code path. Only the waypoints it returns are GeoPoints.
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .files import replacing
-from .geo import (GeoPoint, PlaneVector, displace_at, great_circle_distance,
-                  intermediate_point, local_displacement, rotate_by,
-                  trip_rotation)
+# great_circle_distance and sample are unused here; they stay because
+# perfbench/tracing.py wraps them by name.
+from .geo import (GeoPoint, displace_at, displacement, great_circle_distance,
+                  haversine, intermediate_point, rotate_by, trip_rotation)
 from .lattice import CoarseRoute
-# sample is unused here; it stays because perfbench/tracing.py wraps it by
-# name.
 from .weather import ISA_TEMPERATURE_K, WeatherField, sample, sample_at
 
 FEATURE_DIM = 5
@@ -246,33 +250,16 @@ def _checkpoint_params(payload: dict) -> PolicyParams:
     return PolicyParams(hidden, flat)
 
 
-def extract_features(x: GeoPoint, x_n: GeoPoint, phi: float,
-                     field: WeatherField, trip_length_m: float) -> np.ndarray:
-    """Feature vector: rotated displacement to destination plus weather.
+def extract_features(lat: float, lon: float, east_m: float, north_m: float,
+                     c: float, s: float, field: WeatherField,
+                     trip_length_m: float) -> list[float]:
+    """Feature vector at (lat, lon): the displacement (east_m, north_m) to
+    the destination rotated by phi (given c, s = cos(phi), sin(phi)), then
+    the weather.
 
     Displacement components are normalized by the total trip length, wind
     by WIND_SCALE_MS, temperature by its ISA deviation over TEMP_SCALE_K.
     """
-    disp = None if x.same_position(x_n) else local_displacement(x, x_n)
-    return np.array(feature_row(x, disp, phi, field, trip_length_m))
-
-
-def feature_row(x: GeoPoint, disp: PlaneVector | None, phi: float,
-                field: WeatherField, trip_length_m: float) -> list[float]:
-    """The five values of extract_features, given disp =
-    local_displacement(x, x_n), or None at x_n itself; for a caller that
-    needs disp as well."""
-    if disp is None:
-        return [0.0, 0.0, *_weather_features(field, x.lat_deg, x.lon_deg)]
-    return features_at(x.lat_deg, x.lon_deg, disp.east_m, disp.north_m,
-                       math.cos(phi), math.sin(phi), field, trip_length_m)
-
-
-def features_at(lat: float, lon: float, east_m: float, north_m: float,
-                c: float, s: float, field: WeatherField,
-                trip_length_m: float) -> list[float]:
-    """`feature_row` on plain floats, at (lat, lon) with displacement
-    (east_m, north_m) to x_n, given c, s = cos(phi), sin(phi)."""
     de, dn = rotate_by(east_m, north_m, c, s)
     return [de / trip_length_m, dn / trip_length_m,
             *_weather_features(field, lat, lon)]
@@ -296,28 +283,19 @@ def policy_action(params: PolicyParams, features: np.ndarray) -> np.ndarray:
     return np.tanh(mean)
 
 
-def step(x_k: GeoPoint, action: np.ndarray, phi: float,
-         step_scale: float) -> GeoPoint:
-    """Apply one movement: un-rotate the action, scale, cap, displace.
-
-    step_scale is the trip length divided by n; movements longer than one
-    step scale are rescaled down to it. The altitude stays x_k's. A step
-    that would pass a pole raises DistanceOutOfRange.
-    """
-    return GeoPoint(*step_at(x_k.lat_deg, x_k.lon_deg, float(action[0]),
-                             float(action[1]), math.cos(-phi),
-                             math.sin(-phi), step_scale), x_k.alt_m)
-
-
 def step_at(lat: float, lon: float, act_east: float, act_north: float,
             c: float, s: float, step_scale: float) -> tuple[float, float]:
-    """`step` on plain floats: the (lat, lon) it reaches, given c, s =
-    cos(-phi), sin(-phi). A non-finite action raises ValueError."""
+    """Apply one movement from (lat, lon): un-rotate the action, given
+    c, s = cos(-phi), sin(-phi), scale, cap, displace. Returns the
+    (lat, lon) it reaches.
+
+    step_scale is the trip length divided by n; movements longer than one
+    step scale are rescaled down to it. A non-finite action raises
+    ValueError, and a step that would pass a pole DistanceOutOfRange
+    (both from displace_at).
+    """
     east, north = rotate_by(act_east * step_scale, act_north * step_scale,
                             c, s)
-    # Non-finite in gives non-finite out, since c is never 0.
-    if not (math.isfinite(east) and math.isfinite(north)):
-        raise ValueError("PlaneVector components must be finite")
     norm = math.hypot(east, north)
     if norm > step_scale:
         f = step_scale / norm
@@ -344,15 +322,20 @@ def roll_out(cfg: GuideConfig, params: PolicyParams | None, origin: GeoPoint,
 
     if params is None:
         raise ValueError("policy guide requires PolicyParams")
-    phi = trip_rotation(origin, destination)
-    trip_len = great_circle_distance(origin, destination)
-    x = origin
-    pts = [x]
+    dest = destination.lat_deg, destination.lon_deg
+    x = origin.lat_deg, origin.lon_deg
+    phi = trip_rotation(*x, *dest)
+    rot = math.cos(phi), math.sin(phi)
+    rot_inv = math.cos(-phi), math.sin(-phi)
+    trip_len = haversine(*x, *dest)
+    pts = [origin]
     for _ in range(n - 2):
-        feats = extract_features(x, destination, phi, field, trip_len)
-        x = step(x, policy_action(params, feats), phi, trip_len / n)
-        pts.append(x)
-    pts.append(GeoPoint(destination.lat_deg, destination.lon_deg, alt))
+        disp = displacement(*x, *dest, haversine(*x, *dest))
+        feats = extract_features(*x, *disp, *rot, field, trip_len)
+        action = policy_action(params, np.array(feats)).tolist()
+        x = step_at(*x, *action, *rot_inv, trip_len / n)
+        pts.append(GeoPoint(*x, alt))
+    pts.append(GeoPoint(*dest, alt))
     return CoarseRoute(tuple(_dedupe(pts)))
 
 

@@ -6,7 +6,7 @@ spread J columns laterally around the great-circle track and H altitude
 levels across ALT_BAND_M. All H levels of a column share one
 lat/lon, so positions are stored once per column. Each row's track point
 and bearing come from `geo.track_points`, the scalar formulas that
-`intermediate_point` and `initial_bearing` run (numpy's trig can round
+`intermediate_point` and `azimuth` run (numpy's trig can round
 apart from libm's); the columns of all rows come from one array pass,
 `displace_many`. A corridor restricts each row to a window of w
 consecutive columns around a coarse guide route, built in one array
@@ -123,7 +123,7 @@ def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: in
     half = max(center, 1)
     offsets = (np.arange(J) - center) / half * lateral_halfwidth_m
     # A column at offset 0 (the centre; every column at half-width 0) is
-    # the track point itself and never goes through displace.
+    # the track point itself and never goes through displace_many.
     moved = offsets != 0.0
     track_lat, track_lon, bearing = _track(origin, destination, I)
     # Lateral unit vector: 90 degrees right of the local track bearing.

@@ -15,16 +15,17 @@ dominates arrays this small:
   (B, 5) feature array, one forward pass, one tanh and one log-density
   call per step. run_episode is its one-episode case.
 - Each episode's step runs on plain floats: its position is a (lat, lon)
-  pair, and the step calls the float bodies that the object API wraps
-  (geo.displacement, guide.features_at, guide.step_at,
-  progress_value_at, perfmodel.fly_leg), with cos and sin of the trip's
-  rotation taken once per episode, one haversine per step shared by the
-  movement's displacement and its flight, and one carrying the distance
+  pair, and the step calls the one function of each formula
+  (geo.trip_rotation, geo.displacement, guide.extract_features,
+  guide.step_at, progress_value_at, perfmodel.fly_leg); guide.roll_out
+  calls the first four at plan time. Cos and sin of the trip's rotation
+  are taken once per episode, one haversine per step is shared by the
+  movement's displacement and its flight, and one carries the distance
   to the destination into the next step. A GeoPoint is built only for
   an accepted trip. On a 2-vCPU Xeon (best of 15 rounds of 50),
-  run_episodes at B = 16, n = 5 takes 1.4 ms where the same steps built
-  from GeoPoints and PlaneVectors took 2.0 ms; fly_leg costs 5.7 us where
-  fly_segment costs 8.5 us.
+  run_episodes at B = 16, n = 5 takes 1.4 ms where the same steps on
+  GeoPoint objects took 2.0 ms; fly_leg costs 5.7 us where fly_segment
+  costs 8.5 us.
 - The weights are one flat vector (PolicyParams.flat), so the gradient
   is one vector, checked for finite values once per minibatch, and Adam
   updates its moments and the weights in place.
@@ -51,13 +52,13 @@ import numpy as np
 from .errors import (ConfigError, DegenerateDistance, DistanceOutOfRange,
                      NonFiniteGradient, SamplingExhausted)
 from .files import replacing
-# extract_features, fly_segment and great_circle_distance are not called
-# here: perfbench's tracer wraps the names.
-from .geo import (GeoPoint, PlaneVector, displacement, great_circle_distance,
-                  haversine, normalize_lon, trip_rotation)
+# fly_segment and great_circle_distance are not called here: perfbench's
+# tracer wraps the names.
+from .geo import (GeoPoint, displacement, great_circle_distance, haversine,
+                  normalize_lon, trip_rotation)
 from .guide import (ACTION_DIM, FEATURE_DIM, GuideConfig, PolicyParams,
-                    extract_features, features_at, forward, init_params,
-                    save_checkpoint, step_at)
+                    extract_features, forward, init_params, save_checkpoint,
+                    step_at)
 from .perfmodel import AircraftSpec, default_spec, fly_leg, fly_segment
 from .weather import WeatherField, make_uniform, ISA_TEMPERATURE_K
 
@@ -72,7 +73,7 @@ CLIP_RANGE = 0.2            # epsilon of the clipped surrogate
 LEARNING_RATE = 5e-6        # Adam step size
 VF_COEF = 0.5               # weight of the value loss in the combined loss
 REWARD_EXPONENT = 2.0       # gamma of step_reward
-LAMBDA_V = 0.01             # regularizer of progress_value
+LAMBDA_V = 0.01             # regularizer of progress_value_at
 END_THRESHOLD = 0.5         # end_reward's success radius, in step-scale units
 RHO1, RHO2 = 5.0, 2.0       # end_reward's penalty and bonus weights
 DISCOUNT = 0.99
@@ -167,23 +168,17 @@ def sample_instance(rng: np.random.Generator) -> tuple[GeoPoint, GeoPoint]:
     raise SamplingExhausted("1,000 rejections while sampling a trip")
 
 
-def progress_value(dx: PlaneVector, D: PlaneVector, lambda_v: float,
-                   signed: bool = False) -> float:
-    """Alignment of a movement with the direction to the destination.
-
-    Norm of the projection of dx onto D over the norm of dx, minus the
-    regularizer; this is |cos theta| - lambda (or signed cos theta with
-    signed=True). A zero movement returns -lambda by convention.
-    """
-    return progress_value_at(dx.east_m, dx.north_m, D.east_m, D.north_m,
-                             lambda_v, signed)
-
-
 def progress_value_at(dx_east: float, dx_north: float, d_east: float,
                       d_north: float, lambda_v: float,
                       signed: bool = False) -> float:
-    """`progress_value` on plain floats: movement (dx_east, dx_north),
-    distance vector (d_east, d_north)."""
+    """Alignment of a movement (dx_east, dx_north) with the distance
+    vector (d_east, d_north) to the destination.
+
+    Norm of the projection of the movement onto the distance vector over
+    the norm of the movement, minus the regularizer; this is
+    |cos theta| - lambda (or signed cos theta with signed=True). A zero
+    movement returns -lambda by convention.
+    """
     d_norm = math.hypot(d_east, d_north)
     if d_norm == 0.0:
         raise DegenerateDistance("distance vector has zero norm")
@@ -257,9 +252,7 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     noise[b, k] is the standard-normal draw of episode b at step k, shape
     (B, n-1, 2). Each step makes one forward pass, one tanh and one
     log-density call for the whole batch. Each episode's step runs on
-    plain floats: its position is a (lat, lon) pair, and the float bodies
-    of extract_features, guide.step, local_displacement, progress_value
-    and fly_segment give what those give on objects. Returns one record
+    plain floats: its position is a (lat, lon) pair. Returns one record
     with a leading episode axis.
     """
     n = cfg.n_waypoints
@@ -267,7 +260,7 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     spec, signed = cfg.aircraft, cfg.signed_progress
     xs = [(o.lat_deg, o.lon_deg) for o, _d in instances]
     dests = [(d.lat_deg, d.lon_deg) for _o, d in instances]
-    phis = [trip_rotation(o, d) for o, d in instances]
+    phis = [trip_rotation(*x, *d) for x, d in zip(xs, dests)]
     # cos and sin of phi rotate the features; those of -phi, the actions.
     rot = [(math.cos(phi), math.sin(phi)) for phi in phis]
     rot_inv = [(math.cos(-phi), math.sin(-phi)) for phi in phis]
@@ -288,7 +281,7 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
         # One displacement per episode serves the features and the reward.
         disps = [displacement(*x, *d, dist)
                  for x, d, dist in zip(xs, dests, to_dest)]
-        features[:, k] = [features_at(*x, *disp, *cs, field, trip_len)
+        features[:, k] = [extract_features(*x, *disp, *cs, field, trip_len)
                           for x, disp, cs, trip_len
                           in zip(xs, disps, rot, trip_lens)]
         mean, value = forward(params, features[:, k])

@@ -19,9 +19,8 @@ from skyroute.harness import PlanRequest, plan, route_json_without_timings
 from skyroute.lattice import build_corridor, build_lattice
 from skyroute.perfmodel import AircraftState, default_spec
 from skyroute.search import astar, row_dp
-from skyroute.trainer import (TrainConfig, end_reward, progress_value,
+from skyroute.trainer import (TrainConfig, end_reward, progress_value_at,
                               step_reward, train, write_training_log)
-from skyroute.geo import PlaneVector
 from skyroute.weather import make_jet_stream, make_uniform
 
 SPEC = default_spec()
@@ -191,12 +190,9 @@ def test_criterion_5_width_plateau():
 def test_criterion_6_reward_identities():
     with report(6, "reward-function identities"):
         lam = 0.01
-        assert abs(progress_value(PlaneVector(0, 1), PlaneVector(0, 10), lam)
-                   - (1.0 - lam)) <= 1e-9
-        assert abs(progress_value(PlaneVector(1, 0), PlaneVector(0, 10), lam)
-                   - (-lam)) <= 1e-9
-        assert abs(progress_value(PlaneVector(0, -1), PlaneVector(0, 10), lam)
-                   - (1.0 - lam)) <= 1e-9
+        assert abs(progress_value_at(0, 1, 0, 10, lam) - (1.0 - lam)) <= 1e-9
+        assert abs(progress_value_at(1, 0, 0, 10, lam) - (-lam)) <= 1e-9
+        assert abs(progress_value_at(0, -1, 0, 10, lam) - (1.0 - lam)) <= 1e-9
         assert abs(step_reward(1.0, 7.0, 2.0)) <= 1e-9
         assert abs(step_reward(0.0, 7.0, 2.0) + 7.0) <= 1e-9
         assert abs(step_reward(0.5, 8.0, 2.0) + 2.0) <= 1e-9

@@ -6,12 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from skyroute import geo
 from skyroute.errors import DegenerateTrip, DistanceOutOfRange
-from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, PlaneVector, along_track,
-                          along_tracks, displace, displace_many,
-                          great_circle_distance, great_circle_distances,
-                          initial_bearing, initial_bearings,
-                          intermediate_point, intermediate_points,
-                          local_displacement, rotate, rotate_inverse,
+from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, along_track,
+                          along_tracks, azimuth, displace_at, displace_many,
+                          displacement, great_circle_distance,
+                          great_circle_distances, initial_bearings,
+                          intermediate_point, intermediate_points, rotate_by,
                           trip_rotation)
 
 
@@ -34,6 +33,25 @@ longitudes = st.floats(-179, 179)
 
 def geo_points(lat=latitudes, lon=longitudes):
     return st.builds(GeoPoint, lat, lon, st.just(0.0))
+
+
+def latlon(p):
+    return p.lat_deg, p.lon_deg
+
+
+def local_displacement(a, b):
+    """(east, north) of GeoPoint b from a: geo.displacement given their
+    haversine distance."""
+    return displacement(*latlon(a), *latlon(b), great_circle_distance(a, b))
+
+
+def displace(a, east, north):
+    """GeoPoint a moved by (east, north) with geo.displace_at."""
+    return GeoPoint(*displace_at(*latlon(a), east, north))
+
+
+def rotate(east, north, phi):
+    return rotate_by(east, north, math.cos(phi), math.sin(phi))
 
 
 class TestGreatCircleDistance:
@@ -68,27 +86,26 @@ class TestGreatCircleDistance:
 class TestLocalDisplacement:
     def test_identity(self):
         p = GeoPoint(10, 20)
-        d = local_displacement(p, p)
-        assert d.east_m == 0.0 and d.north_m == 0.0
+        east, north = local_displacement(p, p)
+        assert east == 0.0 and north == 0.0
 
     def test_one_degree_latitude(self):
-        d = local_displacement(GeoPoint(0, 0), GeoPoint(1, 0))
-        assert d.east_m == 0.0
-        assert d.north_m == pytest.approx(math.pi * EARTH_RADIUS_M / 180, rel=1e-12)
+        east, north = local_displacement(GeoPoint(0, 0), GeoPoint(1, 0))
+        assert east == 0.0
+        assert north == pytest.approx(math.pi * EARTH_RADIUS_M / 180, rel=1e-12)
 
     @staticmethod
     def equirectangular(x, target):
         dlat = target.lat_deg - x.lat_deg
         mid = math.radians(x.lat_deg + 0.5 * dlat)
-        return PlaneVector(
-            math.radians(target.lon_deg - x.lon_deg) * math.cos(mid)
-            * EARTH_RADIUS_M, math.radians(dlat) * EARTH_RADIUS_M)
+        return (math.radians(target.lon_deg - x.lon_deg) * math.cos(mid)
+                * EARTH_RADIUS_M, math.radians(dlat) * EARTH_RADIUS_M)
 
     @staticmethod
     def bearing_vector(x, target):
         d = great_circle_distance(x, target)
-        theta = initial_bearing(x, target)
-        return PlaneVector(d * math.sin(theta), d * math.cos(theta))
+        theta = azimuth(*latlon(x), *latlon(target))
+        return d * math.sin(theta), d * math.cos(theta)
 
     def test_planar_within_bound(self):
         assert local_displacement(MUC, BER) == self.equirectangular(MUC, BER)
@@ -97,12 +114,12 @@ class TestLocalDisplacement:
     def test_out_of_range(self):
         # A quarter of the equator is beyond the bound: it points due east,
         # and displace refuses to map that vector back.
-        d = local_displacement(GeoPoint(0, 0), GeoPoint(0, 90))
-        assert d.east_m == pytest.approx(0.5 * math.pi * EARTH_RADIUS_M,
-                                         rel=1e-12)
-        assert d.north_m == pytest.approx(0.0, abs=1e-6)
+        east, north = local_displacement(GeoPoint(0, 0), GeoPoint(0, 90))
+        assert east == pytest.approx(0.5 * math.pi * EARTH_RADIUS_M,
+                                     rel=1e-12)
+        assert north == pytest.approx(0.0, abs=1e-6)
         with pytest.raises(DistanceOutOfRange):
-            displace(GeoPoint(0, 0), d)
+            displace_at(0.0, 0.0, east, north)
 
     def test_bearing_vector_beyond_bound(self):
         far = GeoPoint(-33.9, 151.2)
@@ -122,10 +139,10 @@ class TestLocalDisplacement:
            st.floats(-800_000, 800_000), st.floats(-600_000, 600_000))
     @settings(max_examples=100)
     def test_round_trip_against_great_circle(self, origin, east, north):
-        target = displace(origin, PlaneVector(east, north))
-        back = local_displacement(origin, target)
-        assert back.east_m == pytest.approx(east, rel=1e-9, abs=1e-6)
-        assert back.north_m == pytest.approx(north, rel=1e-9, abs=1e-6)
+        target = displace(origin, east, north)
+        back_east, back_north = local_displacement(origin, target)
+        assert back_east == pytest.approx(east, rel=1e-9, abs=1e-6)
+        assert back_north == pytest.approx(north, rel=1e-9, abs=1e-6)
         # Projection error vs the true geodesic stays below 0.5% at <= 1,000 km.
         planar = math.hypot(east, north)
         geo = great_circle_distance(origin, target)
@@ -136,41 +153,36 @@ class TestLocalDisplacement:
 class TestDisplace:
     def test_identity(self):
         p = GeoPoint(45, 9, 10_000)
-        q = displace(p, PlaneVector(0, 0))
+        q = displace(p, 0.0, 0.0)
         assert q.same_position(p)
-
-    def test_keeps_origin_altitude(self):
-        q = displace(GeoPoint(45, 9, 100), PlaneVector(30_000, -20_000))
-        assert q.alt_m == 100.0
 
     def test_out_of_range(self):
         with pytest.raises(DistanceOutOfRange):
-            displace(GeoPoint(0, 0), PlaneVector(7e6, 0))
+            displace_at(0.0, 0.0, 7e6, 0.0)
 
     @pytest.mark.parametrize("lat", [88.0, -88.0])
     def test_passing_a_pole_is_out_of_range(self, lat):
         # 5 degrees poleward: the mid-latitude, 90.5, is no degenerate case.
         north = math.copysign(EARTH_RADIUS_M * math.radians(5.0), lat)
         with pytest.raises(DistanceOutOfRange, match="passes a pole"):
-            displace(GeoPoint(lat, 0), PlaneVector(0, north))
+            displace_at(lat, 0.0, 0.0, north)
 
 
 class TestTripRotation:
     def test_due_north_is_zero(self):
-        assert trip_rotation(GeoPoint(10, 20), GeoPoint(15, 20)) == pytest.approx(0.0)
+        assert trip_rotation(10.0, 20.0, 15.0, 20.0) == pytest.approx(0.0)
 
     def test_due_east_is_quarter_turn(self):
-        phi = trip_rotation(GeoPoint(0, 10), GeoPoint(0, 12))
+        phi = trip_rotation(0.0, 10.0, 0.0, 12.0)
         assert phi == pytest.approx(math.pi / 2)
         d = local_displacement(GeoPoint(0, 10), GeoPoint(0, 12))
-        r = rotate(d, phi)
-        assert r.east_m == pytest.approx(0.0, abs=1e-6)
-        assert r.north_m == pytest.approx(d.norm(), rel=1e-12)
+        east, north = rotate(*d, phi)
+        assert east == pytest.approx(0.0, abs=1e-6)
+        assert north == pytest.approx(math.hypot(*d), rel=1e-12)
 
     def test_degenerate(self):
-        p = GeoPoint(10, 10)
         with pytest.raises(DegenerateTrip):
-            trip_rotation(p, GeoPoint(10, 10, 5_000))
+            trip_rotation(10.0, 10.0, 10.0, 10.0)
 
     @given(geo_points(st.floats(-60, 60)), geo_points(st.floats(-60, 60)))
     @example(GeoPoint(0.0, 0.0), GeoPoint(0.0, 5e-324))  # displacement underflows
@@ -178,36 +190,36 @@ class TestTripRotation:
     @settings(max_examples=100)
     def test_straightens_any_trip(self, a, b):
         d = local_displacement(a, b)
-        if d.norm() == 0.0:
+        norm = math.hypot(*d)
+        if norm == 0.0:
             with pytest.raises(DegenerateTrip):
-                trip_rotation(a, b)
+                trip_rotation(*latlon(a), *latlon(b))
             return
-        phi = trip_rotation(a, b)
-        r = rotate(d, phi)
-        assert abs(r.east_m) <= 1e-9 * max(d.norm(), 1.0)
-        assert r.north_m == pytest.approx(d.norm(), rel=1e-9)
+        phi = trip_rotation(*latlon(a), *latlon(b))
+        east, north = rotate(*d, phi)
+        assert abs(east) <= 1e-9 * max(norm, 1.0)
+        assert north == pytest.approx(norm, rel=1e-9)
 
 
 class TestRotate:
     def test_identity_rotation(self):
-        v = rotate(PlaneVector(1, 0), 0.0)
-        assert (v.east_m, v.north_m) == (1.0, 0.0)
+        assert rotate(1.0, 0.0, 0.0) == (1.0, 0.0)
 
     def test_quarter_turn(self):
-        v = rotate(PlaneVector(1, 0), math.pi / 2)
-        assert v.east_m == pytest.approx(0.0, abs=1e-15)
-        assert v.north_m == pytest.approx(1.0)
+        east, north = rotate(1.0, 0.0, math.pi / 2)
+        assert east == pytest.approx(0.0, abs=1e-15)
+        assert north == pytest.approx(1.0)
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
            st.floats(-2 * math.pi, 2 * math.pi))
     @settings(max_examples=100)
     def test_norm_preserved_and_inverse(self, e, n, phi):
-        v = PlaneVector(e, n)
-        r = rotate(v, phi)
-        assert r.norm() == pytest.approx(v.norm(), rel=1e-12, abs=1e-12)
-        back = rotate_inverse(r, phi)
-        assert back.east_m == pytest.approx(e, rel=1e-12, abs=1e-9)
-        assert back.north_m == pytest.approx(n, rel=1e-12, abs=1e-9)
+        r = rotate(e, n, phi)
+        assert math.hypot(*r) == pytest.approx(math.hypot(e, n), rel=1e-12,
+                                               abs=1e-12)
+        back_e, back_n = rotate(*r, -phi)
+        assert back_e == pytest.approx(e, rel=1e-12, abs=1e-9)
+        assert back_n == pytest.approx(n, rel=1e-12, abs=1e-9)
 
 
 class TestGeoPoint:
@@ -242,10 +254,10 @@ class TestInitialBearing:
         # On tracks of 1 um to 1 mm the planar direction is the azimuth to
         # within d / R; a formula that cancels loses it to rounding.
         d = 10.0 ** log_d
-        b = displace(a, PlaneVector(d * math.sin(theta), d * math.cos(theta)))
-        v = local_displacement(a, b)
-        want = math.atan2(v.east_m, v.north_m)
-        got = [initial_bearing(a, b),
+        b = displace(a, d * math.sin(theta), d * math.cos(theta))
+        east, north = local_displacement(a, b)
+        want = math.atan2(east, north)
+        got = [azimuth(*latlon(a), *latlon(b)),
                float(initial_bearings(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg))]
         for bearing in got:
             assert abs(math.remainder(bearing - want, 2 * math.pi)) <= 1e-9
@@ -286,8 +298,8 @@ class TestArrayForms:
             assert dist[n] == pytest.approx(great_circle_distance(a, b),
                                             rel=1e-12, abs=1e-6)
             if dist[n] > 1.0:
-                assert bearing[n] == pytest.approx(initial_bearing(a, b),
-                                                   abs=1e-9)
+                assert bearing[n] == pytest.approx(
+                    azimuth(*latlon(a), *latlon(b)), abs=1e-9)
             p = intermediate_point(a, b, fraction)
             assert lat[n] == pytest.approx(p.lat_deg, abs=1e-9)
             assert abs((lon[n] - p.lon_deg + 180.0) % 360.0 - 180.0) <= 1e-9
@@ -352,7 +364,7 @@ class TestArrayForms:
         want = []
         for p, e, n in moves:
             try:
-                want.append(displace(p, PlaneVector(e, n)))
+                want.append(displace(p, e, n))
             except DistanceOutOfRange as exc:
                 # The first refused element decides the error.
                 with pytest.raises(type(exc)) as got:
@@ -366,6 +378,27 @@ class TestArrayForms:
         # from the C library (they agree on the machines seen so far).
         np.testing.assert_array_max_ulp(lon, [q.lon_deg for q in want],
                                         maxulp=2)
+
+    @pytest.mark.parametrize("move, error, message", [
+        ((10.0, 0.0, math.nan, 0.0), ValueError,
+         "PlaneVector components must be finite"),
+        ((10.0, 0.0, 0.0, math.inf), ValueError,
+         "PlaneVector components must be finite"),
+        ((10.0, 0.0, math.nan, math.inf), ValueError,
+         "PlaneVector components must be finite"),
+        ((math.nan, 0.0, 0.0, 0.0), ValueError, "latitude out of range: nan"),
+        ((95.0, 0.0, 0.0, 0.0), ValueError, "latitude out of range: 95.0"),
+        ((10.0, math.inf, 0.0, 0.0), ValueError, "longitude not finite: inf"),
+        ((10.0, 0.0, 7e6, 0.0), DistanceOutOfRange,
+         "displacement exceeds 6,000 km projection validity bound"),
+    ], ids=["nan-east", "inf-north", "nan-east-inf-north", "nan-lat",
+            "lat-95", "inf-lon", "beyond-6000-km"])
+    def test_displace_many_refuses_by_name(self, move, error, message):
+        # After a valid first element: the bad one decides the error.
+        lat0, lon0, east, north = (np.array([0.0, v]) for v in move)
+        with pytest.raises(error) as got:
+            displace_many(lat0, lon0, east, north)
+        assert type(got.value) is error and str(got.value) == message
 
     @given(st.floats(-80, 80), st.floats(-80, 80), longitudes,
            st.floats(0, 1))

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from skyroute import guide
-from skyroute.geo import (GeoPoint, great_circle_distance, intermediate_point,
-                          trip_rotation)
+from skyroute.geo import (GeoPoint, displacement, great_circle_distance,
+                          intermediate_point, trip_rotation)
 from skyroute.guide import (ACTION_DIM, FEATURE_DIM, TEMP_SCALE_K,
                             WIND_SCALE_MS, GuideConfig, PolicyParams,
                             extract_features, forward, init_params,
                             load_checkpoint, param_shapes, policy_action,
-                            roll_out, save_checkpoint, step)
+                            roll_out, save_checkpoint, step_at)
 from skyroute.weather import make_uniform
 
 ORIGIN = GeoPoint(48.35, 11.79, 10_000)
@@ -25,6 +25,30 @@ BBOX = (30.0, 70.0, -20.0, 40.0)
 
 def still_air():
     return make_uniform(0.0, 0.0, 288.15, BBOX)
+
+
+def latlon(p):
+    return p.lat_deg, p.lon_deg
+
+
+#: The rotation of the ORIGIN -> DEST trip.
+PHI = trip_rotation(*latlon(ORIGIN), *latlon(DEST))
+
+
+def features(x, field):
+    """extract_features at GeoPoint x on the ORIGIN -> DEST trip."""
+    disp = displacement(*latlon(x), *latlon(DEST),
+                        great_circle_distance(x, DEST))
+    return np.array(extract_features(
+        *latlon(x), *disp, math.cos(PHI), math.sin(PHI), field,
+        great_circle_distance(ORIGIN, DEST)))
+
+
+def step(x, action, step_scale):
+    """The GeoPoint step_at reaches from GeoPoint x on the ORIGIN -> DEST
+    trip."""
+    return GeoPoint(*step_at(*latlon(x), *action, math.cos(-PHI),
+                             math.sin(-PHI), step_scale))
 
 
 def zero_params(hidden=8):
@@ -89,25 +113,19 @@ class TestExtractFeatures:
     def test_at_origin_points_up(self):
         # After rotation the displacement to the destination is straight
         # "north" in the rotated frame, with unit length at the origin.
-        phi = trip_rotation(ORIGIN, DEST)
-        trip = great_circle_distance(ORIGIN, DEST)
-        f = extract_features(ORIGIN, DEST, phi, still_air(), trip)
+        f = features(ORIGIN, still_air())
         assert f.shape == (FEATURE_DIM,)
         assert f[0] == pytest.approx(0.0, abs=1e-9)
         assert f[1] == pytest.approx(1.0, rel=1e-3)
         assert f[2] == 0.0 and f[3] == 0.0 and f[4] == 0.0
 
     def test_at_destination_zero_displacement(self):
-        phi = trip_rotation(ORIGIN, DEST)
-        trip = great_circle_distance(ORIGIN, DEST)
-        f = extract_features(DEST, DEST, phi, still_air(), trip)
+        f = features(DEST, still_air())
         assert f[0] == 0.0 and f[1] == 0.0
 
     def test_weather_normalization(self):
         fld = make_uniform(25.0, -10.0, 303.15, BBOX)
-        phi = trip_rotation(ORIGIN, DEST)
-        trip = great_circle_distance(ORIGIN, DEST)
-        f = extract_features(ORIGIN, DEST, phi, fld, trip)
+        f = features(ORIGIN, fld)
         assert f[2] == pytest.approx(25.0 / 50.0)
         assert f[3] == pytest.approx(-10.0 / 50.0)
         assert f[4] == pytest.approx(15.0 / 30.0)
@@ -128,17 +146,15 @@ class TestPolicyAction:
 
 class TestStep:
     def test_step_scale_cap(self):
-        phi = trip_rotation(ORIGIN, DEST)
         scale = great_circle_distance(ORIGIN, DEST) / 5
         # Full diagonal action has norm sqrt(2) * scale; capped to scale.
-        moved = step(ORIGIN, np.array([1.0, 1.0]), phi, scale)
+        moved = step(ORIGIN, (1.0, 1.0), scale)
         assert great_circle_distance(ORIGIN, moved) == pytest.approx(
             scale, rel=2e-3)
 
     def test_unit_up_action_moves_toward_destination(self):
-        phi = trip_rotation(ORIGIN, DEST)
         scale = great_circle_distance(ORIGIN, DEST) / 5
-        moved = step(ORIGIN, np.array([0.0, 1.0]), phi, scale)
+        moved = step(ORIGIN, (0.0, 1.0), scale)
         assert great_circle_distance(ORIGIN, moved) == pytest.approx(
             scale, rel=2e-3)
         assert great_circle_distance(moved, DEST) < great_circle_distance(
@@ -147,14 +163,11 @@ class TestStep:
     @pytest.mark.parametrize("action", [[math.nan, 0.0], [0.0, math.inf],
                                         [-math.inf, 1.0]])
     def test_non_finite_action_refused(self, action):
-        phi = trip_rotation(ORIGIN, DEST)
         with pytest.raises(ValueError, match="finite"):
-            step(ORIGIN, np.array(action), phi,
-                 great_circle_distance(ORIGIN, DEST) / 5)
+            step(ORIGIN, action, great_circle_distance(ORIGIN, DEST) / 5)
 
     def test_zero_action_stays(self):
-        phi = trip_rotation(ORIGIN, DEST)
-        moved = step(ORIGIN, np.array([0.0, 0.0]), phi,
+        moved = step(ORIGIN, (0.0, 0.0),
                      great_circle_distance(ORIGIN, DEST) / 5)
         assert moved.same_position(ORIGIN)
 

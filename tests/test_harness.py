@@ -11,7 +11,7 @@ from skyroute import harness
 from skyroute.cli import main
 from skyroute.errors import (ConfigError, NoPath, ParseError, SchemaError,
                              SkyrouteError, WidthOutOfRange)
-from skyroute.geo import GeoPoint, great_circle_distance, initial_bearing
+from skyroute.geo import GeoPoint, azimuth, great_circle_distance
 from skyroute.guide import (GuideConfig, init_params, parse_checkpoint,
                             save_checkpoint)
 from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
@@ -260,7 +260,7 @@ class TestPlan:
         # A 140 m/s headwind against TAS 150 m/s floors the ground speed on
         # every leg of a one-column lattice, whose legs lie on the track.
         slow = replace(default_spec(), tas_ms=150.0)
-        bearing = initial_bearing(MUC, BER)
+        bearing = azimuth(MUC.lat_deg, MUC.lon_deg, BER.lat_deg, BER.lon_deg)
         headwind = make_uniform(-140.0 * math.sin(bearing),
                                 -140.0 * math.cos(bearing), ISA_TEMPERATURE_K,
                                 make_weather("uniform", MUC, BER).bbox())

@@ -7,9 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from skyroute.errors import (DegenerateTrip, DistanceOutOfRange, NoSuccessors,
                              WidthOutOfRange)
-from skyroute.geo import (GeoPoint, PlaneVector, displace,
-                          great_circle_distance, initial_bearing,
-                          intermediate_point)
+from skyroute.geo import (GeoPoint, azimuth, displace_at,
+                          great_circle_distance, intermediate_point)
 from skyroute.lattice import (CoarseRoute, Corridor, _guide_points, _track,
                               build_corridor, build_lattice, is_reachable,
                               successors)
@@ -30,7 +29,7 @@ def gc_route(n=5):
 
 def scalar_columns(origin, destination, I, J, halfwidth):
     """Reference: the (lat, lon) column arrays built node by node with
-    scalar `displace`, the centre column on the track itself."""
+    scalar `displace_at`, the centre column on the track itself."""
     center = (J - 1) // 2
     half = max(center, 1)
     lat = np.empty((I, J))
@@ -39,12 +38,15 @@ def scalar_columns(origin, destination, I, J, halfwidth):
     lat[I - 1], lon[I - 1] = destination.lat_deg, destination.lon_deg
     for i in range(1, I - 1):
         track = intermediate_point(origin, destination, i / (I - 1))
-        bearing = initial_bearing(track, destination)
+        bearing = azimuth(track.lat_deg, track.lon_deg, destination.lat_deg,
+                          destination.lon_deg)
         for j in range(J):
             offset = (j - center) / half * halfwidth
-            p = track if offset == 0.0 else displace(track, PlaneVector(
-                math.cos(bearing) * offset, -math.sin(bearing) * offset))
-            lat[i, j], lon[i, j] = p.lat_deg, p.lon_deg
+            lat[i, j], lon[i, j] = (
+                (track.lat_deg, track.lon_deg) if offset == 0.0
+                else displace_at(track.lat_deg, track.lon_deg,
+                                 math.cos(bearing) * offset,
+                                 -math.sin(bearing) * offset))
     return lat, lon
 
 
@@ -75,7 +77,7 @@ class TestBuildLattice:
             want_lat, want_lon = scalar_columns(origin, destination, I, J,
                                                 halfwidth)
         except DistanceOutOfRange as exc:
-            # The first node in row-major order that displace refuses.
+            # The first node in row-major order that displace_at refuses.
             with pytest.raises(type(exc)) as got:
                 build_lattice(origin, destination, I, J, 1, halfwidth)
             assert type(got.value) is type(exc)
@@ -99,7 +101,7 @@ class TestBuildLattice:
     def test_track_is_the_scalar_track(self, origin, destination, I):
         # The centre column and the bearings the columns are displaced
         # across are, bit for bit, what intermediate_point and
-        # initial_bearing give row by row.
+        # azimuth give row by row.
         assume(not origin.same_position(destination))
         track = [intermediate_point(origin, destination, i / (I - 1))
                  for i in range(1, I - 1)]
@@ -114,7 +116,8 @@ class TestBuildLattice:
         assert np.array_equal(bits(lattice.lon_deg[1:-1, 0]),
                               bits([p.lon_deg for p in track]))
         assert np.array_equal(bits(bearings), bits(
-            [initial_bearing(p, destination) for p in track]))
+            [azimuth(p.lat_deg, p.lon_deg, destination.lat_deg,
+                     destination.lon_deg) for p in track]))
 
     def test_endpoint_rows_identical(self):
         lat = small_lattice()

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from skyroute.errors import Infeasible, NoPath, OutOfDomain, SkyrouteError
-from skyroute.geo import (GeoPoint, great_circle_distance,
-                          great_circle_distances, initial_bearing,
-                          intermediate_point)
+from skyroute.geo import (GeoPoint, azimuth, great_circle_distance,
+                          great_circle_distances, intermediate_point)
 from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
                               build_lattice, is_reachable, successors)
 from skyroute.perfmodel import (AircraftState, default_spec, fly_route,
@@ -86,7 +85,8 @@ class TestMinSpecificBurn:
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         # 140 m/s against TAS 150 m/s: ground speed hits the floor.
         slow = replace(SPEC, tas_ms=150.0)
-        bearing = initial_bearing(ORIGIN, DEST)
+        bearing = azimuth(ORIGIN.lat_deg, ORIGIN.lon_deg, DEST.lat_deg,
+                          DEST.lon_deg)
         headwind = make_uniform(-140.0 * np.sin(bearing),
                                 -140.0 * np.cos(bearing), 288.15, BBOX)
         assert fly_segment(slow, start_state(), lat.node((1, 2, 1)), headwind,

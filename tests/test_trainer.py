@@ -11,15 +11,14 @@ from skyroute import trainer
 from skyroute.errors import (ConfigError, DegenerateDistance,
                              DistanceOutOfRange, Infeasible,
                              NonFiniteGradient, SkyrouteError)
-from skyroute.geo import (GeoPoint, PlaneVector, great_circle_distance,
-                          local_displacement, trip_rotation)
-from skyroute.guide import (PolicyParams, feature_row, forward, init_params,
-                            step)
-from skyroute.perfmodel import (AircraftSpec, AircraftState, default_spec,
-                                fly_segment)
+from skyroute.geo import (GeoPoint, displacement, great_circle_distance,
+                          haversine, trip_rotation)
+from skyroute.guide import (PolicyParams, extract_features, forward,
+                            init_params, step_at)
+from skyroute.perfmodel import AircraftSpec, default_spec, fly_leg
 from skyroute.trainer import (LOG_COLUMNS, AdamOptimizer, TrainConfig,
                               _loss_grads, _squash, compute_gae, end_reward, ppo_update,
-                              progress_value, run_episode, run_episodes,
+                              progress_value_at, run_episode, run_episodes,
                               sample_instance, step_reward, train,
                               write_training_log)
 from skyroute.weather import ISA_TEMPERATURE_K, make_jet_stream, make_uniform
@@ -109,25 +108,26 @@ class TestTrainConfig:
 
 class TestRewards:
     def test_progress_aligned(self):
-        v = progress_value(PlaneVector(0, 1), PlaneVector(0, 10), 0.01)
+        v = progress_value_at(0, 1, 0, 10, 0.01)
         assert v == pytest.approx(1.0 - 0.01, abs=1e-12)
 
     def test_progress_perpendicular(self):
-        v = progress_value(PlaneVector(1, 0), PlaneVector(0, 10), 0.01)
+        v = progress_value_at(1, 0, 0, 10, 0.01)
         assert v == pytest.approx(-0.01, abs=1e-12)
 
     def test_progress_antiparallel_unsigned_vs_signed(self):
-        dx, D = PlaneVector(0, -1), PlaneVector(0, 10)
-        assert progress_value(dx, D, 0.01) == pytest.approx(0.99, abs=1e-12)
-        assert progress_value(dx, D, 0.01, signed=True) == pytest.approx(
+        dx, D = (0, -1), (0, 10)
+        assert progress_value_at(*dx, *D, 0.01) == pytest.approx(0.99,
+                                                                 abs=1e-12)
+        assert progress_value_at(*dx, *D, 0.01, signed=True) == pytest.approx(
             -1.01, abs=1e-12)
 
     def test_progress_zero_movement(self):
-        assert progress_value(PlaneVector(0, 0), PlaneVector(0, 10), 0.01) == -0.01
+        assert progress_value_at(0, 0, 0, 10, 0.01) == -0.01
 
     def test_progress_degenerate_distance(self):
         with pytest.raises(DegenerateDistance):
-            progress_value(PlaneVector(0, 1), PlaneVector(0, 0), 0.01)
+            progress_value_at(0, 1, 0, 0, 0.01)
 
     def test_step_reward_identities(self):
         assert step_reward(1.0, 5.0, 2.0) == 0.0
@@ -226,16 +226,14 @@ class TestRunEpisode:
     def test_safe_step_halves_a_step_past_a_pole(self):
         # 500 km north of 88 N reaches 92.5, and 250 km 90.25: both pass the
         # pole, so the retry halves twice and flies a quarter of the action.
-        x = GeoPoint(88.0, 0.0, 10_000)
-        action = np.array([0.0, 1.0])
-        for a in (action, action / 2):
+        x = (88.0, 0.0)
+        rot_inv = math.cos(-0.0), math.sin(-0.0)
+        for north in (1.0, 0.5):
             with pytest.raises(DistanceOutOfRange, match="passes a pole"):
-                step(x, a, 0.0, 500_000.0)
-        quarter = step(x, action / 4, 0.0, 500_000.0)
-        assert trainer._safe_step(x.lat_deg, x.lon_deg, *action.tolist(),
-                                  math.cos(-0.0), math.sin(-0.0),
-                                  500_000.0) == \
-            (quarter.lat_deg, quarter.lon_deg)
+                step_at(*x, 0.0, north, *rot_inv, 500_000.0)
+        quarter = step_at(*x, 0.0, 0.25, *rot_inv, 500_000.0)
+        assert trainer._safe_step(*x, 0.0, 1.0, *rot_inv, 500_000.0) == \
+            quarter
 
     def test_lockstep_matches_one_episode_rollouts(self):
         # Episode b of a lockstep batch, given its noise, is the episode
@@ -261,13 +259,13 @@ class TestRunEpisode:
             assert batch.final_dist_m[b] == one.final_dist_m
 
 
-def reference_safe_step(x, action, phi, step_scale, halvings):
-    """The pole retry on GeoPoints: guide.step, the action halved on each
-    refusal. Appends the number of halvings to `halvings`."""
+def reference_safe_step(x, action, rot_inv, step_scale, halvings):
+    """The pole retry from (lat, lon) x: guide.step_at, the action halved
+    on each refusal. Appends the number of halvings to `halvings`."""
     east, north = action
     for k in range(8):
         try:
-            nxt = step(x, (east, north), phi, step_scale)
+            nxt = step_at(*x, east, north, *rot_inv, step_scale)
             halvings.append(k)
             return nxt
         except DistanceOutOfRange:
@@ -277,33 +275,37 @@ def reference_safe_step(x, action, phi, step_scale, halvings):
 
 
 def reference_episode(params, cfg, instance, noise, field, halvings):
-    """One episode stepped on objects: GeoPoint positions, the displacement,
-    features, step, progress and flight of the object API, one row per
-    forward pass. Returns the EpisodeRecord fields by name; an error gets
-    the index of the step that raised it as `step`."""
-    origin, dest = instance
+    """One episode stepped on its own, its position a (lat, lon) pair: each
+    step computes its distances afresh from the positions, and makes one
+    forward pass of one row. Returns the EpisodeRecord fields by name; an
+    error gets the index of the step that raised it as `step`."""
+    origin, dest = ((p.lat_deg, p.lon_deg) for p in instance)
     n = cfg.n_waypoints
-    phi = trip_rotation(origin, dest)
-    trip_len = great_circle_distance(origin, dest)
+    phi = trip_rotation(*origin, *dest)
+    rot = math.cos(phi), math.sin(phi)
+    rot_inv = math.cos(-phi), math.sin(-phi)
+    trip_len = haversine(*origin, *dest)
     std = np.exp(params.log_std)
     x, mass = origin, cfg.aircraft.ref_mass_kg
     rows = []
     k = 0
     try:
         for k in range(n - 1):
-            disp = local_displacement(x, dest)
-            f = np.array([feature_row(x, disp, phi, field, trip_len)])
+            disp = displacement(*x, *dest, haversine(*x, *dest))
+            f = np.array([extract_features(*x, *disp, *rot, field, trip_len)])
             mean, value = forward(params, f)
             z = mean + std * noise[k]
             action = np.tanh(z)
-            nxt = reference_safe_step(x, action[0].tolist(), phi, trip_len / n,
-                                      halvings)
-            v_k = progress_value(local_displacement(x, nxt), disp,
-                                 trainer.LAMBDA_V, cfg.signed_progress)
-            seg = fly_segment(cfg.aircraft, AircraftState(x, mass), nxt, field,
-                              trainer.SUBSTEPS)
-            mass = seg.end_state.mass_kg
-            reward = step_reward(v_k, seg.fuel_kg, trainer.REWARD_EXPONENT)
+            nxt = reference_safe_step(x, action[0].tolist(), rot_inv,
+                                      trip_len / n, halvings)
+            v_k = progress_value_at(
+                *displacement(*x, *nxt, haversine(*x, *nxt)), *disp,
+                trainer.LAMBDA_V, cfg.signed_progress)
+            fuel, _time, _floor = fly_leg(cfg.aircraft, *x, *nxt,
+                                          haversine(*x, *nxt), mass, field,
+                                          trainer.SUBSTEPS)
+            mass -= fuel
+            reward = step_reward(v_k, fuel, trainer.REWARD_EXPONENT)
             rows.append((f[0], z[0], action[0],
                          trainer._log_prob_of(params, mean, z)[0], reward,
                          value[0]))
@@ -311,7 +313,7 @@ def reference_episode(params, cfg, instance, noise, field, halvings):
     except SkyrouteError as exc:
         exc.step = k        # the lockstep order of failures needs it
         raise
-    final = great_circle_distance(x, dest)
+    final = haversine(*x, *dest)
     names = ("features", "pre_squash", "actions", "log_probs", "rewards",
              "value_estimates")
     record = {name: np.array(col) for name, col in zip(names, zip(*rows))}
