@@ -12,6 +12,7 @@ import sys
 import time
 
 from .errors import ConfigError, SkyrouteError, parsing
+from .files import replacing
 from .guide import GUIDE_KINDS
 from .harness import (DEFAULT_DIMS, DEFAULT_ROUTE_SET, DEFAULT_WIDTH,
                       PlanRequest, bench_fwd, bench_width, default_requests,
@@ -59,7 +60,7 @@ def _cmd_plan(args) -> int:
                            **_request_kwargs(args)))
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "route.json")
-    with open(out_path, "w", encoding="utf-8") as f:
+    with replacing(out_path) as f:
         json.dump(doc, f, sort_keys=True, indent=2)
         f.write("\n")
     print(f"fuel {doc['totals']['fuel_kg']:.2f} kg, "

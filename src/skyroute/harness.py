@@ -31,6 +31,7 @@ from dataclasses import astuple, dataclass, field as dc_field, replace
 from typing import TypeVar
 
 from .errors import ConfigError, SkyrouteError, parsing
+from .files import replacing
 from .geo import GeoPoint, great_circle_distance
 # load_checkpoint, astar and fly_segment are unused here; they stay because
 # perfbench/tracing.py wraps them by name.
@@ -352,10 +353,11 @@ def bench_width(requests: list[PlanRequest],
 
 
 def write_bench_csv(rows: list[dict], path: str) -> None:
-    """Schema-stable CSV; optional columns appended after the fixed set."""
+    """Schema-stable CSV; optional columns appended after the fixed set.
+    `path` is replaced whole (files.replacing)."""
     extra = [k for k in ("fuel_route1_kg", "fuel_route2_kg", "failures")
              if any(k in r for r in rows)]
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with replacing(path) as f:
         writer = csv.DictWriter(f, fieldnames=BENCH_COLUMNS + extra,
                                 restval="")
         writer.writeheader()

@@ -28,12 +28,14 @@ geometry pass serves several masses (the search flies its lattice once):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import Infeasible, parsing
+from .files import replacing
 # intermediate_point and sample are unused here; they stay because
 # perfbench/tracing.py wraps them by name.
 from .geo import (EARTH_RADIUS_M, GeoPoint, along_track, along_tracks,
@@ -61,6 +63,10 @@ class AircraftSpec:
     temp_sensitivity: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not (0.0 < self.empty_mass_kg < self.ref_mass_kg <= self.max_mass_kg):
             raise ValueError("require 0 < empty_mass < ref_mass <= max_mass")
         if not (150.0 <= self.tas_ms <= 300.0):
@@ -81,6 +87,10 @@ class AircraftSpec:
         unknown = [k for k in raw if k not in names]
         if unknown:
             raise ValueError(f"aircraft spec has unknown fields: {unknown}")
+        for k in names:
+            # float() would take true as 1.0 and "230" as 230.0.
+            if type(raw[k]) not in (int, float):
+                raise ValueError(f"{k} must be a number, got {raw[k]!r}")
         return cls(**{k: float(raw[k]) for k in names})
 
     @classmethod
@@ -90,7 +100,9 @@ class AircraftSpec:
             return cls.from_dict(json.load(f))
 
     def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        """Write the spec as JSON; `path` is replaced whole
+        (files.replacing)."""
+        with replacing(path) as f:
             json.dump(asdict(self), f, indent=2, sort_keys=True)
             f.write("\n")
 

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import skyroute
 from skyroute import harness
 from skyroute.cli import main
 from skyroute.errors import (ConfigError, NoPath, ParseError, SchemaError,
@@ -21,12 +26,15 @@ from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
                               write_bench_csv)
 from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftState,
                                 default_spec, route_cost)
-from skyroute.trainer import LOG_COLUMNS
+from skyroute.trainer import LOG_COLUMNS, TrainConfig, train
 from skyroute.weather import (CSV_COLUMNS, ISA_TEMPERATURE_K, load_csv,
                               make_uniform, parse_csv, save_csv)
 
 MUC = GeoPoint(48.35, 11.79, 10_000)
 BER = GeoPoint(52.37, 13.52, 10_000)
+
+#: The benchmark's frozen policy, trained on many episodes.
+FROZEN_POLICY = Path(__file__).resolve().parents[1] / "perfbench" / "policy.json"
 
 SMALL_DIMS = (9, 5, 3)
 
@@ -229,6 +237,15 @@ class TestCheckpointCache:
         assert route_json_without_timings(plan(small_request(
             guide_kind="policy", checkpoint=str(good)))) == want
         assert len(parses) == 5
+
+    def test_second_plan_reuses_the_parse_and_the_route(self, parses):
+        req = PlanRequest(origin=resolve_point("MUC"),
+                          destination=resolve_point("BER"),
+                          guide_kind="policy", checkpoint=str(FROZEN_POLICY),
+                          weather="jet")
+        first, second = (route_json_without_timings(plan(req))
+                         for _ in range(2))
+        assert first == second and len(parses) == 1
 
 
 class TestPlan:
@@ -461,6 +478,21 @@ class TestBenchCsv:
         header = path.read_text().splitlines()[0]
         assert header.startswith(",".join(BENCH_COLUMNS))
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        class Unreadable(dict):
+            def get(self, key, default=None):
+                raise OSError("no space left on device")
+
+        row = {k: 1.5 for k in BENCH_COLUMNS} | {"param_value": 3}
+        path = tmp_path / "bench.csv"
+        write_bench_csv([row], str(path))
+        old = path.read_bytes()
+        # Fails after about 360 kB of rows, well past a write buffer.
+        with pytest.raises(OSError, match="no space left"):
+            write_bench_csv([row] * 10_000 + [Unreadable()], str(path))
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["bench.csv"]
+
 
 def test_default_requests():
     reqs = default_requests(weather="uniform", seed=3)
@@ -495,6 +527,22 @@ def bad_checkpoints(tmp_path) -> dict[str, str]:
             "ck-wind-zero.json": json.dumps(wind_zero),
             "ck-wind-text.json": json.dumps(wind_text),
             "ck-wind-40.json": json.dumps(wind_40)}
+
+
+def bad_aircraft_files() -> dict[str, str]:
+    """File name -> text of an aircraft spec with one bad value. json.dumps
+    writes a float NaN or inf as NaN or Infinity, which json.load reads."""
+    good = asdict(default_spec())
+    return {f"ac-{name}.json": json.dumps({**good, key: value})
+            for name, key, value in (
+                ("nan-flow", "base_fuel_flow_kgps", math.nan),
+                ("nan-temp", "temp_sensitivity", math.nan),
+                ("inf-flow", "base_fuel_flow_kgps", math.inf),
+                ("inf-max-mass", "max_mass_kg", math.inf),
+                ("bool-flow", "base_fuel_flow_kgps", True),
+                ("text-tas", "tas_ms", "230"),
+                # Flow turns negative below 238 K, inside a field's range.
+                ("negative-flow", "temp_sensitivity", 0.02))}
 
 
 def bad_weather_files() -> dict[str, str]:
@@ -560,6 +608,16 @@ class TestCli:
           "--aircraft", "{tmp}/ac-json.json"], "ac-json.json"),
         (["plan", "--origin", "MUC", "--destination", "BER",
           "--aircraft", "{tmp}/ac-unknown.json"], "mass_exponent"),
+        # The file and the field it names.
+        *[(["plan", "--origin", "MUC", "--destination", "BER",
+            "--aircraft", f"{{tmp}}/ac-{name}.json"], f"ac-{name}.json: {key}")
+          for name, key in (("nan-flow", "base_fuel_flow_kgps"),
+                            ("nan-temp", "temp_sensitivity"),
+                            ("inf-flow", "base_fuel_flow_kgps"),
+                            ("inf-max-mass", "max_mass_kg"),
+                            ("bool-flow", "base_fuel_flow_kgps"),
+                            ("text-tas", "tas_ms"),
+                            ("negative-flow", "temp_sensitivity"))],
         # Valid points whose lattice columns would pass the pole.
         (["plan", "--origin", "88,0", "--destination", "88,170"],
          "passes a pole"),
@@ -579,7 +637,10 @@ class TestCli:
             "checkpoint-text-value", "checkpoint-n-text", "checkpoint-n-frac",
             "checkpoint-wind-zero", "checkpoint-wind-text",
             "checkpoint-wind-40", "aircraft-missing", "aircraft-value",
-            "aircraft-json", "aircraft-unknown", "pole", "negative-seed",
+            "aircraft-json", "aircraft-unknown", "aircraft-nan-flow",
+            "aircraft-nan-temp", "aircraft-inf-flow", "aircraft-inf-max-mass",
+            "aircraft-bool-flow", "aircraft-text-tas",
+            "aircraft-negative-flow", "pole", "negative-seed",
             "no-repetitions", "csv-not-utf8", "csv-bad-line", "csv-one-node",
             "csv-400K", "csv-nan-wind"])
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
@@ -592,6 +653,7 @@ class TestCli:
             "ac-json.json": "{not json",
             "ac-unknown.json": json.dumps(
                 {**asdict(default_spec()), "mass_exponent": 1.0}),
+            **bad_aircraft_files(),
             **bad_checkpoints(tmp_path),
             **bad_weather_files(),
         }
@@ -707,3 +769,58 @@ class TestCli:
         rc = main(["train", "--config", str(cfg_path),
                    "--out-dir", str(tmp_path)])
         assert rc == 2
+
+
+class TestPlanProcess:
+    """`python -m skyroute plan` in a fresh process, on the edge cases of
+    the plan path, with numpy's floating-point warnings as errors."""
+
+    @staticmethod
+    def bent_policy(path):
+        """A tiny training run's policy with w_mean scaled 300-fold: it bends
+        the guide faster than a path can follow."""
+        params, _log = train(TrainConfig(seed=0, instances=4,
+                                         rollout_episodes=2))
+        save_checkpoint(params, GuideConfig(guide_kind="policy"), str(path))
+        ck = json.loads(path.read_text())
+        ck["weights"]["w_mean"] = [300 * x for x in ck["weights"]["w_mean"]]
+        path.write_text(json.dumps(ck))
+
+    @pytest.mark.parametrize("argv", [
+        # A 161x41x1 unconstrained lattice flies its geometry in several
+        # blocks of BLOCK_POINTS substep points.
+        ["--fwd", "161", "--cols", "41", "--levels", "1", "--unconstrained"],
+        # Two rows: the row DP's min-plus loop runs no row.
+        ["--fwd", "2"],
+        # One column: the row DP's strided view of g has J = 1.
+        ["--cols", "1", "--unconstrained"],
+        # The full-width lattice's outer columns leave this grid: their
+        # edges are refused, and the plan is the optimum over the rest.
+        ["--width", "11", "--weather", "csv:{tmp}/narrow.csv"],
+        # The corridor lags behind the bent guide and still plans.
+        ["--origin", "50.627,21.027", "--destination", "57.430,-0.992",
+         "--fwd", "161", "--cols", "41", "--levels", "1", "--width", "3",
+         "--guide", "policy", "--checkpoint", "{tmp}/bent-policy.json",
+         "--weather", "jet"],
+        # Beyond the 6,000 km planar bound the guide's displacement follows
+        # the initial bearing.
+        ["--origin", "40,-3", "--destination", "45,80", "--guide", "policy",
+         "--checkpoint", str(FROZEN_POLICY), "--weather", "jet"],
+    ], ids=["161x41x1", "fwd-2", "cols-1", "narrow-csv", "bent-policy",
+            "long-haul"])
+    def test_plans(self, tmp_path, argv):
+        save_csv(make_uniform(5, 0, 288.15, (47, 54, 11.5, 13.8)),
+                 str(tmp_path / "narrow.csv"))
+        self.bent_policy(tmp_path / "bent-policy.json")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if "--origin" not in argv:
+            argv = ["--origin", "MUC", "--destination", "BER", *argv]
+        env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+               "PYTHONPATH": str(Path(skyroute.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "skyroute", "plan", *argv,
+             "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        doc = json.loads((tmp_path / "out" / "route.json").read_text())
+        assert doc["totals"]["fuel_kg"] > 0
