@@ -10,10 +10,11 @@ counter-clockwise positive.
 Each formula has one function on plain floats, positions as (lat, lon)
 degrees: `haversine`, `azimuth`, `displacement`, `displace_at`,
 `rotate_by`, `trip_rotation` and `track_point`. The guide's rollout, the
-trainer and the lattice's track call these. Two object forms stay on
-`GeoPoint`s, because `skyroute.__all__` and perfbench's tracer name them:
-`great_circle_distance` (the haversine) and `intermediate_point` (the
-track point, with altitude).
+trainer and the lattice's track call these. Four object forms stay in the
+package, each a wrapper over its float body, because `skyroute.__all__`
+and perfbench's tracer name them: `great_circle_distance` (over
+`haversine`) and `intermediate_point` (over `track_point`, with altitude)
+here, `weather.sample` and `perfmodel.fly_segment`.
 
 `great_circle_distances`, `initial_bearings`, `intermediate_points`,
 `displace_many` and `along_tracks` are the array forms of the float

@@ -7,9 +7,11 @@ straight trip upwards before the policy sees it. The policy's weather
 features are scaled by fixed constants that every checkpoint records.
 
 The policy's rollout holds its position as (lat, lon) floats and steps it
-through `extract_features` and `step_at`, the same functions that the
-trainer's episodes call, so a plan rolls out the policy it was trained
-on through one code path. Only the waypoints it returns are GeoPoints.
+through `geo.trip_rotation`, `geo.displacement`, `extract_features` and
+`step_at`, the same functions that the trainer's episodes call, so a plan
+rolls out the policy it was trained on through one code path. Only the
+waypoints it returns are GeoPoints. Of the object forms, only
+`intermediate_point` runs here, for the great-circle guide.
 """
 
 from __future__ import annotations

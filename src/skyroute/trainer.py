@@ -22,7 +22,9 @@ dominates arrays this small:
   are taken once per episode, one haversine per step is shared by the
   movement's displacement and its flight, and one carries the distance
   to the destination into the next step. A GeoPoint is built only for
-  an accepted trip. On a 2-vCPU Xeon (best of 15 rounds of 50),
+  an accepted trip, and no object form of a formula runs in an episode
+  (fly_segment and great_circle_distance stay for the tracer and the
+  plan path). On a 2-vCPU Xeon (best of 15 rounds of 50),
   run_episodes at B = 16, n = 5 takes 1.4 ms where the same steps on
   GeoPoint objects took 2.0 ms; fly_leg costs 5.7 us where fly_segment
   costs 8.5 us.
