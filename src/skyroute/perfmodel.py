@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -88,9 +89,12 @@ class AircraftSpec:
         if unknown:
             raise ValueError(f"aircraft spec has unknown fields: {unknown}")
         for k in names:
-            # float() would take true as 1.0 and "230" as 230.0.
-            if type(raw[k]) not in (int, float):
-                raise ValueError(f"{k} must be a number, got {raw[k]!r}")
+            # float() would take true as 1.0 and "230" as 230.0, and raise
+            # OverflowError on an integer beyond a float's range.
+            if (type(raw[k]) not in (int, float)
+                    or not abs(raw[k]) <= sys.float_info.max):
+                raise ValueError(f"{k} must be a finite number, "
+                                 f"got {raw[k]!r}")
         return cls(**{k: float(raw[k]) for k in names})
 
     @classmethod

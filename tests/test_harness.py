@@ -34,7 +34,8 @@ MUC = GeoPoint(48.35, 11.79, 10_000)
 BER = GeoPoint(52.37, 13.52, 10_000)
 
 #: The benchmark's frozen policy, trained on many episodes.
-FROZEN_POLICY = Path(__file__).resolve().parents[1] / "perfbench" / "policy.json"
+FROZEN_POLICY = (Path(__file__).resolve().parents[1] / "perfbench"
+                 / "policy.json")
 
 SMALL_DIMS = (9, 5, 3)
 
@@ -531,7 +532,8 @@ def bad_checkpoints(tmp_path) -> dict[str, str]:
 
 def bad_aircraft_files() -> dict[str, str]:
     """File name -> text of an aircraft spec with one bad value. json.dumps
-    writes a float NaN or inf as NaN or Infinity, which json.load reads."""
+    writes a float NaN or inf as NaN or Infinity, which json.load reads,
+    and 10 ** 400 as an integer no float can hold."""
     good = asdict(default_spec())
     return {f"ac-{name}.json": json.dumps({**good, key: value})
             for name, key, value in (
@@ -541,6 +543,7 @@ def bad_aircraft_files() -> dict[str, str]:
                 ("inf-max-mass", "max_mass_kg", math.inf),
                 ("bool-flow", "base_fuel_flow_kgps", True),
                 ("text-tas", "tas_ms", "230"),
+                ("huge-max-mass", "max_mass_kg", 10 ** 400),
                 # Flow turns negative below 238 K, inside a field's range.
                 ("negative-flow", "temp_sensitivity", 0.02))}
 
@@ -617,6 +620,7 @@ class TestCli:
                             ("inf-max-mass", "max_mass_kg"),
                             ("bool-flow", "base_fuel_flow_kgps"),
                             ("text-tas", "tas_ms"),
+                            ("huge-max-mass", "max_mass_kg"),
                             ("negative-flow", "temp_sensitivity"))],
         # Valid points whose lattice columns would pass the pole.
         (["plan", "--origin", "88,0", "--destination", "88,170"],
@@ -640,7 +644,8 @@ class TestCli:
             "aircraft-json", "aircraft-unknown", "aircraft-nan-flow",
             "aircraft-nan-temp", "aircraft-inf-flow", "aircraft-inf-max-mass",
             "aircraft-bool-flow", "aircraft-text-tas",
-            "aircraft-negative-flow", "pole", "negative-seed",
+            "aircraft-huge-max-mass", "aircraft-negative-flow", "pole",
+            "negative-seed",
             "no-repetitions", "csv-not-utf8", "csv-bad-line", "csv-one-node",
             "csv-400K", "csv-nan-wind"])
     def test_bad_input_exit_code(self, tmp_path, capsys, argv, field):
