@@ -253,7 +253,7 @@ def displace_at(lat: float, lon: float, east_m: float,
     bound, or one that passes a pole, raises DistanceOutOfRange.
     """
     if not (math.isfinite(east_m) and math.isfinite(north_m)):
-        # Worded as the vector type that displace once took refused it.
+        # Kept word for word: step_at and displace_many refuse with it.
         raise ValueError("PlaneVector components must be finite")
     if math.hypot(east_m, north_m) > MAX_PLANAR_DISTANCE_M:
         raise DistanceOutOfRange(

@@ -447,6 +447,11 @@ class TestRouteCost:
 
 class TestAircraftSpec:
     def test_validation(self):
+        # Comparisons with NaN are false and inf passes the upper bounds.
+        with pytest.raises(ValueError, match="max_mass_kg must be finite"):
+            AircraftSpec(60_000, 40_000, math.inf, 230.0, 0.65, 0.002)
+        with pytest.raises(ValueError, match="base_fuel_flow_kgps"):
+            AircraftSpec(60_000, 40_000, 77_000, 230.0, math.nan, 0.002)
         with pytest.raises(ValueError):
             AircraftSpec(60_000, 65_000, 77_000, 230.0, 0.65, 0.002)
         with pytest.raises(ValueError):
