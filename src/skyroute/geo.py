@@ -16,13 +16,33 @@ and perfbench's tracer name them: `great_circle_distance` (over
 `haversine`) and `intermediate_point` (over `track_point`, with altitude)
 here, `weather.sample` and `perfmodel.fly_segment`.
 
-`great_circle_distances`, `initial_bearings`, `intermediate_points`,
-`displace_many` and `along_tracks` are the array forms of the float
-functions: they take lat/lon arrays in degrees and broadcast them. The two
-forms share one body per formula (`_formulas`, built over `math` and over
-numpy), so they differ only where numpy's sin/cos/asin/atan2 round
-differently from the C library's (a few ulp), and in their guards: the
-scalar forms return early or raise where the array forms mask.
+Points along a track, and a flight's direction, are computed on n-vectors
+(Gade, "A Non-singular Horizontal Position Representation", J. Navigation
+63(3), 2010): `unit_vector` is a position's unit vector from the earth's
+centre. `slerp_point` gives the point a fraction f along the great circle
+from unit vector a to b, of delta radians, as the direction of
+sin((1 - f) delta) a + sin(f delta) b. `heading` and `along_track` give
+the wind along the track from its normal n = a x b: the track's direction
+at a point p of it is n x p, with no azimuth and no trig of a bearing.
+`track_point`, `intermediate_point`, `track_points` and
+`intermediate_points` go through `slerp_point`, and so do `perfmodel`'s
+flights, which take each leg's unit vectors once; a flight samples the
+weather exactly where `intermediate_point` puts a piece's midpoint. A
+direction taken from a x b is good to about 1e-16 / delta radians: to
+1e-12 on a 1 km leg. A leg whose two unit vectors coincide (under about
+1e-9 m), or whose direction underflows (under about 1e-70 m), has none.
+
+`great_circle_distances`, `initial_bearings`, `unit_vectors`,
+`intermediate_points`, `slerp_points`, `headings`, `along_tracks` and
+`displace_many` are the array forms of the float functions: they take
+lat/lon arrays in degrees, or unit vectors as (x, y, z) arrays, and
+broadcast them. The two forms share one body per formula (`_formulas`,
+built over `math` and over numpy), so they differ only where numpy's
+sin/cos/asin/atan2/hypot round differently from the C library's (a few
+ulp), and in their guards: the scalar forms return early or raise where
+the array forms mask. Where numpy's sin and cos round apart from the C
+library's, the two forms' unit vectors do too, and the directions of
+legs under a few kilometres differ by more than rounding.
 `intermediate_points` also takes an array of fractions and, from a caller
 that has them, the pairs' angular distances; `displace_many` refuses what
 `displace_at` refuses from a valid `GeoPoint`, with the same error.
@@ -86,7 +106,8 @@ def _formulas(m, asin, atan2, minimum, normalize_lon):
     """The formulas that have a scalar and an array form, each written once,
     over `math` for floats or numpy for arrays (numpy before 2.0 has no
     asin or atan2). The library functions are closure variables, so a
-    scalar call costs what a body written against `math` costs."""
+    scalar call costs what a body written against `math` costs. A unit
+    vector is a tuple (x, y, z) of floats or of arrays."""
     radians, degrees, sin, cos, sqrt, hypot = (
         m.radians, m.degrees, m.sin, m.cos, m.sqrt, m.hypot)
 
@@ -110,22 +131,47 @@ def _formulas(m, asin, atan2, minimum, normalize_lon):
         x = sin(dphi) + 2.0 * sin(phi1) * cos(phi2) * sin(dlam / 2.0) ** 2
         return atan2(y, x)
 
-    def slerp(lat1, lon1, lat2, lon2, delta, fraction):
-        """(lat, lon) at `fraction` along the great circle of `delta` radians
-        from point 1 to point 2; undefined where delta is 0."""
-        phi1 = radians(lat1)
-        lam1 = radians(lon1)
-        phi2 = radians(lat2)
-        lam2 = radians(lon2)
-        sd = sin(delta)
-        fa = sin((1.0 - fraction) * delta) / sd
-        fb = sin(fraction * delta) / sd
-        cos_phi1 = cos(phi1)
-        cos_phi2 = cos(phi2)
-        x = fa * cos_phi1 * cos(lam1) + fb * cos_phi2 * cos(lam2)
-        y = fa * cos_phi1 * sin(lam1) + fb * cos_phi2 * sin(lam2)
-        z = fa * sin(phi1) + fb * sin(phi2)
+    def unit_vector(lat, lon):
+        """The n-vector of (lat, lon) degrees: the unit vector from the
+        earth's centre, x toward (0, 0) and z toward the north pole."""
+        phi = radians(lat)
+        lam = radians(lon)
+        cos_phi = cos(phi)
+        return cos_phi * cos(lam), cos_phi * sin(lam), sin(phi)
+
+    def slerp(a, b, fa, fb):
+        """(lat, lon) of fa a + fb b: the point a fraction f along the great
+        circle of delta radians from unit vector a to b, given fa =
+        sin((1 - f) delta) and fb = sin(f delta). Their common divisor
+        sin(delta) is left out, since lat and lon depend on the direction
+        only; the point is undefined where delta is 0."""
+        x = fa * a[0] + fb * b[0]
+        y = fa * a[1] + fb * b[1]
+        z = fa * a[2] + fb * b[2]
         return degrees(atan2(z, hypot(x, y))), degrees(atan2(y, x))
+
+    def heading(a, b):
+        """The direction terms of the great circle from unit vector a to b,
+        from its normal n = a x b, |n| = sin(delta): (east, north_a,
+        north_b) = (|n| n_z, (n x a)_z, (n x b)_z). At p = fa a + fb b the
+        track's direction is n x p; with fa and fb as in `slerp`, times
+        cos(lat) and sin(delta)^2 its east part is `east` everywhere
+        (Clairaut's relation) and its north part fa north_a + fb north_b.
+        All three are 0 where a x b is."""
+        nx = a[1] * b[2] - a[2] * b[1]
+        ny = a[2] * b[0] - a[0] * b[2]
+        nz = a[0] * b[1] - a[1] * b[0]
+        return (sqrt(nx * nx + ny * ny + nz * nz) * nz, nx * a[1] - ny * a[0],
+                nx * b[1] - ny * b[0])
+
+    def along_track(east, north_a, north_b, fa, fb, wind_east, wind_north):
+        """(w . d, |d|) for the wind w and `heading`'s direction d of the
+        track at fa a + fb b: the wind along the track is their ratio,
+        where |d| is not 0. |d| is 0 where a x b is, and underflows to it
+        on tracks under about 1e-77 radians."""
+        north = fa * north_a + fb * north_b
+        return (wind_east * east + wind_north * north,
+                sqrt(east * east + north * north))
 
     def lat_step(lat_deg, north_m):
         """Latitude north_m meters north of lat_deg, and the cosine of the
@@ -133,25 +179,15 @@ def _formulas(m, asin, atan2, minimum, normalize_lon):
         dlat = degrees(north_m / EARTH_RADIUS_M)
         return lat_deg + dlat, cos(radians(lat_deg + 0.5 * dlat))
 
-    def along_track(lat_deg, bearing, sigma, wind_east, wind_north):
-        """Wind component along the great circle that leaves latitude
-        lat_deg on azimuth `bearing`, at angle sigma (radians) along it."""
-        phi0 = radians(lat_deg)
-        # The track's direction times cos(lat) at sigma is (east, north);
-        # east is constant on a great circle (Clairaut).
-        east = sin(bearing) * cos(phi0)
-        north0 = cos(bearing) * cos(phi0)
-        north = cos(sigma) * north0 - sin(phi0) * sin(sigma)
-        return (wind_east * east + wind_north * north) / hypot(east, north)
-
-    return distance, azimuth, slerp, lat_step, along_track
+    return (distance, azimuth, unit_vector, slerp, heading, along_track,
+            lat_step)
 
 
-haversine, azimuth, _slerp, _lat_step, along_track = _formulas(
-    math, math.asin, math.atan2, min, normalize_lon)
-(great_circle_distances, initial_bearings, _slerps, _lat_steps,
- along_tracks) = _formulas(np, np.arcsin, np.arctan2, np.minimum,
-                           _normalize_lons)
+(haversine, azimuth, unit_vector, _slerp, heading, along_track,
+ _lat_step) = _formulas(math, math.asin, math.atan2, min, normalize_lon)
+(great_circle_distances, initial_bearings, unit_vectors, _slerps, headings,
+ along_tracks, _lat_steps) = _formulas(np, np.arcsin, np.arctan2, np.minimum,
+                                       _normalize_lons)
 
 
 def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
@@ -159,13 +195,27 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint) -> float:
     return haversine(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
 
 
+def slerp_point(lon1, lon2, a, b, fa, fb):
+    """(lat, lon) of fa a + fb b (`_slerp`) on the track from unit vector
+    a, at longitude lon1, to b, at lon2; the longitude wrapped into
+    (-180, 180]. A track on one meridian keeps its longitude exactly."""
+    lat, lon = _slerp(a, b, fa, fb)
+    if lon1 == lon2:
+        return lat, normalize_lon(lon1)
+    # atan2 in degrees lies in [-180, 180], where wrapping into (-180, 180]
+    # only moves -180.
+    return lat, 180.0 if lon == -180.0 else lon
+
+
 def track_point(lat1, lon1, lat2, lon2, delta, fraction):
     """`intermediate_point`'s (lat, lon) at 0 < fraction < 1 on plain
     floats, given delta = the pair's distance / EARTH_RADIUS_M."""
     if delta == 0.0:        # distinct points the haversine cannot resolve
         return lat1, lon1
-    lat, lon = _slerp(lat1, lon1, lat2, lon2, delta, fraction)
-    return lat, normalize_lon(lon1 if lon1 == lon2 else lon)
+    return slerp_point(lon1, lon2, unit_vector(lat1, lon1),
+                       unit_vector(lat2, lon2),
+                       math.sin((1.0 - fraction) * delta),
+                       math.sin(fraction * delta))
 
 
 def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
@@ -192,10 +242,22 @@ def track_points(a: GeoPoint, b: GeoPoint,
     `azimuth` give, without building a GeoPoint per point."""
     lat1, lon1, lat2, lon2 = a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg
     delta = haversine(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
-    points = [track_point(lat1, lon1, lat2, lon2, delta, i / (n - 1))
-              for i in range(1, n - 1)]
+    fractions = [i / (n - 1) for i in range(1, n - 1)]
+    if delta == 0.0:
+        points = [(lat1, lon1)] * len(fractions)
+    else:
+        va, vb = unit_vector(lat1, lon1), unit_vector(lat2, lon2)
+        points = [slerp_point(lon1, lon2, va, vb, math.sin((1.0 - f) * delta),
+                              math.sin(f * delta)) for f in fractions]
     return ([lat for lat, _ in points], [lon for _, lon in points],
             [azimuth(lat, lon, lat2, lon2) for lat, lon in points])
+
+
+def slerp_points(lon1, lon2, a, b, fa, fb) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of slerp_point."""
+    lat, lon = _slerps(a, b, fa, fb)
+    return lat, np.where(np.equal(lon1, lon2), _normalize_lons(lon1),
+                         np.where(lon == -180.0, 180.0, lon))
 
 
 def intermediate_points(lat1, lon1, lat2, lon2, fraction,
@@ -211,10 +273,10 @@ def intermediate_points(lat1, lon1, lat2, lon2, fraction,
     """
     if delta is None:
         delta = great_circle_distances(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lat, lon = _slerps(lat1, lon1, lat2, lon2, delta, fraction)
-    lon = np.where(np.equal(lon1, lon2), _normalize_lons(lon1),
-                   _normalize_lons(lon))
+    lat, lon = slerp_points(lon1, lon2, unit_vectors(lat1, lon1),
+                            unit_vectors(lat2, lon2),
+                            np.sin((1.0 - fraction) * delta),
+                            np.sin(fraction * delta))
     same = delta == 0.0
     lat, lon = np.where(same, lat1, lat), np.where(same, lon1, lon)
     at_start = np.less_equal(fraction, 0.0)

@@ -4,10 +4,13 @@ Fuel flow is proportional to mass with a linear temperature term; wind is
 additive along track. Deterministic and monotone by construction, with
 closed forms that unit tests can pin exactly. A segment flies in
 `substeps` pieces, each its segment plus a fraction: the weather at the
-mid fraction, the wind along the track's direction at the start fraction,
-in closed form from the endpoints (`geo.along_track`). Each piece burns a
-fixed share of the mass it starts with (`_burn`), so a segment flown from
-mass m burns m times a share that its geometry fixes.
+mid fraction, the wind along the track's direction at the start fraction.
+Both come from the endpoints' unit vectors a and b (`geo.unit_vector`):
+the point at fraction f is `geo.slerp_point` of sin((1 - f) delta) a +
+sin(f delta) b, and the track's direction there is (a x b) x that point
+(`geo.heading`, `geo.along_track`). Each piece burns a fixed share of the
+mass it starts with (`_burn`), so a segment flown from mass m burns m
+times a share that its geometry fixes.
 
 `fly_segment` flies one segment and is the reference, and `fly_leg` is
 its body on plain floats. That body is the only source of flight errors
@@ -18,7 +21,9 @@ geometry pass serves several masses (the search flies its lattice once):
 - `substep_geometry` repeats `fly_segment`'s geometry, weather lookups and
   burned shares over arrays of segments, as a `Geometry` of per-segment
   arrays. It uses the array forms of the same `geo` formulas, so the two
-  differ only where numpy rounds sin/cos/asin/atan2 differently from libm.
+  differ only where numpy rounds sin/cos/asin/atan2/hypot differently from
+  libm. A caller that has the segments' unit vectors (the search computes
+  each lattice node's once) passes them in.
 - `segments_fuel` is each segment's start mass times its share, NaN where
   `fly_segment` would refuse the segment (the search's absent edges).
 - `thread_legs` carries mass along consecutive legs, one multiply a leg;
@@ -31,6 +36,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,9 +46,9 @@ from .files import replacing
 # intermediate_point and sample are unused here; they stay because
 # perfbench/tracing.py wraps them by name.
 from .geo import (EARTH_RADIUS_M, GeoPoint, along_track, along_tracks,
-                  azimuth, great_circle_distance, great_circle_distances,
-                  initial_bearings, intermediate_point, intermediate_points,
-                  track_point)
+                  great_circle_distance, great_circle_distances, heading,
+                  headings, intermediate_point, slerp_point, slerp_points,
+                  unit_vector, unit_vectors)
 from .weather import (ISA_TEMPERATURE_K, MAX_TEMPERATURE_K, MIN_TEMPERATURE_K,
                       WeatherField, sample, sample_at, sample_many)
 
@@ -144,9 +150,10 @@ def fuel_flow_kgps(spec: AircraftSpec, mass_kg: float, temperature_k: float) -> 
             * (1.0 + spec.temp_sensitivity * (temperature_k - ISA_TEMPERATURE_K)))
 
 
-def _burn(spec: AircraftSpec, burned, temperature_k, dt):
-    """A segment's burned share of its start mass after one more piece."""
-    return burned + fuel_flow_kgps(spec, 1.0, temperature_k) * dt * (1.0 - burned)
+def _burn(burned, c):
+    """A segment's burned share of its start mass after one more piece,
+    which burns c = flow(1 kg) dt of the mass it starts with."""
+    return burned + c * (1.0 - burned)
 
 
 def fly_segment(spec: AircraftSpec, state: AircraftState, to: GeoPoint,
@@ -177,26 +184,53 @@ def fly_leg(spec: AircraftSpec, lat0: float, lon0: float, lat1: float,
     if total == 0.0:
         return 0.0, 0.0, False
 
-    bearing = azimuth(lat0, lon0, lat1, lon1)
+    a, b = unit_vector(lat0, lon0), unit_vector(lat1, lon1)
+    direction = heading(a, b)
     delta = total / EARTH_RADIUS_M
+    sin = math.sin
     burned, time, floor_hit = 0.0, 0.0, False
     for k in range(substeps):
         # The piece's midpoint, as intermediate_point(start, to, ...) gives it.
-        wind_east, wind_north, temperature = sample_at(field, *track_point(
-            lat0, lon0, lat1, lon1, delta,
-            (k / substeps + (k + 1) / substeps) / 2.0))
-        gs = spec.tas_ms + along_track(lat0, bearing, k / substeps * delta,
-                                       wind_east, wind_north)
+        mid = (k / substeps + (k + 1) / substeps) / 2.0
+        wind_east, wind_north, temperature = sample_at(field, *slerp_point(
+            lon0, lon1, a, b, sin((1.0 - mid) * delta), sin(mid * delta)))
+        start = k / substeps
+        along, norm = along_track(*direction, sin((1.0 - start) * delta),
+                                  sin(start * delta), wind_east, wind_north)
+        gs = spec.tas_ms + along / norm if norm else spec.tas_ms
         if gs < GROUND_SPEED_FLOOR_MS:
             gs = GROUND_SPEED_FLOOR_MS
             floor_hit = True
         dt = total / substeps / gs
-        burned = _burn(spec, burned, temperature, dt)
+        burned = _burn(burned, fuel_flow_kgps(spec, 1.0, temperature) * dt)
         if mass - mass * burned < spec.empty_mass_kg:
             raise Infeasible(f"mass would drop below empty mass "
                              f"({mass - mass * burned:.1f} < {spec.empty_mass_kg})")
         time += dt
     return mass * burned, time, floor_hit
+
+
+@lru_cache(maxsize=16)
+def _piece_fractions(substeps: int):
+    """The fractions along a segment whose sines `substep_geometry` takes:
+    the mids (k + 1/2)/substeps, where the weather is sampled, and the
+    starts k/substeps, where the wind is taken along the track, with the
+    end 1 after them. Each comes with whether 1 - f is the fractions
+    reversed bit for bit: then sin((1 - f) delta) is sin(f delta)
+    reversed, and each sine serves two points."""
+    mids = tuple((k / substeps + (k + 1) / substeps) / 2.0
+                 for k in range(substeps))
+    starts = tuple(k / substeps for k in range(substeps + 1))
+    return tuple((f, tuple(1.0 - x for x in f) == f[::-1])
+                 for f in (mids, starts))
+
+
+def _fraction_sines(delta, fractions, shared):
+    """(sin((1 - f) delta), sin(f delta)) as (n, E) arrays, for the n
+    fractions f and the E segments' delta."""
+    f = np.array(fractions)[:, None]
+    fb = np.sin(f * delta)
+    return fb[::-1] if shared else np.sin((1.0 - f) * delta), fb
 
 
 #: Most pieces `substep_geometry` works on at once: it cuts longer batches
@@ -237,29 +271,43 @@ def segments_fuel(spec: AircraftSpec, mass, geometry: Geometry) -> np.ndarray:
 
 
 def substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
-                     field: WeatherField, substeps: int) -> Geometry:
+                     field: WeatherField, substeps: int,
+                     ends=None) -> Geometry:
     """The `Geometry` of the 1-D arrays of segments (lat0, lon0) -> (lat1,
     lon1), block by block of at most BLOCK_POINTS pieces. A segment's
     geometry does not depend on the other segments of its batch.
+
+    `ends`, the segments' start and end unit vectors, each three arrays
+    (x, y, z) as `geo.unit_vectors` gives them, are computed here unless
+    the caller has them.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    k = np.arange(substeps)[:, None]
-    start, mid = k / substeps, (k / substeps + (k + 1) / substeps) / 2.0
+    if ends is None:
+        ends = unit_vectors(lat0, lon0), unit_vectors(lat1, lon1)
+    mids, starts = _piece_fractions(substeps)
     step = max(1, BLOCK_POINTS // substeps)
     blocks = []
     for lo in range(0, max(lat0.size, 1), step):
-        ends = [a[lo:lo + step] for a in (lat0, lon0, lat1, lon1)]
-        total = great_circle_distances(*ends)
+        block = slice(lo, lo + step)
+        lat_a, lon_a, lat_b, lon_b = (x[block] for x in (lat0, lon0, lat1, lon1))
+        a, b = ([c[block] for c in end] for end in ends)
+        total = great_circle_distances(lat_a, lon_a, lat_b, lon_b)
         delta = total / EARTH_RADIUS_M
-        wx = sample_many(field, *intermediate_points(*ends, mid, delta))
-        gs = spec.tas_ms + along_tracks(ends[0], initial_bearings(*ends),
-                                        start * delta, wx.wind_east,
-                                        wx.wind_north)
+        # Each array is made when it is needed: a pass with fewer live
+        # temporaries runs faster on the cold caches of a fresh plan.
+        wx = sample_many(field, *slerp_points(
+            lon_a, lon_b, a, b, *_fraction_sines(delta, *mids)))
+        start_fa, start_fb = _fraction_sines(delta, *starts)
+        along, norm = along_tracks(*headings(a, b), start_fa[:substeps],
+                                   start_fb[:substeps], wx.wind_east,
+                                   wx.wind_north)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gs = spec.tas_ms + np.where(norm > 0.0, along / norm, 0.0)
         dts = total / substeps / np.maximum(gs, GROUND_SPEED_FLOOR_MS)
         time = burned = 0.0
-        for dt, temperature in zip(dts, wx.temperature):
-            burned = _burn(spec, burned, temperature, dt)
+        for dt, c in zip(dts, fuel_flow_kgps(spec, 1.0, wx.temperature) * dts):
+            burned = _burn(burned, c)
             burned = np.where(burned < 1.0, burned, np.nan)   # emptied
             time = time + dt
         moving = total > 0.0        # a zero-length segment samples nowhere

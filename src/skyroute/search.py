@@ -10,7 +10,11 @@ is given.
 
 Each search flies its lattice's mass-free geometry once (`_fly_lattice`):
 one `substep_geometry` pass gives every window edge and centerline leg
-its time and the share of its start mass it burns. Three stages multiply
+its time and the share of its start mass it burns. It takes the unit
+vector of each node a flown edge touches once, and gathers the two of
+each edge, which gives the geometry `substep_geometry` gives the edges'
+lat/lon, bit for bit: `fly_route` re-flies a plan's waypoints exactly.
+Three stages multiply
 those shares by masses: the nominal masses, a float loop m <- m - m b
 along the centerline legs, as `nominal_mass_profile` finds them; the
 edge table at each row's mass; and the winning path along its legs, as
@@ -62,7 +66,8 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import NoPath
 # great_circle_distance, is_reachable, fly_segment and route_cost are unused
 # here; they stay because perfbench/tracing.py wraps them by name.
-from .geo import GeoPoint, great_circle_distance, great_circle_distances
+from .geo import (GeoPoint, great_circle_distance, great_circle_distances,
+                  unit_vectors)
 from .lattice import Corridor, Lattice, NodeIndex, is_reachable, successors
 from .perfmodel import (AircraftSpec, AircraftState, Geometry, SegmentResult,
                         fly_route, fly_segment, route_cost, segments_fuel,
@@ -207,14 +212,22 @@ def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
     window[I - 2, :, 0::2] = False
     flown = window.copy()
     flown[:, lattice.center_column, 1] = True  # a corridor may leave these out
-    rows, cols, slots = np.nonzero(flown)
-    to_cols = target[rows, cols, slots]
+    edges = np.flatnonzero(flown)       # row-major: row, column, slot
     index = np.full(flown.shape, -1)
-    index[flown] = np.arange(rows.size)
+    np.put(index, edges, np.arange(edges.size))
+    # Each edge's nodes as flat (I, J) indices, and the unit vector of each
+    # node a flown edge touches, taken once.
+    src = edges // 3
+    dst = (src // J + 1) * J + target.ravel()[edges]
+    touched = np.zeros(I * J, dtype=bool)
+    touched[src] = touched[dst] = True
+    lat, lon = lattice.lat_deg.ravel(), lattice.lon_deg.ravel()
+    vectors = unit_vectors(lat[touched], lon[touched])
+    node = np.cumsum(touched) - 1       # a touched node's place in vectors
+    src_node, dst_node = node[src], node[dst]
     geometry = substep_geometry(
-        spec, lattice.lat_deg[rows, cols], lattice.lon_deg[rows, cols],
-        lattice.lat_deg[rows + 1, to_cols], lattice.lon_deg[rows + 1, to_cols],
-        field, substeps)
+        spec, lat[src], lon[src], lat[dst], lon[dst], field, substeps,
+        ([c[src_node] for c in vectors], [c[dst_node] for c in vectors]))
     return _LatticeFlight(lattice, spec, field, substeps, window, index,
                           geometry)
 

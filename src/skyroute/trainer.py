@@ -26,8 +26,10 @@ dominates arrays this small:
   (fly_segment and great_circle_distance stay for the tracer and the
   plan path). On a 2-vCPU Xeon (best of 15 rounds of 50),
   run_episodes at B = 16, n = 5 takes 1.4 ms where the same steps on
-  GeoPoint objects took 2.0 ms; fly_leg costs 5.7 us where fly_segment
-  costs 8.5 us.
+  GeoPoint objects took 2.0 ms. At the trainer's one substep, fly_leg
+  costs 5.2 us where fly_segment costs 7.6 us (same machine, best of 15
+  rounds of 50 calls): each takes its leg's two unit vectors once, and
+  its piece's point and direction from them (perfmodel).
 - The weights are one flat vector (PolicyParams.flat), so the gradient
   is one vector, checked for finite values once per minibatch, and Adam
   updates its moments and the weights in place.

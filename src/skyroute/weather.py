@@ -62,10 +62,14 @@ class WeatherField:
             values = np.array(getattr(self, name), dtype=float)
             values.flags.writeable = False
             setattr(self, name, values)
-        if self.lat_axis.ndim != 1 or self.lat_axis.size < 2:
-            raise ValueError("lat_axis must be 1D with at least 2 points")
-        if self.lon_axis.ndim != 1 or self.lon_axis.size < 2:
-            raise ValueError("lon_axis must be 1D with at least 2 points")
+        for name in ("lat_axis", "lon_axis"):
+            axis = getattr(self, name)
+            if axis.ndim != 1 or axis.size < 2:
+                raise ValueError(f"{name} must be 1D with at least 2 points")
+            # NaN passes the order check below, and a NaN or infinite node
+            # spoils the bilinear weights of its cells.
+            if not np.all(np.isfinite(axis)):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(self.lat_axis) <= 0) or np.any(np.diff(self.lon_axis) <= 0):
             raise ValueError("axes must be strictly ascending")
         shape = (self.lat_axis.size, self.lon_axis.size)

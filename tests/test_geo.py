@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from skyroute import geo
 from skyroute.errors import DegenerateTrip, DistanceOutOfRange
 from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, along_track,
                           along_tracks, azimuth, displace_at, displace_many,
                           displacement, great_circle_distance,
-                          great_circle_distances, initial_bearings,
-                          intermediate_point, intermediate_points, rotate_by,
-                          trip_rotation)
+                          great_circle_distances, heading, headings,
+                          initial_bearings, intermediate_point,
+                          intermediate_points, rotate_by, trip_rotation,
+                          unit_vector, unit_vectors)
 
 
 MUC = GeoPoint(48.35, 11.79)
@@ -263,18 +264,34 @@ class TestInitialBearing:
             assert abs(math.remainder(bearing - want, 2 * math.pi)) <= 1e-9
 
 
+def along_and_norm(a, b, sigma, wind_east, wind_north):
+    """geo.along_track on the great circle from GeoPoint a through b,
+    sigma radians from a: at sin(delta - sigma) a + sin(sigma) b."""
+    va, vb = unit_vector(*latlon(a)), unit_vector(*latlon(b))
+    delta = great_circle_distance(a, b) / EARTH_RADIUS_M
+    return along_track(*heading(va, vb), math.sin(delta - sigma),
+                       math.sin(sigma), wind_east, wind_north)
+
+
+def wind_along(*piece):
+    """The wind along the track there: along_and_norm's ratio."""
+    along, norm = along_and_norm(*piece)
+    return along / norm
+
+
 class TestAlongTrack:
     def test_equator_eastbound_is_east_wind(self):
         for sigma in (0.0, 0.3, 2.0):
-            assert along_track(0.0, math.pi / 2, sigma, 12.0, -7.0) == \
-                pytest.approx(12.0, abs=1e-12)
+            assert wind_along(GeoPoint(0, 0), GeoPoint(0, 10), sigma, 12.0,
+                              -7.0) == pytest.approx(12.0, abs=1e-12)
 
     def test_meridian_turns_south_past_the_pole(self):
         # Northbound from 60N: north wind is a tailwind until the pole at
         # 30 degrees along, a headwind after it.
-        assert along_track(60.0, 0.0, math.radians(20), 3.0, 9.0) == \
+        north = GeoPoint(60, 0), GeoPoint(70, 0)
+        assert wind_along(*north, math.radians(20), 3.0, 9.0) == \
             pytest.approx(9.0)
-        assert along_track(60.0, 0.0, math.radians(40), 3.0, 9.0) == \
+        assert wind_along(*north, math.radians(40), 3.0, 9.0) == \
             pytest.approx(-9.0)
 
 
@@ -340,14 +357,24 @@ class TestArrayForms:
 
     # sigma up to 0.15 rad keeps the track 1.4 degrees off the poles, where
     # its direction (the denominator) would vanish.
-    @given(st.lists(st.tuples(latitudes, st.floats(-math.pi, math.pi),
-                              st.floats(0, 0.15), st.floats(-150, 150),
-                              st.floats(-150, 150)), min_size=1, max_size=6))
+    @given(st.lists(st.tuples(geo_points(), geo_points(), st.floats(0, 0.15),
+                              st.floats(-150, 150), st.floats(-150, 150)),
+                    min_size=1, max_size=6))
     @settings(max_examples=100)
     def test_along_tracks_match_along_track(self, pieces):
-        got = along_tracks(*(np.array(c) for c in zip(*pieces)))
+        # A pair whose a x b is 0 has no direction to take the wind along.
+        assume(all(along_and_norm(*piece)[1] > 0.0 for piece in pieces))
+        a, b, sigma, wind_east, wind_north = zip(*pieces)
+        lat0, lon0, lat1, lon1 = (np.array(c) for c in zip(
+            *(latlon(p) + latlon(q) for p, q in zip(a, b))))
+        delta = great_circle_distances(lat0, lon0, lat1, lon1) / EARTH_RADIUS_M
+        along, norm = along_tracks(
+            *headings(unit_vectors(lat0, lon0), unit_vectors(lat1, lon1)),
+            np.sin(delta - sigma), np.sin(sigma), np.array(wind_east),
+            np.array(wind_north))
+        got = along / norm
         for n, piece in enumerate(pieces):
-            assert got[n] == pytest.approx(along_track(*piece), rel=1e-12,
+            assert got[n] == pytest.approx(wind_along(*piece), rel=1e-12,
                                            abs=1e-12)
 
     @given(st.lists(st.tuples(geo_points(st.floats(-90, 90)),

@@ -4,18 +4,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from skyroute import perfmodel
 from skyroute.errors import Infeasible, OutOfDomain, SkyrouteError
-from skyroute.geo import GeoPoint, great_circle_distance, intermediate_point
+from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, great_circle_distance,
+                          haversine, intermediate_point, normalize_lon)
 from skyroute.harness import (PlanRequest, make_weather, plan,
                               route_json_without_timings)
 from skyroute.lattice import build_lattice
 from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftSpec,
-                                AircraftState, default_spec, fly_route,
-                                fly_segment, fuel_flow_kgps, route_cost,
-                                segments_fuel, substep_geometry)
+                                AircraftState, default_spec, fly_leg,
+                                fly_route, fly_segment, fuel_flow_kgps,
+                                route_cost, segments_fuel, substep_geometry)
 from skyroute.search import _edge_table, _fly_lattice, nominal_mass_profile
 from skyroute.weather import (ISA_TEMPERATURE_K, make_jet_stream,
                               make_uniform, sample, sample_at)
@@ -240,7 +241,9 @@ class TestFlySegments:
                 (48.0, 11.0, 0.0, 0.0, True, 30_000.0),    # zero length, below empty
                 (69.5, 11.0, 2.0, 0.0, False, 60_000.0),   # leaves the grid
                 (48.0, 11.0, 2.0, 2.0, False, 40_100.0),   # falls below empty
-                (48.0, 11.0, 0.0, 1.0, False, 60_000.0)]   # due east
+                (48.0, 11.0, 0.0, 1.0, False, 60_000.0),   # due east
+                # 1.3e-10 m east: both ends have one unit vector, a x b = 0.
+                (48.0, 13.0, 0.0, 1.7763568394002505e-15, False, 60_000.0)]
         for field in FIELDS:
             for substeps in (1, 4):
                 assert_matches_scalar(SLOW_SPEC, segs, field, substeps)
@@ -295,6 +298,91 @@ class TestFlySegments:
         with pytest.raises(ValueError):
             substep_geometry(default_spec(), np.array([48.0]), np.array([11.0]),
                              np.array([49.0]), np.array([11.0]), still_air(), 0)
+
+
+def lat_lon_leg(spec, lat0, lon0, lat1, lon1, mass, field, substeps):
+    """(fuel, time) of `fly_leg` as it was written on latitude and longitude
+    before unit vectors: the track's initial azimuth, its direction along
+    the track by Clairaut's relation, and each piece's midpoint slerped
+    from the endpoints' trig."""
+    total = haversine(lat0, lon0, lat1, lon1)
+    if total == 0.0:
+        return 0.0, 0.0
+    phi0, phi1 = math.radians(lat0), math.radians(lat1)
+    lam0, lam1 = math.radians(lon0), math.radians(lon1)
+    dphi = math.radians(lat1 - lat0)
+    dlam = math.radians(normalize_lon(lon1 - lon0))
+    bearing = math.atan2(math.sin(dlam) * math.cos(phi1),
+                         math.sin(dphi) + 2.0 * math.sin(phi0)
+                         * math.cos(phi1) * math.sin(dlam / 2.0) ** 2)
+    east = math.sin(bearing) * math.cos(phi0)
+    north0 = math.cos(bearing) * math.cos(phi0)
+    delta = total / EARTH_RADIUS_M
+    burned = time = 0.0
+    for k in range(substeps):
+        mid = (k / substeps + (k + 1) / substeps) / 2.0
+        fa = math.sin((1.0 - mid) * delta) / math.sin(delta)
+        fb = math.sin(mid * delta) / math.sin(delta)
+        x = (fa * math.cos(phi0) * math.cos(lam0)
+             + fb * math.cos(phi1) * math.cos(lam1))
+        y = (fa * math.cos(phi0) * math.sin(lam0)
+             + fb * math.cos(phi1) * math.sin(lam1))
+        z = fa * math.sin(phi0) + fb * math.sin(phi1)
+        lon = lon0 if lon0 == lon1 else math.degrees(math.atan2(y, x))
+        wind_east, wind_north, temperature = sample_at(
+            field, math.degrees(math.atan2(z, math.hypot(x, y))),
+            normalize_lon(lon))
+        sigma = k / substeps * delta
+        north = math.cos(sigma) * north0 - math.sin(phi0) * math.sin(sigma)
+        gs = spec.tas_ms + ((wind_east * east + wind_north * north)
+                            / math.hypot(east, north))
+        dt = total / substeps / max(gs, GROUND_SPEED_FLOOR_MS)
+        burned += fuel_flow_kgps(spec, 1.0, temperature) * dt * (1.0 - burned)
+        time += dt
+    return mass * burned, time
+
+
+#: A 140 m/s west wind over the globe: flying west at TAS 150 m/s, ground
+#: speed sits at the floor.
+WEST_GALE = make_uniform(140.0, 0.0, ISA_TEMPERATURE_K,
+                         (-90.0, 90.0, -180.0, 180.0))
+
+
+class TestUnitVectorFlight:
+    @given(st.sampled_from([default_spec(), SLOW_SPEC]), st.floats(-80, 80),
+           st.floats(-180, 180), st.floats(-40, 40), st.floats(-60, 60),
+           st.integers(1, 6), st.just(GLOBE))
+    @example(default_spec(), 40.0, 10.0, 20.0, 0.0, 4, GLOBE)    # a meridian
+    @example(default_spec(), 50.0, 179.5, 2.0, 3.0, 3, GLOBE)    # antimeridian
+    @example(default_spec(), 48.0, 11.0, 0.0, 0.0, 4, GLOBE)     # zero length
+    # Along 88.9N, passing the pole at 89.2 degrees.
+    @example(default_spec(), 88.9, 0.0, 0.0, 90.0, 4, GLOBE)
+    @example(default_spec(), 40.0, -5.0, -5.0, 80.0, 4, GLOBE)   # 6,835 km
+    @example(SLOW_SPEC, 10.0, 20.0, 0.0, -5.0, 2, WEST_GALE)     # the floor
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_lat_lon_formulas(self, spec, lat0, lon0, dlat, dlon,
+                                          substeps, field):
+        # Scalar fly_leg and array substep_geometry fly a leg on its ends'
+        # unit vectors as the formulas on latitude and longitude fly it.
+        lat1 = min(max(lat0 + dlat, -89.9), 89.9)
+        lon1 = normalize_lon(lon0 + dlon)
+        total = haversine(lat0, lon0, lat1, lon1)
+        # The direction comes from a x b, to about 1e-16 / delta radians;
+        # from 1 km on, that moves ground speed by under 1e-12.
+        assume(total == 0.0 or total >= 1_000.0)
+        mass = spec.max_mass_kg
+        want_fuel, want_time = lat_lon_leg(spec, lat0, lon0, lat1, lon1, mass,
+                                           field, substeps)
+        assume(mass - want_fuel >= spec.empty_mass_kg)
+        fuel, time, _floor = fly_leg(spec, lat0, lon0, lat1, lon1, total,
+                                     mass, field, substeps)
+        geometry = substep_geometry(spec, np.array([lat0]), np.array([lon0]),
+                                    np.array([lat1]), np.array([lon1]), field,
+                                    substeps)
+        for got_fuel, got_time in ((fuel, time), (mass * geometry.burned[0],
+                                                  geometry.time[0])):
+            assert got_fuel == pytest.approx(want_fuel, rel=1e-12)
+            assert got_time == pytest.approx(want_time, rel=1e-12)
 
 
 #: Random walks inside the jet field's grid: (dlat, dlon, repeat the

@@ -11,7 +11,8 @@ from skyroute.geo import (GeoPoint, azimuth, great_circle_distance,
 from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
                               build_lattice, is_reachable, successors)
 from skyroute.perfmodel import (AircraftState, default_spec, fly_route,
-                                fly_segment, route_cost, segments_fuel)
+                                fly_segment, route_cost, segments_fuel,
+                                substep_geometry)
 from skyroute.search import (_column_windows, _edge_table, _fly_lattice,
                              _nominal_masses, astar, min_specific_burn,
                              nominal_mass_profile, row_dp)
@@ -75,6 +76,33 @@ class TestNominalMassProfile:
             with pytest.raises(error) as want:
                 nominal_mass_profile(lat, spec, start_state(), fld, 3)
             assert str(got.value) == str(want.value)
+
+
+class TestLatticeFlight:
+    @pytest.mark.parametrize("origin, dest, width", [
+        (ORIGIN, DEST, None), (ORIGIN, DEST, 3),
+        (GeoPoint(50.0, 170.0), GeoPoint(56.0, -172.0), None)],
+        ids=["muc-ber", "muc-ber-w3", "antimeridian"])
+    def test_node_vectors_give_the_lat_lon_geometry(self, origin, dest,
+                                                     width):
+        # Each node's unit vector, gathered per edge, flies every edge as
+        # substep_geometry flies the edges' lat/lon, bit for bit: the
+        # re-fly of a plan's waypoints sees the search's own legs.
+        lat = build_lattice(origin, dest, 11, 7, 3, 150_000)
+        cor = None if width is None else build_corridor(
+            lat, gc_route(origin, dest), width)
+        fld = make_jet_stream((30.0, 70.0, -180.0, 180.0), 52.0, 60.0, 3.0,
+                              seed=2)
+        flight = _fly_lattice(lat, cor, SPEC, fld, 4)
+        rows, cols, slots = np.nonzero(flight.index >= 0)
+        to_cols = np.where(rows == lat.dims[0] - 2, lat.center_column,
+                           cols + slots - 1)
+        want = substep_geometry(
+            SPEC, lat.lat_deg[rows, cols], lat.lon_deg[rows, cols],
+            lat.lat_deg[rows + 1, to_cols], lat.lon_deg[rows + 1, to_cols],
+            fld, 4)
+        got = flight.geometry.take(flight.index[rows, cols, slots])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestMinSpecificBurn:

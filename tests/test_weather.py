@@ -105,6 +105,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             WeatherField(np.array([40.0, 50.0]), np.array([0.0, 5.0]), *grids)
 
+    @pytest.mark.parametrize("name", ["lat_axis", "lon_axis"])
+    @pytest.mark.parametrize("axis", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf],
+                                      [-np.inf, 0.0, 1.0]],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_axis_rejected(self, name, axis):
+        axes = {"lat_axis": np.array([0.0, 1.0]),
+                "lon_axis": np.array([0.0, 1.0]), name: np.array(axis)}
+        shape = (axes["lat_axis"].size, axes["lon_axis"].size)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            WeatherField(axes["lat_axis"], axes["lon_axis"], np.zeros(shape),
+                         np.zeros(shape), np.full(shape, 288.15))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             WeatherField(np.array([40.0, 50.0]), np.array([0.0, 5.0, 10.0]),
