@@ -222,6 +222,7 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
                     req.substeps)
 
     stages = {**clock.times, "search_s": result.wall_time_s}
+    legs = result.legs
     return {
         "request": {
             "origin": [req.origin.lat_deg, req.origin.lon_deg, req.origin.alt_m],
@@ -234,11 +235,12 @@ def plan(req: PlanRequest, field: WeatherField | None = None) -> dict:
             "substeps": req.substeps,
             "seed": req.seed,
         },
-        "waypoints": [{"lat_deg": p.lat_deg, "lon_deg": p.lon_deg,
-                       "alt_m": p.alt_m} for p in result.geo_path],
-        "segments": [{"fuel_kg": leg.fuel_kg, "time_s": leg.time_s,
-                      "gs_floor_hit": leg.gs_floor_hit}
-                     for leg in result.segments],
+        "waypoints": [{"lat_deg": lat, "lon_deg": lon, "alt_m": alt}
+                      for lat, lon, alt in zip(result.lat_deg, result.lon_deg,
+                                               result.alt_m)],
+        "segments": [{"fuel_kg": fuel, "time_s": time, "gs_floor_hit": hit}
+                     for fuel, time, hit in zip(legs.fuel, legs.time,
+                                                legs.floor)],
         "totals": {"fuel_kg": result.total_fuel_kg,
                    "search_cost_kg": result.search_cost_kg},
         "search": {"expanded_nodes": result.expanded_nodes,

@@ -26,8 +26,11 @@ geometry pass serves several masses (the search flies its lattice once):
   each lattice node's once) passes them in.
 - `segments_fuel` is each segment's start mass times its share, NaN where
   `fly_segment` would refuse the segment (the search's absent edges).
-- `thread_legs` carries mass along consecutive legs, one multiply a leg;
-  `fly_route` is `substep_geometry` and `thread_legs` in one call.
+- `thread_legs` carries mass along consecutive legs, one multiply a leg,
+  and returns them as columns (`Legs`), with no object per leg. It is the
+  one such loop: the search's nominal masses and winning path go through
+  it, and `fly_route` is `substep_geometry` and `thread_legs` in one call,
+  with a `SegmentResult` per leg.
 """
 
 from __future__ import annotations
@@ -331,34 +334,47 @@ def fly_route(spec: AircraftSpec, initial_state: AircraftState,
     lon = np.array([p.lon_deg for p in route])
     geometry = substep_geometry(spec, lat[:-1], lon[:-1], lat[1:], lon[1:],
                                 field, substeps)
-    return thread_legs(spec, initial_state, route, geometry, field, substeps)
+    legs = thread_legs(spec, initial_state.mass_kg, lat.tolist(),
+                       lon.tolist(), geometry, field, substeps)
+    return [SegmentResult(fuel, time, AircraftState(to, mass), hit)
+            for to, fuel, time, hit, mass in zip(
+                route[1:], legs.fuel, legs.time, legs.floor, legs.mass[1:])]
 
 
-def thread_legs(spec: AircraftSpec, initial_state: AircraftState,
-                route: list[GeoPoint], geometry: Geometry,
-                field: WeatherField, substeps: int) -> list[SegmentResult]:
-    """`fly_route` over precomputed geometry: leg n of `geometry` is route[n]
-    -> route[n + 1], at `substeps` substeps.
+class Legs(NamedTuple):
+    """Consecutive legs flown from a start mass, as columns."""
 
-    Each leg burns its share of the mass the previous leg left. A leg that
-    would end below the empty mass (or is off the grid) is flown again
-    with `fly_segment`: that raises the leg's error or, if it can fly the
-    leg, gives its result.
+    fuel: list[float]           # kg, per leg
+    time: list[float]           # seconds, per leg
+    floor: list[bool]           # per leg: some piece's ground speed floored
+    mass: list[float]           # kg at the start of each leg, then at the end
+
+
+def thread_legs(spec: AircraftSpec, mass: float, lat: list[float],
+                lon: list[float], geometry: Geometry, field: WeatherField,
+                substeps: int) -> Legs:
+    """Fly (lat[0], lon[0]) -> (lat[1], lon[1]) -> ... from `mass`, each leg
+    as `fly_segment` flies it from the mass the previous leg left; leg n's
+    geometry is `geometry`'s n-th, at `substeps` substeps.
+
+    Each leg burns its share of the mass left. A leg that would end below
+    the empty mass (or is off the grid) is flown again with `fly_segment`:
+    that raises the leg's error or, if it can fly the leg, gives its result.
     """
-    state = AircraftState(route[0], initial_state.mass_kg)
-    legs = []
-    for wp, time, burned, hit in zip(
-            route[1:], geometry.time.tolist(), geometry.burned.tolist(),
-            geometry.floor.tolist()):
-        mass = state.mass_kg
+    fuels, masses = [], [mass]
+    times, floors = geometry.time.tolist(), geometry.floor.tolist()
+    for n, burned in enumerate(geometry.burned.tolist()):
         fuel = mass * burned
-        if mass - fuel >= spec.empty_mass_kg:
-            leg = SegmentResult(fuel, time, AircraftState(wp, mass - fuel), hit)
-        else:                                   # below empty, or NaN
-            leg = fly_segment(spec, state, wp, field, substeps)
-        legs.append(leg)
-        state = leg.end_state
-    return legs
+        if not mass - fuel >= spec.empty_mass_kg:       # below empty, or NaN
+            start = AircraftState(GeoPoint(lat[n], lon[n]), mass)
+            leg = fly_segment(spec, start, GeoPoint(lat[n + 1], lon[n + 1]),
+                              field, substeps)
+            fuel, times[n], floors[n] = (leg.fuel_kg, leg.time_s,
+                                         leg.gs_floor_hit)
+        mass = mass - fuel
+        fuels.append(fuel)
+        masses.append(mass)
+    return Legs(fuels, times, floors, masses)
 
 
 def route_cost(spec: AircraftSpec, initial_state: AircraftState,

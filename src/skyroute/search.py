@@ -14,13 +14,15 @@ its time and the share of its start mass it burns. It takes the unit
 vector of each node a flown edge touches once, and gathers the two of
 each edge, which gives the geometry `substep_geometry` gives the edges'
 lat/lon, bit for bit: `fly_route` re-flies a plan's waypoints exactly.
-Three stages multiply
-those shares by masses: the nominal masses, a float loop m <- m - m b
-along the centerline legs, as `nominal_mass_profile` finds them; the
-edge table at each row's mass; and the winning path along its legs, as
-`fly_route` flies it, its waypoints read off the lattice in one pass. A
-leg's geometry does not depend on its batch, so all three equal what
-their own flights would give. `SearchResult.stages` times each stage.
+Three stages multiply those shares by masses: the nominal masses along
+the centerline legs, as `nominal_mass_profile` finds them; the edge table
+at each row's mass; and the winning path along its legs, as `fly_route`
+flies it. The first and last thread mass through `perfmodel.thread_legs`.
+The path stays plain float columns from the lattice to the result: its
+waypoints' lat/lon read off the lattice in one pass, and its legs' fuel,
+time, floor hits and masses. A leg's geometry does not depend on its
+batch, so all three equal what their own flights would give.
+`SearchResult.stages` times each stage.
 
 Every search runs from (0, c, H // 2) to (I - 1, c, H // 2), c the centre
 column: every row-0 node is the origin and every row-(I-1) node the
@@ -66,10 +68,9 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import NoPath
 # great_circle_distance, is_reachable, fly_segment and route_cost are unused
 # here; they stay because perfbench/tracing.py wraps them by name.
-from .geo import (GeoPoint, great_circle_distance, great_circle_distances,
-                  unit_vectors)
+from .geo import great_circle_distance, great_circle_distances, unit_vectors
 from .lattice import Corridor, Lattice, NodeIndex, is_reachable, successors
-from .perfmodel import (AircraftSpec, AircraftState, Geometry, SegmentResult,
+from .perfmodel import (AircraftSpec, AircraftState, Geometry, Legs,
                         fly_route, fly_segment, route_cost, segments_fuel,
                         substep_geometry, thread_legs, DEFAULT_SUBSTEPS)
 from .weather import WeatherField
@@ -81,16 +82,18 @@ _REFUSED = ("refused edges (off the weather grid, or below the empty mass) "
 
 @dataclass
 class SearchResult:
-    """Optimal path, its flown legs, and search-effort statistics."""
+    """Optimal path as float columns, its flown legs, and search-effort
+    statistics."""
 
     node_path: list[NodeIndex]
-    geo_path: list[GeoPoint]
-    segments: list[SegmentResult]   # winning path flown with threaded mass
+    lat_deg: list[float]       # the path's waypoints, origin first
+    lon_deg: list[float]
+    alt_m: list[float]
+    legs: Legs                 # the waypoints flown as fly_route flies them
     total_fuel_kg: float       # sum of the legs, as route_cost sums them
     search_cost_kg: float      # objective value under nominal-mass edge costs
     expanded_nodes: int
     generated_nodes: int
-    final_state: AircraftState
     stages: dict[str, float]   # wall seconds of each stage, in order
 
     @property
@@ -118,14 +121,10 @@ def nominal_mass_profile(lattice: Lattice, spec: AircraftSpec,
 
     The searches read the same masses off their `_LatticeFlight`.
     """
-    route = [lattice.node(idx) for idx in _centerline(lattice)]
+    cj, ch = lattice.center_column, lattice.center_level
+    route = [lattice.node((i, cj, ch)) for i in range(lattice.dims[0])]
     legs = fly_route(spec, initial_state, route, field, substeps)
     return [initial_state.mass_kg] + [leg.end_state.mass_kg for leg in legs]
-
-
-def _centerline(lattice: Lattice) -> list[NodeIndex]:
-    cj, ch = lattice.center_column, lattice.center_level
-    return [(i, cj, ch) for i in range(lattice.dims[0])]
 
 
 def min_specific_burn(spec: AircraftSpec, field: WeatherField) -> float:
@@ -176,25 +175,26 @@ class _LatticeFlight(NamedTuple):
     index: np.ndarray
     geometry: Geometry
 
-    def fly(self, initial_state: AircraftState, node_path: list[NodeIndex]
-            ) -> tuple[list[GeoPoint], list[SegmentResult]]:
-        """A path through every row, flown from initial_state's mass as
-        `fly_route` flies it, and its waypoints."""
+    def fly(self, mass: float, node_path: list[NodeIndex]
+            ) -> tuple[list[float], list[float], list[float], Legs]:
+        """A path through every row, flown from `mass` as `fly_route` flies
+        it: its waypoints' latitudes, longitudes and altitudes, and its
+        legs."""
         lattice = self.lattice
+        origin, dest = lattice.origin, lattice.destination
         cols = np.array([j for _i, j, _h in node_path])
         rows = np.arange(cols.size)
         inner = rows[1:-1], cols[1:-1]
+        lat = [origin.lat_deg, *lattice.lat_deg[inner].tolist(), dest.lat_deg]
+        lon = [origin.lon_deg, *lattice.lon_deg[inner].tolist(), dest.lon_deg]
         alts = lattice.alts_m
-        route = [lattice.origin,
-                 *(GeoPoint(lat, lon, alts[h]) for lat, lon, (_i, _j, h) in zip(
-                     lattice.lat_deg[inner].tolist(),
-                     lattice.lon_deg[inner].tolist(), node_path[1:-1])),
-                 lattice.destination]
+        alt = [origin.alt_m, *(alts[h] for _i, _j, h in node_path[1:-1]),
+               dest.alt_m]
         legs = rows[:-1]
         slots = np.where(legs == legs[-1], 1, np.diff(cols) + 1)
         geometry = self.geometry.take(self.index[legs, cols[:-1], slots])
-        return route, thread_legs(self.spec, initial_state, route, geometry,
-                                  self.field, self.substeps)
+        return lat, lon, alt, thread_legs(self.spec, mass, lat, lon, geometry,
+                                          self.field, self.substeps)
 
 
 def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
@@ -234,27 +234,16 @@ def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
 
 def _nominal_masses(flight: _LatticeFlight,
                     initial_state: AircraftState) -> list[float]:
-    """`nominal_mass_profile`, threaded along the flown centerline legs.
-
-    Each leg takes its share of the mass left, as `thread_legs` does. A
-    leg that would end below the empty mass, or whose share is NaN, sends
-    the whole centerline through `fly`, which re-flies that leg with
-    `fly_segment`: that raises its error or gives its result.
-    """
-    I = flight.lattice.dims[0]
-    legs = flight.index[np.arange(I - 1), flight.lattice.center_column, 1]
-    mass = initial_state.mass_kg
-    masses = [mass]
-    for burned in flight.geometry.burned[legs].tolist():
-        fuel = mass * burned
-        if not mass - fuel >= flight.spec.empty_mass_kg:   # below empty, or NaN
-            _route, flown = flight.fly(initial_state,
-                                       _centerline(flight.lattice))
-            return [initial_state.mass_kg] + [leg.end_state.mass_kg
-                                              for leg in flown]
-        mass = mass - fuel
-        masses.append(mass)
-    return masses
+    """`nominal_mass_profile`: `thread_legs` along the flown centerline
+    legs. The centre column's rows 0 and I-1 are the origin and the
+    destination."""
+    lattice, c = flight.lattice, flight.lattice.center_column
+    legs = flight.index[np.arange(lattice.dims[0] - 1), c, 1]
+    return thread_legs(flight.spec, initial_state.mass_kg,
+                       lattice.lat_deg[:, c].tolist(),
+                       lattice.lon_deg[:, c].tolist(),
+                       flight.geometry.take(legs), flight.field,
+                       flight.substeps).mass
 
 
 def _edge_table(flight: _LatticeFlight, masses: list[float]) -> np.ndarray:
@@ -286,11 +275,10 @@ def _finish(flight: _LatticeFlight, initial_state: AircraftState,
             generated: int, stages: Stages) -> SearchResult:
     """Fly the winning path along its legs' flown geometry."""
     stages.lap("solve_s")
-    geo_path, legs = flight.fly(initial_state, node_path)
+    lat, lon, alt, legs = flight.fly(initial_state.mass_kg, node_path)
     stages.lap("path_s")
-    return SearchResult(node_path, geo_path, legs,
-                        sum(leg.fuel_kg for leg in legs), search_cost, expanded,
-                        generated, legs[-1].end_state, stages.times)
+    return SearchResult(node_path, lat, lon, alt, legs, sum(legs.fuel),
+                        search_cost, expanded, generated, stages.times)
 
 
 def _prepare(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,

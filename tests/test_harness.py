@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 import skyroute
 from skyroute import harness
 from skyroute.cli import main
-from skyroute.errors import (ConfigError, NoPath, ParseError, SchemaError,
-                             SkyrouteError, WidthOutOfRange)
+from skyroute.errors import (ConfigError, Infeasible, NoPath, ParseError,
+                             SchemaError, SkyrouteError, WidthOutOfRange)
 from skyroute.geo import GeoPoint, azimuth, great_circle_distance
 from skyroute.guide import (GuideConfig, init_params, parse_checkpoint,
                             save_checkpoint)
@@ -24,11 +24,15 @@ from skyroute.harness import (BENCH_COLUMNS, PlanRequest, bench_fwd,
                               make_weather, plan, read_bench_csv,
                               resolve_point, route_json_without_timings,
                               write_bench_csv)
+from skyroute.lattice import Corridor, build_lattice
 from skyroute.perfmodel import (GROUND_SPEED_FLOOR_MS, AircraftState,
-                                default_spec, route_cost)
+                                default_spec, fly_route, fly_segment,
+                                route_cost)
+from skyroute.search import nominal_mass_profile, row_dp
 from skyroute.trainer import LOG_COLUMNS, TrainConfig, train
 from skyroute.weather import (CSV_COLUMNS, ISA_TEMPERATURE_K, load_csv,
-                              make_uniform, parse_csv, save_csv)
+                              make_jet_stream, make_uniform, parse_csv,
+                              save_csv)
 
 MUC = GeoPoint(48.35, 11.79, 10_000)
 BER = GeoPoint(52.37, 13.52, 10_000)
@@ -373,6 +377,109 @@ class TestPlan:
         d2 = route_json_without_timings(plan(small_request(weather="jet")))
         assert d1 == d2
         assert "timings" not in json.loads(d1)
+
+
+class TestRouteDocument:
+    """The waypoints, legs and fuel of a route document are the object
+    flight of its waypoints: `fly_route` over `GeoPoint`s, from the
+    reference mass."""
+
+    @pytest.mark.parametrize("guide", [None, "great_circle", "policy"])
+    @pytest.mark.parametrize("weather", ["jet", "strong-jet"])
+    def test_is_fly_route_of_its_waypoints(self, tmp_path, guide, weather):
+        origin, dest = resolve_point("LHR"), resolve_point("WAW")
+        if weather == "strong-jet":
+            # As perfbench's plan-corridor weather: 100-120 m/s, 1.5-2 deg
+            # half-width, here across the track.
+            path = tmp_path / "strong-jet.csv"
+            save_csv(make_jet_stream((20.0, 80.0, -50.0, 70.0), 52.0, 115.0,
+                                     1.75, seed=3), str(path))
+            weather = f"csv:{path}"
+        req = PlanRequest(
+            origin=origin, destination=dest, dims=(21, 7, 3), width=3,
+            guide_kind=guide or "great_circle", weather=weather, seed=3,
+            unconstrained=guide is None,
+            checkpoint=str(FROZEN_POLICY) if guide == "policy" else None)
+        doc = plan(req)
+        points = [GeoPoint(w["lat_deg"], w["lon_deg"], w["alt_m"])
+                  for w in doc["waypoints"]]
+        assert [{"lat_deg": p.lat_deg, "lon_deg": p.lon_deg,
+                 "alt_m": p.alt_m} for p in points] == doc["waypoints"]
+        assert points[0] == origin and points[-1] == dest
+        legs = fly_route(req.aircraft,
+                         AircraftState(origin, req.aircraft.ref_mass_kg),
+                         points, make_weather(weather, origin, dest, seed=3),
+                         req.substeps)
+        assert [{"fuel_kg": leg.fuel_kg, "time_s": leg.time_s,
+                 "gs_floor_hit": leg.gs_floor_hit}
+                for leg in legs] == doc["segments"]
+        assert doc["totals"]["fuel_kg"] == sum(leg.fuel_kg for leg in legs)
+
+
+class TestRefusedLeg:
+    """A winning path that falls below the empty mass where the centreline
+    does not: the path's flight re-flies the leg with `fly_segment`, which
+    raises the leg's error."""
+
+    DIMS = (9, 5, 1)
+
+    def off_centre(self):
+        """A w=1 corridor one column off the centre, from row 1 on."""
+        c = (self.DIMS[1] - 1) // 2
+        return Corridor((c,) + (c + 1,) * (self.DIMS[0] - 2) + (c,), 1)
+
+    @staticmethod
+    def first_refusal(spec, state, points, field, substeps):
+        """The error `fly_segment` raises flying `points` leg by leg: the
+        path runs below the empty mass."""
+        with pytest.raises(Infeasible) as refused:
+            for to in points[1:]:
+                state = fly_segment(spec, state, to, field, substeps).end_state
+        return refused.value
+
+    @staticmethod
+    def between(path_fuel, centre_fuel, spec):
+        """`spec` with its empty mass a quarter of the way from the path's
+        end mass to the centreline's."""
+        assert path_fuel > centre_fuel
+        return replace(spec, empty_mass_kg=spec.ref_mass_kg - path_fuel
+                       + 0.25 * (path_fuel - centre_fuel))
+
+    def test_row_dp(self):
+        spec, field = default_spec(), make_weather("uniform", MUC, BER)
+        lattice = build_lattice(MUC, BER, *self.DIMS, 60_000)
+        state = AircraftState(MUC, spec.ref_mass_kg)
+        corridor = self.off_centre()
+        flown = row_dp(lattice, corridor, spec, state, field, 2)
+        centre = nominal_mass_profile(lattice, spec, state, field, 2)
+        heavy = self.between(flown.total_fuel_kg, state.mass_kg - centre[-1],
+                             spec)
+        nominal_mass_profile(lattice, heavy, state, field, 2)   # flies
+        want = self.first_refusal(
+            heavy, state, [lattice.node(n) for n in flown.node_path], field,
+            2)
+        with pytest.raises(type(want)) as got:
+            row_dp(lattice, corridor, heavy, state, field, 2)
+        assert str(got.value) == str(want)
+
+    def test_plan(self, monkeypatch):
+        req = small_request(dims=self.DIMS, width=1, substeps=2)
+        centre = plan(req)
+        monkeypatch.setattr(harness, "build_corridor",
+                            lambda lattice, coarse, w: self.off_centre())
+        flown = plan(req)
+        assert flown["waypoints"] != centre["waypoints"]
+        heavy = replace(req, aircraft=self.between(
+            flown["totals"]["fuel_kg"], centre["totals"]["fuel_kg"],
+            req.aircraft))
+        field = make_weather(req.weather, MUC, BER)
+        want = self.first_refusal(
+            heavy.aircraft, AircraftState(MUC, heavy.aircraft.ref_mass_kg),
+            [GeoPoint(w["lat_deg"], w["lon_deg"], w["alt_m"])
+             for w in flown["waypoints"]], field, req.substeps)
+        with pytest.raises(type(want)) as got:
+            plan(heavy)
+        assert str(got.value) == str(want)
 
 
 class TestBenchFwd:

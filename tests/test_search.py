@@ -10,9 +10,9 @@ from skyroute.geo import (GeoPoint, azimuth, great_circle_distance,
                           great_circle_distances, intermediate_point)
 from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
                               build_lattice, is_reachable, successors)
-from skyroute.perfmodel import (AircraftState, default_spec, fly_route,
-                                fly_segment, route_cost, segments_fuel,
-                                substep_geometry)
+from skyroute.perfmodel import (AircraftState, SegmentResult, default_spec,
+                                fly_route, fly_segment, route_cost,
+                                segments_fuel, substep_geometry)
 from skyroute.search import (_column_windows, _edge_table, _fly_lattice,
                              _nominal_masses, astar, min_specific_burn,
                              nominal_mass_profile, row_dp)
@@ -41,6 +41,11 @@ def gc_route(o, d, n=5):
 
 def start_state(mass=62_000.0):
     return AircraftState(ORIGIN, mass)
+
+
+def waypoints(res):
+    """A search result's waypoints as `GeoPoint`s."""
+    return [GeoPoint(*p) for p in zip(res.lat_deg, res.lon_deg, res.alt_m)]
 
 
 class TestNominalMassProfile:
@@ -546,8 +551,8 @@ class TestPathStructure:
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         res = astar(lat, None, SPEC, start_state(), still_air(), substeps=2)
         assert [idx[0] for idx in res.node_path] == list(range(9))
-        assert res.geo_path[0].same_position(ORIGIN)
-        assert res.geo_path[-1].same_position(DEST)
+        assert waypoints(res)[0].same_position(ORIGIN)
+        assert waypoints(res)[-1].same_position(DEST)
 
     def test_adjacency_steps(self):
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
@@ -586,10 +591,16 @@ class TestPathStructure:
                 (None, build_corridor(lat, gc_route(ORIGIN, DEST), 3)),
                 (jet(), narrow), (start_state(), light), (astar, row_dp)):
             res = search(lat, cor, SPEC, state, fld, substeps=2)
-            assert res.segments == fly_route(SPEC, state, res.geo_path, fld, 2)
-            fuel, end = route_cost(SPEC, state, res.geo_path, fld, 2)
+            points, legs = waypoints(res), res.legs
+            assert legs.mass[0] == state.mass_kg
+            assert [SegmentResult(fuel, time, AircraftState(to, mass), hit)
+                    for to, fuel, time, hit, mass in zip(
+                        points[1:], legs.fuel, legs.time, legs.floor,
+                        legs.mass[1:])] \
+                == fly_route(SPEC, state, points, fld, 2)
+            fuel, end = route_cost(SPEC, state, points, fld, 2)
             assert res.total_fuel_kg == fuel
-            assert res.final_state == end
+            assert AircraftState(points[-1], legs.mass[-1]) == end
 
     def test_refly_consistency(self):
         # total_fuel_kg is the flown path; search_cost_kg the nominal
@@ -597,7 +608,7 @@ class TestPathStructure:
         lat = build_lattice(ORIGIN, DEST, 9, 5, 3, 60_000)
         res = astar(lat, None, SPEC, start_state(), jet(), substeps=2)
         assert res.total_fuel_kg == pytest.approx(res.search_cost_kg, rel=1e-3)
-        assert res.final_state.mass_kg == pytest.approx(
+        assert res.legs.mass[-1] == pytest.approx(
             62_000 - res.total_fuel_kg, rel=1e-12)
 
 
