@@ -9,12 +9,12 @@ counter-clockwise positive.
 
 Each formula has one function on plain floats, positions as (lat, lon)
 degrees: `haversine`, `azimuth`, `displacement`, `displace_at`,
-`rotate_by`, `trip_rotation` and `track_point`. The guide's rollout, the
+`rotate_by`, `trip_rotation` and `track_points`. The guide's rollout, the
 trainer and the lattice's track call these. Four object forms stay in the
 package, each a wrapper over its float body, because `skyroute.__all__`
 and perfbench's tracer name them: `great_circle_distance` (over
-`haversine`) and `intermediate_point` (over `track_point`, with altitude)
-here, `weather.sample` and `perfmodel.fly_segment`.
+`haversine`) and `intermediate_point` (`track_points` at one fraction,
+with altitude) here, `weather.sample` and `perfmodel.fly_segment`.
 
 Points along a track, and a flight's direction, are computed on n-vectors
 (Gade, "A Non-singular Horizontal Position Representation", J. Navigation
@@ -24,13 +24,13 @@ from unit vector a to b, of delta radians, as the direction of
 sin((1 - f) delta) a + sin(f delta) b. `heading` and `along_track` give
 the wind along the track from its normal n = a x b: the track's direction
 at a point p of it is n x p, with no azimuth and no trig of a bearing.
-`track_point`, `intermediate_point`, `track_points` and
-`intermediate_points` go through `slerp_point`, and so do `perfmodel`'s
-flights, which take each leg's unit vectors once; a flight samples the
-weather exactly where `intermediate_point` puts a piece's midpoint. A
-direction taken from a x b is good to about 1e-16 / delta radians: to
-1e-12 on a 1 km leg. A leg whose two unit vectors coincide (under about
-1e-9 m), or whose direction underflows (under about 1e-70 m), has none.
+`track_points` and `intermediate_points` go through `slerp_point`, and
+so do `perfmodel`'s flights, which take each leg's unit vectors once; a
+flight samples the weather exactly where `intermediate_point` puts a
+piece's midpoint. A direction taken from a x b is good to about 1e-16 /
+delta radians: to 1e-12 on a 1 km leg. A leg whose two unit vectors
+coincide (under about 1e-9 m), or whose direction underflows (under about
+1e-70 m), has none.
 
 `great_circle_distances`, `initial_bearings`, `unit_vectors`,
 `intermediate_points`, `slerp_points`, `headings`, `along_tracks` and
@@ -43,9 +43,9 @@ ulp), and in their guards: the scalar forms return early or raise where
 the array forms mask. Where numpy's sin and cos round apart from the C
 library's, the two forms' unit vectors do too, and the directions of
 legs under a few kilometres differ by more than rounding.
-`intermediate_points` also takes an array of fractions and, from a caller
-that has them, the pairs' angular distances; `displace_many` refuses what
-`displace_at` refuses from a valid `GeoPoint`, with the same error.
+`intermediate_points` also takes an array of fractions; `displace_many`
+refuses what `displace_at` refuses from a valid `GeoPoint`, with the same
+error.
 """
 
 from __future__ import annotations
@@ -207,17 +207,6 @@ def slerp_point(lon1, lon2, a, b, fa, fb):
     return lat, 180.0 if lon == -180.0 else lon
 
 
-def track_point(lat1, lon1, lat2, lon2, delta, fraction):
-    """`intermediate_point`'s (lat, lon) at 0 < fraction < 1 on plain
-    floats, given delta = the pair's distance / EARTH_RADIUS_M."""
-    if delta == 0.0:        # distinct points the haversine cannot resolve
-        return lat1, lon1
-    return slerp_point(lon1, lon2, unit_vector(lat1, lon1),
-                       unit_vector(lat2, lon2),
-                       math.sin((1.0 - fraction) * delta),
-                       math.sin(fraction * delta))
-
-
 def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
     """Point at the given fraction along the great circle a->b.
 
@@ -229,28 +218,22 @@ def intermediate_point(a: GeoPoint, b: GeoPoint, fraction: float) -> GeoPoint:
         return a
     if fraction >= 1.0:
         return b
-    lat, lon = track_point(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg,
-                           great_circle_distance(a, b) / EARTH_RADIUS_M,
-                           fraction)
+    (lat, lon), = track_points(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg,
+                               (fraction,))
     return GeoPoint(lat, lon, a.alt_m + fraction * (b.alt_m - a.alt_m))
 
 
-def track_points(a: GeoPoint, b: GeoPoint,
-                 n: int) -> tuple[list[float], list[float], list[float]]:
-    """Latitudes, longitudes and bearings to b of the n-2 interior points
-    i/(n-1) of the way along a->b: what `intermediate_point` and
-    `azimuth` give, without building a GeoPoint per point."""
-    lat1, lon1, lat2, lon2 = a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg
+def track_points(lat1: float, lon1: float, lat2: float, lon2: float,
+                 fractions) -> list[tuple[float, float]]:
+    """(lat, lon) of the points at each of `fractions`, all in (0, 1),
+    along the great circle (lat1, lon1) -> (lat2, lon2), on plain floats.
+    Distinct points too close for the haversine give the start point."""
     delta = haversine(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
-    fractions = [i / (n - 1) for i in range(1, n - 1)]
     if delta == 0.0:
-        points = [(lat1, lon1)] * len(fractions)
-    else:
-        va, vb = unit_vector(lat1, lon1), unit_vector(lat2, lon2)
-        points = [slerp_point(lon1, lon2, va, vb, math.sin((1.0 - f) * delta),
-                              math.sin(f * delta)) for f in fractions]
-    return ([lat for lat, _ in points], [lon for _, lon in points],
-            [azimuth(lat, lon, lat2, lon2) for lat, lon in points])
+        return [(lat1, lon1)] * len(fractions)
+    a, b = unit_vector(lat1, lon1), unit_vector(lat2, lon2)
+    return [slerp_point(lon1, lon2, a, b, math.sin((1.0 - f) * delta),
+                        math.sin(f * delta)) for f in fractions]
 
 
 def slerp_points(lon1, lon2, a, b, fa, fb) -> tuple[np.ndarray, np.ndarray]:
@@ -260,19 +243,16 @@ def slerp_points(lon1, lon2, a, b, fa, fb) -> tuple[np.ndarray, np.ndarray]:
                          np.where(lon == -180.0, 180.0, lon))
 
 
-def intermediate_points(lat1, lon1, lat2, lon2, fraction,
-                        delta=None) -> tuple[np.ndarray, np.ndarray]:
+def intermediate_points(lat1, lon1, lat2, lon2,
+                        fraction) -> tuple[np.ndarray, np.ndarray]:
     """Array form of intermediate_point.
 
     `fraction` is a scalar or an array that broadcasts against the pairs.
     Returns (lat, lon) arrays in degrees; fraction 0 returns the start
     points and 1 the end points, and a zero-length pair its start point.
     Pairs on one meridian keep its longitude, as in the scalar form.
-    `delta`, the pairs' great-circle distances over EARTH_RADIUS_M, is
-    computed here unless the caller already has it.
     """
-    if delta is None:
-        delta = great_circle_distances(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
+    delta = great_circle_distances(lat1, lon1, lat2, lon2) / EARTH_RADIUS_M
     lat, lon = slerp_points(lon1, lon2, unit_vectors(lat1, lon1),
                             unit_vectors(lat2, lon2),
                             np.sin((1.0 - fraction) * delta),

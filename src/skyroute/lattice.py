@@ -5,9 +5,9 @@ Row 0 and row I-1 hold identical nodes (the endpoints); interior rows
 spread J columns laterally around the great-circle track and H altitude
 levels across ALT_BAND_M. All H levels of a column share one
 lat/lon, so positions are stored once per column. Each row's track point
-and bearing come from `geo.track_points`, the scalar formulas that
-`intermediate_point` and `azimuth` run (numpy's trig can round
-apart from libm's); the columns of all rows come from one array pass,
+and bearing come from `_track`: `geo.track_points`, the scalar body that
+`intermediate_point` runs, and `azimuth` (numpy's trig can round apart
+from libm's); the columns of all rows come from one array pass,
 `displace_many`. A corridor restricts each row to a window of w
 consecutive columns around a coarse guide route, built in one array
 pass; consecutive windows, like path nodes, are one column apart at most.
@@ -25,9 +25,9 @@ import numpy as np
 from .errors import DegenerateTrip, NoSuccessors, WidthOutOfRange
 # great_circle_distance and intermediate_point are unused here; they stay
 # because perfbench/tracing.py wraps them by name.
-from .geo import (GeoPoint, displace_many, great_circle_distance,
+from .geo import (GeoPoint, azimuth, displace_many, great_circle_distance,
                   great_circle_distances, intermediate_point,
-                  intermediate_points, track_points as _track)
+                  intermediate_points, track_points)
 
 NodeIndex = tuple[int, int, int]
 
@@ -101,6 +101,18 @@ class Corridor:
 
     def j_max(self, i: int) -> int:
         return self.j_min[i] + self.width - 1
+
+
+def _track(origin: GeoPoint, destination: GeoPoint,
+           I: int) -> tuple[list[float], list[float], list[float]]:
+    """Latitudes, longitudes and bearings to the destination of the I-2
+    interior track points, row i at fraction i/(I-1)."""
+    points = track_points(origin.lat_deg, origin.lon_deg, destination.lat_deg,
+                          destination.lon_deg,
+                          [i / (I - 1) for i in range(1, I - 1)])
+    return ([lat for lat, _ in points], [lon for _, lon in points],
+            [azimuth(lat, lon, destination.lat_deg, destination.lon_deg)
+             for lat, lon in points])
 
 
 def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: int,

@@ -4,7 +4,8 @@ Fuel flow is proportional to mass with a linear temperature term; wind is
 additive along track. Deterministic and monotone by construction, with
 closed forms that unit tests can pin exactly. A segment flies in
 `substeps` pieces, each its segment plus a fraction: the weather at the
-mid fraction, the wind along the track's direction at the start fraction.
+mid fraction, the wind along the track's direction at the start fraction
+(`_piece_fractions` lists both for the scalar and the array flights).
 Both come from the endpoints' unit vectors a and b (`geo.unit_vector`):
 the point at fraction f is `geo.slerp_point` of sin((1 - f) delta) a +
 sin(f delta) b, and the track's direction there is (a x b) x that point
@@ -14,10 +15,10 @@ times a share that its geometry fixes.
 
 `fly_segment` flies one segment and is the reference, and `fly_leg` is
 its body on plain floats. That body is the only source of flight errors
-(OutOfDomain, Infeasible) and the trainer's stepper; `fly_segment`
-re-flies the legs `thread_legs` refuses. The array forms split
-a flight into its mass-free part and one multiply per segment, so that one
-geometry pass serves several masses (the search flies its lattice once):
+(OutOfDomain, Infeasible), the trainer's stepper, and what re-flies the
+legs `thread_legs` refuses. The array forms split a flight into its
+mass-free part and one multiply per segment, so that one geometry pass
+serves several masses (the search flies its lattice once):
 - `substep_geometry` repeats `fly_segment`'s geometry, weather lookups and
   burned shares over arrays of segments, as a `Geometry` of per-segment
   arrays. It uses the array forms of the same `geo` formulas, so the two
@@ -49,9 +50,9 @@ from .files import replacing
 # intermediate_point and sample are unused here; they stay because
 # perfbench/tracing.py wraps them by name.
 from .geo import (EARTH_RADIUS_M, GeoPoint, along_track, along_tracks,
-                  great_circle_distance, great_circle_distances, heading,
-                  headings, intermediate_point, slerp_point, slerp_points,
-                  unit_vector, unit_vectors)
+                  great_circle_distance, great_circle_distances, haversine,
+                  heading, headings, intermediate_point, slerp_point,
+                  slerp_points, unit_vector, unit_vectors)
 from .weather import (ISA_TEMPERATURE_K, MAX_TEMPERATURE_K, MIN_TEMPERATURE_K,
                       WeatherField, sample, sample_at, sample_many)
 
@@ -191,13 +192,12 @@ def fly_leg(spec: AircraftSpec, lat0: float, lon0: float, lat1: float,
     direction = heading(a, b)
     delta = total / EARTH_RADIUS_M
     sin = math.sin
+    (mids, _), (starts, _) = _piece_fractions(substeps)
     burned, time, floor_hit = 0.0, 0.0, False
-    for k in range(substeps):
+    for mid, start in zip(mids, starts):
         # The piece's midpoint, as intermediate_point(start, to, ...) gives it.
-        mid = (k / substeps + (k + 1) / substeps) / 2.0
         wind_east, wind_north, temperature = sample_at(field, *slerp_point(
             lon0, lon1, a, b, sin((1.0 - mid) * delta), sin(mid * delta)))
-        start = k / substeps
         along, norm = along_track(*direction, sin((1.0 - start) * delta),
                                   sin(start * delta), wind_east, wind_north)
         gs = spec.tas_ms + along / norm if norm else spec.tas_ms
@@ -215,12 +215,12 @@ def fly_leg(spec: AircraftSpec, lat0: float, lon0: float, lat1: float,
 
 @lru_cache(maxsize=16)
 def _piece_fractions(substeps: int):
-    """The fractions along a segment whose sines `substep_geometry` takes:
-    the mids (k + 1/2)/substeps, where the weather is sampled, and the
-    starts k/substeps, where the wind is taken along the track, with the
-    end 1 after them. Each comes with whether 1 - f is the fractions
-    reversed bit for bit: then sin((1 - f) delta) is sin(f delta)
-    reversed, and each sine serves two points."""
+    """The fractions along a segment whose sines `fly_leg` and
+    `substep_geometry` take: the mids (k + 1/2)/substeps, where the
+    weather is sampled, and the starts k/substeps, where the wind is taken
+    along the track, with the end 1 after them. Each comes with whether
+    1 - f is the fractions reversed bit for bit: then sin((1 - f) delta)
+    is sin(f delta) reversed, and each sine serves two points."""
     mids = tuple((k / substeps + (k + 1) / substeps) / 2.0
                  for k in range(substeps))
     starts = tuple(k / substeps for k in range(substeps + 1))
@@ -358,19 +358,17 @@ def thread_legs(spec: AircraftSpec, mass: float, lat: list[float],
     geometry is `geometry`'s n-th, at `substeps` substeps.
 
     Each leg burns its share of the mass left. A leg that would end below
-    the empty mass (or is off the grid) is flown again with `fly_segment`:
-    that raises the leg's error or, if it can fly the leg, gives its result.
+    the empty mass (or is off the grid) is flown again with `fly_leg`: that
+    raises the leg's error or, if it can fly the leg, gives its result.
     """
     fuels, masses = [], [mass]
     times, floors = geometry.time.tolist(), geometry.floor.tolist()
     for n, burned in enumerate(geometry.burned.tolist()):
         fuel = mass * burned
         if not mass - fuel >= spec.empty_mass_kg:       # below empty, or NaN
-            start = AircraftState(GeoPoint(lat[n], lon[n]), mass)
-            leg = fly_segment(spec, start, GeoPoint(lat[n + 1], lon[n + 1]),
-                              field, substeps)
-            fuel, times[n], floors[n] = (leg.fuel_kg, leg.time_s,
-                                         leg.gs_floor_hit)
+            ends = lat[n], lon[n], lat[n + 1], lon[n + 1]
+            fuel, times[n], floors[n] = fly_leg(
+                spec, *ends, haversine(*ends), mass, field, substeps)
         mass = mass - fuel
         fuels.append(fuel)
         masses.append(mass)

@@ -5,8 +5,8 @@ reference it is tested against.
 
 Edge costs are the fuel at a per-row nominal mass (the searches need
 state-independent edge costs). The heuristic is a provable lower bound on
-remaining fuel per meter, so the search is optimal within the graph it
-is given.
+remaining fuel per meter (`min_specific_burn`), so the search is optimal
+within the graph it is given.
 
 Each search flies its lattice's mass-free geometry once (`_fly_lattice`):
 one `substep_geometry` pass gives every window edge and centerline leg
@@ -19,9 +19,10 @@ the centerline legs, as `nominal_mass_profile` finds them; the edge table
 at each row's mass; and the winning path along its legs, as `fly_route`
 flies it. The first and last thread mass through `perfmodel.thread_legs`.
 The path stays plain float columns from the lattice to the result: its
-waypoints' lat/lon read off the lattice in one pass, and its legs' fuel,
-time, floor hits and masses. A leg's geometry does not depend on its
-batch, so all three equal what their own flights would give.
+waypoints' lat/lon read off the lattice rows in one pass, endpoints
+included, and its legs' fuel, time, floor hits and masses. A leg's
+geometry does not depend on its batch, so all three equal what their own
+flights would give.
 `SearchResult.stages` times each stage.
 
 Every search runs from (0, c, H // 2) to (I - 1, c, H // 2), c the centre
@@ -71,8 +72,9 @@ from .errors import NoPath
 from .geo import great_circle_distance, great_circle_distances, unit_vectors
 from .lattice import Corridor, Lattice, NodeIndex, is_reachable, successors
 from .perfmodel import (AircraftSpec, AircraftState, Geometry, Legs,
-                        fly_route, fly_segment, route_cost, segments_fuel,
-                        substep_geometry, thread_legs, DEFAULT_SUBSTEPS)
+                        fly_route, fly_segment, fuel_flow_kgps, route_cost,
+                        segments_fuel, substep_geometry, thread_legs,
+                        DEFAULT_SUBSTEPS)
 from .weather import WeatherField
 
 #: The `NoPath` message: the windows always leave a path.
@@ -128,13 +130,15 @@ def nominal_mass_profile(lattice: Lattice, spec: AircraftSpec,
 
 
 def min_specific_burn(spec: AircraftSpec, field: WeatherField) -> float:
-    """Lower bound on fuel per meter of ground distance, from field extremes."""
-    w_max = field.max_wind_speed()
-    dt_max = field.max_temp_deviation()
-    flow_min = (spec.base_fuel_flow_kgps
-                * (spec.empty_mass_kg / spec.ref_mass_kg)
-                * max(0.0, 1.0 - abs(spec.temp_sensitivity) * dt_max))
-    return flow_min / (spec.tas_ms + w_max)
+    """Lower bound on fuel per meter of ground distance, from field extremes.
+
+    The flow is linear in the temperature, and a piece's bilinear
+    temperature lies between the field's coldest and warmest, so the
+    smaller flow at those two bounds it; `AircraftSpec` keeps both
+    positive."""
+    flow_min = min(fuel_flow_kgps(spec, spec.empty_mass_kg, t)
+                   for t in field.temperature_range())
+    return flow_min / (spec.tas_ms + field.max_wind_speed())
 
 
 def _column_windows(lattice: Lattice, corridor: Corridor | None
@@ -179,17 +183,15 @@ class _LatticeFlight(NamedTuple):
             ) -> tuple[list[float], list[float], list[float], Legs]:
         """A path through every row, flown from `mass` as `fly_route` flies
         it: its waypoints' latitudes, longitudes and altitudes, and its
-        legs."""
+        legs. Rows 0 and I-1 of the lattice hold the origin's and the
+        destination's positions; their altitudes are the endpoints' own."""
         lattice = self.lattice
-        origin, dest = lattice.origin, lattice.destination
         cols = np.array([j for _i, j, _h in node_path])
         rows = np.arange(cols.size)
-        inner = rows[1:-1], cols[1:-1]
-        lat = [origin.lat_deg, *lattice.lat_deg[inner].tolist(), dest.lat_deg]
-        lon = [origin.lon_deg, *lattice.lon_deg[inner].tolist(), dest.lon_deg]
-        alts = lattice.alts_m
-        alt = [origin.alt_m, *(alts[h] for _i, _j, h in node_path[1:-1]),
-               dest.alt_m]
+        lat = lattice.lat_deg[rows, cols].tolist()
+        lon = lattice.lon_deg[rows, cols].tolist()
+        alt = [lattice.alts_m[h] for _i, _j, h in node_path]
+        alt[0], alt[-1] = lattice.origin.alt_m, lattice.destination.alt_m
         legs = rows[:-1]
         slots = np.where(legs == legs[-1], 1, np.diff(cols) + 1)
         geometry = self.geometry.take(self.index[legs, cols[:-1], slots])

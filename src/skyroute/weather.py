@@ -88,8 +88,8 @@ class WeatherField:
             raise ValueError("wind magnitude exceeds 150 m/s")
         # Fields are read-only, so their extremes are computed once.
         self._max_wind_speed = float(np.max(speed))
-        self._max_temp_deviation = float(
-            np.max(np.abs(self.temperature - ISA_TEMPERATURE_K)))
+        self._temperature_range = (float(self.temperature.min()),
+                                   float(self.temperature.max()))
         # Plain copies for the scalar `sample`, which would spend most of
         # its time on numpy scalars otherwise: axes as lists, grids as flat
         # row-major double arrays (8 bytes a value, a third of a list's).
@@ -103,9 +103,9 @@ class WeatherField:
         """Largest wind magnitude anywhere on the grid."""
         return self._max_wind_speed
 
-    def max_temp_deviation(self) -> float:
-        """Largest |T - ISA| anywhere on the grid."""
-        return self._max_temp_deviation
+    def temperature_range(self) -> tuple[float, float]:
+        """Coldest and warmest temperature anywhere on the grid (K)."""
+        return self._temperature_range
 
     def bbox(self) -> tuple[float, float, float, float]:
         """(lat_min, lat_max, lon_min, lon_max)."""

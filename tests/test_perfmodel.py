@@ -450,12 +450,11 @@ class TestFlyRoute:
         assert k == {"leaves-grid": 2, "below-empty": 1}[case]
         calls = []
 
-        def counted(spec, state, to, *args):
-            calls.append((state.position.lat_deg, state.position.lon_deg,
-                          to.lat_deg, to.lon_deg))
-            return fly_segment(spec, state, to, *args)
+        def counted(spec, lat0, lon0, lat1, lon1, *args):
+            calls.append((lat0, lon0, lat1, lon1))
+            return fly_leg(spec, lat0, lon0, lat1, lon1, *args)
 
-        monkeypatch.setattr("skyroute.perfmodel.fly_segment", counted)
+        monkeypatch.setattr("skyroute.perfmodel.fly_leg", counted)
         with pytest.raises(type(want)) as raised:
             fly_route(spec, AircraftState(route[0], mass), route, fld)
         assert str(raised.value) == str(want)

@@ -39,6 +39,13 @@ def gc_route(o, d, n=5):
                              for k in range(n)))
 
 
+def cold_burner():
+    """A spec whose flow rises as it cools (temp_sensitivity -0.02), in a
+    uniform 200 K field: 2.76 times the ISA flow."""
+    return (replace(SPEC, temp_sensitivity=-0.02),
+            make_uniform(0.0, 0.0, 200.0, BBOX))
+
+
 def start_state(mass=62_000.0):
     return AircraftState(ORIGIN, mass)
 
@@ -124,7 +131,9 @@ class TestMinSpecificBurn:
                                 -140.0 * np.cos(bearing), 288.15, BBOX)
         assert fly_segment(slow, start_state(), lat.node((1, 2, 1)), headwind,
                            2).gs_floor_hit
-        for spec, fld in ((SPEC, still_air()), (SPEC, jet()), (slow, headwind)):
+        for spec, fld in ((SPEC, still_air()), (SPEC, jet()), (slow, headwind),
+                          cold_burner()):
+            assert min_specific_burn(spec, fld) > 0.0
             for width in (None, 3):
                 cor = None if width is None else build_corridor(
                     lat, gc_route(ORIGIN, DEST), width)
@@ -145,7 +154,7 @@ class TestMinSpecificBurn:
         fld = make_uniform(20.0, 0.0, 298.15, BBOX)
         msb = min_specific_burn(SPEC, fld)
         flow_min = SPEC.base_fuel_flow_kgps * (SPEC.empty_mass_kg / SPEC.ref_mass_kg) \
-            * (1 - 0.002 * 10.0)
+            * (1 + 0.002 * 10.0)
         assert msb == pytest.approx(flow_min / (SPEC.tas_ms + 20.0), rel=1e-12)
 
 
@@ -463,13 +472,18 @@ class TestRowDp:
     def test_equals_astar_near_the_flow_bound(self):
         # Just inside the largest temp_sensitivity AircraftSpec accepts, a
         # 180 K field leaves 0.1% of the reference fuel flow: costs stay
-        # positive, so the heuristic stays a lower bound.
-        spec = replace(SPEC, temp_sensitivity=0.999 / 108.15)
-        fld = make_uniform(20.0, -10.0, 180.0, BBOX)
+        # positive, so the heuristic stays a lower bound. A negative
+        # temp_sensitivity in a cold field raises the flow, and the
+        # heuristic with it.
+        near = (replace(SPEC, temp_sensitivity=0.999 / 108.15),
+                make_uniform(20.0, -10.0, 180.0, BBOX))
         lat = build_lattice(ORIGIN, DEST, 9, 5, 1, 60_000)
-        want = astar(lat, None, spec, start_state(), fld)
-        assert want.total_fuel_kg > 0.0
-        assert_same_result(row_dp(lat, None, spec, start_state(), fld), want)
+        for spec, fld in (near, cold_burner()):
+            assert min_specific_burn(spec, fld) > 0.0
+            want = astar(lat, None, spec, start_state(), fld)
+            assert want.total_fuel_kg > 0.0
+            assert_same_result(row_dp(lat, None, spec, start_state(), fld),
+                               want)
 
     @pytest.mark.parametrize("H", [1, 2, 3, 5])
     def test_levels_follow_the_smaller_h_tie_break(self, H):

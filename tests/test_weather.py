@@ -147,8 +147,8 @@ class TestImmutable:
                               seed=3)
         assert fld.max_wind_speed() == float(
             np.max(np.hypot(fld.wind_east, fld.wind_north)))
-        assert fld.max_temp_deviation() == float(
-            np.max(np.abs(fld.temperature - ISA_TEMPERATURE_K)))
+        assert fld.temperature_range() == (float(np.min(fld.temperature)),
+                                           float(np.max(fld.temperature)))
 
 
 class TestMakeUniform:
@@ -391,6 +391,6 @@ class TestSaveCsv:
 def test_helpers():
     fld = make_uniform(30.0, -40.0, 298.15, (40, 50, 0, 10))
     assert fld.max_wind_speed() == pytest.approx(50.0)
-    assert fld.max_temp_deviation() == pytest.approx(10.0)
+    assert fld.temperature_range() == (298.15, 298.15)
     assert fld.bbox() == (40.0, 50.0, 0.0, 10.0)
     assert ISA_TEMPERATURE_K == 288.15
