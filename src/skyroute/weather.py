@@ -7,7 +7,10 @@ No extrapolation: sampling outside the grid raises OutOfDomain.
 all three grids; `sample_at` is `sample` on plain floats. `sample_many`,
 the array form, does the same and reads each grid with flat-index gathers.
 Fields are read-only, so their extremes (the search heuristic's bounds)
-are computed once, at construction.
+and each axis's cell widths (`sample_many`'s divisors) are computed once,
+at construction, by the validation that needs them anyway.
+`make_jet_stream`'s random modes depend on the seed alone, so they are
+drawn once per seed and shared by every field built from it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,28 +72,34 @@ class WeatherField:
                 raise ValueError(f"{name} must be 1D with at least 2 points")
             # NaN passes the order check below, and a NaN or infinite node
             # spoils the bilinear weights of its cells.
-            if not np.all(np.isfinite(axis)):
+            if not np.isfinite(axis).all():
                 raise ValueError(f"{name} must be finite")
-        if np.any(np.diff(self.lat_axis) <= 0) or np.any(np.diff(self.lon_axis) <= 0):
+        # Each axis's cell widths, the divisors of `sample_many`'s weights.
+        self._lat_widths = np.diff(self.lat_axis)
+        self._lon_widths = np.diff(self.lon_axis)
+        if (self._lat_widths <= 0).any() or (self._lon_widths <= 0).any():
             raise ValueError("axes must be strictly ascending")
+        self._lat_widths.flags.writeable = False
+        self._lon_widths.flags.writeable = False
         shape = (self.lat_axis.size, self.lon_axis.size)
         for name in ("wind_east", "wind_north", "temperature"):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} grid must have shape {shape}")
             # The range checks below pass NaN, and sample_many marks
             # off-grid positions with it.
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} grid must be finite")
-        if not (MIN_TEMPERATURE_K <= self.temperature.min()
-                and self.temperature.max() <= MAX_TEMPERATURE_K):
-            raise ValueError("temperature outside [180, 330] K")
-        speed = np.hypot(self.wind_east, self.wind_north)
-        if np.any(speed > 150.0):
-            raise ValueError("wind magnitude exceeds 150 m/s")
-        # Fields are read-only, so their extremes are computed once.
-        self._max_wind_speed = float(np.max(speed))
+        # Fields are read-only, so their extremes are computed once and
+        # serve both the checks and the accessors.
         self._temperature_range = (float(self.temperature.min()),
                                    float(self.temperature.max()))
+        if not (MIN_TEMPERATURE_K <= self._temperature_range[0]
+                and self._temperature_range[1] <= MAX_TEMPERATURE_K):
+            raise ValueError("temperature outside [180, 330] K")
+        self._max_wind_speed = float(np.hypot(self.wind_east,
+                                              self.wind_north).max())
+        if self._max_wind_speed > 150.0:
+            raise ValueError("wind magnitude exceeds 150 m/s")
         # Plain copies for the scalar `sample`, which would spend most of
         # its time on numpy scalars otherwise: axes as lists, grids as flat
         # row-major double arrays (8 bytes a value, a third of a list's).
@@ -156,18 +166,24 @@ def sample_many(fld: WeatherField, lat: np.ndarray,
     j = np.clip(np.searchsorted(lon_axis, lon, side="right") - 1,
                 0, lon_axis.size - 2)
 
-    t = (lat - lat_axis[i]) / (lat_axis[i + 1] - lat_axis[i])
-    u = (lon - lon_axis[j]) / (lon_axis[j + 1] - lon_axis[j])
+    # The widths are `sample_at`'s subtractions, made once per field.
+    t = (lat - lat_axis[i]) / fld._lat_widths[i]
+    u = (lon - lon_axis[j]) / fld._lon_widths[j]
     # `sample_at`'s weights, with NaN in the first weight off the grid.
-    w00 = np.where(inside, (1 - t) * (1 - u), np.nan)
-    w01, w10, w11 = (1 - t) * u, t * (1 - u), t * u
+    weights = (np.where(inside, (1 - t) * (1 - u), np.nan),
+               (1 - t) * u, t * (1 - u), t * u)
     k = i * lon_axis.size + j       # flat index of corner (i, j)
     m = k + lon_axis.size           # and of (i + 1, j)
+    corners = (k, k + 1, m, m + 1)
+    term = np.empty_like(weights[0])
     values = []
     for grid in (fld.wind_east, fld.wind_north, fld.temperature):
         flat = grid.ravel()
-        values.append(w00 * flat.take(k) + w01 * flat.take(k + 1)
-                      + w10 * flat.take(m) + w11 * flat.take(m + 1))
+        # w00 * c00 + w01 * c01 + w10 * c10 + w11 * c11, left to right.
+        value = weights[0] * flat.take(corners[0])
+        for w, c in zip(weights[1:], corners[1:]):
+            value += np.multiply(w, flat.take(c), out=term)
+        values.append(value)
     return WeatherSample(*values)
 
 
@@ -184,6 +200,27 @@ def make_uniform(wind_east: float, wind_north: float, temperature: float,
                         np.full(shape, float(temperature)))
 
 
+@lru_cache(maxsize=16)
+def _jet_modes(seed: int) -> tuple[np.ndarray, ...]:
+    """The random part of `make_jet_stream`, which depends on the seed
+    alone: the five modes' amplitude shares, k_lat, k_lon, ph1 and ph2, as
+    read-only arrays of five values.
+
+    One draw of 5 x 4 doubles u, scaled by numpy's own uniform formula
+    low + (high - low) * u, gives the bits that one `uniform` call per
+    value, mode by mode, gave in the same order.
+    """
+    rng = np.random.default_rng(seed)
+    shares = rng.dirichlet(np.ones(5))
+    u = rng.random((5, 4)).T
+    k_lat, k_lon = 0.1 + (0.8 - 0.1) * u[:2]
+    ph1, ph2 = 0.0 + (2 * math.pi - 0.0) * u[2:]
+    modes = (shares, k_lat, k_lon, ph1, ph2)
+    for values in modes:
+        values.flags.writeable = False
+    return modes
+
+
 def make_jet_stream(bbox: tuple[float, float, float, float],
                     core_lat: float, core_speed: float, half_width: float,
                     seed: int, perturbation: float = 0.1,
@@ -191,36 +228,46 @@ def make_jet_stream(bbox: tuple[float, float, float, float],
     """Synthetic eastward jet with a Gaussian latitude profile.
 
     Adds a seeded smooth perturbation (sum of <= 5 sinusoids) of total
-    amplitude <= `perturbation` * core_speed. Deterministic per seed.
+    amplitude <= `perturbation` * core_speed. Deterministic per seed: the
+    modes are drawn once per seed (`_jet_modes`).
     """
     if not (0.0 <= core_speed <= 120.0):
         raise ValueError("core_speed must lie in [0, 120] m/s")
     if not (0.0 <= perturbation <= 0.1):
         raise ValueError("perturbation fraction must lie in [0, 0.1]")
+    if not math.isfinite(core_lat):
+        raise ValueError("core_lat must be finite")
+    if not (0.0 < half_width < math.inf):
+        raise ValueError("half_width must be finite and positive")
     lat_min, lat_max, lon_min, lon_max = bbox
     lat_axis = np.linspace(lat_min, lat_max, resolution)
     lon_axis = np.linspace(lon_min, lon_max, resolution)
     # Every term depends on one axis, so it is computed on a latitude
     # column or a longitude row and broadcast to the grid.
     lat_c = lat_axis[:, None]
-    lon_r = lon_axis[None, :]
     shape = (resolution, resolution)
 
     jet = core_speed * np.exp(-(((lat_c - core_lat) / half_width) ** 2))
 
-    rng = np.random.default_rng(seed)
-    n_modes = 5
+    shares, k_lat, k_lon, ph1, ph2 = _jet_modes(seed)
     amp_budget = perturbation * core_speed
     perturb_e = np.zeros(shape)
     perturb_n = np.zeros(shape)
     if amp_budget > 0.0:
-        amps = rng.dirichlet(np.ones(n_modes)) * amp_budget
-        for a in amps:
-            k_lat = rng.uniform(0.1, 0.8)
-            k_lon = rng.uniform(0.1, 0.8)
-            ph1, ph2 = rng.uniform(0, 2 * math.pi, size=2)
-            perturb_e += a * np.sin(k_lat * lat_c + ph1) * np.cos(k_lon * lon_r + ph2)
-            perturb_n += 0.5 * a * np.cos(k_lat * lat_c + ph2) * np.sin(k_lon * lon_r + ph1)
+        amps = shares * amp_budget
+        # Each mode's factors, a row per mode, in one pass over all modes.
+        lat_k = k_lat[:, None] * lat_axis
+        lon_k = k_lon[:, None] * lon_axis
+        east_lat = amps[:, None] * np.sin(lat_k + ph1[:, None])
+        east_lon = np.cos(lon_k + ph2[:, None])
+        north_lat = (0.5 * amps)[:, None] * np.cos(lat_k + ph2[:, None])
+        north_lon = np.sin(lon_k + ph1[:, None])
+        # Summed mode by mode: a single sum over modes would add in
+        # another order and change the last bits.
+        term = np.empty(shape)
+        for m in range(amps.size):
+            perturb_e += np.multiply(east_lat[m, :, None], east_lon[m], out=term)
+            perturb_n += np.multiply(north_lat[m, :, None], north_lon[m], out=term)
 
     # Mild temperature gradient toward each pole around ISA, inside
     # [180, 330] K at every latitude (about 266 to 311 K).

@@ -1,3 +1,4 @@
+import math
 import os
 from types import SimpleNamespace
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from skyroute.errors import OutOfDomain, ParseError, SchemaError
 from skyroute.geo import GeoPoint
 from skyroute.weather import (CSV_COLUMNS, ISA_TEMPERATURE_K, WeatherField,
-                              load_csv, make_jet_stream, make_uniform,
-                              parse_csv, sample, sample_many, save_csv)
+                              _jet_modes, load_csv, make_jet_stream,
+                              make_uniform, parse_csv, sample, sample_at,
+                              sample_many, save_csv)
 
 
 def affine_field():
@@ -81,6 +83,65 @@ class TestSample:
         assert fld.temperature.min() - 1e-9 <= s.temperature <= fld.temperature.max() + 1e-9
 
 
+def uneven_field():
+    """A CSV grid whose axes are not evenly spaced, with seeded values."""
+    lat_axis = [40.0, 41.5, 45.0, 45.25, 52.0, 55.0]
+    lon_axis = [-3.0, 0.0, 0.7, 6.0, 10.0]
+    rng = np.random.default_rng(8)
+    rows = [",".join(CSV_COLUMNS)]
+    for lat in lat_axis:
+        for lon in lon_axis:
+            we, wn = rng.uniform(-60.0, 60.0, size=2).tolist()
+            rows.append(f"{lat},{lon},{we!r},{wn!r},{rng.uniform(200, 320)!r}")
+    return parse_csv("\n".join(rows).encode())
+
+
+class TestSampleManyUnevenGrid:
+    def test_cell_widths_are_the_axis_differences(self):
+        fld = uneven_field()
+        for axis, widths in ((fld.lat_axis, fld._lat_widths),
+                             (fld.lon_axis, fld._lon_widths)):
+            assert widths.tobytes() == np.diff(axis).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                widths[0] = 1.0
+
+    def test_bit_identical_to_sample_at(self):
+        fld = uneven_field()
+        lat_axis, lon_axis = fld.lat_axis.tolist(), fld.lon_axis.tolist()
+        # Every node (so the last row and column and the four corners),
+        # every cell's centre, and points at uneven fractions of each cell.
+        lats = lat_axis + [(a + b) / 2 for a, b in zip(lat_axis, lat_axis[1:])] \
+            + [a + 0.13 * (b - a) for a, b in zip(lat_axis, lat_axis[1:])]
+        lons = lon_axis + [(a + b) / 2 for a, b in zip(lon_axis, lon_axis[1:])] \
+            + [a + 0.91 * (b - a) for a, b in zip(lon_axis, lon_axis[1:])]
+        lat_g, lon_g = np.meshgrid(lats, lons, indexing="ij")
+        many = sample_many(fld, lat_g, lon_g)
+        assert many.wind_east.shape == lat_g.shape
+        for n in np.ndindex(lat_g.shape):
+            one = sample_at(fld, float(lat_g[n]), float(lon_g[n]))
+            got = (many.wind_east[n], many.wind_north[n], many.temperature[n])
+            assert np.array(got).tobytes() == np.array(one).tobytes()
+
+    def test_nodes_read_the_grid(self):
+        fld = uneven_field()
+        lat_g, lon_g = np.meshgrid(fld.lat_axis, fld.lon_axis, indexing="ij")
+        many = sample_many(fld, lat_g, lon_g)
+        assert np.array_equal(many.wind_east, fld.wind_east)
+        assert np.array_equal(many.wind_north, fld.wind_north)
+        assert np.array_equal(many.temperature, fld.temperature)
+
+    def test_off_grid_and_nan_give_nan(self):
+        fld = uneven_field()
+        lat = np.array([39.99, 55.01, 45.0, 45.0, np.nan, 45.0, np.nan])
+        lon = np.array([0.0, 0.0, -3.01, 10.01, 0.0, np.nan, np.nan])
+        many = sample_many(fld, lat, lon)
+        for values in (many.wind_east, many.wind_north, many.temperature):
+            assert np.isnan(values).all()
+        for la, lo in zip(lat, lon):
+            with pytest.raises(OutOfDomain):
+                sample_at(fld, float(la), float(lo))
+
+
 class TestValidation:
     def test_descending_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -97,6 +158,39 @@ class TestValidation:
     def test_wind_magnitude_bound(self):
         with pytest.raises(ValueError):
             make_uniform(120.0, 120.0, 288.15, (40, 50, 0, 10))
+
+    @pytest.mark.parametrize("wind", [(150.0, 0.0), (0.0, -150.0),
+                                      (90.0, 120.0)])
+    def test_wind_of_exactly_150_is_accepted(self, wind):
+        fld = make_uniform(*wind, 288.15, (40, 50, 0, 10))
+        assert fld.max_wind_speed() == 150.0
+
+    def test_wind_just_over_150_is_refused(self):
+        with pytest.raises(ValueError, match="^wind magnitude exceeds 150 m/s$"):
+            make_uniform(np.nextafter(150.0, np.inf), 0.0, 288.15,
+                         (40, 50, 0, 10))
+
+    @pytest.mark.parametrize("lat, lon", [([40.0, 45.0, 45.0, 50.0], [0.0, 5.0]),
+                                          ([40.0, 45.0], [0.0, 0.0])],
+                             ids=["lat", "lon"])
+    def test_repeated_axis_value_is_refused(self, lat, lon):
+        shape = (len(lat), len(lon))
+        with pytest.raises(ValueError, match="^axes must be strictly ascending$"):
+            WeatherField(np.array(lat), np.array(lon), np.zeros(shape),
+                         np.zeros(shape), np.full(shape, 288.15))
+
+    @pytest.mark.parametrize("kelvin", [180.0, 330.0])
+    def test_temperature_bounds_are_inclusive(self, kelvin):
+        fld = make_uniform(0, 0, kelvin, (40, 50, 0, 10))
+        assert fld.temperature_range() == (kelvin, kelvin)
+
+    @pytest.mark.parametrize("kelvin", [np.nextafter(180.0, -np.inf),
+                                        np.nextafter(330.0, np.inf)],
+                             ids=["below-180", "above-330"])
+    def test_temperature_just_outside_is_refused(self, kelvin):
+        with pytest.raises(ValueError,
+                           match=r"^temperature outside \[180, 330\] K$"):
+            make_uniform(0, 0, kelvin, (40, 50, 0, 10))
 
     @pytest.mark.parametrize("grid", [0, 1, 2])
     def test_non_finite_values_rejected(self, grid):
@@ -231,6 +325,79 @@ class TestMakeJetStream:
         assert np.array_equal(fld.wind_north, wn)
         assert np.array_equal(fld.temperature,
                               ISA_TEMPERATURE_K - 0.5 * (np.abs(lat_g) - 45.0))
+
+
+    @pytest.mark.parametrize("core_lat", [math.inf, -math.inf, math.nan])
+    def test_non_finite_core_lat_is_refused(self, core_lat):
+        with pytest.raises(ValueError, match="^core_lat must be finite$"):
+            make_jet_stream((34, 60, -10, 20), core_lat, 40.0, 4.0, seed=1)
+
+    @pytest.mark.parametrize("half_width", [0.0, -4.0, math.inf, math.nan])
+    def test_bad_half_width_is_refused(self, half_width):
+        with pytest.raises(ValueError,
+                           match="^half_width must be finite and positive$"):
+            make_jet_stream((34, 60, -10, 20), 48.0, 40.0, half_width, seed=1)
+
+    def test_cached_modes_are_read_only(self):
+        for values in _jet_modes(5):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.5
+
+    @given(st.floats(-80.0, 70.0), st.floats(2.0, 20.0),
+           st.floats(-179.0, 150.0), st.floats(2.0, 29.0),
+           st.floats(-0.5, 1.5), st.just(0.0) | st.floats(0.0, 120.0),
+           st.floats(0.5, 20.0), st.just(0.0) | st.floats(0.0, 0.1),
+           st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+           st.integers(2, 61))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_the_per_mode_loop(
+            self, lat_min, lat_span, lon_min, lon_span, core_at, core_speed,
+            half_width, perturbation, seed, other_seed, resolution):
+        # A new seed, the same one again and another new one: the mode
+        # memo misses, hits and misses.
+        if other_seed == seed:
+            other_seed = (seed + 1) % 2**32
+        bbox = (lat_min, lat_min + lat_span, lon_min, lon_min + lon_span)
+        core_lat = lat_min + core_at * lat_span
+        _jet_modes.cache_clear()
+        for s in (seed, seed, other_seed):
+            fld = make_jet_stream(bbox, core_lat, core_speed, half_width, s,
+                                  perturbation, resolution)
+            want = per_mode_jet_stream(bbox, core_lat, core_speed, half_width,
+                                       s, perturbation, resolution)
+            for name, values in zip(("lat_axis", "lon_axis", "wind_east",
+                                     "wind_north", "temperature"), want):
+                assert getattr(fld, name).tobytes() == values.tobytes(), name
+        info = _jet_modes.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+
+def per_mode_jet_stream(bbox, core_lat, core_speed, half_width, seed,
+                        perturbation, resolution):
+    """The jet field's five arrays as one `uniform` draw per value and one
+    pass per mode computed them: the reference `make_jet_stream` keeps."""
+    lat_min, lat_max, lon_min, lon_max = bbox
+    lat_axis = np.linspace(lat_min, lat_max, resolution)
+    lon_axis = np.linspace(lon_min, lon_max, resolution)
+    lat_c = lat_axis[:, None]
+    lon_r = lon_axis[None, :]
+    shape = (resolution, resolution)
+    jet = core_speed * np.exp(-(((lat_c - core_lat) / half_width) ** 2))
+    rng = np.random.default_rng(seed)
+    amp_budget = perturbation * core_speed
+    perturb_e = np.zeros(shape)
+    perturb_n = np.zeros(shape)
+    if amp_budget > 0.0:
+        amps = rng.dirichlet(np.ones(5)) * amp_budget
+        for a in amps:
+            k_lat = rng.uniform(0.1, 0.8)
+            k_lon = rng.uniform(0.1, 0.8)
+            ph1, ph2 = rng.uniform(0, 2 * math.pi, size=2)
+            perturb_e += a * np.sin(k_lat * lat_c + ph1) * np.cos(k_lon * lon_r + ph2)
+            perturb_n += 0.5 * a * np.cos(k_lat * lat_c + ph2) * np.sin(k_lon * lon_r + ph1)
+    temp = np.broadcast_to(ISA_TEMPERATURE_K - 0.5 * (np.abs(lat_c) - 45.0), shape)
+    return (lat_axis, lon_axis, jet + perturb_e, perturb_n,
+            np.array(temp, dtype=float))
 
 
 class TestCsvRoundTrip:
