@@ -6,12 +6,12 @@ great-circle baseline. Instances are rotated so every trip appears as a
 straight trip upwards before the policy sees it. The policy's weather
 features are scaled by fixed constants that every checkpoint records.
 
-The policy's rollout holds its position as (lat, lon) floats and steps it
-through `geo.trip_rotation`, `geo.displacement`, `extract_features` and
-`step_at`, the same functions that the trainer's episodes call, so a plan
-rolls out the policy it was trained on through one code path. Only the
-waypoints it returns are GeoPoints. Of the object forms, only
-`intermediate_point` runs here, for the great-circle guide.
+`roll_out` and the trainer's episodes share one policy path on (lat, lon)
+floats: `trip_frame` once per trip, then per step `geo.displacement`,
+`extract_features`, a (B, 5) `forward` batch and the step rule
+`safe_step`. So a plan rolls out the policy it was trained on through one
+code path. Only the waypoints `roll_out` returns are GeoPoints, and of the
+object forms only `intermediate_point` runs here, for the great circle.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .errors import DistanceOutOfRange
 from .files import replacing
 # great_circle_distance and sample are unused here; they stay because
 # perfbench/tracing.py wraps them by name.
@@ -147,20 +148,18 @@ def init_params(rng: np.random.Generator, hidden: int = 64) -> PolicyParams:
 
 
 def forward(params: PolicyParams, features: np.ndarray):
-    """Network forward pass: (mean, value). features may be (5,) or (B, 5).
+    """Forward pass of a (B, 5) feature batch: mean (B, 2), value (B,).
 
     Each row goes through its own one-row matrix products (a (B, 1, 5)
-    stack), so a row's outputs are bit-identical whatever B is: a batch
-    gives what B single calls give. One (B, 5) product would round some
-    rows differently.
+    stack), so a row's outputs are bit-identical whatever B is: a plan's
+    one-row batch gives what the trainer's batch gives that row. One
+    (B, 5) product would round some rows differently.
     """
-    f = np.atleast_2d(np.asarray(features, dtype=float))[:, None, :]
+    f = np.asarray(features, dtype=float)[:, None, :]
     h1 = np.tanh(f @ params.w1.T + params.b1)
     h2 = np.tanh(h1 @ params.w2.T + params.b2)
     mean = (h2 @ params.w_mean.T + params.b_mean)[:, 0]
     value = (h2 @ params.w_val.T + params.b_val)[:, 0, 0]
-    if np.asarray(features).ndim == 1:
-        return mean[0], float(value[0])
     return mean, value
 
 
@@ -276,25 +275,26 @@ def _weather_features(field: WeatherField, lat: float,
             (temperature - ISA_TEMPERATURE_K) / TEMP_SCALE_K)
 
 
-def policy_action(params: PolicyParams, features: np.ndarray) -> np.ndarray:
-    """Inference action in (-1, 1)^2: tanh of the policy mean.
-
-    The trainer samples its own exploratory actions around the mean.
+def trip_frame(x: tuple[float, float], dest: tuple[float, float], n: int):
+    """(rot, rot_inv, length, step_scale) of the trip from (lat, lon) x to
+    dest: cos and sin of its rotation phi (for features) and of -phi (for
+    actions), its haversine length, and length / n, a step's longest move.
     """
-    mean, _value = forward(params, features)
-    return np.tanh(mean)
+    phi = trip_rotation(*x, *dest)
+    length = haversine(*x, *dest)
+    return ((math.cos(phi), math.sin(phi)), (math.cos(-phi), math.sin(-phi)),
+            length, length / n)
 
 
 def step_at(lat: float, lon: float, act_east: float, act_north: float,
             c: float, s: float, step_scale: float) -> tuple[float, float]:
-    """Apply one movement from (lat, lon): un-rotate the action, given
+    """One attempt of safe_step: un-rotate the action, given
     c, s = cos(-phi), sin(-phi), scale, cap, displace. Returns the
     (lat, lon) it reaches.
 
-    step_scale is the trip length divided by n; movements longer than one
-    step scale are rescaled down to it. A non-finite action raises
-    ValueError, and a step that would pass a pole DistanceOutOfRange
-    (both from displace_at).
+    step_scale is trip_frame's; movements longer than one step scale are
+    rescaled down to it. A non-finite action raises ValueError, and a step
+    that would pass a pole DistanceOutOfRange (both from displace_at).
     """
     east, north = rotate_by(act_east * step_scale, act_north * step_scale,
                             c, s)
@@ -303,6 +303,19 @@ def step_at(lat: float, lon: float, act_east: float, act_north: float,
         f = step_scale / norm
         east, north = east * f, north * f
     return displace_at(lat, lon, east, north)
+
+
+def safe_step(lat: float, lon: float, act_east: float, act_north: float,
+              c: float, s: float, step_scale: float) -> tuple[float, float]:
+    """The step rule of every rollout: step_at, with the action halved and
+    the step tried again while it would pass a pole (possible for extreme
+    northward actions). After eight refusals the position stays put."""
+    for _ in range(8):
+        try:
+            return step_at(lat, lon, act_east, act_north, c, s, step_scale)
+        except DistanceOutOfRange:
+            act_east, act_north = act_east * 0.5, act_north * 0.5
+    return lat, lon
 
 
 def roll_out(cfg: GuideConfig, params: PolicyParams | None, origin: GeoPoint,
@@ -326,16 +339,13 @@ def roll_out(cfg: GuideConfig, params: PolicyParams | None, origin: GeoPoint,
         raise ValueError("policy guide requires PolicyParams")
     dest = destination.lat_deg, destination.lon_deg
     x = origin.lat_deg, origin.lon_deg
-    phi = trip_rotation(*x, *dest)
-    rot = math.cos(phi), math.sin(phi)
-    rot_inv = math.cos(-phi), math.sin(-phi)
-    trip_len = haversine(*x, *dest)
+    rot, rot_inv, trip_len, step_scale = trip_frame(x, dest, n)
     pts = [origin]
     for _ in range(n - 2):
         disp = displacement(*x, *dest, haversine(*x, *dest))
         feats = extract_features(*x, *disp, *rot, field, trip_len)
-        action = policy_action(params, np.array(feats)).tolist()
-        x = step_at(*x, *action, *rot_inv, trip_len / n)
+        mean, _value = forward(params, np.array([feats]))
+        x = safe_step(*x, *np.tanh(mean[0]).tolist(), *rot_inv, step_scale)
         pts.append(GeoPoint(*x, alt))
     pts.append(GeoPoint(*dest, alt))
     return CoarseRoute(tuple(_dedupe(pts)))

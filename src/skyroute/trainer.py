@@ -13,23 +13,19 @@ dominates arrays this small:
 
 - All episodes of an update advance in lockstep (run_episodes): one
   (B, 5) feature array, one forward pass, one tanh and one log-density
-  call per step. run_episode is its one-episode case.
-- Each episode's step runs on plain floats: its position is a (lat, lon)
-  pair, and the step calls the one function of each formula
-  (geo.trip_rotation, geo.displacement, guide.extract_features,
-  guide.step_at, progress_value_at, perfmodel.fly_leg); guide.roll_out
-  calls the first four at plan time. Cos and sin of the trip's rotation
-  are taken once per episode, one haversine per step is shared by the
-  movement's displacement and its flight, and one carries the distance
-  to the destination into the next step. A GeoPoint is built only for
-  an accepted trip, and no object form of a formula runs in an episode
+  call per step. Its record, shaped (B, T, ...), is the one input form
+  of ppo_update; run_episode is its B = 1 case.
+- Each episode steps on the policy's one data path in guide, which
+  guide.roll_out follows at plan time: guide.trip_frame once per
+  episode, then per step geo.displacement, guide.extract_features, the
+  batch's guide.forward and the step rule guide.safe_step. Its position
+  is a (lat, lon) pair of floats; progress_value_at and perfmodel.fly_leg
+  score the step. One haversine per step is shared by the movement's
+  displacement and its flight, and one carries the distance to the
+  destination into the next step. A GeoPoint is built only for an
+  accepted trip, and no object form of a formula runs in an episode
   (fly_segment and great_circle_distance stay for the tracer and the
-  plan path). On a 2-vCPU Xeon (best of 15 rounds of 50),
-  run_episodes at B = 16, n = 5 takes 1.4 ms where the same steps on
-  GeoPoint objects took 2.0 ms. At the trainer's one substep, fly_leg
-  costs 5.2 us where fly_segment costs 7.6 us (same machine, best of 15
-  rounds of 50 calls): each takes its leg's two unit vectors once, and
-  its piece's point and direction from them (perfmodel).
+  plan path).
 - The weights are one flat vector (PolicyParams.flat), so the gradient
   is one vector, checked for finite values once per minibatch, and Adam
   updates its moments and the weights in place.
@@ -53,16 +49,16 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateDistance, DistanceOutOfRange,
-                     NonFiniteGradient, SamplingExhausted)
+from .errors import (ConfigError, DegenerateDistance, NonFiniteGradient,
+                     SamplingExhausted)
 from .files import replacing
 # fly_segment and great_circle_distance are not called here: perfbench's
 # tracer wraps the names.
 from .geo import (GeoPoint, displacement, great_circle_distance, haversine,
-                  normalize_lon, trip_rotation)
+                  normalize_lon)
 from .guide import (ACTION_DIM, FEATURE_DIM, GuideConfig, PolicyParams,
-                    extract_features, forward, init_params, save_checkpoint,
-                    step_at)
+                    extract_features, forward, init_params, safe_step,
+                    save_checkpoint, trip_frame)
 from .perfmodel import AircraftSpec, default_spec, fly_leg, fly_segment
 from .weather import WeatherField, make_uniform, ISA_TEMPERATURE_K
 
@@ -144,19 +140,16 @@ class TrainConfig:
 
 @dataclass
 class EpisodeRecord:
-    """Per-step tensors of one rollout, T = n-1 steps.
+    """Per-step tensors of a lockstep rollout of B episodes, T = n-1 steps
+    each; a one-episode rollout has B = 1."""
 
-    A lockstep rollout of B episodes puts a leading episode axis on every
-    field: features (B, T, 5), rewards (B, T), final_dist_m (B,), and so on.
-    """
-
-    features: np.ndarray      # (T, 5)
-    pre_squash: np.ndarray    # (T, 2) Gaussian samples before tanh
-    actions: np.ndarray       # (T, 2)
-    log_probs: np.ndarray     # (T,)
-    rewards: np.ndarray       # (T,)
-    value_estimates: np.ndarray  # (T,)
-    final_dist_m: float | np.ndarray
+    features: np.ndarray      # (B, T, 5)
+    pre_squash: np.ndarray    # (B, T, 2) Gaussian samples before tanh
+    actions: np.ndarray       # (B, T, 2)
+    log_probs: np.ndarray     # (B, T)
+    rewards: np.ndarray       # (B, T)
+    value_estimates: np.ndarray  # (B, T)
+    final_dist_m: np.ndarray  # (B,)
 
 
 def sample_instance(rng: np.random.Generator) -> tuple[GeoPoint, GeoPoint]:
@@ -213,9 +206,18 @@ def _log_prob_of(params: PolicyParams, mean: np.ndarray,
 
     Sums over the last (action) axis: a (2,) z gives a scalar, (B, 2) a (B,).
     """
-    std = np.exp(params.log_std)
-    gauss = -0.5 * (((z - mean) / std) ** 2) - params.log_std - 0.5 * _LOG2PI
-    return np.sum(gauss, axis=-1) - _squash(z)
+    return _log_density(params.log_std, np.exp(params.log_std), z - mean,
+                        _squash(z))[0]
+
+
+def _log_density(log_std: np.ndarray, std: np.ndarray, dz: np.ndarray,
+                 squash: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_log_prob_of from std = exp(log_std), dz = z - mean and squash =
+    _squash(z), which _loss_grads has at hand; and (dz / std)^2, which its
+    gradient reuses."""
+    dz2 = (dz / std) ** 2
+    gauss = -0.5 * dz2 - log_std - 0.5 * _LOG2PI
+    return np.sum(gauss, axis=-1) - squash, dz2
 
 
 def _squash(z: np.ndarray) -> np.ndarray:
@@ -223,29 +225,15 @@ def _squash(z: np.ndarray) -> np.ndarray:
     return np.sum(np.log(1.0 - np.tanh(z) ** 2 + _TANH_EPS), axis=-1)
 
 
-def _safe_step(lat, lon, act_east, act_north, c, s, step_scale):
-    """`guide.step_at` with a retry that halves the action if the step
-    would pass a pole (possible for extreme northward rollouts)."""
-    for _ in range(8):
-        try:
-            return step_at(lat, lon, act_east, act_north, c, s, step_scale)
-        except DistanceOutOfRange:
-            act_east, act_north = act_east * 0.5, act_north * 0.5
-    return lat, lon
-
-
 def run_episode(params: PolicyParams, cfg: TrainConfig,
                 instance: tuple[GeoPoint, GeoPoint], field: WeatherField,
                 rng: np.random.Generator) -> EpisodeRecord:
     """Roll out n-1 stochastic steps; destination is not forced.
 
-    The one-episode case of run_episodes, with its noise drawn from rng.
+    run_episodes' B = 1 record, with its noise drawn from rng.
     """
     noise = rng.standard_normal((1, cfg.n_waypoints - 1, ACTION_DIM))
-    rec = run_episodes(params, cfg, [instance], noise, field)
-    return EpisodeRecord(rec.features[0], rec.pre_squash[0], rec.actions[0],
-                         rec.log_probs[0], rec.rewards[0],
-                         rec.value_estimates[0], float(rec.final_dist_m[0]))
+    return run_episodes(params, cfg, [instance], noise, field)
 
 
 def run_episodes(params: PolicyParams, cfg: TrainConfig,
@@ -264,12 +252,9 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     spec, signed = cfg.aircraft, cfg.signed_progress
     xs = [(o.lat_deg, o.lon_deg) for o, _d in instances]
     dests = [(d.lat_deg, d.lon_deg) for _o, d in instances]
-    phis = [trip_rotation(*x, *d) for x, d in zip(xs, dests)]
-    # cos and sin of phi rotate the features; those of -phi, the actions.
-    rot = [(math.cos(phi), math.sin(phi)) for phi in phis]
-    rot_inv = [(math.cos(-phi), math.sin(-phi)) for phi in phis]
-    trip_lens = [haversine(*x, *d) for x, d in zip(xs, dests)]
-    step_scales = [trip_len / n for trip_len in trip_lens]
+    # A list: a generator unpacked here made train()'s peak RSS creep.
+    frames = [trip_frame(x, d, n) for x, d in zip(xs, dests)]
+    rot, rot_inv, trip_lens, step_scales = zip(*frames)
 
     features = np.empty((B, T, FEATURE_DIM))
     pre_squash = np.empty((B, T, ACTION_DIM))
@@ -279,7 +264,7 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     values = np.empty((B, T))
 
     masses = [spec.ref_mass_kg] * B
-    to_dest = trip_lens[:]      # haversine(x, destination) per episode
+    to_dest = list(trip_lens)   # haversine(x, destination) per episode
     std = np.exp(params.log_std)
     for k in range(T):
         # One displacement per episode serves the features and the reward.
@@ -297,7 +282,7 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
         values[:, k] = value
         for b, act in enumerate(action.tolist()):
             x = xs[b]
-            nxt = _safe_step(*x, *act, *rot_inv[b], step_scales[b])
+            nxt = safe_step(*x, *act, *rot_inv[b], step_scales[b])
             # One haversine serves the movement and its flight.
             moved = haversine(*x, *nxt)
             v_k = progress_value_at(*displacement(*x, *nxt, moved),
@@ -384,12 +369,8 @@ def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
     mean = h2 @ params.w_mean.T + params.b_mean
     value = (h2 @ params.w_val.T + params.b_val)[:, 0]
     std = np.exp(params.log_std)
-    # _log_prob_of's terms, keeping z - mean and its scaled square for the
-    # gradient.
     dz = z - mean
-    dz2 = (dz / std) ** 2
-    new_logp = (np.sum(-0.5 * dz2 - params.log_std - 0.5 * _LOG2PI, axis=-1)
-                - squash)
+    new_logp, dz2 = _log_density(params.log_std, std, dz, squash)
     ratio = np.exp(new_logp - old_logp)
     surr1 = ratio * adv
     surr2 = np.minimum(np.maximum(ratio, 1.0 - clip_range),
@@ -425,32 +406,28 @@ def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
     return policy_loss, value_loss, g.flat, clip_fraction, approx_kl
 
 
-def ppo_update(params: PolicyParams, batch: list[EpisodeRecord],
-               rng: np.random.Generator,
-               optimizer: AdamOptimizer | None = None
+def ppo_update(params: PolicyParams, batch: EpisodeRecord,
+               rng: np.random.Generator, opt: AdamOptimizer
                ) -> tuple[PolicyParams, dict]:
-    """One PPO update over a batch of episodes; returns new params + stats.
+    """One PPO update over a lockstep batch of episodes, stepped by opt;
+    returns new params + stats.
 
-    Each record of batch holds one episode or a lockstep batch of them.
-    Without an optimizer, a fresh Adam at LEARNING_RATE takes the steps.
-    Non-finite gradients abort the update and leave params unchanged.
+    A non-finite gradient aborts the update with NonFiniteGradient: params
+    is left unchanged, but opt's moments stay as the last finite minibatch
+    left them.
     """
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    feats = np.concatenate([e.features.reshape(-1, FEATURE_DIM) for e in batch])
-    zs = np.concatenate([e.pre_squash.reshape(-1, ACTION_DIM) for e in batch])
-    old_logp = np.concatenate([e.log_probs.ravel() for e in batch])
-    gae = [compute_gae(e.rewards, e.value_estimates, DISCOUNT, GAE_LAMBDA)
-           for e in batch]
-    adv = np.concatenate([a.ravel() for a, _r in gae])
-    ret = np.concatenate([r.ravel() for _a, r in gae])
+    if batch.rewards.shape[0] == 0:
+        raise ValueError("batch must hold at least one episode")
+    feats = batch.features.reshape(-1, FEATURE_DIM)
+    zs = batch.pre_squash.reshape(-1, ACTION_DIM)
+    old_logp = batch.log_probs.ravel()
+    adv, ret = (a.ravel() for a in compute_gae(
+        batch.rewards, batch.value_estimates, DISCOUNT, GAE_LAMBDA))
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     squash = _squash(zs)
 
     new_params = params.copy()
-    opt = optimizer if optimizer is not None else AdamOptimizer(
-        new_params, LEARNING_RATE)
     grad = PolicyParams(params.hidden, np.empty_like(params.flat))
 
     n_samples = feats.shape[0]
@@ -532,7 +509,7 @@ def train(cfg: TrainConfig, progress_sink=None,
         log.episode_rewards += episode_rewards
         log.episode_final_dist += batch.final_dist_m.tolist()
         t1 = time.perf_counter()
-        params, stats = ppo_update(params, [batch], rng, optimizer)
+        params, stats = ppo_update(params, batch, rng, optimizer)
         t2 = time.perf_counter()
         log.rollout_s += t1 - t0
         log.update_s += t2 - t1

@@ -51,7 +51,8 @@ class WeatherField:
     Grids are shaped (len(lat_axis), len(lon_axis)). Construction copies
     the five arrays and makes the copies read-only, so a field can be
     shared and sampled concurrently, and no write can make `sample` and
-    `sample_many` disagree.
+    `sample_many` disagree. Axes lie on the globe: latitudes within
+    [-90, 90], longitudes within [-180, 180].
     """
 
     lat_axis: np.ndarray
@@ -79,6 +80,12 @@ class WeatherField:
         self._lon_widths = np.diff(self.lon_axis)
         if (self._lat_widths <= 0).any() or (self._lon_widths <= 0).any():
             raise ValueError("axes must be strictly ascending")
+        # An ascending axis lies on the globe when its ends do.
+        for name, limit in (("lat_axis", 90.0), ("lon_axis", 180.0)):
+            axis = getattr(self, name)
+            if axis[0] < -limit or axis[-1] > limit:
+                raise ValueError(f"{name} must lie within "
+                                 f"[{-limit:g}, {limit:g}] degrees")
         self._lat_widths.flags.writeable = False
         self._lon_widths.flags.writeable = False
         shape = (self.lat_axis.size, self.lon_axis.size)

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from skyroute import guide
+from skyroute.errors import DistanceOutOfRange
 from skyroute.geo import (GeoPoint, displacement, great_circle_distance,
-                          intermediate_point, trip_rotation)
+                          intermediate_point, rotate_by, trip_rotation)
 from skyroute.guide import (ACTION_DIM, FEATURE_DIM, TEMP_SCALE_K,
                             WIND_SCALE_MS, GuideConfig, PolicyParams,
                             extract_features, forward, init_params,
-                            load_checkpoint, param_shapes, policy_action,
-                            roll_out, save_checkpoint, step_at)
+                            load_checkpoint, param_shapes, roll_out,
+                            safe_step, save_checkpoint, step_at, trip_frame)
 from skyroute.weather import make_uniform
 
 ORIGIN = GeoPoint(48.35, 11.79, 10_000)
@@ -51,6 +52,13 @@ def step(x, action, step_scale):
                              math.sin(-PHI), step_scale))
 
 
+def inference_action(params, f):
+    """The action roll_out takes at feature vector f: tanh of the mean of
+    a one-row forward batch."""
+    mean, _value = forward(params, f[None])
+    return np.tanh(mean[0])
+
+
 def zero_params(hidden=8):
     arrays = {k: np.zeros(s) for k, s in param_shapes(hidden).items()}
     arrays["log_std"] = np.full(ACTION_DIM, -0.7)
@@ -60,9 +68,9 @@ def zero_params(hidden=8):
 class TestForward:
     def test_shapes(self):
         params = init_params(np.random.default_rng(0), hidden=16)
-        mean, value = forward(params, np.zeros(FEATURE_DIM))
-        assert mean.shape == (ACTION_DIM,)
-        assert isinstance(value, float)
+        mean, value = forward(params, np.zeros((1, FEATURE_DIM)))
+        assert mean.shape == (1, ACTION_DIM)
+        assert value.shape == (1,)
         mean_b, value_b = forward(params, np.zeros((7, FEATURE_DIM)))
         assert mean_b.shape == (7, ACTION_DIM)
         assert value_b.shape == (7,)
@@ -72,14 +80,14 @@ class TestForward:
         feats = np.random.default_rng(2).normal(size=(4, FEATURE_DIM))
         mean_b, value_b = forward(params, feats)
         for i in range(4):
-            m, v = forward(params, feats[i])
-            assert np.array_equal(m, mean_b[i])
-            assert v == value_b[i]
+            m, v = forward(params, feats[i:i + 1])
+            assert np.array_equal(m[0], mean_b[i])
+            assert v[0] == value_b[i]
 
     def test_zero_weights_give_zero_outputs(self):
-        mean, value = forward(zero_params(), np.ones(FEATURE_DIM))
+        mean, value = forward(zero_params(), np.ones((1, FEATURE_DIM)))
         assert np.all(mean == 0.0)
-        assert value == 0.0
+        assert np.all(value == 0.0)
 
 
 class TestPolicyParams:
@@ -134,14 +142,15 @@ class TestExtractFeatures:
 class TestPolicyAction:
     def test_deterministic_bounded(self):
         params = init_params(np.random.default_rng(3))
-        a = policy_action(params, np.ones(FEATURE_DIM))
+        a = inference_action(params, np.ones(FEATURE_DIM))
         assert a.shape == (ACTION_DIM,)
         assert np.all(np.abs(a) < 1.0)
 
     def test_deterministic_is_repeatable(self):
         params = init_params(np.random.default_rng(3))
         f = np.ones(FEATURE_DIM)
-        assert np.array_equal(policy_action(params, f), policy_action(params, f))
+        assert np.array_equal(inference_action(params, f),
+                              inference_action(params, f))
 
 
 class TestStep:
@@ -171,6 +180,17 @@ class TestStep:
                      great_circle_distance(ORIGIN, DEST) / 5)
         assert moved.same_position(ORIGIN)
 
+    def test_safe_step_halves_a_step_past_a_pole(self):
+        # 500 km north of 88 N reaches 92.5, and 250 km 90.25: both pass the
+        # pole, so the retry halves twice and flies a quarter of the action.
+        x = (88.0, 0.0)
+        rot_inv = math.cos(-0.0), math.sin(-0.0)
+        for north in (1.0, 0.5):
+            with pytest.raises(DistanceOutOfRange, match="passes a pole"):
+                step_at(*x, 0.0, north, *rot_inv, 500_000.0)
+        quarter = step_at(*x, 0.0, 0.25, *rot_inv, 500_000.0)
+        assert safe_step(*x, 0.0, 1.0, *rot_inv, 500_000.0) == quarter
+
 
 class TestRollOut:
     def test_great_circle_guide(self):
@@ -199,6 +219,26 @@ class TestRollOut:
         assert route.n == 2
         assert route.waypoints[0].same_position(ORIGIN)
         assert route.waypoints[-1].same_position(DEST)
+
+    def test_policy_steps_by_the_step_rule_past_a_pole(self):
+        # A zero-weight policy whose bias points the action due north, from
+        # 89 N: the first 223 km step would pass the pole, so the step rule
+        # halves it, as it does in training.
+        origin = GeoPoint(89.0, 0.0, 10_000)
+        dest = GeoPoint(80.0, 90.0, 10_000)
+        rot, rot_inv, _length, step_scale = trip_frame(
+            latlon(origin), latlon(dest), 5)
+        params = zero_params()
+        params.b_mean[:] = np.arctanh(rotate_by(0.0, 1.0, *rot))
+        action = np.tanh(params.b_mean).tolist()
+        with pytest.raises(DistanceOutOfRange, match="passes a pole"):
+            step_at(*latlon(origin), *action, *rot_inv, step_scale)
+        route = roll_out(GuideConfig(n=5, guide_kind="policy"), params,
+                         origin, dest,
+                         make_uniform(0.0, 0.0, 288.15, (-90, 90, -180, 180)))
+        first = safe_step(*latlon(origin), *action, *rot_inv, step_scale)
+        assert latlon(route.waypoints[1]) == first
+        assert first == (pytest.approx(89.502, abs=1e-3), 0.0)
 
     def test_policy_guide_requires_params(self):
         cfg = GuideConfig(n=5, guide_kind="policy")
@@ -236,7 +276,8 @@ class TestCheckpoint:
         save_checkpoint(params, cfg, str(path))
         back, _ = load_checkpoint(str(path))
         f = np.random.default_rng(8).normal(size=FEATURE_DIM)
-        assert np.array_equal(policy_action(params, f), policy_action(back, f))
+        assert np.array_equal(inference_action(params, f),
+                              inference_action(back, f))
 
     def test_schema_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

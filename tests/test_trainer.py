@@ -29,6 +29,16 @@ def grad_buffer(params):
     return PolicyParams(params.hidden, np.empty_like(params.flat))
 
 
+def lockstep_batch(params, cfg, rng, field, episodes):
+    """run_episodes over `episodes` trips, drawn in train()'s order: each
+    episode's instance, then its (n-1, 2) action noise."""
+    instances, noise = [], []
+    for _ in range(episodes):
+        instances.append(sample_instance(rng))
+        noise.append(rng.standard_normal((cfg.n_waypoints - 1, 2)))
+    return run_episodes(params, cfg, instances, np.array(noise), field)
+
+
 def small_cfg(**overrides):
     base = dict(seed=0, instances=4, rollout_episodes=2)
     base.update(overrides)
@@ -204,12 +214,12 @@ class TestRunEpisode:
         inst = sample_instance(rng)
         ep = run_episode(params, cfg, inst, field, rng)
         T = cfg.n_waypoints - 1
-        assert ep.features.shape == (T, 5)
-        assert ep.actions.shape == (T, 2)
+        assert ep.features.shape == (1, T, 5)
+        assert ep.actions.shape == (1, T, 2)
         assert np.all(np.abs(ep.actions) <= 1.0)
         assert np.all(np.isfinite(ep.rewards))
         assert np.all(np.isfinite(ep.log_probs))
-        assert ep.final_dist_m >= 0.0
+        assert ep.final_dist_m.shape == (1,) and ep.final_dist_m[0] >= 0.0
 
     def test_deterministic_per_rng_state(self):
         cfg = small_cfg()
@@ -221,19 +231,7 @@ class TestRunEpisode:
             inst = sample_instance(rng)
             outs.append(run_episode(params, cfg, inst, field, rng))
         assert np.array_equal(outs[0].rewards, outs[1].rewards)
-        assert outs[0].final_dist_m == outs[1].final_dist_m
-
-    def test_safe_step_halves_a_step_past_a_pole(self):
-        # 500 km north of 88 N reaches 92.5, and 250 km 90.25: both pass the
-        # pole, so the retry halves twice and flies a quarter of the action.
-        x = (88.0, 0.0)
-        rot_inv = math.cos(-0.0), math.sin(-0.0)
-        for north in (1.0, 0.5):
-            with pytest.raises(DistanceOutOfRange, match="passes a pole"):
-                step_at(*x, 0.0, north, *rot_inv, 500_000.0)
-        quarter = step_at(*x, 0.0, 0.25, *rot_inv, 500_000.0)
-        assert trainer._safe_step(*x, 0.0, 1.0, *rot_inv, 500_000.0) == \
-            quarter
+        assert np.array_equal(outs[0].final_dist_m, outs[1].final_dist_m)
 
     def test_lockstep_matches_one_episode_rollouts(self):
         # Episode b of a lockstep batch, given its noise, is the episode
@@ -253,10 +251,9 @@ class TestRunEpisode:
             one = run_episode(params, cfg, inst, field,
                               np.random.default_rng(seed))
             for name in ("features", "pre_squash", "actions", "log_probs",
-                         "rewards", "value_estimates"):
+                         "rewards", "value_estimates", "final_dist_m"):
                 assert np.array_equal(getattr(batch, name)[b],
-                                      getattr(one, name)), name
-            assert batch.final_dist_m[b] == one.final_dist_m
+                                      getattr(one, name)[0]), name
 
 
 def reference_safe_step(x, action, rot_inv, step_scale, halvings):
@@ -446,9 +443,7 @@ class TestPpoUpdate:
         rng = np.random.default_rng(seed)
         params = init_params(rng, cfg.hidden)
         field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
-        batch = [run_episode(params, cfg, sample_instance(rng), field, rng)
-                 for _ in range(4)]
-        return params, batch, rng
+        return params, lockstep_batch(params, cfg, rng, field, 4), rng
 
     def test_params_change_and_original_untouched(self):
         cfg = small_cfg()
@@ -467,9 +462,9 @@ class TestPpoUpdate:
         # With fresh data (ratio = 1) nothing is clipped regardless of range.
         cfg = small_cfg()
         params, batch, rng = self._batch(cfg)
-        feats = np.concatenate([e.features for e in batch])
-        zs = np.concatenate([e.pre_squash for e in batch])
-        logp = np.concatenate([e.log_probs for e in batch])
+        feats = batch.features.reshape(-1, 5)
+        zs = batch.pre_squash.reshape(-1, 2)
+        logp = batch.log_probs.ravel()
         adv = np.ones(feats.shape[0])
         ret = np.zeros(feats.shape[0])
         pl, vl, _grad, cf, kl = _loss_grads(params, feats, zs, _squash(zs),
@@ -482,10 +477,10 @@ class TestPpoUpdate:
     def test_clipping_engages_for_shifted_policy(self):
         cfg = small_cfg()
         params, batch, rng = self._batch(cfg)
-        feats = np.concatenate([e.features for e in batch])
-        zs = np.concatenate([e.pre_squash for e in batch])
+        feats = batch.features.reshape(-1, 5)
+        zs = batch.pre_squash.reshape(-1, 2)
         # Lie about the old log probs to force large ratios.
-        logp = np.concatenate([e.log_probs for e in batch]) - 2.0
+        logp = batch.log_probs.ravel() - 2.0
         adv = np.ones(feats.shape[0])
         ret = np.zeros(feats.shape[0])
         _pl, _vl, _grad, cf, _kl = _loss_grads(
@@ -499,22 +494,22 @@ class TestPpoUpdate:
         rng = np.random.default_rng(11)
         params = init_params(rng, cfg.hidden)
         field = make_uniform(0, 0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
-        batch = [run_episode(params, cfg, sample_instance(rng), field, rng)
-                 for _ in range(8)]
-        feats = np.concatenate([e.features for e in batch])
-        zs = np.concatenate([e.pre_squash for e in batch])
-        logp = np.concatenate([e.log_probs for e in batch])
+        batch = lockstep_batch(params, cfg, rng, field, 8)
+        feats = batch.features.reshape(-1, 5)
+        zs = batch.pre_squash.reshape(-1, 2)
+        logp = batch.log_probs.ravel()
         # Advantage = +1 where the first action coordinate is positive.
         adv = np.where(zs[:, 0] > 0, 1.0, -1.0)
         ret = np.zeros(feats.shape[0])
         # Wrap into a single synthetic episode record.
-        record = type(batch[0])(feats, zs, np.tanh(zs), logp,
-                                adv.astype(float), np.zeros(len(adv)), 0.0)
+        record = type(batch)(feats[None], zs[None], np.tanh(zs)[None],
+                             logp[None], adv.astype(float)[None],
+                             np.zeros((1, len(adv))), np.zeros(1))
         # 20 epochs at lr 1e-2: two 10-epoch updates on one optimizer.
         opt = AdamOptimizer(params, 1e-2)
         new_params = params
         for _ in range(2):
-            new_params, _ = ppo_update(new_params, [record], rng, opt)
+            new_params, _ = ppo_update(new_params, record, rng, opt)
         before_lp = _loss_grads(params, feats, zs, _squash(zs), logp, adv, ret,
                                 0.5, grad_buffer(params))[0]
         after_lp = _loss_grads(new_params, feats, zs, _squash(zs), logp, adv,
@@ -525,19 +520,24 @@ class TestPpoUpdate:
     def test_non_finite_gradient_aborts(self):
         cfg = small_cfg()
         params, batch, rng = self._batch(cfg)
-        bad = batch[0]
-        bad.log_probs[0] = -1e308   # forces ratio overflow to inf
+        batch.log_probs[0, 0] = -1e308   # forces ratio overflow to inf
         before = {k: v.copy() for k, v in params.arrays().items()}
         with pytest.raises(NonFiniteGradient), \
                 np.errstate(over="ignore", invalid="ignore"):
-            ppo_update(params, batch, rng)
+            ppo_update(params, batch, rng,
+                       AdamOptimizer(params, trainer.LEARNING_RATE))
         for k, v in params.arrays().items():
             assert np.array_equal(v, before[k])
 
     def test_empty_batch_rejected(self):
+        params = init_params(np.random.default_rng(0))
+        T = small_cfg().n_waypoints - 1
+        empty = trainer.EpisodeRecord(
+            np.empty((0, T, 5)), np.empty((0, T, 2)), np.empty((0, T, 2)),
+            np.empty((0, T)), np.empty((0, T)), np.empty((0, T)), np.empty(0))
         with pytest.raises(ValueError):
-            ppo_update(init_params(np.random.default_rng(0)), [],
-                       np.random.default_rng(0))
+            ppo_update(params, empty, np.random.default_rng(0),
+                       AdamOptimizer(params, trainer.LEARNING_RATE))
 
     def test_consecutive_updates_equal_fresh_ones(self):
         # Each update of a sequence gives what a fresh call gives from a
@@ -557,10 +557,10 @@ class TestPpoUpdate:
         for batch in batches:
             before.append((params.copy(), copy.deepcopy(opt),
                            copy.deepcopy(rng)))
-            params, stats = ppo_update(params, [batch], rng, opt)
+            params, stats = ppo_update(params, batch, rng, opt)
             after.append((params.flat.tobytes(), stats))
         for batch, (p0, opt0, rng0), want in zip(batches, before, after):
-            got, stats = ppo_update(p0, [batch], rng0, opt0)
+            got, stats = ppo_update(p0, batch, rng0, opt0)
             assert (got.flat.tobytes(), stats) == want
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skyroute.errors import OutOfDomain, ParseError, SchemaError
 from skyroute.geo import GeoPoint
+from skyroute.harness import make_weather
 from skyroute.weather import (CSV_COLUMNS, ISA_TEMPERATURE_K, WeatherField,
                               _jet_modes, load_csv, make_jet_stream,
                               make_uniform, parse_csv, sample, sample_at,
@@ -210,6 +211,30 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             WeatherField(axes["lat_axis"], axes["lon_axis"], np.zeros(shape),
                          np.zeros(shape), np.full(shape, 288.15))
+
+    def test_axis_beyond_the_globe_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^lat_axis must lie within \[-90, 90\] "
+                                 "degrees$"):
+            make_jet_stream((60, 120, 170, 250), 100, 40, 4, seed=1)
+        with pytest.raises(ValueError,
+                           match=r"^lon_axis must lie within \[-180, 180\] "
+                                 "degrees$"):
+            make_uniform(0.0, 0.0, ISA_TEMPERATURE_K, (0, 10, -190, -170))
+
+    def test_globe_and_request_fields_build(self):
+        # The trainer's whole-globe field, and make_weather's boxes, which
+        # it clamps to 89 N/S and 179 E/W, for trips at the globe's edges.
+        make_uniform(0.0, 0.0, ISA_TEMPERATURE_K, (-90, 90, -180, 180))
+        corners = [GeoPoint(lat, lon) for lat in (-89.9, 0.0, 89.9)
+                   for lon in (-179.9, 0.0, 179.9)]
+        for a in corners:
+            for b in corners:
+                for spec in ("uniform", "jet"):
+                    fld = make_weather(spec, a, b)
+                    lat_lo, lat_hi, lon_lo, lon_hi = fld.bbox()
+                    assert -90 <= lat_lo < lat_hi <= 90
+                    assert -180 <= lon_lo < lon_hi <= 180
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -493,7 +518,9 @@ class TestCsvRoundTrip:
           "45,5,1,1,288.15"], r"temperature outside \[180, 330\] K"),
         (["40,0,1,1,288.15", "40,5,nan,1,288.15", "45,0,1,1,288.15",
           "45,5,1,1,288.15"], "wind_east grid must be finite"),
-    ], ids=["one-node", "400K", "nan-wind"])
+        (["40,0,1,1,288.15", "40,5,1,1,288.15", "95,0,1,1,288.15",
+          "95,5,1,1,288.15"], r"lat_axis must lie within \[-90, 90\]"),
+    ], ids=["one-node", "400K", "nan-wind", "lat-95"])
     def test_invalid_grid_is_a_parse_error(self, rows, match):
         raw = "\n".join([",".join(CSV_COLUMNS), *rows]).encode()
         with pytest.raises(ParseError, match="invalid grid: " + match):
