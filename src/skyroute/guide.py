@@ -153,13 +153,20 @@ def forward(params: PolicyParams, features: np.ndarray):
     Each row goes through its own one-row matrix products (a (B, 1, 5)
     stack), so a row's outputs are bit-identical whatever B is: a plan's
     one-row batch gives what the trainer's batch gives that row. One
-    (B, 5) product would round some rows differently.
+    (B, 5) product would round some rows differently. Each bias and tanh
+    is applied in place, on its product's own array.
     """
     f = np.asarray(features, dtype=float)[:, None, :]
-    h1 = np.tanh(f @ params.w1.T + params.b1)
-    h2 = np.tanh(h1 @ params.w2.T + params.b2)
-    mean = (h2 @ params.w_mean.T + params.b_mean)[:, 0]
-    value = (h2 @ params.w_val.T + params.b_val)[:, 0, 0]
+    h1 = f @ params.w1.T
+    h1 += params.b1
+    np.tanh(h1, out=h1)
+    h2 = h1 @ params.w2.T
+    h2 += params.b2
+    np.tanh(h2, out=h2)
+    mean = (h2 @ params.w_mean.T)[:, 0]
+    mean += params.b_mean
+    value = (h2 @ params.w_val.T)[:, 0, 0]
+    value += params.b_val
     return mean, value
 
 

@@ -28,10 +28,17 @@ dominates arrays this small:
   plan path).
 - The weights are one flat vector (PolicyParams.flat), so the gradient
   is one vector, checked for finite values once per minibatch, and Adam
-  updates its moments and the weights in place.
+  updates its moments and the weights in place, through two work
+  vectors it makes once.
 - A PPO update computes once what no weight changes: each sample's
   squash term of the log density, and the gradient buffer that every
   minibatch writes into.
+- In a minibatch, an Adam step and a rollout step, each array operation
+  is one ufunc or matmul call, most of them writing into a buffer an
+  earlier one made (out=, in-place operators), and a rollout step takes
+  its log density from its own exp(log_std) and tanh(z). Every element
+  goes through the operations of the textbook expressions in their
+  order, so no bit moves.
 
 train() draws its RNG in the order documented there, which reproduces
 the stream of rolling out one episode at a time. Since forward gives each
@@ -200,29 +207,30 @@ def end_reward(final_dist_normalized: float, threshold: float,
     return rho2 * (1.0 - d)
 
 
-def _log_prob_of(params: PolicyParams, mean: np.ndarray,
-                 z: np.ndarray) -> np.ndarray:
-    """Log density of tanh-squashed Gaussian actions, given the pre-squash z.
-
-    Sums over the last (action) axis: a (2,) z gives a scalar, (B, 2) a (B,).
-    """
-    return _log_density(params.log_std, np.exp(params.log_std), z - mean,
-                        _squash(z))[0]
-
-
 def _log_density(log_std: np.ndarray, std: np.ndarray, dz: np.ndarray,
                  squash: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_log_prob_of from std = exp(log_std), dz = z - mean and squash =
-    _squash(z), which _loss_grads has at hand; and (dz / std)^2, which its
-    gradient reuses."""
-    dz2 = (dz / std) ** 2
-    gauss = -0.5 * dz2 - log_std - 0.5 * _LOG2PI
-    return np.sum(gauss, axis=-1) - squash, dz2
+    """Log density of tanh-squashed Gaussian actions, summed over the last
+    (action) axis, from std = exp(log_std), dz = z - mean and squash =
+    _squash(tanh(z)), which the rollout and _loss_grads have at hand; and
+    (dz / std)^2, which the gradient reuses."""
+    dz2 = np.divide(dz, std)
+    np.square(dz2, out=dz2)
+    gauss = np.multiply(dz2, -0.5)
+    gauss -= log_std
+    gauss -= 0.5 * _LOG2PI
+    logp = np.add.reduce(gauss, axis=-1)
+    logp -= squash
+    return logp, dz2
 
 
-def _squash(z: np.ndarray) -> np.ndarray:
-    """The tanh term of _log_prob_of, which depends on z alone."""
-    return np.sum(np.log(1.0 - np.tanh(z) ** 2 + _TANH_EPS), axis=-1)
+def _squash(action: np.ndarray) -> np.ndarray:
+    """The tanh term of the log density, from the squashed action
+    tanh(z): the sum of log(1 - action^2 + eps) over the last axis."""
+    term = np.square(action)
+    np.subtract(1.0, term, out=term)
+    term += _TANH_EPS
+    np.log(term, out=term)
+    return np.add.reduce(term, axis=-1)
 
 
 def run_episode(params: PolicyParams, cfg: TrainConfig,
@@ -246,9 +254,18 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
     log-density call for the whole batch. Each episode's step runs on
     plain floats: its position is a (lat, lon) pair. Returns one record
     with a leading episode axis.
+
+    An empty instance list, or noise of another shape, raises ValueError.
     """
     n = cfg.n_waypoints
-    B, T = noise.shape[0], n - 1
+    B, T = len(instances), n - 1
+    if B == 0:
+        raise ValueError(f"instances must hold at least one trip, got 0 "
+                         f"with noise shaped {noise.shape}")
+    if noise.shape != (B, T, ACTION_DIM):
+        raise ValueError(f"noise must have shape {(B, T, ACTION_DIM)} for "
+                         f"{B} instances and n_waypoints {n}, got "
+                         f"{noise.shape}")
     spec, signed = cfg.aircraft, cfg.signed_progress
     xs = [(o.lat_deg, o.lon_deg) for o, _d in instances]
     dests = [(d.lat_deg, d.lon_deg) for _o, d in instances]
@@ -274,11 +291,14 @@ def run_episodes(params: PolicyParams, cfg: TrainConfig,
                           for x, disp, cs, trip_len
                           in zip(xs, disps, rot, trip_lens)]
         mean, value = forward(params, features[:, k])
-        z = mean + std * noise[:, k]
+        z = std * noise[:, k]
+        z += mean
         action = np.tanh(z)
         pre_squash[:, k] = z
         actions[:, k] = action
-        log_probs[:, k] = _log_prob_of(params, mean, z)
+        # The rollout's std is exp(log_std), and the step's action tanh(z).
+        log_probs[:, k] = _log_density(params.log_std, std, z - mean,
+                                       _squash(action))[0]
         values[:, k] = value
         for b, act in enumerate(action.tolist()):
             x = xs[b]
@@ -323,7 +343,8 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, discount: float,
 class AdamOptimizer:
     """Plain Adam over the flat parameter vector of a PolicyParams.
 
-    One step is a handful of whole-vector operations, and each element is
+    One step is a handful of whole-vector operations, each writing into
+    the moments or one of two work vectors made once, and each element is
     updated exactly as a per-array Adam would update it.
     """
 
@@ -334,23 +355,37 @@ class AdamOptimizer:
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
+        self._step = np.empty_like(params.flat)
+        self._denom = np.empty_like(params.flat)
 
     def apply(self, params: PolicyParams, grad: np.ndarray) -> None:
         """Step params.flat in place along grad, a vector shaped like it."""
         self.t += 1
-        m, v = self.m, self.v
+        m, v, step, denom = self.m, self.v, self._step, self._denom
         m *= self.beta1
-        m += (1 - self.beta1) * grad
+        m += np.multiply(grad, 1 - self.beta1, out=step)
         v *= self.beta2
-        v += (1 - self.beta2) * grad * grad
+        np.multiply(grad, 1 - self.beta2, out=step)
+        step *= grad
+        v += step
         # lr * m_hat / (sqrt(v_hat) + eps), each operation as written.
-        m_hat = m / (1 - self.beta1 ** self.t)
-        m_hat *= self.lr
-        v_hat = v / (1 - self.beta2 ** self.t)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += self.eps
-        m_hat /= v_hat
-        params.flat -= m_hat
+        np.divide(m, 1 - self.beta1 ** self.t, out=step)
+        step *= self.lr
+        np.divide(v, 1 - self.beta2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        params.flat -= step
+
+
+def _through_tanh(g_h: np.ndarray, h: np.ndarray,
+                  work: np.ndarray) -> np.ndarray:
+    """g_h * (1 - h^2), the gradient at the input of a tanh whose output
+    is h, formed in g_h; work is a buffer shaped like h."""
+    np.square(h, out=work)
+    np.subtract(1.0, work, out=work)
+    g_h *= work
+    return g_h
 
 
 def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
@@ -358,51 +393,70 @@ def _loss_grads(params: PolicyParams, f: np.ndarray, z: np.ndarray,
                 ret: np.ndarray, clip_range: float, g: PolicyParams):
     """Forward + manual backprop of the combined PPO loss on one minibatch.
 
-    squash is _squash(z), which no weight changes. The gradient is written
-    into g, whose flat vector is returned.
+    squash is _squash(tanh(z)), which no weight changes. The gradient is
+    written into g, every element of it, and g's flat vector is returned.
     """
     M = f.shape[0]
-    a1 = f @ params.w1.T + params.b1
-    h1 = np.tanh(a1)
-    a2 = h1 @ params.w2.T + params.b2
-    h2 = np.tanh(a2)
-    mean = h2 @ params.w_mean.T + params.b_mean
-    value = (h2 @ params.w_val.T + params.b_val)[:, 0]
+    h1 = f @ params.w1.T
+    h1 += params.b1
+    np.tanh(h1, out=h1)
+    h2 = h1 @ params.w2.T
+    h2 += params.b2
+    np.tanh(h2, out=h2)
+    dz = h2 @ params.w_mean.T           # the action mean, then z - mean
+    dz += params.b_mean
+    np.subtract(z, dz, out=dz)
+    err = (h2 @ params.w_val.T)[:, 0]   # the value, then value - ret
+    err += params.b_val
+    err -= ret
     std = np.exp(params.log_std)
-    dz = z - mean
     new_logp, dz2 = _log_density(params.log_std, std, dz, squash)
-    ratio = np.exp(new_logp - old_logp)
-    surr1 = ratio * adv
-    surr2 = np.minimum(np.maximum(ratio, 1.0 - clip_range),
-                       1.0 + clip_range) * adv
-    use_unclipped = surr1 <= surr2
+    ratio = np.subtract(new_logp, old_logp)
+    np.exp(ratio, out=ratio)
+    surr1 = np.multiply(ratio, adv)
+    surr2 = np.maximum(ratio, 1.0 - clip_range)
+    np.minimum(surr2, 1.0 + clip_range, out=surr2)
+    surr2 *= adv
+    unclipped = np.less_equal(surr1, surr2)
     # x.sum() / M is the arithmetic of np.mean(x).
-    policy_loss = -float(np.minimum(surr1, surr2).sum() / M)
-    value_loss = float(((value - ret) ** 2).sum() / M)
+    policy_loss = -float(
+        np.add.reduce(np.minimum(surr1, surr2, out=surr2)) / M)
+    value_loss = float(np.add.reduce(np.square(err)) / M)
 
-    # d(policy loss)/d(new_logp): only where the unclipped branch is active.
-    g_logp = np.where(use_unclipped, -adv * ratio, 0.0) / M
-    g_mean = g_logp[:, None] * dz / (std ** 2)
-    g_log_std = np.sum(g_logp[:, None] * (dz2 - 1.0), axis=0)
-    g_value = VF_COEF * 2.0 * (value - ret) / M
+    # d(policy loss)/d(new_logp) is -adv * ratio = -surr1 where the
+    # unclipped branch is active, else 0.
+    g_logp = np.zeros(M)
+    np.negative(surr1, out=g_logp, where=unclipped)
+    g_logp /= M
+    g_mean = np.multiply(dz, g_logp[:, None], out=dz)
+    g_mean /= np.square(std)
+    dz2 -= 1.0
+    dz2 *= g_logp[:, None]
+    g_value = np.multiply(err, VF_COEF * 2.0, out=err)
+    g_value /= M
 
     # g's arrays are views into its flat vector.
-    g_h2 = g_mean @ params.w_mean + g_value[:, None] * params.w_val
-    g.w_mean[:] = g_mean.T @ h2
-    g.b_mean[:] = g_mean.sum(axis=0)
-    g.log_std[:] = g_log_std
-    g.w_val[:] = (g_value[:, None] * h2).sum(axis=0)[None, :]
-    g.b_val[:] = g_value.sum()
-    g_a2 = g_h2 * (1.0 - h2 ** 2)
-    g.w2[:] = g_a2.T @ h1
-    g.b2[:] = g_a2.sum(axis=0)
-    g_h1 = g_a2 @ params.w2
-    g_a1 = g_h1 * (1.0 - h1 ** 2)
-    g.w1[:] = g_a1.T @ f
-    g.b1[:] = g_a1.sum(axis=0)
+    g_h2 = g_mean @ params.w_mean
+    work = np.multiply(g_value[:, None], params.w_val)
+    g_h2 += work
+    np.matmul(g_mean.T, h2, out=g.w_mean)
+    np.add.reduce(g_mean, axis=0, out=g.b_mean)
+    np.add.reduce(dz2, axis=0, out=g.log_std)
+    np.multiply(h2, g_value[:, None], out=work)
+    np.add.reduce(work, axis=0, out=g.w_val[0])
+    np.add.reduce(g_value, axis=0, keepdims=True, out=g.b_val)
+    g_a2 = _through_tanh(g_h2, h2, work)
+    np.matmul(g_a2.T, h1, out=g.w2)
+    np.add.reduce(g_a2, axis=0, out=g.b2)
+    g_a1 = _through_tanh(g_a2 @ params.w2, h1, work)
+    np.matmul(g_a1.T, f, out=g.w1)
+    np.add.reduce(g_a1, axis=0, out=g.b1)
 
-    clip_fraction = float((np.abs(ratio - 1.0) > clip_range).sum() / M)
-    approx_kl = float((old_logp - new_logp).sum() / M)
+    np.subtract(ratio, 1.0, out=ratio)
+    np.abs(ratio, out=ratio)
+    clip_fraction = float(np.count_nonzero(ratio > clip_range) / M)
+    approx_kl = float(
+        np.add.reduce(np.subtract(old_logp, new_logp, out=new_logp)) / M)
     return policy_loss, value_loss, g.flat, clip_fraction, approx_kl
 
 
@@ -425,7 +479,7 @@ def ppo_update(params: PolicyParams, batch: EpisodeRecord,
         batch.rewards, batch.value_estimates, DISCOUNT, GAE_LAMBDA))
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-    squash = _squash(zs)
+    squash = _squash(np.tanh(zs))
 
     new_params = params.copy()
     grad = PolicyParams(params.hidden, np.empty_like(params.flat))
@@ -441,7 +495,7 @@ def ppo_update(params: PolicyParams, batch: EpisodeRecord,
             pl, vl, g, cf, kl = _loss_grads(
                 new_params, feats[idx], zs[idx], squash[idx], old_logp[idx],
                 adv[idx], ret[idx], CLIP_RANGE, grad)
-            if not np.all(np.isfinite(g)):
+            if not np.logical_and.reduce(np.isfinite(g)):
                 raise NonFiniteGradient("non-finite gradient; update aborted")
             opt.apply(new_params, g)
             stats["actor_loss"] += pl
@@ -505,7 +559,7 @@ def train(cfg: TrainConfig, progress_sink=None,
             instances.append(sample_instance(rng))
             noise[b] = rng.standard_normal((steps, ACTION_DIM))
         batch = run_episodes(params, cfg, instances, noise, field)
-        episode_rewards = [float(np.sum(r)) for r in batch.rewards]
+        episode_rewards = np.add.reduce(batch.rewards, axis=1).tolist()
         log.episode_rewards += episode_rewards
         log.episode_final_dist += batch.final_dist_m.tolist()
         t1 = time.perf_counter()

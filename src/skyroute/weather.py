@@ -144,8 +144,10 @@ def sample_at(fld: WeatherField, lat: float,
         raise OutOfDomain(f"({lat:.4f}, {lon:.4f}) outside weather grid "
                           f"[{lats[0]}, {lats[-1]}] x [{lons[0]}, {lons[-1]}]")
 
-    i = min(max(bisect_right(lats, lat) - 1, 0), len(lats) - 2)
-    j = min(max(bisect_right(lons, lon) - 1, 0), len(lons) - 2)
+    # The search runs on nodes 1 .. len - 1 only, which clamps the cell to
+    # 0 .. len - 2: the last node falls in the last cell.
+    i = bisect_right(lats, lat, 1, len(lats) - 1) - 1
+    j = bisect_right(lons, lon, 1, len(lons) - 1) - 1
     t = (lat - lats[i]) / (lats[i + 1] - lats[i])
     u = (lon - lons[j]) / (lons[j + 1] - lons[j])
     k = i * len(lons) + j           # flat index of corner (i, j)

@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -255,6 +256,34 @@ class TestRunEpisode:
                 assert np.array_equal(getattr(batch, name)[b],
                                       getattr(one, name)[0]), name
 
+    def test_empty_instance_list_refused(self):
+        cfg = small_cfg()
+        params = init_params(np.random.default_rng(0), cfg.hidden)
+        with pytest.raises(ValueError, match=r"at least one trip, got 0 "
+                           r"with noise shaped \(0, 4, 2\)"):
+            run_episodes(params, cfg, [], np.empty((0, 4, 2)), STILL_AIR)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 2), (1, 3, 2), (1, 4), (4, 2)])
+    def test_noise_of_another_shape_refused(self, shape):
+        cfg = small_cfg()
+        rng = np.random.default_rng(0)
+        params = init_params(rng, cfg.hidden)
+        with pytest.raises(ValueError, match=re.escape(
+                f"noise must have shape (1, 4, 2) for 1 instances and "
+                f"n_waypoints 5, got {shape}")):
+            run_episodes(params, cfg, [sample_instance(rng)],
+                         rng.standard_normal(shape), STILL_AIR)
+
+
+def log_prob_as_written(params, mean, z):
+    """Log density of tanh-squashed Gaussian actions given the pre-squash
+    z, as the textbook expression gives it, summed over the action axis."""
+    std = np.exp(params.log_std)
+    gauss = -0.5 * ((z - mean) / std) ** 2 - params.log_std \
+        - 0.5 * math.log(2.0 * math.pi)
+    squash = np.log(1.0 - np.tanh(z) ** 2 + trainer._TANH_EPS)
+    return np.sum(gauss, axis=-1) - np.sum(squash, axis=-1)
+
 
 def reference_safe_step(x, action, rot_inv, step_scale, halvings):
     """The pole retry from (lat, lon) x: guide.step_at, the action halved
@@ -304,7 +333,7 @@ def reference_episode(params, cfg, instance, noise, field, halvings):
             mass -= fuel
             reward = step_reward(v_k, fuel, trainer.REWARD_EXPONENT)
             rows.append((f[0], z[0], action[0],
-                         trainer._log_prob_of(params, mean, z)[0], reward,
+                         log_prob_as_written(params, mean, z)[0], reward,
                          value[0]))
             x = nxt
     except SkyrouteError as exc:
@@ -467,8 +496,9 @@ class TestPpoUpdate:
         logp = batch.log_probs.ravel()
         adv = np.ones(feats.shape[0])
         ret = np.zeros(feats.shape[0])
-        pl, vl, _grad, cf, kl = _loss_grads(params, feats, zs, _squash(zs),
-                                            logp, adv, ret, trainer.CLIP_RANGE,
+        pl, vl, _grad, cf, kl = _loss_grads(params, feats, zs,
+                                            _squash(np.tanh(zs)), logp, adv,
+                                            ret, trainer.CLIP_RANGE,
                                             grad_buffer(params))
         assert cf == 0.0
         assert kl == pytest.approx(0.0, abs=1e-10)
@@ -484,8 +514,8 @@ class TestPpoUpdate:
         adv = np.ones(feats.shape[0])
         ret = np.zeros(feats.shape[0])
         _pl, _vl, _grad, cf, _kl = _loss_grads(
-            params, feats, zs, _squash(zs), logp, adv, ret, trainer.CLIP_RANGE,
-            grad_buffer(params))
+            params, feats, zs, _squash(np.tanh(zs)), logp, adv, ret,
+            trainer.CLIP_RANGE, grad_buffer(params))
         assert cf == 1.0
 
     def test_gradient_ascends_advantage_on_bandit(self):
@@ -510,9 +540,10 @@ class TestPpoUpdate:
         new_params = params
         for _ in range(2):
             new_params, _ = ppo_update(new_params, record, rng, opt)
-        before_lp = _loss_grads(params, feats, zs, _squash(zs), logp, adv, ret,
+        squash = _squash(np.tanh(zs))
+        before_lp = _loss_grads(params, feats, zs, squash, logp, adv, ret,
                                 0.5, grad_buffer(params))[0]
-        after_lp = _loss_grads(new_params, feats, zs, _squash(zs), logp, adv,
+        after_lp = _loss_grads(new_params, feats, zs, squash, logp, adv,
                                ret, 0.5, grad_buffer(params))[0]
         # The surrogate objective (negated loss) must improve.
         assert after_lp < before_lp
@@ -566,14 +597,15 @@ class TestPpoUpdate:
 
 def _loss_grads_as_written(params, f, z, old_logp, adv, ret, clip_range):
     """_loss_grads as the textbook expressions give it: log densities from
-    _log_prob_of, np.mean and np.clip, a new gradient array per call."""
+    log_prob_as_written, np.mean and np.clip, a new gradient array per
+    call."""
     M = f.shape[0]
     h1 = np.tanh(f @ params.w1.T + params.b1)
     h2 = np.tanh(h1 @ params.w2.T + params.b2)
     mean = h2 @ params.w_mean.T + params.b_mean
     value = (h2 @ params.w_val.T + params.b_val)[:, 0]
     std = np.exp(params.log_std)
-    new_logp = trainer._log_prob_of(params, mean, z)
+    new_logp = log_prob_as_written(params, mean, z)
     ratio = np.exp(new_logp - old_logp)
     surr1 = ratio * adv
     surr2 = np.clip(ratio, 1.0 - clip_range, 1.0 + clip_range) * adv
@@ -618,7 +650,7 @@ class TestLossGrads:
         logp = rec.log_probs.ravel() + rng.normal(0.0, 0.3, feats.shape[0])
         adv = rng.normal(size=feats.shape[0])
         ret = rng.normal(size=feats.shape[0])
-        squash = _squash(zs)
+        squash = _squash(np.tanh(zs))
         g = grad_buffer(params)
         clipped = []
         for _ in range(3):
@@ -633,6 +665,26 @@ class TestLossGrads:
             clipped.append(cf)
             params.flat += 1e-3 * rng.normal(size=params.flat.size)
         assert 0.0 < max(clipped) < 1.0
+
+    def test_every_gradient_element_is_written(self):
+        # A buffer of NaNs returns the bits a zeroed one returns: no
+        # element of g keeps what it held before the call.
+        cfg = small_cfg()
+        rng = np.random.default_rng(6)
+        params = init_params(rng, cfg.hidden)
+        rec = run_episodes(params, cfg,
+                           [sample_instance(rng) for _ in range(8)],
+                           rng.standard_normal((8, 4, 2)), STILL_AIR)
+        zs = rec.pre_squash.reshape(-1, 2)
+        args = (rec.features.reshape(-1, 5), zs, _squash(np.tanh(zs)),
+                rec.log_probs.ravel() + rng.normal(0.0, 0.3, zs.shape[0]),
+                rng.normal(size=zs.shape[0]), rng.normal(size=zs.shape[0]),
+                trainer.CLIP_RANGE)
+        grads = []
+        for fill in (0.0, np.nan):
+            g = PolicyParams(params.hidden, np.full_like(params.flat, fill))
+            grads.append(_loss_grads(params, *args, g)[2].tobytes())
+        assert grads[0] == grads[1]
 
 
 class TestAdam:

@@ -97,6 +97,33 @@ def uneven_field():
     return parse_csv("\n".join(rows).encode())
 
 
+def assert_sample_many_is_sample_at(fld):
+    """sample_many gives sample_at's bits at every node (so each axis's
+    last node and the top-right corner), the floats next to each node
+    inside the grid, every cell's centre, and points at uneven fractions
+    of each cell. sample_at clamps the cell of a last node, and of no
+    other point, to the last cell."""
+    def points(axis):
+        near = [math.nextafter(a, math.inf) for a in axis[:-1]] \
+            + [math.nextafter(a, -math.inf) for a in axis[1:]]
+        return axis + near \
+            + [(a + b) / 2 for a, b in zip(axis, axis[1:])] \
+            + [a + 0.13 * (b - a) for a, b in zip(axis, axis[1:])] \
+            + [a + 0.91 * (b - a) for a, b in zip(axis, axis[1:])]
+    lat_axis, lon_axis = fld.lat_axis.tolist(), fld.lon_axis.tolist()
+    lat_g, lon_g = np.meshgrid(points(lat_axis), points(lon_axis),
+                               indexing="ij")
+    many = sample_many(fld, lat_g, lon_g)
+    assert many.wind_east.shape == lat_g.shape
+    for n in np.ndindex(lat_g.shape):
+        one = sample_at(fld, float(lat_g[n]), float(lon_g[n]))
+        got = (many.wind_east[n], many.wind_north[n], many.temperature[n])
+        assert np.array(got).tobytes() == np.array(one).tobytes()
+    assert sample_at(fld, lat_axis[-1], lon_axis[-1]) == (
+        fld.wind_east[-1, -1], fld.wind_north[-1, -1],
+        fld.temperature[-1, -1])
+
+
 class TestSampleManyUnevenGrid:
     def test_cell_widths_are_the_axis_differences(self):
         fld = uneven_field()
@@ -107,21 +134,11 @@ class TestSampleManyUnevenGrid:
                 widths[0] = 1.0
 
     def test_bit_identical_to_sample_at(self):
-        fld = uneven_field()
-        lat_axis, lon_axis = fld.lat_axis.tolist(), fld.lon_axis.tolist()
-        # Every node (so the last row and column and the four corners),
-        # every cell's centre, and points at uneven fractions of each cell.
-        lats = lat_axis + [(a + b) / 2 for a, b in zip(lat_axis, lat_axis[1:])] \
-            + [a + 0.13 * (b - a) for a, b in zip(lat_axis, lat_axis[1:])]
-        lons = lon_axis + [(a + b) / 2 for a, b in zip(lon_axis, lon_axis[1:])] \
-            + [a + 0.91 * (b - a) for a, b in zip(lon_axis, lon_axis[1:])]
-        lat_g, lon_g = np.meshgrid(lats, lons, indexing="ij")
-        many = sample_many(fld, lat_g, lon_g)
-        assert many.wind_east.shape == lat_g.shape
-        for n in np.ndindex(lat_g.shape):
-            one = sample_at(fld, float(lat_g[n]), float(lon_g[n]))
-            got = (many.wind_east[n], many.wind_north[n], many.temperature[n])
-            assert np.array(got).tobytes() == np.array(one).tobytes()
+        assert_sample_many_is_sample_at(uneven_field())
+
+    def test_bit_identical_to_sample_at_on_one_cell(self):
+        assert_sample_many_is_sample_at(
+            make_uniform(12.5, -3.0, 250.0, (40.0, 55.0, -3.0, 10.0)))
 
     def test_nodes_read_the_grid(self):
         fld = uneven_field()
