@@ -74,10 +74,20 @@ def normalize_lon(lon_deg: float) -> float:
 
 
 def _normalize_lons(lon_deg: np.ndarray) -> np.ndarray:
-    """Array form of normalize_lon."""
-    lon = np.fmod(lon_deg, 360.0)
-    return np.where(lon <= -180.0, lon + 360.0,
-                    np.where(lon > 180.0, lon - 360.0, lon))
+    """Array form of normalize_lon. Longitudes all within (-180, 180), the
+    usual case, are left as they are; otherwise a longitude moved up by 360
+    lands in (0, 180], so the second step never moves it back."""
+    lon = np.asarray(np.fmod(lon_deg, 360.0))     # scalars too
+    if np.maximum.reduce(np.abs(lon), axis=None, initial=0.0) < 180.0:
+        return lon                                  # NaN takes the steps
+    np.add(lon, 360.0, out=lon, where=lon <= -180.0)
+    np.subtract(lon, 360.0, out=lon, where=lon > 180.0)
+    return lon
+
+
+#: `_copy(src, out=dst, where=mask)` writes src's bits into dst where mask
+#: holds, broadcasting src and mask as `np.copyto` does, in one ufunc call.
+_copy = np.positive
 
 
 @dataclass(frozen=True)
@@ -239,8 +249,12 @@ def track_points(lat1: float, lon1: float, lat2: float, lon2: float,
 def slerp_points(lon1, lon2, a, b, fa, fb) -> tuple[np.ndarray, np.ndarray]:
     """Array form of slerp_point."""
     lat, lon = _slerps(a, b, fa, fb)
-    return lat, np.where(np.equal(lon1, lon2), _normalize_lons(lon1),
-                         np.where(lon == -180.0, 180.0, lon))
+    lon = np.asarray(lon)
+    lon[lon == -180.0] = 180.0
+    meridian = np.equal(lon1, lon2)
+    if np.logical_or.reduce(meridian, axis=None):
+        _copy(_normalize_lons(lon1), out=lon, where=meridian)
+    return lat, lon
 
 
 def intermediate_points(lat1, lon1, lat2, lon2,
@@ -257,12 +271,15 @@ def intermediate_points(lat1, lon1, lat2, lon2,
                             unit_vectors(lat2, lon2),
                             np.sin((1.0 - fraction) * delta),
                             np.sin(fraction * delta))
-    same = delta == 0.0
-    lat, lon = np.where(same, lat1, lat), np.where(same, lon1, lon)
-    at_start = np.less_equal(fraction, 0.0)
-    at_end = np.greater_equal(fraction, 1.0)
-    return (np.where(at_start, lat1, np.where(at_end, lat2, lat)),
-            np.where(at_start, lon1, np.where(at_end, lon2, lon)))
+    # lat and lon have the shape of all inputs together: each copy below
+    # broadcasts an input into them where its mask holds, the last winning.
+    lat = np.asarray(lat)
+    for mask, lat_at, lon_at in ((delta == 0.0, lat1, lon1),
+                                 (np.greater_equal(fraction, 1.0), lat2, lon2),
+                                 (np.less_equal(fraction, 0.0), lat1, lon1)):
+        _copy(lat_at, out=lat, where=mask)
+        _copy(lon_at, out=lon, where=mask)
+    return lat, lon
 
 
 def displacement(lat1: float, lon1: float, lat2: float, lon2: float,
@@ -324,10 +341,13 @@ def displace_many(lat_deg, lon_deg, east_m, north_m) -> tuple[np.ndarray, np.nda
             lon_deg + np.degrees(east_m / (EARTH_RADIUS_M * cos_mid)))
     # numpy's hypot and cos may round apart from math's, so the checks keep
     # a margin and scalar `displace_at` decides each element near a bound.
-    near = ((np.hypot(east_m, north_m) > MAX_PLANAR_DISTANCE_M * (1 - 1e-9))
-            | ~(np.abs(cos_mid) >= 2e-9) | ~(np.abs(lat) <= 90.0)
-            | ~np.isfinite(lon))
-    if near.any():
+    # A NaN latitude or cos_mid makes the longitude NaN, and the first
+    # check, over the shape of all inputs together, flags it.
+    near = np.logical_not(np.isfinite(lon))
+    near |= np.hypot(east_m, north_m) > MAX_PLANAR_DISTANCE_M * (1 - 1e-9)
+    near |= np.abs(cos_mid) < 2e-9
+    near |= np.abs(lat) > 90.0
+    if np.logical_or.reduce(near, axis=None):
         args = np.broadcast_arrays(lat_deg, lon_deg, east_m, north_m)
         for n in np.flatnonzero(near):
             lat0, lon0, east, north = (float(a.flat[n]) for a in args)

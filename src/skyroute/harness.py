@@ -96,8 +96,10 @@ def resolve_point(text: str) -> GeoPoint:
 class PlanRequest:
     """Everything needed to plan one route.
 
-    Lattice dims, substeps, a guide kind or a seed that no plan could use
-    raise ConfigError naming the field.
+    Lattice dims, a width, substeps, a guide kind or a seed that no plan
+    could use raise ConfigError naming the field: dims must be three
+    integers, and width, substeps and seed integers, as `TrainConfig`
+    takes them (a bool or a float is refused, even 2.0).
     """
 
     origin: GeoPoint
@@ -113,6 +115,14 @@ class PlanRequest:
     unconstrained: bool = False
 
     def __post_init__(self):
+        if not (isinstance(self.dims, (tuple, list)) and len(self.dims) == 3
+                and all(type(n) is int for n in self.dims)):
+            raise ConfigError(f"dims must be three integers (I, J, H), "
+                              f"got {self.dims!r}")
+        for name in ("width", "substeps", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         I, J, H = self.dims
         if I < 2:
             raise ConfigError(f"dims: forward rows I must be >= 2, got {I}")

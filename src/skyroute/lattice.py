@@ -25,7 +25,8 @@ import numpy as np
 from .errors import DegenerateTrip, NoSuccessors, WidthOutOfRange
 # great_circle_distance and intermediate_point are unused here; they stay
 # because perfbench/tracing.py wraps them by name.
-from .geo import (GeoPoint, azimuth, displace_many, great_circle_distance,
+from .geo import (GeoPoint, _copy, azimuth, displace_many,
+                  great_circle_distance,
                   great_circle_distances, intermediate_point,
                   intermediate_points, track_points)
 
@@ -141,16 +142,15 @@ def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: in
     # Lateral unit vector: 90 degrees right of the local track bearing.
     perp_e = np.array([math.cos(b) for b in bearing])[:, None]
     perp_n = np.array([-math.sin(b) for b in bearing])[:, None]
-    lat = np.empty((I, J))
-    lon = np.empty((I, J))
-    lat[0], lon[0] = origin.lat_deg, origin.lon_deg
-    lat[I - 1], lon[I - 1] = destination.lat_deg, destination.lon_deg
-    track_lat = np.array(track_lat)[:, None]
-    track_lon = np.array(track_lon)[:, None]
-    lat[1:-1], lon[1:-1] = track_lat, track_lon
+    # Each row's point in every column, then the moved columns displaced.
+    row_lat = np.array([origin.lat_deg, *track_lat, destination.lat_deg])
+    row_lon = np.array([origin.lon_deg, *track_lon, destination.lon_deg])
+    row_lat, row_lon = row_lat[:, None], row_lon[:, None]
+    lat, lon = row_lat.repeat(J, axis=1), row_lon.repeat(J, axis=1)
     side = offsets[moved]
-    lat[1:-1, moved], lon[1:-1, moved] = displace_many(
-        track_lat, track_lon, perp_e * side, perp_n * side)
+    if side.size:
+        lat[1:-1, moved], lon[1:-1, moved] = displace_many(
+            row_lat[1:-1], row_lon[1:-1], perp_e * side, perp_n * side)
     return Lattice((I, J, H), lat, lon, alts, origin, destination)
 
 
@@ -186,10 +186,12 @@ def _guide_points(coarse: CoarseRoute, rows: np.ndarray,
     to m-1, at in-segment fraction (i*m - seg*(I-1))/(I-1). Row I-1 is the
     destination."""
     m = coarse.n - 1
-    seg = np.minimum(rows * m // (I - 1), m - 1)
-    lat, lon = np.array([(p.lat_deg, p.lon_deg) for p in coarse.waypoints]).T
-    return intermediate_points(lat[seg], lon[seg], lat[seg + 1], lon[seg + 1],
-                               (rows * m - seg * (I - 1)) / (I - 1))
+    scaled = rows * m
+    seg = np.minimum(scaled // (I - 1), m - 1)
+    waypoints = np.array([(p.lat_deg, p.lon_deg) for p in coarse.waypoints])
+    start, end = waypoints.take(seg, axis=0), waypoints.take(seg + 1, axis=0)
+    return intermediate_points(start[:, 0], start[:, 1], end[:, 0],
+                               end[:, 1], (scaled - seg * (I - 1)) / (I - 1))
 
 
 def build_corridor(lattice: Lattice, coarse: CoarseRoute, w: int) -> Corridor:
@@ -208,11 +210,15 @@ def build_corridor(lattice: Lattice, coarse: CoarseRoute, w: int) -> Corridor:
     guide_lat, guide_lon = _guide_points(coarse, np.arange(I), I)
     dist = great_circle_distances(lattice.lat_deg, lattice.lon_deg,
                                   guide_lat[:, None], guide_lon[:, None])
-    near = dist <= dist.min(axis=1, keepdims=True) + 1e-9
-    off_center = np.where(near, np.abs(np.arange(J) - lattice.center_column),
-                          J)
-    wanted = np.clip(off_center.argmin(axis=1) - (w - 1) // 2, 0,
-                     J - w).tolist()
+    nearest = np.minimum.reduce(dist, axis=1, keepdims=True)
+    nearest += 1e-9
+    # Each near column's distance from the centre, and J at the others.
+    off_center = np.empty(dist.shape, dtype=int)
+    off_center.fill(J)
+    c = lattice.center_column
+    _copy(np.abs(np.arange(-c, J - c)), out=off_center, where=dist <= nearest)
+    wanted = np.minimum(np.maximum(off_center.argmin(axis=1) - (w - 1) // 2,
+                                   0), J - w).tolist()
     j_min = wanted[:1]
     for lo in wanted[1:]:
         j_min.append(min(max(lo, j_min[-1] - 1), j_min[-1] + 1))

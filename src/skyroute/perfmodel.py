@@ -24,7 +24,15 @@ serves several masses (the search flies its lattice once):
   arrays. It uses the array forms of the same `geo` formulas, so the two
   differ only where numpy rounds sin/cos/asin/atan2/hypot differently from
   libm. A caller that has the segments' unit vectors (the search computes
-  each lattice node's once) passes them in.
+  each lattice node's once) passes them in. Its weather lookup is
+  `weather.sample_many`, whose cell index on an axis of n nodes is
+  `axis[1:-1].searchsorted(x, "right")`, `sample_at`'s bisect over the
+  inner nodes. A batch that fits one block (`BLOCK_POINTS`) is flown
+  without slicing or concatenation, and each array operation is one ufunc
+  or ndarray method: masks are written in place, the pieces' times summed
+  in order by one `np.add.accumulate`, and the fractions' columns made
+  once per substep count. A small plan's geometry is a few hundred such
+  calls, whose fixed cost is most of its time.
 - `segments_fuel` is each segment's start mass times its share, NaN where
   `fly_segment` would refuse the segment (the search's absent edges).
 - `thread_legs` carries mass along consecutive legs, one multiply a leg,
@@ -192,7 +200,7 @@ def fly_leg(spec: AircraftSpec, lat0: float, lon0: float, lat1: float,
     direction = heading(a, b)
     delta = total / EARTH_RADIUS_M
     sin = math.sin
-    (mids, _), (starts, _) = _piece_fractions(substeps)
+    (mids, _, _), (starts, _, _) = _piece_fractions(substeps)
     burned, time, floor_hit = 0.0, 0.0, False
     for mid, start in zip(mids, starts):
         # The piece's midpoint, as intermediate_point(start, to, ...) gives it.
@@ -218,22 +226,31 @@ def _piece_fractions(substeps: int):
     """The fractions along a segment whose sines `fly_leg` and
     `substep_geometry` take: the mids (k + 1/2)/substeps, where the
     weather is sampled, and the starts k/substeps, where the wind is taken
-    along the track, with the end 1 after them. Each comes with whether
-    1 - f is the fractions reversed bit for bit: then sin((1 - f) delta)
-    is sin(f delta) reversed, and each sine serves two points."""
+    along the track, with the end 1 after them. Each comes as a tuple f,
+    and for `_fraction_sines` as a read-only (n, 1) column with the column
+    of 1 - f, or None where 1 - f is f reversed bit for bit: then
+    sin((1 - f) delta) is sin(f delta) reversed, and each sine serves two
+    points."""
     mids = tuple((k / substeps + (k + 1) / substeps) / 2.0
                  for k in range(substeps))
     starts = tuple(k / substeps for k in range(substeps + 1))
-    return tuple((f, tuple(1.0 - x for x in f) == f[::-1])
-                 for f in (mids, starts))
+    kinds = []
+    for f in (mids, starts):
+        column = np.array(f)[:, None]
+        rest = None if tuple(1.0 - x for x in f) == f[::-1] else 1.0 - column
+        for values in (column, rest):
+            if values is not None:
+                values.flags.writeable = False
+        kinds.append((f, column, rest))
+    return tuple(kinds)
 
 
-def _fraction_sines(delta, fractions, shared):
+def _fraction_sines(delta, f, rest):
     """(sin((1 - f) delta), sin(f delta)) as (n, E) arrays, for the n
-    fractions f and the E segments' delta."""
-    f = np.array(fractions)[:, None]
+    fractions of column f, 1 - f in column `rest` (`_piece_fractions`),
+    and the E segments' delta."""
     fb = np.sin(f * delta)
-    return fb[::-1] if shared else np.sin((1.0 - f) * delta), fb
+    return fb[::-1] if rest is None else np.sin(rest * delta), fb
 
 
 #: Most pieces `substep_geometry` works on at once: it cuts longer batches
@@ -257,7 +274,7 @@ class Geometry(NamedTuple):
 
     def take(self, index) -> "Geometry":
         """The geometry of segments `index`, in that order."""
-        return Geometry(*(a[index] for a in self))
+        return Geometry._make(a.take(index) for a in self)
 
 
 def segments_fuel(spec: AircraftSpec, mass, geometry: Geometry) -> np.ndarray:
@@ -269,8 +286,9 @@ def segments_fuel(spec: AircraftSpec, mass, geometry: Geometry) -> np.ndarray:
     says which error that is.
     """
     fuel = mass * geometry.burned
-    return np.where((mass - fuel >= spec.empty_mass_kg)
-                    | (geometry.length == 0.0), fuel, np.nan)   # 0 kg at any mass
+    fuel[~((mass - fuel >= spec.empty_mass_kg)
+           | (geometry.length == 0.0))] = np.nan    # 0 kg at any mass
+    return fuel
 
 
 def substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
@@ -288,35 +306,57 @@ def substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
         raise ValueError("substeps must be >= 1")
     if ends is None:
         ends = unit_vectors(lat0, lon0), unit_vectors(lat1, lon1)
-    mids, starts = _piece_fractions(substeps)
     step = max(1, BLOCK_POINTS // substeps)
+    if lat0.size <= step:
+        return _block_geometry(spec, lat0, lon0, lat1, lon1, *ends, field,
+                               substeps)
     blocks = []
-    for lo in range(0, max(lat0.size, 1), step):
+    for lo in range(0, lat0.size, step):
         block = slice(lo, lo + step)
-        lat_a, lon_a, lat_b, lon_b = (x[block] for x in (lat0, lon0, lat1, lon1))
-        a, b = ([c[block] for c in end] for end in ends)
-        total = great_circle_distances(lat_a, lon_a, lat_b, lon_b)
-        delta = total / EARTH_RADIUS_M
-        # Each array is made when it is needed: a pass with fewer live
-        # temporaries runs faster on the cold caches of a fresh plan.
-        wx = sample_many(field, *slerp_points(
-            lon_a, lon_b, a, b, *_fraction_sines(delta, *mids)))
-        start_fa, start_fb = _fraction_sines(delta, *starts)
-        along, norm = along_tracks(*headings(a, b), start_fa[:substeps],
-                                   start_fb[:substeps], wx.wind_east,
-                                   wx.wind_north)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gs = spec.tas_ms + np.where(norm > 0.0, along / norm, 0.0)
-        dts = total / substeps / np.maximum(gs, GROUND_SPEED_FLOOR_MS)
-        time = burned = 0.0
-        for dt, c in zip(dts, fuel_flow_kgps(spec, 1.0, wx.temperature) * dts):
-            burned = _burn(burned, c)
-            burned = np.where(burned < 1.0, burned, np.nan)   # emptied
-            time = time + dt
-        moving = total > 0.0        # a zero-length segment samples nowhere
-        blocks.append((total, np.where(moving, time, 0.0), np.where(moving, burned, 0.0),
-                       moving & (gs < GROUND_SPEED_FLOOR_MS).any(axis=0)))
+        blocks.append(_block_geometry(
+            spec, *(x[block] for x in (lat0, lon0, lat1, lon1)),
+            *([c[block] for c in end] for end in ends), field, substeps))
     return Geometry(*(np.concatenate(parts) for parts in zip(*blocks)))
+
+
+def _block_geometry(spec: AircraftSpec, lat_a, lon_a, lat_b, lon_b, a, b,
+                    field: WeatherField, substeps: int) -> Geometry:
+    """`substep_geometry` of one block of segments, whose start and end
+    unit vectors are a and b."""
+    (_, *mids), (_, *starts) = _piece_fractions(substeps)
+    total = great_circle_distances(lat_a, lon_a, lat_b, lon_b)
+    delta = total / EARTH_RADIUS_M
+    # Each array is made when it is needed: a pass with fewer live
+    # temporaries runs faster on the cold caches of a fresh plan.
+    wx = sample_many(field, *slerp_points(
+        lon_a, lon_b, a, b, *_fraction_sines(delta, *mids)))
+    start_fa, start_fb = _fraction_sines(delta, *starts)
+    along, norm = along_tracks(*headings(a, b), start_fa[:substeps],
+                               start_fb[:substeps], wx.wind_east,
+                               wx.wind_north)
+    # The wind along the track where it has a direction, else none; then
+    # the ground speed, floored, and each piece's time.
+    headed = norm > 0.0
+    np.divide(along, norm, out=along, where=headed)
+    along[np.logical_not(headed, out=headed)] = 0.0
+    gs = np.add(along, spec.tas_ms, out=along)
+    floored = gs < GROUND_SPEED_FLOOR_MS
+    dts = np.maximum(gs, GROUND_SPEED_FLOOR_MS, out=gs)
+    np.divide(total / substeps, dts, out=dts)
+    burns = fuel_flow_kgps(spec, 1.0, wx.temperature)
+    burns *= dts
+    # The pieces' times summed in order, as a loop from 0.0 sums them:
+    # 0.0 + dt is dt for every dt but -0.0, and no time is -0.0.
+    time = np.add.accumulate(dts)[-1]
+    burned = 0.0
+    for c in burns:
+        burned = _burn(burned, c)
+        burned[burned >= 1.0] = np.nan      # emptied; NaN stays NaN
+    still = np.logical_not(total > 0.0)     # a zero-length segment samples nowhere
+    time[still] = burned[still] = 0.0
+    floor = np.logical_or.reduce(floored, axis=0)
+    floor[still] = False
+    return Geometry(total, time, burned, floor)
 
 
 def fly_route(spec: AircraftSpec, initial_state: AircraftState,

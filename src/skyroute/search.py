@@ -25,6 +25,15 @@ geometry does not depend on its batch, so all three equal what their own
 flights would give.
 `SearchResult.stages` times each stage.
 
+The bookkeeping around the flight is written one ufunc or ndarray method
+per array operation, with no Python-level numpy wrapper (`np.where`,
+`np.clip`, `np.full`, `as_strided`) and no array formed twice: the
+windows, the edge index and the edges' nodes in `_fly_lattice`, the table,
+and the row DP's set-up and counts. On a small lattice these calls, not
+the arithmetic, are most of a plan's time. The weather lookup inside the
+flight finds each point's cell by `weather.sample_many`'s rule, the
+bisect over each axis's inner nodes.
+
 Every search runs from (0, c, H // 2) to (I - 1, c, H // 2), c the centre
 column: every row-0 node is the origin and every row-(I-1) node the
 destination. Row i of the start's cone holds columns c ± i.
@@ -64,7 +73,6 @@ from math import inf
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NoPath
 # great_circle_distance, is_reachable, fly_segment and route_cost are unused
@@ -192,9 +200,10 @@ class _LatticeFlight(NamedTuple):
         lon = lattice.lon_deg[rows, cols].tolist()
         alt = [lattice.alts_m[h] for _i, _j, h in node_path]
         alt[0], alt[-1] = lattice.origin.alt_m, lattice.destination.alt_m
-        legs = rows[:-1]
-        slots = np.where(legs == legs[-1], 1, np.diff(cols) + 1)
-        geometry = self.geometry.take(self.index[legs, cols[:-1], slots])
+        slots = cols[1:] - cols[:-1]
+        slots += 1
+        slots[-1] = 1                   # the last leg enters the goal
+        geometry = self.geometry.take(self.index[rows[:-1], cols[:-1], slots])
         return lat, lon, alt, thread_legs(self.spec, mass, lat, lon, geometry,
                                           self.field, self.substeps)
 
@@ -206,7 +215,8 @@ def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
     lo, hi = _column_windows(lattice, corridor)
     I, J, _H = lattice.dims
     col = np.arange(J)[:, None]
-    target = np.broadcast_to(col + np.arange(-1, 2), (I - 1, J, 3)).copy()
+    target = np.add(col, np.arange(-1, 2), out=np.empty((I - 1, J, 3),
+                                                        dtype=int))
     target[I - 2] = lattice.center_column      # every column enters the goal
     window = ((lo[:-1, None, None] <= col) & (col <= hi[:-1, None, None])
               & (lo[1:, None, None] <= target)
@@ -214,22 +224,24 @@ def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
     window[I - 2, :, 0::2] = False
     flown = window.copy()
     flown[:, lattice.center_column, 1] = True  # a corridor may leave these out
-    edges = np.flatnonzero(flown)       # row-major: row, column, slot
-    index = np.full(flown.shape, -1)
-    np.put(index, edges, np.arange(edges.size))
-    # Each edge's nodes as flat (I, J) indices, and the unit vector of each
-    # node a flown edge touches, taken once.
+    edges = flown.ravel().nonzero()[0]  # row-major: row, column, slot
+    index = np.empty(flown.shape, dtype=int)
+    index.fill(-1)
+    index.flat[edges] = np.arange(edges.size)
+    # Each edge's nodes as flat (I, J) indices.
     src = edges // 3
-    dst = (src // J + 1) * J + target.ravel()[edges]
+    dst = (src // J + 1) * J + target.ravel().take(edges)
+    # The unit vector of each node a flown edge touches, taken once.
     touched = np.zeros(I * J, dtype=bool)
     touched[src] = touched[dst] = True
     lat, lon = lattice.lat_deg.ravel(), lattice.lon_deg.ravel()
     vectors = unit_vectors(lat[touched], lon[touched])
-    node = np.cumsum(touched) - 1       # a touched node's place in vectors
-    src_node, dst_node = node[src], node[dst]
+    node = touched.cumsum() - 1         # a touched node's place in vectors
+    src_node, dst_node = node.take(src), node.take(dst)
     geometry = substep_geometry(
-        spec, lat[src], lon[src], lat[dst], lon[dst], field, substeps,
-        ([c[src_node] for c in vectors], [c[dst_node] for c in vectors]))
+        spec, lat.take(src), lon.take(src), lat.take(dst), lon.take(dst),
+        field, substeps, ([c.take(src_node) for c in vectors],
+                          [c.take(dst_node) for c in vectors]))
     return _LatticeFlight(lattice, spec, field, substeps, window, index,
                           geometry)
 
@@ -240,12 +252,11 @@ def _nominal_masses(flight: _LatticeFlight,
     legs. The centre column's rows 0 and I-1 are the origin and the
     destination."""
     lattice, c = flight.lattice, flight.lattice.center_column
-    legs = flight.index[np.arange(lattice.dims[0] - 1), c, 1]
     return thread_legs(flight.spec, initial_state.mass_kg,
                        lattice.lat_deg[:, c].tolist(),
                        lattice.lon_deg[:, c].tolist(),
-                       flight.geometry.take(legs), flight.field,
-                       flight.substeps).mass
+                       flight.geometry.take(flight.index[:, c, 1]),
+                       flight.field, flight.substeps).mass
 
 
 def _edge_table(flight: _LatticeFlight, masses: list[float]) -> np.ndarray:
@@ -256,11 +267,14 @@ def _edge_table(flight: _LatticeFlight, masses: list[float]) -> np.ndarray:
     edges hold +inf: those outside the column windows, and those the
     batch refuses (NaN), which `fly_segment` would raise on.
     """
-    rows = np.nonzero(flight.window)[0]
-    fuel = segments_fuel(flight.spec, np.asarray(masses)[rows],
-                         flight.geometry.take(flight.index[flight.window]))
-    table = np.full(flight.window.shape, np.inf)
-    table[flight.window] = np.where(np.isnan(fuel), np.inf, fuel)
+    window = flight.window
+    fuel = segments_fuel(flight.spec,
+                         np.array(masses).take(window.nonzero()[0]),
+                         flight.geometry.take(flight.index[window]))
+    fuel[np.isnan(fuel)] = np.inf
+    table = np.empty(window.shape)
+    table.fill(np.inf)
+    table[window] = fuel
     return table
 
 
@@ -390,16 +404,19 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     # Rows 0..I-2 get one +inf column on each side. The edge into (i+1, j')
     # through slot s leaves padded column src[j', s] = j' - s + 2.
     slots = np.arange(3)
-    src = np.arange(J)[:, None] - slots + 2
-    padded = np.full((I - 1, J + 2, 3), np.inf)
+    src = np.arange(2, J + 2)[:, None] - slots
+    padded = np.empty((I - 1, J + 2, 3))
+    padded.fill(np.inf)
     padded[:, 1:-1] = table
     incoming = padded[:, src, slots]
-    g = np.full((I - 1, J + 2), np.inf)
+    g = np.empty((I - 1, J + 2))
+    g.fill(np.inf)
     g[0, c + 1] = 0.0
     # g_src[i, j', s] = g[i, src[j', s]], a view: no copy per row.
-    step = g.strides[1]
-    g_src = as_strided(g[:, 2:], shape=(I - 1, J, 3),
-                       strides=(g.strides[0], step, -step), writeable=False)
+    step = g.itemsize
+    g_src = np.ndarray((I - 1, J, 3), buffer=g, offset=2 * step,
+                       strides=(g.strides[0], step, -step))
+    g_src.flags.writeable = False
     cand = np.empty((I - 2, J, 3))      # g(u) + cost(u, v), v in rows 1..I-2
     # Row i writes row i + 1 of g, which g_src reads on the next pass. The
     # ufuncs are called directly: ndarray.min goes through Python-level
@@ -410,7 +427,8 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
         add(g_row, cost_row, out=cand_row)
         row_min(cand_row, axis=1, out=g_next)
     into_goal = g[I - 2, 1:-1] + table[I - 2, :, 1]
-    c_star = float(into_goal.min())
+    j = int(into_goal.argmin())         # the goal's parent column
+    c_star = float(into_goal[j])
     if c_star == np.inf:
         raise NoPath(_REFUSED)
 
@@ -422,15 +440,15 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     expanded[:, 1:-1][finite] = g_in[finite] + _heuristics(
         lattice, spec, field, lattice.lat_deg[:-1][finite],
         lattice.lon_deg[:-1][finite]) < c_star
-    reached = (expanded[:-1, src] & (incoming[:-1] < np.inf)).any(axis=2)
-    rows = np.arange(I - 1)
-    nlev = np.minimum(H - 1, ch + rows) - np.maximum(0, ch - rows) + 1
-    n_expanded = int(nlev @ expanded.sum(axis=1)) + 1
-    n_generated = int(nlev[1:] @ reached.sum(axis=1)) + 2  # start, goal
+    reached = np.logical_or.reduce(
+        expanded[:-1, src] & (incoming[:-1] < np.inf), axis=2)
+    # Row i's levels are those within i steps of H // 2: min(2i + 1, H).
+    nlev = np.minimum(np.arange(1, 2 * I - 2, 2), H)
+    n_expanded = int(nlev @ np.add.reduce(expanded, axis=1)) + 1
+    n_generated = int(nlev[1:] @ np.add.reduce(reached, axis=1)) + 2  # start, goal
 
     # Slots reversed put the sources in ascending column order.
-    parent_rows = (np.arange(J) - 1 + cand[..., ::-1].argmin(axis=2)).tolist()
-    j = int(into_goal.argmin())
+    parent_rows = (np.arange(-1, J - 1) + cand[..., ::-1].argmin(axis=2)).tolist()
     path = [(I - 1, c, ch), (I - 2, j, max(0, ch - I + 2))]
     for i in range(I - 3, -1, -1):
         j = parent_rows[i][j]

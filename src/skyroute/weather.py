@@ -6,9 +6,18 @@ No extrapolation: sampling outside the grid raises OutOfDomain.
 `sample` finds a position's cell and its four bilinear weights once for
 all three grids; `sample_at` is `sample` on plain floats. `sample_many`,
 the array form, does the same and reads each grid with flat-index gathers.
-Fields are read-only, so their extremes (the search heuristic's bounds)
-and each axis's cell widths (`sample_many`'s divisors) are computed once,
-at construction, by the validation that needs them anyway.
+Both find a cell by one rule: the index of x on an axis of n nodes is
+`bisect_right(axis, x, 1, n - 1) - 1`, which is
+`axis[1:-1].searchsorted(x, "right")` for every x, NaN included, so every
+point, on the grid or not, lands in a cell 0 .. n - 2 and the last node
+falls in the last cell. `sample_many` is written one ufunc or ndarray
+method per array operation, with no Python-level numpy wrapper and no
+array formed twice: on the few points of a small plan a wrapper costs
+more than the arithmetic.
+Fields are read-only, so their extremes (the search heuristic's bounds),
+each axis's cell widths (`sample_many`'s divisors), its inner nodes and
+its ends are computed once, at construction, by the validation that needs
+them anyway.
 `make_jet_stream`'s random modes depend on the seed alone, so they are
 drawn once per seed and shared by every field built from it.
 """
@@ -73,48 +82,57 @@ class WeatherField:
                 raise ValueError(f"{name} must be 1D with at least 2 points")
             # NaN passes the order check below, and a NaN or infinite node
             # spoils the bilinear weights of its cells.
-            if not np.isfinite(axis).all():
+            if not np.logical_and.reduce(np.isfinite(axis)):
                 raise ValueError(f"{name} must be finite")
         # Each axis's cell widths, the divisors of `sample_many`'s weights.
-        self._lat_widths = np.diff(self.lat_axis)
-        self._lon_widths = np.diff(self.lon_axis)
-        if (self._lat_widths <= 0).any() or (self._lon_widths <= 0).any():
+        lat, lon = self.lat_axis, self.lon_axis
+        self._lat_widths = np.subtract(lat[1:], lat[:-1])
+        self._lon_widths = np.subtract(lon[1:], lon[:-1])
+        if (np.logical_or.reduce(self._lat_widths <= 0.0)
+                or np.logical_or.reduce(self._lon_widths <= 0.0)):
             raise ValueError("axes must be strictly ascending")
         # An ascending axis lies on the globe when its ends do.
-        for name, limit in (("lat_axis", 90.0), ("lon_axis", 180.0)):
-            axis = getattr(self, name)
-            if axis[0] < -limit or axis[-1] > limit:
+        self._bounds = (float(lat[0]), float(lat[-1]), float(lon[0]),
+                        float(lon[-1]))
+        for name, lo, hi, limit in (("lat_axis", *self._bounds[:2], 90.0),
+                                    ("lon_axis", *self._bounds[2:], 180.0)):
+            if lo < -limit or hi > limit:
                 raise ValueError(f"{name} must lie within "
                                  f"[{-limit:g}, {limit:g}] degrees")
         self._lat_widths.flags.writeable = False
         self._lon_widths.flags.writeable = False
-        shape = (self.lat_axis.size, self.lon_axis.size)
+        # `sample_many` searches the inner nodes only (see there).
+        self._lat_inner, self._lon_inner = lat[1:-1], lon[1:-1]
+        shape = (lat.size, lon.size)
         for name in ("wind_east", "wind_north", "temperature"):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} grid must have shape {shape}")
             # The range checks below pass NaN, and sample_many marks
             # off-grid positions with it.
-            if not np.isfinite(getattr(self, name)).all():
+            if not np.logical_and.reduce(np.isfinite(getattr(self, name)),
+                                         axis=None):
                 raise ValueError(f"{name} grid must be finite")
         # Fields are read-only, so their extremes are computed once and
         # serve both the checks and the accessors.
-        self._temperature_range = (float(self.temperature.min()),
-                                   float(self.temperature.max()))
+        self._temperature_range = (
+            float(np.minimum.reduce(self.temperature, axis=None)),
+            float(np.maximum.reduce(self.temperature, axis=None)))
         if not (MIN_TEMPERATURE_K <= self._temperature_range[0]
                 and self._temperature_range[1] <= MAX_TEMPERATURE_K):
             raise ValueError("temperature outside [180, 330] K")
-        self._max_wind_speed = float(np.hypot(self.wind_east,
-                                              self.wind_north).max())
+        self._max_wind_speed = _max_hypot(self.wind_east, self.wind_north)
         if self._max_wind_speed > 150.0:
             raise ValueError("wind magnitude exceeds 150 m/s")
         # Plain copies for the scalar `sample`, which would spend most of
         # its time on numpy scalars otherwise: axes as lists, grids as flat
         # row-major double arrays (8 bytes a value, a third of a list's).
-        self._lat = self.lat_axis.tolist()
-        self._lon = self.lon_axis.tolist()
-        self._grids = tuple(array("d", getattr(self, name).tobytes())
-                            for name in ("wind_east", "wind_north",
-                                         "temperature"))
+        # `sample_many` gathers from flat views of the grids.
+        self._lat = lat.tolist()
+        self._lon = lon.tolist()
+        self._flat = tuple(getattr(self, name).ravel()
+                           for name in ("wind_east", "wind_north",
+                                        "temperature"))
+        self._grids = tuple(array("d", grid.tobytes()) for grid in self._flat)
 
     def max_wind_speed(self) -> float:
         """Largest wind magnitude anywhere on the grid."""
@@ -167,33 +185,49 @@ def sample_many(fld: WeatherField, lat: np.ndarray,
     Same arithmetic as `sample`, so the values are bit-identical to it.
     Instead of raising, positions off the grid get NaN in all three fields.
     """
-    lat_axis, lon_axis = fld.lat_axis, fld.lon_axis
-    inside = ((lat_axis[0] <= lat) & (lat <= lat_axis[-1])
-              & (lon_axis[0] <= lon) & (lon <= lon_axis[-1]))
-    i = np.clip(np.searchsorted(lat_axis, lat, side="right") - 1,
-                0, lat_axis.size - 2)
-    j = np.clip(np.searchsorted(lon_axis, lon, side="right") - 1,
-                0, lon_axis.size - 2)
-
+    lat_lo, lat_hi, lon_lo, lon_hi = fld._bounds
+    # NaN compares false, so it is off the grid.
+    off = ~((lat >= lat_lo) & (lat <= lat_hi) & (lon >= lon_lo)
+            & (lon <= lon_hi))
+    # `sample_at`'s bisect over nodes 1 .. len - 2, minus 1: every x, NaN
+    # included, lands in cell 0 .. len - 2.
+    i = fld._lat_inner.searchsorted(lat, "right")
+    j = fld._lon_inner.searchsorted(lon, "right")
     # The widths are `sample_at`'s subtractions, made once per field.
-    t = (lat - lat_axis[i]) / fld._lat_widths[i]
-    u = (lon - lon_axis[j]) / fld._lon_widths[j]
+    t = (lat - fld.lat_axis.take(i)) / fld._lat_widths.take(i)
+    u = (lon - fld.lon_axis.take(j)) / fld._lon_widths.take(j)
+    t_rest, u_rest = 1.0 - t, 1.0 - u
     # `sample_at`'s weights, with NaN in the first weight off the grid.
-    weights = (np.where(inside, (1 - t) * (1 - u), np.nan),
-               (1 - t) * u, t * (1 - u), t * u)
-    k = i * lon_axis.size + j       # flat index of corner (i, j)
-    m = k + lon_axis.size           # and of (i + 1, j)
+    w00 = t_rest * u_rest
+    w00[off] = np.nan
+    weights = (w00, t_rest * u, t * u_rest, t * u)
+    k = i * fld.lon_axis.size + j   # flat index of corner (i, j)
+    m = k + fld.lon_axis.size       # and of (i + 1, j)
     corners = (k, k + 1, m, m + 1)
-    term = np.empty_like(weights[0])
+    term = np.empty(w00.shape)
     values = []
-    for grid in (fld.wind_east, fld.wind_north, fld.temperature):
-        flat = grid.ravel()
+    for flat in fld._flat:
         # w00 * c00 + w01 * c01 + w10 * c10 + w11 * c11, left to right.
-        value = weights[0] * flat.take(corners[0])
+        value = w00 * flat.take(k)
         for w, c in zip(weights[1:], corners[1:]):
             value += np.multiply(w, flat.take(c), out=term)
         values.append(value)
     return WeatherSample(*values)
+
+
+def _max_hypot(x: np.ndarray, y: np.ndarray) -> float:
+    """`np.hypot(x, y).max()`, taking hypot only where it can be largest.
+
+    x^2 + y^2 in floats is within 3 ulp of its exact value plus 3 times
+    the smallest subnormal, and hypot within 1 ulp of its own, so the
+    element with the largest hypot has a sum of squares within about
+    1e-15 relative (plus 1e-323) of the largest. Every element within
+    1e-12 relative plus 1e-300 of it is a candidate; overflow to inf
+    keeps the largest among them."""
+    squares = x * x + y * y
+    largest = np.maximum.reduce(squares, axis=None)
+    near = squares >= largest * (1.0 - 1e-12) - 1e-300
+    return float(np.maximum.reduce(np.hypot(x[near], y[near])))
 
 
 def make_uniform(wind_east: float, wind_north: float, temperature: float,
@@ -230,6 +264,23 @@ def _jet_modes(seed: int) -> tuple[np.ndarray, ...]:
     return modes
 
 
+def _linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """`np.linspace(start, stop, num)` for num >= 2, operation for
+    operation: arange(num) times the step (or over num - 1, then times the
+    span, when the step underflows to 0), plus start, and stop last."""
+    y = np.arange(num, dtype=float)
+    span = float(stop) - float(start)
+    step = span / (num - 1)
+    if step == 0.0:
+        y /= num - 1
+        y *= span
+    else:
+        y *= step
+    y += start
+    y[-1] = stop
+    return y
+
+
 def make_jet_stream(bbox: tuple[float, float, float, float],
                     core_lat: float, core_speed: float, half_width: float,
                     seed: int, perturbation: float = 0.1,
@@ -248,9 +299,11 @@ def make_jet_stream(bbox: tuple[float, float, float, float],
         raise ValueError("core_lat must be finite")
     if not (0.0 < half_width < math.inf):
         raise ValueError("half_width must be finite and positive")
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
     lat_min, lat_max, lon_min, lon_max = bbox
-    lat_axis = np.linspace(lat_min, lat_max, resolution)
-    lon_axis = np.linspace(lon_min, lon_max, resolution)
+    lat_axis = _linspace(lat_min, lat_max, resolution)
+    lon_axis = _linspace(lon_min, lon_max, resolution)
     # Every term depends on one axis, so it is computed on a latitude
     # column or a longitude row and broadcast to the grid.
     lat_c = lat_axis[:, None]
@@ -271,16 +324,20 @@ def make_jet_stream(bbox: tuple[float, float, float, float],
         east_lon = np.cos(lon_k + ph2[:, None])
         north_lat = (0.5 * amps)[:, None] * np.cos(lat_k + ph2[:, None])
         north_lon = np.sin(lon_k + ph1[:, None])
-        # Summed mode by mode: a single sum over modes would add in
-        # another order and change the last bits.
-        term = np.empty(shape)
-        for m in range(amps.size):
-            perturb_e += np.multiply(east_lat[m, :, None], east_lon[m], out=term)
-            perturb_n += np.multiply(north_lat[m, :, None], north_lon[m], out=term)
+        # Every mode's term in one product, then summed mode by mode: a
+        # single sum over modes would add in another order and change the
+        # last bits.
+        terms = np.empty((amps.size, *shape))
+        for by_lat, by_lon, total in ((east_lat, east_lon, perturb_e),
+                                      (north_lat, north_lon, perturb_n)):
+            np.multiply(by_lat[:, :, None], by_lon[:, None, :], out=terms)
+            for term in terms:
+                total += term
 
     # Mild temperature gradient toward each pole around ISA, inside
     # [180, 330] K at every latitude (about 266 to 311 K).
-    temp = np.broadcast_to(ISA_TEMPERATURE_K - 0.5 * (np.abs(lat_c) - 45.0), shape)
+    temp = (ISA_TEMPERATURE_K - 0.5 * (np.abs(lat_c) - 45.0)).repeat(
+        resolution, axis=1)
 
     return WeatherField(lat_axis, lon_axis, jet + perturb_e, perturb_n, temp)
 

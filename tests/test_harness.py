@@ -331,6 +331,19 @@ class TestPlan:
         with pytest.raises(ConfigError, match=field):
             small_request(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("dims", (41.0, 11, 3)), ("dims", (41, 11)), ("dims", (41, 11, True)),
+        ("dims", (41, 11, 3, 1)), ("dims", 41), ("width", True),
+        ("width", 2.0), ("substeps", 2.0), ("substeps", True),
+        ("seed", 1.5), ("seed", False)],
+        ids=["float-I", "two-dims", "bool-H", "four-dims", "int-dims",
+             "bool-width", "float-width", "float-substeps", "bool-substeps",
+             "float-seed", "bool-seed"])
+    def test_request_refuses_what_is_not_an_integer(self, field, value):
+        # Each raised deep in the lattice, range() or numpy, or planned.
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            small_request(**{field: value})
+
     def test_policy_guide_plans_long_haul(self, tmp_path):
         # Madrid -> Kazakhstan is beyond the 6,000 km planar bound.
         ck = tmp_path / "policy.json"

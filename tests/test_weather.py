@@ -5,14 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skyroute.errors import OutOfDomain, ParseError, SchemaError
 from skyroute.geo import GeoPoint
 from skyroute.harness import make_weather
 from skyroute.weather import (CSV_COLUMNS, ISA_TEMPERATURE_K, WeatherField,
-                              _jet_modes, load_csv, make_jet_stream,
-                              make_uniform, parse_csv, sample, sample_at,
-                              sample_many, save_csv)
+                              _jet_modes, _max_hypot, load_csv,
+                              make_jet_stream, make_uniform, parse_csv, sample,
+                              sample_at, sample_many, save_csv)
 
 
 def affine_field():
@@ -160,6 +161,85 @@ class TestSampleManyUnevenGrid:
                 sample_at(fld, float(la), float(lo))
 
 
+def probe_field(n_lat, n_lon):
+    """A field on axes of n_lat and n_lon nodes (2 nodes: one cell and no
+    inner node; 3: one inner node), with seeded winds in which some nodes
+    hold 0.0 and some -0.0, so that signed zeros reach the sums."""
+    lat_axis = np.linspace(40.0, 55.0, n_lat)
+    lon_axis = np.linspace(-3.0, 10.0, n_lon)
+    rng = np.random.default_rng(n_lat * 100 + n_lon)
+    winds = rng.uniform(-60.0, 60.0, size=(2, n_lat, n_lon))
+    winds[0, ::2, ::2] = -0.0
+    winds[1, 1::2, ::3] = 0.0
+    winds[1, ::3, 1::2] = -0.0
+    temperature = rng.uniform(200.0, 320.0, size=(n_lat, n_lon))
+    return WeatherField(lat_axis, lon_axis, *winds, temperature)
+
+
+def axis_probes(axis):
+    """Every node, the floats next to each node on both sides, points below
+    and above both ends, NaN and both infinities."""
+    span = axis[-1] - axis[0]
+    near = [math.nextafter(a, d) for a in axis for d in (-math.inf, math.inf)]
+    return (axis + near
+            + [axis[0] - span, axis[0] - 1e-3, axis[-1] + 1e-3, axis[-1] + span]
+            + [math.nan, math.inf, -math.inf])
+
+
+class TestSampleManyProbes:
+    """`sample_many` is `sample_at` bit for bit, sign of zero included, and
+    NaN in all three fields wherever `sample_at` refuses the point."""
+
+    @pytest.mark.parametrize("n_lat, n_lon", [(2, 2), (3, 3), (61, 61),
+                                              (2, 61), (61, 3)])
+    def test_equals_sample_at_at_every_probe(self, n_lat, n_lon):
+        fld = probe_field(n_lat, n_lon)
+        lat_g, lon_g = np.meshgrid(axis_probes(fld.lat_axis.tolist()),
+                                   axis_probes(fld.lon_axis.tolist()),
+                                   indexing="ij")
+        lat, lon = lat_g.ravel(), lon_g.ravel()
+        # An infinite point's weights take inf - inf and 0 * inf, which
+        # numpy reports as invalid; its NaN is the point of the probe.
+        with np.errstate(invalid="ignore"):
+            many = sample_many(fld, lat, lon)
+        got = np.stack([many.wind_east, many.wind_north, many.temperature])
+        off = 0
+        for n, (la, lo) in enumerate(zip(lat.tolist(), lon.tolist())):
+            try:
+                one = sample_at(fld, la, lo)
+            except OutOfDomain:
+                assert np.isnan(got[:, n]).all(), (la, lo)
+                off += 1
+                continue
+            assert got[:, n].tobytes() == np.array(one).tobytes(), (la, lo)
+        assert 0 < off < lat.size
+        # The same points as a (4, N) batch give the 1-D result's values,
+        # and NaN where it has NaN (a NaN's sign bit is no contract).
+        pad = -lat.size % 4
+        lat4 = np.concatenate([lat, lat[:pad]]).reshape(4, -1)
+        lon4 = np.concatenate([lon, lon[:pad]]).reshape(4, -1)
+        with np.errstate(invalid="ignore"):
+            many4 = sample_many(fld, lat4, lon4)
+        for name in ("wind_east", "wind_north", "temperature"):
+            values = getattr(many4, name)
+            assert values.shape == lat4.shape
+            flat = np.concatenate([getattr(many, name),
+                                   getattr(many, name)[:pad]])
+            nan = np.isnan(flat)
+            assert np.array_equal(np.isnan(values.ravel()), nan)
+            assert values.ravel()[~nan].tobytes() == flat[~nan].tobytes()
+
+    def test_signed_zero_reaches_the_result(self):
+        # The probes above would pass a sum that dropped the sign of zero
+        # only if no probe's exact sum were -0.0; this field makes sure.
+        fld = make_uniform(-0.0, 0.0, 250.0, (40.0, 55.0, -3.0, 10.0))
+        many = sample_many(fld, np.array([40.0, 47.1]), np.array([-3.0, 2.2]))
+        assert np.signbit(many.wind_east).all()
+        assert not np.signbit(many.wind_north).any()
+        for la, lo in ((40.0, -3.0), (47.1, 2.2)):
+            assert math.copysign(1.0, sample_at(fld, la, lo)[0]) == -1.0
+
+
 class TestValidation:
     def test_descending_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -258,6 +338,89 @@ class TestValidation:
             WeatherField(np.array([40.0, 50.0]), np.array([0.0, 5.0, 10.0]),
                          np.zeros((2, 2)), np.zeros((2, 2)),
                          np.full((2, 2), 288.15))
+
+
+def hypot_max(x, y):
+    """The largest wind magnitude as every hypot, then the max."""
+    return float(np.hypot(x, y).max())
+
+
+#: Finite doubles of every scale, subnormals and signed zeros included;
+#: squares of the largest overflow to inf.
+any_double = st.floats(allow_nan=False, allow_infinity=False)
+grid_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                               max_side=9)
+
+
+@st.composite
+def tied_grids(draw):
+    """Grids whose magnitudes tie or sit one ulp apart: sign flips and
+    swaps of one pair, and the pair with one component moved by an ulp."""
+    x, y = draw(any_double), draw(any_double)
+    near = math.nextafter(x, math.inf if draw(st.booleans()) else -math.inf)
+    pairs = [(x, y), (-x, y), (x, -y), (y, x), (-y, -x), (near, y)]
+    picks = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30))
+    rows = draw(st.integers(1, len(picks)))
+    picks = picks[:len(picks) - len(picks) % rows]
+    grid = np.array(picks).T.reshape(2, rows, -1)
+    return grid[0], grid[1]
+
+
+class TestMaxWindSpeed:
+    """`max_wind_speed` takes hypot only where the squares come near the
+    largest; it equals the max over every hypot, bit for bit."""
+
+    @given(grid_shapes.flatmap(lambda shape: st.tuples(
+        hnp.arrays(float, shape, elements=any_double),
+        hnp.arrays(float, shape, elements=any_double))))
+    @settings(max_examples=200)
+    def test_random_grids(self, grids):
+        x, y = grids
+        with np.errstate(over="ignore"):
+            assert _max_hypot(x, y) == hypot_max(x, y)
+
+    @given(tied_grids())
+    @settings(max_examples=200)
+    def test_tied_grids(self, grids):
+        with np.errstate(over="ignore"):
+            assert _max_hypot(*grids) == hypot_max(*grids)
+
+    # In each pair, the first sum of squares is the larger and its hypot
+    # the smaller: a rule that kept only the largest square would miss the
+    # second. In subnormal squares the gap is 20% (4 against 5 units of
+    # 2**-1074), which only the absolute margin covers.
+    @pytest.mark.parametrize("x, y", [
+        ((78.63587471725242, 78.63587471725243),
+         (68.05724917442751, 68.0572491744275)),
+        ((4.720419539346076e-162, 3.5074541453092496e-162),
+         (0.0, 3.5074541453092496e-162))], ids=["ulp", "subnormal"])
+    def test_largest_square_is_not_the_largest_hypot(self, x, y):
+        x, y = np.array([x]), np.array([y])
+        squares = x * x + y * y
+        assert squares[0, 0] > squares[0, 1]
+        assert np.hypot(x[0, 0], y[0, 0]) < np.hypot(x[0, 1], y[0, 1])
+        assert _max_hypot(x, y) == hypot_max(x, y) == np.hypot(x[0, 1], y[0, 1])
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_grid(self, zero):
+        x = np.full((3, 4), zero)
+        assert _max_hypot(x, x) == 0.0
+        fld = make_uniform(zero, zero, 288.15, (40, 50, 0, 10))
+        assert fld.max_wind_speed() == 0.0
+
+    # Components within 106 m/s keep every magnitude under the 150 m/s
+    # that a field accepts.
+    @given(hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
+                            max_side=9).flatmap(lambda shape: st.tuples(
+        hnp.arrays(float, shape, elements=st.floats(-106.0, 106.0)),
+        hnp.arrays(float, shape, elements=st.floats(-106.0, 106.0)))))
+    @settings(max_examples=100)
+    def test_field_reports_the_largest_hypot(self, grids):
+        we, wn = grids
+        fld = WeatherField(np.linspace(40.0, 50.0, we.shape[0]),
+                           np.linspace(0.0, 10.0, we.shape[1]), we, wn,
+                           np.full(we.shape, 288.15))
+        assert fld.max_wind_speed() == hypot_max(we, wn)
 
 
 class TestImmutable:
