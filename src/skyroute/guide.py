@@ -10,8 +10,9 @@ features are scaled by fixed constants that every checkpoint records.
 floats: `trip_frame` once per trip, then per step `geo.displacement`,
 `extract_features`, a (B, 5) `forward` batch and the step rule
 `safe_step`. So a plan rolls out the policy it was trained on through one
-code path. Only the waypoints `roll_out` returns are GeoPoints, and of the
-object forms only `intermediate_point` runs here, for the great circle.
+code path. Only the waypoints `roll_out` returns are GeoPoints; the
+great-circle guide takes its interior waypoints from one
+`geo.track_points` call, the float body of `intermediate_point`.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import numpy as np
 
 from .errors import DistanceOutOfRange
 from .files import replacing
-# great_circle_distance and sample are unused here; they stay because
-# perfbench/tracing.py wraps them by name.
+# great_circle_distance, intermediate_point and sample are unused here; they
+# stay because perfbench/tracing.py wraps them by name.
 from .geo import (GeoPoint, displace_at, displacement, great_circle_distance,
-                  haversine, intermediate_point, rotate_by, trip_rotation)
+                  haversine, intermediate_point, rotate_by, track_points,
+                  trip_rotation)
 from .lattice import CoarseRoute
 from .weather import ISA_TEMPERATURE_K, WeatherField, sample, sample_at
 
@@ -336,10 +338,12 @@ def roll_out(cfg: GuideConfig, params: PolicyParams | None, origin: GeoPoint,
     n = cfg.n
     alt = origin.alt_m
     if cfg.guide_kind == "great_circle":
-        pts = []
-        for k in range(n):
-            p = intermediate_point(origin, destination, k / (n - 1))
-            pts.append(GeoPoint(p.lat_deg, p.lon_deg, alt))
+        inner = track_points(origin.lat_deg, origin.lon_deg,
+                             destination.lat_deg, destination.lon_deg,
+                             [k / (n - 1) for k in range(1, n - 1)])
+        pts = [GeoPoint(origin.lat_deg, origin.lon_deg, alt),
+               *(GeoPoint(lat, lon, alt) for lat, lon in inner),
+               GeoPoint(destination.lat_deg, destination.lon_deg, alt)]
         return CoarseRoute(tuple(_dedupe(pts)))
 
     if params is None:

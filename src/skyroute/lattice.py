@@ -13,12 +13,24 @@ consecutive columns around a coarse guide route, built in one array
 pass; consecutive windows, like path nodes, are one column apart at most.
 Every search starts at row 0's centre column and middle level, and row
 0's window always holds that column.
+
+What depends on the dims alone is worked out once per (I, J, H) by
+`shape`, a bounded cache of read-only `Shape`s that every `Lattice`
+carries: the centre column and level, the column offsets in half-widths,
+the level altitudes, the start's cone of c ± i columns in row i, each
+slot's target column, the row DP's index tables, and the cone's edge set
+(`window_edges`), built when an unconstrained plan first needs it. The
+key is the dims and nothing else: the trip, the weather, the guide, the
+corridor and the half-width never enter it, so the column positions, a
+corridor's windows and its edge set are built per plan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +46,10 @@ NodeIndex = tuple[int, int, int]
 
 #: Lowest and highest of the H altitude levels (meters).
 ALT_BAND_M = (9_000.0, 11_000.0)
+
+#: How many lattice shapes `shape` keeps. A process plans few sizes (a
+#: width sweep keeps one); a 161x41x5 shape holds about 1.3 MB of indices.
+SHAPE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -54,21 +70,156 @@ class CoarseRoute:
         return len(self.waypoints)
 
 
-@dataclass
-class Lattice:
-    """The (I, J, H) node matrix plus its build parameters.
+class EdgeSet(NamedTuple):
+    """The edges of a lattice's column windows, and where a flight finds
+    them.
 
-    `lat_deg` and `lon_deg` are (I, J) arrays of column positions (rows 0
-    and I-1 repeat the origin and the destination); `alts_m` holds the H
-    level altitudes.
+    Edge (i, j, s) leaves column j of row i through slot s = j' - j + 1;
+    every edge into the goal row uses slot 1. The flown edges are the
+    window edges plus the centre column's slot-1 legs, which a corridor
+    may leave out, numbered in row-major (row, column, slot) order. Nodes
+    are flat indices into the (I, J) column arrays. Every array is
+    read-only.
+    """
+
+    window: np.ndarray       # (I-1, J, 3) bool: the edge lies in the windows
+    index: np.ndarray        # (I-1, J, 3): a flown edge's number, -1 elsewhere
+    src: np.ndarray          # each flown edge's start node
+    dst: np.ndarray          # and its end node
+    touched: np.ndarray      # the nodes a flown edge touches, ascending
+    src_node: np.ndarray     # each flown edge's start's place in `touched`
+    dst_node: np.ndarray     # and its end's
+    window_rows: np.ndarray  # each window edge's row, in row-major order
+    window_pos: np.ndarray   # and its number among the flown edges
+    centre_pos: np.ndarray   # (I-1,) the number of each row's centre leg
+
+
+@dataclass(frozen=True, eq=False)
+class Shape:
+    """What the dims of an (I, J, H) lattice fix, whatever its trip.
+
+    `lo` and `hi` bound the start's cone, c ± i in row i clipped to the
+    grid, and row I-1 holds only the goal column c. `target[i, j, s]` is
+    the column slot s of (i, j) enters, c in the last row. The row DP pads
+    every row with one +inf column on each side: `dp_src[j', s]` =
+    j' - s + 2 is the padded column the edge into (i+1, j') through slot s
+    leaves, `dp_levels[i]` = min(2i + 1, H) the levels of row i, and
+    `dp_parent_base[j']` = j' - 1 the column that reversed slot 0 leaves.
+    Every array is read-only; `shape` builds one per dims.
     """
 
     dims: tuple[int, int, int]
+    center_column: int
+    center_level: int
+    offsets: np.ndarray          # (J,) column offsets in half-widths
+    alts_m: tuple[float, ...]    # the H level altitudes
+    lo: np.ndarray               # (I,) first column of the cone per row
+    hi: np.ndarray               # (I,) and its last
+    target: np.ndarray           # (I-1, J, 3)
+    dp_src: np.ndarray           # (J, 3)
+    dp_levels: np.ndarray        # (I-1,)
+    dp_parent_base: np.ndarray   # (J,)
+
+    @cached_property
+    def cone(self) -> EdgeSet:
+        """`window_edges` of the cone, built when an unconstrained plan
+        first asks: a corridor plan never reads it."""
+        return window_edges(self.target, self.lo, self.hi)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def window_edges(target: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> EdgeSet:
+    """The edge set of the column windows `lo`..`hi` (per row, inclusive)
+    on the lattice whose slot targets are `target`."""
+    n_rows, J, _slots = target.shape
+    c = (J - 1) // 2
+    col = np.arange(J)[:, None]
+    window = ((lo[:-1, None, None] <= col) & (col <= hi[:-1, None, None])
+              & (lo[1:, None, None] <= target)
+              & (target <= hi[1:, None, None]))
+    window[n_rows - 1, :, 0::2] = False
+    flown = window.copy()
+    flown[:, c, 1] = True
+    edges = flown.ravel().nonzero()[0]
+    index = np.empty(flown.shape, dtype=int)
+    index.fill(-1)
+    index.flat[edges] = np.arange(edges.size)
+    src = edges // 3
+    dst = (src // J + 1) * J + target.ravel().take(edges)
+    touched = np.zeros((n_rows + 1) * J, dtype=bool)
+    touched[src] = touched[dst] = True
+    node = touched.cumsum() - 1         # a touched node's place in touched
+    out = EdgeSet(window, index, src, dst, touched.nonzero()[0],
+                  node.take(src), node.take(dst), window.nonzero()[0],
+                  index[window], index[:, c, 1])
+    _read_only(*out)
+    return out
+
+
+# typed: a dim of another type (a float, say) builds its own Shape, so it
+# fails or passes as it would uncached.
+@lru_cache(maxsize=SHAPE_CACHE_SIZE, typed=True)
+def shape(I: int, J: int, H: int) -> Shape:
+    """The `Shape` of an (I, J, H) lattice, from a cache of the
+    `SHAPE_CACHE_SIZE` most recently used ones; `shape.__wrapped__` builds
+    it afresh."""
+    if I < 2 or J < 1 or J % 2 == 0 or H < 1:
+        raise ValueError("require I >= 2, odd J >= 1, H >= 1")
+    alt_lo, alt_hi = ALT_BAND_M
+    if H == 1:
+        alts = (0.5 * (alt_lo + alt_hi),)
+    else:
+        alts = tuple(alt_lo + h * (alt_hi - alt_lo) / (H - 1) for h in range(H))
+    c = (J - 1) // 2
+    offsets = (np.arange(J) - c) / max(c, 1)
+    rows = np.arange(I)
+    lo, hi = np.maximum(c - rows, 0), np.minimum(c + rows, J - 1)
+    lo[I - 1] = hi[I - 1] = c
+    target = np.add(np.arange(J)[:, None], np.arange(-1, 2),
+                    out=np.empty((I - 1, J, 3), dtype=int))
+    target[I - 2] = c                   # every column enters the goal
+    dp_src = np.arange(2, J + 2)[:, None] - np.arange(3)
+    dp_levels = np.minimum(np.arange(1, 2 * I - 2, 2), H)
+    dp_parent_base = np.arange(-1, J - 1)
+    _read_only(offsets, lo, hi, target, dp_src, dp_levels, dp_parent_base)
+    return Shape((I, J, H), c, H // 2, offsets, alts, lo, hi, target,
+                 dp_src, dp_levels, dp_parent_base)
+
+
+@dataclass
+class Lattice:
+    """The (I, J, H) node matrix: its `Shape` and its column positions.
+
+    `lat_deg` and `lon_deg` are (I, J) arrays of column positions (rows 0
+    and I-1 repeat the origin and the destination).
+    """
+
+    shape: Shape
     lat_deg: np.ndarray
     lon_deg: np.ndarray
-    alts_m: tuple[float, ...]
     origin: GeoPoint
     destination: GeoPoint
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.shape.dims
+
+    @property
+    def alts_m(self) -> tuple[float, ...]:
+        return self.shape.alts_m
+
+    @property
+    def center_column(self) -> int:
+        return self.shape.center_column
+
+    @property
+    def center_level(self) -> int:
+        return self.shape.center_level
 
     def node(self, idx: NodeIndex) -> GeoPoint:
         i, j, h = idx
@@ -78,14 +229,6 @@ class Lattice:
             return self.destination
         return GeoPoint(float(self.lat_deg[i, j]), float(self.lon_deg[i, j]),
                         self.alts_m[h])
-
-    @property
-    def center_column(self) -> int:
-        return (self.dims[1] - 1) // 2
-
-    @property
-    def center_level(self) -> int:
-        return self.dims[2] // 2
 
 
 @dataclass
@@ -121,20 +264,11 @@ def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: in
     """Construct the lattice; see module docstring for the layout."""
     if origin.same_position(destination):
         raise DegenerateTrip("origin and destination coincide")
-    if I < 2 or J < 1 or J % 2 == 0 or H < 1:
-        raise ValueError("require I >= 2, odd J >= 1, H >= 1")
-    alt_lo, alt_hi = ALT_BAND_M
+    layout = shape(I, J, H)
     if not (math.isfinite(lateral_halfwidth_m) and lateral_halfwidth_m >= 0.0):
         raise ValueError("lateral_halfwidth_m must be finite and >= 0: "
                          f"{lateral_halfwidth_m}")
-    if H == 1:
-        alts = (0.5 * (alt_lo + alt_hi),)
-    else:
-        alts = tuple(alt_lo + h * (alt_hi - alt_lo) / (H - 1) for h in range(H))
-
-    center = (J - 1) // 2
-    half = max(center, 1)
-    offsets = (np.arange(J) - center) / half * lateral_halfwidth_m
+    offsets = layout.offsets * lateral_halfwidth_m
     # A column at offset 0 (the centre; every column at half-width 0) is
     # the track point itself and never goes through displace_many.
     moved = offsets != 0.0
@@ -151,7 +285,7 @@ def build_lattice(origin: GeoPoint, destination: GeoPoint, I: int, J: int, H: in
     if side.size:
         lat[1:-1, moved], lon[1:-1, moved] = displace_many(
             row_lat[1:-1], row_lon[1:-1], perp_e * side, perp_n * side)
-    return Lattice((I, J, H), lat, lon, alts, origin, destination)
+    return Lattice(layout, lat, lon, origin, destination)
 
 
 def successors(lattice: Lattice, idx: NodeIndex) -> list[NodeIndex]:

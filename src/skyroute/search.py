@@ -25,14 +25,19 @@ geometry does not depend on its batch, so all three equal what their own
 flights would give.
 `SearchResult.stages` times each stage.
 
+Index work that depends on the dims alone is read off the lattice's
+`lattice.Shape`, built once per (I, J, H) and cached: the start's cone
+and its edge set (the windows, the edge index, the edges' nodes and the
+nodes they touch, the window edges' rows and the centre legs), and the
+row DP's source, level and parent-column tables. A corridor's windows
+and edge set are built per plan by the same `lattice.window_edges`; the
+positions, the flight, the masses, the table, g and h are never cached.
 The bookkeeping around the flight is written one ufunc or ndarray method
 per array operation, with no Python-level numpy wrapper (`np.where`,
-`np.clip`, `np.full`, `as_strided`) and no array formed twice: the
-windows, the edge index and the edges' nodes in `_fly_lattice`, the table,
-and the row DP's set-up and counts. On a small lattice these calls, not
-the arithmetic, are most of a plan's time. The weather lookup inside the
-flight finds each point's cell by `weather.sample_many`'s rule, the
-bisect over each axis's inner nodes.
+`np.clip`, `np.full`, `as_strided`) and no array formed twice. On a
+small lattice these calls, not the arithmetic, are most of a plan's time.
+The weather lookup inside the flight finds each point's cell by
+`weather.sample_many`'s rule, the bisect over each axis's inner nodes.
 
 Every search runs from (0, c, H // 2) to (I - 1, c, H // 2), c the centre
 column: every row-0 node is the origin and every row-(I-1) node the
@@ -78,12 +83,17 @@ from .errors import NoPath
 # great_circle_distance, is_reachable, fly_segment and route_cost are unused
 # here; they stay because perfbench/tracing.py wraps them by name.
 from .geo import great_circle_distance, great_circle_distances, unit_vectors
-from .lattice import Corridor, Lattice, NodeIndex, is_reachable, successors
+from .lattice import (Corridor, EdgeSet, Lattice, NodeIndex, is_reachable,
+                      successors, window_edges)
 from .perfmodel import (AircraftSpec, AircraftState, Geometry, Legs,
                         fly_route, fly_segment, fuel_flow_kgps, route_cost,
                         segments_fuel, substep_geometry, thread_legs,
                         DEFAULT_SUBSTEPS)
 from .weather import WeatherField
+
+#: The three slots of an edge table's row, in `row_dp`'s source lookup.
+_SLOTS = np.arange(3)
+_SLOTS.flags.writeable = False
 
 #: The `NoPath` message: the windows always leave a path.
 _REFUSED = ("refused edges (off the weather grid, or below the empty mass) "
@@ -149,42 +159,37 @@ def min_specific_burn(spec: AircraftSpec, field: WeatherField) -> float:
     return flow_min / (spec.tas_ms + field.max_wind_speed())
 
 
-def _column_windows(lattice: Lattice, corridor: Corridor | None
+def _column_windows(lattice: Lattice, corridor: Corridor
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the first and last column the search can reach: the
-    corridor's window, within the start's cone of c ± i in row i.
+    corridor's window, within the start's cone (`Shape.lo`, `Shape.hi`).
 
     A corridor whose row-0 window leaves out the start raises ValueError.
     """
-    I, J, _H = lattice.dims
-    c = lattice.center_column
-    rows = np.arange(I)
-    lo, hi = np.maximum(c - rows, 0), np.minimum(c + rows, J - 1)
-    if corridor is not None:
-        if not corridor.j_min[0] <= c <= corridor.j_max(0):
-            raise ValueError(f"row 0's window leaves out the start column {c}")
-        j_min = np.asarray(corridor.j_min)
-        lo = np.maximum(lo, j_min)
-        hi = np.minimum(hi, j_min + corridor.width - 1)
-    lo[I - 1] = hi[I - 1] = c
+    shape = lattice.shape
+    c = shape.center_column
+    if not corridor.j_min[0] <= c <= corridor.j_max(0):
+        raise ValueError(f"row 0's window leaves out the start column {c}")
+    j_min = np.asarray(corridor.j_min)
+    lo = np.maximum(shape.lo, j_min)
+    hi = np.minimum(shape.hi, j_min + corridor.width - 1)
+    lo[-1] = hi[-1] = c
     return lo, hi
 
 
 class _LatticeFlight(NamedTuple):
     """The mass-free flight of a plan's lattice, computed once per plan.
 
-    `geometry` holds every window edge and every centerline leg, flown in
-    one `substep_geometry` pass. `index` gives each such edge's position in
-    it by row, column and slot j' - j + 1 (edges into the goal use slot 1),
-    and -1 elsewhere; `window` marks the window edges.
+    `geometry` holds every flown edge of `edges`, the window edges and the
+    centerline legs, in one `substep_geometry` pass, in the order of
+    `edges.index`.
     """
 
     lattice: Lattice
     spec: AircraftSpec
     field: WeatherField
     substeps: int
-    window: np.ndarray
-    index: np.ndarray
+    edges: EdgeSet
     geometry: Geometry
 
     def fly(self, mass: float, node_path: list[NodeIndex]
@@ -198,12 +203,14 @@ class _LatticeFlight(NamedTuple):
         rows = np.arange(cols.size)
         lat = lattice.lat_deg[rows, cols].tolist()
         lon = lattice.lon_deg[rows, cols].tolist()
-        alt = [lattice.alts_m[h] for _i, _j, h in node_path]
+        alts = lattice.alts_m
+        alt = [alts[h] for _i, _j, h in node_path]
         alt[0], alt[-1] = lattice.origin.alt_m, lattice.destination.alt_m
         slots = cols[1:] - cols[:-1]
         slots += 1
         slots[-1] = 1                   # the last leg enters the goal
-        geometry = self.geometry.take(self.index[rows[:-1], cols[:-1], slots])
+        geometry = self.geometry.take(
+            self.edges.index[rows[:-1], cols[:-1], slots])
         return lat, lon, alt, thread_legs(self.spec, mass, lat, lon, geometry,
                                           self.field, self.substeps)
 
@@ -211,39 +218,22 @@ class _LatticeFlight(NamedTuple):
 def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
                  spec: AircraftSpec, field: WeatherField,
                  substeps: int) -> _LatticeFlight:
-    """Fly the geometry of the window edges and the centerline legs."""
-    lo, hi = _column_windows(lattice, corridor)
-    I, J, _H = lattice.dims
-    col = np.arange(J)[:, None]
-    target = np.add(col, np.arange(-1, 2), out=np.empty((I - 1, J, 3),
-                                                        dtype=int))
-    target[I - 2] = lattice.center_column      # every column enters the goal
-    window = ((lo[:-1, None, None] <= col) & (col <= hi[:-1, None, None])
-              & (lo[1:, None, None] <= target)
-              & (target <= hi[1:, None, None]))
-    window[I - 2, :, 0::2] = False
-    flown = window.copy()
-    flown[:, lattice.center_column, 1] = True  # a corridor may leave these out
-    edges = flown.ravel().nonzero()[0]  # row-major: row, column, slot
-    index = np.empty(flown.shape, dtype=int)
-    index.fill(-1)
-    index.flat[edges] = np.arange(edges.size)
-    # Each edge's nodes as flat (I, J) indices.
-    src = edges // 3
-    dst = (src // J + 1) * J + target.ravel().take(edges)
-    # The unit vector of each node a flown edge touches, taken once.
-    touched = np.zeros(I * J, dtype=bool)
-    touched[src] = touched[dst] = True
+    """Fly the geometry of the window edges and the centerline legs.
+
+    An unconstrained plan flies its shape's cone; a corridor's edge set is
+    built per plan. The unit vector of each node a flown edge touches is
+    taken once, and each edge gathers its two.
+    """
+    edges = lattice.shape.cone if corridor is None else window_edges(
+        lattice.shape.target, *_column_windows(lattice, corridor))
     lat, lon = lattice.lat_deg.ravel(), lattice.lon_deg.ravel()
-    vectors = unit_vectors(lat[touched], lon[touched])
-    node = touched.cumsum() - 1         # a touched node's place in vectors
-    src_node, dst_node = node.take(src), node.take(dst)
+    vectors = unit_vectors(lat.take(edges.touched), lon.take(edges.touched))
+    src, dst = edges.src, edges.dst
     geometry = substep_geometry(
         spec, lat.take(src), lon.take(src), lat.take(dst), lon.take(dst),
-        field, substeps, ([c.take(src_node) for c in vectors],
-                          [c.take(dst_node) for c in vectors]))
-    return _LatticeFlight(lattice, spec, field, substeps, window, index,
-                          geometry)
+        field, substeps, ([c.take(edges.src_node) for c in vectors],
+                          [c.take(edges.dst_node) for c in vectors]))
+    return _LatticeFlight(lattice, spec, field, substeps, edges, geometry)
 
 
 def _nominal_masses(flight: _LatticeFlight,
@@ -255,26 +245,26 @@ def _nominal_masses(flight: _LatticeFlight,
     return thread_legs(flight.spec, initial_state.mass_kg,
                        lattice.lat_deg[:, c].tolist(),
                        lattice.lon_deg[:, c].tolist(),
-                       flight.geometry.take(flight.index[:, c, 1]),
+                       flight.geometry.take(flight.edges.centre_pos),
                        flight.field, flight.substeps).mass
 
 
 def _edge_table(flight: _LatticeFlight, masses: list[float]) -> np.ndarray:
     """Nominal-mass cost of every window edge.
 
-    The (I-1, J, 3) table is indexed as `flight.index`. All window edges
-    are costed in one `segments_fuel` call, at their row's mass. Absent
-    edges hold +inf: those outside the column windows, and those the
-    batch refuses (NaN), which `fly_segment` would raise on.
+    The (I-1, J, 3) table is indexed as `flight.edges.index`. All window
+    edges are costed in one `segments_fuel` call, at their row's mass.
+    Absent edges hold +inf: those outside the column windows, and those
+    the batch refuses (NaN), which `fly_segment` would raise on.
     """
-    window = flight.window
+    edges = flight.edges
     fuel = segments_fuel(flight.spec,
-                         np.array(masses).take(window.nonzero()[0]),
-                         flight.geometry.take(flight.index[window]))
+                         np.array(masses).take(edges.window_rows),
+                         flight.geometry.take(edges.window_pos))
     fuel[np.isnan(fuel)] = np.inf
-    table = np.empty(window.shape)
+    table = np.empty(edges.window.shape)
     table.fill(np.inf)
-    table[window] = fuel
+    table[edges.window] = fuel
     return table
 
 
@@ -398,17 +388,17 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     """
     stages, flight, table = _prepare(lattice, corridor, spec, initial_state,
                                      field, substeps)
-    I, J, H = lattice.dims
-    c, ch = lattice.center_column, lattice.center_level
+    shape = lattice.shape
+    I, J, _H = shape.dims
+    c, ch = shape.center_column, shape.center_level
 
     # Rows 0..I-2 get one +inf column on each side. The edge into (i+1, j')
     # through slot s leaves padded column src[j', s] = j' - s + 2.
-    slots = np.arange(3)
-    src = np.arange(2, J + 2)[:, None] - slots
+    src = shape.dp_src
     padded = np.empty((I - 1, J + 2, 3))
     padded.fill(np.inf)
     padded[:, 1:-1] = table
-    incoming = padded[:, src, slots]
+    incoming = padded[:, src, _SLOTS]
     g = np.empty((I - 1, J + 2))
     g.fill(np.inf)
     g[0, c + 1] = 0.0
@@ -443,12 +433,13 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     reached = np.logical_or.reduce(
         expanded[:-1, src] & (incoming[:-1] < np.inf), axis=2)
     # Row i's levels are those within i steps of H // 2: min(2i + 1, H).
-    nlev = np.minimum(np.arange(1, 2 * I - 2, 2), H)
+    nlev = shape.dp_levels
     n_expanded = int(nlev @ np.add.reduce(expanded, axis=1)) + 1
     n_generated = int(nlev[1:] @ np.add.reduce(reached, axis=1)) + 2  # start, goal
 
     # Slots reversed put the sources in ascending column order.
-    parent_rows = (np.arange(-1, J - 1) + cand[..., ::-1].argmin(axis=2)).tolist()
+    parent_rows = (shape.dp_parent_base
+                   + cand[..., ::-1].argmin(axis=2)).tolist()
     path = [(I - 1, c, ch), (I - 2, j, max(0, ch - I + 2))]
     for i in range(I - 3, -1, -1):
         j = parent_rows[i][j]

@@ -196,10 +196,13 @@ def sample_many(fld: WeatherField, lat: np.ndarray,
     # The widths are `sample_at`'s subtractions, made once per field.
     t = (lat - fld.lat_axis.take(i)) / fld._lat_widths.take(i)
     u = (lon - fld.lon_axis.take(j)) / fld._lon_widths.take(j)
+    # Every weight has a factor t or 1 - t, so a NaN t off the grid makes
+    # all four NaN. A NaN operand raises no floating-point flag, where an
+    # infinite position's t would take 0 * inf and inf - inf.
+    t[off] = np.nan
     t_rest, u_rest = 1.0 - t, 1.0 - u
-    # `sample_at`'s weights, with NaN in the first weight off the grid.
+    # `sample_at`'s weights.
     w00 = t_rest * u_rest
-    w00[off] = np.nan
     weights = (w00, t_rest * u, t * u_rest, t * u)
     k = i * fld.lon_axis.size + j   # flat index of corner (i, j)
     m = k + fld.lon_axis.size       # and of (i + 1, j)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -194,14 +195,20 @@ class TestStep:
 
 class TestRollOut:
     def test_great_circle_guide(self):
-        cfg = GuideConfig(n=5, guide_kind="great_circle")
-        route = roll_out(cfg, None, ORIGIN, DEST, still_air())
-        assert route.n == 5
-        assert route.waypoints[0].same_position(ORIGIN)
-        assert route.waypoints[-1].same_position(DEST)
-        for k in range(5):
-            expected = intermediate_point(ORIGIN, DEST, k / 4)
-            assert great_circle_distance(route.waypoints[k], expected) < 1.0
+        # Waypoint k is intermediate_point's point at k / (n - 1), bit for
+        # bit, at the origin's altitude; across the antimeridian and along
+        # a meridian too.
+        trips = [(ORIGIN, DEST),
+                 (GeoPoint(50.0, 170.0, 9_000), GeoPoint(56.0, -172.0)),
+                 (GeoPoint(10.0, 7.5, 11_000), GeoPoint(55.0, 7.5))]
+        for (origin, dest), n in itertools.product(trips, (2, 3, 5, 9)):
+            cfg = GuideConfig(n=n, guide_kind="great_circle")
+            route = roll_out(cfg, None, origin, dest, still_air())
+            assert route.n == n
+            for k, p in enumerate(route.waypoints):
+                want = intermediate_point(origin, dest, k / (n - 1))
+                assert (p.lat_deg, p.lon_deg, p.alt_m) \
+                    == (want.lat_deg, want.lon_deg, origin.alt_m)
 
     def test_policy_guide_ends_at_destination(self):
         cfg = GuideConfig(n=5, guide_kind="policy")

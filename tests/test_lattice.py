@@ -9,9 +9,10 @@ from skyroute.errors import (DegenerateTrip, DistanceOutOfRange, NoSuccessors,
                              WidthOutOfRange)
 from skyroute.geo import (GeoPoint, azimuth, displace_at,
                           great_circle_distance, intermediate_point)
-from skyroute.lattice import (CoarseRoute, Corridor, _guide_points, _track,
+from skyroute.lattice import (CoarseRoute, Corridor, EdgeSet, Shape,
+                              _guide_points, _track,
                               build_corridor, build_lattice, is_reachable,
-                              successors)
+                              shape, successors, window_edges)
 from skyroute.search import _column_windows
 
 ORIGIN = GeoPoint(48.35, 11.79, 10_000)
@@ -186,6 +187,95 @@ class TestBuildLattice:
             p = lat.node((4, 1, h))
             assert (p.lat_deg, p.lon_deg) == (lat.lat_deg[4, 1], lat.lon_deg[4, 1])
         assert lat.node((0, 3, 2)) is ORIGIN and lat.node((8, 0, 0)) is DEST
+
+
+def reference_cone(I, J):
+    """The start's cone edge set, edge by edge: the window edges (both
+    nodes within c ± i of row i, only slot 1 into the goal) and the centre
+    legs, numbered in (row, column, slot) order."""
+    c = (J - 1) // 2
+
+    def in_cone(i, j):
+        return j == c if i == I - 1 else abs(j - c) <= i
+
+    window = np.zeros((I - 1, J, 3), dtype=bool)
+    flown = []                          # (row, column, slot, target)
+    for i, j, s in itertools.product(range(I - 1), range(J), range(3)):
+        to = c if i == I - 2 else j + s - 1
+        if i == I - 2 and s != 1:
+            continue
+        window[i, j, s] = (0 <= to < J and in_cone(i, j)
+                           and in_cone(i + 1, to))
+        if window[i, j, s] or (j == c and s == 1):
+            flown.append((i, j, s, to))
+    index = np.full((I - 1, J, 3), -1)
+    for n, (i, j, s, _to) in enumerate(flown):
+        index[i, j, s] = n
+    src = np.array([i * J + j for i, j, _s, _to in flown])
+    dst = np.array([(i + 1) * J + to for i, _j, _s, to in flown])
+    touched = np.array(sorted(set(src.tolist()) | set(dst.tolist())))
+    place = {node: k for k, node in enumerate(touched.tolist())}
+    in_window = [(i, j, s) for i, j, s, _to in flown if window[i, j, s]]
+    return EdgeSet(window, index, src, dst, touched,
+                   np.array([place[n] for n in src.tolist()]),
+                   np.array([place[n] for n in dst.tolist()]),
+                   np.array([i for i, _j, _s in in_window]),
+                   np.array([index[e] for e in in_window]),
+                   np.array([index[i, c, 1] for i in range(I - 1)]))
+
+
+class TestShape:
+    @given(st.integers(2, 60), st.integers(0, 20).map(lambda k: 2 * k + 1),
+           st.integers(1, 5))
+    @example(2, 1, 1)
+    @example(2, 41, 5)
+    @settings(max_examples=60, deadline=None)
+    def test_cached_arrays_are_the_builders_and_read_only(self, I, J, H):
+        # The cached Shape holds what its builders give afresh, the cone's
+        # edges are the edge-by-edge rule, and no array can be written.
+        got = shape(I, J, H)
+        assert shape(I, J, H) is got
+        fresh = shape.__wrapped__(I, J, H)
+        c = (J - 1) // 2
+        assert (got.dims, got.center_column, got.center_level, got.alts_m) \
+            == ((I, J, H), c, H // 2, fresh.alts_m)
+        assert got.alts_m == ((10_000.0,) if H == 1 else tuple(
+            9_000.0 + h * 2_000.0 / (H - 1) for h in range(H)))
+        lo = np.maximum(c - np.arange(I), 0)
+        hi = np.minimum(c + np.arange(I), J - 1)
+        lo[-1] = hi[-1] = c
+        want = {
+            "offsets": (np.arange(J) - c) / max(c, 1), "lo": lo, "hi": hi,
+            "dp_src": np.arange(2, J + 2)[:, None] - np.arange(3),
+            "dp_levels": np.minimum(np.arange(1, 2 * I - 2, 2), H),
+            "dp_parent_base": np.arange(-1, J - 1)}
+        target = np.arange(J)[:, None] + np.arange(-1, 2) + np.zeros(
+            (I - 1, 1, 1), dtype=int)
+        target[-1] = c
+        want["target"] = target
+        arrays = []
+        for name, value in want.items():
+            a = getattr(got, name)
+            assert a.tobytes() == getattr(fresh, name).tobytes() \
+                == np.asarray(value, dtype=a.dtype).tobytes(), name
+            assert a.shape == np.shape(value), name
+            arrays.append(a)
+        ref = reference_cone(I, J)
+        rebuilt = window_edges(fresh.target, fresh.lo, fresh.hi)
+        for name, a, b, r in zip(EdgeSet._fields, got.cone, rebuilt, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape == r.shape, name
+            assert np.array_equal(a, b) and np.array_equal(a, r), name
+            arrays.append(a)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_dims_are_checked(self):
+        for dims in ((1, 5, 3), (9, 4, 3), (9, 0, 3), (9, 5, 0)):
+            with pytest.raises(ValueError, match="require I >= 2"):
+                shape(*dims)
+        assert build_lattice(ORIGIN, DEST, 9, 5, 3, 50_000).shape \
+            is shape(9, 5, 3)
 
 
 class TestSuccessors:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from skyroute import lattice as lattice_module
 from skyroute.errors import Infeasible, NoPath, OutOfDomain, SkyrouteError
 from skyroute.geo import (GeoPoint, azimuth, great_circle_distance,
                           great_circle_distances, intermediate_point)
+from skyroute.harness import PlanRequest, plan, route_json_without_timings
 from skyroute.lattice import (CoarseRoute, Corridor, build_corridor,
                               build_lattice, is_reachable, successors)
 from skyroute.perfmodel import (AircraftState, SegmentResult, default_spec,
@@ -106,14 +108,14 @@ class TestLatticeFlight:
         fld = make_jet_stream((30.0, 70.0, -180.0, 180.0), 52.0, 60.0, 3.0,
                               seed=2)
         flight = _fly_lattice(lat, cor, SPEC, fld, 4)
-        rows, cols, slots = np.nonzero(flight.index >= 0)
+        rows, cols, slots = np.nonzero(flight.edges.index >= 0)
         to_cols = np.where(rows == lat.dims[0] - 2, lat.center_column,
                            cols + slots - 1)
         want = substep_geometry(
             SPEC, lat.lat_deg[rows, cols], lat.lon_deg[rows, cols],
             lat.lat_deg[rows + 1, to_cols], lat.lon_deg[rows + 1, to_cols],
             fld, 4)
-        got = flight.geometry.take(flight.index[rows, cols, slots])
+        got = flight.geometry.take(flight.edges.index[rows, cols, slots])
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
@@ -624,6 +626,26 @@ class TestPathStructure:
         assert res.total_fuel_kg == pytest.approx(res.search_cost_kg, rel=1e-3)
         assert res.legs.mass[-1] == pytest.approx(
             62_000 - res.total_fuel_kg, rel=1e-12)
+
+
+def test_routes_survive_shape_eviction():
+    # A shape evicted from the cache and built again plans the same route,
+    # byte for byte: MUC -> BER, then SHAPE_CACHE_SIZE + 1 other shapes,
+    # then MUC -> BER again, in reverse order, so that a plan that left
+    # its mark on a cached shape would move the next plan's route.
+    dims = (41, 11, 3)
+    requests = [PlanRequest(origin=ORIGIN, destination=DEST, dims=dims,
+                            weather="jet", unconstrained=True)]
+    requests += [PlanRequest(origin=ORIGIN, destination=DEST, dims=dims,
+                             weather="jet", width=w) for w in (1, 3, dims[1])]
+    first = lattice_module.shape(*dims)
+    before = [route_json_without_timings(plan(req)) for req in requests]
+    for I in range(2, lattice_module.SHAPE_CACHE_SIZE + 3):
+        plan(PlanRequest(origin=ORIGIN, destination=DEST, dims=(I, 3, 1),
+                         weather="jet", width=1))
+    assert lattice_module.shape(*dims) is not first
+    after = [route_json_without_timings(plan(req)) for req in requests[::-1]]
+    assert after[::-1] == before
 
 
 def test_counters_positive_and_time_recorded():
