@@ -84,8 +84,6 @@ class EdgeSet(NamedTuple):
 
     window: np.ndarray       # (I-1, J, 3) bool: the edge lies in the windows
     index: np.ndarray        # (I-1, J, 3): a flown edge's number, -1 elsewhere
-    src: np.ndarray          # each flown edge's start node
-    dst: np.ndarray          # and its end node
     touched: np.ndarray      # the nodes a flown edge touches, ascending
     src_node: np.ndarray     # each flown edge's start's place in `touched`
     dst_node: np.ndarray     # and its end's
@@ -154,7 +152,7 @@ def window_edges(target: np.ndarray, lo: np.ndarray,
     touched = np.zeros((n_rows + 1) * J, dtype=bool)
     touched[src] = touched[dst] = True
     node = touched.cumsum() - 1         # a touched node's place in touched
-    out = EdgeSet(window, index, src, dst, touched.nonzero()[0],
+    out = EdgeSet(window, index, touched.nonzero()[0],
                   node.take(src), node.take(dst), window.nonzero()[0],
                   index[window], index[:, c, 1])
     _read_only(*out)

@@ -23,16 +23,21 @@ serves several masses (the search flies its lattice once):
   burned shares over arrays of segments, as a `Geometry` of per-segment
   arrays. It uses the array forms of the same `geo` formulas, so the two
   differ only where numpy rounds sin/cos/asin/atan2/hypot differently from
-  libm. A caller that has the segments' unit vectors (the search computes
-  each lattice node's once) passes them in. Its weather lookup is
-  `weather.sample_many`, whose cell index on an axis of n nodes is
-  `axis[1:-1].searchsorted(x, "right")`, `sample_at`'s bisect over the
-  inner nodes. A batch that fits one block (`BLOCK_POINTS`) is flown
-  without slicing or concatenation, and each array operation is one ufunc
-  or ndarray method: masks are written in place, the pieces' times summed
-  in order by one `np.add.accumulate`, and the fractions' columns made
-  once per substep count. A small plan's geometry is a few hundred such
-  calls, whose fixed cost is most of its time.
+  libm. A caller that has the segments' unit vectors passes them in.
+  It is `gathered_geometry` of each segment's own ends; the search calls
+  that with its lattice's nodes, whose positions and unit vectors it
+  takes once, and each edge's two node numbers. Its weather lookup is
+  `weather.sample_into`, `sample_many` written into given arrays, whose
+  cell index on an axis of n nodes is `axis[1:-1].searchsorted(x,
+  "right")`, `sample_at`'s bisect over the inner nodes. A batch flies in
+  blocks of at most `BLOCK_POINTS` pieces, each block's ends gathered
+  when it flies and its geometry written into the result, made once; a
+  batch that fits one block is flown without slicing. Each array
+  operation is one ufunc or ndarray method: masks are written in place,
+  the pieces' times summed in order by one in-place `np.add.accumulate`,
+  and the fractions' columns made once per substep count. A small plan's
+  geometry is a few hundred such calls, whose fixed cost is most of its
+  time.
 - `segments_fuel` is each segment's start mass times its share, NaN where
   `fly_segment` would refuse the segment (the search's absent edges).
 - `thread_legs` carries mass along consecutive legs, one multiply a leg,
@@ -40,6 +45,20 @@ serves several masses (the search flies its lattice once):
   one such loop: the search's nominal masses and winning path go through
   it, and `fly_route` is `substep_geometry` and `thread_legs` in one call,
   with a `SegmentResult` per leg.
+
+The geometry pass keeps a small working set, because glibc hands the
+freed top of its heap back to the system (heap trimming) and the next plan
+faults those pages in again, about 1.7 us a page: a pass that held some
+twenty piece-sized arrays (one block's substeps x segments doubles) made
+a 41x11x3 plan re-fault about a hundred pages. So a block's gathered
+ends, its sines, the weather lookup's work and its three values go into
+arrays that each thread keeps from one block and one call to the next
+(`_work_arrays`: eight piece-sized and ten of the block's segments),
+sized by the largest block flown so far, and every later step writes
+into an array the pass already holds. What a call allocates afresh is its
+result, the lookup's cell indices, the slerped positions (let go of
+before the flight) and the temporaries inside the shared `geo` formulas:
+at most eight piece-sized arrays at once beyond its result.
 """
 
 from __future__ import annotations
@@ -47,6 +66,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -62,7 +82,8 @@ from .geo import (EARTH_RADIUS_M, GeoPoint, along_track, along_tracks,
                   heading, headings, intermediate_point, slerp_point,
                   slerp_points, unit_vector, unit_vectors)
 from .weather import (ISA_TEMPERATURE_K, MAX_TEMPERATURE_K, MIN_TEMPERATURE_K,
-                      WeatherField, sample, sample_at, sample_many)
+                      WeatherField, sample, sample_at, sample_into,
+                      sample_many)
 
 #: Ground-speed floor (m/s) preventing division blow-up under absurd headwind.
 GROUND_SPEED_FLOOR_MS = 20.0
@@ -245,12 +266,15 @@ def _piece_fractions(substeps: int):
     return tuple(kinds)
 
 
-def _fraction_sines(delta, f, rest):
+def _fraction_sines(delta, f, rest, fa, fb):
     """(sin((1 - f) delta), sin(f delta)) as (n, E) arrays, for the n
     fractions of column f, 1 - f in column `rest` (`_piece_fractions`),
-    and the E segments' delta."""
-    fb = np.sin(f * delta)
-    return fb[::-1] if rest is None else np.sin(rest * delta), fb
+    and the E segments' delta, written into the (n, E) arrays fa and fb
+    (fa unused where `rest` is None)."""
+    np.sin(np.multiply(f, delta, out=fb), out=fb)
+    if rest is None:
+        return fb[::-1], fb
+    return np.sin(np.multiply(rest, delta, out=fa), out=fa), fb
 
 
 #: Most pieces `substep_geometry` works on at once: it cuts longer batches
@@ -295,45 +319,105 @@ def substep_geometry(spec: AircraftSpec, lat0, lon0, lat1, lon1,
                      field: WeatherField, substeps: int,
                      ends=None) -> Geometry:
     """The `Geometry` of the 1-D arrays of segments (lat0, lon0) -> (lat1,
-    lon1), block by block of at most BLOCK_POINTS pieces. A segment's
-    geometry does not depend on the other segments of its batch.
+    lon1): `gathered_geometry` of each segment's own ends.
 
     `ends`, the segments' start and end unit vectors, each three arrays
     (x, y, z) as `geo.unit_vectors` gives them, are computed here unless
     the caller has them.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    # The gathers write into float arrays: whole degrees come as floats.
+    lat0, lon0, lat1, lon1 = (np.asarray(x, dtype=float)
+                              for x in (lat0, lon0, lat1, lon1))
     if ends is None:
         ends = unit_vectors(lat0, lon0), unit_vectors(lat1, lon1)
+    every = np.arange(lat0.size)
+    return gathered_geometry(spec, (lat0, lon0, *ends[0]), every,
+                             (lat1, lon1, *ends[1]), every, field, substeps)
+
+
+def gathered_geometry(spec: AircraftSpec, starts, first, ends, second,
+                      field: WeatherField, substeps: int) -> Geometry:
+    """The `Geometry` of the segments from point first[n] of `starts` to
+    point second[n] of `ends`, each five float arrays (lat, lon, x, y, z):
+    the points' positions and their unit vectors, as `geo.unit_vectors`
+    gives them. Every index must be in range: the gathers clip, and do not
+    check.
+
+    It flies block by block of at most BLOCK_POINTS pieces: a block's ends
+    are gathered into this thread's working arrays and its geometry is
+    written into its part of the result, so no array the size of the
+    batch's segments is made but the result. A segment's geometry does not
+    depend on the other segments of its batch.
+    """
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    n = first.size
+    out = Geometry(np.empty(n), np.empty(n), np.empty(n),
+                   np.empty(n, dtype=bool))
     step = max(1, BLOCK_POINTS // substeps)
-    if lat0.size <= step:
-        return _block_geometry(spec, lat0, lon0, lat1, lon1, *ends, field,
-                               substeps)
-    blocks = []
-    for lo in range(0, lat0.size, step):
+    if n <= step:
+        _block_geometry(spec, starts, first, ends, second, field, substeps,
+                        out)
+        return out
+    for lo in range(0, n, step):
         block = slice(lo, lo + step)
-        blocks.append(_block_geometry(
-            spec, *(x[block] for x in (lat0, lon0, lat1, lon1)),
-            *([c[block] for c in end] for end in ends), field, substeps))
-    return Geometry(*(np.concatenate(parts) for parts in zip(*blocks)))
+        _block_geometry(spec, starts, first[block], ends, second[block],
+                        field, substeps, Geometry._make(x[block] for x in out))
+    return out
 
 
-def _block_geometry(spec: AircraftSpec, lat_a, lon_a, lat_b, lon_b, a, b,
-                    field: WeatherField, substeps: int) -> Geometry:
-    """`substep_geometry` of one block of segments, whose start and end
-    unit vectors are a and b."""
-    (_, *mids), (_, *starts) = _piece_fractions(substeps)
-    total = great_circle_distances(lat_a, lon_a, lat_b, lon_b)
+#: Each thread's working arrays for `_block_geometry` (`_work_arrays`).
+_work = threading.local()
+
+
+def _work_arrays(substeps: int, n: int):
+    """The arrays `_block_geometry` writes into for a block of n segments,
+    in five lists: the segments' ends, ten (n,) arrays (lat, lon, x, y, z
+    of the starts, then of the ends); the mids' and the starts' sines, two
+    each, the starts' (substeps + 1, n) and the mids' their first substeps
+    rows; three (substeps, n) for the weather; and five (substeps, n) for
+    the lookup's work, the mids' sines, free once the positions are
+    slerped, and three more. They are this thread's own and kept from one
+    block and one call to the next, so that a plan re-faults none of the
+    heap a plan before it freed; they grow to the largest block flown so
+    far, and no array a call returns is one of them."""
+    key = substeps, n
+    if getattr(_work, "key", None) != key:
+        size = (8 * substeps + 12) * n
+        base = getattr(_work, "base", None)
+        if base is None or base.size < size:
+            base = _work.base = np.empty(size)
+        cut, cut2 = 10 * n, (2 * substeps + 12) * n
+        start_sines = list(base[cut:cut2].reshape(2, substeps + 1, n))
+        mid_sines = [rows[:substeps] for rows in start_sines]
+        pieces = list(base[cut2:size].reshape(6, substeps, n))
+        _work.key = key
+        _work.arrays = (list(base[:cut].reshape(10, n)), mid_sines,
+                        start_sines, pieces[:3], mid_sines + pieces[3:])
+    return _work.arrays
+
+
+def _block_geometry(spec: AircraftSpec, starts, first, ends, second,
+                    field: WeatherField, substeps: int, out: Geometry) -> None:
+    """`gathered_geometry` of one block of segments, written into `out`."""
+    (_, *mid_f), (_, *start_f) = _piece_fractions(substeps)
+    gathered, mid_sines, start_sines, weather, lookup = _work_arrays(
+        substeps, first.size)
+    lat_a, lon_a, *a = [p.take(first, out=x, mode="clip")
+                        for p, x in zip(starts, gathered)]
+    lat_b, lon_b, *b = [p.take(second, out=x, mode="clip")
+                        for p, x in zip(ends, gathered[5:])]
+    total = out.length
+    total[...] = great_circle_distances(lat_a, lon_a, lat_b, lon_b)
     delta = total / EARTH_RADIUS_M
-    # Each array is made when it is needed: a pass with fewer live
-    # temporaries runs faster on the cold caches of a fresh plan.
-    wx = sample_many(field, *slerp_points(
-        lon_a, lon_b, a, b, *_fraction_sines(delta, *mids)))
-    start_fa, start_fb = _fraction_sines(delta, *starts)
+    lat, lon = slerp_points(lon_a, lon_b, a, b,
+                            *_fraction_sines(delta, *mid_f, *mid_sines))
+    sample_into(field, lat, lon, weather, lookup)
+    del lat, lon                    # the lookup's inputs, before the flight
+    wind_east, wind_north, temperature = weather
+    start_fa, start_fb = _fraction_sines(delta, *start_f, *start_sines)
     along, norm = along_tracks(*headings(a, b), start_fa[:substeps],
-                               start_fb[:substeps], wx.wind_east,
-                               wx.wind_north)
+                               start_fb[:substeps], wind_east, wind_north)
     # The wind along the track where it has a direction, else none; then
     # the ground speed, floored, and each piece's time.
     headed = norm > 0.0
@@ -343,20 +427,20 @@ def _block_geometry(spec: AircraftSpec, lat_a, lon_a, lat_b, lon_b, a, b,
     floored = gs < GROUND_SPEED_FLOOR_MS
     dts = np.maximum(gs, GROUND_SPEED_FLOOR_MS, out=gs)
     np.divide(total / substeps, dts, out=dts)
-    burns = fuel_flow_kgps(spec, 1.0, wx.temperature)
+    burns = fuel_flow_kgps(spec, 1.0, temperature)
     burns *= dts
     # The pieces' times summed in order, as a loop from 0.0 sums them:
     # 0.0 + dt is dt for every dt but -0.0, and no time is -0.0.
-    time = np.add.accumulate(dts)[-1]
+    out.time[...] = np.add.accumulate(dts, out=dts)[-1]
     burned = 0.0
     for c in burns:
         burned = _burn(burned, c)
         burned[burned >= 1.0] = np.nan      # emptied; NaN stays NaN
+    out.burned[...] = burned
     still = np.logical_not(total > 0.0)     # a zero-length segment samples nowhere
-    time[still] = burned[still] = 0.0
-    floor = np.logical_or.reduce(floored, axis=0)
-    floor[still] = False
-    return Geometry(total, time, burned, floor)
+    out.time[still] = out.burned[still] = 0.0
+    np.logical_or.reduce(floored, axis=0, out=out.floor)
+    out.floor[still] = False
 
 
 def fly_route(spec: AircraftSpec, initial_state: AircraftState,

@@ -9,11 +9,12 @@ remaining fuel per meter (`min_specific_burn`), so the search is optimal
 within the graph it is given.
 
 Each search flies its lattice's mass-free geometry once (`_fly_lattice`):
-one `substep_geometry` pass gives every window edge and centerline leg
-its time and the share of its start mass it burns. It takes the unit
-vector of each node a flown edge touches once, and gathers the two of
-each edge, which gives the geometry `substep_geometry` gives the edges'
-lat/lon, bit for bit: `fly_route` re-flies a plan's waypoints exactly.
+one `perfmodel.gathered_geometry` pass gives every window edge and
+centerline leg its time and the share of its start mass it burns. It
+takes the position and unit vector of each node a flown edge touches
+once, and the pass gathers the two of each edge, block by block, which
+gives the geometry `substep_geometry` gives the edges' lat/lon, bit for
+bit: `fly_route` re-flies a plan's waypoints exactly.
 Three stages multiply those shares by masses: the nominal masses along
 the centerline legs, as `nominal_mass_profile` finds them; the edge table
 at each row's mass; and the winning path along its legs, as `fly_route`
@@ -27,11 +28,12 @@ flights would give.
 
 Index work that depends on the dims alone is read off the lattice's
 `lattice.Shape`, built once per (I, J, H) and cached: the start's cone
-and its edge set (the windows, the edge index, the edges' nodes and the
-nodes they touch, the window edges' rows and the centre legs), and the
-row DP's source, level and parent-column tables. A corridor's windows
-and edge set are built per plan by the same `lattice.window_edges`; the
-positions, the flight, the masses, the table, g and h are never cached.
+and its edge set (the windows, the edge index, the nodes the edges touch
+and each edge's two among them, the window edges' rows and the centre
+legs), and the row DP's source, level and parent-column tables. A
+corridor's windows and edge set are built per plan by the same
+`lattice.window_edges`; the positions, the flight, the masses, the
+table, g and h are never cached.
 The bookkeeping around the flight is written one ufunc or ndarray method
 per array operation, with no Python-level numpy wrapper (`np.where`,
 `np.clip`, `np.full`, `as_strided`) and no array formed twice. On a
@@ -58,8 +60,10 @@ only refused edges can leave no path.
 `row_dp` takes one numpy min-plus step per row over that table, reading
 row i's g through a strided view rather than a copy, and reads A*'s
 result from the g-table, with the heuristic computed only where g is
-finite. Two rules make that result independent of
-the order A* pops nodes in:
+finite. The step runs slot-major: a row's edge costs and candidates are
+(3, J), slot by column, so each slot's row is contiguous and the minimum
+reduces over the slot axis; the table itself stays (I-1, J, 3). Two rules
+make that result independent of the order A* pops nodes in:
 - `generated_nodes` counts distinct nodes: a node counts once, when an
   expanded node first gives it a finite g.
 - On an equal g, a node keeps the predecessor with the smaller (j, h).
@@ -86,13 +90,14 @@ from .geo import great_circle_distance, great_circle_distances, unit_vectors
 from .lattice import (Corridor, EdgeSet, Lattice, NodeIndex, is_reachable,
                       successors, window_edges)
 from .perfmodel import (AircraftSpec, AircraftState, Geometry, Legs,
-                        fly_route, fly_segment, fuel_flow_kgps, route_cost,
-                        segments_fuel, substep_geometry, thread_legs,
-                        DEFAULT_SUBSTEPS)
+                        fly_route, fly_segment, fuel_flow_kgps,
+                        gathered_geometry, route_cost, segments_fuel,
+                        thread_legs, DEFAULT_SUBSTEPS)
 from .weather import WeatherField
 
-#: The three slots of an edge table's row, in `row_dp`'s source lookup.
-_SLOTS = np.arange(3)
+#: The three slots of an edge table's row, as a column: `row_dp`'s
+#: source lookup, slot-major.
+_SLOTS = np.arange(3)[:, None]
 _SLOTS.flags.writeable = False
 
 #: The `NoPath` message: the windows always leave a path.
@@ -181,7 +186,7 @@ class _LatticeFlight(NamedTuple):
     """The mass-free flight of a plan's lattice, computed once per plan.
 
     `geometry` holds every flown edge of `edges`, the window edges and the
-    centerline legs, in one `substep_geometry` pass, in the order of
+    centerline legs, in one `gathered_geometry` pass, in the order of
     `edges.index`.
     """
 
@@ -221,18 +226,16 @@ def _fly_lattice(lattice: Lattice, corridor: Corridor | None,
     """Fly the geometry of the window edges and the centerline legs.
 
     An unconstrained plan flies its shape's cone; a corridor's edge set is
-    built per plan. The unit vector of each node a flown edge touches is
-    taken once, and each edge gathers its two.
+    built per plan. The position and unit vector of each node a flown edge
+    touches are taken once, and the pass gathers each edge's two.
     """
     edges = lattice.shape.cone if corridor is None else window_edges(
         lattice.shape.target, *_column_windows(lattice, corridor))
-    lat, lon = lattice.lat_deg.ravel(), lattice.lon_deg.ravel()
-    vectors = unit_vectors(lat.take(edges.touched), lon.take(edges.touched))
-    src, dst = edges.src, edges.dst
-    geometry = substep_geometry(
-        spec, lat.take(src), lon.take(src), lat.take(dst), lon.take(dst),
-        field, substeps, ([c.take(edges.src_node) for c in vectors],
-                          [c.take(edges.dst_node) for c in vectors]))
+    lat = lattice.lat_deg.ravel().take(edges.touched)
+    lon = lattice.lon_deg.ravel().take(edges.touched)
+    nodes = (lat, lon, *unit_vectors(lat, lon))
+    geometry = gathered_geometry(spec, nodes, edges.src_node, nodes,
+                                 edges.dst_node, field, substeps)
     return _LatticeFlight(lattice, spec, field, substeps, edges, geometry)
 
 
@@ -393,21 +396,22 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     c, ch = shape.center_column, shape.center_level
 
     # Rows 0..I-2 get one +inf column on each side. The edge into (i+1, j')
-    # through slot s leaves padded column src[j', s] = j' - s + 2.
+    # through slot s leaves padded column src[j', s] = j' - s + 2. The
+    # step runs slot-major: incoming[i, s, j'] is that edge's cost.
     src = shape.dp_src
     padded = np.empty((I - 1, J + 2, 3))
     padded.fill(np.inf)
     padded[:, 1:-1] = table
-    incoming = padded[:, src, _SLOTS]
+    incoming = padded[:, src.T, _SLOTS]
     g = np.empty((I - 1, J + 2))
     g.fill(np.inf)
     g[0, c + 1] = 0.0
-    # g_src[i, j', s] = g[i, src[j', s]], a view: no copy per row.
+    # g_src[i, s, j'] = g[i, src[j', s]], a view: no copy per row.
     step = g.itemsize
-    g_src = np.ndarray((I - 1, J, 3), buffer=g, offset=2 * step,
-                       strides=(g.strides[0], step, -step))
+    g_src = np.ndarray((I - 1, 3, J), buffer=g, offset=2 * step,
+                       strides=(g.strides[0], -step, step))
     g_src.flags.writeable = False
-    cand = np.empty((I - 2, J, 3))      # g(u) + cost(u, v), v in rows 1..I-2
+    cand = np.empty((I - 2, 3, J))      # g(u) + cost(u, v), v in rows 1..I-2
     # Row i writes row i + 1 of g, which g_src reads on the next pass. The
     # ufuncs are called directly: ndarray.min goes through Python-level
     # numpy code on every call.
@@ -415,7 +419,7 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
     for g_row, cost_row, cand_row, g_next in zip(g_src, incoming, cand,
                                                  g[1:, 1:-1]):
         add(g_row, cost_row, out=cand_row)
-        row_min(cand_row, axis=1, out=g_next)
+        row_min(cand_row, axis=0, out=g_next)
     into_goal = g[I - 2, 1:-1] + table[I - 2, :, 1]
     j = int(into_goal.argmin())         # the goal's parent column
     c_star = float(into_goal[j])
@@ -431,7 +435,7 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
         lattice, spec, field, lattice.lat_deg[:-1][finite],
         lattice.lon_deg[:-1][finite]) < c_star
     reached = np.logical_or.reduce(
-        expanded[:-1, src] & (incoming[:-1] < np.inf), axis=2)
+        expanded[:-1, src.T] & (incoming[:-1] < np.inf), axis=1)
     # Row i's levels are those within i steps of H // 2: min(2i + 1, H).
     nlev = shape.dp_levels
     n_expanded = int(nlev @ np.add.reduce(expanded, axis=1)) + 1
@@ -439,7 +443,7 @@ def row_dp(lattice: Lattice, corridor: Corridor | None, spec: AircraftSpec,
 
     # Slots reversed put the sources in ascending column order.
     parent_rows = (shape.dp_parent_base
-                   + cand[..., ::-1].argmin(axis=2)).tolist()
+                   + cand[:, ::-1].argmin(axis=1)).tolist()
     path = [(I - 1, c, ch), (I - 2, j, max(0, ch - I + 2))]
     for i in range(I - 3, -1, -1):
         j = parent_rows[i][j]

@@ -13,11 +13,20 @@ point, on the grid or not, lands in a cell 0 .. n - 2 and the last node
 falls in the last cell. `sample_many` is written one ufunc or ndarray
 method per array operation, with no Python-level numpy wrapper and no
 array formed twice: on the few points of a small plan a wrapper costs
-more than the arithmetic.
+more than the arithmetic. Its body, `sample_into`, writes into arrays it
+is given and holds few of the points' size: glibc hands the freed top of
+its heap back to the system (heap trimming), and each plan would fault
+those pages in again, so the flight's geometry pass keeps the lookup's
+arrays from one call to the next (`perfmodel`). The lookup sums corner
+by corner over the three grids, with one flat index moved to the next
+corner in place, and forms t, u and the weights in place: five working
+arrays and two cell indices, besides the three values.
 Fields are read-only, so their extremes (the search heuristic's bounds),
 each axis's cell widths (`sample_many`'s divisors), its inner nodes and
 its ends are computed once, at construction, by the validation that needs
-them anyway.
+them anyway. A field built from a caller's arrays copies and checks them;
+`make_jet_stream` hands over the arrays it has just built as they are,
+with none of the checks that hold by their construction.
 `make_jet_stream`'s random modes depend on the seed alone, so they are
 drawn once per seed and shared by every field built from it.
 """
@@ -41,6 +50,9 @@ from .geo import GeoPoint
 ISA_TEMPERATURE_K = 288.15
 MIN_TEMPERATURE_K, MAX_TEMPERATURE_K = 180.0, 330.0   # a field's range
 
+#: A field's arrays, in the order of its fields.
+_ARRAYS = ("lat_axis", "lon_axis", "wind_east", "wind_north", "temperature")
+
 CSV_COLUMNS = ["lat_deg", "lon_deg", "wind_east_ms", "wind_north_ms", "temperature_k"]
 
 
@@ -60,7 +72,8 @@ class WeatherField:
     Grids are shaped (len(lat_axis), len(lon_axis)). Construction copies
     the five arrays and makes the copies read-only, so a field can be
     shared and sampled concurrently, and no write can make `sample` and
-    `sample_many` disagree. Axes lie on the globe: latitudes within
+    `sample_many` disagree (a builder's own arrays are made read-only
+    uncopied: `_adopt`). Axes lie on the globe: latitudes within
     [-90, 90], longitudes within [-180, 180].
     """
 
@@ -71,19 +84,48 @@ class WeatherField:
     temperature: np.ndarray
 
     def __post_init__(self):
-        for name in ("lat_axis", "lon_axis", "wind_east", "wind_north",
-                     "temperature"):
-            values = np.array(getattr(self, name), dtype=float)
-            values.flags.writeable = False
-            setattr(self, name, values)
+        for name in _ARRAYS:
+            setattr(self, name, np.array(getattr(self, name), dtype=float))
         for name in ("lat_axis", "lon_axis"):
             axis = getattr(self, name)
             if axis.ndim != 1 or axis.size < 2:
                 raise ValueError(f"{name} must be 1D with at least 2 points")
-            # NaN passes the order check below, and a NaN or infinite node
-            # spoils the bilinear weights of its cells.
+            # NaN passes the order check in `_derive`, and a NaN or
+            # infinite node spoils the bilinear weights of its cells.
             if not np.logical_and.reduce(np.isfinite(axis)):
                 raise ValueError(f"{name} must be finite")
+        shape = (self.lat_axis.size, self.lon_axis.size)
+        for name in _ARRAYS[2:]:
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} grid must have shape {shape}")
+            # The range checks below pass NaN, and sample_many marks
+            # off-grid positions with it.
+            if not np.logical_and.reduce(np.isfinite(getattr(self, name)),
+                                         axis=None):
+                raise ValueError(f"{name} grid must be finite")
+        self._derive()
+
+    @classmethod
+    def _adopt(cls, *arrays: np.ndarray) -> "WeatherField":
+        """A field of the five float arrays a builder has just made, in
+        field order, taken as they are: not copied, and not checked for
+        what holds by their construction (1D finite axes, finite grids of
+        their shape). Their order and their place on the globe are checked,
+        and the extremes the field reports are computed and bounded, as for
+        any field."""
+        fld = cls.__new__(cls)
+        for name, values in zip(_ARRAYS, arrays):
+            setattr(fld, name, values)
+        fld._derive()
+        return fld
+
+    def _derive(self):
+        """Make the five arrays read-only and compute what sampling and the
+        accessors read, with the checks that come with it: strictly
+        ascending axes on the globe, temperatures inside [180, 330] K and
+        winds of at most 150 m/s."""
+        for name in _ARRAYS:
+            getattr(self, name).flags.writeable = False
         # Each axis's cell widths, the divisors of `sample_many`'s weights.
         lat, lon = self.lat_axis, self.lon_axis
         self._lat_widths = np.subtract(lat[1:], lat[:-1])
@@ -103,15 +145,6 @@ class WeatherField:
         self._lon_widths.flags.writeable = False
         # `sample_many` searches the inner nodes only (see there).
         self._lat_inner, self._lon_inner = lat[1:-1], lon[1:-1]
-        shape = (lat.size, lon.size)
-        for name in ("wind_east", "wind_north", "temperature"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} grid must have shape {shape}")
-            # The range checks below pass NaN, and sample_many marks
-            # off-grid positions with it.
-            if not np.logical_and.reduce(np.isfinite(getattr(self, name)),
-                                         axis=None):
-                raise ValueError(f"{name} grid must be finite")
         # Fields are read-only, so their extremes are computed once and
         # serve both the checks and the accessors.
         self._temperature_range = (
@@ -130,8 +163,7 @@ class WeatherField:
         self._lat = lat.tolist()
         self._lon = lon.tolist()
         self._flat = tuple(getattr(self, name).ravel()
-                           for name in ("wind_east", "wind_north",
-                                        "temperature"))
+                           for name in _ARRAYS[2:])
         self._grids = tuple(array("d", grid.tobytes()) for grid in self._flat)
 
     def max_wind_speed(self) -> float:
@@ -185,37 +217,57 @@ def sample_many(fld: WeatherField, lat: np.ndarray,
     Same arithmetic as `sample`, so the values are bit-identical to it.
     Instead of raising, positions off the grid get NaN in all three fields.
     """
+    shape = np.shape(lat)
+    values = np.empty((3, *shape))
+    sample_into(fld, lat, lon, values, np.empty((5, *shape)))
+    return WeatherSample(*values)
+
+
+def sample_into(fld: WeatherField, lat: np.ndarray, lon: np.ndarray,
+                values, work) -> None:
+    """`sample_many` written into `values`, three float arrays shaped like
+    `lat` (wind east, wind north, temperature), with the five float arrays
+    of `work`, shaped alike, as its only other piece-sized arrays besides
+    two cell indices."""
     lat_lo, lat_hi, lon_lo, lon_hi = fld._bounds
     # NaN compares false, so it is off the grid.
     off = ~((lat >= lat_lo) & (lat <= lat_hi) & (lon >= lon_lo)
             & (lon <= lon_hi))
     # `sample_at`'s bisect over nodes 1 .. len - 2, minus 1: every x, NaN
-    # included, lands in cell 0 .. len - 2.
-    i = fld._lat_inner.searchsorted(lat, "right")
+    # included, lands in cell 0 .. len - 2, so every index below is in
+    # range and `take` may skip its checks ("clip").
+    k = fld._lat_inner.searchsorted(lat, "right")
     j = fld._lon_inner.searchsorted(lon, "right")
-    # The widths are `sample_at`'s subtractions, made once per field.
-    t = (lat - fld.lat_axis.take(i)) / fld._lat_widths.take(i)
-    u = (lon - fld.lon_axis.take(j)) / fld._lon_widths.take(j)
+    # t and u are `sample_at`'s, over the widths it subtracts, made once
+    # per field; `gathered` takes each divisor, then each corner's values.
+    t, u, t_rest, u_rest, gathered = work
+    np.subtract(lat, fld.lat_axis.take(k, out=t, mode="clip"), out=t)
+    np.divide(t, fld._lat_widths.take(k, out=gathered, mode="clip"), out=t)
+    np.subtract(lon, fld.lon_axis.take(j, out=u, mode="clip"), out=u)
+    np.divide(u, fld._lon_widths.take(j, out=gathered, mode="clip"), out=u)
     # Every weight has a factor t or 1 - t, so a NaN t off the grid makes
     # all four NaN. A NaN operand raises no floating-point flag, where an
     # infinite position's t would take 0 * inf and inf - inf.
     t[off] = np.nan
-    t_rest, u_rest = 1.0 - t, 1.0 - u
-    # `sample_at`'s weights.
-    w00 = t_rest * u_rest
-    weights = (w00, t_rest * u, t * u_rest, t * u)
-    k = i * fld.lon_axis.size + j   # flat index of corner (i, j)
-    m = k + fld.lon_axis.size       # and of (i + 1, j)
-    corners = (k, k + 1, m, m + 1)
-    term = np.empty(w00.shape)
-    values = []
-    for flat in fld._flat:
-        # w00 * c00 + w01 * c01 + w10 * c10 + w11 * c11, left to right.
-        value = w00 * flat.take(k)
-        for w, c in zip(weights[1:], corners[1:]):
-            value += np.multiply(w, flat.take(c), out=term)
-        values.append(value)
-    return WeatherSample(*values)
+    n = fld.lon_axis.size
+    np.multiply(k, n, out=k)
+    k += j                          # flat index of corner (i, j)
+    # `sample_at`'s sums w00 c00 + w01 c01 + w10 c10 + w11 c11, left to
+    # right, corner by corner over the three grids: each weight is formed
+    # in the array of a factor it last needs, and k moves to the next
+    # corner in place.
+    np.subtract(1.0, t, out=t_rest)
+    np.subtract(1.0, u, out=u_rest)
+    w = np.multiply(t_rest, u_rest, out=gathered)
+    for flat, value in zip(fld._flat, values):
+        np.multiply(w, flat.take(k, out=value, mode="clip"), out=value)
+    for w, move in ((np.multiply(t_rest, u, out=t_rest), 1),
+                    (np.multiply(t, u_rest, out=u_rest), n - 1),
+                    (np.multiply(t, u, out=t), 1)):
+        k += move
+        for flat, value in zip(fld._flat, values):
+            value += np.multiply(w, flat.take(k, out=gathered, mode="clip"),
+                                 out=gathered)
 
 
 def _max_hypot(x: np.ndarray, y: np.ndarray) -> float:
@@ -305,6 +357,10 @@ def make_jet_stream(bbox: tuple[float, float, float, float],
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     lat_min, lat_max, lon_min, lon_max = bbox
+    # Finite ends give finite axes, which the field does not check again.
+    for name, ends in (("lat_axis", bbox[:2]), ("lon_axis", bbox[2:])):
+        if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
+            raise ValueError(f"{name} must be finite")
     lat_axis = _linspace(lat_min, lat_max, resolution)
     lon_axis = _linspace(lon_min, lon_max, resolution)
     # Every term depends on one axis, so it is computed on a latitude
@@ -342,7 +398,10 @@ def make_jet_stream(bbox: tuple[float, float, float, float],
     temp = (ISA_TEMPERATURE_K - 0.5 * (np.abs(lat_c) - 45.0)).repeat(
         resolution, axis=1)
 
-    return WeatherField(lat_axis, lon_axis, jet + perturb_e, perturb_n, temp)
+    # The five arrays are this call's own, so the field takes them as they
+    # are (`WeatherField._adopt`).
+    return WeatherField._adopt(lat_axis, lon_axis, jet + perturb_e, perturb_n,
+                               temp)
 
 
 def save_csv(fld: WeatherField, path: str) -> None:

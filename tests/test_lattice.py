@@ -216,7 +216,7 @@ def reference_cone(I, J):
     touched = np.array(sorted(set(src.tolist()) | set(dst.tolist())))
     place = {node: k for k, node in enumerate(touched.tolist())}
     in_window = [(i, j, s) for i, j, s, _to in flown if window[i, j, s]]
-    return EdgeSet(window, index, src, dst, touched,
+    return EdgeSet(window, index, touched,
                    np.array([place[n] for n in src.tolist()]),
                    np.array([place[n] for n in dst.tolist()]),
                    np.array([i for i, _j, _s in in_window]),

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
@@ -9,7 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from skyroute import perfmodel
 from skyroute.errors import Infeasible, OutOfDomain, SkyrouteError
 from skyroute.geo import (EARTH_RADIUS_M, GeoPoint, great_circle_distance,
-                          haversine, intermediate_point, normalize_lon)
+                          haversine, intermediate_point, normalize_lon,
+                          unit_vectors)
 from skyroute.harness import (PlanRequest, make_weather, plan,
                               route_json_without_timings)
 from skyroute.lattice import build_lattice
@@ -300,6 +304,108 @@ class TestFlySegments:
                              np.array([49.0]), np.array([11.0]), still_air(), 0)
 
 
+def block_batch(n, seed=1):
+    """n segments over FIELDS' box, some of them zero-length, some leaving
+    the grid, some at the ground-speed floor, with their unit vectors."""
+    rng = np.random.default_rng(seed)
+    lat0, lon0 = rng.uniform(32.0, 68.0, n), rng.uniform(-18.0, 38.0, n)
+    lat1 = lat0 + rng.uniform(-3.0, 3.0, n)
+    lon1 = lon0 + rng.uniform(-3.0, 3.0, n)
+    lat1[::7], lon1[::7] = lat0[::7], lon0[::7]
+    args = lat0, lon0, lat1, lon1
+    return args, (unit_vectors(lat0, lon0), unit_vectors(lat1, lon1))
+
+
+def in_new_thread(fn):
+    """fn() in a thread of its own, so with no working arrays kept yet."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(result) == 1
+    return result[0]
+
+
+class TestGeometryBlocks:
+    def test_blocks_give_the_one_block_bits(self, monkeypatch):
+        # A batch cut into blocks writes each block into the result made
+        # once; every segment gets the bits of the one-block pass.
+        args, ends = block_batch(300)
+        for field in FIELDS:
+            whole = substep_geometry(SLOW_SPEC, *args, field, 4, ends)
+            for points in (4 * 100, 4 * 7, 4):      # 3, 43 and 300 blocks
+                monkeypatch.setattr(perfmodel, "BLOCK_POINTS", points)
+                blocks = substep_geometry(SLOW_SPEC, *args, field, 4, ends)
+                for a, b in zip(whole, blocks):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_working_set_is_a_few_piece_sized_arrays(self, monkeypatch,
+                                                     blocks):
+        # Beyond its result, a call holds at most 8 piece-sized arrays (one
+        # block's substeps x segments doubles) at once: measured 6.5 (one
+        # block) and 7.2 (three), a margin of 0.8 arrays or more. The first
+        # call in a thread also makes the arrays the pass keeps, as many
+        # bytes as (2 (S + 1) + 6 S + 10) / S piece-sized ones (11 at
+        # S = 4): measured 17.6 and 18.2 against a bound of 19. Before the
+        # pass kept them, every call held 20.9 (one block) and 22.6.
+        substeps, n = 4, 3000
+        block = -(-n // blocks)
+        monkeypatch.setattr(perfmodel, "BLOCK_POINTS", substeps * block)
+        args, ends = block_batch(n)
+        piece = substeps * block * 8
+
+        def peaks():
+            out = []
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    geometry = substep_geometry(default_spec(), *args,
+                                                FIELDS[1], substeps, ends)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                out.append((peak - sum(a.nbytes for a in geometry)) / piece)
+            return out
+
+        first, later = in_new_thread(peaks)
+        kept = (2 * (substeps + 1) + 6 * substeps + 10) / substeps
+        assert first <= 8.0 + kept, first
+        assert later <= 8.0, later
+
+    def test_threads_keep_their_own_arrays(self):
+        # Each thread flies with working arrays of its own: threads that
+        # interleave blocks of different sizes get a lone thread's bits.
+        batches = [block_batch(n, seed=n) for n in (40, 300, 1100, 2500)]
+        want = [substep_geometry(default_spec(), *args, FIELDS[1], 4, ends)
+                for args, ends in batches]
+        failures = []
+
+        def fly(k):
+            args, ends = batches[k]
+            for _ in range(10):
+                got = substep_geometry(default_spec(), *args, FIELDS[1], 4,
+                                       ends)
+                if [a.tobytes() for a in got] != [b.tobytes()
+                                                  for b in want[k]]:
+                    failures.append(k)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fly, args=(k,))
+                       for k in range(len(batches))]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(worker.is_alive() for worker in workers)
+        assert failures == []
+
+
 def lat_lon_leg(spec, lat0, lon0, lat1, lon1, mass, field, substeps):
     """(fuel, time) of `fly_leg` as it was written on latitude and longitude
     before unit vectors: the track's initial azimuth, its direction along
@@ -489,6 +595,15 @@ class TestFlyRoute:
         for points in (1, 3, 7):      # 1, 1 and 2 legs per block
             monkeypatch.setattr("skyroute.perfmodel.BLOCK_POINTS", points)
             assert outputs() == whole
+
+    def test_whole_degrees_fly_as_floats(self):
+        # A GeoPoint keeps an integer latitude as given, so a route's
+        # latitude array can be integer: it flies as the same floats do.
+        spec, fld = default_spec(), FIELDS[1]
+        ints = [GeoPoint(48, 11), GeoPoint(50, 12), GeoPoint(51, 14)]
+        floats = [GeoPoint(float(p.lat_deg), p.lon_deg) for p in ints]
+        assert fly_route(spec, AircraftState(ints[0], 60_000), ints, fld) \
+            == fly_route(spec, AircraftState(floats[0], 60_000), floats, fld)
 
     def test_route_cost_sums_the_legs(self):
         spec = default_spec()

@@ -484,6 +484,40 @@ class TestMakeJetStream:
         assert np.max(np.abs(pert.wind_east - base.wind_east)) <= 0.1 * 40.0 + 1e-9
         assert np.max(np.abs(pert.wind_north)) <= 0.1 * 40.0 + 1e-9
 
+    def test_field_takes_the_arrays_it_built(self):
+        # The builder's own arrays go to the field uncopied and unchecked
+        # for what holds by construction; the field is the one the
+        # checking constructor makes from them, bit for bit, and read-only.
+        fld = make_jet_stream((34, 60, -10, 20), 48.0, 40.0, 4.0, seed=3)
+        names = ("lat_axis", "lon_axis", "wind_east", "wind_north",
+                 "temperature")
+        ref = WeatherField(*(getattr(fld, name) for name in names))
+        for name in names:
+            values = getattr(fld, name)
+            assert values.tobytes() == getattr(ref, name).tobytes()
+            assert values.shape == getattr(ref, name).shape
+            assert not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+        assert fld.max_wind_speed() == ref.max_wind_speed()
+        assert fld.temperature_range() == ref.temperature_range()
+        assert fld.bbox() == ref.bbox()
+        lat, lon = np.meshgrid(np.linspace(33.0, 61.0, 29),
+                               np.linspace(-11.0, 21.0, 33), indexing="ij")
+        with np.errstate(invalid="ignore"):
+            got, want = sample_many(fld, lat, lon), sample_many(ref, lat, lon)
+        for name in ("wind_east", "wind_north", "temperature"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes())
+        assert sample_at(fld, 47.3, 5.1) == sample_at(ref, 47.3, 5.1)
+
+    @pytest.mark.parametrize("bbox, name", [((math.nan, 60, -10, 20), "lat"),
+                                            ((34, math.inf, -10, 20), "lat"),
+                                            ((34, 60, -10, math.nan), "lon")])
+    def test_non_finite_bbox_is_refused(self, bbox, name):
+        with pytest.raises(ValueError, match=f"^{name}_axis must be finite$"):
+            make_jet_stream(bbox, 48.0, 40.0, 4.0, seed=3)
+
     def test_core_speed_range(self):
         with pytest.raises(ValueError):
             make_jet_stream((34, 60, -10, 20), 48.0, 130.0, 4.0, seed=1)

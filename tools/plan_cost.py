@@ -8,9 +8,11 @@ small sizes cost what a plan costs before its lattice has a size; the two
 large pairs give the hybrid/unconstrained ratios of ROADMAP item 8. Per
 size it prints, as JSON, the median over ``--repeat`` in-process calls of
 every ``timings`` stage and every ``timings["search"]`` stage, the median
-number of minor page faults one call takes (the ``ru_minflt`` delta), and
-the number of Python-level calls of one plan that builds its own field,
-which depends on the input alone. The
+number of minor page faults one call takes (the ``ru_minflt`` delta), the
+``tracemalloc`` peak of one call in KB (the most it held at once beyond
+what it started with, its working set; one traced call after the timed
+rounds), and the number of Python-level calls of one plan that builds
+its own field, which depends on the input alone. The
 count sums ``cProfile``'s entries, one per code object: ``pstats``'
 ``total_calls`` keys functions by file, line and name, so it merges the
 ``__init__`` of different dataclasses and reads up to 16 lower, by an
@@ -38,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 #: (label, dims, width); width None is an unconstrained plan.
@@ -120,11 +123,16 @@ def main(argv=None) -> int:
 
     sizes = []
     for (label, req), (_l, dims, width) in zip(requests, SIZES):
+        tracemalloc.start()
+        plan(req, field)
+        peak_kb = tracemalloc.get_traced_memory()[1] / 1024
+        tracemalloc.stop()
         profile = cProfile.Profile()
         profile.runcall(plan, req)
         sizes.append({"label": label, "dims": list(dims), "width": width,
                       "calls": sum(e.callcount for e in profile.getstats()),
                       "median_minor_faults": statistics.median(faults[label]),
+                      "tracemalloc_peak_kb": peak_kb,
                       "median_s": _medians(docs[label])})
     print(json.dumps({
         "environment": {"python": platform.python_version(),
